@@ -114,7 +114,7 @@ fn lazy_vs_eager(c: &mut Criterion) {
                 cluster
             },
             |mut cluster| {
-                black_box(cluster.migrate_step(100).unwrap());
+                black_box(cluster.migrate_batch(100).unwrap());
             },
             criterion::BatchSize::LargeInput,
         );

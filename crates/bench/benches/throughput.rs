@@ -1,26 +1,23 @@
-//! Batched and multi-threaded placement throughput.
+//! Scalar and batched placement throughput.
 //!
-//! Three query paths over the same [`RedundantShare`] strategy:
+//! Two query paths over the same [`RedundantShare`] strategy:
 //!
 //! * `scalar` — one [`PlacementStrategy::place_into`] call per ball, the
 //!   baseline every caller used before the batch API existed;
 //! * `batch` — one [`PlacementStrategy::place_batch_into`] call writing a
-//!   flat stride-`k` buffer (no per-ball `Vec`s, no repeated dispatch);
-//! * `parallel` — the [`PlacementEngine`] sharding the batch across OS
-//!   threads.
+//!   flat stride-`k` buffer (no per-ball `Vec`s, no repeated dispatch).
 //!
-//! Placement is a pure function per ball, so all three paths return
+//! Placement is a pure function per ball, so both paths return
 //! bit-identical output (the core crate's tests pin that down); the only
 //! difference is wall-clock time. Swept over k ∈ {2, 3, 4} and
 //! n ∈ {16, 256, 4096} — the O(n) scan makes large-n the interesting
-//! regime for both batching and parallelism.
+//! regime for batching.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rshare_core::{BinId, BinSet, PlacementEngine, PlacementStrategy, RedundantShare};
+use rshare_core::{BinId, BinSet, PlacementStrategy, RedundantShare};
 use std::hint::black_box;
 
-/// Balls per measured batch. Large enough to cross the engine's
-/// sequential-fallback threshold on every thread count.
+/// Balls per measured batch.
 const BATCH: usize = 1 << 12;
 
 fn heterogeneous(n: usize) -> BinSet {
@@ -34,7 +31,6 @@ fn query_paths(c: &mut Criterion) {
         group.throughput(Throughput::Elements(BATCH as u64));
         for n in [16usize, 256, 4096] {
             let strat = RedundantShare::new(&heterogeneous(n), k).unwrap();
-            let engine = PlacementEngine::new(strat.clone());
             group.bench_with_input(BenchmarkId::new("scalar", n), &n, |b, _| {
                 let mut group_buf = Vec::with_capacity(k);
                 b.iter(|| {
@@ -48,13 +44,6 @@ fn query_paths(c: &mut Criterion) {
                 let mut out: Vec<BinId> = Vec::with_capacity(BATCH * k);
                 b.iter(|| {
                     strat.place_batch_into(black_box(&balls), &mut out);
-                    black_box(&out);
-                });
-            });
-            group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, _| {
-                let mut out: Vec<BinId> = Vec::with_capacity(BATCH * k);
-                b.iter(|| {
-                    engine.place_batch_into(black_box(&balls), &mut out);
                     black_box(&out);
                 });
             });

@@ -6,11 +6,11 @@
 //! 1. **Placement lookups** — `placement_into` throughput on a repeated
 //!    working set, cached (epoch-versioned placement cache) vs uncached
 //!    (every lookup re-runs the Redundant Share scan).
-//! 2. **Block reads** — `read_blocks` throughput over the same working
+//! 2. **Block reads** — a `read_block_into` loop over the same working
 //!    set, cached vs uncached cluster.
 //! 3. **Reed–Solomon encode** — MB/s of each GF(256) kernel tier (SIMD,
-//!    SWAR, flat-table) vs the byte-wise log/exp reference on 64 KiB
-//!    shards, forced per tier through `set_kernel_tier`.
+//!    flat-table) vs the byte-wise log/exp reference on 64 KiB shards,
+//!    forced per tier through `set_kernel_tier`.
 //! 4. **Stripe writes** — the fused `write_blocks` batch pipeline vs a
 //!    `write_block` loop over the same overwrite working set.
 //! 5. **Repair** — fused `repair()` (scan → gather → reconstruct → store
@@ -129,7 +129,8 @@ fn bench_placement(quick: bool, cells: &mut Vec<Cell>) {
     }
 }
 
-/// End-to-end `read_blocks` throughput over a repeated working set.
+/// End-to-end block-read throughput over a repeated working set: one
+/// `read_block_into` per block into a reused buffer.
 fn bench_reads(quick: bool, cells: &mut Vec<Cell>) {
     let working_set: u64 = if quick { 512 } else { 4_096 };
     let rounds: u64 = if quick { 4 } else { 8 };
@@ -141,9 +142,13 @@ fn bench_reads(quick: bool, cells: &mut Vec<Cell>) {
         for &lba in &lbas {
             c.write_block(lba, &data).expect("write");
         }
+        let mut buf = vec![0u8; block_size];
         let elapsed = time_best(|| {
             for _ in 0..rounds {
-                black_box(c.read_blocks(black_box(&lbas)).expect("read"));
+                for &lba in &lbas {
+                    c.read_block_into(black_box(lba), &mut buf).expect("read");
+                    black_box(&buf);
+                }
             }
         });
         cells.push(Cell {
@@ -172,7 +177,7 @@ fn rs_cluster(block_size: usize) -> StorageCluster {
 
 /// RS(8, 4) parity generation over 64 KiB shards: every kernel tier
 /// (forced via `set_kernel_tier`; on hardware without SSSE3 the `simd`
-/// row measures the documented SWAR fallback) vs the byte-wise log/exp
+/// row measures the documented table fallback) vs the byte-wise log/exp
 /// reference.
 fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     const DATA: usize = 8;
@@ -200,11 +205,7 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     }
 
     let prior = gf256::kernel_tier();
-    for (mode, tier) in [
-        ("simd", KernelTier::Simd),
-        ("swar", KernelTier::Swar),
-        ("table", KernelTier::Table),
-    ] {
+    for (mode, tier) in [("simd", KernelTier::Simd), ("table", KernelTier::Table)] {
         gf256::set_kernel_tier(tier);
         let elapsed = time_best(|| {
             for _ in 0..encodes {
@@ -411,7 +412,7 @@ fn records(cells: &[Cell]) -> Vec<Record> {
                 ("repair", "fused") => ("repair_fused".to_string(), Some("loop")),
                 ("repair", "loop") => ("repair_block_loop".to_string(), None),
                 (_, "cached") => (format!("{}_{}", c.bench, c.mode), Some("uncached")),
-                (_, "simd" | "swar") => (format!("{}_{}", c.bench, c.mode), Some("table")),
+                (_, "simd") => (format!("{}_{}", c.bench, c.mode), Some("table")),
                 (_, "table") => (format!("{}_{}", c.bench, c.mode), Some("bytewise")),
                 _ => (format!("{}_{}", c.bench, c.mode), None),
             };

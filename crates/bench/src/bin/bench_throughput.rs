@@ -1,9 +1,9 @@
-//! Placement-engine throughput report: scalar vs batch vs parallel.
+//! Placement-engine throughput report: scalar vs batch.
 //!
 //! Measures end-to-end placement throughput (placements per second) of the
-//! three query paths over [`RedundantShare`] — per-ball `place_into`, flat
-//! `place_batch_into`, and the multi-threaded [`PlacementEngine`] — for
-//! k ∈ {2, 3, 4} and n ∈ {16, 256, 4096}, prints a table, and writes the
+//! two query paths over [`RedundantShare`] — per-ball `place_into` and
+//! flat `place_batch_into` — for k ∈ {2, 3, 4} and n ∈ {16, 256, 4096},
+//! prints a table, and writes the
 //! raw numbers to `BENCH_throughput.json` for machine consumption (CI
 //! smoke-checks that the file parses).
 //!
@@ -14,7 +14,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use rshare_bench::{f, print_table, records_json, section, Record};
-use rshare_core::{BinId, BinSet, PlacementEngine, PlacementStrategy, RedundantShare};
+use rshare_core::{BinId, BinSet, PlacementStrategy, RedundantShare};
 
 /// Timing repetitions per cell; the best (minimum) time is reported.
 const REPS: usize = 3;
@@ -65,9 +65,8 @@ fn time_best<F: FnMut()>(mut run: F) -> u128 {
     best
 }
 
-fn measure(n: usize, k: usize, quick: bool, threads: usize) -> Vec<Cell> {
+fn measure(n: usize, k: usize, quick: bool) -> Vec<Cell> {
     let strat = RedundantShare::new(&heterogeneous(n), k).expect("valid strategy");
-    let engine = PlacementEngine::with_threads(strat.clone(), threads);
     let count = balls_for(n, quick);
     let balls: Vec<u64> = (0..count as u64).map(|b| b.wrapping_mul(0x9E37)).collect();
     let mut out: Vec<BinId> = Vec::with_capacity(count * k);
@@ -99,27 +98,15 @@ fn measure(n: usize, k: usize, quick: bool, threads: usize) -> Vec<Cell> {
         balls: count,
         elapsed_ns: batch,
     });
-
-    let parallel = time_best(|| {
-        engine.place_batch_into(black_box(&balls), &mut out);
-        black_box(&out);
-    });
-    cells.push(Cell {
-        n,
-        k,
-        mode: "parallel",
-        balls: count,
-        elapsed_ns: parallel,
-    });
     cells
 }
 
 /// Hand-rolled JSON (no serde in the dependency set): the report is flat
 /// enough that string assembly stays readable.
-fn to_json(cells: &[Cell], threads: usize, quick: bool) -> String {
+fn to_json(cells: &[Cell], quick: bool) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
-        "  \"config\": {{\"threads\": {threads}, \"quick\": {quick}, \"reps\": {REPS}}},\n"
+        "  \"config\": {{\"quick\": {quick}, \"reps\": {REPS}}},\n"
     ));
     s.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -167,46 +154,32 @@ fn records(cells: &[Cell]) -> Vec<Record> {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     section(&format!(
-        "Placement throughput — scalar vs batch vs parallel ({threads} thread(s){})",
-        if quick { ", quick mode" } else { "" }
+        "Placement throughput — scalar vs batch{}",
+        if quick { " (quick mode)" } else { "" }
     ));
 
     let mut cells = Vec::new();
     for k in [2usize, 3, 4] {
         for n in [16usize, 256, 4096] {
-            cells.extend(measure(n, k, quick, threads));
+            cells.extend(measure(n, k, quick));
         }
     }
 
     let mut rows = Vec::new();
-    for chunk in cells.chunks(3) {
-        let (scalar, batch, parallel) = (&chunk[0], &chunk[1], &chunk[2]);
+    for chunk in cells.chunks(2) {
+        let (scalar, batch) = (&chunk[0], &chunk[1]);
         rows.push(vec![
             scalar.n.to_string(),
             scalar.k.to_string(),
             format!("{:.2}", scalar.placements_per_s() / 1e6),
             format!("{:.2}", batch.placements_per_s() / 1e6),
-            format!("{:.2}", parallel.placements_per_s() / 1e6),
             f(batch.placements_per_s() / scalar.placements_per_s()),
-            f(parallel.placements_per_s() / scalar.placements_per_s()),
         ]);
     }
-    print_table(
-        &[
-            "n",
-            "k",
-            "scalar M/s",
-            "batch M/s",
-            "parallel M/s",
-            "batch x",
-            "parallel x",
-        ],
-        &rows,
-    );
+    print_table(&["n", "k", "scalar M/s", "batch M/s", "batch x"], &rows);
 
-    let json = to_json(&cells, threads, quick);
+    let json = to_json(&cells, quick);
     std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
     println!(
         "\nwrote BENCH_throughput.json ({} result rows)",

@@ -428,7 +428,7 @@ fn cmd_metrics(args: &Args) -> Result<(), ArgError> {
         );
     }
     println!(
-        "max fairness deviation: {:.4} (paper bar: capacity-proportional shares)\n",
+        "max fairness deviation: {:.4} (fair shares: Lemma 2.2 adjusted capacities)\n",
         snap.fairness.max_deviation
     );
     print!("{}", cluster.export_prometheus());
@@ -467,7 +467,7 @@ fn cmd_kernels(args: &Args) -> Result<(), ArgError> {
         .collect();
     let prior = gf256::kernel_tier();
     println!("  rs(4,2) encode, {shard_kib} KiB shards:");
-    for tier in [KernelTier::Simd, KernelTier::Swar, KernelTier::Table] {
+    for tier in [KernelTier::Simd, KernelTier::Table] {
         let installed = gf256::set_kernel_tier(tier);
         let start = Instant::now();
         let reps = 8;
@@ -487,8 +487,8 @@ fn cmd_kernels(args: &Args) -> Result<(), ArgError> {
     gf256::set_kernel_tier(prior);
     let stats = gf256::kernel_stats();
     println!(
-        "  kernel stats : {} calls, {} simd bytes, {} swar bytes, {} xor bytes",
-        stats.calls, stats.simd_bytes, stats.swar_bytes, stats.xor_bytes
+        "  kernel stats : {} calls, {} simd bytes, {} xor bytes",
+        stats.calls, stats.simd_bytes, stats.xor_bytes
     );
     Ok(())
 }

@@ -50,7 +50,6 @@
 mod analysis;
 mod bins;
 pub mod capacity;
-mod engine;
 mod error;
 mod fast;
 mod hierarchy;
@@ -64,9 +63,8 @@ mod test_util;
 mod trivial;
 
 pub use bins::{Bin, BinId, BinSet};
-pub use engine::PlacementEngine;
 pub use error::PlacementError;
-pub use fast::{FastRedundantShare, RebuildStats};
+pub use fast::FastRedundantShare;
 pub use hierarchy::{DomainBin, DomainPlacement};
 pub use linmirror::LinMirror;
 pub use pps::SystematicPps;

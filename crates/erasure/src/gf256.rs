@@ -3,25 +3,22 @@
 //! Addition is XOR; scalar multiplication uses log/exp tables built once at
 //! first use. The bulk kernels ([`mul_acc`], [`xor_acc`], [`mul_acc_many`])
 //! that form the inner loops of every erasure code in this crate dispatch
-//! through a three-tier engine selected once at startup:
+//! through a two-tier engine selected once at startup:
 //!
 //! 1. **SIMD** ([`KernelTier::Simd`], [`simd`]) — x86-64 split-nibble
 //!    `pshufb` kernels (AVX2 when available, SSSE3 otherwise): two 16-entry
 //!    product tables per coefficient, 16/32 product bytes per shuffle pair.
-//! 2. **SWAR** ([`KernelTier::Swar`]) — portable `u64` lane arithmetic:
-//!    eight bytes are multiplied at once by carry-less shift-and-reduce
-//!    over the bits of the coefficient. The tier for non-x86 targets and
-//!    detection misses.
-//! 3. **Table** ([`KernelTier::Table`]) — a flat 256×256 product table,
-//!    one branch-free, bounds-check-free lookup per byte. The
-//!    always-correct fallback every other tier is property-tested against.
+//! 2. **Table** ([`KernelTier::Table`]) — a flat 256×256 product table,
+//!    sixteen branch-free, bounds-check-free lookups per iteration. The
+//!    portable fallback for non-x86 targets and detection misses, and the
+//!    tier the SIMD kernels are property-tested against.
 //!
-//! All tiers are bit-identical (GF(256) multiplication is exact — the
+//! Both tiers are bit-identical (GF(256) multiplication is exact — the
 //! property tests pin this across tiers, offsets and lengths). The active
 //! tier comes from runtime CPU detection, overridable with the
 //! `RSHARE_GF256_KERNEL` environment variable (`simd`, `avx2`, `ssse3`,
-//! `swar`, `table`, `auto`) or [`set_kernel_tier`] — the knob CI uses to
-//! keep the fallback tiers covered. The byte-at-a-time log/exp kernel
+//! `table`, `auto`) or [`set_kernel_tier`] — the knob CI uses to keep the
+//! fallback tier covered. The byte-at-a-time log/exp kernel
 //! survives as [`mul_acc_bytewise`], the reference the property tests and
 //! the `bench_e2e` report pin every production kernel against.
 
@@ -46,8 +43,6 @@ static XOR_BYTES: AtomicU64 = AtomicU64::new(0);
 static MUL_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Multiply bytes handled by the SIMD tier (subset of [`MUL_BYTES`]).
 static SIMD_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Multiply bytes handled by the SWAR tier (subset of [`MUL_BYTES`]).
-static SWAR_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Bulk-kernel invocations that did work (zero-coefficient calls return
 /// before touching data and are not counted).
 static KERNEL_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -69,8 +64,6 @@ pub struct KernelStats {
     pub mul_bytes: u64,
     /// Multiply bytes handled by the SIMD tier (subset of `mul_bytes`).
     pub simd_bytes: u64,
-    /// Multiply bytes handled by the SWAR tier (subset of `mul_bytes`).
-    pub swar_bytes: u64,
     /// Kernel invocations that processed data.
     pub calls: u64,
 }
@@ -90,7 +83,6 @@ pub fn kernel_stats() -> KernelStats {
         xor_bytes: XOR_BYTES.load(Ordering::Relaxed),
         mul_bytes: MUL_BYTES.load(Ordering::Relaxed),
         simd_bytes: SIMD_BYTES.load(Ordering::Relaxed),
-        swar_bytes: SWAR_BYTES.load(Ordering::Relaxed),
         calls: KERNEL_CALLS.load(Ordering::Relaxed),
     }
 }
@@ -102,7 +94,6 @@ pub fn reset_kernel_stats() -> KernelStats {
         xor_bytes: XOR_BYTES.swap(0, Ordering::Relaxed),
         mul_bytes: MUL_BYTES.swap(0, Ordering::Relaxed),
         simd_bytes: SIMD_BYTES.swap(0, Ordering::Relaxed),
-        swar_bytes: SWAR_BYTES.swap(0, Ordering::Relaxed),
         calls: KERNEL_CALLS.swap(0, Ordering::Relaxed),
     }
 }
@@ -114,19 +105,16 @@ pub fn reset_kernel_stats() -> KernelStats {
 pub enum KernelTier {
     /// x86-64 `pshufb` split-nibble kernels (AVX2 or SSSE3).
     Simd,
-    /// Portable `u64` SWAR lanes.
-    Swar,
     /// Flat 256×256 product table, byte at a time.
     Table,
 }
 
 impl KernelTier {
-    /// The tier's lowercase name (`"simd"`, `"swar"`, `"table"`).
+    /// The tier's lowercase name (`"simd"`, `"table"`).
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
             Self::Simd => "simd",
-            Self::Swar => "swar",
             Self::Table => "table",
         }
     }
@@ -137,24 +125,22 @@ impl KernelTier {
 static ACTIVE_TIER: AtomicU8 = AtomicU8::new(TIER_UNSET);
 const TIER_UNSET: u8 = 0xFF;
 const TIER_SIMD: u8 = 0;
-const TIER_SWAR: u8 = 1;
-const TIER_TABLE: u8 = 2;
+const TIER_TABLE: u8 = 1;
 
 const fn tier_code(tier: KernelTier) -> u8 {
     match tier {
         KernelTier::Simd => TIER_SIMD,
-        KernelTier::Swar => TIER_SWAR,
         KernelTier::Table => TIER_TABLE,
     }
 }
 
 /// The best tier the hardware supports: SIMD when the CPU has the needed
-/// features, the portable SWAR lanes otherwise.
+/// features, the portable table otherwise.
 fn best_tier() -> KernelTier {
     if simd::available() {
         KernelTier::Simd
     } else {
-        KernelTier::Swar
+        KernelTier::Table
     }
 }
 
@@ -165,7 +151,6 @@ fn init_tier() -> KernelTier {
     let requested = std::env::var("RSHARE_GF256_KERNEL").ok();
     match requested.as_deref() {
         Some("table") => KernelTier::Table,
-        Some("swar") => KernelTier::Swar,
         Some("avx2") => {
             if simd::force_level(simd::Level::Avx2) {
                 KernelTier::Simd
@@ -190,7 +175,6 @@ fn init_tier() -> KernelTier {
 pub fn kernel_tier() -> KernelTier {
     match ACTIVE_TIER.load(Ordering::Relaxed) {
         TIER_SIMD => KernelTier::Simd,
-        TIER_SWAR => KernelTier::Swar,
         TIER_TABLE => KernelTier::Table,
         _ => {
             let tier = init_tier();
@@ -204,13 +188,13 @@ pub fn kernel_tier() -> KernelTier {
 
 /// Overrides the dispatch tier, returning the tier actually installed:
 /// asking for [`KernelTier::Simd`] on hardware without SSSE3 installs (and
-/// returns) [`KernelTier::Swar`] instead. A testing/benchmark knob — the
+/// returns) [`KernelTier::Table`] instead. A testing/benchmark knob — the
 /// equivalence property tests run every tier through it, and `bench_e2e`
 /// brackets per-tier measurements with it. Process-global; all tiers are
 /// bit-identical, so flipping it mid-flight changes speed, never results.
 pub fn set_kernel_tier(tier: KernelTier) -> KernelTier {
     let installed = match tier {
-        KernelTier::Simd if !simd::available() => KernelTier::Swar,
+        KernelTier::Simd if !simd::available() => KernelTier::Table,
         other => other,
     };
     ACTIVE_TIER.store(tier_code(installed), Ordering::Relaxed);
@@ -354,7 +338,7 @@ pub fn pow(a: u8, e: u32) -> u8 {
 /// word-at-a-time with no per-chunk checks. This is the coefficient-1
 /// fast path of [`mul_acc`] and the shared kernel behind the XOR-only
 /// codes (parity, EVENODD, RDP, LRC local repair). The SIMD tier widens
-/// the word to 32 bytes (AVX2); every other tier uses native `u64` words.
+/// the word to 32 bytes (AVX2); the table tier uses native `u64` words.
 ///
 /// # Panics
 ///
@@ -365,14 +349,14 @@ pub fn xor_acc(acc: &mut [u8], data: &[u8]) {
     KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
     match kernel_tier() {
         KernelTier::Simd => simd::xor_acc(acc, data),
-        KernelTier::Swar | KernelTier::Table => xor_acc_words(acc, data),
+        KernelTier::Table => xor_acc_words(acc, data),
     }
 }
 
 /// Like [`xor_acc`], but through an explicit tier — the side-effect-free
 /// dispatch the equivalence tests and per-tier benchmarks use (the global
 /// tier is left untouched). [`KernelTier::Simd`] on hardware without
-/// SSSE3 silently runs the SWAR body instead.
+/// SSSE3 silently runs the portable body instead.
 ///
 /// # Panics
 ///
@@ -423,7 +407,7 @@ pub fn mul_acc(acc: &mut [u8], data: &[u8], c: u8) {
         KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
         match kernel_tier() {
             KernelTier::Simd => simd::xor_acc(acc, data),
-            KernelTier::Swar | KernelTier::Table => xor_acc_words(acc, data),
+            KernelTier::Table => xor_acc_words(acc, data),
         }
         return;
     }
@@ -434,10 +418,6 @@ pub fn mul_acc(acc: &mut [u8], data: &[u8], c: u8) {
             SIMD_BYTES.fetch_add(data.len() as u64, Ordering::Relaxed);
             simd::mul_acc(acc, data, c);
         }
-        KernelTier::Swar => {
-            SWAR_BYTES.fetch_add(data.len() as u64, Ordering::Relaxed);
-            mul_acc_swar(acc, data, c);
-        }
         KernelTier::Table => mul_acc_table(acc, data, c),
     }
 }
@@ -445,7 +425,7 @@ pub fn mul_acc(acc: &mut [u8], data: &[u8], c: u8) {
 /// Like [`mul_acc`], but through an explicit tier — the side-effect-free
 /// dispatch the equivalence tests and per-tier benchmarks use (the global
 /// tier is left untouched, and the tier counters are not tallied).
-/// [`KernelTier::Simd`] on hardware without SSSE3 silently runs the SWAR
+/// [`KernelTier::Simd`] on hardware without SSSE3 silently runs the table
 /// body instead.
 ///
 /// # Panics
@@ -462,52 +442,7 @@ pub fn mul_acc_with(tier: KernelTier, acc: &mut [u8], data: &[u8], c: u8) {
     }
     match tier {
         KernelTier::Simd if simd::available() => simd::mul_acc(acc, data, c),
-        KernelTier::Simd | KernelTier::Swar => mul_acc_swar(acc, data, c),
-        KernelTier::Table => mul_acc_table(acc, data, c),
-    }
-}
-
-/// The SWAR multiply body: eight bytes per iteration as one `u64` of
-/// independent lanes, shift-and-reduce over the bits of `c` (at most
-/// eight doubling rounds, no per-byte table traffic). The sub-word tail
-/// reuses the coefficient's product row.
-#[inline(always)]
-fn mul_acc_swar(acc: &mut [u8], data: &[u8], c: u8) {
-    let mut a = acc.chunks_exact_mut(8);
-    let mut d = data.chunks_exact(8);
-    for (aw, dw) in (&mut a).zip(&mut d) {
-        let x = u64::from_ne_bytes(aw.try_into().expect("8-byte chunk"))
-            ^ mul_word_swar(u64::from_ne_bytes(dw.try_into().expect("8-byte chunk")), c);
-        aw.copy_from_slice(&x.to_ne_bytes());
-    }
-    let row = mul_row(c);
-    for (aw, &dw) in a.into_remainder().iter_mut().zip(d.remainder()) {
-        *aw ^= row[dw as usize];
-    }
-}
-
-/// Multiplies all eight byte lanes of `x` by `c`: Russian-peasant
-/// multiplication where the per-lane doubling is carried out on the whole
-/// word — the lane top bits are masked off before the shift and folded
-/// back as the reduction polynomial `0x1d`, so lanes never interact.
-#[inline(always)]
-fn mul_word_swar(mut x: u64, c: u8) -> u64 {
-    const TOP: u64 = 0x8080_8080_8080_8080;
-    const LOW: u64 = 0xFEFE_FEFE_FEFE_FEFE;
-    let mut product = 0u64;
-    let mut c = c;
-    loop {
-        if c & 1 != 0 {
-            product ^= x;
-        }
-        c >>= 1;
-        if c == 0 {
-            return product;
-        }
-        let carries = x & TOP;
-        // `carries >> 7` leaves a 0/1 bit at each lane's bottom; the
-        // multiply broadcasts it to `0x1d` without crossing lanes.
-        x = ((x << 1) & LOW) ^ ((carries >> 7) * 0x1d);
+        KernelTier::Simd | KernelTier::Table => mul_acc_table(acc, data, c),
     }
 }
 
@@ -585,11 +520,9 @@ pub fn mul_acc_many<S: AsRef<[u8]>>(out: &mut [u8], sources: &[S], coeffs: &[u8]
     }
     if muls > 0 {
         MUL_BYTES.fetch_add(muls * len, Ordering::Relaxed);
-        match tier {
-            KernelTier::Simd => SIMD_BYTES.fetch_add(muls * len, Ordering::Relaxed),
-            KernelTier::Swar => SWAR_BYTES.fetch_add(muls * len, Ordering::Relaxed),
-            KernelTier::Table => 0,
-        };
+        if tier == KernelTier::Simd {
+            SIMD_BYTES.fetch_add(muls * len, Ordering::Relaxed);
+        }
     }
     if xors + muls > 0 {
         KERNEL_CALLS.fetch_add(xors + muls, Ordering::Relaxed);
@@ -620,8 +553,8 @@ pub fn mul_acc_many_with<S: AsRef<[u8]>>(
 }
 
 /// The pre-table byte-at-a-time `mul_acc`: log/exp lookups with a per-byte
-/// zero test. Kept as the reference kernel — the property tests pin every
-/// tier of [`mul_acc`] against it bit for bit, and `bench_e2e` reports the
+/// zero test. Kept as the reference kernel — the property tests pin both
+/// tiers of [`mul_acc`] against it bit for bit, and `bench_e2e` reports the
 /// tiered-kernel speedups over it.
 pub fn mul_acc_bytewise(acc: &mut [u8], data: &[u8], c: u8) {
     debug_assert_eq!(acc.len(), data.len());
@@ -735,7 +668,7 @@ mod tests {
     #[test]
     fn all_tiers_match_bytewise_all_lengths() {
         // Odd lengths exercise both the wide bodies and the tails.
-        let tiers = [KernelTier::Simd, KernelTier::Swar, KernelTier::Table];
+        let tiers = [KernelTier::Simd, KernelTier::Table];
         for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100] {
             let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             for c in [0u8, 1, 2, 3, 0x1d, 0x8e, 0xff] {
@@ -755,17 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn swar_word_multiply_matches_scalar() {
-        for c in [2u8, 3, 0x1d, 0x80, 0xff] {
-            let bytes: [u8; 8] = [0, 1, 2, 0x7f, 0x80, 0x9a, 0xfe, 0xff];
-            let got = mul_word_swar(u64::from_ne_bytes(bytes), c).to_ne_bytes();
-            for (g, &b) in got.iter().zip(&bytes) {
-                assert_eq!(*g, mul(c, b), "c = {c} b = {b}");
-            }
-        }
-    }
-
-    #[test]
     fn xor_acc_matches_bytewise() {
         for len in [0usize, 1, 7, 8, 9, 16, 23, 31, 32, 33, 64] {
             let data: Vec<u8> = (0..len).map(|i| (i * 101 + 3) as u8).collect();
@@ -773,7 +695,7 @@ mod tests {
             for (a, d) in slow.iter_mut().zip(&data) {
                 *a ^= d;
             }
-            for tier in [KernelTier::Simd, KernelTier::Swar, KernelTier::Table] {
+            for tier in [KernelTier::Simd, KernelTier::Table] {
                 let mut fast = vec![0xA5u8; len];
                 xor_acc_with(tier, &mut fast, &data);
                 assert_eq!(fast, slow, "tier = {tier:?} len = {len}");
@@ -807,7 +729,7 @@ mod tests {
             let mut tiled = vec![0u8; len];
             mul_acc_many(&mut tiled, &sources, &coeffs);
             assert_eq!(tiled, flat, "len = {len}");
-            for tier in [KernelTier::Simd, KernelTier::Swar, KernelTier::Table] {
+            for tier in [KernelTier::Simd, KernelTier::Table] {
                 let mut tiered = vec![0u8; len];
                 mul_acc_many_with(tier, &mut tiered, &sources, &coeffs);
                 assert_eq!(tiered, flat, "tier = {tier:?} len = {len}");
@@ -818,21 +740,20 @@ mod tests {
     #[test]
     fn tier_override_round_trips() {
         let before = kernel_tier();
-        // Table and SWAR are always installable verbatim.
+        // The table is always installable verbatim.
         assert_eq!(set_kernel_tier(KernelTier::Table), KernelTier::Table);
         assert_eq!(kernel_tier(), KernelTier::Table);
-        assert_eq!(set_kernel_tier(KernelTier::Swar), KernelTier::Swar);
-        // SIMD downgrades to SWAR when the hardware lacks it.
+        // SIMD downgrades to the table when the hardware lacks it.
         let installed = set_kernel_tier(KernelTier::Simd);
         if simd::available() {
             assert_eq!(installed, KernelTier::Simd);
         } else {
-            assert_eq!(installed, KernelTier::Swar);
+            assert_eq!(installed, KernelTier::Table);
         }
         assert_eq!(kernel_tier(), installed);
         assert_eq!(
             installed.name(),
-            if simd::available() { "simd" } else { "swar" }
+            if simd::available() { "simd" } else { "table" }
         );
         set_kernel_tier(before);
     }
@@ -867,8 +788,8 @@ mod tests {
         assert!(after.mul_bytes >= before.mul_bytes + 192);
         assert!(after.calls >= before.calls + 3);
         assert_eq!(after.total_bytes(), after.xor_bytes + after.mul_bytes);
-        // Tier sub-tallies never exceed the total multiply traffic.
-        assert!(after.simd_bytes + after.swar_bytes <= after.mul_bytes);
+        // The SIMD sub-tally never exceeds the total multiply traffic.
+        assert!(after.simd_bytes <= after.mul_bytes);
         // reset() hands back at least everything tallied so far.
         let drained = reset_kernel_stats();
         assert!(drained.xor_bytes >= after.xor_bytes);

@@ -16,7 +16,7 @@
 //! cached in an atomic; `RSHARE_GF256_KERNEL=avx2|ssse3` pins a specific
 //! width through [`force_level`]. On non-x86-64 targets every probe
 //! reports unavailable and the dispatcher in [`super`] settles on the
-//! SWAR tier instead.
+//! table tier instead.
 //!
 //! This module is the only place in the workspace that uses `unsafe`: the
 //! `std::arch` intrinsics require it. Every unsafe block's obligations are

@@ -1,7 +1,7 @@
 //! Inverse-CDF tables for migration-stable weighted sampling.
 //!
-//! [`AliasTable`](crate::AliasTable) answers a weighted draw in O(1), but
-//! the Walker/Vose column/alias layout is discontinuous in the weights: a
+//! A Walker/Vose alias table answers a weighted draw in O(1), but its
+//! column/alias layout is discontinuous in the weights: a
 //! tiny perturbation can reshuffle which hash values land on which
 //! outcome, so two tables over *almost* the same distribution disagree on
 //! a large fraction of keys. That is fatal for placement adaptivity,
@@ -18,8 +18,36 @@
 //! O(1); for placement transitions over at most a few hundred bins that
 //! is a handful of well-predicted probes.
 
-use crate::alias::AliasError;
 use crate::mix::unit_f64;
+
+/// Error returned when a sampling table cannot be built from the given
+/// weights.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AliasError {
+    /// The weight slice was empty.
+    Empty,
+    /// A weight was negative, NaN or infinite.
+    InvalidWeight {
+        /// Index of the offending weight.
+        index: usize,
+    },
+    /// All weights were zero.
+    ZeroTotal,
+}
+
+impl std::fmt::Display for AliasError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Empty => write!(f, "cannot build a sampling table over zero outcomes"),
+            Self::InvalidWeight { index } => {
+                write!(f, "weight at index {index} is negative or non-finite")
+            }
+            Self::ZeroTotal => write!(f, "all weights are zero"),
+        }
+    }
+}
+
+impl std::error::Error for AliasError {}
 
 /// An immutable inverse-CDF sampler over `n` outcomes with fixed weights.
 ///
@@ -58,8 +86,7 @@ impl CdfTable {
     ///
     /// # Errors
     ///
-    /// Returns [`AliasError`] (the shared weight-validation error) if
-    /// `weights` is empty, contains a negative or non-finite value, or
+    /// Returns [`AliasError`] if `weights` is empty, contains a negative or non-finite value, or
     /// sums to zero.
     pub fn new(weights: &[f64]) -> Result<Self, AliasError> {
         if weights.is_empty() {
@@ -199,6 +226,11 @@ mod tests {
             Err(AliasError::InvalidWeight { index: 1 })
         );
         assert_eq!(CdfTable::new(&[0.0, 0.0]), Err(AliasError::ZeroTotal));
+        assert!(AliasError::Empty.to_string().contains("zero outcomes"));
+        assert!(AliasError::ZeroTotal.to_string().contains("zero"));
+        assert!(AliasError::InvalidWeight { index: 3 }
+            .to_string()
+            .contains('3'));
     }
 
     /// The property alias tables lack: perturbing one weight remaps only

@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alias;
 pub mod cdf;
 pub mod consistent;
 pub mod mix;
@@ -50,7 +49,6 @@ pub mod weighted_dht;
 
 mod selector;
 
-pub use alias::AliasTable;
 pub use cdf::CdfTable;
 pub use consistent::{ConsistentRing, StatelessConsistent};
 pub use mix::{splitmix64, stable_hash2, stable_hash3, unit_f64, unit_open_f64};

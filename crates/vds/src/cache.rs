@@ -12,8 +12,8 @@
 //! ([`MAX_CACHED_SHARDS`] slots, smallvec-style), so a cached placement
 //! costs no heap allocation per entry and a hit copies at most 128 bytes.
 //! The map is sharded by a hash of the block address and each shard is
-//! guarded by its own mutex, so the concurrent read fan-out of
-//! [`crate::StorageCluster::read_blocks`] does not serialise on one lock.
+//! guarded by its own mutex, so concurrent readers sharing a
+//! [`crate::SharedCluster`] do not serialise on one lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -29,7 +29,7 @@ use crate::cache::{CacheStats, InlinePlacement, PlacementCache, MAX_CACHED_SHARD
 use crate::device::{Device, DeviceState};
 use crate::error::VdsError;
 use crate::health::{ClusterMetrics, FairnessReport, HealthSnapshot};
-use crate::migration::{BlockOps, MigrationPlan, MigrationReport, ShardMove};
+use crate::migration::{MigrationPlan, MigrationReport, ShardMove};
 use crate::profile::DeviceProfile;
 use crate::redundancy::Redundancy;
 
@@ -47,27 +47,19 @@ const LATENCY_SAMPLE: u64 = 64;
 /// `n` and which avoids the O(k·n²) table build on every membership change.
 const FAST_PLACEMENT_MIN_DEVICES: usize = 64;
 
-/// Below this many blocks per available thread a batched read stays on the
-/// calling thread: spawn/join overhead dwarfs the lookups.
-const MIN_READS_PER_THREAD: usize = 64;
-
 /// Blocks per batched-migration chunk. Bounds the transient memory of a
 /// rebalance: at most this many blocks' shard payloads are in flight
 /// between the gather and apply phases.
 const MIGRATION_CHUNK_BLOCKS: usize = 4096;
-
-/// Below this many migrating blocks per worker the gather phase stays on
-/// the calling thread: spawn/join overhead dwarfs the block I/O.
-const MIN_MIGRATE_BLOCKS_PER_THREAD: usize = 32;
 
 /// The placement engine a cluster routes queries through, chosen by
 /// cluster size (see [`ClusterBuilder::fast_strategy_threshold`]).
 ///
 /// Both variants implement the paper's Redundant Share and are equally
 /// fair, but their per-ball placements differ (the fast variant draws its
-/// randomness from precomputed alias tables), so switching variants is a
-/// strategy change like any other: the migration machinery diffs old and
-/// new placements and moves what changed.
+/// randomness from precomputed transition tables), so switching variants
+/// is a strategy change like any other: the migration machinery diffs old
+/// and new placements and moves what changed.
 enum ClusterStrategy {
     /// Algorithm 4: O(n) per query, no precomputation.
     Scan(RedundantShare),
@@ -172,7 +164,6 @@ pub struct ClusterBuilder {
     devices: Vec<(u64, u64, DeviceProfile)>,
     placement_cache: bool,
     fast_strategy_threshold: usize,
-    migration_threads: usize,
     metrics: bool,
     metrics_registry: Option<Arc<Registry>>,
 }
@@ -209,15 +200,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn fast_strategy_threshold(mut self, min_devices: usize) -> Self {
         self.fast_strategy_threshold = min_devices;
-        self
-    }
-
-    /// Caps the worker threads batched migration phases may use (default
-    /// 0 = all available cores). `1` forces the batched-but-serial
-    /// executor, the "planned" baseline of the migration benchmark.
-    #[must_use]
-    pub fn migration_threads(mut self, threads: usize) -> Self {
-        self.migration_threads = threads;
         self
     }
 
@@ -310,7 +292,6 @@ impl ClusterBuilder {
             placement_epoch: 0,
             placements_computed: AtomicU64::new(0),
             fast_threshold: self.fast_strategy_threshold,
-            migration_threads: self.migration_threads,
             metrics,
         };
         cluster.strategy = Some(cluster.build_strategy()?);
@@ -343,8 +324,6 @@ pub struct StorageCluster {
     /// Minimum online-device count for the fast placement engine
     /// ([`ClusterBuilder::fast_strategy_threshold`]).
     fast_threshold: usize,
-    /// Worker-thread cap for batched migration (0 = all cores).
-    migration_threads: usize,
     /// Metric handles, when recording is enabled. `None` means every hot
     /// path skips instrumentation entirely.
     metrics: Option<ClusterMetrics>,
@@ -359,6 +338,15 @@ struct ExecOutcome {
     reconstructed: u64,
     /// Shards written to a device (moved + repaired-in-place).
     stored: u64,
+}
+
+/// One device's share of a migration chunk, built by the gather phase.
+#[derive(Default)]
+struct DeviceQueue {
+    /// Shards to drop: `(lba, copy)`.
+    removes: Vec<(u64, usize)>,
+    /// Shards to land: `(lba, copy, payload)`.
+    stores: Vec<(u64, usize, Vec<u8>)>,
 }
 
 /// State of an in-flight lazy migration.
@@ -390,7 +378,6 @@ impl StorageCluster {
             devices: Vec::new(),
             placement_cache: true,
             fast_strategy_threshold: FAST_PLACEMENT_MIN_DEVICES,
-            migration_threads: 0,
             metrics: true,
             metrics_registry: None,
         }
@@ -551,7 +538,8 @@ impl StorageCluster {
         }
     }
 
-    /// Writes one logical block.
+    /// Writes one logical block: a one-element
+    /// [`StorageCluster::write_blocks`].
     ///
     /// # Errors
     ///
@@ -559,53 +547,7 @@ impl StorageCluster {
     /// * [`VdsError::OutOfSpace`] / [`VdsError::DeviceFailed`] from the
     ///   target devices.
     pub fn write_block(&mut self, lba: u64, data: &[u8]) -> Result<(), VdsError> {
-        if data.len() != self.block_size {
-            return Err(VdsError::WrongBlockSize {
-                expected: self.block_size,
-                got: data.len(),
-            });
-        }
-        let shards = self.redundancy.encode_block(data, self.codec.as_deref())?;
-        // Writes always land at the target placement; if the block was
-        // awaiting lazy migration, the overwrite completes it for free.
-        let old_placement = match &mut self.pending {
-            Some(p) => {
-                if p.remaining.remove(&lba) {
-                    Some(
-                        p.old_strategy
-                            .place(lba)
-                            .into_iter()
-                            .map(|id| id.raw())
-                            .collect::<Vec<u64>>(),
-                    )
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        let placement = self.target_placement(lba);
-        for (i, (shard, &dev_id)) in shards.into_iter().zip(placement.iter()).enumerate() {
-            let device = self
-                .devices
-                .get_mut(&dev_id)
-                .ok_or(VdsError::UnknownDevice { id: dev_id })?;
-            device.store((lba, i), shard)?;
-        }
-        if let Some(old) = old_placement {
-            for (i, dev_id) in old.iter().enumerate() {
-                if *dev_id != placement[i] {
-                    if let Some(d) = self.devices.get_mut(dev_id) {
-                        d.remove(&(lba, i));
-                    }
-                }
-            }
-        }
-        self.blocks.insert(lba);
-        if let Some(m) = &self.metrics {
-            m.writes_total.inc();
-        }
-        Ok(())
+        self.write_blocks(std::slice::from_ref(&lba), data)
     }
 
     /// Writes many logical blocks through the fused stripe pipeline:
@@ -614,11 +556,7 @@ impl StorageCluster {
     /// [`rshare_erasure::ErasureCode::encode_parity`]), parity scratch is
     /// hoisted out of the loop, and device-side overwrites recycle the
     /// stored `Vec`, so the steady state allocates nothing per block.
-    /// `data` is the concatenation of the blocks, in `lbas` order.
-    ///
-    /// Cluster state, placements, metrics and per-device I/O counters are
-    /// identical to calling [`StorageCluster::write_block`] once per block
-    /// (proptest-pinned); only the allocation profile differs. Encode
+    /// `data` is the concatenation of the blocks, in `lbas` order. Encode
     /// parities stream through the tiered GF(256) kernels
     /// ([`rshare_erasure::gf256::kernel_tier`]).
     ///
@@ -627,8 +565,7 @@ impl StorageCluster {
     /// * [`VdsError::WrongBlockSize`] if `data` is not exactly
     ///   `lbas.len()` blocks.
     /// * [`VdsError::OutOfSpace`] / [`VdsError::DeviceFailed`] from the
-    ///   target devices; blocks before the failing one remain written,
-    ///   exactly as with a per-block loop.
+    ///   target devices; blocks before the failing one remain written.
     pub fn write_blocks(&mut self, lbas: &[u64], data: &[u8]) -> Result<(), VdsError> {
         let expected = lbas.len() * self.block_size;
         if data.len() != expected {
@@ -843,51 +780,6 @@ impl StorageCluster {
         }
     }
 
-    /// Reads many logical blocks, fanning the lookups out over scoped OS
-    /// threads. Returns the blocks in `lbas` order, or the first error in
-    /// that order.
-    ///
-    /// Reads need only `&self` — shard contents are immutable between
-    /// writes and the per-device I/O counters are atomic — so the fan-out
-    /// shares the cluster without locking. Batches too small to amortise
-    /// thread spawn cost run inline on the calling thread. Every read is
-    /// served through [`StorageCluster::read_block_into`], so the only
-    /// per-block allocation is the returned block itself.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StorageCluster::read_block`], per block.
-    pub fn read_blocks(&self, lbas: &[u64]) -> Result<Vec<Vec<u8>>, VdsError> {
-        let threads = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(lbas.len() / MIN_READS_PER_THREAD)
-            .max(1);
-        if threads == 1 {
-            return lbas.iter().map(|&lba| self.read_block(lba)).collect();
-        }
-        let chunk = lbas.len().div_ceil(threads);
-        let mut results: Vec<Result<Vec<u8>, VdsError>> = Vec::with_capacity(lbas.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = lbas[chunk..]
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|&lba| self.read_block(lba))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // The first shard runs on the calling thread.
-            results.extend(lbas[..chunk].iter().map(|&lba| self.read_block(lba)));
-            for handle in handles {
-                results.extend(handle.join().expect("read worker panicked"));
-            }
-        });
-        results.into_iter().collect()
-    }
-
     /// Adds a device and migrates the shards whose computed placement
     /// changed.
     ///
@@ -928,7 +820,7 @@ impl StorageCluster {
 
     /// Adds a device *lazily*: the placement switches immediately, but no
     /// data moves — blocks keep resolving to their old locations until
-    /// they are migrated by [`StorageCluster::migrate_step`] (or rewritten,
+    /// they are migrated by [`StorageCluster::migrate_batch`] (or rewritten,
     /// which completes their migration for free). Returns the number of
     /// blocks awaiting migration.
     ///
@@ -969,87 +861,6 @@ impl StorageCluster {
         Ok(count)
     }
 
-    /// Migrates up to `max_blocks` pending blocks to their target
-    /// placement, returning what moved. With no migration in flight this
-    /// is a no-op reporting zeros.
-    ///
-    /// # Errors
-    ///
-    /// Device I/O errors and [`VdsError::DataLoss`] if a pending block
-    /// became unrecoverable. If a device failed mid-migration the step can
-    /// return [`VdsError::DeviceFailed`]; run [`StorageCluster::rebuild`],
-    /// which absorbs the remaining migration.
-    pub fn migrate_step(&mut self, max_blocks: u64) -> Result<MigrationReport, VdsError> {
-        let mut report = MigrationReport::default();
-        // With nothing in flight, return before setting up any scratch
-        // state — idle callers polling the migration pay nothing.
-        if self.pending.is_none() {
-            return Ok(report);
-        }
-        // Scratch buffers reused across blocks, so a migration step
-        // allocates nothing per block beyond the shard payloads.
-        let mut old_placement: Vec<u64> = Vec::new();
-        let mut shards: Vec<Option<Vec<u8>>> = Vec::new();
-        for _ in 0..max_blocks {
-            let Some(pending) = &mut self.pending else {
-                break;
-            };
-            let Some(&lba) = pending.remaining.iter().next() else {
-                self.pending = None;
-                break;
-            };
-            pending.remaining.remove(&lba);
-            pending.old_strategy.place_ids_into(lba, &mut old_placement);
-            let new_placement = self.target_placement(lba);
-            report.blocks += 1;
-            report.shards_total += new_placement.len() as u64;
-            if old_placement.as_slice() == &*new_placement {
-                continue;
-            }
-            shards.clear();
-            shards.extend(
-                old_placement.iter().enumerate().map(|(i, dev_id)| {
-                    self.devices.get_mut(dev_id).and_then(|d| d.load(&(lba, i)))
-                }),
-            );
-            let missing = shards.iter().filter(|s| s.is_none()).count();
-            if missing > 0 {
-                report.shards_reconstructed += missing as u64;
-                self.reconstruct_group(&mut shards, lba)?;
-            }
-            for (i, slot) in shards.iter_mut().enumerate() {
-                // `reconstruct_group` either fills every `None` slot or
-                // errors out above; a hole here is unreachable.
-                let shard = slot.take().expect("complete after reconstruction");
-                let (old_dev, new_dev) = (old_placement[i], new_placement[i]);
-                if old_dev != new_dev {
-                    report.shards_moved += 1;
-                    if let Some(d) = self.devices.get_mut(&old_dev) {
-                        d.remove(&(lba, i));
-                    }
-                }
-                let target = self
-                    .devices
-                    .get_mut(&new_dev)
-                    .ok_or(VdsError::UnknownDevice { id: new_dev })?;
-                if old_dev != new_dev || !target.has(&(lba, i)) {
-                    target.store((lba, i), shard)?;
-                }
-            }
-        }
-        if let Some(p) = &self.pending {
-            if p.remaining.is_empty() {
-                self.pending = None;
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.migration_moves_executed_total.add(report.shards_moved);
-            m.shards_reconstructed_total
-                .add(report.shards_reconstructed);
-        }
-        Ok(report)
-    }
-
     /// Blocks still awaiting lazy migration.
     #[must_use]
     pub fn pending_blocks(&self) -> u64 {
@@ -1058,16 +869,13 @@ impl StorageCluster {
             .map_or(0, |p| p.remaining.len() as u64)
     }
 
-    /// Migrates up to `max_blocks` pending blocks through the batched
-    /// parallel executor: old and new placements are computed in bulk with
-    /// the stride-k batch API, unchanged blocks are skipped without any
-    /// device I/O, and the changed ones are gathered concurrently (scoped
-    /// threads over `&self`) and applied by per-device writers. The
-    /// bounded budget keeps lazy migration incremental; with no migration
-    /// in flight this is a no-op reporting zeros.
-    ///
-    /// Semantically identical to calling [`StorageCluster::migrate_step`]
-    /// with the same budget — only faster.
+    /// Migrates up to `max_blocks` pending blocks (lowest addresses first)
+    /// to their target placement, returning what moved. Old and new
+    /// placements are computed in bulk with the stride-k batch API,
+    /// unchanged blocks are skipped without any device I/O, and the
+    /// changed ones go through the gather/apply executor. The bounded
+    /// budget keeps lazy migration incremental; with no migration in
+    /// flight this is a no-op reporting zeros.
     ///
     /// # Errors
     ///
@@ -1113,9 +921,9 @@ impl StorageCluster {
         }
     }
 
-    /// Drains the entire in-flight lazy migration through the batched
-    /// parallel executor ([`StorageCluster::migrate_batch`] without a
-    /// budget). With no migration in flight this is a no-op.
+    /// Drains the entire in-flight lazy migration
+    /// ([`StorageCluster::migrate_batch`] without a budget). With no
+    /// migration in flight this is a no-op.
     ///
     /// # Errors
     ///
@@ -1172,18 +980,6 @@ impl StorageCluster {
         }
     }
 
-    /// Worker count for a migration phase over `work_items` blocks: the
-    /// configured cap (or every available core), scaled down so each
-    /// worker keeps at least [`MIN_MIGRATE_BLOCKS_PER_THREAD`] blocks.
-    fn worker_threads(&self, work_items: usize) -> usize {
-        let cap = if self.migration_threads > 0 {
-            self.migration_threads
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        };
-        cap.min(work_items / MIN_MIGRATE_BLOCKS_PER_THREAD).max(1)
-    }
-
     /// Migrates one chunk of blocks from their `old_flat` placements (flat
     /// stride-k device ids, parallel to `lbas`) to the current target
     /// strategy. Blocks whose placement is unchanged are skipped without
@@ -1230,11 +1026,16 @@ impl StorageCluster {
 
     /// Read-only gather for one migrating block: loads the group's shards
     /// from their `old` devices, reconstructs any missing ones (once per
-    /// stripe), and expands the block into device-level remove/store ops
-    /// against `new`. Takes `&self` — shard payloads are immutable between
-    /// writes and the device I/O counters are atomic — so gathers fan out
-    /// over scoped threads like batched reads do.
-    fn gather_block(&self, lba: u64, old: &[u64], new: &[u64]) -> Result<BlockOps, VdsError> {
+    /// stripe), and queues the block's device-level removes and stores
+    /// against `new`.
+    fn gather_block(
+        &self,
+        lba: u64,
+        old: &[u64],
+        new: &[u64],
+        queues: &mut BTreeMap<u64, DeviceQueue>,
+        outcome: &mut ExecOutcome,
+    ) -> Result<(), VdsError> {
         let mut shards: Vec<Option<Vec<u8>>> = old
             .iter()
             .enumerate()
@@ -1244,48 +1045,35 @@ impl StorageCluster {
         if missing > 0 {
             self.reconstruct_group(&mut shards, lba)?;
         }
-        let mut ops = BlockOps {
-            reconstructed: missing,
-            ..BlockOps::default()
-        };
+        outcome.reconstructed += missing;
         for (i, slot) in shards.iter_mut().enumerate() {
             // `reconstruct_group` either fills every `None` slot or errors
             // out above; a hole here is unreachable.
             let shard = slot.take().expect("complete after reconstruction");
             let (old_dev, new_dev) = (old[i], new[i]);
             if old_dev != new_dev {
-                ops.moved += 1;
-                ops.removes.push((old_dev, lba, i));
-                ops.stores.push((new_dev, lba, i, shard));
-            } else if !self.devices.get(&new_dev).is_some_and(|d| d.has(&(lba, i))) {
-                ops.stores.push((new_dev, lba, i, shard));
+                outcome.moved += 1;
+                queues.entry(old_dev).or_default().removes.push((lba, i));
+            } else if self.devices.get(&new_dev).is_some_and(|d| d.has(&(lba, i))) {
+                // Already in place: nothing to store.
+                continue;
             }
-        }
-        Ok(ops)
-    }
-
-    /// Applies one device's migration queue: removes first, so freed
-    /// capacity is visible to this plan's own stores on the same device.
-    fn apply_queue(
-        dev: &mut Device,
-        removes: Vec<(u64, usize)>,
-        stores: Vec<(u64, usize, Vec<u8>)>,
-    ) -> Result<(), VdsError> {
-        for (lba, copy) in removes {
-            dev.remove(&(lba, copy));
-        }
-        for (lba, copy, data) in stores {
-            dev.store((lba, copy), data)?;
+            outcome.stored += 1;
+            queues
+                .entry(new_dev)
+                .or_default()
+                .stores
+                .push((lba, i, shard));
         }
         Ok(())
     }
 
-    /// The two-phase migration executor. Phase 1 (gather, parallel over
-    /// `&self`): each block in `work` (indices into `lbas`) loads its
-    /// group once, reconstructs what's missing, and emits device-level
-    /// ops. Phase 2 (apply, parallel over disjoint `&mut Device`s): ops
-    /// are bucketed per device and handed to workers sharded by device,
-    /// so no two workers ever touch the same device.
+    /// The two-phase migration executor. Gather: each block in `work`
+    /// (indices into `lbas`) loads its group once, reconstructs what's
+    /// missing, and queues device-level ops per device. Apply: each
+    /// device's queue runs removes first, so freed capacity is visible to
+    /// this chunk's own stores on the same device. A failed gather applies
+    /// nothing.
     fn execute_block_ops(
         &mut self,
         lbas: &[u64],
@@ -1294,100 +1082,33 @@ impl StorageCluster {
         new_flat: &[u64],
     ) -> Result<ExecOutcome, VdsError> {
         let k = self.redundancy.total_shards();
-        let threads = self.worker_threads(work.len());
-        let mut gathered: Vec<Result<BlockOps, VdsError>> = Vec::with_capacity(work.len());
-        {
-            let this: &StorageCluster = self;
-            let gather = |j: usize| {
-                this.gather_block(
-                    lbas[j],
-                    &old_flat[j * k..(j + 1) * k],
-                    &new_flat[j * k..(j + 1) * k],
-                )
-            };
-            if threads <= 1 {
-                gathered.extend(work.iter().map(|&j| gather(j)));
-            } else {
-                let chunk = work.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = work[chunk..]
-                        .chunks(chunk)
-                        .map(|shard| {
-                            scope
-                                .spawn(move || shard.iter().map(|&j| gather(j)).collect::<Vec<_>>())
-                        })
-                        .collect();
-                    // The first shard runs on the calling thread.
-                    gathered.extend(work[..chunk].iter().map(|&j| gather(j)));
-                    for handle in handles {
-                        gathered.extend(handle.join().expect("migration gather panicked"));
-                    }
-                });
-            }
-        }
         let mut outcome = ExecOutcome::default();
-        type Queue = (Vec<(u64, usize)>, Vec<(u64, usize, Vec<u8>)>);
-        let mut queues: BTreeMap<u64, Queue> = BTreeMap::new();
-        for result in gathered {
-            let ops = result?;
-            outcome.moved += ops.moved;
-            outcome.reconstructed += ops.reconstructed;
-            outcome.stored += ops.stores.len() as u64;
-            for (dev, lba, copy) in ops.removes {
-                queues.entry(dev).or_default().0.push((lba, copy));
-            }
-            for (dev, lba, copy, data) in ops.stores {
-                queues.entry(dev).or_default().1.push((lba, copy, data));
-            }
+        let mut queues: BTreeMap<u64, DeviceQueue> = BTreeMap::new();
+        for &j in work {
+            self.gather_block(
+                lbas[j],
+                &old_flat[j * k..(j + 1) * k],
+                &new_flat[j * k..(j + 1) * k],
+                &mut queues,
+                &mut outcome,
+            )?;
         }
         // Stores must land on a live device; removes tolerate a vanished
         // one (a shard's old home may already be failed or dropped).
-        for (&dev, (_, stores)) in &queues {
-            if !stores.is_empty() && !self.devices.contains_key(&dev) {
+        for (&dev, queue) in &queues {
+            if !queue.stores.is_empty() && !self.devices.contains_key(&dev) {
                 return Err(VdsError::UnknownDevice { id: dev });
             }
         }
-        let mut bundles: Vec<(&mut Device, Queue)> = self
-            .devices
-            .iter_mut()
-            .filter_map(|(id, d)| queues.remove(id).map(|q| (d, q)))
-            .collect();
-        let threads = threads.min(bundles.len()).max(1);
-        if threads <= 1 {
-            for (dev, (removes, stores)) in bundles {
-                Self::apply_queue(dev, removes, stores)?;
+        for (dev, queue) in queues {
+            let Some(device) = self.devices.get_mut(&dev) else {
+                continue;
+            };
+            for (lba, copy) in queue.removes {
+                device.remove(&(lba, copy));
             }
-        } else {
-            // Longest-queue-first partition, so workers see similar loads.
-            bundles.sort_by_key(|(_, (r, s))| std::cmp::Reverse(r.len() + s.len()));
-            let mut parts: Vec<Vec<(&mut Device, Queue)>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            let mut loads = vec![0usize; threads];
-            for bundle in bundles {
-                let weight = bundle.1 .0.len() + bundle.1 .1.len();
-                let lightest = (0..threads).min_by_key(|&i| loads[i]).expect("non-empty");
-                loads[lightest] += weight;
-                parts[lightest].push(bundle);
-            }
-            let results: Vec<Result<(), VdsError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .into_iter()
-                    .map(|part| {
-                        scope.spawn(move || {
-                            for (dev, (removes, stores)) in part {
-                                Self::apply_queue(dev, removes, stores)?;
-                            }
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("migration apply panicked"))
-                    .collect()
-            });
-            for result in results {
-                result?;
+            for (lba, copy, data) in queue.stores {
+                device.store((lba, copy), data)?;
             }
         }
         if let Some(m) = &self.metrics {
@@ -1740,8 +1461,9 @@ impl StorageCluster {
     }
 
     /// Live fairness report over the online devices: every device's share
-    /// of the stored shards against its capacity-proportional fair share
-    /// `b_i / B` — the paper's Lemma 3.1, measured instead of proved.
+    /// of the stored shards against its fair share `b'_i / B'` over Lemma
+    /// 2.2's adjusted capacities — the paper's Lemma 3.1, measured instead
+    /// of proved.
     #[must_use]
     pub fn fairness_report(&self) -> FairnessReport {
         let rows: Vec<(u64, u64, u64)> = self
@@ -1750,7 +1472,7 @@ impl StorageCluster {
             .filter(|d| d.state() == DeviceState::Online)
             .map(|d| (d.id(), d.used_blocks(), d.capacity_blocks()))
             .collect();
-        FairnessReport::compute(&rows)
+        FairnessReport::compute(&rows, self.redundancy.total_shards())
     }
 
     /// Number of blocks currently missing at least one shard from its
@@ -1833,7 +1555,7 @@ impl StorageCluster {
             &mut out,
             "fairness_max_deviation",
             "gauge",
-            "Largest relative deviation of any online device's data share from its fair share b_i/B",
+            "Largest relative deviation of any online device's data share from its Lemma 2.2 fair share b'_i/B'",
         );
         sample_line(
             &mut out,
@@ -1888,7 +1610,7 @@ impl StorageCluster {
             &mut out,
             "gf_mul_bytes_total",
             "counter",
-            "Bytes run through the GF(256) table-multiply kernel (process-wide)",
+            "Bytes run through a GF(256) multiply kernel, any tier (process-wide)",
         );
         sample_line(&mut out, "gf_mul_bytes_total", &[], ks.mul_bytes);
         family_header(
@@ -1898,13 +1620,6 @@ impl StorageCluster {
             "Multiply bytes served by the SIMD kernel tier (process-wide)",
         );
         sample_line(&mut out, "gf_simd_bytes_total", &[], ks.simd_bytes);
-        family_header(
-            &mut out,
-            "gf_swar_bytes_total",
-            "counter",
-            "Multiply bytes served by the portable SWAR kernel tier (process-wide)",
-        );
-        sample_line(&mut out, "gf_swar_bytes_total", &[], ks.swar_bytes);
         family_header(
             &mut out,
             "gf_kernel_calls_total",
@@ -1974,7 +1689,7 @@ impl StorageCluster {
     }
 
     /// Swaps in a new placement strategy and migrates every shard whose
-    /// computed location changed, through the batched parallel executor.
+    /// computed location changed, through the batched executor.
     /// Shards whose old location is gone are reconstructed from the
     /// group's redundancy (each degraded stripe is decoded exactly once,
     /// however many of its shards need rebuilding).
@@ -2104,52 +1819,82 @@ mod tests {
         ));
     }
 
+    /// Per-device `writes` counters, by device id.
+    fn device_writes(c: &StorageCluster) -> BTreeMap<u64, u64> {
+        c.device_ids()
+            .into_iter()
+            .map(|id| (id, c.device(id).unwrap().stats().writes))
+            .collect()
+    }
+
+    /// Asserts every block in `lbas` reads back as `expect(lba)` and every
+    /// device's `writes` counter grew by exactly the shards of `lbas`
+    /// placed on it since `before`.
+    fn assert_writes_landed(
+        c: &StorageCluster,
+        before: &BTreeMap<u64, u64>,
+        lbas: &[u64],
+        expect: impl Fn(u64) -> Vec<u8>,
+    ) {
+        let mut placed: BTreeMap<u64, u64> = BTreeMap::new();
+        for &lba in lbas {
+            assert_eq!(c.read_block(lba).unwrap(), expect(lba), "lba {lba}");
+            for dev in c.placement(lba) {
+                *placed.entry(dev).or_default() += 1;
+            }
+        }
+        for (id, writes) in device_writes(c) {
+            assert_eq!(
+                writes - before[&id],
+                placed.get(&id).copied().unwrap_or(0),
+                "device {id} writes"
+            );
+        }
+    }
+
     #[test]
-    fn write_blocks_matches_write_block_loop() {
-        let rs = || {
-            StorageCluster::builder()
-                .block_size(64)
-                .redundancy(Redundancy::ReedSolomon { data: 4, parity: 2 })
-                .device(0, 10_000)
-                .device(1, 10_000)
-                .device(2, 10_000)
-                .device(3, 10_000)
-                .device(4, 10_000)
-                .device(5, 10_000)
-                .device(6, 10_000)
-                .build()
-                .unwrap()
-        };
-        let (mut fused, mut looped) = (rs(), rs());
-        let lbas: Vec<u64> = (0..300u64).collect();
-        let mut data = Vec::new();
-        for &lba in &lbas {
-            data.extend_from_slice(&block(lba as u8, 64));
+    fn writes_read_back_and_count_one_write_per_placed_shard() {
+        let rs = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(Redundancy::ReedSolomon { data: 4, parity: 2 })
+            .device(0, 10_000)
+            .device(1, 10_000)
+            .device(2, 10_000)
+            .device(3, 10_000)
+            .device(4, 10_000)
+            .device(5, 10_000)
+            .device(6, 10_000)
+            .build()
+            .unwrap();
+        for mut c in [rs, mirror_cluster()] {
+            let lbas: Vec<u64> = (0..300u64).collect();
+            let mut data = Vec::new();
+            for &lba in &lbas {
+                data.extend_from_slice(&block(lba as u8, 64));
+            }
+            let before = device_writes(&c);
+            c.write_blocks(&lbas, &data).unwrap();
+            assert_eq!(c.block_count(), 300);
+            assert_writes_landed(&c, &before, &lbas, |lba| block(lba as u8, 64));
+            // Single-block overwrites take the same path.
+            let before = device_writes(&c);
+            let odd: Vec<u64> = (1..300u64).step_by(2).collect();
+            for &lba in &odd {
+                c.write_block(lba, &block(!(lba as u8), 64)).unwrap();
+            }
+            assert_eq!(c.block_count(), 300);
+            assert_writes_landed(&c, &before, &odd, |lba| block(!(lba as u8), 64));
+            // Batch size validation.
+            assert!(matches!(
+                c.write_blocks(&[0, 1], &[0u8; 64]),
+                Err(VdsError::WrongBlockSize {
+                    expected: 128,
+                    got: 64
+                })
+            ));
+            // Empty batch is a no-op.
+            c.write_blocks(&[], &[]).unwrap();
         }
-        fused.write_blocks(&lbas, &data).unwrap();
-        for (&lba, chunk) in lbas.iter().zip(data.chunks_exact(64)) {
-            looped.write_block(lba, chunk).unwrap();
-        }
-        assert_eq!(fused.block_count(), looped.block_count());
-        for id in fused.device_ids() {
-            let (f, l) = (fused.device(id).unwrap(), looped.device(id).unwrap());
-            assert_eq!(f.used_blocks(), l.used_blocks(), "device {id}");
-            assert_eq!(f.stats(), l.stats(), "device {id} I/O counters");
-        }
-        for &lba in &lbas {
-            assert_eq!(fused.read_block(lba).unwrap(), block(lba as u8, 64));
-            assert_eq!(fused.placement(lba), looped.placement(lba));
-        }
-        // Batch size validation.
-        assert!(matches!(
-            fused.write_blocks(&[0, 1], &[0u8; 64]),
-            Err(VdsError::WrongBlockSize {
-                expected: 128,
-                got: 64
-            })
-        ));
-        // Empty batch is a no-op.
-        fused.write_blocks(&[], &[]).unwrap();
     }
 
     #[test]
@@ -2177,35 +1922,6 @@ mod tests {
     }
 
     #[test]
-    fn read_blocks_matches_sequential_reads() {
-        let mut c = mirror_cluster();
-        for lba in 0..700u64 {
-            c.write_block(lba, &block(lba as u8, 64)).unwrap();
-        }
-        // Reverse order, so result ordering is actually exercised.
-        let lbas: Vec<u64> = (0..700u64).rev().collect();
-        let blocks = c.read_blocks(&lbas).unwrap();
-        assert_eq!(blocks.len(), lbas.len());
-        for (got, &lba) in blocks.iter().zip(&lbas) {
-            assert_eq!(got, &block(lba as u8, 64), "lba {lba}");
-        }
-        // Each mirrored read touched exactly one device, also from threads.
-        let total_reads: u64 = c
-            .device_ids()
-            .iter()
-            .map(|id| c.device(*id).unwrap().stats().reads)
-            .sum();
-        assert_eq!(total_reads, lbas.len() as u64);
-        // Errors propagate.
-        assert!(matches!(
-            c.read_blocks(&[0, 10_000]),
-            Err(VdsError::BlockNotFound { lba: 10_000 })
-        ));
-        // Empty batch is fine.
-        assert_eq!(c.read_blocks(&[]).unwrap().len(), 0);
-    }
-
-    #[test]
     fn large_cluster_routes_through_fast_placement() {
         let mut b = StorageCluster::builder()
             .block_size(64)
@@ -2225,9 +1941,8 @@ mod tests {
             c.placement_into(lba, &mut placement);
             assert!(all_distinct(&placement, &mut scratch), "distinct devices");
         }
-        let lbas: Vec<u64> = (0..300u64).collect();
-        for (got, &lba) in c.read_blocks(&lbas).unwrap().iter().zip(&lbas) {
-            assert_eq!(got, &block(lba as u8, 64));
+        for lba in 0..300u64 {
+            assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
         }
         // A small cluster keeps the scan strategy.
         assert!(matches!(
@@ -2553,7 +2268,7 @@ mod tests {
         // Migrate in small steps, reading in between.
         let mut total_moved = 0;
         while c.pending_blocks() > 0 {
-            let report = c.migrate_step(100).unwrap();
+            let report = c.migrate_batch(100).unwrap();
             total_moved += report.shards_moved;
             let probe = (c.pending_blocks() * 7) % 1_200;
             assert_eq!(c.read_block(probe).unwrap(), block(probe as u8, 64));
@@ -2562,7 +2277,7 @@ mod tests {
         assert!(c.device(9).unwrap().used_blocks() > 0);
         assert_eq!(c.scrub().unwrap(), 0);
         // Idempotent when drained.
-        let report = c.migrate_step(10).unwrap();
+        let report = c.migrate_batch(10).unwrap();
         assert_eq!(report.blocks, 0);
     }
 
@@ -2676,7 +2391,7 @@ mod tests {
         // Migrate everything; placements now come from the new strategy and
         // are cacheable — repeated lookups are hits, and still correct.
         while c.pending_blocks() > 0 {
-            c.migrate_step(50).unwrap();
+            c.migrate_batch(50).unwrap();
         }
         let first: Vec<Vec<u64>> = (0..200u64).map(|lba| c.placement(lba)).collect();
         let computed = c.placements_computed();
@@ -2783,54 +2498,62 @@ mod tests {
     }
 
     #[test]
-    fn migrate_batch_matches_migrate_step() {
-        let mut serial = mirror_cluster();
-        let mut batched = StorageCluster::builder()
-            .block_size(64)
-            .redundancy(Redundancy::Mirror { copies: 2 })
-            .migration_threads(2)
-            .device(0, 10_000)
-            .device(1, 10_000)
-            .device(2, 10_000)
-            .device(3, 10_000)
-            .build()
-            .unwrap();
-        for lba in 0..1_000u64 {
-            serial.write_block(lba, &block(lba as u8, 64)).unwrap();
-            batched.write_block(lba, &block(lba as u8, 64)).unwrap();
+    fn lazy_add_drained_in_budgets_matches_eager_add() {
+        let build = |redundancy: Redundancy| {
+            StorageCluster::builder()
+                .block_size(64)
+                .redundancy(redundancy)
+                .device(0, 10_000)
+                .device(1, 10_000)
+                .device(2, 12_000)
+                .device(3, 10_000)
+                .device(4, 8_000)
+                .device(5, 10_000)
+                .device(6, 10_000)
+                .build()
+                .unwrap()
+        };
+        for redundancy in [
+            Redundancy::Mirror { copies: 2 },
+            Redundancy::ReedSolomon { data: 4, parity: 2 },
+        ] {
+            let (mut lazy, mut eager) = (build(redundancy), build(redundancy));
+            let lbas: Vec<u64> = (0..1_000u64).collect();
+            let data: Vec<u8> = lbas.iter().flat_map(|&l| block(l as u8, 64)).collect();
+            lazy.write_blocks(&lbas, &data).unwrap();
+            eager.write_blocks(&lbas, &data).unwrap();
+            let eager_report = eager.add_device(9, 10_000).unwrap();
+            assert_eq!(lazy.add_device_lazy(9, 10_000).unwrap(), 1_000);
+            let mut lazy_report = MigrationReport::default();
+            for budget in [1, 117, u64::MAX] {
+                let before = lazy.pending_blocks();
+                let report = lazy.migrate_batch(budget).unwrap();
+                // The budget is honoured.
+                assert_eq!(report.blocks, before.min(budget));
+                assert_eq!(lazy.pending_blocks(), before - report.blocks);
+                lazy_report.merge(report);
+            }
+            assert_eq!(lazy.pending_blocks(), 0);
+            assert!(eager_report.shards_moved > 0);
+            assert_eq!(lazy_report, eager_report, "{redundancy:?}");
+            // Same placements, same per-device contents.
+            let k = redundancy.total_shards();
+            for &lba in &lbas {
+                assert_eq!(lazy.placement(lba), eager.placement(lba));
+            }
+            for id in eager.device_ids() {
+                let (l, e) = (lazy.device(id).unwrap(), eager.device(id).unwrap());
+                assert_eq!(l.used_blocks(), e.used_blocks(), "device {id}");
+                for &lba in &lbas {
+                    for copy in 0..k {
+                        assert_eq!(l.load(&(lba, copy)), e.load(&(lba, copy)));
+                    }
+                }
+            }
+            assert_eq!(lazy.scrub().unwrap(), 0);
+            // Idempotent when drained.
+            assert_eq!(lazy.migrate_batch(10).unwrap(), MigrationReport::default());
         }
-        serial.add_device_lazy(9, 10_000).unwrap();
-        batched.add_device_lazy(9, 10_000).unwrap();
-        let mut serial_report = MigrationReport::default();
-        let mut batched_report = MigrationReport::default();
-        while serial.pending_blocks() > 0 {
-            serial_report.merge(serial.migrate_step(117).unwrap());
-        }
-        while batched.pending_blocks() > 0 {
-            let before = batched.pending_blocks();
-            batched_report.merge(batched.migrate_batch(117).unwrap());
-            // The budget is honoured: at most 117 blocks per call.
-            assert!(before - batched.pending_blocks() <= 117);
-        }
-        assert_eq!(serial_report, batched_report);
-        // Same placements, same bytes, same per-device occupancy.
-        for lba in 0..1_000u64 {
-            assert_eq!(serial.placement(lba), batched.placement(lba));
-            assert_eq!(batched.read_block(lba).unwrap(), block(lba as u8, 64));
-        }
-        for id in serial.device_ids() {
-            assert_eq!(
-                serial.device(id).unwrap().used_blocks(),
-                batched.device(id).unwrap().used_blocks(),
-                "device {id}"
-            );
-        }
-        assert_eq!(batched.scrub().unwrap(), 0);
-        // Idempotent when drained.
-        assert_eq!(
-            batched.migrate_batch(10).unwrap(),
-            MigrationReport::default()
-        );
     }
 
     #[test]
@@ -3010,6 +2733,31 @@ mod tests {
     }
 
     #[test]
+    fn fairness_report_uses_adjusted_capacity_of_a_dominant_device() {
+        // Lemma 2.1: with 2 copies, device 0 (3/5 of the raw capacity) can
+        // hold at most one copy of each block, so its fair share is 1/2.
+        let mut c = StorageCluster::builder()
+            .block_size(16)
+            .redundancy(Redundancy::Mirror { copies: 2 })
+            .device(0, 30_000)
+            .device(1, 10_000)
+            .device(2, 10_000)
+            .build()
+            .unwrap();
+        for lba in 0..3_000u64 {
+            c.write_block(lba, &block(lba as u8, 16)).unwrap();
+        }
+        assert_eq!(c.device(0).unwrap().used_blocks(), 3_000);
+        let report = c.fairness_report();
+        assert!((report.devices[0].fair_share - 0.5).abs() < 1e-12);
+        assert!(
+            report.max_deviation <= 0.02,
+            "max deviation {}",
+            report.max_deviation
+        );
+    }
+
+    #[test]
     fn migration_metrics_follow_the_reports() {
         let mut c = mirror_cluster();
         for lba in 0..1_000u64 {
@@ -3089,7 +2837,6 @@ mod tests {
             "gf_xor_bytes_total",
             "gf_mul_bytes_total",
             "gf_simd_bytes_total",
-            "gf_swar_bytes_total",
             "gf_kernel_calls_total",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");

@@ -3,7 +3,9 @@
 //!
 //! The paper's central quantitative claim is *fairness*: every device
 //! should hold (and therefore serve) a share of the data proportional to
-//! its capacity `b_i / B`. [`FairnessReport`] turns the live per-device
+//! its adjusted capacity `b'_i / B'` (Lemma 2.2 — plain `b_i / B` unless
+//! one device is too large to be filled without two copies of a block
+//! landing on it). [`FairnessReport`] turns the live per-device
 //! utilisation into exactly that comparison — the maximum relative
 //! deviation from the fair share is the single number the experiments
 //! track. [`HealthSnapshot`] bundles it with the adaptivity-side health
@@ -19,6 +21,7 @@
 
 use std::sync::Arc;
 
+use rshare_core::capacity::optimal_weights;
 use rshare_obs::{Counter, Gauge, Histogram, Registry};
 
 /// Shared handles to every series the cluster maintains, registered once
@@ -107,7 +110,8 @@ pub struct DeviceLoad {
     pub capacity_blocks: u64,
     /// Fraction of all stored shards on this device.
     pub share: f64,
-    /// The paper's fair share `b_i / B`: capacity over total capacity.
+    /// The paper's fair share `b'_i / B'`: the device's Lemma 2.2 adjusted
+    /// capacity over the total adjusted capacity.
     pub fair_share: f64,
     /// Relative deviation `share / fair_share - 1` (0 when the cluster is
     /// empty).
@@ -115,7 +119,8 @@ pub struct DeviceLoad {
 }
 
 /// Live fairness accounting over the online devices: actual shard shares
-/// against the capacity-proportional fair shares of Lemma 3.1.
+/// against the fair shares of Lemma 3.1, taken over Lemma 2.2's adjusted
+/// capacities.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FairnessReport {
     /// Per-device loads, ascending by device id.
@@ -131,18 +136,31 @@ pub struct FairnessReport {
 
 impl FairnessReport {
     /// Builds the report from `(id, used, capacity)` rows of the online
-    /// devices.
-    pub(crate) fn compute(rows: &[(u64, u64, u64)]) -> Self {
+    /// devices holding `k`-shard redundancy groups.
+    pub(crate) fn compute(rows: &[(u64, u64, u64)], k: usize) -> Self {
         let total_used: u64 = rows.iter().map(|&(_, used, _)| used).sum();
         let total_capacity: u64 = rows.iter().map(|&(_, _, cap)| cap).sum();
+        // Lemma 2.2 wants capacities in descending order; `order[r]` is the
+        // row holding the r-th largest capacity.
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(rows[i].2));
+        let mut adjusted = vec![0.0f64; rows.len()];
+        if !rows.is_empty() && k > 0 {
+            let sorted: Vec<u64> = order.iter().map(|&i| rows[i].2).collect();
+            for (&i, w) in order.iter().zip(optimal_weights(&sorted, k)) {
+                adjusted[i] = w;
+            }
+        }
+        let total_adjusted: f64 = adjusted.iter().sum();
         let mut max_deviation = 0.0f64;
         let devices = rows
             .iter()
-            .map(|&(device, used_blocks, capacity_blocks)| {
-                let fair_share = if total_capacity == 0 {
+            .zip(&adjusted)
+            .map(|(&(device, used_blocks, capacity_blocks), &weight)| {
+                let fair_share = if total_adjusted == 0.0 {
                     0.0
                 } else {
-                    capacity_blocks as f64 / total_capacity as f64
+                    weight / total_adjusted
                 };
                 let share = if total_used == 0 {
                     0.0
@@ -199,7 +217,7 @@ mod tests {
 
     #[test]
     fn fairness_of_perfectly_fair_rows_is_zero() {
-        let report = FairnessReport::compute(&[(0, 100, 1000), (1, 200, 2000), (2, 300, 3000)]);
+        let report = FairnessReport::compute(&[(0, 100, 1000), (1, 200, 2000), (2, 300, 3000)], 2);
         assert_eq!(report.total_used, 600);
         assert_eq!(report.total_capacity, 6000);
         assert!(report.max_deviation.abs() < 1e-12);
@@ -211,7 +229,7 @@ mod tests {
     #[test]
     fn fairness_flags_the_overloaded_device() {
         // Device 1 holds double its fair share.
-        let report = FairnessReport::compute(&[(0, 100, 1500), (1, 200, 1500)]);
+        let report = FairnessReport::compute(&[(0, 100, 1500), (1, 200, 1500)], 2);
         let dev1 = &report.devices[1];
         assert!((dev1.fair_share - 0.5).abs() < 1e-12);
         assert!((dev1.share - 2.0 / 3.0).abs() < 1e-12);
@@ -221,11 +239,27 @@ mod tests {
 
     #[test]
     fn empty_cluster_has_zero_deviation() {
-        let report = FairnessReport::compute(&[(0, 0, 100), (1, 0, 200)]);
+        let report = FairnessReport::compute(&[(0, 0, 100), (1, 0, 200)], 2);
         assert_eq!(report.total_used, 0);
         assert_eq!(report.max_deviation, 0.0);
         assert!(report.devices.iter().all(|d| d.deviation == 0.0));
-        let empty = FairnessReport::compute(&[]);
+        let empty = FairnessReport::compute(&[], 2);
         assert_eq!(empty.max_deviation, 0.0);
+    }
+
+    #[test]
+    fn fair_shares_follow_adjusted_capacities() {
+        // Lemma 2.1's dominant device: with 2 copies device 0 can hold at
+        // most one copy of every block, so its fair share is 1/2, not 3/5,
+        // and a placement that fills it exactly is perfectly fair.
+        let report = FairnessReport::compute(&[(0, 500, 3000), (1, 250, 1000), (2, 250, 1000)], 2);
+        assert!((report.devices[0].fair_share - 0.5).abs() < 1e-12);
+        assert!((report.devices[1].fair_share - 0.25).abs() < 1e-12);
+        assert!(report.max_deviation.abs() < 1e-12);
+        assert_eq!(report.total_capacity, 5000);
+        // Without replication nothing is capped.
+        let single = FairnessReport::compute(&[(0, 600, 3000), (1, 200, 1000), (2, 200, 1000)], 1);
+        assert!((single.devices[0].fair_share - 0.6).abs() < 1e-12);
+        assert!(single.max_deviation.abs() < 1e-12);
     }
 }

@@ -18,10 +18,10 @@
 //!   `rebuild`) migrate only the shards whose computed location changed;
 //!   [`MigrationReport`] quantifies the volume the paper's adaptivity
 //!   lemmas bound. Changes can be **dry-run** ([`MigrationPlan`]) or run
-//!   **lazily** (`add_device_lazy` + `migrate_batch`/`migrate_step`: the
-//!   mapping switches instantly, data follows incrementally — both
-//!   mappings are pure functions, so serving from either side needs no
-//!   forwarding tables).
+//!   **lazily** (`add_device_lazy` + `migrate_batch`: the mapping
+//!   switches instantly, data follows incrementally — both mappings are
+//!   pure functions, so serving from either side needs no forwarding
+//!   tables).
 //! * Devices carry [`DeviceProfile`]s; simulated busy time and the
 //!   workload *makespan* turn placement fairness into completion-time
 //!   statements.

@@ -152,21 +152,6 @@ impl MigrationPlan {
     }
 }
 
-/// The device operations one migrating block expands to — produced by the
-/// read-only gather phase of the parallel executor and applied afterwards
-/// by per-device writers.
-#[derive(Debug, Default)]
-pub(crate) struct BlockOps {
-    /// Shards to drop from their old device: `(device, lba, copy)`.
-    pub removes: Vec<(u64, u64, usize)>,
-    /// Shards to land on their new device: `(device, lba, copy, payload)`.
-    pub stores: Vec<(u64, u64, usize, Vec<u8>)>,
-    /// Shards whose device changed (the paper-bounded movement volume).
-    pub moved: u64,
-    /// Shards reconstructed from redundancy because their source was gone.
-    pub reconstructed: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -110,62 +110,6 @@ impl Redundancy {
         })
     }
 
-    /// Splits one logical block into the group's shards.
-    ///
-    /// For mirroring each shard is a copy of the block; for erasure codes
-    /// the block is striped across the data shards (the block size must be
-    /// divisible accordingly — the cluster builder validates this) and the
-    /// parity shards are computed by the codec.
-    pub(crate) fn encode_block(
-        &self,
-        block: &[u8],
-        codec: Option<&dyn ErasureCode>,
-    ) -> Result<Vec<Vec<u8>>, VdsError> {
-        let mut shards = Vec::new();
-        self.encode_block_into(block, codec, &mut shards)?;
-        Ok(shards)
-    }
-
-    /// Encodes into caller-owned scratch shards, reusing their allocations.
-    ///
-    /// Identical output to [`Redundancy::encode_block`]; after the first
-    /// call the shard buffers are resized in place, so a batch writer can
-    /// encode an entire stripe sequence with zero per-block allocation.
-    pub(crate) fn encode_block_into(
-        &self,
-        block: &[u8],
-        codec: Option<&dyn ErasureCode>,
-        shards: &mut Vec<Vec<u8>>,
-    ) -> Result<(), VdsError> {
-        match self {
-            Self::Mirror { copies } => {
-                shards.resize_with(*copies, Vec::new);
-                for shard in shards.iter_mut() {
-                    shard.clear();
-                    shard.extend_from_slice(block);
-                }
-                Ok(())
-            }
-            _ => {
-                let codec = codec.expect("erasure scheme has a codec");
-                let d = codec.data_shards();
-                debug_assert_eq!(block.len() % d, 0);
-                let shard_len = block.len() / d;
-                shards.resize_with(codec.total_shards(), Vec::new);
-                for (i, shard) in shards.iter_mut().enumerate() {
-                    shard.clear();
-                    if i < d {
-                        shard.extend_from_slice(&block[i * shard_len..(i + 1) * shard_len]);
-                    } else {
-                        shard.resize(shard_len, 0);
-                    }
-                }
-                codec.encode(shards)?;
-                Ok(())
-            }
-        }
-    }
-
     /// Reassembles a logical block from (possibly incomplete) shards.
     pub(crate) fn decode_block(
         &self,
@@ -210,6 +154,15 @@ impl Redundancy {
 mod tests {
     use super::*;
 
+    /// Stripes `block` over the codec's data shards and appends parity.
+    fn encode(codec: &dyn ErasureCode, block: &[u8]) -> Vec<Vec<u8>> {
+        let shard_len = block.len() / codec.data_shards();
+        let mut shards: Vec<Vec<u8>> = block.chunks_exact(shard_len).map(<[u8]>::to_vec).collect();
+        shards.resize(codec.total_shards(), vec![0; shard_len]);
+        codec.encode(&mut shards).unwrap();
+        shards
+    }
+
     #[test]
     fn geometry() {
         assert_eq!(Redundancy::Mirror { copies: 3 }.total_shards(), 3);
@@ -231,8 +184,7 @@ mod tests {
     fn mirror_roundtrip() {
         let scheme = Redundancy::Mirror { copies: 2 };
         let codec = scheme.codec().unwrap();
-        let shards = scheme.encode_block(&[1, 2, 3], codec.as_deref()).unwrap();
-        assert_eq!(shards, vec![vec![1, 2, 3], vec![1, 2, 3]]);
+        assert!(codec.is_none());
         let block = scheme
             .decode_block(vec![None, Some(vec![1, 2, 3])], codec.as_deref(), 0)
             .unwrap();
@@ -248,34 +200,13 @@ mod tests {
         let scheme = Redundancy::ReedSolomon { data: 4, parity: 2 };
         let codec = scheme.codec().unwrap();
         let block: Vec<u8> = (0..32).collect();
-        let shards = scheme.encode_block(&block, codec.as_deref()).unwrap();
+        let shards = encode(codec.as_deref().unwrap(), &block);
         assert_eq!(shards.len(), 6);
         let mut opt: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
         opt[0] = None;
         opt[5] = None;
         let got = scheme.decode_block(opt, codec.as_deref(), 0).unwrap();
         assert_eq!(got, block);
-    }
-
-    #[test]
-    fn encode_block_into_reuses_scratch() {
-        let scheme = Redundancy::ReedSolomon { data: 4, parity: 2 };
-        let codec = scheme.codec().unwrap();
-        let mut scratch = Vec::new();
-        for round in 0..3u8 {
-            let block: Vec<u8> = (0..32).map(|b| b ^ round).collect();
-            scheme
-                .encode_block_into(&block, codec.as_deref(), &mut scratch)
-                .unwrap();
-            let fresh = scheme.encode_block(&block, codec.as_deref()).unwrap();
-            assert_eq!(scratch, fresh);
-        }
-        // Mirror path too, including shrinking an oversized scratch.
-        let mirror = Redundancy::Mirror { copies: 2 };
-        mirror
-            .encode_block_into(&[1, 2], None, &mut scratch)
-            .unwrap();
-        assert_eq!(scratch, vec![vec![1, 2], vec![1, 2]]);
     }
 
     #[test]
@@ -299,7 +230,7 @@ mod tests {
         assert_eq!(scheme.tolerated_failures(), 3);
         let codec = scheme.codec().unwrap();
         let block: Vec<u8> = (0..32).collect();
-        let shards = scheme.encode_block(&block, codec.as_deref()).unwrap();
+        let shards = encode(codec.as_deref().unwrap(), &block);
         assert_eq!(shards.len(), 8);
         let mut opt: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
         opt[0] = None;

@@ -1,12 +1,17 @@
 //! A thread-safe handle to a storage cluster.
 //!
-//! [`StorageCluster`] is a single-threaded state machine (even reads update
-//! device statistics). [`SharedCluster`] wraps it for concurrent callers —
-//! many application threads issuing I/O while an operator thread runs
-//! migrations — with coarse-grained locking, which is honest about the
-//! simulator's semantics: every operation observes a serializable state.
+//! Reads on a [`StorageCluster`] take `&self`: shard contents only change
+//! under `&mut self`, and the per-device I/O counters and the placement
+//! cache are atomics or internally locked. [`SharedCluster`] wraps the
+//! cluster in a reader-writer lock for concurrent callers — many
+//! application threads issuing I/O while an operator thread runs
+//! migrations. Reads share the lock and run in parallel; writes,
+//! membership changes and [`SharedCluster::with`] hold it exclusively, so
+//! every operation observes a serializable state. This is where the block
+//! store's parallelism lives: the cluster's own operations run on the
+//! calling thread.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
 use crate::cluster::StorageCluster;
 use crate::error::VdsError;
@@ -37,7 +42,7 @@ use crate::migration::MigrationReport;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SharedCluster {
-    inner: Arc<Mutex<StorageCluster>>,
+    inner: Arc<RwLock<StorageCluster>>,
 }
 
 impl SharedCluster {
@@ -45,14 +50,14 @@ impl SharedCluster {
     #[must_use]
     pub fn new(cluster: StorageCluster) -> Self {
         Self {
-            inner: Arc::new(Mutex::new(cluster)),
+            inner: Arc::new(RwLock::new(cluster)),
         }
     }
 
     /// Runs `f` with exclusive access to the cluster — the escape hatch
     /// for any operation without a dedicated wrapper.
     pub fn with<R>(&self, f: impl FnOnce(&mut StorageCluster) -> R) -> R {
-        let mut guard = self.inner.lock().expect("cluster lock poisoned");
+        let mut guard = self.inner.write().expect("cluster lock poisoned");
         f(&mut guard)
     }
 
@@ -65,13 +70,17 @@ impl SharedCluster {
         self.with(|c| c.write_block(lba, data))
     }
 
-    /// See [`StorageCluster::read_block`].
+    /// See [`StorageCluster::read_block`]. Holds the lock shared, so
+    /// reads on different threads run in parallel.
     ///
     /// # Errors
     ///
     /// Propagates the underlying cluster error.
     pub fn read_block(&self, lba: u64) -> Result<Vec<u8>, VdsError> {
-        self.with(|c| c.read_block(lba))
+        self.inner
+            .read()
+            .expect("cluster lock poisoned")
+            .read_block(lba)
     }
 
     /// See [`StorageCluster::add_device`].
@@ -81,15 +90,6 @@ impl SharedCluster {
     /// Propagates the underlying cluster error.
     pub fn add_device(&self, id: u64, capacity_blocks: u64) -> Result<MigrationReport, VdsError> {
         self.with(|c| c.add_device(id, capacity_blocks))
-    }
-
-    /// See [`StorageCluster::migrate_step`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying cluster error.
-    pub fn migrate_step(&self, max_blocks: u64) -> Result<MigrationReport, VdsError> {
-        self.with(|c| c.migrate_step(max_blocks))
     }
 
     /// See [`StorageCluster::migrate_batch`].
@@ -118,7 +118,7 @@ impl SharedCluster {
     /// Returns `Err(self)` when other handles still exist.
     pub fn try_unwrap(self) -> Result<StorageCluster, Self> {
         match Arc::try_unwrap(self.inner) {
-            Ok(mutex) => Ok(mutex.into_inner().expect("cluster lock poisoned")),
+            Ok(lock) => Ok(lock.into_inner().expect("cluster lock poisoned")),
             Err(inner) => Err(Self { inner }),
         }
     }
@@ -181,7 +181,7 @@ mod tests {
             let c = cluster.clone();
             std::thread::spawn(move || {
                 while c.with(|cluster| cluster.pending_blocks()) > 0 {
-                    c.migrate_step(50).unwrap();
+                    c.migrate_batch(50).unwrap();
                 }
             })
         };
@@ -200,6 +200,25 @@ mod tests {
         let mut cluster = cluster.try_unwrap().expect("last handle");
         assert_eq!(cluster.pending_blocks(), 0);
         assert_eq!(cluster.scrub().unwrap(), 0);
+    }
+
+    #[test]
+    fn reads_do_not_wait_for_other_readers() {
+        let cluster = shared();
+        cluster.write_block(7, &[7u8; 16]).unwrap();
+        // Hold a read guard for the whole test: a reader on another thread
+        // must still get through.
+        let _guard = cluster.inner.read().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = cluster.clone();
+        let handle = std::thread::spawn(move || {
+            tx.send(reader.read_block(7)).unwrap();
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("read_block blocked behind another reader");
+        assert_eq!(got.unwrap(), vec![7u8; 16]);
+        handle.join().unwrap();
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn apply_op(c: &mut StorageCluster, op: u8, next_id: &mut u64, seed: u64) -> Res
             *next_id += 1;
             // Migrate only part of the blocks, so later operations (and the
             // final check) see a cluster mid-migration at some point.
-            c.migrate_step(BLOCKS / 3)?;
+            c.migrate_batch(BLOCKS / 3)?;
         }
         _ => {
             // I/O churn: reads warm the cache, a write goes through the
@@ -92,9 +92,8 @@ proptest! {
         }
         // Drain any in-flight lazy migration so the effective placement is
         // the target strategy's everywhere (what a fresh cluster computes).
-        while c.pending_blocks() > 0 {
-            c.migrate_step(u64::MAX).unwrap();
-        }
+        c.rebalance().unwrap();
+        prop_assert_eq!(c.pending_blocks(), 0);
         let mut builder = StorageCluster::builder()
             .block_size(BLOCK_SIZE)
             .redundancy(Redundancy::Mirror { copies: 2 })
@@ -134,14 +133,16 @@ proptest! {
             apply_op(&mut cached, op, &mut id_a, seed).unwrap();
             apply_op(&mut uncached, op, &mut id_b, seed).unwrap();
         }
-        let lbas: Vec<u64> = (0..BLOCKS).collect();
-        let a = cached.read_blocks(&lbas).unwrap();
-        let b = uncached.read_blocks(&lbas).unwrap();
+        let read_all = |c: &StorageCluster| -> Vec<Vec<u8>> {
+            (0..BLOCKS).map(|lba| c.read_block(lba).unwrap()).collect()
+        };
+        let a = read_all(&cached);
+        let b = read_all(&uncached);
         prop_assert_eq!(&a, &b);
         // A second pass is served from the cache the first pass warmed
         // (batched migration leaves the cache cold on purpose: one epoch
         // bump per plan, no per-block traffic) and must serve the same.
-        let warm = cached.read_blocks(&lbas).unwrap();
+        let warm = read_all(&cached);
         prop_assert_eq!(&a, &warm);
         prop_assert!(cached.cache_stats().hits > 0);
         prop_assert_eq!(uncached.cache_stats().hits, 0);

@@ -1,12 +1,14 @@
-//! Property-based parity tests for the fused stripe pipeline.
+//! Property-based tests for the fused stripe pipeline.
 //!
-//! `write_blocks` is an allocation optimisation, not a semantic change:
-//! after any prelude of membership churn (including a half-finished lazy
-//! migration, so batch writes complete pending moves), a batch write must
-//! leave the cluster bit-identical — blocks, placements, per-device
-//! contents *and I/O counters* — to calling `write_block` once per block.
-//! Likewise `read_block_into` must agree with `read_block` on healthy and
-//! degraded clusters.
+//! After any prelude (including a half-finished lazy migration, so batch
+//! writes complete pending moves), a `write_blocks` batch must serve the
+//! last value written to every block, store each block's shards exactly
+//! once per write (every device's `writes` counter grows by the shards
+//! placed on it), and leave no stale shard behind. Likewise
+//! `read_block_into` must agree with `read_block` on healthy and degraded
+//! clusters.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use rshare_vds::{Redundancy, StorageCluster};
@@ -47,36 +49,14 @@ fn redundancy_for(kind: u8) -> Redundancy {
     }
 }
 
-/// Asserts the two clusters are observably identical.
-fn assert_same_state(fused: &StorageCluster, looped: &StorageCluster, lbas: &[u64]) {
-    assert_eq!(fused.block_count(), looped.block_count());
-    assert_eq!(fused.pending_blocks(), looped.pending_blocks());
-    assert_eq!(fused.device_ids(), looped.device_ids());
-    for id in fused.device_ids() {
-        let (f, l) = (
-            fused.device(id).expect("device"),
-            looped.device(id).expect("device"),
-        );
-        assert_eq!(f.used_blocks(), l.used_blocks(), "device {id} occupancy");
-        assert_eq!(f.stats(), l.stats(), "device {id} I/O counters");
-    }
-    for &lba in lbas {
-        assert_eq!(fused.placement(lba), looped.placement(lba), "lba {lba}");
-        assert_eq!(
-            fused.read_block(lba).expect("read"),
-            looped.read_block(lba).expect("read"),
-            "lba {lba}"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `write_blocks` == repeated `write_block`, including batches that
-    /// overwrite existing blocks and complete lazy migrations.
+    /// A batch, including overwrites, repeated lbas and blocks still
+    /// awaiting lazy migration, reads back as written and costs one shard
+    /// write per placed shard.
     #[test]
-    fn write_blocks_equals_write_block_loop(
+    fn write_blocks_read_back_and_count_placed_shards(
         kind in any::<u8>(),
         count in 1usize..=80,
         salt in any::<u8>(),
@@ -84,21 +64,23 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let redundancy = redundancy_for(kind);
-        let mut fused = build(redundancy);
-        let mut looped = build(redundancy);
-        // Shared prelude on both clusters: seed some blocks, optionally
-        // leave a lazy migration half-finished so the batch write has
-        // pending moves to complete.
-        let prelude: Vec<u64> = (0..40u64).collect();
-        for c in [&mut fused, &mut looped] {
-            for &lba in &prelude {
-                c.write_block(lba, &payload(lba, 0)).unwrap();
-            }
-            if lazy {
-                c.add_device_lazy(100, 9_000).unwrap();
-                c.migrate_step(10).unwrap();
-            }
+        let mut c = build(redundancy);
+        // Seed some blocks, optionally leaving a lazy migration
+        // half-finished so the batch write has pending moves to complete.
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for lba in 0..40u64 {
+            c.write_block(lba, &payload(lba, 0)).unwrap();
+            model.insert(lba, payload(lba, 0));
         }
+        if lazy {
+            c.add_device_lazy(100, 9_000).unwrap();
+            c.migrate_batch(10).unwrap();
+        }
+        let before: BTreeMap<u64, u64> = c
+            .device_ids()
+            .into_iter()
+            .map(|id| (id, c.device(id).unwrap().stats().writes))
+            .collect();
         // The batch overlaps the prelude (overwrites + fresh blocks) and
         // may repeat an lba within the batch.
         let lbas: Vec<u64> = (0..count as u64)
@@ -106,16 +88,34 @@ proptest! {
             .collect();
         let mut data = Vec::with_capacity(lbas.len() * BLOCK_SIZE);
         for (i, &lba) in lbas.iter().enumerate() {
-            data.extend_from_slice(&payload(lba, salt.wrapping_add(i as u8)));
+            let block = payload(lba, salt.wrapping_add(i as u8));
+            data.extend_from_slice(&block);
+            model.insert(lba, block);
         }
-        fused.write_blocks(&lbas, &data).unwrap();
-        for (&lba, chunk) in lbas.iter().zip(data.chunks_exact(BLOCK_SIZE)) {
-            looped.write_block(lba, chunk).unwrap();
+        c.write_blocks(&lbas, &data).unwrap();
+        // Written blocks resolve to their target placement, so one write
+        // per entry lands on each device of the final placement.
+        let mut placed: BTreeMap<u64, u64> = BTreeMap::new();
+        for &lba in &lbas {
+            for dev in c.placement(lba) {
+                *placed.entry(dev).or_default() += 1;
+            }
         }
-        let mut all: Vec<u64> = prelude.iter().chain(&lbas).copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_same_state(&fused, &looped, &all);
+        for (id, writes) in before {
+            let grew = c.device(id).unwrap().stats().writes - writes;
+            prop_assert_eq!(grew, placed.get(&id).copied().unwrap_or(0), "device {}", id);
+        }
+        for (&lba, want) in &model {
+            prop_assert_eq!(&c.read_block(lba).unwrap(), want, "lba {}", lba);
+        }
+        let k = redundancy.total_shards() as u64;
+        prop_assert_eq!(c.block_count(), model.len() as u64);
+        let resident: u64 = c
+            .device_ids()
+            .into_iter()
+            .map(|id| c.device(id).unwrap().used_blocks())
+            .sum();
+        prop_assert_eq!(resident, model.len() as u64 * k, "stale or missing shards");
     }
 
     /// `read_block_into` returns exactly what `read_block` returns, on

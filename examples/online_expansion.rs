@@ -51,7 +51,7 @@ fn main() {
     println!("\n== Drain in steps of 2,000 blocks, serving reads throughout ==");
     let mut step = 0u32;
     while cluster.pending_blocks() > 0 {
-        let report = cluster.migrate_step(2_000).expect("step");
+        let report = cluster.migrate_batch(2_000).expect("batch");
         step += 1;
         // Serve a read burst mid-migration: every block answers correctly
         // no matter which side of the migration it is on.

@@ -69,7 +69,7 @@
 //!   (`table_makespan`).
 //! * [`crate::placement::DomainPlacement`] — failure-domain (rack-aware)
 //!   placement composing the paper's machinery hierarchically.
-//! * Lazy migration (`add_device_lazy` + `migrate_step`) and dry-run
+//! * Lazy migration (`add_device_lazy` + `migrate_batch`) and dry-run
 //!   [`crate::storage::MigrationPlan`]s — operational faces of computed
 //!   placement.
 //! * [`crate::workload::reliability`] — Monte-Carlo durability over placed

@@ -1,17 +1,15 @@
-//! Adaptivity fast-path report: migration drain throughput and measured
-//! competitive ratios.
+//! Adaptivity report: migration drain throughput and measured competitive
+//! ratios.
 //!
-//! Three measurements on the rebalance engine:
+//! Two measurements on the rebalance engine:
 //!
 //! 1. **Migration drain** — blocks/s to drain a lazy single-device add
 //!    through `migrate_batch` ("planned": batched diffing,
 //!    skip-unchanged).
-//! 2. **Planner engine sweep** — `plan_add_device` throughput with the
-//!    `fast_strategy_threshold` knob forcing the O(k) fast engine vs the
-//!    O(n) scan, on the same cluster.
-//! 3. **Competitive ratios** — planned moves over the fair minimum for
-//!    adding/removing the largest and smallest device, against the
-//!    paper's proven 2–4 bound (measured ≈1.5 for adds, ≈2.5 for
+//! 2. **Competitive ratios** — planned moves over the fair minimum for
+//!    adding/removing the largest and smallest device, on an 8-device
+//!    heterogeneous cluster and on the 96-device drain cluster, against
+//!    the paper's proven 2–4 bound (measured ≈1.5 for adds, ≈2.5 for
 //!    removals in the paper's experiments).
 //!
 //! Prints tables and writes the raw numbers to `BENCH_migration.json`
@@ -27,8 +25,8 @@ use rshare_vds::{MigrationPlan, Redundancy, StorageCluster};
 /// Timing repetitions per cell; the best (minimum) time is reported.
 const REPS: usize = 3;
 
-/// Devices in the drain cluster — above the fast-placement threshold, so
-/// the drain queries the O(k) engine.
+/// Devices in the drain cluster; every placement the drain diffs runs the
+/// O(n) scan over all of them.
 const DEVICES: u64 = 96;
 
 /// Blocks drained per `migrate_batch` call: the incremental-call cadence
@@ -53,7 +51,7 @@ impl Cell {
 
 /// A measured competitive-ratio row.
 struct Ratio {
-    change: &'static str,
+    change: String,
     ratio: f64,
     moved_fraction: f64,
     fair_min_shards: f64,
@@ -108,45 +106,51 @@ fn bench_drain(blocks: u64, cells: &mut Vec<Cell>) {
     });
 }
 
-/// `plan_add_device` throughput with the placement engine pinned either
-/// way by the `fast_strategy_threshold` builder knob.
-fn bench_plan_sweep(blocks: u64, cells: &mut Vec<Cell>) {
-    let sweeps: [(&'static str, usize); 2] = [
-        ("fast_engine", 1),          // always the precomputed O(k) engine
-        ("scan_engine", usize::MAX), // always the O(n) scan
-    ];
-    for (mode, threshold) in sweeps {
-        let mut b = StorageCluster::builder()
-            .block_size(BLOCK_SIZE)
-            .redundancy(Redundancy::Mirror { copies: 2 })
-            .fast_strategy_threshold(threshold);
-        for id in 0..DEVICES {
-            b = b.device(id, 40_000 + id * 500);
-        }
-        let mut c = b.build().expect("valid cluster");
-        let data = vec![0xC3u8; BLOCK_SIZE];
-        for lba in 0..blocks {
-            c.write_block(lba, &data).expect("write");
-        }
-        let mut best = u128::MAX;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            black_box(c.plan_add_device(DEVICES, 60_000).expect("plan"));
-            best = best.min(start.elapsed().as_nanos());
-        }
-        cells.push(Cell {
-            bench: "plan_add",
-            mode,
-            items: blocks,
-            unit: "blocks",
-            elapsed_ns: best,
-        });
-    }
+/// Measured competitive ratios for single-device churn on `c`: add/remove
+/// of its largest and smallest device. Row names end in `suffix`.
+fn competitive(c: &StorageCluster, suffix: &str) -> Vec<Ratio> {
+    let cap = |id: u64| c.device(id).expect("listed device").capacity_blocks();
+    let ids = c.device_ids();
+    let largest = *ids
+        .iter()
+        .max_by_key(|&&id| (cap(id), id))
+        .expect("non-empty");
+    let smallest = *ids
+        .iter()
+        .min_by_key(|&&id| (cap(id), id))
+        .expect("non-empty");
+    let new_id = ids.last().expect("non-empty") + 1;
+    let row = |change: &str, plan: MigrationPlan| Ratio {
+        change: format!("{change}{suffix}"),
+        ratio: plan.competitive_ratio(),
+        moved_fraction: plan.moved_fraction(),
+        fair_min_shards: plan.fair_min_shards,
+        moves: plan.moves.len(),
+        blocks_planned: plan.blocks_planned,
+        blocks_total: plan.blocks_total,
+    };
+    vec![
+        row(
+            "add_largest",
+            c.plan_add_device(new_id, cap(largest)).expect("plan"),
+        ),
+        row(
+            "add_smallest",
+            c.plan_add_device(new_id, cap(smallest)).expect("plan"),
+        ),
+        row(
+            "remove_largest",
+            c.plan_remove_device(largest).expect("plan"),
+        ),
+        row(
+            "remove_smallest",
+            c.plan_remove_device(smallest).expect("plan"),
+        ),
+    ]
 }
 
-/// Measured competitive ratios for single-device churn on a heterogeneous
-/// cluster: add/remove of the largest and smallest device.
-fn bench_competitive(blocks: u64) -> Vec<Ratio> {
+/// The 8-device heterogeneous cluster of the competitive-ratio table.
+fn small_cluster(blocks: u64) -> StorageCluster {
     let caps: [u64; 8] = [5_000, 7_000, 8_000, 9_000, 11_000, 13_000, 16_000, 19_000];
     let mut b = StorageCluster::builder()
         .block_size(BLOCK_SIZE)
@@ -159,48 +163,7 @@ fn bench_competitive(blocks: u64) -> Vec<Ratio> {
     for lba in 0..blocks {
         c.write_block(lba, &data).expect("write");
     }
-    let largest_cap = caps.iter().max().copied().expect("non-empty") * 4;
-    let smallest_cap = caps.iter().min().copied().expect("non-empty") * 4;
-    let largest_id = (caps.len() - 1) as u64; // caps ascend with id
-    let smallest_id = 0u64;
-    let row = |change: &'static str, plan: MigrationPlan| Ratio {
-        change,
-        ratio: plan.competitive_ratio(),
-        moved_fraction: plan.moved_fraction(),
-        fair_min_shards: plan.fair_min_shards,
-        moves: plan.moves.len(),
-        blocks_planned: plan.blocks_planned,
-        blocks_total: plan.blocks_total,
-    };
-    vec![
-        row(
-            "add_largest",
-            c.plan_add_device(99, largest_cap).expect("plan"),
-        ),
-        row(
-            "add_smallest",
-            c.plan_add_device(99, smallest_cap).expect("plan"),
-        ),
-        row(
-            "remove_largest",
-            c.plan_remove_device(largest_id).expect("plan"),
-        ),
-        row(
-            "remove_smallest",
-            c.plan_remove_device(smallest_id).expect("plan"),
-        ),
-    ]
-}
-
-fn speedup(cells: &[Cell], bench: &str, fast: &str, slow: &str) -> f64 {
-    let rate = |mode: &str| {
-        cells
-            .iter()
-            .find(|c| c.bench == bench && c.mode == mode)
-            .expect("cell present")
-            .per_s()
-    };
-    rate(fast) / rate(slow)
+    c
 }
 
 /// Hand-rolled JSON (no serde in the dependency set).
@@ -242,37 +205,20 @@ fn to_json(cells: &[Cell], ratios: &[Ratio], smoke: bool, blocks: u64) -> String
     s.push_str(",\n");
     let max_ratio = ratios.iter().map(|r| r.ratio).fold(0.0f64, f64::max);
     s.push_str(&format!(
-        "  \"summary\": {{\"fast_vs_scan_plan_speedup\": {:.2}, \"max_competitive_ratio\": {:.3}, \"paper_bound\": 4.0}}\n",
-        speedup(cells, "plan_add", "fast_engine", "scan_engine"),
-        max_ratio,
+        "  \"summary\": {{\"max_competitive_ratio\": {max_ratio:.3}, \"paper_bound\": 4.0}}\n"
     ));
     s.push('}');
     s.push('\n');
     s
 }
 
-/// The unified cross-binary records: one throughput entry per cell (the
-/// fast planner with the scan engine as its baseline), plus one ratio entry
-/// per membership change measured against the paper's proven bound of 4.
+/// The unified cross-binary records: one throughput entry per cell, plus
+/// one ratio entry per membership change measured against the paper's
+/// proven bound of 4.
 fn records(cells: &[Cell], ratios: &[Ratio]) -> Vec<Record> {
     let mut out: Vec<Record> = cells
         .iter()
-        .map(|c| {
-            let name = format!("{}_{}", c.bench, c.mode);
-            let unit: &'static str = match c.unit {
-                "blocks" => "blocks_per_s",
-                _ => "plans_per_s",
-            };
-            if (c.bench, c.mode) == ("plan_add", "fast_engine") {
-                let base = cells
-                    .iter()
-                    .find(|s| s.bench == c.bench && s.mode == "scan_engine")
-                    .expect("baseline cell present");
-                Record::with_baseline(name, unit, c.per_s(), base.per_s())
-            } else {
-                Record::new(name, unit, c.per_s())
-            }
-        })
+        .map(|c| Record::new(format!("{}_{}", c.bench, c.mode), "blocks_per_s", c.per_s()))
         .collect();
     out.extend(ratios.iter().map(|r| {
         Record::with_baseline(
@@ -289,14 +235,14 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "--quick");
     let blocks: u64 = if smoke { 12_000 } else { 120_000 };
     section(&format!(
-        "Adaptivity fast path — batched migration + competitive ratios{}",
+        "Adaptivity — batched migration + competitive ratios{}",
         if smoke { " (smoke mode)" } else { "" }
     ));
 
     let mut cells = Vec::new();
     bench_drain(blocks, &mut cells);
-    bench_plan_sweep(blocks, &mut cells);
-    let ratios = bench_competitive(blocks.min(24_000));
+    let mut ratios = competitive(&small_cluster(blocks.min(24_000)), "");
+    ratios.extend(competitive(&drain_cluster(blocks), "_96dev"));
 
     let mut rows = Vec::new();
     for c in &cells {
@@ -313,7 +259,7 @@ fn main() {
     let mut rows = Vec::new();
     for r in &ratios {
         rows.push(vec![
-            r.change.to_string(),
+            r.change.clone(),
             f(r.ratio),
             f(r.moved_fraction),
             format!("{}/{}", r.blocks_planned, r.blocks_total),
@@ -330,8 +276,7 @@ fn main() {
     );
 
     println!(
-        "\nfast-engine planning {}x the scan; max ratio {} (paper bound 4.0)",
-        f(speedup(&cells, "plan_add", "fast_engine", "scan_engine")),
+        "\nmax ratio {} (paper bound 4.0)",
         f(ratios.iter().map(|r| r.ratio).fold(0.0f64, f64::max)),
     );
 

@@ -58,8 +58,8 @@ pub(crate) struct ScanModel {
     pub suffix: Vec<f64>,
     /// `θ(i, r)` for `r ∈ {2, …, k}`, flattened row-major into one
     /// contiguous buffer: row `r - 2` holds the `n` values for level `r`
-    /// (empty for k < 2). Contiguity keeps the placement hot loop on a
-    /// single streaming read instead of chasing one `Vec` per level.
+    /// (empty for k < 2). The scan of [`crate::RedundantShare`] tests
+    /// integer cuts derived from these rows, in the same layout.
     pub theta: Vec<f64>,
     /// `sat_cut[r - 2]`: start of the maximal *saturated suffix* at scan
     /// level `r` — every `i ≥ sat_cut[r-2]` has effective θ(i, r) ≥ 1, so
@@ -115,14 +115,6 @@ impl ScanModel {
     #[inline]
     pub fn theta(&self, i: usize, r: usize) -> f64 {
         self.theta[self.theta_idx(i, r)]
-    }
-
-    /// The contiguous `θ(·, r)` row for scan level `r`; only defined for
-    /// `2 ≤ r ≤ k`. Lets hot loops stream one slice instead of indexing.
-    #[inline]
-    pub fn theta_row(&self, r: usize) -> &[f64] {
-        let n = self.weights.len();
-        &self.theta[(r - 2) * n..(r - 1) * n]
     }
 
     /// Start of the maximal saturated suffix at level `r`: every bin at or

@@ -17,21 +17,24 @@
 //! a slightly different bin set scrambles which hash values land where,
 //! which would void the adaptivity guarantees the paper's Section 4 is
 //! about. The inverse-CDF draw is monotone in the cumulative
-//! distribution, so a membership or capacity change remaps only balls
-//! whose uniform falls in a shifted boundary region — per transition, the
-//! total-variation distance between the old and new distributions, which
-//! keeps the fast engine's migration competitive like the scan's.
+//! distribution, so a capacity change that keeps the bin order remaps
+//! only balls whose uniform falls in a shifted boundary region.
+//!
+//! That does not make the variant adaptive under membership changes. The
+//! tables are indexed by *position* in the capacity order, so inserting or
+//! removing one bin shifts every later CDF boundary, and balls move
+//! between bins the change never touched. On 2-way mirrors of 64–68
+//! devices, single-device adds moved 15.7–39.7× the fair minimum;
+//! removals and rebuilds there and on a 96-device RS(4,2) cluster moved
+//! 15–31×. The scan's coin at bin `i` depends only on `(ball, bin name)`,
+//! and its adds stay near 2× (Lemma 3.2 bounds them by 4), so storage
+//! clusters place through the scan.
 //!
 //! The sampled joint distribution is identical to the scan's, so fairness
 //! and redundancy carry over exactly; the random bits differ, so the two
-//! variants produce different (but equally distributed) mappings.
-//!
-//! # Construction cost
-//!
-//! The `O(k · n²)` table construction is embarrassingly parallel across
-//! predecessor states, so it is sharded over OS threads
-//! (`std::thread::scope`). A membership change builds a new instance from
-//! scratch.
+//! variants produce different (but equally distributed) mappings. A
+//! membership change builds a new instance from scratch; construction runs
+//! serially (0.8–1.3 ms at n = 96, k = 6 on a 2-core x86-64 host).
 
 use rshare_hash::{stable_hash3, CdfTable};
 
@@ -82,8 +85,7 @@ pub struct FastRedundantShare {
 }
 
 impl FastRedundantShare {
-    /// Builds the precomputed strategy. The `O(k · n²)` table construction
-    /// is sharded across OS threads.
+    /// Builds the precomputed strategy in `O(k · n²)` time.
     ///
     /// # Errors
     ///
@@ -111,14 +113,20 @@ impl FastRedundantShare {
             last_transition(&model, 0)
         };
         // Middle copies placed by the scan: levels r = k-1 … 2, one
-        // transition table per predecessor bin, built in parallel.
+        // transition table per predecessor bin.
         let scan_levels: Vec<Vec<Transition>> = (2..k)
             .rev()
-            .map(|r| par_map(n, |prev| scan_transition(&model, r, prev + 1)))
+            .map(|r| {
+                (0..n)
+                    .map(|prev| scan_transition(&model, r, prev + 1))
+                    .collect()
+            })
             .collect();
         // Last copy: placeOneCopy suffix per predecessor.
         let last: Vec<Transition> = if k >= 2 {
-            par_map(n, |prev| last_transition(&model, prev + 1))
+            (0..n)
+                .map(|prev| last_transition(&model, prev + 1))
+                .collect()
         } else {
             Vec::new()
         };
@@ -183,35 +191,6 @@ impl FastRedundantShare {
         let idx = self.resolve(&self.last[prev], prev + 1, key);
         emit(self.ids[idx]);
     }
-}
-
-/// Maps `f` over `0..len` in index order, sharding across OS threads when
-/// the range is large enough to amortise spawn cost.
-fn par_map<T: Send, F: Fn(usize) -> T + Sync>(len: usize, f: F) -> Vec<T> {
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |v| v.get())
-        .min(len / 16)
-        .max(1);
-    if threads == 1 {
-        return (0..len).map(f).collect();
-    }
-    let chunk = len.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (chunk..len)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(len);
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        // First chunk on the calling thread while workers run.
-        let mut out: Vec<T> = (0..chunk.min(len)).map(f).collect();
-        for handle in handles {
-            out.extend(handle.join().expect("table construction worker panicked"));
-        }
-        out
-    })
 }
 
 /// Distribution of the next scan take at level `r` starting from `start`:

@@ -20,7 +20,7 @@
 //!   are far lower (Figures 3 and 5).
 //! * **Copy identity** — position `i` of the result is copy `i`.
 
-use rshare_hash::{stable_hash3, unit_f64, Rendezvous, SingleCopySelector};
+use rshare_hash::{stable_hash3, Rendezvous, SingleCopySelector};
 
 use crate::analysis::ScanModel;
 use crate::bins::{BinId, BinSet};
@@ -57,6 +57,12 @@ const SCAN_DOMAIN: u64 = 0x5244_5348_4152_4531; // "RDSHARE1"
 #[derive(Debug, Clone)]
 pub struct RedundantShare<S = Rendezvous> {
     model: ScanModel,
+    /// `θ(i, r)` as integer cuts on the scan hash, laid out like
+    /// `model.theta`: bin `i` is taken at level `r` iff
+    /// `hash >> 11 < cut`. `cut = ⌈θ · 2^53⌉` (or `u64::MAX` for θ ≥ 1),
+    /// so the test is exactly `unit_f64(hash) < θ`: `unit_f64` is
+    /// `(hash >> 11) · 2^-53` and `θ · 2^53` is exact in floating point.
+    cuts: Vec<u64>,
     ids: Vec<BinId>,
     names: Vec<u64>,
     selector: S,
@@ -95,10 +101,23 @@ impl<S: SingleCopySelector> RedundantShare<S> {
         let capacities: Vec<u64> = bins.bins().iter().map(|b| b.capacity()).collect();
         let weights = optimal_weights(&capacities, k);
         let model = ScanModel::new(weights, k);
+        let unit = (1u64 << 53) as f64;
+        let cuts = model
+            .theta
+            .iter()
+            .map(|&t| {
+                if t >= 1.0 {
+                    u64::MAX
+                } else {
+                    (t * unit).ceil() as u64
+                }
+            })
+            .collect();
         let ids: Vec<BinId> = bins.bins().iter().map(|b| b.id()).collect();
         let names: Vec<u64> = ids.iter().map(|id| id.raw()).collect();
         Ok(Self {
             model,
+            cuts,
             ids,
             names,
             selector,
@@ -129,6 +148,7 @@ impl<S: SingleCopySelector> RedundantShare<S> {
         self.model.weights.len() * f
             + self.model.suffix.len() * f
             + self.model.theta.len() * f
+            + self.cuts.len() * std::mem::size_of::<u64>()
             + self.model.sat_cut.len() * std::mem::size_of::<usize>()
             + self.model.head_boost.len() * f
             + self.ids.len() * std::mem::size_of::<BinId>()
@@ -185,36 +205,31 @@ impl<S: SingleCopySelector> RedundantShare<S> {
             emit(self.ids[self.place_last(ball, 0)]);
             return;
         }
-        let mut r = k;
         let mut i = 0usize;
-        let mut theta_row = self.model.theta_row(r);
-        // Every bin at or beyond the cutoff has effective θ ≥ 1 — the
-        // maximal saturated suffix, which also covers the forced-take
-        // state where only r bins remain. Taking it without hashing keeps
-        // the per-bin cost of saturated regions to a comparison.
-        let mut sat_cut = self.model.saturation_cut(r);
-        loop {
-            let take = if i >= sat_cut {
-                true
-            } else {
-                // Isolated saturated bins can sit left of the cutoff
-                // (saturation is not contiguous in general), so the θ ≥ 1
-                // fast path stays.
-                let theta = theta_row[i];
-                theta >= 1.0 || unit_f64(stable_hash3(ball, self.names[i], SCAN_DOMAIN)) < theta
-            };
-            if take {
-                emit(self.ids[i]);
-                r -= 1;
-                if r == 1 {
-                    emit(self.ids[self.place_last(ball, i + 1)]);
-                    return;
-                }
-                theta_row = self.model.theta_row(r);
-                sat_cut = self.model.saturation_cut(r);
-            }
+        for r in (2..=k).rev() {
+            // Every bin at or beyond the cutoff has effective θ ≥ 1 — the
+            // maximal saturated suffix, which also covers the forced-take
+            // state where only r bins remain — so the scan takes it
+            // without hashing. Isolated saturated bins left of the cutoff
+            // carry the cut `u64::MAX`, which every 53-bit hash prefix
+            // passes.
+            let end = self.model.saturation_cut(r).max(i);
+            i += self.names[i..end]
+                .iter()
+                .zip(&self.cut_row(r)[i..end])
+                .position(|(&name, &cut)| (stable_hash3(ball, name, SCAN_DOMAIN) >> 11) < cut)
+                .unwrap_or(end - i);
+            emit(self.ids[i]);
             i += 1;
         }
+        emit(self.ids[self.place_last(ball, i)]);
+    }
+
+    /// The contiguous integer cuts of scan level `r` (`2 ≤ r ≤ k`).
+    #[inline]
+    fn cut_row(&self, r: usize) -> &[u64] {
+        let n = self.ids.len();
+        &self.cuts[(r - 2) * n..(r - 1) * n]
     }
 
     /// Places the last copy over the suffix starting at `start`.
@@ -475,5 +490,29 @@ mod tests {
         // well under a full reshuffle and above the trivial lower bound.
         assert!(moved_frac >= new_share * 0.8, "moved {moved_frac}");
         assert!(moved_frac <= new_share * 4.0, "moved {moved_frac}");
+    }
+
+    #[test]
+    fn placements_match_golden_digests() {
+        // Pins every placement bit for bit: a change to the scan's coin
+        // flips, its thresholds or the last-copy selector shows up here as
+        // a different digest. Capacities are 1–4 by id.
+        for (n, k, want) in [
+            (48u64, 3usize, 0xaccf_6910_f5c8_24ab_u64),
+            (64, 2, 0x415d_923b_9e26_60ff),
+            (96, 6, 0xa9fe_755f_5673_848c),
+        ] {
+            let set = BinSet::from_capacities((0..n).map(|id| 1 + id % 4)).unwrap();
+            let strat = RedundantShare::new(&set, k).unwrap();
+            let mut arr = [BinId(0); crate::MAX_INLINE_K];
+            let mut digest = 0u64;
+            for ball in 0..200_000u64 {
+                let len = strat.place_into_inline(ball, &mut arr);
+                for id in &arr[..len] {
+                    digest = rshare_hash::stable_hash2(digest, id.raw());
+                }
+            }
+            assert_eq!(digest, want, "n={n} k={k}: digest {digest:#018x}");
+        }
     }
 }

@@ -77,10 +77,21 @@ impl Rendezvous {
         if weight <= 0.0 {
             return f64::INFINITY;
         }
-        let u = unit_open_f64(stable_hash3(key, name, RENDEZVOUS_DOMAIN ^ self.seed));
-        -u.ln() / weight
+        -self.unit(key, name).ln() / weight
+    }
+
+    /// The uniform `u ∈ (0, 1]` behind [`Rendezvous::score`].
+    #[inline]
+    fn unit(&self, key: u64, name: u64) -> f64 {
+        unit_open_f64(stable_hash3(key, name, RENDEZVOUS_DOMAIN ^ self.seed))
     }
 }
+
+/// Relative margin of the `ln`-free lower bound in
+/// [`SingleCopySelector::select_with_head`]. It dwarfs the ≤ 1 ulp error
+/// of `ln` and the roundings of the score and bound arithmetic, so a bin
+/// the bound skips can never have beaten the running best.
+const BOUND_MARGIN: f64 = 1e-9;
 
 impl SingleCopySelector for Rendezvous {
     fn select(&self, key: u64, names: &[u64], weights: &[f64]) -> usize {
@@ -107,14 +118,33 @@ impl SingleCopySelector for Rendezvous {
         );
         let mut best = 0usize;
         let mut best_score = self.score(key, names[0], head_weight);
-        for (i, (&name, &w)) in names.iter().zip(weights).enumerate().skip(1) {
-            let s = self.score(key, name, w);
+        let mut i = 1;
+        loop {
+            // `-ln(u) ≥ 1 - u`, so `(1 - u) / w` bounds a bin's score from
+            // below: while that bound already reaches the best score the
+            // bin cannot win, and the scan moves on without its `ln`. A
+            // zero weight scores ∞ and never wins the strict test either.
+            // The selection is exactly that of scoring every bin.
+            let mut u = 0.0;
+            let Some(skipped) = names[i..]
+                .iter()
+                .zip(&weights[i..])
+                .position(|(&name, &w)| {
+                    u = self.unit(key, name);
+                    w > 0.0
+                        && (1.0 - u) * (1.0 - BOUND_MARGIN) < best_score * w * (1.0 + BOUND_MARGIN)
+                })
+            else {
+                return best;
+            };
+            i += skipped;
+            let s = -u.ln() / weights[i];
             if s < best_score {
                 best = i;
                 best_score = s;
             }
+            i += 1;
         }
-        best
     }
 }
 
@@ -220,5 +250,79 @@ mod tests {
     #[should_panic(expected = "empty bin set")]
     fn empty_bins_panics() {
         Rendezvous::new().select(1, &[], &[]);
+    }
+
+    /// The selection without the lower bound: score every bin, keep the
+    /// first strict minimum.
+    fn unpruned_argmin(
+        sel: &Rendezvous,
+        key: u64,
+        names: &[u64],
+        weights: &[f64],
+        head: f64,
+    ) -> usize {
+        let mut best = 0usize;
+        let mut best_score = sel.score(key, names[0], head);
+        for i in 1..names.len() {
+            let s = sel.score(key, names[i], weights[i]);
+            if s < best_score {
+                best = i;
+                best_score = s;
+            }
+        }
+        best
+    }
+
+    /// Relative offsets for weights that tie the running best score:
+    /// inside, at and just outside the bound's margin.
+    const TIE_OFFSETS: [f64; 7] = [-2e-9, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        #[test]
+        fn bounded_selection_equals_unpruned_argmin(
+            key in any::<u64>(),
+            seed in any::<u64>(),
+            head_boost in 0u64..4,
+            bins in prop::collection::vec((any::<u64>(), 0u32..40, 0u8..8, any::<u64>()), 1..48),
+        ) {
+            let sel = Rendezvous::with_seed(seed);
+            let names: Vec<u64> = bins.iter().map(|b| b.0).collect();
+            let mut weights = Vec::with_capacity(bins.len());
+            let mut best_score = f64::INFINITY;
+            let mut head = 0.0;
+            for (i, &(name, exp, kind, raw)) in bins.iter().enumerate() {
+                // Log-uniform weights in [1, 2^40], zero for kind 0.
+                let mut w = if kind == 0 {
+                    0.0
+                } else {
+                    ((1u64 << exp) as f64 * (1.0 + crate::mix::unit_f64(raw))).min((1u64 << 40) as f64)
+                };
+                if i == 0 {
+                    // Boosted head: ×1, ×10, ×1000, or zero.
+                    head = w * [1.0, 10.0, 1e3, 0.0][head_boost as usize];
+                    best_score = sel.score(key, name, head);
+                } else if kind >= 6 && best_score.is_finite() && best_score > 0.0 {
+                    // Near tie: pick the weight whose score lands on the
+                    // running best, nudged by a tiny relative offset.
+                    let offset = TIE_OFFSETS[(raw % TIE_OFFSETS.len() as u64) as usize];
+                    w = -sel.unit(key, name).ln() / best_score * (1.0 + offset);
+                    if !w.is_finite() {
+                        w = 0.0;
+                    }
+                }
+                weights.push(w);
+                if i > 0 {
+                    best_score = best_score.min(sel.score(key, name, w));
+                }
+            }
+            prop_assert_eq!(
+                sel.select_with_head(key, &names, &weights, head),
+                unpruned_argmin(&sel, key, &names, &weights, head)
+            );
+        }
     }
 }

@@ -18,10 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rshare_core::{
-    Bin, BinId, BinSet, FastRedundantShare, PlacementError, PlacementStrategy, RedundantShare,
-    MAX_INLINE_K,
-};
+use rshare_core::{Bin, BinId, BinSet, PlacementStrategy, RedundantShare, MAX_INLINE_K};
 use rshare_erasure::ErasureCode;
 use rshare_obs::{family_header, sample_line, Registry, SpanTimer};
 
@@ -40,87 +37,10 @@ const READ_BALANCE_DOMAIN: u64 = 0x5245_4144; // "READ"
 /// histogram. The read *counters* stay exact; only latency is sampled.
 const LATENCY_SAMPLE: u64 = 64;
 
-/// Default for [`ClusterBuilder::fast_strategy_threshold`]: clusters with
-/// at least this many online devices route placement through the
-/// precomputed O(k)-per-query [`FastRedundantShare`]; smaller clusters
-/// keep the table-free O(n) scan, whose query cost is negligible at small
-/// `n` and which avoids the O(k·n²) table build on every membership change.
-const FAST_PLACEMENT_MIN_DEVICES: usize = 64;
-
 /// Blocks per batched-migration chunk. Bounds the transient memory of a
 /// rebalance: at most this many blocks' shard payloads are in flight
 /// between the gather and apply phases.
 const MIGRATION_CHUNK_BLOCKS: usize = 4096;
-
-/// The placement engine a cluster routes queries through, chosen by
-/// cluster size (see [`ClusterBuilder::fast_strategy_threshold`]).
-///
-/// Both variants implement the paper's Redundant Share and are equally
-/// fair, but their per-ball placements differ (the fast variant draws its
-/// randomness from precomputed transition tables), so switching variants
-/// is a strategy change like any other: the migration machinery diffs old
-/// and new placements and moves what changed.
-enum ClusterStrategy {
-    /// Algorithm 4: O(n) per query, no precomputation.
-    Scan(RedundantShare),
-    /// Section 3.3: O(k) per query from precomputed Markov-chain tables.
-    Fast(FastRedundantShare),
-}
-
-impl ClusterStrategy {
-    /// Builds the right variant for `set`'s size: the precomputed engine
-    /// once the set reaches `fast_min` bins, the scan below it.
-    fn build(set: &BinSet, shards: usize, fast_min: usize) -> Result<Self, PlacementError> {
-        if set.len() >= fast_min {
-            Ok(Self::Fast(FastRedundantShare::new(set, shards)?))
-        } else {
-            Ok(Self::Scan(RedundantShare::new(set, shards)?))
-        }
-    }
-
-    /// Places `ball`, returning its `k` device bins in copy order.
-    fn place(&self, ball: u64) -> Vec<BinId> {
-        match self {
-            Self::Scan(s) => s.place(ball),
-            Self::Fast(s) => s.place(ball),
-        }
-    }
-
-    /// The replication degree (total shards per group).
-    fn replication(&self) -> usize {
-        match self {
-            Self::Scan(s) => s.replication(),
-            Self::Fast(s) => s.replication(),
-        }
-    }
-
-    /// Places `ball`, writing raw device ids into `out` (cleared first).
-    /// Groups of up to [`MAX_INLINE_K`] shards go through the inline
-    /// strategy path and never touch the heap.
-    fn place_ids_into(&self, ball: u64, out: &mut Vec<u64>) {
-        out.clear();
-        if self.replication() <= MAX_INLINE_K {
-            let mut arr = [BinId(0); MAX_INLINE_K];
-            let n = match self {
-                Self::Scan(s) => s.place_into_inline(ball, &mut arr),
-                Self::Fast(s) => s.place_into_inline(ball, &mut arr),
-            };
-            out.extend(arr[..n].iter().map(|b| b.raw()));
-        } else {
-            out.extend(self.place(ball).into_iter().map(|b| b.raw()));
-        }
-    }
-
-    /// Places every ball in `balls`, appending `replication()` bins per
-    /// ball to `out` (cleared first) as one flat stride-k run — the bulk
-    /// API the migration planner and executor diff placements with.
-    fn place_batch_into(&self, balls: &[u64], out: &mut Vec<BinId>) {
-        match self {
-            Self::Scan(s) => s.place_batch_into(balls, out),
-            Self::Fast(s) => s.place_batch_into(balls, out),
-        }
-    }
-}
 
 /// An owned placement: inline (no heap) for groups that fit
 /// [`MAX_CACHED_SHARDS`] ids, heap-backed beyond that. Dereferences to the
@@ -163,7 +83,6 @@ pub struct ClusterBuilder {
     redundancy: Redundancy,
     devices: Vec<(u64, u64, DeviceProfile)>,
     placement_cache: bool,
-    fast_strategy_threshold: usize,
     metrics: bool,
     metrics_registry: Option<Arc<Registry>>,
 }
@@ -189,17 +108,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn placement_cache(mut self, enabled: bool) -> Self {
         self.placement_cache = enabled;
-        self
-    }
-
-    /// Sets the minimum online-device count at which placement routes
-    /// through the precomputed O(k)-per-query fast engine instead of the
-    /// table-free O(n) scan (default 64). Lower it to force the fast
-    /// engine on small clusters, or pass `usize::MAX` to pin the scan —
-    /// the knob the migration benchmark sweeps.
-    #[must_use]
-    pub fn fast_strategy_threshold(mut self, min_devices: usize) -> Self {
-        self.fast_strategy_threshold = min_devices;
         self
     }
 
@@ -291,7 +199,6 @@ impl ClusterBuilder {
             cache_enabled: self.placement_cache,
             placement_epoch: 0,
             placements_computed: AtomicU64::new(0),
-            fast_threshold: self.fast_strategy_threshold,
             metrics,
         };
         cluster.strategy = Some(cluster.build_strategy()?);
@@ -304,7 +211,7 @@ pub struct StorageCluster {
     devices: BTreeMap<u64, Device>,
     redundancy: Redundancy,
     codec: Option<Box<dyn ErasureCode>>,
-    strategy: Option<ClusterStrategy>,
+    strategy: Option<RedundantShare>,
     block_size: usize,
     /// Logical block addresses that have been written.
     blocks: BTreeSet<u64>,
@@ -321,9 +228,6 @@ pub struct StorageCluster {
     /// Number of placements actually computed by a strategy (cache hits
     /// don't count — the cache-coherence tests pin this).
     placements_computed: AtomicU64,
-    /// Minimum online-device count for the fast placement engine
-    /// ([`ClusterBuilder::fast_strategy_threshold`]).
-    fast_threshold: usize,
     /// Metric handles, when recording is enabled. `None` means every hot
     /// path skips instrumentation entirely.
     metrics: Option<ClusterMetrics>,
@@ -352,9 +256,41 @@ struct DeviceQueue {
 /// State of an in-flight lazy migration.
 struct PendingMigration {
     /// The placement in force for blocks not yet migrated.
-    old_strategy: ClusterStrategy,
+    old_strategy: RedundantShare,
     /// Blocks whose shards still live at their old locations.
     remaining: BTreeSet<u64>,
+}
+
+impl PendingMigration {
+    /// Overwrites the groups of `flat` (stride-k raw device ids, parallel
+    /// to `lbas`) whose block still awaits migration with its old
+    /// placement.
+    fn overlay_old(&self, lbas: &[u64], flat: &mut [u64]) {
+        let k = self.old_strategy.replication();
+        let mut group = Vec::with_capacity(k);
+        for (j, &lba) in lbas.iter().enumerate() {
+            if self.remaining.contains(&lba) {
+                self.old_strategy.place_into(lba, &mut group);
+                for (slot, id) in flat[j * k..(j + 1) * k].iter_mut().zip(&group) {
+                    *slot = id.raw();
+                }
+            }
+        }
+    }
+}
+
+/// Places every block of `lbas`, writing raw device ids into `out`
+/// (cleared first) as one flat stride-k run: the copies of `lbas[j]`
+/// occupy `out[j * k..(j + 1) * k]`. The bulk form the migration planner
+/// and executor diff placements with.
+fn place_flat(strategy: &RedundantShare, lbas: &[u64], out: &mut Vec<u64>) {
+    out.clear();
+    out.reserve(lbas.len() * strategy.replication());
+    let mut group = Vec::with_capacity(strategy.replication());
+    for &lba in lbas {
+        strategy.place_into(lba, &mut group);
+        out.extend(group.iter().map(|id| id.raw()));
+    }
 }
 
 impl std::fmt::Debug for StorageCluster {
@@ -377,7 +313,6 @@ impl StorageCluster {
             redundancy: Redundancy::Mirror { copies: 2 },
             devices: Vec::new(),
             placement_cache: true,
-            fast_strategy_threshold: FAST_PLACEMENT_MIN_DEVICES,
             metrics: true,
             metrics_registry: None,
         }
@@ -413,7 +348,7 @@ impl StorageCluster {
         self.blocks.len() as u64
     }
 
-    fn strategy(&self) -> &ClusterStrategy {
+    fn strategy(&self) -> &RedundantShare {
         // Invariant: `build()` installs a strategy before the cluster is
         // handed out, and every membership change replaces it atomically
         // (`Option::replace`), so the slot is never observably empty.
@@ -422,7 +357,7 @@ impl StorageCluster {
 
     /// Builds a placement strategy over the online devices, weighted by
     /// their capacities.
-    fn build_strategy(&self) -> Result<ClusterStrategy, VdsError> {
+    fn build_strategy(&self) -> Result<RedundantShare, VdsError> {
         let bins = self
             .devices
             .values()
@@ -430,11 +365,7 @@ impl StorageCluster {
             .map(|d| Bin::new(d.id(), d.capacity_blocks()))
             .collect::<Result<Vec<_>, _>>()?;
         let set = BinSet::new(bins)?;
-        Ok(ClusterStrategy::build(
-            &set,
-            self.redundancy.total_shards(),
-            self.fast_threshold,
-        )?)
+        Ok(RedundantShare::new(&set, self.redundancy.total_shards())?)
     }
 
     /// The device ids shard 0, 1, … of `lba` are placed on.
@@ -486,15 +417,12 @@ impl StorageCluster {
 
     /// Runs a strategy placement (the slow path a cache hit skips),
     /// returning the group inline whenever it fits.
-    fn compute_placement(&self, strategy: &ClusterStrategy, lba: u64) -> PlacementIds {
+    fn compute_placement(&self, strategy: &RedundantShare, lba: u64) -> PlacementIds {
         self.placements_computed.fetch_add(1, Ordering::Relaxed);
         let k = strategy.replication();
         if k <= MAX_INLINE_K {
             let mut arr = [BinId(0); MAX_INLINE_K];
-            let n = match strategy {
-                ClusterStrategy::Scan(s) => s.place_into_inline(lba, &mut arr),
-                ClusterStrategy::Fast(s) => s.place_into_inline(lba, &mut arr),
-            };
+            let n = strategy.place_into_inline(lba, &mut arr);
             let mut p = InlinePlacement::empty();
             for id in &arr[..n] {
                 p.push(id.raw());
@@ -890,13 +818,10 @@ impl StorageCluster {
         };
         let take = max_blocks.min(pending.remaining.len() as u64) as usize;
         let lbas: Vec<u64> = pending.remaining.iter().copied().take(take).collect();
-        let mut old_ids: Vec<BinId> = Vec::new();
         let mut old_flat: Vec<u64> = Vec::new();
         let mut failure = None;
         for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            pending.old_strategy.place_batch_into(chunk, &mut old_ids);
-            old_flat.clear();
-            old_flat.extend(old_ids.iter().map(|b| b.raw()));
+            place_flat(&pending.old_strategy, chunk, &mut old_flat);
             match self.rebalance_chunk(chunk, &old_flat, false) {
                 Ok(r) => {
                     report.merge(r);
@@ -942,41 +867,13 @@ impl StorageCluster {
 
     /// Batch-computes the *effective* placement of every `lbas[j]` into
     /// `out` as one flat stride-k run of raw device ids, bypassing the
-    /// per-block cache: blocks still awaiting lazy migration resolve
-    /// through the old strategy, everything else through the target
-    /// strategy in bulk.
+    /// per-block cache: every block is placed through the target strategy
+    /// in bulk, then blocks still awaiting lazy migration are overwritten
+    /// with their old placement.
     fn effective_flat(&self, lbas: &[u64], out: &mut Vec<u64>) {
-        let k = self.redundancy.total_shards();
-        out.clear();
-        match &self.pending {
-            Some(p) => {
-                out.resize(lbas.len() * k, 0);
-                let mut current: Vec<u64> = Vec::with_capacity(lbas.len());
-                let mut current_pos: Vec<usize> = Vec::with_capacity(lbas.len());
-                let mut scratch: Vec<u64> = Vec::new();
-                for (j, &lba) in lbas.iter().enumerate() {
-                    if p.remaining.contains(&lba) {
-                        p.old_strategy.place_ids_into(lba, &mut scratch);
-                        out[j * k..(j + 1) * k].copy_from_slice(&scratch);
-                    } else {
-                        current.push(lba);
-                        current_pos.push(j);
-                    }
-                }
-                let mut ids: Vec<BinId> = Vec::with_capacity(current.len() * k);
-                self.strategy().place_batch_into(&current, &mut ids);
-                for (m, &j) in current_pos.iter().enumerate() {
-                    let group = &ids[m * k..(m + 1) * k];
-                    for (slot, id) in out[j * k..(j + 1) * k].iter_mut().zip(group) {
-                        *slot = id.raw();
-                    }
-                }
-            }
-            None => {
-                let mut ids: Vec<BinId> = Vec::with_capacity(lbas.len() * k);
-                self.strategy().place_batch_into(lbas, &mut ids);
-                out.extend(ids.iter().map(|b| b.raw()));
-            }
+        place_flat(self.strategy(), lbas, out);
+        if let Some(p) = &self.pending {
+            p.overlay_old(lbas, out);
         }
     }
 
@@ -998,9 +895,8 @@ impl StorageCluster {
             shards_total: (lbas.len() * k) as u64,
             ..MigrationReport::default()
         };
-        let mut new_ids: Vec<BinId> = Vec::with_capacity(lbas.len() * k);
-        self.strategy().place_batch_into(lbas, &mut new_ids);
-        let new_flat: Vec<u64> = new_ids.iter().map(|b| b.raw()).collect();
+        let mut new_flat: Vec<u64> = Vec::new();
+        place_flat(self.strategy(), lbas, &mut new_flat);
         let mut work: Vec<usize> = Vec::new();
         for (j, &lba) in lbas.iter().enumerate() {
             let old = &old_flat[j * k..(j + 1) * k];
@@ -1139,8 +1035,7 @@ impl StorageCluster {
             .map(|d| Bin::new(d.id(), d.capacity_blocks()))
             .collect::<Result<Vec<_>, _>>()?;
         let set = BinSet::new(bins)?;
-        let new_strategy =
-            ClusterStrategy::build(&set, self.redundancy.total_shards(), self.fast_threshold)?;
+        let new_strategy = RedundantShare::new(&set, self.redundancy.total_shards())?;
         let report = self.replace_strategy(new_strategy)?;
         // Presence was checked at entry and `&mut self` rules out any
         // interleaving removal, so the entry is still there.
@@ -1396,7 +1291,7 @@ impl StorageCluster {
     /// contiguous ([`MigrationPlan::device_queues`]).
     fn plan_against(&self, bins: &BinSet, fair_min_shards: f64) -> Result<MigrationPlan, VdsError> {
         let k = self.redundancy.total_shards();
-        let candidate = ClusterStrategy::build(bins, k, self.fast_threshold)?;
+        let candidate = RedundantShare::new(bins, k)?;
         let lbas: Vec<u64> = self.blocks.iter().copied().collect();
         let mut plan = MigrationPlan {
             shards_total: (lbas.len() * k) as u64,
@@ -1405,21 +1300,21 @@ impl StorageCluster {
             ..MigrationPlan::default()
         };
         let mut old_flat: Vec<u64> = Vec::new();
-        let mut new_ids: Vec<BinId> = Vec::new();
+        let mut new_flat: Vec<u64> = Vec::new();
         for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
             self.effective_flat(chunk, &mut old_flat);
-            candidate.place_batch_into(chunk, &mut new_ids);
+            place_flat(&candidate, chunk, &mut new_flat);
             for (j, &lba) in chunk.iter().enumerate() {
                 let old = &old_flat[j * k..(j + 1) * k];
-                let new = &new_ids[j * k..(j + 1) * k];
+                let new = &new_flat[j * k..(j + 1) * k];
                 let before = plan.moves.len();
-                for (copy, (o, n)) in old.iter().zip(new).enumerate() {
-                    if *o != n.raw() {
+                for (copy, (&from, &to)) in old.iter().zip(new).enumerate() {
+                    if from != to {
                         plan.moves.push(ShardMove {
                             lba,
                             copy,
-                            from: *o,
-                            to: n.raw(),
+                            from,
+                            to,
                         });
                     }
                 }
@@ -1695,7 +1590,7 @@ impl StorageCluster {
     /// however many of its shards need rebuilding).
     fn replace_strategy(
         &mut self,
-        new_strategy: ClusterStrategy,
+        new_strategy: RedundantShare,
     ) -> Result<MigrationReport, VdsError> {
         let old_strategy = self
             .strategy
@@ -1708,22 +1603,12 @@ impl StorageCluster {
         // moved are gathered from their true (pre-lazy-change) locations.
         let absorbed = self.pending.take();
         let lbas: Vec<u64> = self.blocks.iter().copied().collect();
-        let k = self.redundancy.total_shards();
         let mut report = MigrationReport::default();
-        let mut old_ids: Vec<BinId> = Vec::new();
         let mut old_flat: Vec<u64> = Vec::new();
-        let mut scratch: Vec<u64> = Vec::new();
         for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            old_strategy.place_batch_into(chunk, &mut old_ids);
-            old_flat.clear();
-            old_flat.extend(old_ids.iter().map(|b| b.raw()));
+            place_flat(&old_strategy, chunk, &mut old_flat);
             if let Some(p) = &absorbed {
-                for (j, &lba) in chunk.iter().enumerate() {
-                    if p.remaining.contains(&lba) {
-                        p.old_strategy.place_ids_into(lba, &mut scratch);
-                        old_flat[j * k..(j + 1) * k].copy_from_slice(&scratch);
-                    }
-                }
+                p.overlay_old(chunk, &mut old_flat);
             }
             report.merge(self.rebalance_chunk(chunk, &old_flat, true)?);
         }
@@ -1922,18 +1807,14 @@ mod tests {
     }
 
     #[test]
-    fn large_cluster_routes_through_fast_placement() {
+    fn sixty_four_device_cluster_round_trips_on_distinct_devices() {
         let mut b = StorageCluster::builder()
             .block_size(64)
             .redundancy(Redundancy::Mirror { copies: 2 });
-        for id in 0..FAST_PLACEMENT_MIN_DEVICES as u64 {
+        for id in 0..64u64 {
             b = b.device(id, 5_000 + id * 13);
         }
         let mut c = b.build().unwrap();
-        assert!(
-            matches!(c.strategy(), ClusterStrategy::Fast(_)),
-            "64-device cluster must use the O(k) strategy"
-        );
         let mut placement = Vec::new();
         let mut scratch = Vec::new();
         for lba in 0..300u64 {
@@ -1944,11 +1825,6 @@ mod tests {
         for lba in 0..300u64 {
             assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
         }
-        // A small cluster keeps the scan strategy.
-        assert!(matches!(
-            mirror_cluster().strategy(),
-            ClusterStrategy::Scan(_)
-        ));
     }
 
     #[test]
@@ -2463,38 +2339,6 @@ mod tests {
             StorageCluster::builder().device(0, 1).device(0, 2).build(),
             Err(VdsError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn fast_strategy_threshold_knob_selects_engine() {
-        // Threshold at (or below) the device count forces the fast engine
-        // on a small cluster; usize::MAX pins the scan on a large one.
-        let forced_fast = StorageCluster::builder()
-            .block_size(64)
-            .redundancy(Redundancy::Mirror { copies: 2 })
-            .fast_strategy_threshold(4)
-            .device(0, 10_000)
-            .device(1, 10_000)
-            .device(2, 10_000)
-            .device(3, 10_000)
-            .build()
-            .unwrap();
-        assert!(matches!(forced_fast.strategy(), ClusterStrategy::Fast(_)));
-        let mut b = StorageCluster::builder()
-            .block_size(64)
-            .redundancy(Redundancy::Mirror { copies: 2 })
-            .fast_strategy_threshold(usize::MAX);
-        for id in 0..FAST_PLACEMENT_MIN_DEVICES as u64 {
-            b = b.device(id, 5_000);
-        }
-        let pinned_scan = b.build().unwrap();
-        assert!(matches!(pinned_scan.strategy(), ClusterStrategy::Scan(_)));
-        // The threshold survives membership changes.
-        let mut c = forced_fast;
-        c.add_device(9, 10_000).unwrap();
-        assert!(matches!(c.strategy(), ClusterStrategy::Fast(_)));
-        c.remove_device(9).unwrap();
-        assert!(matches!(c.strategy(), ClusterStrategy::Fast(_)));
     }
 
     #[test]

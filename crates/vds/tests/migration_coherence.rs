@@ -7,7 +7,8 @@
 //! written, and every placement matches a freshly built cluster over the
 //! same device set. A second property pins the paper's Lemma 3.2 bound:
 //! the planned migration for a single-device add or remove moves at most
-//! 4× the fair minimum.
+//! 4× the fair minimum, and a deterministic sweep checks it — and Lemma
+//! 3.5's k² bound for erasure groups — at every cluster size up to 130.
 
 use std::collections::HashMap;
 
@@ -147,7 +148,7 @@ proptest! {
     /// removals; 4 is the proven bound).
     #[test]
     fn single_device_churn_is_four_competitive(
-        caps in prop::collection::vec(6_000u64..14_000, 4..8),
+        caps in prop::collection::vec(6_000u64..14_000, 2..=130),
         new_cap in 6_000u64..14_000,
         seed in any::<u64>(),
     ) {
@@ -161,7 +162,8 @@ proptest! {
         for lba in 0..1_500u64 {
             c.write_block(lba, &payload(lba, seed as u8)).unwrap();
         }
-        let add = c.plan_add_device(99, new_cap).unwrap();
+        let new_id = caps.len() as u64;
+        let add = c.plan_add_device(new_id, new_cap).unwrap();
         prop_assert!(add.fair_min_shards > 0.0);
         let add_ratio = add.competitive_ratio();
         prop_assert!(
@@ -169,14 +171,75 @@ proptest! {
             "add ratio {} exceeds the Lemma 3.2 bound", add_ratio
         );
         // Moves are necessary at all: something flows onto the new device.
-        prop_assert!(add.moves.iter().any(|m| m.to == 99));
-        let victim = seed % caps.len() as u64;
+        prop_assert!(add.moves.iter().any(|m| m.to == new_id));
+        if caps.len() > 2 {
+            let victim = seed % caps.len() as u64;
+            let remove = c.plan_remove_device(victim).unwrap();
+            prop_assert!(remove.fair_min_shards > 0.0);
+            let remove_ratio = remove.competitive_ratio();
+            prop_assert!(
+                (1.0..=4.0).contains(&remove_ratio),
+                "remove ratio {} outside [1, 4]", remove_ratio
+            );
+        }
+    }
+}
+
+/// Heterogeneous capacity of device `id` in the sweeps: 6,000–13,999.
+fn sweep_capacity(id: u64) -> u64 {
+    6_000 + id.wrapping_mul(7_919) % 8_000
+}
+
+/// Builds an `n`-device cluster holding 1,500 blocks, then plans adding
+/// device `n` and — where more than `k` devices exist — removing one, and
+/// asserts both plans stay within `bound` × their fair minimum.
+fn assert_churn_bounded(redundancy: Redundancy, block_size: usize, n: u64, bound: f64) {
+    const SWEEP_BLOCKS: u64 = 1_500;
+    let mut builder = StorageCluster::builder()
+        .block_size(block_size)
+        .redundancy(redundancy);
+    for id in 0..n {
+        builder = builder.device(id, sweep_capacity(id));
+    }
+    let mut c = builder.build().unwrap();
+    let lbas: Vec<u64> = (0..SWEEP_BLOCKS).collect();
+    let data: Vec<u8> = (0..SWEEP_BLOCKS as usize * block_size)
+        .map(|i| i as u8)
+        .collect();
+    c.write_blocks(&lbas, &data).unwrap();
+    let add = c.plan_add_device(n, sweep_capacity(n)).unwrap();
+    assert!(
+        add.competitive_ratio() <= bound,
+        "{redundancy:?}: adding device {n} moves {} shards, {:.2}× the fair minimum (bound {bound})",
+        add.moves.len(),
+        add.competitive_ratio()
+    );
+    if n as usize > redundancy.total_shards() {
+        let victim = n / 3;
         let remove = c.plan_remove_device(victim).unwrap();
-        prop_assert!(remove.fair_min_shards > 0.0);
-        let remove_ratio = remove.competitive_ratio();
-        prop_assert!(
-            (1.0..=4.0).contains(&remove_ratio),
-            "remove ratio {} outside [1, 4]", remove_ratio
+        assert!(
+            remove.competitive_ratio() <= bound,
+            "{redundancy:?}: removing device {victim} of {n} moves {} shards, {:.2}× the fair minimum (bound {bound})",
+            remove.moves.len(),
+            remove.competitive_ratio()
         );
+    }
+}
+
+/// Lemma 3.2 at every cluster size: no membership change of a 2-way
+/// mirror moves more than 4× its fair minimum, whatever the device count.
+#[test]
+fn mirror_churn_is_four_competitive_at_every_size() {
+    for n in 2..=130 {
+        assert_churn_bounded(Redundancy::Mirror { copies: 2 }, 16, n, 4.0);
+    }
+}
+
+/// Lemma 3.5 at every cluster size: an RS(4,2) group (k = 6) never moves
+/// more than k² = 36× its fair minimum.
+#[test]
+fn erasure_churn_is_k_squared_competitive_at_every_size() {
+    for n in 6..=130 {
+        assert_churn_bounded(Redundancy::ReedSolomon { data: 4, parity: 2 }, 64, n, 36.0);
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end I/O path report: placement cache, erasure kernels and the
 //! fused stripe pipeline.
 //!
-//! Five measurements on the fast path a block read/write traverses:
+//! Five measurements on the fast path a block read/write traverses, and
+//! one of the memory a stored block costs:
 //!
 //! 1. **Placement lookups** — `placement_into` throughput on a repeated
 //!    working set, cached (epoch-versioned placement cache) vs uncached
@@ -17,6 +18,12 @@
 //!    only the missing shards) vs the oracle-free per-block recipe: read
 //!    every block (degraded reads reconstruct) and write it back. Both
 //!    sides discover the damage themselves; rates are per damaged block.
+//! 6. **Per-block memory** — the `VmRSS` growth of building a 524,288-block
+//!    2-way-mirror cluster of 64 B blocks on 60 devices (perfbench's
+//!    `churn` set-up), measured in a fresh child process once with the
+//!    placement cache off (→ `store_bytes_per_shard`: the shard store plus
+//!    the cluster's per-block bookkeeping, per stored shard) and once with
+//!    it on (the difference → `cache_bytes_per_entry`).
 //!
 //! Prints tables and writes the raw numbers to `BENCH_e2e.json` (CI
 //! smoke-checks that the file parses). Pass `--quick` to shrink the
@@ -94,6 +101,92 @@ fn cluster(block_size: usize, cache: bool) -> StorageCluster {
         b = b.device(id, 1_000_000 + id * 10_000);
     }
     b.build().expect("valid cluster")
+}
+
+/// Blocks, copies and devices of the per-block memory probe.
+const MEM_BLOCKS: u64 = 524_288;
+const MEM_COPIES: usize = 2;
+const MEM_DEVICES: u64 = 60;
+
+/// The child-process flag that runs one memory probe.
+const MEM_PROBE_FLAG: &str = "--memory-probe";
+
+/// This process's resident set size in bytes (`VmRSS`).
+fn vm_rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.split_whitespace().next())
+        .and_then(|v| v.parse().ok())
+        .expect("VmRSS line in /proc/self/status");
+    kib * 1024
+}
+
+/// Builds the probe cluster (capacities `1 + id % 4` units, twice the
+/// fair share) and writes every block. Returns the `VmRSS` growth over the
+/// build and the number of cached placements.
+fn memory_probe(cache: bool) -> (u64, u64) {
+    const CHUNK: u64 = 1024;
+    let weight = |id: u64| 1 + id % 4;
+    let weight_sum: u64 = (0..MEM_DEVICES).map(weight).sum();
+    let unit = (2 * MEM_BLOCKS * MEM_COPIES as u64).div_ceil(weight_sum);
+    let mut data = vec![0u8; CHUNK as usize * 64];
+    let mut lbas = Vec::with_capacity(CHUNK as usize);
+    let before = vm_rss_bytes();
+    let mut b = StorageCluster::builder()
+        .block_size(64)
+        .redundancy(Redundancy::Mirror { copies: MEM_COPIES })
+        .placement_cache(cache);
+    for id in 0..MEM_DEVICES {
+        b = b.device(id, weight(id) * unit);
+    }
+    let mut c = b.build().expect("valid cluster");
+    for start in (0..MEM_BLOCKS).step_by(CHUNK as usize) {
+        lbas.clear();
+        lbas.extend(start..start + CHUNK);
+        for (&lba, block) in lbas.iter().zip(data.chunks_exact_mut(64)) {
+            block.fill(lba as u8);
+        }
+        c.write_blocks(&lbas, &data).expect("write");
+    }
+    let grown = vm_rss_bytes().saturating_sub(before);
+    black_box(&c);
+    (grown, c.cache_stats().entries)
+}
+
+/// Runs [`memory_probe`] in a fresh child process, so neither side
+/// inherits the other's freed-but-resident heap.
+fn memory_probe_child(cache: bool) -> (u64, u64) {
+    let exe = std::env::current_exe().expect("own executable path");
+    let out = std::process::Command::new(exe)
+        .args([MEM_PROBE_FLAG, if cache { "on" } else { "off" }])
+        .output()
+        .expect("spawn memory probe");
+    assert!(out.status.success(), "memory probe failed");
+    let text = String::from_utf8(out.stdout).expect("utf-8 probe output");
+    let mut fields = text
+        .split_whitespace()
+        .map(|v| v.parse::<u64>().expect("number"));
+    let grown = fields.next().expect("rss growth");
+    let entries = fields.next().expect("cache entries");
+    (grown, entries)
+}
+
+/// Bytes per stored shard (cache off) and per cached placement.
+struct Memory {
+    store_bytes_per_shard: f64,
+    cache_bytes_per_entry: f64,
+}
+
+fn bench_memory() -> Memory {
+    let (off, _) = memory_probe_child(false);
+    let (on, entries) = memory_probe_child(true);
+    assert_eq!(entries, MEM_BLOCKS, "every block's placement cached");
+    Memory {
+        store_bytes_per_shard: off as f64 / (MEM_BLOCKS * MEM_COPIES as u64) as f64,
+        cache_bytes_per_entry: on.saturating_sub(off) as f64 / entries as f64,
+    }
 }
 
 /// Placement-lookup throughput over `working_set` blocks, `rounds` passes.
@@ -362,10 +455,12 @@ fn speedup(cells: &[Cell], bench: &str, fast: &str, slow: &str) -> f64 {
 }
 
 /// Hand-rolled JSON (no serde in the dependency set).
-fn to_json(cells: &[Cell], quick: bool) -> String {
+fn to_json(cells: &[Cell], memory: &Memory, quick: bool) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut s = String::from("{\n");
     s.push_str(&format!(
-        "  \"config\": {{\"quick\": {quick}, \"reps\": {REPS}, \"devices\": {DEVICES}}},\n"
+        "  \"config\": {{\"quick\": {quick}, \"reps\": {REPS}, \"devices\": {DEVICES}, \"host\": {{\"cores\": {cores}, \"gf256_kernel\": \"{}\"}}, \"memory_probe\": {{\"blocks\": {MEM_BLOCKS}, \"copies\": {MEM_COPIES}, \"block_size\": 64, \"devices\": {MEM_DEVICES}}}}},\n",
+        gf256::kernel_tier().name()
     ));
     s.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -381,7 +476,18 @@ fn to_json(cells: &[Cell], quick: bool) -> String {
         ));
     }
     s.push_str("  ],\n");
-    s.push_str(&records_json(&records(cells)));
+    let mut records = records(cells);
+    records.push(Record::new(
+        "store_bytes_per_shard",
+        "bytes",
+        memory.store_bytes_per_shard,
+    ));
+    records.push(Record::new(
+        "cache_bytes_per_entry",
+        "bytes",
+        memory.cache_bytes_per_entry,
+    ));
+    s.push_str(&records_json(&records));
     s.push_str(",\n");
     s.push_str(&format!(
         "  \"summary\": {{\"cached_lookup_speedup\": {:.2}, \"cached_read_speedup\": {:.2}, \"table_encode_speedup\": {:.2}, \"simd_encode_speedup\": {:.2}, \"fused_write_speedup\": {:.2}, \"fused_repair_speedup\": {:.2}}}\n",
@@ -436,7 +542,13 @@ fn records(cells: &[Cell]) -> Vec<Record> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(i) = args.iter().position(|a| a == MEM_PROBE_FLAG) {
+        let (grown, entries) = memory_probe(args.get(i + 1).is_some_and(|v| v == "on"));
+        println!("{grown} {entries}");
+        return;
+    }
+    let quick = args.iter().any(|a| a == "--quick");
     section(&format!(
         "End-to-end I/O path — placement cache + erasure kernels{}",
         if quick { " (quick mode)" } else { "" }
@@ -448,6 +560,7 @@ fn main() {
     bench_rs_encode(quick, &mut cells);
     bench_stripe_writes(quick, &mut cells);
     bench_repair(quick, &mut cells);
+    let memory = bench_memory();
 
     let mut rows = Vec::new();
     for c in &cells {
@@ -475,7 +588,14 @@ fn main() {
         f(speedup(&cells, "repair", "fused", "loop")),
     );
 
-    let json = to_json(&cells, quick);
+    println!(
+        "memory ({MEM_BLOCKS} blocks, {MEM_COPIES}-way mirror, 64 B, {MEM_DEVICES} devices): \
+         {} B per stored shard, {} B per cached placement",
+        f(memory.store_bytes_per_shard),
+        f(memory.cache_bytes_per_entry),
+    );
+
+    let json = to_json(&cells, &memory, quick);
     std::fs::write("BENCH_e2e.json", &json).expect("write BENCH_e2e.json");
     println!("wrote BENCH_e2e.json ({} result rows)", cells.len());
 }

@@ -8,18 +8,20 @@
 //! epoch they were computed under and a lookup rejects a stale entry with
 //! one integer comparison — no flush, no tombstones, O(1).
 //!
-//! Entries store the device ids inline in a fixed array
-//! ([`MAX_CACHED_SHARDS`] slots, smallvec-style), so a cached placement
-//! costs no heap allocation per entry and a hit copies at most 128 bytes.
-//! The map is sharded by a hash of the block address and each shard is
-//! guarded by its own mutex, so concurrent readers sharing a
-//! [`crate::SharedCluster`] do not serialise on one lock.
+//! Each map shard is a [`Table`] of rows `[lba, epoch + 1, ids[k]]`,
+//! with `k` (the cluster's group width) fixed at build: a cached
+//! placement costs `8·(k + 2)` bytes plus the table's slack, no heap
+//! allocation, and a lookup is one probe. A hit is handed out as an
+//! [`InlinePlacement`]. The map is sharded by a hash of the block address
+//! and each shard is guarded by its own mutex, so concurrent readers
+//! sharing a [`crate::SharedCluster`] do not serialise on one lock.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Widest redundancy group a cache entry can hold inline. Wider groups
+use crate::table::Table;
+
+/// Widest redundancy group a cache lookup can return inline. Wider groups
 /// (e.g. large LRCs) simply bypass the cache rather than spilling to the
 /// heap — placement stays correct, just uncached.
 pub const MAX_CACHED_SHARDS: usize = 16;
@@ -35,8 +37,9 @@ const DEFAULT_PER_SHARD_CAPACITY: usize = 65_536;
 /// Domain separator for the shard-selection hash.
 const SHARD_DOMAIN: u64 = 0x504c_4143_4543_4148; // "PLACECAH"
 
-/// A placement held in a fixed inline array — the zero-allocation carrier
-/// for `lba -> [device; k]` lookups on the read/write path.
+/// A placement held in a fixed inline array — the zero-allocation value a
+/// cache lookup (or an inline strategy placement) returns on the
+/// read/write path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InlinePlacement {
     len: u8,
@@ -86,29 +89,26 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// One epoch-stamped cached placement.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    epoch: u64,
-    placement: InlinePlacement,
-}
-
 /// The sharded placement cache. All methods take `&self`; interior
 /// mutability is per-shard, so concurrent readers on different shards
 /// never contend.
 #[derive(Debug)]
 pub(crate) struct PlacementCache {
-    shards: Vec<Mutex<HashMap<u64, Entry>>>,
+    /// Rows `[lba, epoch + 1, ids[k]]` (the epoch is stored plus one so an
+    /// occupied row's word 1 is never zero).
+    shards: Vec<Mutex<Table>>,
     hits: AtomicU64,
     misses: AtomicU64,
     per_shard_capacity: usize,
 }
 
 impl PlacementCache {
-    pub(crate) fn new() -> Self {
+    /// A cache of `k`-wide placements. Only groups of at most
+    /// [`MAX_CACHED_SHARDS`] are ever stored.
+    pub(crate) fn new(k: usize) -> Self {
         Self {
             shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Table::new(k + 2)))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -116,47 +116,66 @@ impl PlacementCache {
         }
     }
 
-    fn shard(&self, lba: u64) -> &Mutex<HashMap<u64, Entry>> {
-        let ix = rshare_hash::stable_hash2(lba, SHARD_DOMAIN) as usize & (CACHE_SHARDS - 1);
-        &self.shards[ix]
+    fn shard_index(lba: u64) -> usize {
+        rshare_hash::stable_hash2(lba, SHARD_DOMAIN) as usize & (CACHE_SHARDS - 1)
+    }
+
+    fn shard(&self, lba: u64) -> &Mutex<Table> {
+        &self.shards[Self::shard_index(lba)]
     }
 
     /// Looks up `lba`; only an entry stamped with exactly `epoch` counts.
     /// An entry from an *older* epoch is removed on sight — epochs only
     /// grow, so it can never become valid again.
     pub(crate) fn get(&self, lba: u64, epoch: u64) -> Option<InlinePlacement> {
-        let mut map = self.shard(lba).lock().expect("cache shard poisoned");
-        match map.get(&lba) {
-            Some(e) if e.epoch == epoch => {
-                let placement = e.placement;
-                drop(map);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(placement)
-            }
-            Some(e) => {
-                if e.epoch < epoch {
-                    map.remove(&lba);
+        let mut table = self.shard(lba).lock().expect("cache shard poisoned");
+        let found = match table.probe(lba, |_| true) {
+            Ok(b) => {
+                let row = table.row(b);
+                if row[1] == epoch + 1 {
+                    Some(InlinePlacement::from_slice(&row[2..]))
+                } else {
+                    if row[1] < epoch + 1 {
+                        table.remove(b);
+                    }
+                    None
                 }
-                drop(map);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
             }
-            None => {
-                drop(map);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+            Err(_) => None,
+        };
+        drop(table);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    /// Stores the placement of `lba` under `epoch`. A shard at capacity is
-    /// cleared wholesale before the insert.
-    pub(crate) fn put(&self, lba: u64, epoch: u64, placement: InlinePlacement) {
-        let mut map = self.shard(lba).lock().expect("cache shard poisoned");
-        if map.len() >= self.per_shard_capacity && !map.contains_key(&lba) {
-            map.clear();
+    /// Stores the `k` device ids of `lba` under `epoch`. A shard at
+    /// capacity is cleared wholesale before the insert.
+    pub(crate) fn put(&self, lba: u64, epoch: u64, ids: &[u64]) {
+        let mut table = self.shard(lba).lock().expect("cache shard poisoned");
+        let mut probe = table.probe(lba, |_| true);
+        if probe.is_err() && table.len() >= self.per_shard_capacity {
+            table.clear();
+            probe = table.probe(lba, |_| true);
         }
-        map.insert(lba, Entry { epoch, placement });
+        match probe {
+            Ok(b) => {
+                let row = table.row_mut(b);
+                row[1] = epoch + 1;
+                row[2..].copy_from_slice(ids);
+            }
+            Err(vacant) => {
+                let mut row = [0u64; MAX_CACHED_SHARDS + 2];
+                row[0] = lba;
+                row[1] = epoch + 1;
+                row[2..ids.len() + 2].copy_from_slice(ids);
+                table.insert(vacant, &row[..ids.len() + 2]);
+            }
+        }
     }
 
     /// Drops every entry (used when the cache is disabled at runtime).
@@ -182,11 +201,13 @@ impl PlacementCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn hit_only_on_matching_epoch() {
-        let cache = PlacementCache::new();
-        cache.put(7, 1, InlinePlacement::from_slice(&[10, 20]));
+        let cache = PlacementCache::new(2);
+        cache.put(7, 1, &[10, 20]);
         assert!(cache.get(7, 0).is_none(), "older epoch must not hit");
         assert_eq!(cache.get(7, 1).unwrap().as_slice(), &[10, 20]);
         // Epoch bump: the entry is stale, rejected, and evicted.
@@ -211,33 +232,119 @@ mod tests {
 
     #[test]
     fn capacity_reset_keeps_cache_usable() {
-        let mut cache = PlacementCache::new();
+        let mut cache = PlacementCache::new(2);
         cache.per_shard_capacity = 4;
         for lba in 0..1_000u64 {
-            cache.put(lba, 3, InlinePlacement::from_slice(&[lba, lba + 1]));
+            cache.put(lba, 3, &[lba, lba + 1]);
         }
         let stats = cache.stats();
         assert!(stats.entries <= 4 * CACHE_SHARDS as u64);
         // The most recent insert of some shard is still retrievable.
-        cache.put(5_000, 3, InlinePlacement::from_slice(&[1, 2]));
+        cache.put(5_000, 3, &[1, 2]);
         assert_eq!(cache.get(5_000, 3).unwrap().as_slice(), &[1, 2]);
     }
 
     #[test]
     fn concurrent_access_is_safe() {
-        let cache = PlacementCache::new();
+        let cache = PlacementCache::new(1);
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let cache = &cache;
                 scope.spawn(move || {
                     for i in 0..500u64 {
                         let lba = t * 1_000 + i;
-                        cache.put(lba, 1, InlinePlacement::from_slice(&[lba]));
+                        cache.put(lba, 1, &[lba]);
                         assert_eq!(cache.get(lba, 1).unwrap().as_slice(), &[lba]);
                     }
                 });
             }
         });
         assert_eq!(cache.stats().entries, 2_000);
+    }
+
+    #[test]
+    fn rows_are_k_wide() {
+        let cache = PlacementCache::new(3);
+        cache.put(1, 0, &[4, 5, 6]);
+        cache.put(1, 0, &[7, 8, 9]);
+        assert_eq!(cache.get(1, 0).unwrap().as_slice(), &[7, 8, 9]);
+        let table = cache.shard(1).lock().unwrap();
+        assert_eq!(
+            table.row(table.probe(1, |_| true).unwrap()),
+            &[1, 1, 7, 8, 9]
+        );
+    }
+
+    /// Per-shard map model of the cache's rules: exact-epoch hits, older
+    /// entries evicted on sight, and a full shard cleared before a new key.
+    #[derive(Default)]
+    struct Model {
+        shards: Vec<BTreeMap<u64, (u64, Vec<u64>)>>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Model {
+        fn get(&mut self, lba: u64, epoch: u64) -> Option<Vec<u64>> {
+            let shard = &mut self.shards[PlacementCache::shard_index(lba)];
+            let found = match shard.get(&lba) {
+                Some((e, ids)) if *e == epoch => Some(ids.clone()),
+                Some((e, _)) => {
+                    if *e < epoch {
+                        shard.remove(&lba);
+                    }
+                    None
+                }
+                None => None,
+            };
+            if found.is_some() {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+            }
+            found
+        }
+
+        fn put(&mut self, lba: u64, epoch: u64, ids: &[u64], capacity: usize) {
+            let shard = &mut self.shards[PlacementCache::shard_index(lba)];
+            if shard.len() >= capacity && !shard.contains_key(&lba) {
+                shard.clear();
+            }
+            shard.insert(lba, (epoch, ids.to_vec()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random gets and puts across epochs, with shards small enough to
+        /// hit the capacity clear, against the model.
+        #[test]
+        fn cache_matches_a_map_model(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..96, 0u64..4, any::<u64>()), 1..400)
+        ) {
+            const K: usize = 2;
+            let mut cache = PlacementCache::new(K);
+            cache.per_shard_capacity = 3;
+            let mut model = Model {
+                shards: vec![BTreeMap::new(); CACHE_SHARDS],
+                ..Model::default()
+            };
+            for (is_put, lba, epoch, seed) in ops {
+                if is_put {
+                    let ids = [seed, seed.rotate_left(17)];
+                    cache.put(lba, epoch, &ids);
+                    model.put(lba, epoch, &ids, cache.per_shard_capacity);
+                } else {
+                    let got = cache.get(lba, epoch).map(|p| p.as_slice().to_vec());
+                    prop_assert_eq!(got, model.get(lba, epoch));
+                }
+                let stats = cache.stats();
+                prop_assert_eq!(stats.hits, model.hits);
+                prop_assert_eq!(stats.misses, model.misses);
+                let entries: usize = model.shards.iter().map(BTreeMap::len).sum();
+                prop_assert_eq!(stats.entries, entries as u64);
+            }
+        }
     }
 }

@@ -42,6 +42,12 @@ const LATENCY_SAMPLE: u64 = 64;
 /// between the gather and apply phases.
 const MIGRATION_CHUNK_BLOCKS: usize = 4096;
 
+/// Length of every shard of a cluster: `block_size / d` under erasure
+/// coding with `d` data shards, the whole block for mirrors.
+fn shard_len(block_size: usize, codec: Option<&dyn ErasureCode>) -> usize {
+    block_size / codec.map_or(1, ErasureCode::data_shards)
+}
+
 /// An owned placement: inline (no heap) for groups that fit
 /// [`MAX_CACHED_SHARDS`] ids, heap-backed beyond that. Dereferences to the
 /// raw device-id slice, so call sites index and iterate it like a `Vec`.
@@ -170,10 +176,11 @@ impl ClusterBuilder {
                 reason: "block size must be divisible by the erasure geometry (data shards × symbol rows)",
             });
         }
+        let shard_len = shard_len(self.block_size, codec.as_deref());
         let mut devices = BTreeMap::new();
         for (id, cap, profile) in &self.devices {
             if devices
-                .insert(*id, Device::with_profile(*id, *cap, *profile))
+                .insert(*id, Device::with_profile(*id, *cap, shard_len, *profile))
                 .is_some()
             {
                 return Err(VdsError::InvalidConfig {
@@ -195,7 +202,7 @@ impl ClusterBuilder {
             block_size: self.block_size,
             blocks: BTreeSet::new(),
             pending: None,
-            cache: PlacementCache::new(),
+            cache: PlacementCache::new(self.redundancy.total_shards()),
             cache_enabled: self.placement_cache,
             placement_epoch: 0,
             placements_computed: AtomicU64::new(0),
@@ -324,6 +331,10 @@ impl StorageCluster {
         self.block_size
     }
 
+    fn shard_len(&self) -> usize {
+        shard_len(self.block_size, self.codec.as_deref())
+    }
+
     /// The configured redundancy scheme.
     #[must_use]
     pub fn redundancy(&self) -> Redundancy {
@@ -407,7 +418,7 @@ impl StorageCluster {
             }
             let computed = self.compute_placement(self.strategy(), lba);
             if let PlacementIds::Inline(p) = &computed {
-                self.cache.put(lba, self.placement_epoch, *p);
+                self.cache.put(lba, self.placement_epoch, p.as_slice());
             }
             computed
         } else {
@@ -482,8 +493,9 @@ impl StorageCluster {
     /// encode → place → shard-store per block. Data shards are stored
     /// straight from `data` (never copied into owned shards —
     /// [`rshare_erasure::ErasureCode::encode_parity`]), parity scratch is
-    /// hoisted out of the loop, and device-side overwrites recycle the
-    /// stored `Vec`, so the steady state allocates nothing per block.
+    /// hoisted out of the loop, and each shard is copied into its
+    /// fixed-size device slot, so the steady state allocates nothing per
+    /// block.
     /// `data` is the concatenation of the blocks, in `lbas` order. Encode
     /// parities stream through the tiered GF(256) kernels
     /// ([`rshare_erasure::gf256::kernel_tier`]).
@@ -740,8 +752,10 @@ impl StorageCluster {
                 reason: "duplicate device id",
             });
         }
-        self.devices
-            .insert(id, Device::with_profile(id, capacity_blocks, profile));
+        self.devices.insert(
+            id,
+            Device::with_profile(id, capacity_blocks, self.shard_len(), profile),
+        );
         let new_strategy = self.build_strategy()?;
         self.replace_strategy(new_strategy)
     }
@@ -769,7 +783,12 @@ impl StorageCluster {
         self.drain_pending()?;
         self.devices.insert(
             id,
-            Device::with_profile(id, capacity_blocks, DeviceProfile::default()),
+            Device::with_profile(
+                id,
+                capacity_blocks,
+                self.shard_len(),
+                DeviceProfile::default(),
+            ),
         );
         let new_strategy = self.build_strategy()?;
         let old_strategy = self
@@ -1004,7 +1023,7 @@ impl StorageCluster {
                 device.remove(&(lba, copy));
             }
             for (lba, copy, data) in queue.stores {
-                device.store((lba, copy), data)?;
+                device.store_from((lba, copy), &data)?;
             }
         }
         if let Some(m) = &self.metrics {
@@ -1342,8 +1361,7 @@ impl StorageCluster {
         let placement = self.effective_placement(lba);
         self.devices
             .get_mut(&placement[copy])
-            .and_then(|d| d.remove(&(lba, copy)))
-            .is_some()
+            .is_some_and(|d| d.remove(&(lba, copy)))
     }
 
     /// Per-device `(id, used, capacity)` utilisation snapshot.

@@ -59,6 +59,7 @@ mod migration;
 mod profile;
 mod redundancy;
 mod shared;
+mod table;
 mod vdisk;
 
 pub use cache::{CacheStats, MAX_CACHED_SHARDS};

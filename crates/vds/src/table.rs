@@ -1,0 +1,250 @@
+//! The open-addressed table behind every per-block map of this crate: a
+//! device's shard index and the placement cache's shards.
+//!
+//! Rows are a fixed number of `u64` words, chosen at construction, stored
+//! back to back in one `Vec` — no per-row allocation, no pointer, no
+//! separate control array. Word 0 is the hashed key word; word 1 is
+//! nonzero in every occupied row (callers encode their value so it never
+//! is zero), which is how an empty bucket is told apart. Collisions are
+//! resolved by linear probing, and a removal shifts the rows after it back
+//! (backward-shift deletion), so the table never carries tombstones and a
+//! lookup stops at the first empty bucket.
+//!
+//! The table only hashes word 0; callers that key on more than word 0
+//! (a device keys on `(lba, shard)`) pass a predicate that checks the rest.
+//! Rows sharing word 0 then sit in one probe run, which stays short because
+//! a device rarely holds two shards of one block.
+
+/// Smallest non-empty bucket count.
+const MIN_BUCKETS: usize = 16;
+
+/// Domain separator mixed into the key word before hashing, so bucket
+/// order is independent of the placement hashes that chose the keys.
+const TABLE_DOMAIN: u64 = 0x5441_424c_4553_4c54; // "TABLESLT"
+
+/// A linear-probing hash table of fixed-width `u64` rows.
+#[derive(Debug, Clone)]
+pub(crate) struct Table {
+    /// `buckets × width` words.
+    words: Vec<u64>,
+    width: usize,
+    /// Zero or a power of two (kept, not derived, so a probe does not
+    /// divide).
+    buckets: usize,
+    len: usize,
+}
+
+impl Table {
+    /// An empty table of rows `width` words wide (at least 2). Allocates
+    /// nothing until the first insert.
+    pub(crate) fn new(width: usize) -> Self {
+        assert!(width >= 2, "a row needs a key word and an occupancy word");
+        Self {
+            words: Vec::new(),
+            width,
+            buckets: 0,
+            len: 0,
+        }
+    }
+
+    /// Number of occupied rows.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    fn home(&self, key: u64) -> usize {
+        rshare_hash::splitmix64(key ^ TABLE_DOMAIN) as usize & (self.buckets - 1)
+    }
+
+    fn occupied(&self, bucket: usize) -> bool {
+        self.words[bucket * self.width + 1] != 0
+    }
+
+    /// The row in `bucket`.
+    pub(crate) fn row(&self, bucket: usize) -> &[u64] {
+        &self.words[bucket * self.width..(bucket + 1) * self.width]
+    }
+
+    /// The row in `bucket`, for an in-place update. Word 0 (the key) must
+    /// not change and word 1 must stay nonzero.
+    pub(crate) fn row_mut(&mut self, bucket: usize) -> &mut [u64] {
+        &mut self.words[bucket * self.width..(bucket + 1) * self.width]
+    }
+
+    /// Finds the row whose word 0 is `key` and which `matches` accepts:
+    /// `Ok(bucket)` if present, otherwise `Err(bucket)` with the empty
+    /// bucket an [`Table::insert`] of that key goes to.
+    pub(crate) fn probe(&self, key: u64, matches: impl Fn(&[u64]) -> bool) -> Result<usize, usize> {
+        if self.buckets == 0 {
+            return Err(0);
+        }
+        let mask = self.buckets - 1;
+        let mut b = self.home(key);
+        loop {
+            let row = self.row(b);
+            if row[1] == 0 {
+                return Err(b);
+            }
+            if row[0] == key && matches(row) {
+                return Ok(b);
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Inserts `row` (whose key must be absent) into `vacant`, the bucket
+    /// the last [`Table::probe`] for that key returned — the table must
+    /// not have changed since. Grows by doubling past a load of 3/4.
+    pub(crate) fn insert(&mut self, vacant: usize, row: &[u64]) {
+        debug_assert_eq!(row.len(), self.width);
+        debug_assert_ne!(row[1], 0, "occupied rows keep word 1 nonzero");
+        if (self.len + 1) * 4 > self.buckets * 3 {
+            self.grow();
+            let b = self.first_empty(row[0]);
+            self.row_mut(b).copy_from_slice(row);
+        } else {
+            debug_assert!(!self.occupied(vacant));
+            self.row_mut(vacant).copy_from_slice(row);
+        }
+        self.len += 1;
+    }
+
+    /// Removes the row in `bucket`, shifting later rows of its probe run
+    /// back so every remaining row stays reachable from its home bucket.
+    pub(crate) fn remove(&mut self, bucket: usize) {
+        debug_assert!(self.occupied(bucket));
+        let mask = self.buckets - 1;
+        let mut hole = bucket;
+        let mut next = (bucket + 1) & mask;
+        while self.occupied(next) {
+            let home = self.home(self.row(next)[0]);
+            // The row at `next` may fill the hole only if the hole lies on
+            // its probe path, i.e. no further from its home than `next`.
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                let w = self.width;
+                self.words.copy_within(next * w..(next + 1) * w, hole * w);
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.row_mut(hole).fill(0);
+        self.len -= 1;
+    }
+
+    /// Empties the table, keeping its buckets for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    fn first_empty(&self, key: u64) -> usize {
+        let mask = self.buckets - 1;
+        let mut b = self.home(key);
+        while self.occupied(b) {
+            b = (b + 1) & mask;
+        }
+        b
+    }
+
+    fn grow(&mut self) {
+        self.buckets = (self.buckets * 2).max(MIN_BUCKETS);
+        let old = std::mem::replace(&mut self.words, vec![0; self.buckets * self.width]);
+        for row in old.chunks_exact(self.width).filter(|r| r[1] != 0) {
+            let b = self.first_empty(row[0]);
+            self.row_mut(b).copy_from_slice(row);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Rows `[key, value, value]`, keyed on word 0 alone.
+    fn get(t: &Table, key: u64) -> Option<u64> {
+        t.probe(key, |_| true).ok().map(|b| t.row(b)[1])
+    }
+
+    fn put(t: &mut Table, key: u64, value: u64) {
+        match t.probe(key, |_| true) {
+            Ok(b) => t.row_mut(b)[1..].fill(value),
+            Err(v) => t.insert(v, &[key, value, value]),
+        }
+    }
+
+    fn del(t: &mut Table, key: u64) -> bool {
+        t.probe(key, |_| true).map(|b| t.remove(b)).is_ok()
+    }
+
+    #[test]
+    fn empty_table_allocates_nothing() {
+        let t = Table::new(2);
+        assert_eq!(t.len(), 0);
+        assert!(t.words.is_empty());
+        assert_eq!(t.probe(7, |_| true), Err(0));
+    }
+
+    #[test]
+    fn grows_past_three_quarters() {
+        let mut t = Table::new(3);
+        for k in 0..12 {
+            put(&mut t, k, k + 1);
+        }
+        assert_eq!(t.buckets, MIN_BUCKETS);
+        put(&mut t, 12, 13);
+        assert_eq!(t.buckets, 2 * MIN_BUCKETS);
+        for k in 0..13 {
+            assert_eq!(get(&t, k), Some(k + 1));
+        }
+    }
+
+    #[test]
+    fn removal_keeps_a_wrapped_probe_run_reachable() {
+        // Fill one run that wraps past the last bucket, then delete its
+        // head: every survivor must still be found.
+        let mut t = Table::new(3);
+        put(&mut t, 0, 1);
+        let last = t.buckets - 1;
+        let keys: Vec<u64> = (1..100_000u64)
+            .filter(|&k| t.home(k) == last)
+            .take(4)
+            .collect();
+        for &k in &keys {
+            put(&mut t, k, k);
+        }
+        del(&mut t, keys[0]);
+        for &k in &keys[1..] {
+            assert_eq!(get(&t, k), Some(k));
+        }
+        assert_eq!(t.len(), keys.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random inserts, overwrites and removals over a key space small
+        /// enough that probe runs collide and wrap, against a map model.
+        #[test]
+        fn matches_a_map_model(
+            ops in proptest::collection::vec((0u8..3, 0u64..48, 1u64..1_000), 1..400)
+        ) {
+            let mut t = Table::new(3);
+            let mut model = BTreeMap::new();
+            for (op, key, value) in ops {
+                match op {
+                    0 | 1 => {
+                        put(&mut t, key, value);
+                        model.insert(key, value);
+                    }
+                    _ => prop_assert_eq!(del(&mut t, key), model.remove(&key).is_some()),
+                }
+                prop_assert_eq!(t.len(), model.len());
+                for k in 0..48 {
+                    prop_assert_eq!(get(&t, k), model.get(&k).copied());
+                }
+            }
+        }
+    }
+}

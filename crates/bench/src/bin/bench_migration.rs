@@ -1,12 +1,16 @@
 //! Adaptivity report: migration drain throughput and measured competitive
 //! ratios.
 //!
-//! Two measurements on the rebalance engine:
+//! Three measurements on the rebalance engine:
 //!
 //! 1. **Migration drain** — blocks/s to drain a lazy single-device add
 //!    through `migrate_batch` ("planned": batched diffing,
 //!    skip-unchanged).
-//! 2. **Competitive ratios** — planned moves over the fair minimum for
+//! 2. **Eager add and the reads after it** — blocks/s of one eager
+//!    `add_device` on the same cluster, and the mean cost of the first
+//!    [`READS_AFTER_ADD`] uniform reads after it (whether the migration
+//!    left the placement cache current).
+//! 3. **Competitive ratios** — planned moves over the fair minimum for
 //!    adding/removing the largest and smallest device, on an 8-device
 //!    heterogeneous cluster and on the 96-device drain cluster, against
 //!    the paper's proven 2–4 bound (measured ≈1.5 for adds, ≈2.5 for
@@ -20,6 +24,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use rshare_bench::{f, print_table, records_json, section, Record};
+use rshare_erasure::gf256;
 use rshare_vds::{MigrationPlan, Redundancy, StorageCluster};
 
 /// Timing repetitions per cell; the best (minimum) time is reported.
@@ -80,6 +85,43 @@ fn drain_cluster(blocks: u64) -> StorageCluster {
 /// *unchanged* and the drain measures how cheaply the planner's bulk diff
 /// can verify and skip a block.
 const DRAIN_ADD_CAPACITY: u64 = 4_000;
+
+/// Uniform reads timed after the eager add.
+const READS_AFTER_ADD: u64 = 100_000;
+
+/// Domain separator for the read-address stream.
+const READ_DOMAIN: u64 = 0x5245_4144_4146_5452; // "READAFTR"
+
+/// Blocks/s of an eager small-device add (the same change the drain
+/// benchmark makes lazily), then the mean ns per uniform
+/// `read_block_into` over the first [`READS_AFTER_ADD`] reads after it.
+/// Each is the best of [`REPS`] fresh clusters.
+fn bench_eager_add(blocks: u64, cells: &mut Vec<Cell>) -> f64 {
+    let mut best_add = u128::MAX;
+    let mut best_reads = u128::MAX;
+    let mut buf = vec![0u8; BLOCK_SIZE];
+    for _ in 0..REPS {
+        let mut c = drain_cluster(blocks);
+        let start = Instant::now();
+        black_box(c.add_device(DEVICES, DRAIN_ADD_CAPACITY).expect("add"));
+        best_add = best_add.min(start.elapsed().as_nanos());
+        let start = Instant::now();
+        for i in 0..READS_AFTER_ADD {
+            let lba = rshare_hash::stable_hash2(i, READ_DOMAIN) % blocks;
+            c.read_block_into(lba, &mut buf).expect("read");
+            black_box(&buf);
+        }
+        best_reads = best_reads.min(start.elapsed().as_nanos());
+    }
+    cells.push(Cell {
+        bench: "migration_add",
+        mode: "eager",
+        items: blocks,
+        unit: "blocks",
+        elapsed_ns: best_add,
+    });
+    best_reads as f64 / READS_AFTER_ADD as f64
+}
 
 /// Blocks/s to drain a lazy small-device add.
 fn bench_drain(blocks: u64, cells: &mut Vec<Cell>) {
@@ -167,10 +209,18 @@ fn small_cluster(blocks: u64) -> StorageCluster {
 }
 
 /// Hand-rolled JSON (no serde in the dependency set).
-fn to_json(cells: &[Cell], ratios: &[Ratio], smoke: bool, blocks: u64) -> String {
+fn to_json(
+    cells: &[Cell],
+    read_after_add_ns: f64,
+    ratios: &[Ratio],
+    smoke: bool,
+    blocks: u64,
+) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut s = String::from("{\n");
     s.push_str(&format!(
-        "  \"config\": {{\"smoke\": {smoke}, \"reps\": {REPS}, \"devices\": {DEVICES}, \"blocks\": {blocks}, \"budget\": {BUDGET}}},\n"
+        "  \"config\": {{\"smoke\": {smoke}, \"reps\": {REPS}, \"devices\": {DEVICES}, \"blocks\": {blocks}, \"budget\": {BUDGET}, \"reads_after_add\": {READS_AFTER_ADD}, \"host\": {{\"cores\": {cores}, \"gf256_kernel\": \"{}\"}}}},\n",
+        gf256::kernel_tier().name()
     ));
     s.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -201,7 +251,7 @@ fn to_json(cells: &[Cell], ratios: &[Ratio], smoke: bool, blocks: u64) -> String
         ));
     }
     s.push_str("  ],\n");
-    s.push_str(&records_json(&records(cells, ratios)));
+    s.push_str(&records_json(&records(cells, read_after_add_ns, ratios)));
     s.push_str(",\n");
     let max_ratio = ratios.iter().map(|r| r.ratio).fold(0.0f64, f64::max);
     s.push_str(&format!(
@@ -212,14 +262,15 @@ fn to_json(cells: &[Cell], ratios: &[Ratio], smoke: bool, blocks: u64) -> String
     s
 }
 
-/// The unified cross-binary records: one throughput entry per cell, plus
-/// one ratio entry per membership change measured against the paper's
-/// proven bound of 4.
-fn records(cells: &[Cell], ratios: &[Ratio]) -> Vec<Record> {
+/// The unified cross-binary records: one throughput entry per cell, the
+/// mean read cost after the eager add, plus one ratio entry per
+/// membership change measured against the paper's proven bound of 4.
+fn records(cells: &[Cell], read_after_add_ns: f64, ratios: &[Ratio]) -> Vec<Record> {
     let mut out: Vec<Record> = cells
         .iter()
         .map(|c| Record::new(format!("{}_{}", c.bench, c.mode), "blocks_per_s", c.per_s()))
         .collect();
+    out.push(Record::new("read_after_add_ns", "ns", read_after_add_ns));
     out.extend(ratios.iter().map(|r| {
         Record::with_baseline(
             format!("competitive_ratio_{}", r.change),
@@ -241,6 +292,7 @@ fn main() {
 
     let mut cells = Vec::new();
     bench_drain(blocks, &mut cells);
+    let read_after_add_ns = bench_eager_add(blocks, &mut cells);
     let mut ratios = competitive(&small_cluster(blocks.min(24_000)), "");
     ratios.extend(competitive(&drain_cluster(blocks), "_96dev"));
 
@@ -254,6 +306,10 @@ fn main() {
         ]);
     }
     print_table(&["bench", "mode", "items", "rate"], &rows);
+    println!(
+        "first {READS_AFTER_ADD} uniform reads after the eager add: {} ns/read",
+        f(read_after_add_ns)
+    );
 
     println!();
     let mut rows = Vec::new();
@@ -280,7 +336,7 @@ fn main() {
         f(ratios.iter().map(|r| r.ratio).fold(0.0f64, f64::max)),
     );
 
-    let json = to_json(&cells, &ratios, smoke, blocks);
+    let json = to_json(&cells, read_after_add_ns, &ratios, smoke, blocks);
     std::fs::write("BENCH_migration.json", &json).expect("write BENCH_migration.json");
     println!(
         "wrote BENCH_migration.json ({} result rows, {} ratio rows)",

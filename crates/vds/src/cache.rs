@@ -8,6 +8,14 @@
 //! epoch they were computed under and a lookup rejects a stale entry with
 //! one integer comparison — no flush, no tombstones, O(1).
 //!
+//! The invariant every writer keeps: a row stamped with epoch `e` equals
+//! strategy `e`'s placement of its block. Bulk passes rely on it twice —
+//! a migration reads a block's old placement from a row still stamped
+//! with the previous epoch ([`PlacementCache::peek`]) and, once it has
+//! computed the new one, rewrites the row in place under the current epoch
+//! ([`PlacementCache::refresh`]), so the first request after a membership
+//! change hits.
+//!
 //! Each map shard is a [`Table`] of rows `[lba, epoch + 1, ids[k]]`,
 //! with `k` (the cluster's group width) fixed at build: a cached
 //! placement costs `8·(k + 2)` bytes plus the table's slack, no heap
@@ -178,6 +186,34 @@ impl PlacementCache {
         }
     }
 
+    /// Copies the row of `lba` into `out` (replacing its contents) if one
+    /// is resident with exactly `epoch`. Unlike [`PlacementCache::get`] it
+    /// counts neither a hit nor a miss and evicts nothing, so bulk passes
+    /// (migration, planning, scrapes) can read cached placements without
+    /// distorting the request-path series.
+    pub(crate) fn peek(&self, lba: u64, epoch: u64, out: &mut [u64]) -> bool {
+        let table = self.shard(lba).lock().expect("cache shard poisoned");
+        match table.probe(lba, |_| true) {
+            Ok(b) if table.row(b)[1] == epoch + 1 => {
+                out.copy_from_slice(&table.row(b)[2..]);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Rewrites the row of `lba`, if one is resident, to `ids` under
+    /// `epoch`. Absent rows stay absent: the cache never grows here, so a
+    /// migration pass over every block costs no memory. Counts nothing.
+    pub(crate) fn refresh(&self, lba: u64, epoch: u64, ids: &[u64]) {
+        let mut table = self.shard(lba).lock().expect("cache shard poisoned");
+        if let Ok(b) = table.probe(lba, |_| true) {
+            let row = table.row_mut(b);
+            row[1] = epoch + 1;
+            row[2..].copy_from_slice(ids);
+        }
+    }
+
     /// Drops every entry (used when the cache is disabled at runtime).
     pub(crate) fn clear(&self) {
         for shard in &self.shards {
@@ -312,16 +348,31 @@ mod tests {
             }
             shard.insert(lba, (epoch, ids.to_vec()));
         }
+
+        fn peek(&self, lba: u64, epoch: u64) -> Option<Vec<u64>> {
+            match self.shards[PlacementCache::shard_index(lba)].get(&lba) {
+                Some((e, ids)) if *e == epoch => Some(ids.clone()),
+                _ => None,
+            }
+        }
+
+        fn refresh(&mut self, lba: u64, epoch: u64, ids: &[u64]) {
+            if let Some(row) = self.shards[PlacementCache::shard_index(lba)].get_mut(&lba) {
+                *row = (epoch, ids.to_vec());
+            }
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Random gets and puts across epochs, with shards small enough to
-        /// hit the capacity clear, against the model.
+        /// Random gets, puts, peeks and refreshes across epochs, with
+        /// shards small enough to hit the capacity clear, against the
+        /// model. Peeks and refreshes must leave the hit, miss and entry
+        /// counts exactly where they were.
         #[test]
         fn cache_matches_a_map_model(
-            ops in proptest::collection::vec((any::<bool>(), 0u64..96, 0u64..4, any::<u64>()), 1..400)
+            ops in proptest::collection::vec((0u8..4, 0u64..96, 0u64..4, any::<u64>()), 1..400)
         ) {
             const K: usize = 2;
             let mut cache = PlacementCache::new(K);
@@ -330,14 +381,29 @@ mod tests {
                 shards: vec![BTreeMap::new(); CACHE_SHARDS],
                 ..Model::default()
             };
-            for (is_put, lba, epoch, seed) in ops {
-                if is_put {
-                    let ids = [seed, seed.rotate_left(17)];
-                    cache.put(lba, epoch, &ids);
-                    model.put(lba, epoch, &ids, cache.per_shard_capacity);
-                } else {
-                    let got = cache.get(lba, epoch).map(|p| p.as_slice().to_vec());
-                    prop_assert_eq!(got, model.get(lba, epoch));
+            for (op, lba, epoch, seed) in ops {
+                let ids = [seed, seed.rotate_left(17)];
+                let before = cache.stats();
+                match op {
+                    0 => {
+                        cache.put(lba, epoch, &ids);
+                        model.put(lba, epoch, &ids, cache.per_shard_capacity);
+                    }
+                    1 => {
+                        let got = cache.get(lba, epoch).map(|p| p.as_slice().to_vec());
+                        prop_assert_eq!(got, model.get(lba, epoch));
+                    }
+                    2 => {
+                        let mut out = [0u64; K];
+                        let got = cache.peek(lba, epoch, &mut out).then(|| out.to_vec());
+                        prop_assert_eq!(got, model.peek(lba, epoch));
+                        prop_assert_eq!(cache.stats(), before);
+                    }
+                    _ => {
+                        cache.refresh(lba, epoch, &ids);
+                        model.refresh(lba, epoch, &ids);
+                        prop_assert_eq!(cache.stats(), before);
+                    }
                 }
                 let stats = cache.stats();
                 prop_assert_eq!(stats.hits, model.hits);

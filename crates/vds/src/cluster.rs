@@ -18,6 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use rshare_core::capacity::max_balls;
 use rshare_core::{Bin, BinId, BinSet, PlacementStrategy, RedundantShare, MAX_INLINE_K};
 use rshare_erasure::ErasureCode;
 use rshare_obs::{family_header, sample_line, Registry, SpanTimer};
@@ -412,7 +413,7 @@ impl StorageCluster {
     /// The placement under the *target* (post-migration) configuration,
     /// served from the epoch-versioned cache when enabled.
     fn target_placement(&self, lba: u64) -> PlacementIds {
-        if self.cache_enabled && self.redundancy.total_shards() <= MAX_CACHED_SHARDS {
+        if self.cache_active() {
             if let Some(hit) = self.cache.get(lba, self.placement_epoch) {
                 return PlacementIds::Inline(hit);
             }
@@ -423,6 +424,37 @@ impl StorageCluster {
             computed
         } else {
             self.compute_placement(self.strategy(), lba)
+        }
+    }
+
+    /// Whether placements are cached: the cache is enabled and the group
+    /// fits a cache row.
+    fn cache_active(&self) -> bool {
+        self.cache_enabled && self.redundancy.total_shards() <= MAX_CACHED_SHARDS
+    }
+
+    /// Places every block of `lbas` under `strategy` — the strategy in
+    /// force at `epoch` — as [`place_flat`] does, but copies each block
+    /// whose cache row is stamped with exactly `epoch` from the row and
+    /// scans only the rest. The cache's counters and contents are left
+    /// alone, so bulk passes neither inflate the hit series nor grow the
+    /// cache.
+    fn cached_flat(&self, strategy: &RedundantShare, epoch: u64, lbas: &[u64], out: &mut Vec<u64>) {
+        if !self.cache_active() {
+            place_flat(strategy, lbas, out);
+            return;
+        }
+        let k = strategy.replication();
+        out.clear();
+        out.resize(lbas.len() * k, 0);
+        let mut group = Vec::with_capacity(k);
+        for (&lba, slot) in lbas.iter().zip(out.chunks_exact_mut(k)) {
+            if !self.cache.peek(lba, epoch, slot) {
+                strategy.place_into(lba, &mut group);
+                for (s, id) in slot.iter_mut().zip(&group) {
+                    *s = id.raw();
+                }
+            }
         }
     }
 
@@ -797,7 +829,8 @@ impl StorageCluster {
             .expect("strategy always present");
         // The target mapping changed, so cached placements are stale even
         // though no data has moved yet; pending blocks additionally bypass
-        // the cache until migrated (see `effective_placement`).
+        // the cache until migrated (see `effective_placement`), and
+        // `migrate_batch` refreshes rows as it drains them.
         self.placement_epoch += 1;
         let remaining: BTreeSet<u64> = self.blocks.iter().copied().collect();
         let count = remaining.len() as u64;
@@ -818,9 +851,12 @@ impl StorageCluster {
 
     /// Migrates up to `max_blocks` pending blocks (lowest addresses first)
     /// to their target placement, returning what moved. Old and new
-    /// placements are computed in bulk with the stride-k batch API,
-    /// unchanged blocks are skipped without any device I/O, and the
-    /// changed ones go through the gather/apply executor. The bounded
+    /// placements are computed a chunk at a time as flat stride-k runs —
+    /// old ones from cache rows still stamped with the pre-change epoch
+    /// where resident — unchanged blocks are skipped without any device
+    /// I/O, and the changed ones go through the gather/apply executor.
+    /// Every resident cache row of a migrated chunk is rewritten with its
+    /// target placement, so requests after the drain hit. The bounded
     /// budget keeps lazy migration incremental; with no migration in
     /// flight this is a no-op reporting zeros.
     ///
@@ -840,7 +876,15 @@ impl StorageCluster {
         let mut old_flat: Vec<u64> = Vec::new();
         let mut failure = None;
         for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            place_flat(&pending.old_strategy, chunk, &mut old_flat);
+            // `add_device_lazy` bumped the epoch once and any later change
+            // drains or absorbs this migration first, so the old strategy
+            // is the one in force at the previous epoch.
+            self.cached_flat(
+                &pending.old_strategy,
+                self.placement_epoch - 1,
+                chunk,
+                &mut old_flat,
+            );
             match self.rebalance_chunk(chunk, &old_flat, false) {
                 Ok(r) => {
                     report.merge(r);
@@ -885,12 +929,13 @@ impl StorageCluster {
     }
 
     /// Batch-computes the *effective* placement of every `lbas[j]` into
-    /// `out` as one flat stride-k run of raw device ids, bypassing the
-    /// per-block cache: every block is placed through the target strategy
-    /// in bulk, then blocks still awaiting lazy migration are overwritten
+    /// `out` as one flat stride-k run of raw device ids: every block's
+    /// target placement comes from its current-epoch cache row or the
+    /// scan ([`StorageCluster::cached_flat`], which counts no hit or
+    /// miss), then blocks still awaiting lazy migration are overwritten
     /// with their old placement.
     fn effective_flat(&self, lbas: &[u64], out: &mut Vec<u64>) {
-        place_flat(self.strategy(), lbas, out);
+        self.cached_flat(self.strategy(), self.placement_epoch, lbas, out);
         if let Some(p) = &self.pending {
             p.overlay_old(lbas, out);
         }
@@ -902,6 +947,9 @@ impl StorageCluster {
     /// touching any device — unless `repair_unchanged` is set, in which
     /// case blocks missing a shard at an unchanged location are re-stored
     /// (the membership-change path repairs latent losses in passing).
+    /// Resident cache rows of the chunk are rewritten with the target
+    /// placement under the current epoch, whatever the I/O outcome: the
+    /// row records the strategy, not where the shards are.
     fn rebalance_chunk(
         &mut self,
         lbas: &[u64],
@@ -916,6 +964,11 @@ impl StorageCluster {
         };
         let mut new_flat: Vec<u64> = Vec::new();
         place_flat(self.strategy(), lbas, &mut new_flat);
+        if self.cache_active() {
+            for (&lba, ids) in lbas.iter().zip(new_flat.chunks_exact(k)) {
+                self.cache.refresh(lba, self.placement_epoch, ids);
+            }
+        }
         let mut work: Vec<usize> = Vec::new();
         for (j, &lba) in lbas.iter().enumerate() {
             let old = &old_flat[j * k..(j + 1) * k];
@@ -1038,6 +1091,9 @@ impl StorageCluster {
     /// # Errors
     ///
     /// * [`VdsError::UnknownDevice`] if no such device exists.
+    /// * [`VdsError::OutOfSpace`] (naming `id`), with no effect, if the
+    ///   stored blocks exceed Lemma 2.2's `B_max` over the surviving
+    ///   online devices ([`rshare_core::capacity::max_balls`]).
     /// * Placement errors if too few devices would remain.
     pub fn remove_device(&mut self, id: u64) -> Result<MigrationReport, VdsError> {
         if !self.devices.contains_key(&id) {
@@ -1055,6 +1111,7 @@ impl StorageCluster {
             .collect::<Result<Vec<_>, _>>()?;
         let set = BinSet::new(bins)?;
         let new_strategy = RedundantShare::new(&set, self.redundancy.total_shards())?;
+        self.admit(|d| d.id() != id, id)?;
         let report = self.replace_strategy(new_strategy)?;
         // Presence was checked at entry and `&mut self` rules out any
         // interleaving removal, so the entry is still there.
@@ -1088,8 +1145,12 @@ impl StorageCluster {
     ///
     /// # Errors
     ///
-    /// [`VdsError::DataLoss`] if any block lost more shards than the
-    /// redundancy tolerates; placement errors if too few devices survive.
+    /// * [`VdsError::OutOfSpace`] (naming the first failed device), with
+    ///   no effect, if the stored blocks exceed Lemma 2.2's `B_max` over
+    ///   the online devices ([`rshare_core::capacity::max_balls`]).
+    /// * Placement errors, with no effect, if too few devices survive.
+    /// * [`VdsError::DataLoss`] if any block lost more shards than the
+    ///   redundancy tolerates.
     pub fn rebuild(&mut self) -> Result<MigrationReport, VdsError> {
         let failed: Vec<u64> = self
             .devices
@@ -1097,11 +1158,34 @@ impl StorageCluster {
             .filter(|d| d.state() == DeviceState::Failed)
             .map(Device::id)
             .collect();
+        // The strategy only sees online devices, so it is built before the
+        // failed ones leave the map: a placement error changes nothing.
+        let new_strategy = self.build_strategy()?;
+        if let Some(&first) = failed.first() {
+            self.admit(|_| true, first)?;
+        }
         for id in &failed {
             self.devices.remove(id);
         }
-        let new_strategy = self.build_strategy()?;
         self.replace_strategy(new_strategy)
+    }
+
+    /// Admission gate for a shrinking membership change: the stored blocks
+    /// must fit Lemma 2.2's `B_max` over the online devices that `stay`,
+    /// or the change could only fail part-way. Rejects with `OutOfSpace`
+    /// naming `blame`, the device whose departure is refused.
+    fn admit(&self, stays: impl Fn(&Device) -> bool, blame: u64) -> Result<(), VdsError> {
+        let mut capacities: Vec<u64> = self
+            .devices
+            .values()
+            .filter(|d| d.state() == DeviceState::Online && stays(d))
+            .map(Device::capacity_blocks)
+            .collect();
+        capacities.sort_unstable_by(|a, b| b.cmp(a));
+        if max_balls(&capacities, self.redundancy.total_shards()) < self.block_count() {
+            return Err(VdsError::OutOfSpace { id: blame });
+        }
+        Ok(())
     }
 
     /// Verifies that every block is readable; returns the number of blocks
@@ -1111,19 +1195,22 @@ impl StorageCluster {
     ///
     /// [`VdsError::DataLoss`] on the first unrecoverable block.
     pub fn scrub(&mut self) -> Result<u64, VdsError> {
+        let k = self.redundancy.total_shards();
         let lbas: Vec<u64> = self.blocks.iter().copied().collect();
+        let mut flat: Vec<u64> = Vec::new();
         let mut degraded = 0;
-        for lba in lbas {
-            let placement = self.effective_placement(lba);
-            let missing = placement
-                .iter()
-                .enumerate()
-                .filter(|(i, dev_id)| !self.devices.get(dev_id).is_some_and(|d| d.has(&(lba, *i))))
-                .count();
-            if missing > 0 {
-                degraded += 1;
-                // Force the read path to prove recoverability.
-                self.read_block(lba)?;
+        for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
+            self.effective_flat(chunk, &mut flat);
+            for (&lba, placement) in chunk.iter().zip(flat.chunks_exact(k)) {
+                let missing = placement
+                    .iter()
+                    .enumerate()
+                    .any(|(i, id)| !self.devices.get(id).is_some_and(|d| d.has(&(lba, i))));
+                if missing {
+                    degraded += 1;
+                    // Force the read path to prove recoverability.
+                    self.read_block(lba)?;
+                }
             }
         }
         Ok(degraded)
@@ -1154,15 +1241,7 @@ impl StorageCluster {
         let mut repaired = 0u64;
         let mut flat: Vec<u64> = Vec::new();
         for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            // Placements are unchanged during a repair, so the flat run is
-            // built from per-block effective placements — served by the
-            // epoch cache — rather than `effective_flat`'s bulk strategy
-            // scan, which exists for migrations that just bumped the epoch
-            // and would miss the cache on every block anyway.
-            flat.clear();
-            for &lba in chunk {
-                flat.extend_from_slice(&self.effective_placement(lba));
-            }
+            self.effective_flat(chunk, &mut flat);
             let mut work: Vec<usize> = Vec::new();
             for (j, &lba) in chunk.iter().enumerate() {
                 let degraded = flat[j * k..(j + 1) * k]
@@ -1303,9 +1382,10 @@ impl StorageCluster {
 
     /// Diffs the current placement against a hypothetical bin set, in
     /// bulk: old (effective) and candidate placements are computed a
-    /// chunk at a time through the stride-k batch API and compared
-    /// slice-against-slice, so unchanged blocks — the common case under
-    /// 2–4-competitive churn — cost two batched lookups and one memcmp.
+    /// chunk at a time as flat stride-k runs — the old side from current
+    /// cache rows where resident — and compared slice-against-slice, so
+    /// unchanged blocks, the common case under 2–4-competitive churn, cost
+    /// at most one scan and one memcmp.
     /// The moves are sorted so every (source → target) device queue is
     /// contiguous ([`MigrationPlan::device_queues`]).
     fn plan_against(&self, bins: &BinSet, fair_min_shards: f64) -> Result<MigrationPlan, VdsError> {
@@ -1389,9 +1469,10 @@ impl StorageCluster {
     }
 
     /// Number of blocks currently missing at least one shard from its
-    /// computed location. Scans every block through the bulk placement
-    /// API (the per-block cache is bypassed, so scrape-time accounting
-    /// does not distort the cache hit/miss series).
+    /// computed location. Places every block through
+    /// [`StorageCluster::effective_flat`], which reads current cache rows
+    /// without counting a hit or a miss, so scrape-time accounting does
+    /// not distort the cache hit/miss series.
     #[must_use]
     pub fn degraded_block_count(&self) -> u64 {
         let k = self.redundancy.total_shards();
@@ -1614,8 +1695,10 @@ impl StorageCluster {
             .strategy
             .replace(new_strategy)
             .expect("strategy always present");
-        // One epoch bump per plan invalidates every cached placement of
-        // the old strategy; nothing per block touches the cache.
+        // One epoch bump per change: rows stamped with the previous epoch
+        // still hold the old strategy's placements, which the migration
+        // reads as its old side, and `rebalance_chunk` rewrites each
+        // resident row with the new placement under the new epoch.
         self.placement_epoch += 1;
         // Any in-flight lazy migration is absorbed: blocks it had not yet
         // moved are gathered from their true (pre-lazy-change) locations.
@@ -1624,7 +1707,12 @@ impl StorageCluster {
         let mut report = MigrationReport::default();
         let mut old_flat: Vec<u64> = Vec::new();
         for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            place_flat(&old_strategy, chunk, &mut old_flat);
+            self.cached_flat(
+                &old_strategy,
+                self.placement_epoch - 1,
+                chunk,
+                &mut old_flat,
+            );
             if let Some(p) = &absorbed {
                 p.overlay_old(chunk, &mut old_flat);
             }
@@ -2294,6 +2382,164 @@ mod tests {
         }
         assert_eq!(c.placements_computed(), computed);
         assert_eq!(c.scrub().unwrap(), 0);
+    }
+
+    /// An uncached cluster built from scratch over `c`'s online devices.
+    fn fresh_twin(c: &StorageCluster) -> StorageCluster {
+        let mut b = StorageCluster::builder()
+            .block_size(c.block_size())
+            .redundancy(c.redundancy())
+            .placement_cache(false);
+        for d in c
+            .devices
+            .values()
+            .filter(|d| d.state() == DeviceState::Online)
+        {
+            b = b.device(d.id(), d.capacity_blocks());
+        }
+        b.build().unwrap()
+    }
+
+    /// Planning, the degraded count and a scrape read placements in bulk;
+    /// none of them may move the cache's hit, miss or entry counts.
+    fn assert_bulk_passes_count_nothing(c: &StorageCluster) {
+        let before = c.cache_stats();
+        let ids = c.device_ids();
+        c.plan_add_device(ids.last().unwrap() + 100, 5_000).unwrap();
+        c.plan_remove_device(ids[0]).unwrap();
+        c.plan_rebuild().unwrap();
+        let _ = c.degraded_block_count();
+        let _ = c.export_prometheus();
+        assert_eq!(c.cache_stats(), before);
+    }
+
+    /// Reads every block of `lbas` back and asserts that each placement
+    /// came from a current cache row: no miss, no strategy run.
+    fn assert_reads_hit(c: &StorageCluster, lbas: impl Iterator<Item = u64>) {
+        let (computed, misses) = (c.placements_computed(), c.cache_stats().misses);
+        let mut buf = vec![0u8; 64];
+        for lba in lbas {
+            c.read_block_into(lba, &mut buf).unwrap();
+            assert_eq!(buf, block(lba as u8, 64), "lba {lba}");
+        }
+        assert_eq!(c.placements_computed(), computed, "reads recomputed");
+        assert_eq!(c.cache_stats().misses, misses, "reads missed");
+    }
+
+    fn assert_matches_fresh(c: &StorageCluster, lbas: impl Iterator<Item = u64>) {
+        let fresh = fresh_twin(c);
+        for lba in lbas {
+            assert_eq!(c.placement(lba), fresh.placement(lba), "lba {lba}");
+        }
+    }
+
+    #[test]
+    fn membership_changes_carry_the_cache_forward() {
+        // Four migration chunks, so a failure can land in a middle one.
+        let blocks = 3 * MIGRATION_CHUNK_BLOCKS as u64 + 1_000;
+        let mut b = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(Redundancy::Mirror { copies: 2 });
+        for id in 0..8u64 {
+            b = b.device(id, 8_000 + 1_000 * id);
+        }
+        let mut c = b.build().unwrap();
+        let lbas: Vec<u64> = (0..blocks).collect();
+        let data: Vec<u8> = lbas.iter().flat_map(|&l| block(l as u8, 64)).collect();
+        c.write_blocks(&lbas, &data).unwrap();
+        // The writes left a current row for every block.
+        assert_reads_hit(&c, 0..blocks);
+
+        let check = |c: &StorageCluster| {
+            assert_bulk_passes_count_nothing(c);
+            assert_reads_hit(c, 0..blocks);
+            assert_matches_fresh(c, 0..blocks);
+        };
+        c.add_device(8, 12_000).unwrap();
+        check(&c);
+        c.remove_device(2).unwrap();
+        check(&c);
+        c.fail_device(5).unwrap();
+        c.rebuild().unwrap();
+        check(&c);
+
+        // A lazy add drained in three budgets: after each, every drained
+        // block hits; the pending ones resolve through the old strategy.
+        c.add_device_lazy(9, 9_000).unwrap();
+        for _ in 0..3 {
+            c.migrate_batch(blocks.div_ceil(3)).unwrap();
+            let pending = c.pending.as_ref().map(|p| p.remaining.clone());
+            let drained =
+                || (0..blocks).filter(|l| pending.as_ref().is_none_or(|p| !p.contains(l)));
+            assert_bulk_passes_count_nothing(&c);
+            assert_reads_hit(&c, drained());
+            assert_matches_fresh(&c, drained());
+        }
+        assert_eq!(c.pending_blocks(), 0);
+
+        // A change whose second chunk fails: both copies of one of its
+        // blocks are gone, so the gather errors before anything lands.
+        let lost = MIGRATION_CHUNK_BLOCKS as u64 + 7;
+        assert!(c.inject_shard_loss(lost, 0) && c.inject_shard_loss(lost, 1));
+        let err = c.add_device(10, 11_000).unwrap_err();
+        assert!(
+            matches!(err, VdsError::DataLoss { lba } if lba == lost),
+            "{err:?}"
+        );
+        assert_bulk_passes_count_nothing(&c);
+        // Rows of the chunks the change reached were rewritten under the
+        // new epoch; the later chunks' rows are stale and miss.
+        let reached = 2 * MIGRATION_CHUNK_BLOCKS as u64;
+        let (computed, misses) = (c.placements_computed(), c.cache_stats().misses);
+        for lba in 0..reached {
+            let _ = c.placement(lba);
+        }
+        assert_eq!(c.placements_computed(), computed);
+        assert_eq!(c.cache_stats().misses, misses);
+        for lba in reached..blocks {
+            let _ = c.placement(lba);
+        }
+        assert_eq!(c.cache_stats().misses, misses + (blocks - reached));
+        assert_matches_fresh(&c, 0..blocks);
+    }
+
+    #[test]
+    fn shrinking_changes_past_b_max_are_refused_up_front() {
+        // Lemma 2.2: three survivors of 100 blocks hold at most
+        // max_balls([100, 100, 100], 2) = 150 mirrored blocks.
+        let mut c = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(Redundancy::Mirror { copies: 2 })
+            .device(0, 100)
+            .device(1, 100)
+            .device(2, 100)
+            .device(3, 100)
+            .build()
+            .unwrap();
+        for lba in 0..180u64 {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        let epoch = c.placement_epoch();
+        let assert_untouched = |c: &StorageCluster| {
+            assert!(c.device(3).is_some(), "device 3 stays in the map");
+            assert_eq!(c.placement_epoch(), epoch);
+            for lba in 0..180u64 {
+                assert_eq!(
+                    c.read_block(lba).unwrap(),
+                    block(lba as u8, 64),
+                    "lba {lba}"
+                );
+            }
+        };
+        let err = c.remove_device(3).unwrap_err();
+        assert!(matches!(err, VdsError::OutOfSpace { id: 3 }), "{err:?}");
+        assert_untouched(&c);
+        // The same gate holds for a rebuild after device 3 fails: its
+        // blocks stay readable from their surviving copies.
+        c.fail_device(3).unwrap();
+        let err = c.rebuild().unwrap_err();
+        assert!(matches!(err, VdsError::OutOfSpace { id: 3 }), "{err:?}");
+        assert_untouched(&c);
     }
 
     #[test]

@@ -9,10 +9,14 @@
 //! allocation tables, so the mapping is recomputable by anyone who knows
 //! the device list.
 //!
-//! Membership changes rebuild the strategy and migrate exactly the shards
-//! whose computed location changed; the adaptivity results of the paper
-//! (Lemmas 3.2–3.5) bound that migration volume, and [`MigrationReport`]
-//! measures it.
+//! Every membership change follows one path: build the strategy over the
+//! new membership, gate it on Lemma 2.2's `B_max`, install it as a pending
+//! migration layer, and drain that layer chunk by chunk, moving exactly
+//! the shards whose computed location changed. Blocks not yet drained
+//! resolve to their old placement, so a drain that fails part-way leaves
+//! every block readable and resumable. The adaptivity results of the
+//! paper (Lemmas 3.2–3.5) bound the migration volume, and
+//! [`MigrationReport`] measures it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,14 +206,15 @@ impl ClusterBuilder {
             strategy: None,
             block_size: self.block_size,
             blocks: BTreeSet::new(),
-            pending: None,
+            pending: Vec::new(),
             cache: PlacementCache::new(self.redundancy.total_shards()),
             cache_enabled: self.placement_cache,
             placement_epoch: 0,
             placements_computed: AtomicU64::new(0),
             metrics,
         };
-        cluster.strategy = Some(cluster.build_strategy()?);
+        let set = cluster.member_bins(None, None)?;
+        cluster.strategy = Some(RedundantShare::new(&set, self.redundancy.total_shards())?);
         Ok(cluster)
     }
 }
@@ -223,8 +228,10 @@ pub struct StorageCluster {
     block_size: usize,
     /// Logical block addresses that have been written.
     blocks: BTreeSet<u64>,
-    /// In-flight lazy migration, if any.
-    pending: Option<PendingMigration>,
+    /// Membership changes still migrating, oldest first; empty when none
+    /// is. Each layer's blocks contain every older layer's, and a block
+    /// resolves through the oldest layer that holds it.
+    pending: Vec<MigrationLayer>,
     /// Cache of target-strategy placements, keyed by block address and
     /// validated against [`StorageCluster::placement_epoch`].
     cache: PlacementCache,
@@ -261,27 +268,33 @@ struct DeviceQueue {
     stores: Vec<(u64, usize, Vec<u8>)>,
 }
 
-/// State of an in-flight lazy migration.
-struct PendingMigration {
-    /// The placement in force for blocks not yet migrated.
-    old_strategy: RedundantShare,
-    /// Blocks whose shards still live at their old locations.
-    remaining: BTreeSet<u64>,
+/// One membership change whose migration has not finished: the strategy
+/// that was the target before the change, and the blocks whose shards
+/// still sit where that strategy put them.
+struct MigrationLayer {
+    strategy: RedundantShare,
+    blocks: BTreeSet<u64>,
 }
 
-impl PendingMigration {
-    /// Overwrites the groups of `flat` (stride-k raw device ids, parallel
-    /// to `lbas`) whose block still awaits migration with its old
-    /// placement.
-    fn overlay_old(&self, lbas: &[u64], flat: &mut [u64]) {
-        let k = self.old_strategy.replication();
-        let mut group = Vec::with_capacity(k);
-        for (j, &lba) in lbas.iter().enumerate() {
-            if self.remaining.contains(&lba) {
-                self.old_strategy.place_into(lba, &mut group);
-                for (slot, id) in flat[j * k..(j + 1) * k].iter_mut().zip(&group) {
-                    *slot = id.raw();
-                }
+/// The oldest layer of `layers` that still holds `lba`.
+fn oldest_holding(layers: &[MigrationLayer], lba: u64) -> Option<&MigrationLayer> {
+    layers.iter().find(|l| l.blocks.contains(&lba))
+}
+
+/// Overwrites the groups of `flat` (stride-k raw device ids, parallel to
+/// `lbas`) whose block a layer of `layers` still holds with its placement
+/// under the oldest such layer.
+fn overlay_old(layers: &[MigrationLayer], lbas: &[u64], flat: &mut [u64]) {
+    let Some(first) = layers.first() else {
+        return;
+    };
+    let k = first.strategy.replication();
+    let mut group = Vec::with_capacity(k);
+    for (&lba, slot) in lbas.iter().zip(flat.chunks_exact_mut(k)) {
+        if let Some(layer) = oldest_holding(layers, lba) {
+            layer.strategy.place_into(lba, &mut group);
+            for (s, id) in slot.iter_mut().zip(&group) {
+                *s = id.raw();
             }
         }
     }
@@ -367,17 +380,30 @@ impl StorageCluster {
         self.strategy.as_ref().expect("strategy always present")
     }
 
-    /// Builds a placement strategy over the online devices, weighted by
-    /// their capacities.
-    fn build_strategy(&self) -> Result<RedundantShare, VdsError> {
+    /// The bins a membership change would place over: the online devices
+    /// of the current target strategy (every online device before the
+    /// first strategy exists) without `leave`, plus `join` as
+    /// `(id, capacity)`. A device still draining from an earlier removal
+    /// is outside the target strategy, so no later change re-admits it.
+    fn member_bins(
+        &self,
+        leave: Option<u64>,
+        join: Option<(u64, u64)>,
+    ) -> Result<BinSet, VdsError> {
+        let members = self.strategy.as_ref().map(PlacementStrategy::bin_ids);
         let bins = self
             .devices
             .values()
-            .filter(|d| d.state() == DeviceState::Online)
-            .map(|d| Bin::new(d.id(), d.capacity_blocks()))
+            .filter(|d| {
+                d.state() == DeviceState::Online
+                    && Some(d.id()) != leave
+                    && members.is_none_or(|m| m.contains(&BinId(d.id())))
+            })
+            .map(|d| (d.id(), d.capacity_blocks()))
+            .chain(join)
+            .map(|(id, capacity)| Bin::new(id, capacity))
             .collect::<Result<Vec<_>, _>>()?;
-        let set = BinSet::new(bins)?;
-        Ok(RedundantShare::new(&set, self.redundancy.total_shards())?)
+        Ok(BinSet::new(bins)?)
     }
 
     /// The device ids shard 0, 1, … of `lba` are placed on.
@@ -400,12 +426,10 @@ impl StorageCluster {
     /// The effective placement of `lba`: the old strategy for blocks still
     /// awaiting lazy migration, the cached target placement otherwise.
     fn effective_placement(&self, lba: u64) -> PlacementIds {
-        if let Some(p) = &self.pending {
-            if p.remaining.contains(&lba) {
-                // Old-strategy placements are never cached: they die with
-                // the migration and would otherwise need their own epoch.
-                return self.compute_placement(&p.old_strategy, lba);
-            }
+        if let Some(layer) = oldest_holding(&self.pending, lba) {
+            // Old-strategy placements are never cached: they die with
+            // the migration and would otherwise need their own epoch.
+            return self.compute_placement(&layer.strategy, lba);
         }
         self.target_placement(lba)
     }
@@ -567,17 +591,18 @@ impl StorageCluster {
                 refs.extend(std::iter::repeat_n(block, self.redundancy.total_shards()));
             }
             // Writes always land at the target placement; if the block was
-            // awaiting lazy migration, the overwrite completes it for free.
-            let completes_migration = if let Some(p) = &mut self.pending {
-                if p.remaining.remove(&lba) {
+            // awaiting migration, the overwrite completes it for free. Its
+            // shards sit where the oldest layer holding it put them.
+            let completes_migration = match oldest_holding(&self.pending, lba) {
+                Some(layer) => {
                     old_ids.clear();
-                    old_ids.extend(p.old_strategy.place(lba).into_iter().map(|id| id.raw()));
+                    old_ids.extend(layer.strategy.place(lba).into_iter().map(|id| id.raw()));
+                    for layer in &mut self.pending {
+                        layer.blocks.remove(&lba);
+                    }
                     true
-                } else {
-                    false
                 }
-            } else {
-                false
+                None => false,
             };
             let placement = self.target_placement(lba);
             let total = refs.len() + parity.len();
@@ -601,6 +626,7 @@ impl StorageCluster {
                         }
                     }
                 }
+                self.drop_drained_layers();
             }
             self.blocks.insert(lba);
             if let Some(m) = &self.metrics {
@@ -753,12 +779,21 @@ impl StorageCluster {
     }
 
     /// Adds a device and migrates the shards whose computed placement
-    /// changed.
+    /// changed: [`StorageCluster::add_device_lazy`], then
+    /// [`StorageCluster::rebalance`].
     ///
     /// # Errors
     ///
-    /// [`VdsError::InvalidConfig`] for a duplicate id; placement and I/O
-    /// errors from the migration.
+    /// * [`VdsError::InvalidConfig`] for a duplicate id, and placement
+    ///   errors such as a zero capacity, with no effect.
+    /// * [`VdsError::OutOfSpace`] (naming `id`), with no effect, if the
+    ///   stored blocks exceed Lemma 2.2's `B_max` over the new membership
+    ///   ([`rshare_core::capacity::max_balls`]).
+    /// * Migration errors from [`StorageCluster::rebalance`]. The device
+    ///   and its placement stay installed; blocks not yet drained stay
+    ///   readable at their old homes and counted by
+    ///   [`StorageCluster::pending_blocks`], and `rebalance()` resumes the
+    ///   drain.
     pub fn add_device(
         &mut self,
         id: u64,
@@ -779,17 +814,8 @@ impl StorageCluster {
         capacity_blocks: u64,
         profile: DeviceProfile,
     ) -> Result<MigrationReport, VdsError> {
-        if self.devices.contains_key(&id) {
-            return Err(VdsError::InvalidConfig {
-                reason: "duplicate device id",
-            });
-        }
-        self.devices.insert(
-            id,
-            Device::with_profile(id, capacity_blocks, self.shard_len(), profile),
-        );
-        let new_strategy = self.build_strategy()?;
-        self.replace_strategy(new_strategy)
+        self.stage_add(id, capacity_blocks, profile)?;
+        self.rebalance()
     }
 
     /// Adds a device *lazily*: the placement switches immediately, but no
@@ -800,53 +826,44 @@ impl StorageCluster {
     ///
     /// Only computed placement makes this cheap: both the old and the new
     /// mapping are pure functions, so serving from either side needs no
-    /// per-block forwarding table.
+    /// per-block forwarding table. A migration already in flight is not
+    /// drained first: the change stacks on it.
     ///
     /// # Errors
     ///
-    /// Same validation as [`StorageCluster::add_device`]. Any migration
-    /// already in flight is drained first.
+    /// The validation errors of [`StorageCluster::add_device`], with no
+    /// effect.
     pub fn add_device_lazy(&mut self, id: u64, capacity_blocks: u64) -> Result<u64, VdsError> {
+        self.stage_add(id, capacity_blocks, DeviceProfile::default())?;
+        Ok(self.pending_blocks())
+    }
+
+    /// Validates, gates and installs adding device `id`; moves no data.
+    fn stage_add(
+        &mut self,
+        id: u64,
+        capacity_blocks: u64,
+        profile: DeviceProfile,
+    ) -> Result<(), VdsError> {
         if self.devices.contains_key(&id) {
             return Err(VdsError::InvalidConfig {
                 reason: "duplicate device id",
             });
         }
-        self.drain_pending()?;
+        let strategy = self.admit(&self.member_bins(None, Some((id, capacity_blocks)))?, id)?;
         self.devices.insert(
             id,
-            Device::with_profile(
-                id,
-                capacity_blocks,
-                self.shard_len(),
-                DeviceProfile::default(),
-            ),
+            Device::with_profile(id, capacity_blocks, self.shard_len(), profile),
         );
-        let new_strategy = self.build_strategy()?;
-        let old_strategy = self
-            .strategy
-            .replace(new_strategy)
-            .expect("strategy always present");
-        // The target mapping changed, so cached placements are stale even
-        // though no data has moved yet; pending blocks additionally bypass
-        // the cache until migrated (see `effective_placement`), and
-        // `migrate_batch` refreshes rows as it drains them.
-        self.placement_epoch += 1;
-        let remaining: BTreeSet<u64> = self.blocks.iter().copied().collect();
-        let count = remaining.len() as u64;
-        self.pending = Some(PendingMigration {
-            old_strategy,
-            remaining,
-        });
-        Ok(count)
+        self.install(strategy);
+        Ok(())
     }
 
-    /// Blocks still awaiting lazy migration.
+    /// Blocks still awaiting migration.
     #[must_use]
     pub fn pending_blocks(&self) -> u64 {
-        self.pending
-            .as_ref()
-            .map_or(0, |p| p.remaining.len() as u64)
+        // The newest layer holds every block an older one does.
+        self.pending.last().map_or(0, |l| l.blocks.len() as u64)
     }
 
     /// Migrates up to `max_blocks` pending blocks (lowest addresses first)
@@ -863,55 +880,48 @@ impl StorageCluster {
     /// # Errors
     ///
     /// Device I/O errors and [`VdsError::DataLoss`] if a pending block
-    /// became unrecoverable. Blocks of a failed chunk stay pending; if a
-    /// device failed mid-migration run [`StorageCluster::rebuild`], which
-    /// absorbs the remaining migration.
+    /// became unrecoverable. The failing chunk has no effect: its blocks
+    /// and every later one stay pending and readable at their old homes,
+    /// and a later call (or [`StorageCluster::rebalance`]) resumes the
+    /// drain. If a device failed mid-migration, run
+    /// [`StorageCluster::rebuild`], which stacks on the remaining
+    /// migration and drains both.
     pub fn migrate_batch(&mut self, max_blocks: u64) -> Result<MigrationReport, VdsError> {
         let mut report = MigrationReport::default();
-        let Some(mut pending) = self.pending.take() else {
-            return Ok(report);
-        };
-        let take = max_blocks.min(pending.remaining.len() as u64) as usize;
-        let lbas: Vec<u64> = pending.remaining.iter().copied().take(take).collect();
+        let mut lbas: Vec<u64> = Vec::new();
         let mut old_flat: Vec<u64> = Vec::new();
-        let mut failure = None;
-        for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            // `add_device_lazy` bumped the epoch once and any later change
-            // drains or absorbs this migration first, so the old strategy
-            // is the one in force at the previous epoch.
+        self.drop_drained_layers();
+        while let Some((newest, older)) = self.pending.split_last() {
+            let take = (max_blocks - report.blocks).min(MIGRATION_CHUNK_BLOCKS as u64);
+            if take == 0 {
+                break;
+            }
+            lbas.clear();
+            lbas.extend(newest.blocks.iter().take(take as usize));
+            // Each change bumps the epoch once, so the newest layer's
+            // strategy is the one in force at the previous epoch; blocks
+            // an older layer still holds sit where that layer put them.
             self.cached_flat(
-                &pending.old_strategy,
+                &newest.strategy,
                 self.placement_epoch - 1,
-                chunk,
+                &lbas,
                 &mut old_flat,
             );
-            match self.rebalance_chunk(chunk, &old_flat, false) {
-                Ok(r) => {
-                    report.merge(r);
-                    // The chunk is an ascending prefix of the pending set,
-                    // so one O(log n) split drops it instead of a
-                    // per-block remove.
-                    let bound = chunk.last().expect("chunks are non-empty") + 1;
-                    pending.remaining = pending.remaining.split_off(&bound);
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
+            overlay_old(older, &lbas, &mut old_flat);
+            report.merge(self.rebalance_chunk(&lbas, &old_flat)?);
+            // The chunk is an ascending prefix of the newest layer, which
+            // contains every older one, so one split per layer drops it.
+            let bound = lbas.last().expect("drained layers are dropped") + 1;
+            for layer in &mut self.pending {
+                layer.blocks = layer.blocks.split_off(&bound);
             }
+            self.drop_drained_layers();
         }
-        if !pending.remaining.is_empty() {
-            self.pending = Some(pending);
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        Ok(report)
     }
 
-    /// Drains the entire in-flight lazy migration
-    /// ([`StorageCluster::migrate_batch`] without a budget). With no
-    /// migration in flight this is a no-op.
+    /// Drains every pending block ([`StorageCluster::migrate_batch`]
+    /// without a budget). With no migration in flight this is a no-op.
     ///
     /// # Errors
     ///
@@ -920,41 +930,53 @@ impl StorageCluster {
         self.migrate_batch(u64::MAX)
     }
 
-    /// Completes any in-flight lazy migration synchronously.
-    fn drain_pending(&mut self) -> Result<(), VdsError> {
-        while self.pending.is_some() {
-            self.migrate_batch(u64::MAX)?;
+    /// Drops the layers no block is left in. Once the last goes the
+    /// migration is complete, and every online device outside the target
+    /// strategy (a removal, drained by copy) leaves the map.
+    fn drop_drained_layers(&mut self) {
+        let before = self.pending.len();
+        self.pending.retain(|l| !l.blocks.is_empty());
+        if before == 0 || !self.pending.is_empty() {
+            return;
         }
-        Ok(())
+        let members = self
+            .strategy
+            .as_ref()
+            .expect("strategy always present")
+            .bin_ids();
+        self.devices.retain(|_, d| {
+            let stays = d.state() != DeviceState::Online || members.contains(&BinId(d.id()));
+            debug_assert!(
+                stays || d.used_blocks() == 0,
+                "graceful removal must drain the device"
+            );
+            stays
+        });
     }
 
     /// Batch-computes the *effective* placement of every `lbas[j]` into
     /// `out` as one flat stride-k run of raw device ids: every block's
     /// target placement comes from its current-epoch cache row or the
     /// scan ([`StorageCluster::cached_flat`], which counts no hit or
-    /// miss), then blocks still awaiting lazy migration are overwritten
-    /// with their old placement.
+    /// miss), then blocks still awaiting migration are overwritten with
+    /// their old placement.
     fn effective_flat(&self, lbas: &[u64], out: &mut Vec<u64>) {
         self.cached_flat(self.strategy(), self.placement_epoch, lbas, out);
-        if let Some(p) = &self.pending {
-            p.overlay_old(lbas, out);
-        }
+        overlay_old(&self.pending, lbas, out);
     }
 
     /// Migrates one chunk of blocks from their `old_flat` placements (flat
     /// stride-k device ids, parallel to `lbas`) to the current target
     /// strategy. Blocks whose placement is unchanged are skipped without
-    /// touching any device — unless `repair_unchanged` is set, in which
-    /// case blocks missing a shard at an unchanged location are re-stored
-    /// (the membership-change path repairs latent losses in passing).
-    /// Resident cache rows of the chunk are rewritten with the target
-    /// placement under the current epoch, whatever the I/O outcome: the
-    /// row records the strategy, not where the shards are.
+    /// touching any device; latent shard losses are
+    /// [`StorageCluster::repair`]'s job. Resident cache rows of the chunk
+    /// are rewritten with the target placement under the current epoch,
+    /// whatever the I/O outcome: the row records the strategy, not where
+    /// the shards are.
     fn rebalance_chunk(
         &mut self,
         lbas: &[u64],
         old_flat: &[u64],
-        repair_unchanged: bool,
     ) -> Result<MigrationReport, VdsError> {
         let k = self.redundancy.total_shards();
         let mut report = MigrationReport {
@@ -969,20 +991,13 @@ impl StorageCluster {
                 self.cache.refresh(lba, self.placement_epoch, ids);
             }
         }
-        let mut work: Vec<usize> = Vec::new();
-        for (j, &lba) in lbas.iter().enumerate() {
-            let old = &old_flat[j * k..(j + 1) * k];
-            let new = &new_flat[j * k..(j + 1) * k];
-            if old != new
-                || (repair_unchanged
-                    && new
-                        .iter()
-                        .enumerate()
-                        .any(|(i, id)| !self.devices.get(id).is_some_and(|d| d.has(&(lba, i)))))
-            {
-                work.push(j);
-            }
-        }
+        let work: Vec<usize> = old_flat
+            .chunks_exact(k)
+            .zip(new_flat.chunks_exact(k))
+            .enumerate()
+            .filter(|(_, (old, new))| old != new)
+            .map(|(j, _)| j)
+            .collect();
         if work.is_empty() {
             return Ok(report);
         }
@@ -1040,8 +1055,8 @@ impl StorageCluster {
     /// (indices into `lbas`) loads its group once, reconstructs what's
     /// missing, and queues device-level ops per device. Apply: each
     /// device's queue runs removes first, so freed capacity is visible to
-    /// this chunk's own stores on the same device. A failed gather applies
-    /// nothing.
+    /// this chunk's own stores on the same device. Every queue is
+    /// validated before any is applied, so an `Err` applies nothing.
     fn execute_block_ops(
         &mut self,
         lbas: &[u64],
@@ -1061,11 +1076,28 @@ impl StorageCluster {
                 &mut outcome,
             )?;
         }
-        // Stores must land on a live device; removes tolerate a vanished
-        // one (a shard's old home may already be failed or dropped).
+        // Stores must land on an online device with room for its new
+        // shards once its own removes have landed; removes tolerate a
+        // vanished device (a shard's old home may be failed or dropped).
         for (&dev, queue) in &queues {
-            if !queue.stores.is_empty() && !self.devices.contains_key(&dev) {
-                return Err(VdsError::UnknownDevice { id: dev });
+            if queue.stores.is_empty() {
+                continue;
+            }
+            let device = self
+                .devices
+                .get(&dev)
+                .ok_or(VdsError::UnknownDevice { id: dev })?;
+            if device.state() != DeviceState::Online {
+                return Err(VdsError::DeviceFailed { id: dev });
+            }
+            let freed = queue.removes.iter().filter(|key| device.has(key)).count();
+            let added = queue
+                .stores
+                .iter()
+                .filter(|(lba, copy, _)| !device.has(&(*lba, *copy)))
+                .count();
+            if device.used_blocks() + added as u64 > device.capacity_blocks() + freed as u64 {
+                return Err(VdsError::OutOfSpace { id: dev });
             }
         }
         for (dev, queue) in queues {
@@ -1086,42 +1118,35 @@ impl StorageCluster {
         Ok(outcome)
     }
 
-    /// Gracefully removes a device, migrating its shards away first.
+    /// Gracefully removes a device: it leaves the target placement at
+    /// once, and the map once [`StorageCluster::rebalance`] has copied its
+    /// shards off.
     ///
     /// # Errors
     ///
     /// * [`VdsError::UnknownDevice`] if no such device exists.
     /// * [`VdsError::OutOfSpace`] (naming `id`), with no effect, if the
     ///   stored blocks exceed Lemma 2.2's `B_max` over the surviving
-    ///   online devices ([`rshare_core::capacity::max_balls`]).
-    /// * Placement errors if too few devices would remain.
+    ///   members ([`rshare_core::capacity::max_balls`]).
+    /// * Placement errors, with no effect, if too few devices would remain.
+    /// * Migration errors from [`StorageCluster::rebalance`]. The device
+    ///   stays in the map, outside every later placement, until its shards
+    ///   have drained; blocks not yet drained stay readable at their old
+    ///   homes and counted by [`StorageCluster::pending_blocks`], and
+    ///   `rebalance()` resumes the drain.
     pub fn remove_device(&mut self, id: u64) -> Result<MigrationReport, VdsError> {
-        if !self.devices.contains_key(&id) {
-            return Err(VdsError::UnknownDevice { id });
-        }
-        // Build the post-removal strategy first so a placement failure
-        // (too few devices) leaves the cluster untouched; the leaving
-        // device stays in the pool during the migration so its shards are
-        // read (drained) rather than reconstructed.
-        let bins = self
+        let device = self
             .devices
-            .values()
-            .filter(|d| d.id() != id && d.state() == DeviceState::Online)
-            .map(|d| Bin::new(d.id(), d.capacity_blocks()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let set = BinSet::new(bins)?;
-        let new_strategy = RedundantShare::new(&set, self.redundancy.total_shards())?;
-        self.admit(|d| d.id() != id, id)?;
-        let report = self.replace_strategy(new_strategy)?;
-        // Presence was checked at entry and `&mut self` rules out any
-        // interleaving removal, so the entry is still there.
-        let drained = self.devices.remove(&id).expect("checked above");
-        debug_assert_eq!(
-            drained.used_blocks(),
-            0,
-            "graceful removal must drain the device"
-        );
-        Ok(report)
+            .get(&id)
+            .ok_or(VdsError::UnknownDevice { id })?;
+        let failed = device.state() == DeviceState::Failed;
+        let strategy = self.admit(&self.member_bins(Some(id), None)?, id)?;
+        if failed {
+            // Nothing to copy off: its shards are rebuilt from redundancy.
+            self.devices.remove(&id);
+        }
+        self.install(strategy);
+        self.rebalance()
     }
 
     /// Marks a device as crashed; its contents are lost and reads degrade
@@ -1139,53 +1164,68 @@ impl StorageCluster {
         Ok(())
     }
 
-    /// Re-protects all data after failures: drops failed devices, rebuilds
-    /// the placement over the survivors, reconstructs lost shards from
-    /// redundancy and migrates shards to their new locations.
+    /// Re-protects all data after failures: drops failed devices, places
+    /// over the survivors, reconstructs lost shards from redundancy and
+    /// migrates shards to their new locations. Without a failed device it
+    /// only resumes any pending migration ([`StorageCluster::rebalance`]).
     ///
     /// # Errors
     ///
     /// * [`VdsError::OutOfSpace`] (naming the first failed device), with
     ///   no effect, if the stored blocks exceed Lemma 2.2's `B_max` over
-    ///   the online devices ([`rshare_core::capacity::max_balls`]).
+    ///   the surviving members ([`rshare_core::capacity::max_balls`]).
     /// * Placement errors, with no effect, if too few devices survive.
-    /// * [`VdsError::DataLoss`] if any block lost more shards than the
-    ///   redundancy tolerates.
+    /// * Migration errors from [`StorageCluster::rebalance`], such as
+    ///   [`VdsError::DataLoss`] if a block lost more shards than the
+    ///   redundancy tolerates. The failed devices have left the map and
+    ///   the new placement is installed; every other block not yet
+    ///   drained stays readable and pending, and `rebalance()` resumes
+    ///   the drain.
     pub fn rebuild(&mut self) -> Result<MigrationReport, VdsError> {
-        let failed: Vec<u64> = self
+        let Some(blame) = self
             .devices
             .values()
-            .filter(|d| d.state() == DeviceState::Failed)
+            .find(|d| d.state() == DeviceState::Failed)
             .map(Device::id)
-            .collect();
-        // The strategy only sees online devices, so it is built before the
-        // failed ones leave the map: a placement error changes nothing.
-        let new_strategy = self.build_strategy()?;
-        if let Some(&first) = failed.first() {
-            self.admit(|_| true, first)?;
-        }
-        for id in &failed {
-            self.devices.remove(id);
-        }
-        self.replace_strategy(new_strategy)
+        else {
+            return self.rebalance();
+        };
+        let strategy = self.admit(&self.member_bins(None, None)?, blame)?;
+        self.devices.retain(|_, d| d.state() != DeviceState::Failed);
+        self.install(strategy);
+        self.rebalance()
     }
 
-    /// Admission gate for a shrinking membership change: the stored blocks
-    /// must fit Lemma 2.2's `B_max` over the online devices that `stay`,
-    /// or the change could only fail part-way. Rejects with `OutOfSpace`
-    /// naming `blame`, the device whose departure is refused.
-    fn admit(&self, stays: impl Fn(&Device) -> bool, blame: u64) -> Result<(), VdsError> {
-        let mut capacities: Vec<u64> = self
-            .devices
-            .values()
-            .filter(|d| d.state() == DeviceState::Online && stays(d))
-            .map(Device::capacity_blocks)
-            .collect();
-        capacities.sort_unstable_by(|a, b| b.cmp(a));
-        if max_balls(&capacities, self.redundancy.total_shards()) < self.block_count() {
+    /// Builds the strategy over `set`, then gates it: the stored blocks
+    /// must fit Lemma 2.2's `B_max` over `set`, or the change could only
+    /// fail part-way. Rejects with `OutOfSpace` naming `blame`, the device
+    /// whose change is refused.
+    fn admit(&self, set: &BinSet, blame: u64) -> Result<RedundantShare, VdsError> {
+        let k = self.redundancy.total_shards();
+        let strategy = RedundantShare::new(set, k)?;
+        // `BinSet` keeps its bins in descending capacity order.
+        let capacities: Vec<u64> = set.bins().iter().map(Bin::capacity).collect();
+        if max_balls(&capacities, k) < self.block_count() {
             return Err(VdsError::OutOfSpace { id: blame });
         }
-        Ok(())
+        Ok(strategy)
+    }
+
+    /// Makes `strategy` the target and records the change as the newest
+    /// pending layer, holding every stored block: each still sits where
+    /// the outgoing strategy, or an older layer, put it. Bumps the epoch
+    /// exactly once, so rows at the previous epoch hold the outgoing
+    /// strategy's placements.
+    fn install(&mut self, strategy: RedundantShare) {
+        let outgoing = self
+            .strategy
+            .replace(strategy)
+            .expect("strategy always present");
+        self.placement_epoch += 1;
+        self.pending.push(MigrationLayer {
+            strategy: outgoing,
+            blocks: self.blocks.clone(),
+        });
     }
 
     /// Verifies that every block is readable; returns the number of blocks
@@ -1304,25 +1344,12 @@ impl StorageCluster {
                 reason: "duplicate device id",
             });
         }
-        let mut bins: Vec<Bin> = self
-            .devices
-            .values()
-            .filter(|d| d.state() == DeviceState::Online)
-            .map(|d| Bin::new(d.id(), d.capacity_blocks()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let online_capacity: u64 = self
-            .devices
-            .values()
-            .filter(|d| d.state() == DeviceState::Online)
-            .map(Device::capacity_blocks)
-            .sum();
-        bins.push(Bin::new(id, capacity_blocks)?);
+        let set = self.member_bins(None, Some((id, capacity_blocks)))?;
         // Fair minimum (Lemma 3.2): any strategy must move the new
         // device's capacity share of all shards onto it.
         let shards_total = self.blocks.len() as f64 * self.redundancy.total_shards() as f64;
-        let fair_min =
-            shards_total * capacity_blocks as f64 / (online_capacity + capacity_blocks) as f64;
-        self.plan_against(&BinSet::new(bins)?, fair_min)
+        let fair_min = shards_total * capacity_blocks as f64 / set.total_capacity() as f64;
+        self.plan_against(&set, fair_min)
     }
 
     /// Dry-runs removing a device: returns the migration plan without
@@ -1336,16 +1363,10 @@ impl StorageCluster {
             .devices
             .get(&id)
             .ok_or(VdsError::UnknownDevice { id })?;
-        let bins: Vec<Bin> = self
-            .devices
-            .values()
-            .filter(|d| d.id() != id && d.state() == DeviceState::Online)
-            .map(|d| Bin::new(d.id(), d.capacity_blocks()))
-            .collect::<Result<Vec<_>, _>>()?;
         // Fair minimum (Lemma 3.2): the shards resident on the leaving
         // device must move, whatever the strategy.
         let fair_min = leaving.used_blocks() as f64;
-        self.plan_against(&BinSet::new(bins)?, fair_min)
+        self.plan_against(&self.member_bins(Some(id), None)?, fair_min)
     }
 
     /// Dry-runs [`StorageCluster::rebuild`]: the migration plan for
@@ -1362,13 +1383,7 @@ impl StorageCluster {
             .filter(|d| d.state() == DeviceState::Failed)
             .map(Device::id)
             .collect();
-        let bins: Vec<Bin> = self
-            .devices
-            .values()
-            .filter(|d| d.state() == DeviceState::Online)
-            .map(|d| Bin::new(d.id(), d.capacity_blocks()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut plan = self.plan_against(&BinSet::new(bins)?, 0.0)?;
+        let mut plan = self.plan_against(&self.member_bins(None, None)?, 0.0)?;
         // Fair minimum: every shard placed on a failed device must move,
         // and the candidate excludes failed devices, so those shards are
         // exactly the moves leaving them.
@@ -1469,10 +1484,9 @@ impl StorageCluster {
     }
 
     /// Number of blocks currently missing at least one shard from its
-    /// computed location. Places every block through
-    /// [`StorageCluster::effective_flat`], which reads current cache rows
-    /// without counting a hit or a miss, so scrape-time accounting does
-    /// not distort the cache hit/miss series.
+    /// computed location. Places every block in bulk from current cache
+    /// rows without counting a hit or a miss, so scrape-time accounting
+    /// does not distort the cache hit/miss series.
     #[must_use]
     pub fn degraded_block_count(&self) -> u64 {
         let k = self.redundancy.total_shards();
@@ -1636,7 +1650,7 @@ impl StorageCluster {
             (
                 "device_writes_total",
                 "counter",
-                "Shard writes absorbed",
+                "Shard writes stored",
                 |d| d.stats().writes,
             ),
             ("device_bytes_read_total", "counter", "Bytes read", |d| {
@@ -1680,45 +1694,6 @@ impl StorageCluster {
                 sample_line(out, name, &[("device", id.as_str())], value(dev));
             }
         }
-    }
-
-    /// Swaps in a new placement strategy and migrates every shard whose
-    /// computed location changed, through the batched executor.
-    /// Shards whose old location is gone are reconstructed from the
-    /// group's redundancy (each degraded stripe is decoded exactly once,
-    /// however many of its shards need rebuilding).
-    fn replace_strategy(
-        &mut self,
-        new_strategy: RedundantShare,
-    ) -> Result<MigrationReport, VdsError> {
-        let old_strategy = self
-            .strategy
-            .replace(new_strategy)
-            .expect("strategy always present");
-        // One epoch bump per change: rows stamped with the previous epoch
-        // still hold the old strategy's placements, which the migration
-        // reads as its old side, and `rebalance_chunk` rewrites each
-        // resident row with the new placement under the new epoch.
-        self.placement_epoch += 1;
-        // Any in-flight lazy migration is absorbed: blocks it had not yet
-        // moved are gathered from their true (pre-lazy-change) locations.
-        let absorbed = self.pending.take();
-        let lbas: Vec<u64> = self.blocks.iter().copied().collect();
-        let mut report = MigrationReport::default();
-        let mut old_flat: Vec<u64> = Vec::new();
-        for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            self.cached_flat(
-                &old_strategy,
-                self.placement_epoch - 1,
-                chunk,
-                &mut old_flat,
-            );
-            if let Some(p) = &absorbed {
-                p.overlay_old(chunk, &mut old_flat);
-            }
-            report.merge(self.rebalance_chunk(chunk, &old_flat, true)?);
-        }
-        Ok(report)
     }
 
     /// Fills the `None` entries of a shard vector using the redundancy.
@@ -2285,16 +2260,18 @@ mod tests {
     }
 
     #[test]
-    fn eager_operations_drain_lazy_migration_first() {
+    fn eager_operations_stack_on_lazy_migration() {
         let mut c = mirror_cluster();
         for lba in 0..300u64 {
             c.write_block(lba, &block(lba as u8, 64)).unwrap();
         }
         c.add_device_lazy(9, 10_000).unwrap();
         assert!(c.pending_blocks() > 0);
-        // An eager removal forces the pending migration to finish first.
+        // An eager removal stacks on the pending migration and drains
+        // both.
         c.remove_device(0).unwrap();
         assert_eq!(c.pending_blocks(), 0);
+        assert!(c.device(0).is_none(), "the drained device left the map");
         assert_eq!(c.scrub().unwrap(), 0);
         for lba in (0..300u64).step_by(11) {
             assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
@@ -2468,7 +2445,7 @@ mod tests {
         c.add_device_lazy(9, 9_000).unwrap();
         for _ in 0..3 {
             c.migrate_batch(blocks.div_ceil(3)).unwrap();
-            let pending = c.pending.as_ref().map(|p| p.remaining.clone());
+            let pending = c.pending.last().map(|l| l.blocks.clone());
             let drained =
                 || (0..blocks).filter(|l| pending.as_ref().is_none_or(|p| !p.contains(l)));
             assert_bulk_passes_count_nothing(&c);
@@ -2477,30 +2454,35 @@ mod tests {
         }
         assert_eq!(c.pending_blocks(), 0);
 
-        // A change whose second chunk fails: both copies of one of its
-        // blocks are gone, so the gather errors before anything lands.
-        let lost = MIGRATION_CHUNK_BLOCKS as u64 + 7;
+        // A change whose second chunk fails: both copies of a block it
+        // moves are gone, so the gather errors before anything lands.
+        let drained = MIGRATION_CHUNK_BLOCKS as u64;
+        let lost = c
+            .plan_add_device(10, 11_000)
+            .unwrap()
+            .moves
+            .iter()
+            .map(|m| m.lba)
+            .filter(|l| (drained..2 * drained).contains(l))
+            .min()
+            .unwrap();
         assert!(c.inject_shard_loss(lost, 0) && c.inject_shard_loss(lost, 1));
+        let before: Vec<Vec<u64>> = (0..blocks).map(|lba| c.placement(lba)).collect();
         let err = c.add_device(10, 11_000).unwrap_err();
         assert!(
             matches!(err, VdsError::DataLoss { lba } if lba == lost),
             "{err:?}"
         );
         assert_bulk_passes_count_nothing(&c);
-        // Rows of the chunks the change reached were rewritten under the
-        // new epoch; the later chunks' rows are stale and miss.
-        let reached = 2 * MIGRATION_CHUNK_BLOCKS as u64;
-        let (computed, misses) = (c.placements_computed(), c.cache_stats().misses);
-        for lba in 0..reached {
-            let _ = c.placement(lba);
+        // The first chunk drained: its rows were rewritten under the new
+        // epoch, so its reads hit and it matches the fresh twin. The
+        // failed chunk and every later one keep their old placement.
+        assert_eq!(c.pending_blocks(), blocks - drained);
+        assert_reads_hit(&c, 0..drained);
+        assert_matches_fresh(&c, 0..drained);
+        for lba in drained..blocks {
+            assert_eq!(c.placement(lba), before[lba as usize], "lba {lba}");
         }
-        assert_eq!(c.placements_computed(), computed);
-        assert_eq!(c.cache_stats().misses, misses);
-        for lba in reached..blocks {
-            let _ = c.placement(lba);
-        }
-        assert_eq!(c.cache_stats().misses, misses + (blocks - reached));
-        assert_matches_fresh(&c, 0..blocks);
     }
 
     #[test]
@@ -2540,6 +2522,182 @@ mod tests {
         let err = c.rebuild().unwrap_err();
         assert!(matches!(err, VdsError::OutOfSpace { id: 3 }), "{err:?}");
         assert_untouched(&c);
+    }
+
+    #[test]
+    fn failed_migration_chunk_has_no_effect() {
+        let mut c = mirror_cluster();
+        for lba in 0..1_200u64 {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        c.add_device_lazy(9, 10_000).unwrap();
+        c.migrate_batch(300).unwrap();
+        // The target fails between budgets: the next chunk's stores to it
+        // are refused before any device is touched, removes included.
+        c.fail_device(9).unwrap();
+        let reads = |c: &StorageCluster| -> Vec<Option<Vec<u8>>> {
+            (0..1_200u64).map(|lba| c.read_block(lba).ok()).collect()
+        };
+        let (util, degraded, before) = (c.utilization(), c.degraded_block_count(), reads(&c));
+        let err = c.migrate_batch(u64::MAX).unwrap_err();
+        assert!(matches!(err, VdsError::DeviceFailed { id: 9 }), "{err:?}");
+        assert_eq!(c.utilization(), util);
+        assert_eq!(c.degraded_block_count(), degraded);
+        assert_eq!(reads(&c), before);
+        assert_eq!(c.pending_blocks(), 900);
+    }
+
+    /// Blocks of the chunked test clusters: four migration chunks, so an
+    /// error can land in a middle one.
+    const CHUNKED_BLOCKS: u64 = 3 * MIGRATION_CHUNK_BLOCKS as u64 + 1_000;
+
+    /// Eight devices holding `CHUNKED_BLOCKS` blocks, with room to lose
+    /// one device under either test redundancy.
+    fn chunked_cluster(redundancy: Redundancy) -> StorageCluster {
+        let mut b = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(redundancy);
+        for id in 0..8u64 {
+            b = b.device(id, 20_000 + 1_000 * id);
+        }
+        let mut c = b.build().unwrap();
+        let lbas: Vec<u64> = (0..CHUNKED_BLOCKS).collect();
+        let data: Vec<u8> = lbas.iter().flat_map(|&l| block(l as u8, 64)).collect();
+        c.write_blocks(&lbas, &data).unwrap();
+        c
+    }
+
+    const CHANGE_REDUNDANCIES: [Redundancy; 2] = [
+        Redundancy::Mirror { copies: 2 },
+        Redundancy::ReedSolomon { data: 4, parity: 2 },
+    ];
+
+    /// Asserts every block except `skip` reads back its written value.
+    fn assert_blocks_read(c: &StorageCluster, skip: Option<u64>) {
+        let mut buf = vec![0u8; 64];
+        for lba in (0..CHUNKED_BLOCKS).filter(|&l| Some(l) != skip) {
+            c.read_block_into(lba, &mut buf).unwrap();
+            assert_eq!(buf, block(lba as u8, 64), "lba {lba}");
+        }
+    }
+
+    /// Runs a membership change on a chunked cluster after `prepare`,
+    /// with the first block of the second chunk that `plan` moves made
+    /// unrecoverable. Asserts the change fails on that block, every other
+    /// block still reads its value, and exactly the first chunk drained.
+    /// Then rewrites the lost block and returns the cluster.
+    fn fail_in_second_chunk(
+        redundancy: Redundancy,
+        prepare: impl FnOnce(&mut StorageCluster),
+        plan: impl FnOnce(&StorageCluster) -> Result<MigrationPlan, VdsError>,
+        change: impl FnOnce(&mut StorageCluster) -> Result<MigrationReport, VdsError>,
+    ) -> StorageCluster {
+        let mut c = chunked_cluster(redundancy);
+        prepare(&mut c);
+        let chunk = MIGRATION_CHUNK_BLOCKS as u64;
+        let lost = plan(&c)
+            .unwrap()
+            .moves
+            .iter()
+            .map(|m| m.lba)
+            .filter(|l| (chunk..2 * chunk).contains(l))
+            .min()
+            .expect("the change moves a block of the second chunk");
+        for copy in 0..=redundancy.tolerated_failures() {
+            c.inject_shard_loss(lost, copy);
+        }
+        let err = change(&mut c).unwrap_err();
+        assert!(
+            matches!(err, VdsError::DataLoss { lba } if lba == lost),
+            "{redundancy:?}: {err:?}"
+        );
+        assert_eq!(c.pending_blocks(), CHUNKED_BLOCKS - chunk);
+        assert_blocks_read(&c, Some(lost));
+        c.write_block(lost, &block(lost as u8, 64)).unwrap();
+        c
+    }
+
+    /// Asserts `c` has drained into the cluster a fresh build over its
+    /// devices would be, every block intact and fully redundant.
+    fn assert_settled(c: &mut StorageCluster) {
+        assert_eq!(c.pending_blocks(), 0);
+        assert_matches_fresh(c, 0..CHUNKED_BLOCKS);
+        assert_blocks_read(c, None);
+        assert_eq!(c.scrub().unwrap(), 0);
+    }
+
+    #[test]
+    fn failed_add_device_leaves_every_block_readable() {
+        for redundancy in CHANGE_REDUNDANCIES {
+            let mut c = fail_in_second_chunk(
+                redundancy,
+                |_| {},
+                |c| c.plan_add_device(8, 20_000),
+                |c| c.add_device(8, 20_000),
+            );
+            c.rebalance().unwrap();
+            assert_settled(&mut c);
+        }
+    }
+
+    #[test]
+    fn failed_remove_device_leaves_every_block_readable() {
+        for redundancy in CHANGE_REDUNDANCIES {
+            let mut c = fail_in_second_chunk(
+                redundancy,
+                |_| {},
+                |c| c.plan_remove_device(7),
+                |c| c.remove_device(7),
+            );
+            assert!(c.device(7).is_some(), "device 7 stays until drained");
+            // An add stacked on the unfinished removal does not re-admit
+            // the leaving device, and its plan predicts it exactly.
+            let plan = c.plan_add_device(8, 20_000).unwrap();
+            assert!(plan.moves.iter().all(|m| m.to != 7));
+            let report = c.add_device(8, 20_000).unwrap();
+            assert_eq!(plan.moves.len() as u64, report.shards_moved);
+            assert!(c.device(7).is_none(), "device 7 left once drained");
+            assert_eq!(c.rebalance().unwrap(), MigrationReport::default());
+            assert_settled(&mut c);
+        }
+    }
+
+    #[test]
+    fn failed_rebuild_leaves_every_block_readable() {
+        for redundancy in CHANGE_REDUNDANCIES {
+            let mut c = fail_in_second_chunk(
+                redundancy,
+                |c| c.fail_device(3).unwrap(),
+                StorageCluster::plan_rebuild,
+                StorageCluster::rebuild,
+            );
+            assert!(c.device(3).is_none(), "failed devices leave first");
+            c.rebalance().unwrap();
+            assert_settled(&mut c);
+        }
+    }
+
+    #[test]
+    fn failed_lazy_drain_leaves_every_block_readable() {
+        for redundancy in CHANGE_REDUNDANCIES {
+            let mut c = chunked_cluster(redundancy);
+            let chunk = MIGRATION_CHUNK_BLOCKS as u64;
+            c.add_device_lazy(8, 20_000).unwrap();
+            c.migrate_batch(chunk).unwrap();
+            // The target fails between chunks; the second chunk's stores
+            // to it are refused, and the chunk changes nothing.
+            c.fail_device(8).unwrap();
+            let degraded = c.degraded_block_count();
+            let err = c.rebalance().unwrap_err();
+            assert!(matches!(err, VdsError::DeviceFailed { id: 8 }), "{err:?}");
+            assert_eq!(c.degraded_block_count(), degraded);
+            assert_eq!(c.pending_blocks(), CHUNKED_BLOCKS - chunk);
+            assert_blocks_read(&c, None);
+            // A rebuild stacks on the unfinished drain and finishes both.
+            c.rebuild().unwrap();
+            assert!(c.device(8).is_none());
+            assert_settled(&mut c);
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum DeviceState {
 pub struct IoStats {
     /// Number of shard reads served.
     pub reads: u64,
-    /// Number of shard writes absorbed.
+    /// Number of shard writes stored.
     pub writes: u64,
     /// Bytes read.
     pub bytes_read: u64,

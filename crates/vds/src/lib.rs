@@ -17,11 +17,13 @@
 //! * Membership changes (`add_device`, `remove_device`, `fail_device` +
 //!   `rebuild`) migrate only the shards whose computed location changed;
 //!   [`MigrationReport`] quantifies the volume the paper's adaptivity
-//!   lemmas bound. Changes can be **dry-run** ([`MigrationPlan`]) or run
-//!   **lazily** (`add_device_lazy` + `migrate_batch`: the mapping
-//!   switches instantly, data follows incrementally — both mappings are
-//!   pure functions, so serving from either side needs no forwarding
-//!   tables).
+//!   lemmas bound. Every change takes one path: the mapping switches
+//!   instantly and data follows chunk by chunk (`rebalance`, or
+//!   `add_device_lazy` + `migrate_batch` to drain incrementally). Both
+//!   mappings are pure functions, so blocks not yet moved are served from
+//!   their old homes with no forwarding table, and a change that fails
+//!   part-way leaves them readable and pending. Changes can also be
+//!   **dry-run** ([`MigrationPlan`]).
 //! * Devices carry [`DeviceProfile`]s; simulated busy time and the
 //!   workload *makespan* turn placement fairness into completion-time
 //!   statements.

@@ -1,8 +1,10 @@
 //! Model-based randomized testing of the storage cluster.
 //!
 //! A long random sequence of operations (write, overwrite, read, device
-//! add, graceful remove, crash + rebuild, scrub) is executed against the
-//! real cluster and a trivial in-memory model (`HashMap<lba, data>`).
+//! add, graceful remove, crash + rebuild, scrub, and changes stacked on a
+//! lazy migration in flight, including a crash between two migration
+//! budgets) is executed against the real cluster and a trivial in-memory
+//! model (`HashMap<lba, data>`).
 //! After every step the cluster must agree with the model on all data —
 //! the strongest end-to-end statement of the redundancy and migration
 //! machinery. Seeds are fixed so failures reproduce.
@@ -60,15 +62,15 @@ impl Harness {
     fn step(&mut self) {
         let roll = self.next() % 100;
         match roll {
-            // 50 %: write or overwrite a block.
-            0..=49 => {
+            // 48 %: write or overwrite a block.
+            0..=47 => {
                 let lba = self.next() % 3_000;
                 let data = self.payload(lba);
                 self.cluster.write_block(lba, &data).expect("write");
                 self.model.insert(lba, data);
             }
             // 25 %: read a (maybe missing) block.
-            50..=74 => {
+            48..=72 => {
                 let lba = self.next() % 3_000;
                 match (self.cluster.read_block(lba), self.model.get(&lba)) {
                     (Ok(got), Some(want)) => assert_eq!(&got, want, "lba {lba}"),
@@ -79,39 +81,46 @@ impl Harness {
                 }
             }
             // 6 %: add a device eagerly.
-            75..=80 => {
-                let id = self.next_device;
-                self.next_device += 1;
-                let cap = 40_000 + self.next() % 40_000;
-                self.cluster.add_device(id, cap).expect("add");
-                self.online.push(id);
-            }
+            73..=78 => self.add_eagerly(),
             // 4 %: add a device lazily, then advance the migration a bit.
-            81..=84 => {
-                let id = self.next_device;
-                self.next_device += 1;
-                let cap = 40_000 + self.next() % 40_000;
-                self.cluster.add_device_lazy(id, cap).expect("lazy add");
-                self.online.push(id);
+            79..=82 => {
+                self.add_lazily();
                 let step = self.next() % 50;
                 self.cluster.migrate_batch(step).expect("migrate batch");
             }
-            // 8 %: gracefully remove a random device (if enough remain).
-            85..=92 => {
-                if self.online.len() > self.min_devices() {
-                    let at = (self.next() as usize) % self.online.len();
-                    let id = self.online.swap_remove(at);
-                    self.cluster.remove_device(id).expect("drain");
+            // 3 %: add a device lazily, then add or remove one eagerly
+            // while its migration is in flight.
+            83..=85 => {
+                self.add_lazily();
+                let step = self.part_budget();
+                self.cluster.migrate_batch(step).expect("migrate batch");
+                if self.next().is_multiple_of(2) {
+                    self.add_eagerly();
+                } else {
+                    self.remove_one();
                 }
             }
-            // 7 %: crash one device and rebuild (within redundancy budget).
-            93..=99 => {
-                if self.online.len() > self.min_devices()
-                    && self.cluster.redundancy().tolerated_failures() >= 1
-                {
-                    let at = (self.next() as usize) % self.online.len();
-                    let id = self.online.swap_remove(at);
-                    self.cluster.fail_device(id).expect("fail");
+            // 7 %: gracefully remove a random device (if enough remain).
+            86..=92 => self.remove_one(),
+            // 4 %: crash one device and rebuild (within redundancy budget).
+            93..=96 => {
+                if self.can_fail() {
+                    self.crash_one();
+                    self.cluster.rebuild().expect("rebuild");
+                }
+            }
+            // 3 %: a lazy add is part-drained, a device crashes between
+            // two budgets, then rebuild. The budget after the crash may
+            // fail (a target is gone); a failed budget changes nothing.
+            97..=99 => {
+                if self.can_fail() {
+                    self.add_lazily();
+                    let step = self.part_budget();
+                    self.cluster.migrate_batch(step).expect("migrate batch");
+                    self.crash_one();
+                    let step = self.part_budget();
+                    let _ = self.cluster.migrate_batch(step);
+                    self.check_reads();
                     self.cluster.rebuild().expect("rebuild");
                 }
             }
@@ -119,15 +128,60 @@ impl Harness {
         }
     }
 
+    /// A migration budget that drains at most half the pending blocks,
+    /// so the migration stays in flight.
+    fn part_budget(&mut self) -> u64 {
+        self.next() % (self.cluster.pending_blocks() / 2 + 1)
+    }
+
+    fn add_eagerly(&mut self) {
+        let id = self.next_device;
+        self.next_device += 1;
+        let cap = 40_000 + self.next() % 40_000;
+        self.cluster.add_device(id, cap).expect("add");
+        self.online.push(id);
+    }
+
+    fn add_lazily(&mut self) {
+        let id = self.next_device;
+        self.next_device += 1;
+        let cap = 40_000 + self.next() % 40_000;
+        self.cluster.add_device_lazy(id, cap).expect("lazy add");
+        self.online.push(id);
+    }
+
+    fn remove_one(&mut self) {
+        if self.online.len() > self.min_devices() {
+            let at = (self.next() as usize) % self.online.len();
+            let id = self.online.swap_remove(at);
+            self.cluster.remove_device(id).expect("drain");
+        }
+    }
+
+    fn can_fail(&self) -> bool {
+        self.online.len() > self.min_devices()
+            && self.cluster.redundancy().tolerated_failures() >= 1
+    }
+
+    fn crash_one(&mut self) {
+        let at = (self.next() as usize) % self.online.len();
+        let id = self.online.swap_remove(at);
+        self.cluster.fail_device(id).expect("fail");
+    }
+
+    /// Every block the model holds reads back its last written value.
+    fn check_reads(&self) {
+        assert_eq!(self.cluster.block_count() as usize, self.model.len());
+        for (lba, want) in &self.model {
+            let got = self.cluster.read_block(*lba).expect("readable");
+            assert_eq!(&got, want, "lba {lba}");
+        }
+    }
+
     fn check_full_agreement(&mut self) {
         // Advance any lazy migration partway so checks run in mixed state.
         self.cluster.migrate_batch(25).expect("migrate batch");
-        assert_eq!(self.cluster.block_count() as usize, self.model.len());
-        let lbas: Vec<u64> = self.model.keys().copied().collect();
-        for lba in lbas {
-            let got = self.cluster.read_block(lba).expect("readable");
-            assert_eq!(&got, self.model.get(&lba).unwrap(), "lba {lba}");
-        }
+        self.check_reads();
         assert_eq!(self.cluster.scrub().expect("scrub"), 0);
     }
 }

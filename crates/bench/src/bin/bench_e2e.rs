@@ -20,10 +20,10 @@
 //!    sides discover the damage themselves; rates are per damaged block.
 //! 6. **Per-block memory** — the `VmRSS` growth of building a 524,288-block
 //!    2-way-mirror cluster of 64 B blocks on 60 devices (perfbench's
-//!    `churn` set-up), measured in a fresh child process once with the
-//!    placement cache off (→ `store_bytes_per_shard`: the shard store plus
-//!    the cluster's per-block bookkeeping, per stored shard) and once with
-//!    it on (the difference → `cache_bytes_per_entry`).
+//!    `churn` set-up), measured in a fresh child process, per stored block
+//!    (→ `bytes_per_block`: its shards in the device store plus its
+//!    block-table row) and per stored shard (→ `store_bytes_per_shard`,
+//!    the same growth over `k` times as many shards).
 //!
 //! Prints tables and writes the raw numbers to `BENCH_e2e.json` (CI
 //! smoke-checks that the file parses). Pass `--quick` to shrink the
@@ -125,8 +125,8 @@ fn vm_rss_bytes() -> u64 {
 
 /// Builds the probe cluster (capacities `1 + id % 4` units, twice the
 /// fair share) and writes every block. Returns the `VmRSS` growth over the
-/// build and the number of cached placements.
-fn memory_probe(cache: bool) -> (u64, u64) {
+/// build and the number of blocks stored.
+fn memory_probe() -> (u64, u64) {
     const CHUNK: u64 = 1024;
     let weight = |id: u64| 1 + id % 4;
     let weight_sum: u64 = (0..MEM_DEVICES).map(weight).sum();
@@ -136,8 +136,7 @@ fn memory_probe(cache: bool) -> (u64, u64) {
     let before = vm_rss_bytes();
     let mut b = StorageCluster::builder()
         .block_size(64)
-        .redundancy(Redundancy::Mirror { copies: MEM_COPIES })
-        .placement_cache(cache);
+        .redundancy(Redundancy::Mirror { copies: MEM_COPIES });
     for id in 0..MEM_DEVICES {
         b = b.device(id, weight(id) * unit);
     }
@@ -152,15 +151,15 @@ fn memory_probe(cache: bool) -> (u64, u64) {
     }
     let grown = vm_rss_bytes().saturating_sub(before);
     black_box(&c);
-    (grown, c.cache_stats().entries)
+    (grown, c.block_count())
 }
 
-/// Runs [`memory_probe`] in a fresh child process, so neither side
-/// inherits the other's freed-but-resident heap.
-fn memory_probe_child(cache: bool) -> (u64, u64) {
+/// Runs [`memory_probe`] in a fresh child process, so it inherits none of
+/// the timing benches' freed-but-resident heap.
+fn memory_probe_child() -> (u64, u64) {
     let exe = std::env::current_exe().expect("own executable path");
     let out = std::process::Command::new(exe)
-        .args([MEM_PROBE_FLAG, if cache { "on" } else { "off" }])
+        .arg(MEM_PROBE_FLAG)
         .output()
         .expect("spawn memory probe");
     assert!(out.status.success(), "memory probe failed");
@@ -169,23 +168,22 @@ fn memory_probe_child(cache: bool) -> (u64, u64) {
         .split_whitespace()
         .map(|v| v.parse::<u64>().expect("number"));
     let grown = fields.next().expect("rss growth");
-    let entries = fields.next().expect("cache entries");
-    (grown, entries)
+    let blocks = fields.next().expect("blocks stored");
+    (grown, blocks)
 }
 
-/// Bytes per stored shard (cache off) and per cached placement.
+/// Bytes per stored block and per stored shard.
 struct Memory {
+    bytes_per_block: f64,
     store_bytes_per_shard: f64,
-    cache_bytes_per_entry: f64,
 }
 
 fn bench_memory() -> Memory {
-    let (off, _) = memory_probe_child(false);
-    let (on, entries) = memory_probe_child(true);
-    assert_eq!(entries, MEM_BLOCKS, "every block's placement cached");
+    let (grown, blocks) = memory_probe_child();
+    assert_eq!(blocks, MEM_BLOCKS, "every block stored");
     Memory {
-        store_bytes_per_shard: off as f64 / (MEM_BLOCKS * MEM_COPIES as u64) as f64,
-        cache_bytes_per_entry: on.saturating_sub(off) as f64 / entries as f64,
+        bytes_per_block: grown as f64 / blocks as f64,
+        store_bytes_per_shard: grown as f64 / (blocks * MEM_COPIES as u64) as f64,
     }
 }
 
@@ -483,9 +481,9 @@ fn to_json(cells: &[Cell], memory: &Memory, quick: bool) -> String {
         memory.store_bytes_per_shard,
     ));
     records.push(Record::new(
-        "cache_bytes_per_entry",
+        "bytes_per_block",
         "bytes",
-        memory.cache_bytes_per_entry,
+        memory.bytes_per_block,
     ));
     s.push_str(&records_json(&records));
     s.push_str(",\n");
@@ -543,9 +541,9 @@ fn records(cells: &[Cell]) -> Vec<Record> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == MEM_PROBE_FLAG) {
-        let (grown, entries) = memory_probe(args.get(i + 1).is_some_and(|v| v == "on"));
-        println!("{grown} {entries}");
+    if args.iter().any(|a| a == MEM_PROBE_FLAG) {
+        let (grown, blocks) = memory_probe();
+        println!("{grown} {blocks}");
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");
@@ -590,9 +588,9 @@ fn main() {
 
     println!(
         "memory ({MEM_BLOCKS} blocks, {MEM_COPIES}-way mirror, 64 B, {MEM_DEVICES} devices): \
-         {} B per stored shard, {} B per cached placement",
+         {} B per stored block, {} B per stored shard",
+        f(memory.bytes_per_block),
         f(memory.store_bytes_per_shard),
-        f(memory.cache_bytes_per_entry),
     );
 
     let json = to_json(&cells, &memory, quick);

@@ -1,53 +1,53 @@
-//! A sharded, epoch-versioned cache of computed placements.
+//! The block table: one row per stored block, holding its placement.
 //!
 //! Redundant Share is deterministic per ball for a fixed bin set (Section 3
 //! of the paper), so between membership changes the mapping
 //! `lba -> [device; k]` is perfectly cacheable. Every membership change
 //! ([`crate::StorageCluster::add_device`] / `remove_device` / `rebuild` /
-//! `add_device_lazy`) bumps a *placement epoch*; cache entries carry the
-//! epoch they were computed under and a lookup rejects a stale entry with
+//! `add_device_lazy`) bumps a *placement epoch*; a row carries the epoch
+//! its placement was computed under and a lookup rejects a stale row with
 //! one integer comparison — no flush, no tombstones, O(1).
+//!
+//! The table is also the cluster's block index: a block has a row exactly
+//! when it is stored, so one probe answers both "is this block stored"
+//! and "where is it". Rows are never evicted, so memory is O(stored
+//! blocks), and a lookup of an unstored address inserts nothing.
 //!
 //! The invariant every writer keeps: a row stamped with epoch `e` equals
 //! strategy `e`'s placement of its block. Bulk passes rely on it twice —
 //! a migration reads a block's old placement from a row still stamped
-//! with the previous epoch ([`PlacementCache::peek`]) and, once it has
-//! computed the new one, rewrites the row in place under the current epoch
-//! ([`PlacementCache::refresh`]), so the first request after a membership
+//! with the previous epoch ([`BlockTable::peek`]) and, once it has
+//! computed the new one, restamps the row under the current epoch
+//! ([`BlockTable::stamp`]), so the first request after a membership
 //! change hits.
 //!
-//! Each map shard is a [`Table`] of rows `[lba, epoch + 1, ids[k]]`,
-//! with `k` (the cluster's group width) fixed at build: a cached
-//! placement costs `8·(k + 2)` bytes plus the table's slack, no heap
-//! allocation, and a lookup is one probe. A hit is handed out as an
-//! [`InlinePlacement`]. The map is sharded by a hash of the block address
-//! and each shard is guarded by its own mutex, so concurrent readers
-//! sharing a [`crate::SharedCluster`] do not serialise on one lock.
+//! The table is split into 16 [`Table`] shards of rows
+//! `[lba, epoch + 1, ids[k]]` by a hash of the block address, with `k`
+//! (the cluster's group width) fixed at build: a row costs `8·(k + 2)`
+//! bytes plus the table's slack, no heap allocation, and a lookup is one
+//! probe that hands the ids out by reference. A shard's doubling copies
+//! only its own rows, so growth never holds two copies of the whole
+//! table. The cluster mutates the table only under `&mut self`, so it
+//! needs no lock: readers sharing a [`crate::SharedCluster`] probe it in
+//! parallel and touch only the atomic hit and miss counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::table::Table;
 
-/// Widest redundancy group a cache lookup can return inline. Wider groups
-/// (e.g. large LRCs) simply bypass the cache rather than spilling to the
-/// heap — placement stays correct, just uncached.
+/// Widest redundancy group whose computed placement the read and write
+/// paths hold inline (no heap); wider groups (e.g. large LRCs) are
+/// computed into a `Vec`. Rows cache placements of any width.
 pub const MAX_CACHED_SHARDS: usize = 16;
 
-/// Number of independently locked map shards (power of two).
-const CACHE_SHARDS: usize = 16;
-
-/// Default bound on entries per map shard; at the bound the shard is
-/// cleared wholesale (placements are recomputable, so bulk eviction is
-/// cheaper than tracking recency).
-const DEFAULT_PER_SHARD_CAPACITY: usize = 65_536;
+/// Number of block-table shards (power of two).
+const TABLE_SHARDS: usize = 16;
 
 /// Domain separator for the shard-selection hash.
 const SHARD_DOMAIN: u64 = 0x504c_4143_4543_4148; // "PLACECAH"
 
 /// A placement held in a fixed inline array — the zero-allocation value a
-/// cache lookup (or an inline strategy placement) returns on the
-/// read/write path.
+/// computed placement is returned in on the read/write path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InlinePlacement {
     len: u8,
@@ -89,147 +89,119 @@ impl InlinePlacement {
 /// Counters describing cache effectiveness (monotonic since construction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from a current-epoch entry.
+    /// Lookups answered from a current-epoch row.
     pub hits: u64,
-    /// Lookups that missed (absent entry or stale epoch).
+    /// Lookups that missed (no row, or a row from another epoch).
     pub misses: u64,
-    /// Entries currently resident across all shards.
+    /// Placements held in rows, one per stored block; 0 while the
+    /// placement cache is off.
     pub entries: u64,
 }
 
-/// The sharded placement cache. All methods take `&self`; interior
-/// mutability is per-shard, so concurrent readers on different shards
-/// never contend.
+/// The sharded block table. Lookups take `&self` and mutate nothing but
+/// the hit and miss counters; rows change only through `&mut self`.
 #[derive(Debug)]
-pub(crate) struct PlacementCache {
+pub(crate) struct BlockTable {
     /// Rows `[lba, epoch + 1, ids[k]]` (the epoch is stored plus one so an
     /// occupied row's word 1 is never zero).
-    shards: Vec<Mutex<Table>>,
+    shards: Vec<Table>,
+    /// Whether lookups may answer from a row (the cluster's
+    /// `placement_cache` setting). Rows are kept either way: they record
+    /// which blocks are stored.
+    caching: bool,
     hits: AtomicU64,
     misses: AtomicU64,
-    per_shard_capacity: usize,
 }
 
-impl PlacementCache {
-    /// A cache of `k`-wide placements. Only groups of at most
-    /// [`MAX_CACHED_SHARDS`] are ever stored.
-    pub(crate) fn new(k: usize) -> Self {
+impl BlockTable {
+    /// An empty table of `k`-wide placements, answering lookups from rows
+    /// when `caching` is set.
+    pub(crate) fn new(k: usize, caching: bool) -> Self {
         Self {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(Table::new(k + 2)))
-                .collect(),
+            shards: (0..TABLE_SHARDS).map(|_| Table::new(k + 2)).collect(),
+            caching,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            per_shard_capacity: DEFAULT_PER_SHARD_CAPACITY,
         }
     }
 
     fn shard_index(lba: u64) -> usize {
-        rshare_hash::stable_hash2(lba, SHARD_DOMAIN) as usize & (CACHE_SHARDS - 1)
+        rshare_hash::stable_hash2(lba, SHARD_DOMAIN) as usize & (TABLE_SHARDS - 1)
     }
 
-    fn shard(&self, lba: u64) -> &Mutex<Table> {
-        &self.shards[Self::shard_index(lba)]
+    /// The row of `lba`, if the block is stored.
+    fn row(&self, lba: u64) -> Option<&[u64]> {
+        let table = &self.shards[Self::shard_index(lba)];
+        table.probe(lba, |_| true).ok().map(|b| table.row(b))
     }
 
-    /// Looks up `lba`; only an entry stamped with exactly `epoch` counts.
-    /// An entry from an *older* epoch is removed on sight — epochs only
-    /// grow, so it can never become valid again.
-    pub(crate) fn get(&self, lba: u64, epoch: u64) -> Option<InlinePlacement> {
-        let mut table = self.shard(lba).lock().expect("cache shard poisoned");
-        let found = match table.probe(lba, |_| true) {
-            Ok(b) => {
-                let row = table.row(b);
-                if row[1] == epoch + 1 {
-                    Some(InlinePlacement::from_slice(&row[2..]))
-                } else {
-                    if row[1] < epoch + 1 {
-                        table.remove(b);
-                    }
-                    None
-                }
-            }
-            Err(_) => None,
-        };
-        drop(table);
-        let counter = if found.is_some() {
+    /// Looks `lba` up for a request at `epoch`: `None` if the block has no
+    /// row (it is not stored), otherwise `Some` of the row's device ids
+    /// if it is stamped with exactly `epoch` and caching is on, or
+    /// `Some(None)` if the placement must be computed. Counts a hit or a
+    /// miss while caching is on.
+    pub(crate) fn get(&self, lba: u64, epoch: u64) -> Option<Option<&[u64]>> {
+        let row = self.row(lba);
+        if !self.caching {
+            return row.map(|_| None);
+        }
+        let ids = row.filter(|r| r[1] == epoch + 1).map(|r| &r[2..]);
+        let counter = if ids.is_some() {
             &self.hits
         } else {
             &self.misses
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        found
+        row.map(|_| ids)
     }
 
-    /// Stores the `k` device ids of `lba` under `epoch`. A shard at
-    /// capacity is cleared wholesale before the insert.
-    pub(crate) fn put(&self, lba: u64, epoch: u64, ids: &[u64]) {
-        let mut table = self.shard(lba).lock().expect("cache shard poisoned");
-        let mut probe = table.probe(lba, |_| true);
-        if probe.is_err() && table.len() >= self.per_shard_capacity {
-            table.clear();
-            probe = table.probe(lba, |_| true);
+    /// The device ids of `lba`'s row if caching is on and the row is
+    /// stamped with exactly `epoch`. Unlike [`BlockTable::get`] it counts
+    /// neither a hit nor a miss, so bulk passes (migration, planning,
+    /// scrapes) can read rows without distorting the request-path series.
+    pub(crate) fn peek(&self, lba: u64, epoch: u64) -> Option<&[u64]> {
+        if !self.caching {
+            return None;
         }
-        match probe {
-            Ok(b) => {
-                let row = table.row_mut(b);
-                row[1] = epoch + 1;
-                row[2..].copy_from_slice(ids);
-            }
-            Err(vacant) => {
-                let mut row = [0u64; MAX_CACHED_SHARDS + 2];
-                row[0] = lba;
-                row[1] = epoch + 1;
-                row[2..ids.len() + 2].copy_from_slice(ids);
-                table.insert(vacant, &row[..ids.len() + 2]);
-            }
-        }
+        self.row(lba).filter(|r| r[1] == epoch + 1).map(|r| &r[2..])
     }
 
-    /// Copies the row of `lba` into `out` (replacing its contents) if one
-    /// is resident with exactly `epoch`. Unlike [`PlacementCache::get`] it
-    /// counts neither a hit nor a miss and evicts nothing, so bulk passes
-    /// (migration, planning, scrapes) can read cached placements without
-    /// distorting the request-path series.
-    pub(crate) fn peek(&self, lba: u64, epoch: u64, out: &mut [u64]) -> bool {
-        let table = self.shard(lba).lock().expect("cache shard poisoned");
-        match table.probe(lba, |_| true) {
-            Ok(b) if table.row(b)[1] == epoch + 1 => {
-                out.copy_from_slice(&table.row(b)[2..]);
-                true
-            }
-            _ => false,
-        }
+    /// Stamps `lba`'s row with `ids` under `epoch`, inserting the row if
+    /// the block has none yet. Counts nothing.
+    pub(crate) fn stamp(&mut self, lba: u64, epoch: u64, ids: &[u64]) {
+        let table = &mut self.shards[Self::shard_index(lba)];
+        let row = match table.probe(lba, |_| true) {
+            Ok(b) => table.row_mut(b),
+            Err(vacant) => table.insert(vacant, lba, epoch + 1),
+        };
+        row[1] = epoch + 1;
+        row[2..].copy_from_slice(ids);
     }
 
-    /// Rewrites the row of `lba`, if one is resident, to `ids` under
-    /// `epoch`. Absent rows stay absent: the cache never grows here, so a
-    /// migration pass over every block costs no memory. Counts nothing.
-    pub(crate) fn refresh(&self, lba: u64, epoch: u64, ids: &[u64]) {
-        let mut table = self.shard(lba).lock().expect("cache shard poisoned");
-        if let Ok(b) = table.probe(lba, |_| true) {
-            let row = table.row_mut(b);
-            row[1] = epoch + 1;
-            row[2..].copy_from_slice(ids);
-        }
+    /// Number of rows: the blocks stored.
+    pub(crate) fn len(&self) -> usize {
+        self.shards.iter().map(Table::len).sum()
     }
 
-    /// Drops every entry (used when the cache is disabled at runtime).
-    pub(crate) fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").clear();
+    /// Every stored block's address, in no particular order.
+    pub(crate) fn lbas(&self) -> Vec<u64> {
+        let mut lbas = Vec::with_capacity(self.len());
+        for table in &self.shards {
+            lbas.extend(table.rows().map(|r| r[0]));
         }
+        lbas
+    }
+
+    /// Turns caching on or off. Rows stay: they are the block index.
+    pub(crate) fn set_caching(&mut self, caching: bool) {
+        self.caching = caching;
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("cache shard poisoned").len() as u64)
-                .sum(),
+            entries: if self.caching { self.len() as u64 } else { 0 },
         }
     }
 }
@@ -242,16 +214,17 @@ mod tests {
 
     #[test]
     fn hit_only_on_matching_epoch() {
-        let cache = PlacementCache::new(2);
-        cache.put(7, 1, &[10, 20]);
-        assert!(cache.get(7, 0).is_none(), "older epoch must not hit");
-        assert_eq!(cache.get(7, 1).unwrap().as_slice(), &[10, 20]);
-        // Epoch bump: the entry is stale, rejected, and evicted.
-        assert!(cache.get(7, 2).is_none());
-        let stats = cache.stats();
+        let mut table = BlockTable::new(2, true);
+        assert_eq!(table.get(7, 1), None, "no row: not stored");
+        table.stamp(7, 1, &[10, 20]);
+        assert_eq!(table.get(7, 0), Some(None), "older epoch must not hit");
+        assert_eq!(table.get(7, 1), Some(Some(&[10, 20][..])));
+        // Epoch bump: the row is stale and rejected, but stays.
+        assert_eq!(table.get(7, 2), Some(None));
+        let stats = table.stats();
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.entries, 0, "stale entry evicted on sight");
+        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.entries, 1, "rows are never evicted");
     }
 
     #[test]
@@ -267,149 +240,79 @@ mod tests {
     }
 
     #[test]
-    fn capacity_reset_keeps_cache_usable() {
-        let mut cache = PlacementCache::new(2);
-        cache.per_shard_capacity = 4;
-        for lba in 0..1_000u64 {
-            cache.put(lba, 3, &[lba, lba + 1]);
-        }
-        let stats = cache.stats();
-        assert!(stats.entries <= 4 * CACHE_SHARDS as u64);
-        // The most recent insert of some shard is still retrievable.
-        cache.put(5_000, 3, &[1, 2]);
-        assert_eq!(cache.get(5_000, 3).unwrap().as_slice(), &[1, 2]);
-    }
-
-    #[test]
-    fn concurrent_access_is_safe() {
-        let cache = PlacementCache::new(1);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let cache = &cache;
-                scope.spawn(move || {
-                    for i in 0..500u64 {
-                        let lba = t * 1_000 + i;
-                        cache.put(lba, 1, &[lba]);
-                        assert_eq!(cache.get(lba, 1).unwrap().as_slice(), &[lba]);
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.stats().entries, 2_000);
-    }
-
-    #[test]
     fn rows_are_k_wide() {
-        let cache = PlacementCache::new(3);
-        cache.put(1, 0, &[4, 5, 6]);
-        cache.put(1, 0, &[7, 8, 9]);
-        assert_eq!(cache.get(1, 0).unwrap().as_slice(), &[7, 8, 9]);
-        let table = cache.shard(1).lock().unwrap();
-        assert_eq!(
-            table.row(table.probe(1, |_| true).unwrap()),
-            &[1, 1, 7, 8, 9]
-        );
-    }
-
-    /// Per-shard map model of the cache's rules: exact-epoch hits, older
-    /// entries evicted on sight, and a full shard cleared before a new key.
-    #[derive(Default)]
-    struct Model {
-        shards: Vec<BTreeMap<u64, (u64, Vec<u64>)>>,
-        hits: u64,
-        misses: u64,
-    }
-
-    impl Model {
-        fn get(&mut self, lba: u64, epoch: u64) -> Option<Vec<u64>> {
-            let shard = &mut self.shards[PlacementCache::shard_index(lba)];
-            let found = match shard.get(&lba) {
-                Some((e, ids)) if *e == epoch => Some(ids.clone()),
-                Some((e, _)) => {
-                    if *e < epoch {
-                        shard.remove(&lba);
-                    }
-                    None
-                }
-                None => None,
-            };
-            if found.is_some() {
-                self.hits += 1;
-            } else {
-                self.misses += 1;
-            }
-            found
-        }
-
-        fn put(&mut self, lba: u64, epoch: u64, ids: &[u64], capacity: usize) {
-            let shard = &mut self.shards[PlacementCache::shard_index(lba)];
-            if shard.len() >= capacity && !shard.contains_key(&lba) {
-                shard.clear();
-            }
-            shard.insert(lba, (epoch, ids.to_vec()));
-        }
-
-        fn peek(&self, lba: u64, epoch: u64) -> Option<Vec<u64>> {
-            match self.shards[PlacementCache::shard_index(lba)].get(&lba) {
-                Some((e, ids)) if *e == epoch => Some(ids.clone()),
-                _ => None,
-            }
-        }
-
-        fn refresh(&mut self, lba: u64, epoch: u64, ids: &[u64]) {
-            if let Some(row) = self.shards[PlacementCache::shard_index(lba)].get_mut(&lba) {
-                *row = (epoch, ids.to_vec());
-            }
-        }
+        let mut table = BlockTable::new(3, true);
+        table.stamp(1, 0, &[4, 5, 6]);
+        table.stamp(1, 0, &[7, 8, 9]);
+        assert_eq!(table.peek(1, 0), Some(&[7, 8, 9][..]));
+        assert_eq!(table.row(1), Some(&[1, 1, 7, 8, 9][..]));
+        assert_eq!(table.len(), 1);
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random gets, puts, peeks and refreshes across epochs, with
-        /// shards small enough to hit the capacity clear, against the
-        /// model. Peeks and refreshes must leave the hit, miss and entry
-        /// counts exactly where they were.
+        /// Stamps (after a prefill of `prefill` addresses, enough for
+        /// several doublings of every shard), lookups, peeks and caching
+        /// toggles across epochs, against a map model: a row exists
+        /// exactly when its block was stamped, only an exact epoch hits,
+        /// peeks and stamps count nothing, and no row is ever evicted.
         #[test]
-        fn cache_matches_a_map_model(
-            ops in proptest::collection::vec((0u8..4, 0u64..96, 0u64..4, any::<u64>()), 1..400)
+        fn table_matches_a_map_model(
+            prefill in 500u64..3_000,
+            ops in proptest::collection::vec((0u8..7, 0u64..2_048, 0u64..4, any::<u64>()), 1..400)
         ) {
             const K: usize = 2;
-            let mut cache = PlacementCache::new(K);
-            cache.per_shard_capacity = 3;
-            let mut model = Model {
-                shards: vec![BTreeMap::new(); CACHE_SHARDS],
-                ..Model::default()
-            };
+            let mut table = BlockTable::new(K, true);
+            let mut model: BTreeMap<u64, (u64, [u64; K])> = BTreeMap::new();
+            let (mut caching, mut hits, mut misses) = (true, 0u64, 0u64);
+            for lba in 0..prefill {
+                table.stamp(lba, 0, &[lba, !lba]);
+                model.insert(lba, (0, [lba, !lba]));
+            }
             for (op, lba, epoch, seed) in ops {
                 let ids = [seed, seed.rotate_left(17)];
-                let before = cache.stats();
+                let before = table.stats();
+                let current = model
+                    .get(&lba)
+                    .filter(|(e, _)| caching && *e == epoch)
+                    .map(|(_, ids)| &ids[..]);
                 match op {
-                    0 => {
-                        cache.put(lba, epoch, &ids);
-                        model.put(lba, epoch, &ids, cache.per_shard_capacity);
+                    0 | 1 => {
+                        table.stamp(lba, epoch, &ids);
+                        model.insert(lba, (epoch, ids));
+                        prop_assert_eq!(table.stats().hits, before.hits);
+                        prop_assert_eq!(table.stats().misses, before.misses);
                     }
-                    1 => {
-                        let got = cache.get(lba, epoch).map(|p| p.as_slice().to_vec());
-                        prop_assert_eq!(got, model.get(lba, epoch));
+                    2 | 3 => {
+                        let want = model.get(&lba).map(|_| current);
+                        prop_assert_eq!(table.get(lba, epoch), want);
+                        if caching {
+                            if current.is_some() { hits += 1 } else { misses += 1 }
+                        }
                     }
-                    2 => {
-                        let mut out = [0u64; K];
-                        let got = cache.peek(lba, epoch, &mut out).then(|| out.to_vec());
-                        prop_assert_eq!(got, model.peek(lba, epoch));
-                        prop_assert_eq!(cache.stats(), before);
+                    4 | 5 => {
+                        prop_assert_eq!(table.peek(lba, epoch), current);
+                        prop_assert_eq!(table.stats(), before);
                     }
                     _ => {
-                        cache.refresh(lba, epoch, &ids);
-                        model.refresh(lba, epoch, &ids);
-                        prop_assert_eq!(cache.stats(), before);
+                        caching = !caching;
+                        table.set_caching(caching);
                     }
                 }
-                let stats = cache.stats();
-                prop_assert_eq!(stats.hits, model.hits);
-                prop_assert_eq!(stats.misses, model.misses);
-                let entries: usize = model.shards.iter().map(BTreeMap::len).sum();
-                prop_assert_eq!(stats.entries, entries as u64);
+                let stats = table.stats();
+                prop_assert_eq!(stats.hits, hits);
+                prop_assert_eq!(stats.misses, misses);
+                prop_assert_eq!(table.len(), model.len());
+                prop_assert_eq!(stats.entries, if caching { model.len() as u64 } else { 0 });
+            }
+            // Nothing was evicted: every stamped row is still there, as
+            // last stamped.
+            let mut lbas = table.lbas();
+            lbas.sort_unstable();
+            prop_assert!(lbas.iter().eq(model.keys()));
+            for (lba, (epoch, ids)) in &model {
+                prop_assert_eq!(table.row(*lba), Some(&[*lba, epoch + 1, ids[0], ids[1]][..]));
             }
         }
     }

@@ -27,7 +27,7 @@ use rshare_core::{Bin, BinId, BinSet, PlacementStrategy, RedundantShare, MAX_INL
 use rshare_erasure::ErasureCode;
 use rshare_obs::{family_header, sample_line, Registry, SpanTimer};
 
-use crate::cache::{CacheStats, InlinePlacement, PlacementCache, MAX_CACHED_SHARDS};
+use crate::cache::{BlockTable, CacheStats, InlinePlacement, MAX_CACHED_SHARDS};
 use crate::device::{Device, DeviceState};
 use crate::error::VdsError;
 use crate::health::{ClusterMetrics, FairnessReport, HealthSnapshot};
@@ -53,19 +53,22 @@ fn shard_len(block_size: usize, codec: Option<&dyn ErasureCode>) -> usize {
     block_size / codec.map_or(1, ErasureCode::data_shards)
 }
 
-/// An owned placement: inline (no heap) for groups that fit
-/// [`MAX_CACHED_SHARDS`] ids, heap-backed beyond that. Dereferences to the
-/// raw device-id slice, so call sites index and iterate it like a `Vec`.
-enum PlacementIds {
+/// A placement: borrowed from a block-table row on a hit, otherwise
+/// computed — inline (no heap) for groups that fit [`MAX_CACHED_SHARDS`]
+/// ids, heap-backed beyond that. Dereferences to the raw device-id slice,
+/// so call sites index and iterate it like a `Vec`.
+enum PlacementIds<'a> {
+    Row(&'a [u64]),
     Inline(InlinePlacement),
     Heap(Vec<u64>),
 }
 
-impl std::ops::Deref for PlacementIds {
+impl std::ops::Deref for PlacementIds<'_> {
     type Target = [u64];
 
     fn deref(&self) -> &[u64] {
         match self {
+            Self::Row(ids) => ids,
             Self::Inline(p) => p.as_slice(),
             Self::Heap(v) => v,
         }
@@ -113,9 +116,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enables or disables the placement cache (default enabled). With the
-    /// cache off every lookup recomputes the placement — the configuration
-    /// benchmarks use as the uncached baseline.
+    /// Enables or disables the placement cache (default enabled): whether
+    /// lookups answer from the block table's rows. With the cache off
+    /// every lookup recomputes the placement — the configuration
+    /// benchmarks use as the uncached baseline. The table keeps a row per
+    /// stored block either way (it is the block index), so turning the
+    /// cache off saves no memory.
     #[must_use]
     pub fn placement_cache(mut self, enabled: bool) -> Self {
         self.placement_cache = enabled;
@@ -205,10 +211,8 @@ impl ClusterBuilder {
             codec,
             strategy: None,
             block_size: self.block_size,
-            blocks: BTreeSet::new(),
+            table: BlockTable::new(self.redundancy.total_shards(), self.placement_cache),
             pending: Vec::new(),
-            cache: PlacementCache::new(self.redundancy.total_shards()),
-            cache_enabled: self.placement_cache,
             placement_epoch: 0,
             placements_computed: AtomicU64::new(0),
             metrics,
@@ -226,17 +230,14 @@ pub struct StorageCluster {
     codec: Option<Box<dyn ErasureCode>>,
     strategy: Option<RedundantShare>,
     block_size: usize,
-    /// Logical block addresses that have been written.
-    blocks: BTreeSet<u64>,
+    /// One row per stored block: the block index, and the placement
+    /// cache keyed by block address and validated against
+    /// [`StorageCluster::placement_epoch`].
+    table: BlockTable,
     /// Membership changes still migrating, oldest first; empty when none
     /// is. Each layer's blocks contain every older layer's, and a block
     /// resolves through the oldest layer that holds it.
     pending: Vec<MigrationLayer>,
-    /// Cache of target-strategy placements, keyed by block address and
-    /// validated against [`StorageCluster::placement_epoch`].
-    cache: PlacementCache,
-    /// Whether lookups consult (and populate) the placement cache.
-    cache_enabled: bool,
     /// Bumped on every strategy change (add/remove/rebuild/lazy add), which
     /// invalidates all cached placements in O(1).
     placement_epoch: u64,
@@ -320,7 +321,7 @@ impl std::fmt::Debug for StorageCluster {
             .field("devices", &self.devices.len())
             .field("redundancy", &self.redundancy)
             .field("block_size", &self.block_size)
-            .field("blocks", &self.blocks.len())
+            .field("blocks", &self.block_count())
             .finish()
     }
 }
@@ -370,7 +371,15 @@ impl StorageCluster {
     /// Number of logical blocks stored.
     #[must_use]
     pub fn block_count(&self) -> u64 {
-        self.blocks.len() as u64
+        self.table.len() as u64
+    }
+
+    /// Every stored block's address, ascending: the order scans, plans
+    /// and migration layers walk blocks in.
+    fn stored_lbas(&self) -> Vec<u64> {
+        let mut lbas = self.table.lbas();
+        lbas.sort_unstable();
+        lbas
     }
 
     fn strategy(&self) -> &RedundantShare {
@@ -412,7 +421,7 @@ impl StorageCluster {
     /// not yet migrated still resolve to their pre-change locations.
     #[must_use]
     pub fn placement(&self, lba: u64) -> Vec<u64> {
-        self.effective_placement(lba).to_vec()
+        self.lookup_placement(lba).to_vec()
     }
 
     /// Like [`StorageCluster::placement`], but writes the device ids into a
@@ -420,60 +429,47 @@ impl StorageCluster {
     /// for callers issuing many lookups.
     pub fn placement_into(&self, lba: u64, out: &mut Vec<u64>) {
         out.clear();
-        out.extend_from_slice(&self.effective_placement(lba));
+        out.extend_from_slice(&self.lookup_placement(lba));
     }
 
-    /// The effective placement of `lba`: the old strategy for blocks still
-    /// awaiting lazy migration, the cached target placement otherwise.
-    fn effective_placement(&self, lba: u64) -> PlacementIds {
+    /// The effective placement of any `lba`, stored or not. An unstored
+    /// block's is computed and leaves no row behind.
+    fn lookup_placement(&self, lba: u64) -> PlacementIds<'_> {
+        self.effective_placement(lba)
+            .unwrap_or_else(|| self.compute_placement(self.strategy(), lba))
+    }
+
+    /// The effective placement of a stored `lba`, or `None` if it is not
+    /// stored: the old strategy's for a block still awaiting lazy
+    /// migration, otherwise its row's on a current-epoch hit, computed on
+    /// a miss. One block-table probe; it stores nothing.
+    fn effective_placement(&self, lba: u64) -> Option<PlacementIds<'_>> {
         if let Some(layer) = oldest_holding(&self.pending, lba) {
             // Old-strategy placements are never cached: they die with
             // the migration and would otherwise need their own epoch.
-            return self.compute_placement(&layer.strategy, lba);
+            return Some(self.compute_placement(&layer.strategy, lba));
         }
-        self.target_placement(lba)
-    }
-
-    /// The placement under the *target* (post-migration) configuration,
-    /// served from the epoch-versioned cache when enabled.
-    fn target_placement(&self, lba: u64) -> PlacementIds {
-        if self.cache_active() {
-            if let Some(hit) = self.cache.get(lba, self.placement_epoch) {
-                return PlacementIds::Inline(hit);
-            }
-            let computed = self.compute_placement(self.strategy(), lba);
-            if let PlacementIds::Inline(p) = &computed {
-                self.cache.put(lba, self.placement_epoch, p.as_slice());
-            }
-            computed
-        } else {
-            self.compute_placement(self.strategy(), lba)
-        }
-    }
-
-    /// Whether placements are cached: the cache is enabled and the group
-    /// fits a cache row.
-    fn cache_active(&self) -> bool {
-        self.cache_enabled && self.redundancy.total_shards() <= MAX_CACHED_SHARDS
+        let row = self.table.get(lba, self.placement_epoch)?;
+        Some(row.map_or_else(
+            || self.compute_placement(self.strategy(), lba),
+            PlacementIds::Row,
+        ))
     }
 
     /// Places every block of `lbas` under `strategy` — the strategy in
     /// force at `epoch` — as [`place_flat`] does, but copies each block
-    /// whose cache row is stamped with exactly `epoch` from the row and
-    /// scans only the rest. The cache's counters and contents are left
-    /// alone, so bulk passes neither inflate the hit series nor grow the
-    /// cache.
+    /// whose row is stamped with exactly `epoch` (while the cache is on)
+    /// from the row and scans only the rest. The table's counters and
+    /// rows are left alone, so bulk passes do not inflate the hit series.
     fn cached_flat(&self, strategy: &RedundantShare, epoch: u64, lbas: &[u64], out: &mut Vec<u64>) {
-        if !self.cache_active() {
-            place_flat(strategy, lbas, out);
-            return;
-        }
         let k = strategy.replication();
         out.clear();
         out.resize(lbas.len() * k, 0);
         let mut group = Vec::with_capacity(k);
         for (&lba, slot) in lbas.iter().zip(out.chunks_exact_mut(k)) {
-            if !self.cache.peek(lba, epoch, slot) {
+            if let Some(ids) = self.table.peek(lba, epoch) {
+                slot.copy_from_slice(ids);
+            } else {
                 strategy.place_into(lba, &mut group);
                 for (s, id) in slot.iter_mut().zip(&group) {
                     *s = id.raw();
@@ -484,7 +480,7 @@ impl StorageCluster {
 
     /// Runs a strategy placement (the slow path a cache hit skips),
     /// returning the group inline whenever it fits.
-    fn compute_placement(&self, strategy: &RedundantShare, lba: u64) -> PlacementIds {
+    fn compute_placement(&self, strategy: &RedundantShare, lba: u64) -> PlacementIds<'static> {
         self.placements_computed.fetch_add(1, Ordering::Relaxed);
         let k = strategy.replication();
         if k <= MAX_INLINE_K {
@@ -508,7 +504,7 @@ impl StorageCluster {
     /// Hit/miss/occupancy counters of the placement cache.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.table.stats()
     }
 
     /// The current placement epoch (bumped by every strategy change).
@@ -524,13 +520,13 @@ impl StorageCluster {
         self.placements_computed.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables the placement cache at runtime. Disabling also
-    /// drops all cached entries.
+    /// Enables or disables the placement cache at runtime. Disabled,
+    /// every lookup recomputes its placement and
+    /// [`StorageCluster::cache_stats`] reports no entries; the block
+    /// table keeps its rows (they record which blocks are stored), so
+    /// disabling frees no memory.
     pub fn set_placement_cache(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.cache.clear();
-        }
+        self.table.set_caching(enabled);
     }
 
     /// Writes one logical block: a one-element
@@ -580,6 +576,7 @@ impl StorageCluster {
             vec![Vec::new(); self.codec.as_deref().map_or(0, ErasureCode::parity_shards)];
         let mut refs: Vec<&[u8]> = Vec::new();
         let mut old_ids: Vec<u64> = Vec::new();
+        let mut ids: Vec<u64> = Vec::new();
         for (&lba, block) in lbas.iter().zip(data.chunks_exact(self.block_size)) {
             refs.clear();
             if let Some(codec) = self.codec.as_deref() {
@@ -604,9 +601,17 @@ impl StorageCluster {
                 }
                 None => false,
             };
-            let placement = self.target_placement(lba);
+            // One block-table probe: a current row is a hit; otherwise the
+            // placement is computed, and stamped once the shards landed.
+            let row = self.table.get(lba, self.placement_epoch).flatten();
+            let stamp = row.is_none();
+            ids.clear();
+            ids.extend_from_slice(&row.map_or_else(
+                || self.compute_placement(self.strategy(), lba),
+                PlacementIds::Row,
+            ));
             let total = refs.len() + parity.len();
-            for (i, &dev_id) in placement.iter().enumerate().take(total) {
+            for (i, &dev_id) in ids.iter().enumerate().take(total) {
                 let shard: &[u8] = if i < refs.len() {
                     refs[i]
                 } else {
@@ -620,7 +625,7 @@ impl StorageCluster {
             }
             if completes_migration {
                 for (i, dev_id) in old_ids.iter().enumerate() {
-                    if *dev_id != placement[i] {
+                    if *dev_id != ids[i] {
                         if let Some(d) = self.devices.get_mut(dev_id) {
                             d.remove(&(lba, i));
                         }
@@ -628,7 +633,9 @@ impl StorageCluster {
                 }
                 self.drop_drained_layers();
             }
-            self.blocks.insert(lba);
+            if stamp {
+                self.table.stamp(lba, self.placement_epoch, &ids);
+            }
             if let Some(m) = &self.metrics {
                 m.writes_total.inc();
             }
@@ -700,12 +707,12 @@ impl StorageCluster {
     /// was *degraded*: served from a non-preferred mirror copy or via
     /// erasure reconstruction.
     fn read_into_inner(&self, lba: u64, buf: &mut [u8]) -> Result<bool, VdsError> {
-        if !self.blocks.contains(&lba) {
-            return Err(VdsError::BlockNotFound { lba });
-        }
-        // Cached (and, on miss, inline-computed) placement: the lookup
-        // itself allocates nothing for groups that fit the inline array.
-        let placement = self.effective_placement(lba);
+        // One block-table probe: a block without a row was never written;
+        // a current row lends its placement, and a stale one is
+        // recomputed inline, allocating nothing for groups that fit.
+        let placement = self
+            .effective_placement(lba)
+            .ok_or(VdsError::BlockNotFound { lba })?;
         let k = placement.len();
         match self.redundancy {
             Redundancy::Mirror { .. } => {
@@ -872,8 +879,8 @@ impl StorageCluster {
     /// old ones from cache rows still stamped with the pre-change epoch
     /// where resident — unchanged blocks are skipped without any device
     /// I/O, and the changed ones go through the gather/apply executor.
-    /// Every resident cache row of a migrated chunk is rewritten with its
-    /// target placement, so requests after the drain hit. The bounded
+    /// Every row of a migrated chunk is restamped with its target
+    /// placement, so requests after the drain hit. The bounded
     /// budget keeps lazy migration incremental; with no migration in
     /// flight this is a no-op reporting zeros.
     ///
@@ -969,8 +976,8 @@ impl StorageCluster {
     /// stride-k device ids, parallel to `lbas`) to the current target
     /// strategy. Blocks whose placement is unchanged are skipped without
     /// touching any device; latent shard losses are
-    /// [`StorageCluster::repair`]'s job. Resident cache rows of the chunk
-    /// are rewritten with the target placement under the current epoch,
+    /// [`StorageCluster::repair`]'s job. Every row of the chunk is
+    /// restamped with the target placement under the current epoch,
     /// whatever the I/O outcome: the row records the strategy, not where
     /// the shards are.
     fn rebalance_chunk(
@@ -986,10 +993,8 @@ impl StorageCluster {
         };
         let mut new_flat: Vec<u64> = Vec::new();
         place_flat(self.strategy(), lbas, &mut new_flat);
-        if self.cache_active() {
-            for (&lba, ids) in lbas.iter().zip(new_flat.chunks_exact(k)) {
-                self.cache.refresh(lba, self.placement_epoch, ids);
-            }
+        for (&lba, ids) in lbas.iter().zip(new_flat.chunks_exact(k)) {
+            self.table.stamp(lba, self.placement_epoch, ids);
         }
         let work: Vec<usize> = old_flat
             .chunks_exact(k)
@@ -1224,7 +1229,7 @@ impl StorageCluster {
         self.placement_epoch += 1;
         self.pending.push(MigrationLayer {
             strategy: outgoing,
-            blocks: self.blocks.clone(),
+            blocks: self.stored_lbas().into_iter().collect(),
         });
     }
 
@@ -1236,7 +1241,7 @@ impl StorageCluster {
     /// [`VdsError::DataLoss`] on the first unrecoverable block.
     pub fn scrub(&mut self) -> Result<u64, VdsError> {
         let k = self.redundancy.total_shards();
-        let lbas: Vec<u64> = self.blocks.iter().copied().collect();
+        let lbas = self.stored_lbas();
         let mut flat: Vec<u64> = Vec::new();
         let mut degraded = 0;
         for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
@@ -1276,7 +1281,7 @@ impl StorageCluster {
     /// [`VdsError::DataLoss`] if a block lost more shards than the
     /// redundancy tolerates; device I/O errors on the re-stores.
     pub fn repair(&mut self) -> Result<u64, VdsError> {
-        let lbas: Vec<u64> = self.blocks.iter().copied().collect();
+        let lbas = self.stored_lbas();
         let k = self.redundancy.total_shards();
         let mut repaired = 0u64;
         let mut flat: Vec<u64> = Vec::new();
@@ -1347,7 +1352,7 @@ impl StorageCluster {
         let set = self.member_bins(None, Some((id, capacity_blocks)))?;
         // Fair minimum (Lemma 3.2): any strategy must move the new
         // device's capacity share of all shards onto it.
-        let shards_total = self.blocks.len() as f64 * self.redundancy.total_shards() as f64;
+        let shards_total = self.block_count() as f64 * self.redundancy.total_shards() as f64;
         let fair_min = shards_total * capacity_blocks as f64 / set.total_capacity() as f64;
         self.plan_against(&set, fair_min)
     }
@@ -1406,7 +1411,7 @@ impl StorageCluster {
     fn plan_against(&self, bins: &BinSet, fair_min_shards: f64) -> Result<MigrationPlan, VdsError> {
         let k = self.redundancy.total_shards();
         let candidate = RedundantShare::new(bins, k)?;
-        let lbas: Vec<u64> = self.blocks.iter().copied().collect();
+        let lbas = self.stored_lbas();
         let mut plan = MigrationPlan {
             shards_total: (lbas.len() * k) as u64,
             blocks_total: lbas.len() as u64,
@@ -1453,9 +1458,9 @@ impl StorageCluster {
         if copy >= self.redundancy.total_shards() {
             return false;
         }
-        let placement = self.effective_placement(lba);
+        let device = self.lookup_placement(lba)[copy];
         self.devices
-            .get_mut(&placement[copy])
+            .get_mut(&device)
             .is_some_and(|d| d.remove(&(lba, copy)))
     }
 
@@ -1484,13 +1489,14 @@ impl StorageCluster {
     }
 
     /// Number of blocks currently missing at least one shard from its
-    /// computed location. Places every block in bulk from current cache
-    /// rows without counting a hit or a miss, so scrape-time accounting
-    /// does not distort the cache hit/miss series.
+    /// computed location. Places every block in bulk from current rows
+    /// without counting a hit or a miss, so scrape-time accounting does
+    /// not distort the cache hit/miss series.
     #[must_use]
     pub fn degraded_block_count(&self) -> u64 {
         let k = self.redundancy.total_shards();
-        let lbas: Vec<u64> = self.blocks.iter().copied().collect();
+        // Only counts, so the blocks may come in table order.
+        let lbas = self.table.lbas();
         let mut flat: Vec<u64> = Vec::new();
         let mut degraded = 0u64;
         for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
@@ -2302,6 +2308,28 @@ mod tests {
     }
 
     #[test]
+    fn placement_lookups_store_nothing() {
+        let mut c = mirror_cluster();
+        for lba in 0..100u64 {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        let (blocks, entries) = (c.block_count(), c.cache_stats().entries);
+        let mut out = Vec::new();
+        for lba in 10_000..11_000u64 {
+            assert_eq!(c.placement(lba).len(), 2);
+            c.placement_into(lba, &mut out);
+        }
+        assert_eq!(c.block_count(), blocks);
+        assert_eq!(c.cache_stats().entries, entries, "lookups inserted rows");
+        for lba in 10_000..11_000u64 {
+            assert!(
+                matches!(c.read_block(lba), Err(VdsError::BlockNotFound { lba: l }) if l == lba),
+                "lba {lba}"
+            );
+        }
+    }
+
+    #[test]
     fn membership_change_invalidates_cache_via_epoch() {
         let mut c = mirror_cluster();
         for lba in 0..300u64 {
@@ -2721,9 +2749,9 @@ mod tests {
             "uncached lookups recompute"
         );
         assert_eq!(c.cache_stats().entries, 0);
-        // Re-enabling works.
+        // Re-enabling works: the write stamped the block's row.
         c.set_placement_cache(true);
-        c.read_block(3).unwrap(); // miss, fills cache
+        c.read_block(3).unwrap();
         let computed = c.placements_computed();
         c.read_block(3).unwrap(); // hit
         assert_eq!(c.placements_computed(), computed);

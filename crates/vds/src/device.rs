@@ -289,7 +289,7 @@ impl Device {
                     .slab
                     .alloc()
                     .ok_or(VdsError::OutOfSpace { id: self.id })?;
-                self.index.insert(vacant, &[key.0, slot_word(key.1, slot)]);
+                self.index.insert(vacant, key.0, slot_word(key.1, slot));
                 slot
             }
         };

@@ -1,8 +1,9 @@
 //! A thread-safe handle to a storage cluster.
 //!
-//! Reads on a [`StorageCluster`] take `&self`: shard contents only change
-//! under `&mut self`, and the per-device I/O counters and the placement
-//! cache are atomics or internally locked. [`SharedCluster`] wraps the
+//! Reads on a [`StorageCluster`] take `&self`: shard contents and the
+//! block table only change under `&mut self`, and a read mutates nothing
+//! but atomic counters (per-device I/O, cache hits and misses), so it
+//! takes no lock of its own. [`SharedCluster`] wraps the
 //! cluster in a reader-writer lock for concurrent callers — many
 //! application threads issuing I/O while an operator thread runs
 //! migrations. Reads share the lock and run in parallel; writes,

@@ -1,5 +1,5 @@
 //! The open-addressed table behind every per-block map of this crate: a
-//! device's shard index and the placement cache's shards.
+//! device's shard index and the block table's shards.
 //!
 //! Rows are a fixed number of `u64` words, chosen at construction, stored
 //! back to back in one `Vec` — no per-row allocation, no pointer, no
@@ -92,21 +92,30 @@ impl Table {
         }
     }
 
-    /// Inserts `row` (whose key must be absent) into `vacant`, the bucket
-    /// the last [`Table::probe`] for that key returned — the table must
-    /// not have changed since. Grows by doubling past a load of 3/4.
-    pub(crate) fn insert(&mut self, vacant: usize, row: &[u64]) {
-        debug_assert_eq!(row.len(), self.width);
-        debug_assert_ne!(row[1], 0, "occupied rows keep word 1 nonzero");
-        if (self.len + 1) * 4 > self.buckets * 3 {
+    /// Inserts a row with words 0 and 1 set to `key` and `tag` (nonzero)
+    /// and every later word zero, and returns it for the caller to fill.
+    /// The key must be absent and `vacant` the bucket the last
+    /// [`Table::probe`] for it returned — the table must not have changed
+    /// since. Grows by doubling past a load of 3/4.
+    pub(crate) fn insert(&mut self, vacant: usize, key: u64, tag: u64) -> &mut [u64] {
+        debug_assert_ne!(tag, 0, "occupied rows keep word 1 nonzero");
+        let b = if (self.len + 1) * 4 > self.buckets * 3 {
             self.grow();
-            let b = self.first_empty(row[0]);
-            self.row_mut(b).copy_from_slice(row);
+            self.first_empty(key)
         } else {
             debug_assert!(!self.occupied(vacant));
-            self.row_mut(vacant).copy_from_slice(row);
-        }
+            vacant
+        };
         self.len += 1;
+        let row = self.row_mut(b);
+        row[0] = key;
+        row[1] = tag;
+        row
+    }
+
+    /// Every occupied row, in bucket order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[u64]> {
+        self.words.chunks_exact(self.width).filter(|r| r[1] != 0)
     }
 
     /// Removes the row in `bucket`, shifting later rows of its probe run
@@ -129,12 +138,6 @@ impl Table {
         }
         self.row_mut(hole).fill(0);
         self.len -= 1;
-    }
-
-    /// Empties the table, keeping its buckets for reuse.
-    pub(crate) fn clear(&mut self) {
-        self.words.fill(0);
-        self.len = 0;
     }
 
     fn first_empty(&self, key: u64) -> usize {
@@ -170,7 +173,7 @@ mod tests {
     fn put(t: &mut Table, key: u64, value: u64) {
         match t.probe(key, |_| true) {
             Ok(b) => t.row_mut(b)[1..].fill(value),
-            Err(v) => t.insert(v, &[key, value, value]),
+            Err(v) => t.insert(v, key, value)[2] = value,
         }
     }
 

@@ -1,14 +1,15 @@
-//! End-to-end I/O path report: placement cache, erasure kernels and the
+//! End-to-end I/O path report: placement lookups, erasure kernels and the
 //! fused stripe pipeline.
 //!
 //! Five measurements on the fast path a block read/write traverses, and
 //! one of the memory a stored block costs:
 //!
 //! 1. **Placement lookups** — `placement_into` throughput on a repeated
-//!    working set, cached (epoch-versioned placement cache) vs uncached
-//!    (every lookup re-runs the Redundant Share scan).
-//! 2. **Block reads** — a `read_block_into` loop over the same working
-//!    set, cached vs uncached cluster.
+//!    working set: cached (stored blocks, answered from their block-table
+//!    rows) vs uncached (never-written addresses, whose lookups run the
+//!    Redundant Share scan and store nothing).
+//! 2. **Block reads** — a `read_block_into` loop over a stored working
+//!    set.
 //! 3. **Reed–Solomon encode** — MB/s of each GF(256) kernel tier (SIMD,
 //!    flat-table) vs the byte-wise log/exp reference on 64 KiB shards,
 //!    forced per tier through `set_kernel_tier`.
@@ -40,9 +41,8 @@ use rshare_vds::{Redundancy, StorageCluster};
 /// Timing repetitions per cell; the best (minimum) time is reported.
 const REPS: usize = 5;
 
-/// Devices in the benchmark cluster — below the fast-placement threshold,
-/// so an uncached lookup pays the full O(n) Algorithm-4 scan, as a small
-/// real deployment would.
+/// Devices in the benchmark cluster; an uncached lookup pays the full
+/// O(n) Algorithm-4 scan over them, as a small real deployment would.
 const DEVICES: u64 = 48;
 
 struct Cell {
@@ -92,11 +92,10 @@ fn time_best_pair<A: FnMut(), B: FnMut()>(mut a: A, mut b: B) -> (u128, u128) {
     (best_a, best_b)
 }
 
-fn cluster(block_size: usize, cache: bool) -> StorageCluster {
+fn cluster(block_size: usize) -> StorageCluster {
     let mut b = StorageCluster::builder()
         .block_size(block_size)
-        .redundancy(Redundancy::Mirror { copies: 3 })
-        .placement_cache(cache);
+        .redundancy(Redundancy::Mirror { copies: 3 });
     for id in 0..DEVICES {
         b = b.device(id, 1_000_000 + id * 10_000);
     }
@@ -187,24 +186,26 @@ fn bench_memory() -> Memory {
     }
 }
 
-/// Placement-lookup throughput over `working_set` blocks, `rounds` passes.
+/// Placement-lookup throughput over `working_set` addresses, `rounds`
+/// passes: the stored blocks `0..working_set` (cached) and as many
+/// never-written addresses above them (uncached), on one cluster.
 fn bench_placement(quick: bool, cells: &mut Vec<Cell>) {
     let working_set: u64 = if quick { 1_024 } else { 8_192 };
     let rounds: u64 = if quick { 8 } else { 24 };
     let lookups = working_set * rounds;
     let mut out = Vec::new();
-    for (mode, cached) in [("uncached", false), ("cached", true)] {
-        let mut c = cluster(64, cached);
-        for lba in 0..working_set {
-            c.write_block(lba, &[0u8; 64]).expect("write");
-        }
-        // Warm: the first pass fills the cache (or does nothing, uncached).
-        for lba in 0..working_set {
+    let mut c = cluster(64);
+    for lba in 0..working_set {
+        c.write_block(lba, &[0u8; 64]).expect("write");
+    }
+    for (mode, first) in [("uncached", working_set), ("cached", 0)] {
+        // Warm: one untimed pass over the addresses.
+        for lba in first..first + working_set {
             c.placement_into(lba, &mut out);
         }
         let elapsed = time_best(|| {
             for _ in 0..rounds {
-                for lba in 0..working_set {
+                for lba in first..first + working_set {
                     c.placement_into(black_box(lba), &mut out);
                     black_box(&out);
                 }
@@ -227,29 +228,27 @@ fn bench_reads(quick: bool, cells: &mut Vec<Cell>) {
     let rounds: u64 = if quick { 4 } else { 8 };
     let block_size = 4_096;
     let lbas: Vec<u64> = (0..working_set).collect();
-    for (mode, cached) in [("uncached", false), ("cached", true)] {
-        let mut c = cluster(block_size, cached);
-        let data = vec![0xABu8; block_size];
-        for &lba in &lbas {
-            c.write_block(lba, &data).expect("write");
-        }
-        let mut buf = vec![0u8; block_size];
-        let elapsed = time_best(|| {
-            for _ in 0..rounds {
-                for &lba in &lbas {
-                    c.read_block_into(black_box(lba), &mut buf).expect("read");
-                    black_box(&buf);
-                }
-            }
-        });
-        cells.push(Cell {
-            bench: "block_read",
-            mode,
-            items: working_set * rounds,
-            unit: "blocks",
-            elapsed_ns: elapsed,
-        });
+    let mut c = cluster(block_size);
+    let data = vec![0xABu8; block_size];
+    for &lba in &lbas {
+        c.write_block(lba, &data).expect("write");
     }
+    let mut buf = vec![0u8; block_size];
+    let elapsed = time_best(|| {
+        for _ in 0..rounds {
+            for &lba in &lbas {
+                c.read_block_into(black_box(lba), &mut buf).expect("read");
+                black_box(&buf);
+            }
+        }
+    });
+    cells.push(Cell {
+        bench: "block_read",
+        mode: "cached",
+        items: working_set * rounds,
+        unit: "blocks",
+        elapsed_ns: elapsed,
+    });
 }
 
 /// A Reed–Solomon cluster for the write/repair pipeline benches; erasure
@@ -258,8 +257,7 @@ fn bench_reads(quick: bool, cells: &mut Vec<Cell>) {
 fn rs_cluster(block_size: usize) -> StorageCluster {
     let mut b = StorageCluster::builder()
         .block_size(block_size)
-        .redundancy(Redundancy::ReedSolomon { data: 4, parity: 2 })
-        .placement_cache(true);
+        .redundancy(Redundancy::ReedSolomon { data: 4, parity: 2 });
     for id in 0..DEVICES {
         b = b.device(id, 1_000_000 + id * 10_000);
     }
@@ -388,7 +386,7 @@ fn bench_stripe_writes(quick: bool, cells: &mut Vec<Cell>) {
 
 /// Degraded-stripe repair on an RS(4, 2) cluster: one data shard is lost
 /// from every fourth block, then full redundancy is restored either by
-/// the fused `repair()` pipeline (placement-cached damage scan → gather →
+/// the fused `repair()` pipeline (damage walk over the rows → gather →
 /// reconstruct → store only the missing shard) or by the per-block
 /// recipe available without a batch API: no damage oracle exists outside
 /// the cluster, so the loop reads *every* block (degraded reads
@@ -488,9 +486,8 @@ fn to_json(cells: &[Cell], memory: &Memory, quick: bool) -> String {
     s.push_str(&records_json(&records));
     s.push_str(",\n");
     s.push_str(&format!(
-        "  \"summary\": {{\"cached_lookup_speedup\": {:.2}, \"cached_read_speedup\": {:.2}, \"table_encode_speedup\": {:.2}, \"simd_encode_speedup\": {:.2}, \"fused_write_speedup\": {:.2}, \"fused_repair_speedup\": {:.2}}}\n",
+        "  \"summary\": {{\"cached_lookup_speedup\": {:.2}, \"table_encode_speedup\": {:.2}, \"simd_encode_speedup\": {:.2}, \"fused_write_speedup\": {:.2}, \"fused_repair_speedup\": {:.2}}}\n",
         speedup(cells, "placement_lookup", "cached", "uncached"),
-        speedup(cells, "block_read", "cached", "uncached"),
         speedup(cells, "rs_encode", "table", "bytewise"),
         speedup(cells, "rs_encode", "simd", "table"),
         speedup(cells, "stripe_write", "fused", "loop"),
@@ -515,7 +512,9 @@ fn records(cells: &[Cell]) -> Vec<Record> {
                 ("stripe_write", "loop") => ("write_block_loop".to_string(), None),
                 ("repair", "fused") => ("repair_fused".to_string(), Some("loop")),
                 ("repair", "loop") => ("repair_block_loop".to_string(), None),
-                (_, "cached") => (format!("{}_{}", c.bench, c.mode), Some("uncached")),
+                ("placement_lookup", "cached") => {
+                    (format!("{}_{}", c.bench, c.mode), Some("uncached"))
+                }
                 (_, "simd") => (format!("{}_{}", c.bench, c.mode), Some("table")),
                 (_, "table") => (format!("{}_{}", c.bench, c.mode), Some("bytewise")),
                 _ => (format!("{}_{}", c.bench, c.mode), None),
@@ -548,7 +547,7 @@ fn main() {
     }
     let quick = args.iter().any(|a| a == "--quick");
     section(&format!(
-        "End-to-end I/O path — placement cache + erasure kernels{}",
+        "End-to-end I/O path — placement lookups + erasure kernels{}",
         if quick { " (quick mode)" } else { "" }
     ));
 
@@ -576,10 +575,9 @@ fn main() {
     print_table(&["bench", "mode", "items", "rate"], &rows);
 
     println!(
-        "\nspeedups: cached lookups {}x, cached reads {}x, table encode {}x, \
+        "\nspeedups: cached lookups {}x, table encode {}x, \
          simd over table {}x, fused writes {}x, fused repair {}x",
         f(speedup(&cells, "placement_lookup", "cached", "uncached")),
-        f(speedup(&cells, "block_read", "cached", "uncached")),
         f(speedup(&cells, "rs_encode", "table", "bytewise")),
         f(speedup(&cells, "rs_encode", "simd", "table")),
         f(speedup(&cells, "stripe_write", "fused", "loop")),

@@ -5,18 +5,20 @@
 //! paper's abstract: a pool of heterogeneous devices presented as a single
 //! block store. Every logical block is expanded into a redundancy group
 //! (mirror copies or erasure shards) and shard `i` is stored on the i-th
-//! device returned by the Redundant Share placement strategy — no
-//! allocation tables, so the mapping is recomputable by anyone who knows
-//! the device list.
+//! device returned by the Redundant Share placement strategy. A block's
+//! block-table row records the devices its shards were last stored on, so
+//! a stored block is found with one probe, and only unstored addresses
+//! and writes that move a block (its first write, or one during a
+//! migration) run the placement scan.
 //!
 //! Every membership change follows one path: build the strategy over the
-//! new membership, gate it on Lemma 2.2's `B_max`, install it as a pending
-//! migration layer, and drain that layer chunk by chunk, moving exactly
-//! the shards whose computed location changed. Blocks not yet drained
-//! resolve to their old placement, so a drain that fails part-way leaves
-//! every block readable and resumable. The adaptivity results of the
-//! paper (Lemmas 3.2–3.5) bound the migration volume, and
-//! [`MigrationReport`] measures it.
+//! new membership, gate it on Lemma 2.2's `B_max`, install it as the
+//! target with every stored block pending, and drain the pending blocks
+//! chunk by chunk, moving exactly the shards whose row differs from the
+//! target placement. A row changes only once the shards it names have
+//! landed, so a drain that fails part-way leaves every block readable and
+//! resumable. The adaptivity results of the paper (Lemmas 3.2–3.5) bound
+//! the migration volume, and [`MigrationReport`] measures it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +29,7 @@ use rshare_core::{Bin, BinId, BinSet, PlacementStrategy, RedundantShare, MAX_INL
 use rshare_erasure::ErasureCode;
 use rshare_obs::{family_header, sample_line, Registry, SpanTimer};
 
-use crate::cache::{BlockTable, CacheStats, InlinePlacement, MAX_CACHED_SHARDS};
+use crate::cache::{BlockTable, CacheStats};
 use crate::device::{Device, DeviceState};
 use crate::error::VdsError;
 use crate::health::{ClusterMetrics, FairnessReport, HealthSnapshot};
@@ -53,28 +55,6 @@ fn shard_len(block_size: usize, codec: Option<&dyn ErasureCode>) -> usize {
     block_size / codec.map_or(1, ErasureCode::data_shards)
 }
 
-/// A placement: borrowed from a block-table row on a hit, otherwise
-/// computed — inline (no heap) for groups that fit [`MAX_CACHED_SHARDS`]
-/// ids, heap-backed beyond that. Dereferences to the raw device-id slice,
-/// so call sites index and iterate it like a `Vec`.
-enum PlacementIds<'a> {
-    Row(&'a [u64]),
-    Inline(InlinePlacement),
-    Heap(Vec<u64>),
-}
-
-impl std::ops::Deref for PlacementIds<'_> {
-    type Target = [u64];
-
-    fn deref(&self) -> &[u64] {
-        match self {
-            Self::Row(ids) => ids,
-            Self::Inline(p) => p.as_slice(),
-            Self::Heap(v) => v,
-        }
-    }
-}
-
 /// Builder for a [`StorageCluster`].
 ///
 /// # Example
@@ -96,7 +76,6 @@ pub struct ClusterBuilder {
     block_size: usize,
     redundancy: Redundancy,
     devices: Vec<(u64, u64, DeviceProfile)>,
-    placement_cache: bool,
     metrics: bool,
     metrics_registry: Option<Arc<Registry>>,
 }
@@ -113,18 +92,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn redundancy(mut self, redundancy: Redundancy) -> Self {
         self.redundancy = redundancy;
-        self
-    }
-
-    /// Enables or disables the placement cache (default enabled): whether
-    /// lookups answer from the block table's rows. With the cache off
-    /// every lookup recomputes the placement — the configuration
-    /// benchmarks use as the uncached baseline. The table keeps a row per
-    /// stored block either way (it is the block index), so turning the
-    /// cache off saves no memory.
-    #[must_use]
-    pub fn placement_cache(mut self, enabled: bool) -> Self {
-        self.placement_cache = enabled;
         self
     }
 
@@ -211,9 +178,8 @@ impl ClusterBuilder {
             codec,
             strategy: None,
             block_size: self.block_size,
-            table: BlockTable::new(self.redundancy.total_shards(), self.placement_cache),
-            pending: Vec::new(),
-            placement_epoch: 0,
+            table: BlockTable::new(self.redundancy.total_shards()),
+            pending: BTreeSet::new(),
             placements_computed: AtomicU64::new(0),
             metrics,
         };
@@ -230,19 +196,15 @@ pub struct StorageCluster {
     codec: Option<Box<dyn ErasureCode>>,
     strategy: Option<RedundantShare>,
     block_size: usize,
-    /// One row per stored block: the block index, and the placement
-    /// cache keyed by block address and validated against
-    /// [`StorageCluster::placement_epoch`].
+    /// One row per stored block: the block index, and the device ids its
+    /// shards were last stored on.
     table: BlockTable,
-    /// Membership changes still migrating, oldest first; empty when none
-    /// is. Each layer's blocks contain every older layer's, and a block
-    /// resolves through the oldest layer that holds it.
-    pending: Vec<MigrationLayer>,
-    /// Bumped on every strategy change (add/remove/rebuild/lazy add), which
-    /// invalidates all cached placements in O(1).
-    placement_epoch: u64,
-    /// Number of placements actually computed by a strategy (cache hits
-    /// don't count — the cache-coherence tests pin this).
+    /// Stored blocks whose shards may not sit at the target strategy's
+    /// placement yet; empty when no membership change is migrating.
+    pending: BTreeSet<u64>,
+    /// Placements computed by the target strategy for a lookup or a write
+    /// (the misses of [`StorageCluster::cache_stats`]); migrations and
+    /// plans are not counted.
     placements_computed: AtomicU64,
     /// Metric handles, when recording is enabled. `None` means every hot
     /// path skips instrumentation entirely.
@@ -269,49 +231,15 @@ struct DeviceQueue {
     stores: Vec<(u64, usize, Vec<u8>)>,
 }
 
-/// One membership change whose migration has not finished: the strategy
-/// that was the target before the change, and the blocks whose shards
-/// still sit where that strategy put them.
-struct MigrationLayer {
-    strategy: RedundantShare,
-    blocks: BTreeSet<u64>,
-}
-
-/// The oldest layer of `layers` that still holds `lba`.
-fn oldest_holding(layers: &[MigrationLayer], lba: u64) -> Option<&MigrationLayer> {
-    layers.iter().find(|l| l.blocks.contains(&lba))
-}
-
-/// Overwrites the groups of `flat` (stride-k raw device ids, parallel to
-/// `lbas`) whose block a layer of `layers` still holds with its placement
-/// under the oldest such layer.
-fn overlay_old(layers: &[MigrationLayer], lbas: &[u64], flat: &mut [u64]) {
-    let Some(first) = layers.first() else {
-        return;
-    };
-    let k = first.strategy.replication();
-    let mut group = Vec::with_capacity(k);
-    for (&lba, slot) in lbas.iter().zip(flat.chunks_exact_mut(k)) {
-        if let Some(layer) = oldest_holding(layers, lba) {
-            layer.strategy.place_into(lba, &mut group);
-            for (s, id) in slot.iter_mut().zip(&group) {
-                *s = id.raw();
-            }
-        }
-    }
-}
-
-/// Places every block of `lbas`, writing raw device ids into `out`
-/// (cleared first) as one flat stride-k run: the copies of `lbas[j]`
-/// occupy `out[j * k..(j + 1) * k]`. The bulk form the migration planner
-/// and executor diff placements with.
-fn place_flat(strategy: &RedundantShare, lbas: &[u64], out: &mut Vec<u64>) {
-    out.clear();
-    out.reserve(lbas.len() * strategy.replication());
-    let mut group = Vec::with_capacity(strategy.replication());
-    for &lba in lbas {
-        strategy.place_into(lba, &mut group);
-        out.extend(group.iter().map(|id| id.raw()));
+/// Appends `strategy`'s placement of `lba` to `out` as raw device ids,
+/// through an inline buffer for groups that fit one.
+fn place_append(strategy: &RedundantShare, lba: u64, out: &mut Vec<u64>) {
+    if strategy.replication() <= MAX_INLINE_K {
+        let mut arr = [BinId(0); MAX_INLINE_K];
+        let n = strategy.place_into_inline(lba, &mut arr);
+        out.extend(arr[..n].iter().map(|id| id.raw()));
+    } else {
+        out.extend(strategy.place(lba).into_iter().map(|id| id.raw()));
     }
 }
 
@@ -334,7 +262,6 @@ impl StorageCluster {
             block_size: 4096,
             redundancy: Redundancy::Mirror { copies: 2 },
             devices: Vec::new(),
-            placement_cache: true,
             metrics: true,
             metrics_registry: None,
         }
@@ -374,18 +301,10 @@ impl StorageCluster {
         self.table.len() as u64
     }
 
-    /// Every stored block's address, ascending: the order scans, plans
-    /// and migration layers walk blocks in.
-    fn stored_lbas(&self) -> Vec<u64> {
-        let mut lbas = self.table.lbas();
-        lbas.sort_unstable();
-        lbas
-    }
-
     fn strategy(&self) -> &RedundantShare {
         // Invariant: `build()` installs a strategy before the cluster is
-        // handed out, and every membership change replaces it atomically
-        // (`Option::replace`), so the slot is never observably empty.
+        // handed out, and every membership change overwrites it, so the
+        // slot is never observably empty.
         self.strategy.as_ref().expect("strategy always present")
     }
 
@@ -417,116 +336,52 @@ impl StorageCluster {
 
     /// The device ids shard 0, 1, … of `lba` are placed on.
     ///
-    /// During a lazy migration this is the *effective* placement: blocks
-    /// not yet migrated still resolve to their pre-change locations.
+    /// A stored block's are where its shards are, read from its row: during
+    /// a migration, blocks not yet moved still report their pre-change
+    /// locations. An unstored address reports the target placement.
     #[must_use]
     pub fn placement(&self, lba: u64) -> Vec<u64> {
-        self.lookup_placement(lba).to_vec()
+        let mut out = Vec::new();
+        self.placement_into(lba, &mut out);
+        out
     }
 
     /// Like [`StorageCluster::placement`], but writes the device ids into a
     /// caller-provided buffer (cleared first) — the zero-allocation variant
-    /// for callers issuing many lookups.
+    /// for callers issuing many lookups. An unstored address's placement is
+    /// computed and leaves no row behind.
     pub fn placement_into(&self, lba: u64, out: &mut Vec<u64>) {
         out.clear();
-        out.extend_from_slice(&self.lookup_placement(lba));
-    }
-
-    /// The effective placement of any `lba`, stored or not. An unstored
-    /// block's is computed and leaves no row behind.
-    fn lookup_placement(&self, lba: u64) -> PlacementIds<'_> {
-        self.effective_placement(lba)
-            .unwrap_or_else(|| self.compute_placement(self.strategy(), lba))
-    }
-
-    /// The effective placement of a stored `lba`, or `None` if it is not
-    /// stored: the old strategy's for a block still awaiting lazy
-    /// migration, otherwise its row's on a current-epoch hit, computed on
-    /// a miss. One block-table probe; it stores nothing.
-    fn effective_placement(&self, lba: u64) -> Option<PlacementIds<'_>> {
-        if let Some(layer) = oldest_holding(&self.pending, lba) {
-            // Old-strategy placements are never cached: they die with
-            // the migration and would otherwise need their own epoch.
-            return Some(self.compute_placement(&layer.strategy, lba));
-        }
-        let row = self.table.get(lba, self.placement_epoch)?;
-        Some(row.map_or_else(
-            || self.compute_placement(self.strategy(), lba),
-            PlacementIds::Row,
-        ))
-    }
-
-    /// Places every block of `lbas` under `strategy` — the strategy in
-    /// force at `epoch` — as [`place_flat`] does, but copies each block
-    /// whose row is stamped with exactly `epoch` (while the cache is on)
-    /// from the row and scans only the rest. The table's counters and
-    /// rows are left alone, so bulk passes do not inflate the hit series.
-    fn cached_flat(&self, strategy: &RedundantShare, epoch: u64, lbas: &[u64], out: &mut Vec<u64>) {
-        let k = strategy.replication();
-        out.clear();
-        out.resize(lbas.len() * k, 0);
-        let mut group = Vec::with_capacity(k);
-        for (&lba, slot) in lbas.iter().zip(out.chunks_exact_mut(k)) {
-            if let Some(ids) = self.table.peek(lba, epoch) {
-                slot.copy_from_slice(ids);
-            } else {
-                strategy.place_into(lba, &mut group);
-                for (s, id) in slot.iter_mut().zip(&group) {
-                    *s = id.raw();
-                }
-            }
+        match self.table.get(lba) {
+            Some(ids) => out.extend_from_slice(ids),
+            None => self.compute_into(lba, out),
         }
     }
 
-    /// Runs a strategy placement (the slow path a cache hit skips),
-    /// returning the group inline whenever it fits.
-    fn compute_placement(&self, strategy: &RedundantShare, lba: u64) -> PlacementIds<'static> {
+    /// Appends the target strategy's placement of `lba` to `out`, counted
+    /// as a placement computed.
+    fn compute_into(&self, lba: u64, out: &mut Vec<u64>) {
         self.placements_computed.fetch_add(1, Ordering::Relaxed);
-        let k = strategy.replication();
-        if k <= MAX_INLINE_K {
-            let mut arr = [BinId(0); MAX_INLINE_K];
-            let n = strategy.place_into_inline(lba, &mut arr);
-            let mut p = InlinePlacement::empty();
-            for id in &arr[..n] {
-                p.push(id.raw());
-            }
-            PlacementIds::Inline(p)
-        } else {
-            let ids: Vec<u64> = strategy.place(lba).into_iter().map(|b| b.raw()).collect();
-            if ids.len() <= MAX_CACHED_SHARDS {
-                PlacementIds::Inline(InlinePlacement::from_slice(&ids))
-            } else {
-                PlacementIds::Heap(ids)
-            }
-        }
+        place_append(self.strategy(), lba, out);
     }
 
-    /// Hit/miss/occupancy counters of the placement cache.
+    /// Placement lookup counters: hits answered from a row, misses that
+    /// computed a placement, and one entry per stored block.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.table.stats()
+        CacheStats {
+            hits: self.table.hits(),
+            misses: self.placements_computed(),
+            entries: self.block_count(),
+        }
     }
 
-    /// The current placement epoch (bumped by every strategy change).
-    #[must_use]
-    pub fn placement_epoch(&self) -> u64 {
-        self.placement_epoch
-    }
-
-    /// Total placements computed by a strategy since construction; lookups
-    /// served from the cache do not increment this.
+    /// Total placements computed by the target strategy for lookups and
+    /// writes since construction; lookups answered from a row do not
+    /// increment this.
     #[must_use]
     pub fn placements_computed(&self) -> u64 {
         self.placements_computed.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the placement cache at runtime. Disabled,
-    /// every lookup recomputes its placement and
-    /// [`StorageCluster::cache_stats`] reports no entries; the block
-    /// table keeps its rows (they record which blocks are stored), so
-    /// disabling frees no memory.
-    pub fn set_placement_cache(&mut self, enabled: bool) {
-        self.table.set_caching(enabled);
     }
 
     /// Writes one logical block: a one-element
@@ -557,7 +412,9 @@ impl StorageCluster {
     /// * [`VdsError::WrongBlockSize`] if `data` is not exactly
     ///   `lbas.len()` blocks.
     /// * [`VdsError::OutOfSpace`] / [`VdsError::DeviceFailed`] from the
-    ///   target devices; blocks before the failing one remain written.
+    ///   target devices; blocks before the failing one remain written. The
+    ///   failing block keeps its row and stays pending if it was: it reads
+    ///   its previous value or the new one.
     pub fn write_blocks(&mut self, lbas: &[u64], data: &[u8]) -> Result<(), VdsError> {
         let expected = lbas.len() * self.block_size;
         if data.len() != expected {
@@ -575,7 +432,7 @@ impl StorageCluster {
         let mut parity: Vec<Vec<u8>> =
             vec![Vec::new(); self.codec.as_deref().map_or(0, ErasureCode::parity_shards)];
         let mut refs: Vec<&[u8]> = Vec::new();
-        let mut old_ids: Vec<u64> = Vec::new();
+        let mut row: Vec<u64> = Vec::new();
         let mut ids: Vec<u64> = Vec::new();
         for (&lba, block) in lbas.iter().zip(data.chunks_exact(self.block_size)) {
             refs.clear();
@@ -587,54 +444,54 @@ impl StorageCluster {
                 // Mirroring: every copy is the block itself.
                 refs.extend(std::iter::repeat_n(block, self.redundancy.total_shards()));
             }
-            // Writes always land at the target placement; if the block was
-            // awaiting migration, the overwrite completes it for free. Its
-            // shards sit where the oldest layer holding it put them.
-            let completes_migration = match oldest_holding(&self.pending, lba) {
-                Some(layer) => {
-                    old_ids.clear();
-                    old_ids.extend(layer.strategy.place(lba).into_iter().map(|id| id.raw()));
-                    for layer in &mut self.pending {
-                        layer.blocks.remove(&lba);
-                    }
-                    true
-                }
-                None => false,
+            // One block-table probe: the row says where the block's shards
+            // are, and a settled block's row is its target placement. A
+            // first write, or a write to a block awaiting migration, moves
+            // the block: it computes the target and keeps the old row in
+            // `row`; the write then completes the block's migration for
+            // free.
+            let pending = self.pending.contains(&lba);
+            let stored = if pending {
+                self.table.peek(lba)
+            } else {
+                self.table.get(lba)
             };
-            // One block-table probe: a current row is a hit; otherwise the
-            // placement is computed, and stamped once the shards landed.
-            let row = self.table.get(lba, self.placement_epoch).flatten();
-            let stamp = row.is_none();
+            let moving = pending || stored.is_none();
+            row.clear();
             ids.clear();
-            ids.extend_from_slice(&row.map_or_else(
-                || self.compute_placement(self.strategy(), lba),
-                PlacementIds::Row,
-            ));
-            let total = refs.len() + parity.len();
-            for (i, &dev_id) in ids.iter().enumerate().take(total) {
+            if moving {
+                row.extend_from_slice(stored.unwrap_or_default());
+                self.compute_into(lba, &mut ids);
+            } else {
+                ids.extend_from_slice(stored.unwrap_or_default());
+            }
+            for (i, &dev_id) in ids.iter().enumerate() {
                 let shard: &[u8] = if i < refs.len() {
                     refs[i]
                 } else {
                     &parity[i - refs.len()]
                 };
-                let device = self
-                    .devices
-                    .get_mut(&dev_id)
-                    .ok_or(VdsError::UnknownDevice { id: dev_id })?;
-                device.store_from((lba, i), shard)?;
-            }
-            if completes_migration {
-                for (i, dev_id) in old_ids.iter().enumerate() {
-                    if *dev_id != ids[i] {
-                        if let Some(d) = self.devices.get_mut(dev_id) {
-                            d.remove(&(lba, i));
-                        }
+                let landed = match self.devices.get_mut(&dev_id) {
+                    Some(device) => device.store_from((lba, i), shard),
+                    None => Err(VdsError::UnknownDevice { id: dev_id }),
+                };
+                if let Err(e) = landed {
+                    // The row still names the block's shards: drop the ones
+                    // a moving write landed off it, and keep the block
+                    // pending.
+                    if moving {
+                        self.remove_shards(lba, &ids[..i], &row);
                     }
+                    return Err(e);
                 }
-                self.drop_drained_layers();
             }
-            if stamp {
-                self.table.stamp(lba, self.placement_epoch, &ids);
+            if moving {
+                self.remove_shards(lba, &row, &ids);
+                self.table.stamp(lba, &ids);
+            }
+            if pending {
+                self.pending.remove(&lba);
+                self.retire_leavers();
             }
             if let Some(m) = &self.metrics {
                 m.writes_total.inc();
@@ -708,11 +565,8 @@ impl StorageCluster {
     /// erasure reconstruction.
     fn read_into_inner(&self, lba: u64, buf: &mut [u8]) -> Result<bool, VdsError> {
         // One block-table probe: a block without a row was never written;
-        // a current row lends its placement, and a stale one is
-        // recomputed inline, allocating nothing for groups that fit.
-        let placement = self
-            .effective_placement(lba)
-            .ok_or(VdsError::BlockNotFound { lba })?;
+        // a row lends the devices its shards are on.
+        let placement = self.table.get(lba).ok_or(VdsError::BlockNotFound { lba })?;
         let k = placement.len();
         match self.redundancy {
             Redundancy::Mirror { .. } => {
@@ -826,15 +680,15 @@ impl StorageCluster {
     }
 
     /// Adds a device *lazily*: the placement switches immediately, but no
-    /// data moves — blocks keep resolving to their old locations until
-    /// they are migrated by [`StorageCluster::migrate_batch`] (or rewritten,
-    /// which completes their migration for free). Returns the number of
-    /// blocks awaiting migration.
+    /// data moves — blocks keep resolving to their old locations, read
+    /// from their rows, until they are migrated by
+    /// [`StorageCluster::migrate_batch`] (or rewritten, which completes
+    /// their migration for free). Returns the number of blocks awaiting
+    /// migration.
     ///
-    /// Only computed placement makes this cheap: both the old and the new
-    /// mapping are pure functions, so serving from either side needs no
-    /// per-block forwarding table. A migration already in flight is not
-    /// drained first: the change stacks on it.
+    /// A migration already in flight is not drained first: the change
+    /// stacks on it, and every stored block moves from its row to the new
+    /// target.
     ///
     /// # Errors
     ///
@@ -869,20 +723,18 @@ impl StorageCluster {
     /// Blocks still awaiting migration.
     #[must_use]
     pub fn pending_blocks(&self) -> u64 {
-        // The newest layer holds every block an older one does.
-        self.pending.last().map_or(0, |l| l.blocks.len() as u64)
+        self.pending.len() as u64
     }
 
     /// Migrates up to `max_blocks` pending blocks (lowest addresses first)
-    /// to their target placement, returning what moved. Old and new
-    /// placements are computed a chunk at a time as flat stride-k runs —
-    /// old ones from cache rows still stamped with the pre-change epoch
-    /// where resident — unchanged blocks are skipped without any device
-    /// I/O, and the changed ones go through the gather/apply executor.
-    /// Every row of a migrated chunk is restamped with its target
-    /// placement, so requests after the drain hit. The bounded
-    /// budget keeps lazy migration incremental; with no migration in
-    /// flight this is a no-op reporting zeros.
+    /// to their target placement, returning what moved. A chunk at a time,
+    /// each block's row (where its shards are) is diffed against its
+    /// target placement as flat stride-k runs; unchanged blocks are skipped
+    /// without any device I/O, and the changed ones go through the
+    /// gather/apply executor. A chunk's rows are restamped and its blocks
+    /// leave the pending set only once its shards have landed. The
+    /// bounded budget keeps lazy migration incremental; with no migration
+    /// in flight this is a no-op reporting zeros.
     ///
     /// # Errors
     ///
@@ -897,33 +749,19 @@ impl StorageCluster {
         let mut report = MigrationReport::default();
         let mut lbas: Vec<u64> = Vec::new();
         let mut old_flat: Vec<u64> = Vec::new();
-        self.drop_drained_layers();
-        while let Some((newest, older)) = self.pending.split_last() {
+        loop {
             let take = (max_blocks - report.blocks).min(MIGRATION_CHUNK_BLOCKS as u64);
-            if take == 0 {
-                break;
-            }
             lbas.clear();
-            lbas.extend(newest.blocks.iter().take(take as usize));
-            // Each change bumps the epoch once, so the newest layer's
-            // strategy is the one in force at the previous epoch; blocks
-            // an older layer still holds sit where that layer put them.
-            self.cached_flat(
-                &newest.strategy,
-                self.placement_epoch - 1,
-                &lbas,
-                &mut old_flat,
-            );
-            overlay_old(older, &lbas, &mut old_flat);
+            lbas.extend(self.pending.iter().take(take as usize));
+            let Some(&last) = lbas.last() else {
+                break;
+            };
+            self.rows_flat(&lbas, &mut old_flat);
             report.merge(self.rebalance_chunk(&lbas, &old_flat)?);
-            // The chunk is an ascending prefix of the newest layer, which
-            // contains every older one, so one split per layer drops it.
-            let bound = lbas.last().expect("drained layers are dropped") + 1;
-            for layer in &mut self.pending {
-                layer.blocks = layer.blocks.split_off(&bound);
-            }
-            self.drop_drained_layers();
+            // The chunk is an ascending prefix of the pending set.
+            self.pending = self.pending.split_off(&(last + 1));
         }
+        self.retire_leavers();
         Ok(report)
     }
 
@@ -937,13 +775,10 @@ impl StorageCluster {
         self.migrate_batch(u64::MAX)
     }
 
-    /// Drops the layers no block is left in. Once the last goes the
-    /// migration is complete, and every online device outside the target
+    /// Once no block is pending, every online device outside the target
     /// strategy (a removal, drained by copy) leaves the map.
-    fn drop_drained_layers(&mut self) {
-        let before = self.pending.len();
-        self.pending.retain(|l| !l.blocks.is_empty());
-        if before == 0 || !self.pending.is_empty() {
+    fn retire_leavers(&mut self) {
+        if !self.pending.is_empty() {
             return;
         }
         let members = self
@@ -961,25 +796,33 @@ impl StorageCluster {
         });
     }
 
-    /// Batch-computes the *effective* placement of every `lbas[j]` into
-    /// `out` as one flat stride-k run of raw device ids: every block's
-    /// target placement comes from its current-epoch cache row or the
-    /// scan ([`StorageCluster::cached_flat`], which counts no hit or
-    /// miss), then blocks still awaiting migration are overwritten with
-    /// their old placement.
-    fn effective_flat(&self, lbas: &[u64], out: &mut Vec<u64>) {
-        self.cached_flat(self.strategy(), self.placement_epoch, lbas, out);
-        overlay_old(&self.pending, lbas, out);
+    /// Copies the rows of the stored blocks `lbas` into `out` (cleared
+    /// first) as one flat stride-k run of device ids, parallel to `lbas`.
+    fn rows_flat(&self, lbas: &[u64], out: &mut Vec<u64>) {
+        out.clear();
+        for &lba in lbas {
+            out.extend_from_slice(self.table.peek(lba).expect("a stored block has a row"));
+        }
     }
 
-    /// Migrates one chunk of blocks from their `old_flat` placements (flat
+    /// Removes shard `i` of `lba` from device `at[i]` wherever `keep`
+    /// does not name that device for it.
+    fn remove_shards(&mut self, lba: u64, at: &[u64], keep: &[u64]) {
+        for (i, dev_id) in at.iter().enumerate() {
+            if keep.get(i) != Some(dev_id) {
+                if let Some(d) = self.devices.get_mut(dev_id) {
+                    d.remove(&(lba, i));
+                }
+            }
+        }
+    }
+
+    /// Migrates one chunk of blocks from their `old_flat` rows (flat
     /// stride-k device ids, parallel to `lbas`) to the current target
     /// strategy. Blocks whose placement is unchanged are skipped without
     /// touching any device; latent shard losses are
-    /// [`StorageCluster::repair`]'s job. Every row of the chunk is
-    /// restamped with the target placement under the current epoch,
-    /// whatever the I/O outcome: the row records the strategy, not where
-    /// the shards are.
+    /// [`StorageCluster::repair`]'s job. The rows of the moved blocks are
+    /// restamped with their target placement once the chunk has landed.
     fn rebalance_chunk(
         &mut self,
         lbas: &[u64],
@@ -991,10 +834,11 @@ impl StorageCluster {
             shards_total: (lbas.len() * k) as u64,
             ..MigrationReport::default()
         };
-        let mut new_flat: Vec<u64> = Vec::new();
-        place_flat(self.strategy(), lbas, &mut new_flat);
-        for (&lba, ids) in lbas.iter().zip(new_flat.chunks_exact(k)) {
-            self.table.stamp(lba, self.placement_epoch, ids);
+        // The target placements as one flat stride-k run, parallel to
+        // `old_flat`.
+        let mut new_flat: Vec<u64> = Vec::with_capacity(lbas.len() * k);
+        for &lba in lbas {
+            place_append(self.strategy(), lba, &mut new_flat);
         }
         let work: Vec<usize> = old_flat
             .chunks_exact(k)
@@ -1007,6 +851,9 @@ impl StorageCluster {
             return Ok(report);
         }
         let outcome = self.execute_block_ops(lbas, &work, old_flat, &new_flat)?;
+        for &j in &work {
+            self.table.stamp(lbas[j], &new_flat[j * k..(j + 1) * k]);
+        }
         report.shards_moved = outcome.moved;
         report.shards_reconstructed = outcome.reconstructed;
         Ok(report)
@@ -1216,21 +1063,15 @@ impl StorageCluster {
         Ok(strategy)
     }
 
-    /// Makes `strategy` the target and records the change as the newest
-    /// pending layer, holding every stored block: each still sits where
-    /// the outgoing strategy, or an older layer, put it. Bumps the epoch
-    /// exactly once, so rows at the previous epoch hold the outgoing
-    /// strategy's placements.
+    /// Makes `strategy` the target and marks every stored block pending:
+    /// each moves from its row to the new target, whatever change, or
+    /// unfinished stack of changes, put it there.
     fn install(&mut self, strategy: RedundantShare) {
-        let outgoing = self
-            .strategy
-            .replace(strategy)
-            .expect("strategy always present");
-        self.placement_epoch += 1;
-        self.pending.push(MigrationLayer {
-            strategy: outgoing,
-            blocks: self.stored_lbas().into_iter().collect(),
-        });
+        self.strategy = Some(strategy);
+        let mut lbas: Vec<u64> = self.table.rows().map(|(lba, _)| lba).collect();
+        // Sorted up front, so the set is bulk-built from a sorted run.
+        lbas.sort_unstable();
+        self.pending = lbas.into_iter().collect();
     }
 
     /// Verifies that every block is readable; returns the number of blocks
@@ -1240,29 +1081,17 @@ impl StorageCluster {
     ///
     /// [`VdsError::DataLoss`] on the first unrecoverable block.
     pub fn scrub(&mut self) -> Result<u64, VdsError> {
-        let k = self.redundancy.total_shards();
-        let lbas = self.stored_lbas();
-        let mut flat: Vec<u64> = Vec::new();
-        let mut degraded = 0;
-        for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            self.effective_flat(chunk, &mut flat);
-            for (&lba, placement) in chunk.iter().zip(flat.chunks_exact(k)) {
-                let missing = placement
-                    .iter()
-                    .enumerate()
-                    .any(|(i, id)| !self.devices.get(id).is_some_and(|d| d.has(&(lba, i))));
-                if missing {
-                    degraded += 1;
-                    // Force the read path to prove recoverability.
-                    self.read_block(lba)?;
-                }
-            }
+        let mut degraded: Vec<u64> = self.degraded_blocks().collect();
+        degraded.sort_unstable();
+        for &lba in &degraded {
+            // Force the read path to prove recoverability.
+            self.read_block(lba)?;
         }
-        Ok(degraded)
+        Ok(degraded.len() as u64)
     }
 
-    /// Repairs degraded blocks in place: any shard missing from its
-    /// computed location (e.g. lost to a transient device error) is
+    /// Repairs degraded blocks in place: any shard missing from the device
+    /// its row names (e.g. lost to a transient device error) is
     /// reconstructed from the group's redundancy and re-stored, without
     /// changing any placement. Returns the number of shards repaired.
     ///
@@ -1281,33 +1110,20 @@ impl StorageCluster {
     /// [`VdsError::DataLoss`] if a block lost more shards than the
     /// redundancy tolerates; device I/O errors on the re-stores.
     pub fn repair(&mut self) -> Result<u64, VdsError> {
-        let lbas = self.stored_lbas();
-        let k = self.redundancy.total_shards();
+        let mut degraded: Vec<u64> = self.degraded_blocks().collect();
+        degraded.sort_unstable();
         let mut repaired = 0u64;
         let mut flat: Vec<u64> = Vec::new();
-        for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            self.effective_flat(chunk, &mut flat);
-            let mut work: Vec<usize> = Vec::new();
-            for (j, &lba) in chunk.iter().enumerate() {
-                let degraded = flat[j * k..(j + 1) * k]
-                    .iter()
-                    .enumerate()
-                    .any(|(i, id)| !self.devices.get(id).is_some_and(|d| d.has(&(lba, i))));
-                if degraded {
-                    work.push(j);
-                }
-            }
-            if work.is_empty() {
-                continue;
-            }
+        for chunk in degraded.chunks(MIGRATION_CHUNK_BLOCKS) {
+            self.rows_flat(chunk, &mut flat);
             // Pipelined through the migration executor with old == new:
             // each degraded stripe is gathered and decoded exactly once
             // and the stores land only in the missing slots.
-            let blocks_repaired = work.len() as u64;
+            let work: Vec<usize> = (0..chunk.len()).collect();
             let outcome = self.execute_block_ops(chunk, &work, &flat, &flat)?;
             repaired += outcome.stored;
             if let Some(m) = &self.metrics {
-                m.repair_blocks_total.add(blocks_repaired);
+                m.repair_blocks_total.add(chunk.len() as u64);
             }
         }
         Ok(repaired)
@@ -1400,46 +1216,40 @@ impl StorageCluster {
         Ok(plan)
     }
 
-    /// Diffs the current placement against a hypothetical bin set, in
-    /// bulk: old (effective) and candidate placements are computed a
-    /// chunk at a time as flat stride-k runs — the old side from current
-    /// cache rows where resident — and compared slice-against-slice, so
-    /// unchanged blocks, the common case under 2–4-competitive churn, cost
-    /// at most one scan and one memcmp.
+    /// Diffs every stored block's row against its placement under a
+    /// hypothetical bin set, block by block in table order, so unchanged
+    /// blocks, the common case under 2–4-competitive churn, cost one scan
+    /// and one compare. A block still awaiting migration is planned from
+    /// where its shards are.
     /// The moves are sorted so every (source → target) device queue is
     /// contiguous ([`MigrationPlan::device_queues`]).
     fn plan_against(&self, bins: &BinSet, fair_min_shards: f64) -> Result<MigrationPlan, VdsError> {
         let k = self.redundancy.total_shards();
         let candidate = RedundantShare::new(bins, k)?;
-        let lbas = self.stored_lbas();
+        let blocks = self.block_count();
         let mut plan = MigrationPlan {
-            shards_total: (lbas.len() * k) as u64,
-            blocks_total: lbas.len() as u64,
+            shards_total: blocks * k as u64,
+            blocks_total: blocks,
             fair_min_shards,
             ..MigrationPlan::default()
         };
-        let mut old_flat: Vec<u64> = Vec::new();
-        let mut new_flat: Vec<u64> = Vec::new();
-        for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            self.effective_flat(chunk, &mut old_flat);
-            place_flat(&candidate, chunk, &mut new_flat);
-            for (j, &lba) in chunk.iter().enumerate() {
-                let old = &old_flat[j * k..(j + 1) * k];
-                let new = &new_flat[j * k..(j + 1) * k];
-                let before = plan.moves.len();
-                for (copy, (&from, &to)) in old.iter().zip(new).enumerate() {
-                    if from != to {
-                        plan.moves.push(ShardMove {
-                            lba,
-                            copy,
-                            from,
-                            to,
-                        });
-                    }
+        let mut new: Vec<u64> = Vec::with_capacity(k);
+        for (lba, old) in self.table.rows() {
+            new.clear();
+            place_append(&candidate, lba, &mut new);
+            let before = plan.moves.len();
+            for (copy, (&from, &to)) in old.iter().zip(&new).enumerate() {
+                if from != to {
+                    plan.moves.push(ShardMove {
+                        lba,
+                        copy,
+                        from,
+                        to,
+                    });
                 }
-                if plan.moves.len() > before {
-                    plan.blocks_planned += 1;
-                }
+            }
+            if plan.moves.len() > before {
+                plan.blocks_planned += 1;
             }
         }
         plan.moves
@@ -1455,10 +1265,9 @@ impl StorageCluster {
     /// `true` if the shard existed. The block becomes degraded until
     /// [`StorageCluster::repair`] or [`StorageCluster::rebuild`] runs.
     pub fn inject_shard_loss(&mut self, lba: u64, copy: usize) -> bool {
-        if copy >= self.redundancy.total_shards() {
+        let Some(&device) = self.table.peek(lba).and_then(|ids| ids.get(copy)) else {
             return false;
-        }
-        let device = self.lookup_placement(lba)[copy];
+        };
         self.devices
             .get_mut(&device)
             .is_some_and(|d| d.remove(&(lba, copy)))
@@ -1488,30 +1297,26 @@ impl StorageCluster {
         FairnessReport::compute(&rows, self.redundancy.total_shards())
     }
 
-    /// Number of blocks currently missing at least one shard from its
-    /// computed location. Places every block in bulk from current rows
-    /// without counting a hit or a miss, so scrape-time accounting does
-    /// not distort the cache hit/miss series.
+    /// Number of blocks currently missing at least one shard from the
+    /// device its row names. Reads rows without counting a hit, so
+    /// scrape-time accounting does not distort the hit series.
     #[must_use]
     pub fn degraded_block_count(&self) -> u64 {
-        let k = self.redundancy.total_shards();
-        // Only counts, so the blocks may come in table order.
-        let lbas = self.table.lbas();
-        let mut flat: Vec<u64> = Vec::new();
-        let mut degraded = 0u64;
-        for chunk in lbas.chunks(MIGRATION_CHUNK_BLOCKS) {
-            self.effective_flat(chunk, &mut flat);
-            for (j, &lba) in chunk.iter().enumerate() {
-                let missing = flat[j * k..(j + 1) * k]
-                    .iter()
+        self.degraded_blocks().count() as u64
+    }
+
+    /// Every stored block missing a shard from the device its row names,
+    /// in table order: the one degraded-block walk of scrub, repair and
+    /// the health snapshot.
+    fn degraded_blocks(&self) -> impl Iterator<Item = u64> + '_ {
+        self.table
+            .rows()
+            .filter(|&(lba, ids)| {
+                ids.iter()
                     .enumerate()
-                    .any(|(i, id)| !self.devices.get(id).is_some_and(|d| d.has(&(lba, i))));
-                if missing {
-                    degraded += 1;
-                }
-            }
-        }
-        degraded
+                    .any(|(i, id)| !self.devices.get(id).is_some_and(|d| d.has(&(lba, i))))
+            })
+            .map(|(lba, _)| lba)
     }
 
     /// A point-in-time health summary: device counts, migration debt,
@@ -1582,28 +1387,28 @@ impl StorageCluster {
             &mut out,
             "placement_cache_hits_total",
             "counter",
-            "Placement lookups served from the cache",
+            "Placement lookups answered from a stored block's row",
         );
         sample_line(&mut out, "placement_cache_hits_total", &[], cs.hits);
         family_header(
             &mut out,
             "placement_cache_misses_total",
             "counter",
-            "Placement lookups that recomputed the placement",
+            "Placement lookups that computed a placement",
         );
         sample_line(&mut out, "placement_cache_misses_total", &[], cs.misses);
         family_header(
             &mut out,
             "placement_cache_entries",
             "gauge",
-            "Live placement cache entries",
+            "Block-table rows, one per stored block",
         );
         sample_line(&mut out, "placement_cache_entries", &[], cs.entries);
         family_header(
             &mut out,
             "placements_computed_total",
             "counter",
-            "Placements computed by a strategy (cache hits excluded)",
+            "Placements computed by a strategy (lookups answered from a row excluded)",
         );
         sample_line(
             &mut out,
@@ -2330,21 +2135,21 @@ mod tests {
     }
 
     #[test]
-    fn membership_change_invalidates_cache_via_epoch() {
+    fn membership_change_restamps_moved_rows() {
         let mut c = mirror_cluster();
         for lba in 0..300u64 {
             c.write_block(lba, &block(lba as u8, 64)).unwrap();
         }
-        let epoch_before = c.placement_epoch();
-        // Warm the cache for every block.
-        for lba in 0..300u64 {
-            c.read_block(lba).unwrap();
-        }
+        let before: Vec<Vec<u64>> = (0..300u64).map(|lba| c.placement(lba)).collect();
         c.add_device(9, 10_000).unwrap();
-        assert!(c.placement_epoch() > epoch_before, "epoch must bump");
+        assert_eq!(c.pending_blocks(), 0);
+        assert!(
+            (0..300u64).any(|lba| c.placement(lba) != before[lba as usize]),
+            "the add moved some blocks"
+        );
         // Placements after the change match a freshly built identical
-        // cluster (i.e. no stale cache entry leaks through).
-        let mut fresh = StorageCluster::builder()
+        // cluster (i.e. no row keeps a pre-change location).
+        let fresh = StorageCluster::builder()
             .block_size(64)
             .redundancy(Redundancy::Mirror { copies: 2 })
             .device(0, 10_000)
@@ -2354,7 +2159,6 @@ mod tests {
             .device(9, 10_000)
             .build()
             .unwrap();
-        fresh.set_placement_cache(false);
         for lba in 0..300u64 {
             assert_eq!(c.placement(lba), fresh.placement(lba), "lba {lba}");
             assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
@@ -2362,21 +2166,30 @@ mod tests {
     }
 
     #[test]
-    fn lazy_migration_bypasses_cache_for_pending_blocks() {
+    fn lazy_migration_resolves_pending_blocks_from_rows() {
         let mut c = mirror_cluster();
         for lba in 0..200u64 {
             c.write_block(lba, &block(lba as u8, 64)).unwrap();
         }
-        // Snapshot effective placements, then switch the mapping lazily.
+        // Snapshot placements, then switch the mapping lazily.
         let old: Vec<Vec<u64>> = (0..200u64).map(|lba| c.placement(lba)).collect();
         c.add_device_lazy(9, 10_000).unwrap();
-        // Pending blocks still resolve to their old locations even though
-        // the cache holds (stale-epoch) entries from before the change.
+        assert_eq!(c.pending_blocks(), 200);
+        // Pending blocks resolve to their old locations from their rows:
+        // every lookup hits and no placement is computed.
+        let (computed, hits) = (c.placements_computed(), c.cache_stats().hits);
         for lba in 0..200u64 {
             assert_eq!(c.placement(lba), old[lba as usize], "pending lba {lba}");
+            assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
         }
-        // Migrate everything; placements now come from the new strategy and
-        // are cacheable — repeated lookups are hits, and still correct.
+        assert_eq!(
+            c.placements_computed(),
+            computed,
+            "pending lookups computed"
+        );
+        assert_eq!(c.cache_stats().hits, hits + 400);
+        // Migrate everything; placements now come from the restamped rows
+        // — repeated lookups are hits, and still correct.
         while c.pending_blocks() > 0 {
             c.migrate_batch(50).unwrap();
         }
@@ -2389,12 +2202,12 @@ mod tests {
         assert_eq!(c.scrub().unwrap(), 0);
     }
 
-    /// An uncached cluster built from scratch over `c`'s online devices.
+    /// A cluster built from scratch over `c`'s online devices. It stores
+    /// nothing, so its placements are computed.
     fn fresh_twin(c: &StorageCluster) -> StorageCluster {
         let mut b = StorageCluster::builder()
             .block_size(c.block_size())
-            .redundancy(c.redundancy())
-            .placement_cache(false);
+            .redundancy(c.redundancy());
         for d in c
             .devices
             .values()
@@ -2405,8 +2218,8 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Planning, the degraded count and a scrape read placements in bulk;
-    /// none of them may move the cache's hit, miss or entry counts.
+    /// Planning, the degraded count and a scrape read rows in bulk; none
+    /// of them may move the hit, miss or entry counts.
     fn assert_bulk_passes_count_nothing(c: &StorageCluster) {
         let before = c.cache_stats();
         let ids = c.device_ids();
@@ -2419,7 +2232,7 @@ mod tests {
     }
 
     /// Reads every block of `lbas` back and asserts that each placement
-    /// came from a current cache row: no miss, no strategy run.
+    /// came from its row: no miss, no strategy run.
     fn assert_reads_hit(c: &StorageCluster, lbas: impl Iterator<Item = u64>) {
         let (computed, misses) = (c.placements_computed(), c.cache_stats().misses);
         let mut buf = vec![0u8; 64];
@@ -2468,17 +2281,15 @@ mod tests {
         c.rebuild().unwrap();
         check(&c);
 
-        // A lazy add drained in three budgets: after each, every drained
-        // block hits; the pending ones resolve through the old strategy.
+        // A lazy add drained in three budgets: after each, every block
+        // hits, and every drained block sits at the target placement.
         c.add_device_lazy(9, 9_000).unwrap();
         for _ in 0..3 {
             c.migrate_batch(blocks.div_ceil(3)).unwrap();
-            let pending = c.pending.last().map(|l| l.blocks.clone());
-            let drained =
-                || (0..blocks).filter(|l| pending.as_ref().is_none_or(|p| !p.contains(l)));
+            let pending = c.pending.clone();
             assert_bulk_passes_count_nothing(&c);
-            assert_reads_hit(&c, drained());
-            assert_matches_fresh(&c, drained());
+            assert_reads_hit(&c, 0..blocks);
+            assert_matches_fresh(&c, (0..blocks).filter(|l| !pending.contains(l)));
         }
         assert_eq!(c.pending_blocks(), 0);
 
@@ -2502,11 +2313,11 @@ mod tests {
             "{err:?}"
         );
         assert_bulk_passes_count_nothing(&c);
-        // The first chunk drained: its rows were rewritten under the new
-        // epoch, so its reads hit and it matches the fresh twin. The
-        // failed chunk and every later one keep their old placement.
+        // The first chunk drained: its rows were restamped, so it matches
+        // the fresh twin. The failed chunk and every later one keep their
+        // old placement, and every block still hits.
         assert_eq!(c.pending_blocks(), blocks - drained);
-        assert_reads_hit(&c, 0..drained);
+        assert_reads_hit(&c, (0..blocks).filter(|&l| l != lost));
         assert_matches_fresh(&c, 0..drained);
         for lba in drained..blocks {
             assert_eq!(c.placement(lba), before[lba as usize], "lba {lba}");
@@ -2529,11 +2340,12 @@ mod tests {
         for lba in 0..180u64 {
             c.write_block(lba, &block(lba as u8, 64)).unwrap();
         }
-        let epoch = c.placement_epoch();
+        let placements: Vec<Vec<u64>> = (0..180u64).map(|lba| c.placement(lba)).collect();
         let assert_untouched = |c: &StorageCluster| {
             assert!(c.device(3).is_some(), "device 3 stays in the map");
-            assert_eq!(c.placement_epoch(), epoch);
+            assert_eq!(c.pending_blocks(), 0, "nothing was installed");
             for lba in 0..180u64 {
+                assert_eq!(c.placement(lba), placements[lba as usize], "lba {lba}");
                 assert_eq!(
                     c.read_block(lba).unwrap(),
                     block(lba as u8, 64),
@@ -2729,32 +2541,47 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_recomputes_every_lookup() {
-        let mut c = StorageCluster::builder()
+    fn failed_write_during_lazy_migration_keeps_the_block() {
+        let mut b = StorageCluster::builder()
             .block_size(64)
-            .redundancy(Redundancy::Mirror { copies: 2 })
-            .placement_cache(false)
-            .device(0, 10_000)
-            .device(1, 10_000)
-            .device(2, 10_000)
-            .build()
-            .unwrap();
-        c.write_block(3, &block(3, 64)).unwrap();
-        let computed = c.placements_computed();
-        c.read_block(3).unwrap();
-        c.read_block(3).unwrap();
-        assert_eq!(
-            c.placements_computed(),
-            computed + 2,
-            "uncached lookups recompute"
-        );
-        assert_eq!(c.cache_stats().entries, 0);
-        // Re-enabling works: the write stamped the block's row.
-        c.set_placement_cache(true);
-        c.read_block(3).unwrap();
-        let computed = c.placements_computed();
-        c.read_block(3).unwrap(); // hit
-        assert_eq!(c.placements_computed(), computed);
+            .redundancy(Redundancy::Mirror { copies: 2 });
+        for id in 0..6u64 {
+            b = b.device(id, 2_000 * (id + 1));
+        }
+        let mut c = b.build().unwrap();
+        let blocks = 2_000u64;
+        for lba in 0..blocks {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        c.add_device_lazy(6, 20_000).unwrap();
+        c.fail_device(6).unwrap();
+        // Every write whose target placement includes the failed device
+        // fails; its block stays pending at its old home.
+        let mut failed = 0u64;
+        for lba in 0..blocks {
+            failed += u64::from(c.write_block(lba, &block(!(lba as u8), 64)).is_err());
+        }
+        assert!(failed > 0, "some writes target the failed device");
+        let assert_old_or_new = |c: &StorageCluster| {
+            for lba in 0..blocks {
+                let got = c.read_block(lba);
+                assert!(
+                    got.as_ref()
+                        .is_ok_and(|b| *b == block(lba as u8, 64) || *b == block(!(lba as u8), 64)),
+                    "lba {lba}: {:?}",
+                    got.map(|b| b[0])
+                );
+            }
+        };
+        assert_old_or_new(&c);
+        assert_eq!(c.pending_blocks(), failed);
+        c.rebuild().unwrap();
+        assert_eq!(c.pending_blocks(), 0);
+        assert_old_or_new(&c);
+        assert_eq!(c.scrub().unwrap(), 0);
+        // The failed writes left no stray shard: exactly 2 per block.
+        let used: u64 = c.utilization().iter().map(|&(_, used, _)| used).sum();
+        assert_eq!(used, 2 * blocks);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //!
 //! * [`StorageCluster`] — a pool of simulated [`Device`]s virtualized into
 //!   a single redundant block store. Shard locations are *computed* with
-//!   [`rshare_core::RedundantShare`], never stored, so the metadata
-//!   footprint is constant ("compactness" in the paper's criteria list).
+//!   [`rshare_core::RedundantShare`] — the strategy itself is a few words
+//!   per device ("compactness" in the paper's criteria list) — and each
+//!   stored block's are recorded in a fixed-width block-table row of `k`
+//!   device ids, so a lookup is one probe and the metadata grows with the
+//!   stored blocks, not with the address space.
 //! * [`Redundancy`] — per-block mirroring or erasure coding (XOR parity,
 //!   EVENODD, RDP, Reed–Solomon from `rshare-erasure`); shard `i` of a
 //!   group goes to the i-th placed bin, using the copy-identity property
@@ -19,11 +22,10 @@
 //!   [`MigrationReport`] quantifies the volume the paper's adaptivity
 //!   lemmas bound. Every change takes one path: the mapping switches
 //!   instantly and data follows chunk by chunk (`rebalance`, or
-//!   `add_device_lazy` + `migrate_batch` to drain incrementally). Both
-//!   mappings are pure functions, so blocks not yet moved are served from
-//!   their old homes with no forwarding table, and a change that fails
-//!   part-way leaves them readable and pending. Changes can also be
-//!   **dry-run** ([`MigrationPlan`]).
+//!   `add_device_lazy` + `migrate_batch` to drain incrementally). Blocks
+//!   not yet moved are served from the old homes their rows record, and a
+//!   change that fails part-way leaves them readable and pending. Changes
+//!   can also be **dry-run** ([`MigrationPlan`]).
 //! * Devices carry [`DeviceProfile`]s; simulated busy time and the
 //!   workload *makespan* turn placement fairness into completion-time
 //!   statements.
@@ -64,7 +66,7 @@ mod shared;
 mod table;
 mod vdisk;
 
-pub use cache::{CacheStats, MAX_CACHED_SHARDS};
+pub use cache::CacheStats;
 pub use cluster::{ClusterBuilder, StorageCluster};
 pub use device::{Device, DeviceState, IoStats};
 pub use error::VdsError;

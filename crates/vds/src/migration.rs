@@ -72,11 +72,11 @@ pub struct ShardMove {
 /// operators can inspect the migration volume (per-device inflow,
 /// measured competitive ratio) before committing to a change.
 ///
-/// Placements are diffed a chunk at a time as flat stride-k runs of
-/// device ids (the current side read from cached rows where resident) and
-/// the moves are sorted by `(from, to, lba, copy)`, so every (source device →
-/// target device) transfer queue is one contiguous run of the `moves`
-/// vector — see [`MigrationPlan::device_queues`].
+/// Each stored block's block-table row (where its shards are) is diffed
+/// against its placement under the candidate membership, and the moves are
+/// sorted by `(from, to, lba, copy)`, so every (source device → target
+/// device) transfer queue is one contiguous run of the `moves` vector —
+/// see [`MigrationPlan::device_queues`].
 #[derive(Debug, Clone, Default)]
 pub struct MigrationPlan {
     /// Every shard that would change devices, sorted by

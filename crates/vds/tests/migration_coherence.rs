@@ -125,8 +125,7 @@ proptest! {
         // Placements equal a fresh cluster's over the same device set.
         let mut builder = StorageCluster::builder()
             .block_size(BLOCK_SIZE)
-            .redundancy(Redundancy::Mirror { copies: 2 })
-            .placement_cache(false);
+            .redundancy(Redundancy::Mirror { copies: 2 });
         for id in c.device_ids() {
             builder = builder.device(id, c.device(id).unwrap().capacity_blocks());
         }

@@ -3,10 +3,10 @@
 //!
 //! The operator workflow the adaptivity results enable: dry-run the device
 //! addition to see exactly what would move ([`MigrationPlan`]), switch the
-//! placement instantly (`add_device_lazy` — both old and new mappings are
-//! pure functions, so no forwarding state is needed), then drain the
-//! migration in small steps while the cluster keeps serving reads from
-//! wherever each block currently lives.
+//! placement instantly (`add_device_lazy` — each block's block-table row
+//! records where its shards are, so no forwarding state is needed), then
+//! drain the migration in small steps while the cluster keeps serving
+//! reads from wherever each block currently lives.
 //!
 //! Run with: `cargo run --release --example online_expansion`
 

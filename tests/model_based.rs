@@ -7,7 +7,10 @@
 //! model (`HashMap<lba, data>`).
 //! After every step the cluster must agree with the model on all data —
 //! the strongest end-to-end statement of the redundancy and migration
-//! machinery. Seeds are fixed so failures reproduce.
+//! machinery. After every step that leaves no migration pending, the
+//! block-table rows of a sample of stored blocks must also equal the
+//! placements a freshly built cluster over the same devices computes.
+//! Seeds are fixed so failures reproduce.
 
 use std::collections::HashMap;
 
@@ -178,6 +181,29 @@ impl Harness {
         }
     }
 
+    /// With no migration pending, every row is the target placement: up
+    /// to 64 model blocks, spread over the stored addresses, place as on a
+    /// fresh cluster over the same devices and capacities.
+    fn audit_rows(&self) {
+        let mut builder = StorageCluster::builder()
+            .block_size(BLOCK)
+            .redundancy(self.cluster.redundancy());
+        for id in self.cluster.device_ids() {
+            let capacity = self.cluster.device(id).expect("listed").capacity_blocks();
+            builder = builder.device(id, capacity);
+        }
+        let fresh = builder.build().expect("valid cluster");
+        let mut lbas: Vec<u64> = self.model.keys().copied().collect();
+        lbas.sort_unstable();
+        for &lba in lbas.iter().step_by(lbas.len().div_ceil(64).max(1)) {
+            assert_eq!(
+                self.cluster.placement(lba),
+                fresh.placement(lba),
+                "row of lba {lba}"
+            );
+        }
+    }
+
     fn check_full_agreement(&mut self) {
         // Advance any lazy migration partway so checks run in mixed state.
         self.cluster.migrate_batch(25).expect("migrate batch");
@@ -190,6 +216,9 @@ fn run(redundancy: Redundancy, devices: usize, steps: u32, seed: u64) {
     let mut h = Harness::new(redundancy, devices, seed);
     for step in 0..steps {
         h.step();
+        if h.cluster.pending_blocks() == 0 {
+            h.audit_rows();
+        }
         if step % 100 == 99 {
             h.check_full_agreement();
         }

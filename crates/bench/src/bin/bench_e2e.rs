@@ -1,7 +1,7 @@
 //! End-to-end I/O path report: placement lookups, erasure kernels and the
 //! fused stripe pipeline.
 //!
-//! Five measurements on the fast path a block read/write traverses, and
+//! Six measurements on the fast path a block read/write traverses, and
 //! one of the memory a stored block costs:
 //!
 //! 1. **Placement lookups** — `placement_into` throughput on a repeated
@@ -9,7 +9,12 @@
 //!    rows) vs uncached (never-written addresses, whose lookups run the
 //!    Redundant Share scan and store nothing).
 //! 2. **Block reads** — a `read_block_into` loop over a stored working
-//!    set.
+//!    set (`block_read_cached`), and `read_block_into` in random order
+//!    over a churn-sized cluster (`block_read_random`: 524,288 2-way-mirror
+//!    blocks of 64 B on 60 devices of 20,000–50,000 shards, metrics off),
+//!    where the block table and the slabs no longer fit in cache. On the
+//!    same cluster, one `degraded_block_count()` walk over every row
+//!    (`degraded_scan_rows`).
 //! 3. **Reed–Solomon encode** — MB/s of each GF(256) kernel tier (SIMD,
 //!    flat-table) vs the byte-wise log/exp reference on 64 KiB shards,
 //!    forced per tier through `set_kernel_tier`.
@@ -251,6 +256,56 @@ fn bench_reads(quick: bool, cells: &mut Vec<Cell>) {
     });
 }
 
+/// `read_block_into` in random order over a churn-sized cluster: [`MEM_BLOCKS`]
+/// 2-way-mirror blocks of 64 B on [`MEM_DEVICES`] devices of 20,000–50,000
+/// shards, metrics off ([`MEM_BLOCKS`] / 16 blocks under `--quick`). Then
+/// one `degraded_block_count()` walk over the same rows.
+fn bench_random_reads(quick: bool, cells: &mut Vec<Cell>) {
+    const DOMAIN: u64 = 0x5241_4e44_5245_4144; // "RANDREAD"
+    let blocks: u64 = if quick { MEM_BLOCKS / 16 } else { MEM_BLOCKS };
+    let reads: u64 = if quick { 1 << 16 } else { 1 << 20 };
+    let mut b = StorageCluster::builder()
+        .block_size(64)
+        .redundancy(Redundancy::Mirror { copies: MEM_COPIES })
+        .metrics(false);
+    for id in 0..MEM_DEVICES {
+        b = b.device(id, 20_000 + 10_000 * (id % 4));
+    }
+    let mut c = b.build().expect("valid cluster");
+    let lbas: Vec<u64> = (0..blocks).collect();
+    for chunk in lbas.chunks(1024) {
+        let data: Vec<u8> = chunk.iter().flat_map(|&lba| [lba as u8; 64]).collect();
+        c.write_blocks(chunk, &data).expect("write");
+    }
+    let order: Vec<u64> = (0..reads)
+        .map(|i| rshare_hash::stable_hash2(i, DOMAIN) % blocks)
+        .collect();
+    let mut buf = [0u8; 64];
+    let elapsed = time_best(|| {
+        for &lba in &order {
+            c.read_block_into(black_box(lba), &mut buf).expect("read");
+            black_box(&buf);
+        }
+    });
+    cells.push(Cell {
+        bench: "block_read",
+        mode: "random",
+        items: reads,
+        unit: "blocks",
+        elapsed_ns: elapsed,
+    });
+    let elapsed = time_best(|| {
+        assert_eq!(black_box(c.degraded_block_count()), 0);
+    });
+    cells.push(Cell {
+        bench: "degraded_scan",
+        mode: "rows",
+        items: blocks,
+        unit: "blocks",
+        elapsed_ns: elapsed,
+    });
+}
+
 /// A Reed–Solomon cluster for the write/repair pipeline benches; erasure
 /// coding (rather than mirroring) so every write exercises the GF(256)
 /// encode path.
@@ -392,8 +447,8 @@ fn bench_stripe_writes(quick: bool, cells: &mut Vec<Cell>) {
 /// the cluster, so the loop reads *every* block (degraded reads
 /// reconstruct transparently) and writes it back. Rates are per damaged
 /// block — both modes restore the same set. Loss injection runs inside
-/// the timed region for both modes and is a hash-map remove — negligible
-/// next to reconstruction.
+/// the timed region for both modes and clears one row word and releases
+/// its slot — negligible next to reconstruction.
 fn bench_repair(quick: bool, cells: &mut Vec<Cell>) {
     let working_set: u64 = if quick { 512 } else { 2_048 };
     let damage_stride: u64 = 4;
@@ -554,6 +609,7 @@ fn main() {
     let mut cells = Vec::new();
     bench_placement(quick, &mut cells);
     bench_reads(quick, &mut cells);
+    bench_random_reads(quick, &mut cells);
     bench_rs_encode(quick, &mut cells);
     bench_stripe_writes(quick, &mut cells);
     bench_repair(quick, &mut cells);

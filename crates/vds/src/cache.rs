@@ -1,14 +1,17 @@
 //! The block table: one row per stored block, holding where its shards
-//! are.
+//! are, down to the slot.
 //!
-//! A row holds the device ids the block's shards were last stored on by a
-//! successful write or migration, in copy order. It is the one answer to
-//! "where is this block": reads, placement lookups, scrubs, repair, the
-//! migration planner and the old side of a migration all take a stored
-//! block's ids from its row, whatever membership changes happened since.
-//! A write or a migration chunk restamps a row only after every shard it
-//! moved has landed, so a change or a write that fails part-way leaves
-//! each row pointing at intact shards.
+//! A row holds one word per shard, in copy order: the dense index of the
+//! device the shard was last stored on by a successful write, migration or
+//! repair in the high half, and `slot + 1` in the low half (0 when the
+//! shard is absent: lost, or on a device that failed). It is the one
+//! answer to "where is this block": reads, placement lookups, scrubs,
+//! repair, the migration planner and the old side of a migration all take
+//! a stored block's shards from its row, whatever membership changes
+//! happened since. Every write, migration and repair commits copy-on-write:
+//! the new shards land in fresh slots, the row is restamped, and only then
+//! are the old slots released, so a change or a write that fails leaves
+//! each row naming intact shards.
 //!
 //! The table is also the cluster's block index: a block has a row exactly
 //! when it is stored, so one probe answers both "is this block stored"
@@ -16,10 +19,10 @@
 //! blocks), and a lookup of an unstored address inserts nothing.
 //!
 //! The table is split into 16 [`Table`] shards of rows
-//! `[lba, OCCUPIED, ids[k]]` by a hash of the block address, with `k`
+//! `[lba, OCCUPIED, words[k]]` by a hash of the block address, with `k`
 //! (the cluster's group width) fixed at build: a row costs `8·(k + 2)`
 //! bytes plus the table's slack, no heap allocation, and a lookup is one
-//! probe that hands the ids out by reference. A shard's doubling copies
+//! probe that hands the words out by reference. A shard's doubling copies
 //! only its own rows, so growth never holds two copies of the whole
 //! table. The cluster mutates the table only under `&mut self`, so it
 //! needs no lock: readers sharing a [`crate::SharedCluster`] probe it in
@@ -54,7 +57,7 @@ pub struct CacheStats {
 /// the hit counter; rows change only through `&mut self`.
 #[derive(Debug)]
 pub(crate) struct BlockTable {
-    /// Rows `[lba, OCCUPIED, ids[k]]`.
+    /// Rows `[lba, OCCUPIED, words[k]]`.
     shards: Vec<Table>,
     hits: AtomicU64,
 }
@@ -72,32 +75,33 @@ impl BlockTable {
         rshare_hash::stable_hash2(lba, SHARD_DOMAIN) as usize & (TABLE_SHARDS - 1)
     }
 
-    /// The device ids holding `lba`'s shards, or `None` if the block is
-    /// not stored. Counts nothing, so bulk passes (migration, planning,
+    /// The words naming `lba`'s shards, or `None` if the block is not
+    /// stored. Counts nothing, so bulk passes (migration, planning,
     /// scrapes, repair) leave the request-path hit series alone.
     pub(crate) fn peek(&self, lba: u64) -> Option<&[u64]> {
         let table = &self.shards[Self::shard_index(lba)];
-        let bucket = table.probe(lba, |_| true).ok()?;
+        let bucket = table.probe(lba).ok()?;
         Some(&table.row(bucket)[2..])
     }
 
     /// [`BlockTable::peek`] for a request: counts a hit when the block is
     /// stored.
     pub(crate) fn get(&self, lba: u64) -> Option<&[u64]> {
-        let ids = self.peek(lba)?;
+        let words = self.peek(lba)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(ids)
+        Some(words)
     }
 
-    /// Records that `lba`'s shards now sit on `ids`, inserting the row if
-    /// the block has none yet. Counts nothing.
-    pub(crate) fn stamp(&mut self, lba: u64, ids: &[u64]) {
+    /// `lba`'s row words, to restamp in place. A block without a row gets
+    /// one whose words are all 0 (every shard absent), which the caller
+    /// overwrites at once. Counts nothing.
+    pub(crate) fn entry(&mut self, lba: u64) -> &mut [u64] {
         let table = &mut self.shards[Self::shard_index(lba)];
-        let row = match table.probe(lba, |_| true) {
+        let row = match table.probe(lba) {
             Ok(b) => table.row_mut(b),
             Err(vacant) => table.insert(vacant, lba, OCCUPIED),
         };
-        row[2..].copy_from_slice(ids);
+        &mut row[2..]
     }
 
     /// Number of rows: the blocks stored.
@@ -105,7 +109,7 @@ impl BlockTable {
         self.shards.iter().map(Table::len).sum()
     }
 
-    /// Every stored block with the device ids of its shards, in no
+    /// Every stored block with the words naming its shards, in no
     /// particular order.
     pub(crate) fn rows(&self) -> impl Iterator<Item = (u64, &[u64])> {
         self.shards
@@ -130,17 +134,17 @@ mod tests {
     fn rows_are_k_wide() {
         let mut table = BlockTable::new(3);
         assert_eq!(table.get(1), None, "no row: not stored");
-        table.stamp(1, &[4, 5, 6]);
-        table.stamp(1, &[7, 8, 9]);
+        table.entry(1).copy_from_slice(&[4, 5, 6]);
+        table.entry(1).copy_from_slice(&[7, 8, 9]);
         assert_eq!(table.peek(1), Some(&[7, 8, 9][..]));
         let shard = &table.shards[BlockTable::shard_index(1)];
-        let bucket = shard.probe(1, |_| true).unwrap();
+        let bucket = shard.probe(1).unwrap();
         assert_eq!(shard.row(bucket), &[1, OCCUPIED, 7, 8, 9][..]);
         assert_eq!(table.len(), 1);
         assert_eq!(
             table.hits(),
             0,
-            "peeks, stamps and absent lookups count nothing"
+            "peeks, restamps and absent lookups count nothing"
         );
         assert_eq!(table.get(1), Some(&[7, 8, 9][..]));
         assert_eq!(table.hits(), 1);
@@ -164,7 +168,7 @@ mod tests {
             let mut model: BTreeMap<u64, [u64; K]> = BTreeMap::new();
             let mut hits = 0u64;
             for lba in 0..prefill {
-                table.stamp(lba, &[lba, !lba]);
+                table.entry(lba).copy_from_slice(&[lba, !lba]);
                 model.insert(lba, [lba, !lba]);
             }
             for (op, lba, seed) in ops {
@@ -172,7 +176,7 @@ mod tests {
                 match op {
                     0 | 1 => {
                         let ids = [seed, seed.rotate_left(17)];
-                        table.stamp(lba, &ids);
+                        table.entry(lba).copy_from_slice(&ids);
                         model.insert(lba, ids);
                     }
                     2 | 3 => {

@@ -6,10 +6,15 @@
 //! block store. Every logical block is expanded into a redundancy group
 //! (mirror copies or erasure shards) and shard `i` is stored on the i-th
 //! device returned by the Redundant Share placement strategy. A block's
-//! block-table row records the devices its shards were last stored on, so
-//! a stored block is found with one probe, and only unstored addresses
-//! and writes that move a block (its first write, or one during a
-//! migration) run the placement scan.
+//! block-table row names the slot of each of its shards, so a stored
+//! block is found with one probe and read with one slot copy per shard,
+//! and only unstored addresses and writes that move a block (its first
+//! write, or one during a migration) run the placement scan.
+//!
+//! Writes, migrations and repairs commit one way, copy-on-write: validate
+//! every target device, land the new shards in fresh slots, restamp the
+//! row (the commit point), then release the slots the new row no longer
+//! names. An `Err` before the restamp leaves the previous value exactly.
 //!
 //! Every membership change follows one path: build the strategy over the
 //! new membership, gate it on Lemma 2.2's `B_max`, install it as the
@@ -48,6 +53,19 @@ const LATENCY_SAMPLE: u64 = 64;
 /// rebalance: at most this many blocks' shard payloads are in flight
 /// between the gather and apply phases.
 const MIGRATION_CHUNK_BLOCKS: usize = 4096;
+
+/// The low half of a row word: `slot + 1`, or 0 for an absent shard.
+const SLOT_MASK: u64 = 0xFFFF_FFFF;
+
+/// The device position a row word names (its high half).
+fn position_of(word: u64) -> usize {
+    (word >> 32) as usize
+}
+
+/// The slot a row word names, or `None` if the shard is absent.
+fn slot_of(word: u64) -> Option<u32> {
+    (word as u32).checked_sub(1)
+}
 
 /// Length of every shard of a cluster: `block_size / d` under erasure
 /// coding with `d` data shards, the whole block for mirrors.
@@ -155,17 +173,6 @@ impl ClusterBuilder {
             });
         }
         let shard_len = shard_len(self.block_size, codec.as_deref());
-        let mut devices = BTreeMap::new();
-        for (id, cap, profile) in &self.devices {
-            if devices
-                .insert(*id, Device::with_profile(*id, *cap, shard_len, *profile))
-                .is_some()
-            {
-                return Err(VdsError::InvalidConfig {
-                    reason: "duplicate device id",
-                });
-            }
-        }
         let metrics = self.metrics.then(|| {
             ClusterMetrics::new(
                 self.metrics_registry
@@ -173,7 +180,8 @@ impl ClusterBuilder {
             )
         });
         let mut cluster = StorageCluster {
-            devices,
+            devices: Vec::new(),
+            positions: BTreeMap::new(),
             redundancy: self.redundancy,
             codec,
             strategy: None,
@@ -183,6 +191,14 @@ impl ClusterBuilder {
             placements_computed: AtomicU64::new(0),
             metrics,
         };
+        for &(id, capacity, profile) in &self.devices {
+            if cluster.positions.contains_key(&id) {
+                return Err(VdsError::InvalidConfig {
+                    reason: "duplicate device id",
+                });
+            }
+            cluster.attach(Device::with_profile(id, capacity, shard_len, profile));
+        }
         let set = cluster.member_bins(None, None)?;
         cluster.strategy = Some(RedundantShare::new(&set, self.redundancy.total_shards())?);
         Ok(cluster)
@@ -191,13 +207,20 @@ impl ClusterBuilder {
 
 /// A pool of storage devices virtualized into one redundant block store.
 pub struct StorageCluster {
-    devices: BTreeMap<u64, Device>,
+    /// Every device ever attached, by position: the index a row word's
+    /// high half names. A position is never reused. A device that leaves
+    /// keeps its position, failed and with its slab freed, so a row still
+    /// naming it resolves to its id and reads as missing.
+    devices: Vec<Device>,
+    /// The listed devices (online, failed, or draining a removal): id →
+    /// position. Serves the id-keyed calls and every walk in id order.
+    positions: BTreeMap<u64, u32>,
     redundancy: Redundancy,
     codec: Option<Box<dyn ErasureCode>>,
     strategy: Option<RedundantShare>,
     block_size: usize,
-    /// One row per stored block: the block index, and the device ids its
-    /// shards were last stored on.
+    /// One row per stored block: the block index, and the slots its shards
+    /// were last committed to.
     table: BlockTable,
     /// Stored blocks whose shards may not sit at the target strategy's
     /// placement yet; empty when no membership change is migrating.
@@ -211,7 +234,7 @@ pub struct StorageCluster {
     metrics: Option<ClusterMetrics>,
 }
 
-/// Counters produced by one gather/apply migration execution.
+/// Counters produced by one migration-executor run.
 #[derive(Default)]
 struct ExecOutcome {
     /// Shards whose device changed.
@@ -220,15 +243,6 @@ struct ExecOutcome {
     reconstructed: u64,
     /// Shards written to a device (moved + repaired-in-place).
     stored: u64,
-}
-
-/// One device's share of a migration chunk, built by the gather phase.
-#[derive(Default)]
-struct DeviceQueue {
-    /// Shards to drop: `(lba, copy)`.
-    removes: Vec<(u64, usize)>,
-    /// Shards to land: `(lba, copy, payload)`.
-    stores: Vec<(u64, usize, Vec<u8>)>,
 }
 
 /// Appends `strategy`'s placement of `lba` to `out` as raw device ids,
@@ -246,7 +260,7 @@ fn place_append(strategy: &RedundantShare, lba: u64, out: &mut Vec<u64>) {
 impl std::fmt::Debug for StorageCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StorageCluster")
-            .field("devices", &self.devices.len())
+            .field("devices", &self.positions.len())
             .field("redundancy", &self.redundancy)
             .field("block_size", &self.block_size)
             .field("blocks", &self.block_count())
@@ -286,13 +300,66 @@ impl StorageCluster {
     /// Ids of all devices (online and failed), ascending.
     #[must_use]
     pub fn device_ids(&self) -> Vec<u64> {
-        self.devices.keys().copied().collect()
+        self.positions.keys().copied().collect()
     }
 
     /// Read access to a device (for statistics and inspection).
     #[must_use]
     pub fn device(&self, id: u64) -> Option<&Device> {
-        self.devices.get(&id)
+        self.positions.get(&id).map(|&p| &self.devices[p as usize])
+    }
+
+    /// The listed devices, by ascending id.
+    fn listed(&self) -> impl Iterator<Item = &Device> + '_ {
+        self.positions.values().map(|&p| &self.devices[p as usize])
+    }
+
+    /// Gives `device` the next position and lists it.
+    fn attach(&mut self, device: Device) {
+        let position = u32::try_from(self.devices.len()).expect("fewer than 2^32 devices");
+        self.positions.insert(device.id(), position);
+        self.devices.push(device);
+    }
+
+    /// The row word, without a slot, naming the listed device `id`.
+    fn device_word(&self, id: u64) -> Result<u64, VdsError> {
+        let position = self
+            .positions
+            .get(&id)
+            .ok_or(VdsError::UnknownDevice { id })?;
+        Ok(u64::from(*position) << 32)
+    }
+
+    /// Whether a row word names the listed device `id`. A device that
+    /// left the map is failed, so only a failed one needs the map.
+    fn names(&self, word: u64, id: u64) -> bool {
+        let device = &self.devices[position_of(word)];
+        device.id() == id
+            && (device.state() == DeviceState::Online
+                || self.positions.get(&id).map(|&p| p as usize) == Some(position_of(word)))
+    }
+
+    /// The id of the device a row word names.
+    fn id_of(&self, word: u64) -> u64 {
+        self.devices[position_of(word)].id()
+    }
+
+    /// Whether the shard a row word names can be read: it has a slot and
+    /// its device is online.
+    fn present(&self, word: u64) -> bool {
+        slot_of(word).is_some() && self.devices[position_of(word)].state() == DeviceState::Online
+    }
+
+    /// Copies the shard a row word names into `out` (one shard long);
+    /// `false`, with `out` untouched, if the shard is not present.
+    fn read_word(&self, word: u64, out: &mut [u8]) -> bool {
+        slot_of(word).is_some_and(|slot| self.devices[position_of(word)].read_into(slot, out))
+    }
+
+    /// The shard a row word names, if present.
+    fn read_shard(&self, word: u64) -> Option<Vec<u8>> {
+        let mut out = vec![0; self.shard_len()];
+        self.read_word(word, &mut out).then_some(out)
     }
 
     /// Number of logical blocks stored.
@@ -320,8 +387,7 @@ impl StorageCluster {
     ) -> Result<BinSet, VdsError> {
         let members = self.strategy.as_ref().map(PlacementStrategy::bin_ids);
         let bins = self
-            .devices
-            .values()
+            .listed()
             .filter(|d| {
                 d.state() == DeviceState::Online
                     && Some(d.id()) != leave
@@ -353,7 +419,7 @@ impl StorageCluster {
     pub fn placement_into(&self, lba: u64, out: &mut Vec<u64>) {
         out.clear();
         match self.table.get(lba) {
-            Some(ids) => out.extend_from_slice(ids),
+            Some(row) => out.extend(row.iter().map(|&word| self.id_of(word))),
             None => self.compute_into(lba, out),
         }
     }
@@ -397,12 +463,13 @@ impl StorageCluster {
     }
 
     /// Writes many logical blocks through the fused stripe pipeline:
-    /// encode → place → shard-store per block. Data shards are stored
-    /// straight from `data` (never copied into owned shards —
-    /// [`rshare_erasure::ErasureCode::encode_parity`]), parity scratch is
-    /// hoisted out of the loop, and each shard is copied into its
-    /// fixed-size device slot, so the steady state allocates nothing per
-    /// block.
+    /// place and validate the whole batch, then encode → commit per block.
+    /// Data shards are stored straight from `data` (never copied into
+    /// owned shards — [`rshare_erasure::ErasureCode::encode_parity`]),
+    /// parity scratch is hoisted out of the loop, and each shard is copied
+    /// into a fresh fixed-size device slot. Each block commits
+    /// copy-on-write: its row is restamped only once every shard has
+    /// landed, and its old slots are released after.
     /// `data` is the concatenation of the blocks, in `lbas` order. Encode
     /// parities stream through the tiered GF(256) kernels
     /// ([`rshare_erasure::gf256::kernel_tier`]).
@@ -412,9 +479,8 @@ impl StorageCluster {
     /// * [`VdsError::WrongBlockSize`] if `data` is not exactly
     ///   `lbas.len()` blocks.
     /// * [`VdsError::OutOfSpace`] / [`VdsError::DeviceFailed`] from the
-    ///   target devices; blocks before the failing one remain written. The
-    ///   failing block keeps its row and stays pending if it was: it reads
-    ///   its previous value or the new one.
+    ///   target devices, with no effect: every block keeps its row and
+    ///   its previous value, and stays pending if it was.
     pub fn write_blocks(&mut self, lbas: &[u64], data: &[u8]) -> Result<(), VdsError> {
         let expected = lbas.len() * self.block_size;
         if data.len() != expected {
@@ -423,18 +489,50 @@ impl StorageCluster {
                 got: data.len(),
             });
         }
-        if lbas.is_empty() {
-            return Ok(());
+        // One block-table probe per block: the row says where the block's
+        // shards are, and a settled block's row is its target placement,
+        // so each shard lands in a fresh slot on the device it is on. A
+        // first write, or a write to a block awaiting migration, moves the
+        // block: it lands at the computed target, and the write completes
+        // the block's migration for free. Old and new rows are flat
+        // stride-k runs; a first write's old row is k absent words.
+        let k = self.redundancy.total_shards();
+        let mut old: Vec<u64> = Vec::with_capacity(lbas.len() * k);
+        let mut new: Vec<u64> = Vec::with_capacity(lbas.len() * k);
+        for &lba in lbas {
+            let pending = self.pending.contains(&lba);
+            let stored = if pending {
+                self.table.peek(lba)
+            } else {
+                self.table.get(lba)
+            };
+            match stored {
+                Some(row) if !pending => {
+                    old.extend_from_slice(row);
+                    new.extend(row.iter().map(|&word| word & !SLOT_MASK));
+                }
+                _ => {
+                    old.extend((0..k).map(|i| stored.map_or(0, |row| row[i])));
+                    let at = new.len();
+                    self.compute_into(lba, &mut new);
+                    for target in &mut new[at..] {
+                        *target = self.device_word(*target)?;
+                    }
+                }
+            }
         }
+        self.validate(&old, &new)?;
         // Data shards are borrowed straight out of `data`; only parity is
         // materialized, into scratch that lives across the whole batch
         // (`encode_parity` resizes it in place each iteration).
         let mut parity: Vec<Vec<u8>> =
             vec![Vec::new(); self.codec.as_deref().map_or(0, ErasureCode::parity_shards)];
         let mut refs: Vec<&[u8]> = Vec::new();
-        let mut row: Vec<u64> = Vec::new();
-        let mut ids: Vec<u64> = Vec::new();
-        for (&lba, block) in lbas.iter().zip(data.chunks_exact(self.block_size)) {
+        for ((&lba, block), row) in lbas
+            .iter()
+            .zip(data.chunks_exact(self.block_size))
+            .zip(new.chunks_exact_mut(k))
+        {
             refs.clear();
             if let Some(codec) = self.codec.as_deref() {
                 let shard_len = self.block_size / codec.data_shards();
@@ -442,55 +540,17 @@ impl StorageCluster {
                 codec.encode_parity(&refs, &mut parity)?;
             } else {
                 // Mirroring: every copy is the block itself.
-                refs.extend(std::iter::repeat_n(block, self.redundancy.total_shards()));
+                refs.extend(std::iter::repeat_n(block, k));
             }
-            // One block-table probe: the row says where the block's shards
-            // are, and a settled block's row is its target placement. A
-            // first write, or a write to a block awaiting migration, moves
-            // the block: it computes the target and keeps the old row in
-            // `row`; the write then completes the block's migration for
-            // free.
-            let pending = self.pending.contains(&lba);
-            let stored = if pending {
-                self.table.peek(lba)
-            } else {
-                self.table.get(lba)
-            };
-            let moving = pending || stored.is_none();
-            row.clear();
-            ids.clear();
-            if moving {
-                row.extend_from_slice(stored.unwrap_or_default());
-                self.compute_into(lba, &mut ids);
-            } else {
-                ids.extend_from_slice(stored.unwrap_or_default());
-            }
-            for (i, &dev_id) in ids.iter().enumerate() {
-                let shard: &[u8] = if i < refs.len() {
+            let data_shards = refs.len();
+            self.commit(lba, row, |i| {
+                if i < data_shards {
                     refs[i]
                 } else {
-                    &parity[i - refs.len()]
-                };
-                let landed = match self.devices.get_mut(&dev_id) {
-                    Some(device) => device.store_from((lba, i), shard),
-                    None => Err(VdsError::UnknownDevice { id: dev_id }),
-                };
-                if let Err(e) = landed {
-                    // The row still names the block's shards: drop the ones
-                    // a moving write landed off it, and keep the block
-                    // pending.
-                    if moving {
-                        self.remove_shards(lba, &ids[..i], &row);
-                    }
-                    return Err(e);
+                    parity[i - data_shards].as_slice()
                 }
-            }
-            if moving {
-                self.remove_shards(lba, &row, &ids);
-                self.table.stamp(lba, &ids);
-            }
-            if pending {
-                self.pending.remove(&lba);
+            });
+            if self.pending.remove(&lba) {
                 self.retire_leavers();
             }
             if let Some(m) = &self.metrics {
@@ -498,6 +558,75 @@ impl StorageCluster {
             }
         }
         Ok(())
+    }
+
+    /// Step 1 of a commit: checks, before anything is touched, that the
+    /// rows `new` can replace the rows `old` (flat runs, parallel). Every
+    /// device that gains a slot — one per `new` word without one — must be
+    /// online, and its live slots, plus the slots it gains, less the slots
+    /// of `old` that `new` no longer names, must fit its capacity. An
+    /// overwrite on a full device therefore fits. A block written twice
+    /// in one batch releases its old slots once but gains slots twice, so
+    /// such a batch is judged conservatively.
+    fn validate(&self, old: &[u64], new: &[u64]) -> Result<(), VdsError> {
+        // A word per slot gained (a `new` word without a slot) and per slot
+        // released, sorted so each device's words form one run.
+        let mut tally: Vec<u64> = new
+            .iter()
+            .copied()
+            .filter(|&n| slot_of(n).is_none())
+            .collect();
+        tally.extend(
+            old.iter()
+                .zip(new)
+                .filter(|&(&o, &n)| o != n && slot_of(o).is_some())
+                .map(|(&o, _)| o),
+        );
+        tally.sort_unstable();
+        tally.dedup_by(|a, b| a == b && slot_of(*a).is_some());
+        for run in tally.chunk_by(|&a, &b| position_of(a) == position_of(b)) {
+            let gained = run.iter().filter(|&&w| slot_of(w).is_none()).count() as u64;
+            if gained == 0 {
+                continue;
+            }
+            let device = &self.devices[position_of(run[0])];
+            if device.state() != DeviceState::Online {
+                return Err(VdsError::DeviceFailed { id: device.id() });
+            }
+            // New slots are allocated before old ones are released, so the
+            // slab peaks at `used + gained`, and a row word holds
+            // `slot + 1` in 32 bits.
+            let peak = device.used_blocks() + gained;
+            let released = run.len() as u64 - gained;
+            if peak - released > device.capacity_blocks() || peak >= u64::from(u32::MAX) {
+                return Err(VdsError::OutOfSpace { id: device.id() });
+            }
+        }
+        Ok(())
+    }
+
+    /// Steps 2–4 of a commit, once [`StorageCluster::validate`] passed:
+    /// lands `shard(i)` in a fresh slot for every word `row[i]` without
+    /// one, restamps `lba`'s row with `row` (the commit point), and then
+    /// releases every slot of the old row that the new row no longer
+    /// names.
+    fn commit<'a>(&mut self, lba: u64, row: &mut [u64], mut shard: impl FnMut(usize) -> &'a [u8]) {
+        for (i, word) in row.iter_mut().enumerate() {
+            if slot_of(*word).is_none() {
+                let device = &mut self.devices[position_of(*word)];
+                let slot = device
+                    .alloc()
+                    .expect("validated: the device is online with room");
+                device.write(slot, shard(i));
+                *word |= u64::from(slot) + 1;
+            }
+        }
+        for (stamped, &n) in self.table.entry(lba).iter_mut().zip(row.iter()) {
+            let o = std::mem::replace(stamped, n);
+            if let Some(slot) = slot_of(o).filter(|_| o != n) {
+                self.devices[position_of(o)].release(slot);
+            }
+        }
     }
 
     /// Reads one logical block, touching as few devices as possible:
@@ -565,9 +694,9 @@ impl StorageCluster {
     /// erasure reconstruction.
     fn read_into_inner(&self, lba: u64, buf: &mut [u8]) -> Result<bool, VdsError> {
         // One block-table probe: a block without a row was never written;
-        // a row lends the devices its shards are on.
-        let placement = self.table.get(lba).ok_or(VdsError::BlockNotFound { lba })?;
-        let k = placement.len();
+        // a row names the slot of each of its shards.
+        let row = self.table.get(lba).ok_or(VdsError::BlockNotFound { lba })?;
+        let k = row.len();
         match self.redundancy {
             Redundancy::Mirror { .. } => {
                 // Deterministic per-block copy preference: each block pins
@@ -576,12 +705,7 @@ impl StorageCluster {
                 let preferred =
                     (rshare_hash::stable_hash2(lba, READ_BALANCE_DOMAIN) % k as u64) as usize;
                 for step in 0..k {
-                    let i = (preferred + step) % k;
-                    if self
-                        .devices
-                        .get(&placement[i])
-                        .is_some_and(|d| d.load_into(&(lba, i), buf))
-                    {
+                    if self.read_word(row[(preferred + step) % k], buf) {
                         return Ok(step > 0);
                     }
                 }
@@ -601,11 +725,7 @@ impl StorageCluster {
                 let mut loaded = 0;
                 while loaded < d {
                     let seg = &mut buf[loaded * shard_len..(loaded + 1) * shard_len];
-                    if self
-                        .devices
-                        .get(&placement[loaded])
-                        .is_some_and(|dev| dev.load_into(&(lba, loaded), seg))
-                    {
+                    if self.read_word(row[loaded], seg) {
                         loaded += 1;
                     } else {
                         break;
@@ -623,11 +743,7 @@ impl StorageCluster {
                     if i < loaded {
                         shards.push(Some(buf[i * shard_len..(i + 1) * shard_len].to_vec()));
                     } else {
-                        shards.push(
-                            self.devices
-                                .get(&placement[i])
-                                .and_then(|dev| dev.load(&(lba, i))),
-                        );
+                        shards.push(self.read_shard(row[i]));
                     }
                 }
                 let data = self
@@ -706,16 +822,18 @@ impl StorageCluster {
         capacity_blocks: u64,
         profile: DeviceProfile,
     ) -> Result<(), VdsError> {
-        if self.devices.contains_key(&id) {
+        if self.positions.contains_key(&id) {
             return Err(VdsError::InvalidConfig {
                 reason: "duplicate device id",
             });
         }
         let strategy = self.admit(&self.member_bins(None, Some((id, capacity_blocks)))?, id)?;
-        self.devices.insert(
+        self.attach(Device::with_profile(
             id,
-            Device::with_profile(id, capacity_blocks, self.shard_len(), profile),
-        );
+            capacity_blocks,
+            self.shard_len(),
+            profile,
+        ));
         self.install(strategy);
         Ok(())
     }
@@ -731,7 +849,7 @@ impl StorageCluster {
     /// each block's row (where its shards are) is diffed against its
     /// target placement as flat stride-k runs; unchanged blocks are skipped
     /// without any device I/O, and the changed ones go through the
-    /// gather/apply executor. A chunk's rows are restamped and its blocks
+    /// gather/commit executor. A chunk's rows are restamped and its blocks
     /// leave the pending set only once its shards have landed. The
     /// bounded budget keeps lazy migration incremental; with no migration
     /// in flight this is a no-op reporting zeros.
@@ -776,7 +894,8 @@ impl StorageCluster {
     }
 
     /// Once no block is pending, every online device outside the target
-    /// strategy (a removal, drained by copy) leaves the map.
+    /// strategy (a removal, drained by copy) leaves the map. It keeps its
+    /// position, failed and with its slab freed.
     fn retire_leavers(&mut self) {
         if !self.pending.is_empty() {
             return;
@@ -786,18 +905,23 @@ impl StorageCluster {
             .as_ref()
             .expect("strategy always present")
             .bin_ids();
-        self.devices.retain(|_, d| {
+        let devices = &mut self.devices;
+        self.positions.retain(|_, &mut p| {
+            let d = &mut devices[p as usize];
             let stays = d.state() != DeviceState::Online || members.contains(&BinId(d.id()));
             debug_assert!(
                 stays || d.used_blocks() == 0,
                 "graceful removal must drain the device"
             );
+            if !stays {
+                d.fail();
+            }
             stays
         });
     }
 
     /// Copies the rows of the stored blocks `lbas` into `out` (cleared
-    /// first) as one flat stride-k run of device ids, parallel to `lbas`.
+    /// first) as one flat stride-k run of row words, parallel to `lbas`.
     fn rows_flat(&self, lbas: &[u64], out: &mut Vec<u64>) {
         out.clear();
         for &lba in lbas {
@@ -805,24 +929,12 @@ impl StorageCluster {
         }
     }
 
-    /// Removes shard `i` of `lba` from device `at[i]` wherever `keep`
-    /// does not name that device for it.
-    fn remove_shards(&mut self, lba: u64, at: &[u64], keep: &[u64]) {
-        for (i, dev_id) in at.iter().enumerate() {
-            if keep.get(i) != Some(dev_id) {
-                if let Some(d) = self.devices.get_mut(dev_id) {
-                    d.remove(&(lba, i));
-                }
-            }
-        }
-    }
-
     /// Migrates one chunk of blocks from their `old_flat` rows (flat
-    /// stride-k device ids, parallel to `lbas`) to the current target
-    /// strategy. Blocks whose placement is unchanged are skipped without
+    /// stride-k row words, parallel to `lbas`) to the current target
+    /// strategy. Blocks whose devices are unchanged are skipped without
     /// touching any device; latent shard losses are
-    /// [`StorageCluster::repair`]'s job. The rows of the moved blocks are
-    /// restamped with their target placement once the chunk has landed.
+    /// [`StorageCluster::repair`]'s job. The moved blocks commit through
+    /// the migration executor, which restamps their rows.
     fn rebalance_chunk(
         &mut self,
         lbas: &[u64],
@@ -834,8 +946,8 @@ impl StorageCluster {
             shards_total: (lbas.len() * k) as u64,
             ..MigrationReport::default()
         };
-        // The target placements as one flat stride-k run, parallel to
-        // `old_flat`.
+        // The target placements as one flat stride-k run of device ids,
+        // parallel to `old_flat`.
         let mut new_flat: Vec<u64> = Vec::with_capacity(lbas.len() * k);
         for &lba in lbas {
             place_append(self.strategy(), lba, &mut new_flat);
@@ -844,71 +956,68 @@ impl StorageCluster {
             .chunks_exact(k)
             .zip(new_flat.chunks_exact(k))
             .enumerate()
-            .filter(|(_, (old, new))| old != new)
+            .filter(|(_, (old, new))| !old.iter().zip(*new).all(|(&o, &n)| self.names(o, n)))
             .map(|(j, _)| j)
             .collect();
         if work.is_empty() {
             return Ok(report);
         }
-        let outcome = self.execute_block_ops(lbas, &work, old_flat, &new_flat)?;
+        // The executor reads the moving blocks' targets as row words
+        // without slots.
         for &j in &work {
-            self.table.stamp(lbas[j], &new_flat[j * k..(j + 1) * k]);
+            for target in &mut new_flat[j * k..(j + 1) * k] {
+                *target = self.device_word(*target)?;
+            }
         }
+        let outcome = self.execute_block_ops(lbas, &work, old_flat, &new_flat)?;
         report.shards_moved = outcome.moved;
         report.shards_reconstructed = outcome.reconstructed;
         Ok(report)
     }
 
-    /// Read-only gather for one migrating block: loads the group's shards
-    /// from their `old` devices, reconstructs any missing ones (once per
-    /// stripe), and queues the block's device-level removes and stores
-    /// against `new`.
+    /// Read-only gather for one migrating or repaired block: reads the
+    /// group's shards through its `old` row, reconstructs any missing ones
+    /// (once per stripe), and appends the block's new row to `rows`. A
+    /// shard present on the device its `new` word names keeps its word;
+    /// every other shard lands on that device, its payload queued in
+    /// `lands`.
     fn gather_block(
         &self,
         lba: u64,
         old: &[u64],
         new: &[u64],
-        queues: &mut BTreeMap<u64, DeviceQueue>,
+        rows: &mut Vec<u64>,
+        lands: &mut Vec<Vec<u8>>,
         outcome: &mut ExecOutcome,
     ) -> Result<(), VdsError> {
-        let mut shards: Vec<Option<Vec<u8>>> = old
-            .iter()
-            .enumerate()
-            .map(|(i, dev_id)| self.devices.get(dev_id).and_then(|d| d.load(&(lba, i))))
-            .collect();
+        let mut shards: Vec<Option<Vec<u8>>> = old.iter().map(|&w| self.read_shard(w)).collect();
         let missing = shards.iter().filter(|s| s.is_none()).count() as u64;
         if missing > 0 {
             self.reconstruct_group(&mut shards, lba)?;
         }
         outcome.reconstructed += missing;
-        for (i, slot) in shards.iter_mut().enumerate() {
-            // `reconstruct_group` either fills every `None` slot or errors
-            // out above; a hole here is unreachable.
-            let shard = slot.take().expect("complete after reconstruction");
-            let (old_dev, new_dev) = (old[i], new[i]);
-            if old_dev != new_dev {
-                outcome.moved += 1;
-                queues.entry(old_dev).or_default().removes.push((lba, i));
-            } else if self.devices.get(&new_dev).is_some_and(|d| d.has(&(lba, i))) {
-                // Already in place: nothing to store.
+        for ((&o, &n), shard) in old.iter().zip(new).zip(&mut shards) {
+            let moves = o & !SLOT_MASK != n;
+            if !moves && self.present(o) {
+                rows.push(o);
                 continue;
             }
+            outcome.moved += u64::from(moves);
             outcome.stored += 1;
-            queues
-                .entry(new_dev)
-                .or_default()
-                .stores
-                .push((lba, i, shard));
+            rows.push(n);
+            // `reconstruct_group` either fills every `None` slot or errors
+            // out above; a hole here is unreachable.
+            lands.push(shard.take().expect("complete after reconstruction"));
         }
         Ok(())
     }
 
-    /// The two-phase migration executor. Gather: each block in `work`
-    /// (indices into `lbas`) loads its group once, reconstructs what's
-    /// missing, and queues device-level ops per device. Apply: each
-    /// device's queue runs removes first, so freed capacity is visible to
-    /// this chunk's own stores on the same device. Every queue is
-    /// validated before any is applied, so an `Err` applies nothing.
+    /// The migration executor, shared by migrations and repair. Gather:
+    /// each block in `work` (indices into `lbas`) reads its group once,
+    /// reconstructs what's missing and builds its new row against
+    /// `new_flat` (row words without slots). One validation then covers
+    /// the whole chunk, so an `Err` touches nothing, and each block
+    /// commits.
     fn execute_block_ops(
         &mut self,
         lbas: &[u64],
@@ -918,50 +1027,27 @@ impl StorageCluster {
     ) -> Result<ExecOutcome, VdsError> {
         let k = self.redundancy.total_shards();
         let mut outcome = ExecOutcome::default();
-        let mut queues: BTreeMap<u64, DeviceQueue> = BTreeMap::new();
+        let mut old: Vec<u64> = Vec::with_capacity(work.len() * k);
+        let mut rows: Vec<u64> = Vec::with_capacity(work.len() * k);
+        let mut lands: Vec<Vec<u8>> = Vec::new();
         for &j in work {
+            let run = j * k..(j + 1) * k;
+            old.extend_from_slice(&old_flat[run.clone()]);
             self.gather_block(
                 lbas[j],
-                &old_flat[j * k..(j + 1) * k],
-                &new_flat[j * k..(j + 1) * k],
-                &mut queues,
+                &old_flat[run.clone()],
+                &new_flat[run],
+                &mut rows,
+                &mut lands,
                 &mut outcome,
             )?;
         }
-        // Stores must land on an online device with room for its new
-        // shards once its own removes have landed; removes tolerate a
-        // vanished device (a shard's old home may be failed or dropped).
-        for (&dev, queue) in &queues {
-            if queue.stores.is_empty() {
-                continue;
-            }
-            let device = self
-                .devices
-                .get(&dev)
-                .ok_or(VdsError::UnknownDevice { id: dev })?;
-            if device.state() != DeviceState::Online {
-                return Err(VdsError::DeviceFailed { id: dev });
-            }
-            let freed = queue.removes.iter().filter(|key| device.has(key)).count();
-            let added = queue
-                .stores
-                .iter()
-                .filter(|(lba, copy, _)| !device.has(&(*lba, *copy)))
-                .count();
-            if device.used_blocks() + added as u64 > device.capacity_blocks() + freed as u64 {
-                return Err(VdsError::OutOfSpace { id: dev });
-            }
-        }
-        for (dev, queue) in queues {
-            let Some(device) = self.devices.get_mut(&dev) else {
-                continue;
-            };
-            for (lba, copy) in queue.removes {
-                device.remove(&(lba, copy));
-            }
-            for (lba, copy, data) in queue.stores {
-                device.store_from((lba, copy), &data)?;
-            }
+        self.validate(&old, &rows)?;
+        let mut lands = lands.iter().map(Vec::as_slice);
+        for (&j, row) in work.iter().zip(rows.chunks_exact_mut(k)) {
+            self.commit(lbas[j], row, |_| {
+                lands.next().expect("one payload per landing shard")
+            });
         }
         if let Some(m) = &self.metrics {
             m.migration_moves_executed_total.add(outcome.moved);
@@ -987,15 +1073,12 @@ impl StorageCluster {
     ///   homes and counted by [`StorageCluster::pending_blocks`], and
     ///   `rebalance()` resumes the drain.
     pub fn remove_device(&mut self, id: u64) -> Result<MigrationReport, VdsError> {
-        let device = self
-            .devices
-            .get(&id)
-            .ok_or(VdsError::UnknownDevice { id })?;
+        let device = self.device(id).ok_or(VdsError::UnknownDevice { id })?;
         let failed = device.state() == DeviceState::Failed;
         let strategy = self.admit(&self.member_bins(Some(id), None)?, id)?;
         if failed {
             // Nothing to copy off: its shards are rebuilt from redundancy.
-            self.devices.remove(&id);
+            self.positions.remove(&id);
         }
         self.install(strategy);
         self.rebalance()
@@ -1008,11 +1091,11 @@ impl StorageCluster {
     ///
     /// [`VdsError::UnknownDevice`] if no such device exists.
     pub fn fail_device(&mut self, id: u64) -> Result<(), VdsError> {
-        let dev = self
-            .devices
-            .get_mut(&id)
+        let position = *self
+            .positions
+            .get(&id)
             .ok_or(VdsError::UnknownDevice { id })?;
-        dev.fail();
+        self.devices[position as usize].fail();
         Ok(())
     }
 
@@ -1035,15 +1118,16 @@ impl StorageCluster {
     ///   the drain.
     pub fn rebuild(&mut self) -> Result<MigrationReport, VdsError> {
         let Some(blame) = self
-            .devices
-            .values()
+            .listed()
             .find(|d| d.state() == DeviceState::Failed)
             .map(Device::id)
         else {
             return self.rebalance();
         };
         let strategy = self.admit(&self.member_bins(None, None)?, blame)?;
-        self.devices.retain(|_, d| d.state() != DeviceState::Failed);
+        let devices = &self.devices;
+        self.positions
+            .retain(|_, &mut p| devices[p as usize].state() != DeviceState::Failed);
         self.install(strategy);
         self.rebalance()
     }
@@ -1092,8 +1176,9 @@ impl StorageCluster {
 
     /// Repairs degraded blocks in place: any shard missing from the device
     /// its row names (e.g. lost to a transient device error) is
-    /// reconstructed from the group's redundancy and re-stored, without
-    /// changing any placement. Returns the number of shards repaired.
+    /// reconstructed from the group's redundancy and committed to a fresh
+    /// slot on that device, without changing any placement. Returns the
+    /// number of shards repaired.
     ///
     /// Contrast with [`StorageCluster::rebuild`], which removes failed
     /// devices and relocates data; `repair` restores redundancy when the
@@ -1116,11 +1201,12 @@ impl StorageCluster {
         let mut flat: Vec<u64> = Vec::new();
         for chunk in degraded.chunks(MIGRATION_CHUNK_BLOCKS) {
             self.rows_flat(chunk, &mut flat);
-            // Pipelined through the migration executor with old == new:
-            // each degraded stripe is gathered and decoded exactly once
-            // and the stores land only in the missing slots.
+            // Pipelined through the migration executor with every shard
+            // staying on its device: each degraded stripe is gathered and
+            // decoded exactly once, and only the absent shards land.
+            let same: Vec<u64> = flat.iter().map(|&w| w & !SLOT_MASK).collect();
             let work: Vec<usize> = (0..chunk.len()).collect();
-            let outcome = self.execute_block_ops(chunk, &work, &flat, &flat)?;
+            let outcome = self.execute_block_ops(chunk, &work, &flat, &same)?;
             repaired += outcome.stored;
             if let Some(m) = &self.metrics {
                 m.repair_blocks_total.add(chunk.len() as u64);
@@ -1134,18 +1220,14 @@ impl StorageCluster {
     /// all devices operate in parallel.
     #[must_use]
     pub fn makespan_us(&self) -> u64 {
-        self.devices
-            .values()
-            .map(|d| d.stats().busy_us)
-            .max()
-            .unwrap_or(0)
+        self.listed().map(|d| d.stats().busy_us).max().unwrap_or(0)
     }
 
     /// Clears every device's I/O counters (e.g. to time one workload phase
     /// in isolation).
     pub fn reset_stats(&mut self) {
-        for d in self.devices.values_mut() {
-            d.reset_stats();
+        for &p in self.positions.values() {
+            self.devices[p as usize].reset_stats();
         }
     }
 
@@ -1160,7 +1242,7 @@ impl StorageCluster {
         id: u64,
         capacity_blocks: u64,
     ) -> Result<MigrationPlan, VdsError> {
-        if self.devices.contains_key(&id) {
+        if self.positions.contains_key(&id) {
             return Err(VdsError::InvalidConfig {
                 reason: "duplicate device id",
             });
@@ -1180,10 +1262,7 @@ impl StorageCluster {
     ///
     /// Same validation as [`StorageCluster::remove_device`].
     pub fn plan_remove_device(&self, id: u64) -> Result<MigrationPlan, VdsError> {
-        let leaving = self
-            .devices
-            .get(&id)
-            .ok_or(VdsError::UnknownDevice { id })?;
+        let leaving = self.device(id).ok_or(VdsError::UnknownDevice { id })?;
         // Fair minimum (Lemma 3.2): the shards resident on the leaving
         // device must move, whatever the strategy.
         let fair_min = leaving.used_blocks() as f64;
@@ -1199,8 +1278,7 @@ impl StorageCluster {
     /// Placement errors if too few devices survive.
     pub fn plan_rebuild(&self) -> Result<MigrationPlan, VdsError> {
         let failed: BTreeSet<u64> = self
-            .devices
-            .values()
+            .listed()
             .filter(|d| d.state() == DeviceState::Failed)
             .map(Device::id)
             .collect();
@@ -1238,7 +1316,8 @@ impl StorageCluster {
             new.clear();
             place_append(&candidate, lba, &mut new);
             let before = plan.moves.len();
-            for (copy, (&from, &to)) in old.iter().zip(&new).enumerate() {
+            for (copy, (&word, &to)) in old.iter().zip(&new).enumerate() {
+                let from = self.id_of(word);
                 if from != to {
                     plan.moves.push(ShardMove {
                         lba,
@@ -1265,19 +1344,22 @@ impl StorageCluster {
     /// `true` if the shard existed. The block becomes degraded until
     /// [`StorageCluster::repair`] or [`StorageCluster::rebuild`] runs.
     pub fn inject_shard_loss(&mut self, lba: u64, copy: usize) -> bool {
-        let Some(&device) = self.table.peek(lba).and_then(|ids| ids.get(copy)) else {
+        let Some(&word) = self.table.peek(lba).and_then(|row| row.get(copy)) else {
             return false;
         };
-        self.devices
-            .get_mut(&device)
-            .is_some_and(|d| d.remove(&(lba, copy)))
+        let Some(slot) = slot_of(word).filter(|_| self.present(word)) else {
+            return false;
+        };
+        // The row stops naming the slot before it is released.
+        self.table.entry(lba)[copy] = word & !SLOT_MASK;
+        self.devices[position_of(word)].release(slot);
+        true
     }
 
     /// Per-device `(id, used, capacity)` utilisation snapshot.
     #[must_use]
     pub fn utilization(&self) -> Vec<(u64, u64, u64)> {
-        self.devices
-            .values()
+        self.listed()
             .map(|d| (d.id(), d.used_blocks(), d.capacity_blocks()))
             .collect()
     }
@@ -1289,33 +1371,28 @@ impl StorageCluster {
     #[must_use]
     pub fn fairness_report(&self) -> FairnessReport {
         let rows: Vec<(u64, u64, u64)> = self
-            .devices
-            .values()
+            .listed()
             .filter(|d| d.state() == DeviceState::Online)
             .map(|d| (d.id(), d.used_blocks(), d.capacity_blocks()))
             .collect();
         FairnessReport::compute(&rows, self.redundancy.total_shards())
     }
 
-    /// Number of blocks currently missing at least one shard from the
-    /// device its row names. Reads rows without counting a hit, so
-    /// scrape-time accounting does not distort the hit series.
+    /// Number of blocks currently missing at least one shard: a row word
+    /// without a slot, or naming a failed device. Reads rows without
+    /// counting a hit, so scrape-time accounting does not distort the hit
+    /// series.
     #[must_use]
     pub fn degraded_block_count(&self) -> u64 {
         self.degraded_blocks().count() as u64
     }
 
-    /// Every stored block missing a shard from the device its row names,
-    /// in table order: the one degraded-block walk of scrub, repair and
-    /// the health snapshot.
+    /// Every stored block missing a shard, in table order: the one
+    /// degraded-block walk of scrub, repair and the health snapshot.
     fn degraded_blocks(&self) -> impl Iterator<Item = u64> + '_ {
         self.table
             .rows()
-            .filter(|&(lba, ids)| {
-                ids.iter()
-                    .enumerate()
-                    .any(|(i, id)| !self.devices.get(id).is_some_and(|d| d.has(&(lba, i))))
-            })
+            .filter(|(_, row)| !row.iter().all(|&w| self.present(w)))
             .map(|(lba, _)| lba)
     }
 
@@ -1327,13 +1404,12 @@ impl StorageCluster {
     #[must_use]
     pub fn health_snapshot(&self) -> HealthSnapshot {
         let devices_online = self
-            .devices
-            .values()
+            .listed()
             .filter(|d| d.state() == DeviceState::Online)
             .count();
         let snap = HealthSnapshot {
             devices_online,
-            devices_failed: self.devices.len() - devices_online,
+            devices_failed: self.positions.len() - devices_online,
             blocks: self.block_count(),
             pending_blocks: self.pending_blocks(),
             degraded_blocks: self.degraded_block_count(),
@@ -1500,7 +1576,7 @@ impl StorageCluster {
         ];
         for (name, kind, help, value) in families {
             family_header(out, name, kind, help);
-            for dev in self.devices.values() {
+            for dev in self.listed() {
                 let id = dev.id().to_string();
                 sample_line(out, name, &[("device", id.as_str())], value(dev));
             }
@@ -2208,11 +2284,7 @@ mod tests {
         let mut b = StorageCluster::builder()
             .block_size(c.block_size())
             .redundancy(c.redundancy());
-        for d in c
-            .devices
-            .values()
-            .filter(|d| d.state() == DeviceState::Online)
-        {
+        for d in c.listed().filter(|d| d.state() == DeviceState::Online) {
             b = b.device(d.id(), d.capacity_blocks());
         }
         b.build().unwrap()
@@ -2556,32 +2628,109 @@ mod tests {
         c.add_device_lazy(6, 20_000).unwrap();
         c.fail_device(6).unwrap();
         // Every write whose target placement includes the failed device
-        // fails; its block stays pending at its old home.
-        let mut failed = 0u64;
+        // fails; its block stays pending at its old home, with its old
+        // value.
+        let mut failed = Vec::new();
         for lba in 0..blocks {
-            failed += u64::from(c.write_block(lba, &block(!(lba as u8), 64)).is_err());
+            if c.write_block(lba, &block(!(lba as u8), 64)).is_err() {
+                failed.push(lba);
+            }
         }
-        assert!(failed > 0, "some writes target the failed device");
-        let assert_old_or_new = |c: &StorageCluster| {
+        assert!(!failed.is_empty(), "some writes target the failed device");
+        let assert_values = |c: &StorageCluster| {
             for lba in 0..blocks {
-                let got = c.read_block(lba);
-                assert!(
-                    got.as_ref()
-                        .is_ok_and(|b| *b == block(lba as u8, 64) || *b == block(!(lba as u8), 64)),
-                    "lba {lba}: {:?}",
-                    got.map(|b| b[0])
-                );
+                let want = if failed.binary_search(&lba).is_ok() {
+                    block(lba as u8, 64)
+                } else {
+                    block(!(lba as u8), 64)
+                };
+                assert_eq!(c.read_block(lba).unwrap(), want, "lba {lba}");
             }
         };
-        assert_old_or_new(&c);
-        assert_eq!(c.pending_blocks(), failed);
+        assert_values(&c);
+        assert_eq!(c.pending_blocks(), failed.len() as u64);
         c.rebuild().unwrap();
         assert_eq!(c.pending_blocks(), 0);
-        assert_old_or_new(&c);
+        assert_values(&c);
         assert_eq!(c.scrub().unwrap(), 0);
         // The failed writes left no stray shard: exactly 2 per block.
         let used: u64 = c.utilization().iter().map(|&(_, used, _)| used).sum();
         assert_eq!(used, 2 * blocks);
+    }
+
+    /// 1,000 blocks on 8 devices of 10,000–19,000 shards, with a
+    /// mid-capacity device failed, are rewritten one by one with distinct
+    /// payloads: every write that returns `Err` leaves the block's previous
+    /// value exactly, and every `Ok` write reads back the new one. A batch
+    /// rewrite of every block then fails as a whole and changes nothing.
+    #[test]
+    fn failed_write_leaves_the_previous_value() {
+        for (redundancy, block_size) in [
+            (Redundancy::Mirror { copies: 2 }, 64),
+            (Redundancy::ReedSolomon { data: 4, parity: 2 }, 4096),
+        ] {
+            let mut b = StorageCluster::builder()
+                .block_size(block_size)
+                .redundancy(redundancy);
+            for id in 0..8u64 {
+                b = b.device(id, 10_000 + 3_000 * (id % 4));
+            }
+            let mut c = b.build().unwrap();
+            let blocks = 1_000u64;
+            for lba in 0..blocks {
+                c.write_block(lba, &block(lba as u8, block_size)).unwrap();
+            }
+            c.fail_device(1).unwrap();
+            let mut failed = 0;
+            for lba in 0..blocks {
+                let new = block((lba as u8).wrapping_add(101), block_size);
+                let want = match c.write_block(lba, &new) {
+                    Ok(()) => new,
+                    Err(_) => {
+                        failed += 1;
+                        block(lba as u8, block_size)
+                    }
+                };
+                assert_eq!(c.read_block(lba).unwrap(), want, "{redundancy:?} lba {lba}");
+            }
+            assert!(failed > 0, "{redundancy:?}: some writes touch device 1");
+            let before: Vec<Vec<u8>> = (0..blocks).map(|lba| c.read_block(lba).unwrap()).collect();
+            let lbas: Vec<u64> = (0..blocks).collect();
+            let data = vec![0xA5; blocks as usize * block_size];
+            assert!(c.write_blocks(&lbas, &data).is_err(), "{redundancy:?}");
+            for lba in 0..blocks {
+                assert_eq!(
+                    c.read_block(lba).unwrap(),
+                    before[lba as usize],
+                    "{redundancy:?} lba {lba}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn overwrites_fit_a_full_device() {
+        let mut c = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(Redundancy::Mirror { copies: 2 })
+            .device(0, 100)
+            .device(1, 100)
+            .build()
+            .unwrap();
+        for lba in 0..100u64 {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        // Both devices are full; an overwrite frees the slot it replaces.
+        for lba in 0..100u64 {
+            c.write_block(lba, &block(!(lba as u8), 64)).unwrap();
+            assert_eq!(c.read_block(lba).unwrap(), block(!(lba as u8), 64));
+        }
+        assert!(matches!(
+            c.write_block(100, &block(0, 64)),
+            Err(VdsError::OutOfSpace { .. })
+        ));
+        assert_eq!(c.block_count(), 100);
+        assert_eq!(c.utilization(), vec![(0, 100, 100), (1, 100, 100)]);
     }
 
     #[test]
@@ -2616,6 +2765,12 @@ mod tests {
             StorageCluster::builder().device(0, 1).device(0, 2).build(),
             Err(VdsError::InvalidConfig { .. })
         ));
+    }
+
+    /// The shards of `lba`, read through its row: `None` where absent.
+    fn shards_of(c: &StorageCluster, lba: u64) -> Vec<Option<Vec<u8>>> {
+        let row = c.table.peek(lba).expect("stored");
+        row.iter().map(|&w| c.read_shard(w)).collect()
     }
 
     #[test]
@@ -2657,19 +2812,15 @@ mod tests {
             assert_eq!(lazy.pending_blocks(), 0);
             assert!(eager_report.shards_moved > 0);
             assert_eq!(lazy_report, eager_report, "{redundancy:?}");
-            // Same placements, same per-device contents.
-            let k = redundancy.total_shards();
+            // Same placements, same per-device contents: slot numbers may
+            // differ between the twins, so compare the bytes each row names.
             for &lba in &lbas {
                 assert_eq!(lazy.placement(lba), eager.placement(lba));
+                assert_eq!(shards_of(&lazy, lba), shards_of(&eager, lba), "lba {lba}");
             }
             for id in eager.device_ids() {
                 let (l, e) = (lazy.device(id).unwrap(), eager.device(id).unwrap());
                 assert_eq!(l.used_blocks(), e.used_blocks(), "device {id}");
-                for &lba in &lbas {
-                    for copy in 0..k {
-                        assert_eq!(l.load(&(lba, copy)), e.load(&(lba, copy)));
-                    }
-                }
             }
             assert_eq!(lazy.scrub().unwrap(), 0);
             // Idempotent when drained.

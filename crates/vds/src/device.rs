@@ -1,13 +1,10 @@
-//! Simulated block storage devices.
+//! Simulated block storage devices: each is a slab of fixed-size shard
+//! slots, addressed by the slot numbers that the cluster's block-table
+//! rows record.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::error::VdsError;
 use crate::profile::DeviceProfile;
-use crate::table::Table;
-
-/// Identifies one shard of one redundancy group on a device.
-pub(crate) type ShardKey = (u64, usize); // (logical block address, shard index)
 
 /// Operational state of a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +62,7 @@ const CHUNK_BYTES: usize = 4096;
 
 /// Fixed-length shard slots in chunks that are never reallocated; slot
 /// `s` lives in chunk `s >> shift` at offset `(s & mask) * shard_len`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Slab {
     shard_len: usize,
     /// log2 of the slots per chunk.
@@ -88,7 +85,7 @@ impl Slab {
         }
     }
 
-    /// A free slot, or `None` once 2^32 − 1 slots are in use (the index
+    /// A free slot, or `None` once 2^32 − 1 slots are in use (a row word
     /// stores `slot + 1` in 32 bits).
     fn alloc(&mut self) -> Option<u32> {
         if let Some(slot) = self.free.pop() {
@@ -125,58 +122,25 @@ impl Slab {
     }
 }
 
-/// Index word 1 of a stored shard: the shard index in the high half,
-/// `slot + 1` (never zero, so the row reads as occupied) in the low half.
-fn slot_word(shard: usize, slot: u32) -> u64 {
-    assert!(u32::try_from(shard).is_ok(), "shard index fits 32 bits");
-    ((shard as u64) << 32) | (u64::from(slot) + 1)
-}
-
-fn slot_of(word: u64) -> u32 {
-    (word as u32) - 1
-}
-
-/// A simulated storage device holding shards of redundancy groups.
+/// A simulated storage device: a slab of fixed-size shard slots.
 ///
 /// Every shard on a device has the same length (the cluster's
-/// `block_size / d`, or `block_size` for mirrors) and lives in a
-/// fixed-size slot of a slab; an open-addressed index maps
-/// `(lba, shard)` to its slot. The device enforces its block capacity,
-/// tracks I/O statistics and can be failed (losing all contents) to drive
-/// rebuild experiments. Reads take `&self`: shard contents are immutable
-/// between writes and the I/O counters are atomic, so concurrent readers
-/// need no exclusive access.
+/// `block_size / d`, or `block_size` for mirrors) and lives in a slot of
+/// the slab. The device does not know which shard a slot holds: the
+/// cluster's block-table rows name their shards' slots, so the device only
+/// hands slots out, copies bytes in and out of them and takes them back.
+/// It tracks I/O statistics and can be failed (losing all contents) to
+/// drive rebuild experiments. Reads take `&self`: slot contents are
+/// immutable between writes and the I/O counters are atomic, so
+/// concurrent readers need no exclusive access.
 #[derive(Debug)]
 pub struct Device {
     id: u64,
     capacity_blocks: u64,
     state: DeviceState,
-    /// Rows `[lba, slot_word(shard, slot)]`.
-    index: Table,
     slab: Slab,
     stats: AtomicIoStats,
     profile: DeviceProfile,
-}
-
-impl Clone for Device {
-    fn clone(&self) -> Self {
-        let s = self.stats.snapshot();
-        Self {
-            id: self.id,
-            capacity_blocks: self.capacity_blocks,
-            state: self.state,
-            index: self.index.clone(),
-            slab: self.slab.clone(),
-            stats: AtomicIoStats {
-                reads: AtomicU64::new(s.reads),
-                writes: AtomicU64::new(s.writes),
-                bytes_read: AtomicU64::new(s.bytes_read),
-                bytes_written: AtomicU64::new(s.bytes_written),
-                busy_us: AtomicU64::new(s.busy_us),
-            },
-            profile: self.profile,
-        }
-    }
 }
 
 impl Device {
@@ -198,7 +162,6 @@ impl Device {
             id,
             capacity_blocks,
             state: DeviceState::Online,
-            index: Table::new(2),
             slab: Slab::new(shard_len),
             stats: AtomicIoStats::default(),
             profile,
@@ -223,10 +186,10 @@ impl Device {
         self.capacity_blocks
     }
 
-    /// Number of shards currently stored.
+    /// Number of shards currently stored: the slab's live slots.
     #[must_use]
     pub fn used_blocks(&self) -> u64 {
-        self.index.len() as u64
+        u64::from(self.slab.next) - self.slab.free.len() as u64
     }
 
     /// Utilisation in `[0, 1]`.
@@ -247,52 +210,23 @@ impl Device {
         self.stats.snapshot()
     }
 
-    /// Marks the device failed and frees its index and slab.
+    /// Marks the device failed and frees its slab.
     pub(crate) fn fail(&mut self) {
         self.state = DeviceState::Failed;
-        self.index = Table::new(2);
         self.slab = Slab::new(self.slab.shard_len);
     }
 
-    fn find(&self, key: &ShardKey) -> Result<usize, usize> {
-        let shard = key.1 as u64;
-        self.index.probe(key.0, |row| row[1] >> 32 == shard)
+    /// A free slot, or `None` on a failed device. Capacity is the
+    /// cluster's to check, net of the slots a commit releases.
+    pub(crate) fn alloc(&mut self) -> Option<u32> {
+        if self.state == DeviceState::Failed {
+            return None;
+        }
+        self.slab.alloc()
     }
 
-    /// Stores a shard by copying from a borrowed slice into its slot —
-    /// the existing one on overwrite, a free or new one otherwise. One
-    /// index probe serves the existence test, the capacity check and the
-    /// write.
-    ///
-    /// # Errors
-    ///
-    /// * [`VdsError::DeviceFailed`] on a failed device.
-    /// * [`VdsError::WrongBlockSize`] if `data` is not one shard long.
-    /// * [`VdsError::OutOfSpace`] if the shard is new and the device full.
-    pub(crate) fn store_from(&mut self, key: ShardKey, data: &[u8]) -> Result<(), VdsError> {
-        if self.state == DeviceState::Failed {
-            return Err(VdsError::DeviceFailed { id: self.id });
-        }
-        if data.len() != self.slab.shard_len {
-            return Err(VdsError::WrongBlockSize {
-                expected: self.slab.shard_len,
-                got: data.len(),
-            });
-        }
-        let slot = match self.find(&key) {
-            Ok(b) => slot_of(self.index.row(b)[1]),
-            Err(vacant) => {
-                if self.used_blocks() >= self.capacity_blocks {
-                    return Err(VdsError::OutOfSpace { id: self.id });
-                }
-                let slot = self
-                    .slab
-                    .alloc()
-                    .ok_or(VdsError::OutOfSpace { id: self.id })?;
-                self.index.insert(vacant, key.0, slot_word(key.1, slot));
-                slot
-            }
-        };
+    /// Copies one shard into `slot`, which [`Device::alloc`] handed out.
+    pub(crate) fn write(&mut self, slot: u32, data: &[u8]) {
         self.slab.get_mut(slot).copy_from_slice(data);
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -301,70 +235,37 @@ impl Device {
         self.stats
             .busy_us
             .fetch_add(self.profile.service_us(data.len()), Ordering::Relaxed);
-        Ok(())
     }
 
-    /// The stored bytes of `key`, if the device is online and holds it.
-    fn shard(&self, key: &ShardKey) -> Option<&[u8]> {
+    /// Copies the shard in `slot` into `out` (one shard long) and counts
+    /// the read. Returns `false`, touching neither `out` nor the counters,
+    /// when the device is failed.
+    pub(crate) fn read_into(&self, slot: u32, out: &mut [u8]) -> bool {
         if self.state == DeviceState::Failed {
-            return None;
+            return false;
         }
-        let b = self.find(key).ok()?;
-        Some(self.slab.get(slot_of(self.index.row(b)[1])))
-    }
-
-    fn count_read(&self, len: usize) {
+        out.copy_from_slice(self.slab.get(slot));
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_read
-            .fetch_add(len as u64, Ordering::Relaxed);
+            .fetch_add(out.len() as u64, Ordering::Relaxed);
         self.stats
             .busy_us
-            .fetch_add(self.profile.service_us(len), Ordering::Relaxed);
-    }
-
-    pub(crate) fn load(&self, key: &ShardKey) -> Option<Vec<u8>> {
-        let data = self.shard(key)?;
-        self.count_read(data.len());
-        Some(data.to_vec())
-    }
-
-    /// Copies a shard into a caller-provided buffer, avoiding the `Vec` of
-    /// [`Device::load`]. Returns `false` (without touching `out` or the
-    /// counters) when the device is failed, the shard is absent, or `out`
-    /// is not one shard long — the same cases in which `load` would return
-    /// `None` or the caller could not use the data anyway.
-    pub(crate) fn load_into(&self, key: &ShardKey, out: &mut [u8]) -> bool {
-        let Some(data) = self.shard(key) else {
-            return false;
-        };
-        if data.len() != out.len() {
-            debug_assert_eq!(data.len(), out.len(), "shard length mismatch");
-            return false;
-        }
-        out.copy_from_slice(data);
-        self.count_read(data.len());
+            .fetch_add(self.profile.service_us(out.len()), Ordering::Relaxed);
         true
+    }
+
+    /// Frees `slot` for reuse; a no-op on a failed device, whose slab is
+    /// already gone.
+    pub(crate) fn release(&mut self, slot: u32) {
+        if self.state == DeviceState::Online {
+            self.slab.release(slot);
+        }
     }
 
     /// Clears the I/O counters (e.g. between workload phases).
     pub(crate) fn reset_stats(&mut self) {
         self.stats = AtomicIoStats::default();
-    }
-
-    /// Deletes a shard and frees its slot; `true` if it was stored.
-    pub(crate) fn remove(&mut self, key: &ShardKey) -> bool {
-        let Ok(b) = self.find(key) else {
-            return false;
-        };
-        let slot = slot_of(self.index.row(b)[1]);
-        self.index.remove(b);
-        self.slab.release(slot);
-        true
-    }
-
-    pub(crate) fn has(&self, key: &ShardKey) -> bool {
-        self.state == DeviceState::Online && self.find(key).is_ok()
     }
 }
 
@@ -374,130 +275,55 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    #[test]
-    fn capacity_enforced() {
-        let mut d = Device::new(1, 2, 1);
-        d.store_from((0, 0), &[1]).unwrap();
-        d.store_from((1, 0), &[2]).unwrap();
-        assert_eq!(
-            d.store_from((2, 0), &[3]),
-            Err(VdsError::OutOfSpace { id: 1 })
-        );
-        // Overwrites of existing shards are always allowed.
-        d.store_from((1, 0), &[9]).unwrap();
-        assert_eq!(d.load(&(1, 0)), Some(vec![9]));
+    /// Allocates a slot and writes `data` into it.
+    fn put(d: &mut Device, data: &[u8]) -> u32 {
+        let slot = d.alloc().expect("online device");
+        d.write(slot, data);
+        slot
+    }
+
+    fn get(d: &Device, slot: u32, len: usize) -> Option<Vec<u8>> {
+        let mut out = vec![0; len];
+        d.read_into(slot, &mut out).then_some(out)
     }
 
     #[test]
     fn failure_drops_contents_and_rejects_io() {
         let mut d = Device::new(7, 4, 3);
-        d.store_from((0, 0), &[1, 2, 3]).unwrap();
+        let slot = put(&mut d, &[1, 2, 3]);
         d.fail();
         assert_eq!(d.state(), DeviceState::Failed);
-        assert_eq!(d.load(&(0, 0)), None);
-        assert!(!d.has(&(0, 0)));
+        assert_eq!(get(&d, slot, 3), None);
         assert_eq!(d.used_blocks(), 0);
         assert!(d.slab.chunks.is_empty(), "fail frees the slab");
-        assert_eq!(
-            d.store_from((1, 0), &[4, 5, 6]),
-            Err(VdsError::DeviceFailed { id: 7 })
-        );
-    }
-
-    #[test]
-    fn store_from_overwrites_in_place_and_rejects_other_lengths() {
-        let mut d = Device::new(1, 2, 1);
-        d.store_from((0, 0), &[1]).unwrap();
-        d.store_from((1, 0), &[2]).unwrap();
-        assert_eq!(
-            d.store_from((2, 0), &[3]),
-            Err(VdsError::OutOfSpace { id: 1 })
-        );
-        // Overwrites reuse the existing slot and are always allowed.
-        d.store_from((1, 0), &[9]).unwrap();
-        assert_eq!(d.load(&(1, 0)), Some(vec![9]));
-        assert_eq!(d.slab.next, 2);
-        // Every shard on a device has one length.
-        assert_eq!(
-            d.store_from((1, 0), &[9, 9]),
-            Err(VdsError::WrongBlockSize {
-                expected: 1,
-                got: 2
-            })
-        );
-        assert_eq!(d.load(&(1, 0)), Some(vec![9]));
-        assert_eq!(d.stats().writes, 3);
-        d.fail();
-        assert_eq!(
-            d.store_from((0, 0), &[4]),
-            Err(VdsError::DeviceFailed { id: 1 })
-        );
-    }
-
-    #[test]
-    fn shards_of_one_block_share_a_probe_run() {
-        // All shards of an lba hash to one home bucket; removing the first
-        // must shift the others back, not strand them.
-        let mut d = Device::new(1, 16, 2);
-        for shard in 0..4 {
-            d.store_from((5, shard), &[shard as u8, 0]).unwrap();
-        }
-        assert!(d.remove(&(5, 0)));
-        assert!(!d.remove(&(5, 0)));
-        for shard in 1..4 {
-            assert_eq!(d.load(&(5, shard)), Some(vec![shard as u8, 0]));
-        }
-        // The freed slot is reused: the slab does not grow.
-        d.store_from((6, 0), &[7, 7]).unwrap();
-        assert_eq!(d.slab.next, 4);
-        assert_eq!(d.load(&(6, 0)), Some(vec![7, 7]));
+        assert_eq!(d.alloc(), None);
+        d.release(slot);
+        assert!(d.slab.free.is_empty(), "a failed device takes nothing back");
     }
 
     #[test]
     fn slots_span_chunks() {
         let len = CHUNK_BYTES / 2 + 1; // one slot per chunk
         let mut d = Device::new(1, 8, len);
-        for lba in 0..5u64 {
-            d.store_from((lba, 0), &vec![lba as u8; len]).unwrap();
-        }
+        let slots: Vec<u32> = (0..5u8).map(|b| put(&mut d, &vec![b; len])).collect();
         assert_eq!(d.slab.chunks.len(), 5);
-        for lba in 0..5u64 {
-            assert_eq!(d.load(&(lba, 0)), Some(vec![lba as u8; len]));
+        for (b, &slot) in slots.iter().enumerate() {
+            assert_eq!(get(&d, slot, len), Some(vec![b as u8; len]));
         }
         let mut d = Device::new(1, 1_000, 64);
-        for lba in 0..200u64 {
-            d.store_from((lba, 1), &[lba as u8; 64]).unwrap();
-        }
+        let slots: Vec<u32> = (0..200u8).map(|b| put(&mut d, &[b; 64])).collect();
         assert_eq!(d.slab.chunks.len(), 200usize.div_ceil(CHUNK_BYTES / 64));
-        for lba in 0..200u64 {
-            assert_eq!(d.load(&(lba, 1)), Some(vec![lba as u8; 64]));
+        for (b, &slot) in slots.iter().enumerate() {
+            assert_eq!(get(&d, slot, 64), Some(vec![b as u8; 64]));
         }
-    }
-
-    #[test]
-    fn load_into_matches_load() {
-        let mut d = Device::new(3, 4, 3);
-        d.store_from((5, 1), &[7, 8, 9]).unwrap();
-        let mut buf = [0u8; 3];
-        assert!(d.load_into(&(5, 1), &mut buf));
-        assert_eq!(buf, [7, 8, 9]);
-        // Missing shard: untouched buffer, no read counted.
-        let before = d.stats();
-        let mut other = [1u8; 3];
-        assert!(!d.load_into(&(6, 0), &mut other));
-        assert_eq!(other, [1u8; 3]);
-        assert_eq!(d.stats().reads, before.reads);
-        // Counters match what load would have recorded.
-        assert_eq!(d.stats().reads, 1);
-        assert_eq!(d.stats().bytes_read, 3);
     }
 
     #[test]
     fn stats_track_io() {
         let mut d = Device::new(2, 10, 16);
-        d.store_from((0, 0), &[0; 16]).unwrap();
-        d.store_from((1, 1), &[0; 16]).unwrap();
-        let _ = d.load(&(0, 0));
+        let slot = put(&mut d, &[0; 16]);
+        put(&mut d, &[0; 16]);
+        let _ = get(&d, slot, 16);
         let s = d.stats();
         assert_eq!(s.writes, 2);
         assert_eq!(s.reads, 1);
@@ -508,22 +334,20 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        Store(u64, usize, u8),
-        Remove(u64, usize),
-        Load(u64, usize),
-        LoadInto(u64, usize),
-        Has(u64, usize),
+        Alloc(u8),
+        Write(usize, u8),
+        ReadInto(usize),
+        Release(usize),
         Fail,
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        // 16 blocks × 3 shards: shards of one block collide by construction.
-        (0u8..22, 0u64..16, 0usize..3, any::<u8>()).prop_map(|(pick, l, s, b)| match pick {
-            0..=7 => Op::Store(l, s, b),
-            8..=12 => Op::Remove(l, s),
-            13..=15 => Op::Load(l, s),
-            16..=18 => Op::LoadInto(l, s),
-            19..=20 => Op::Has(l, s),
+        // Slot picks index the model's live slots (modulo their count).
+        (0u8..22, 0usize..64, any::<u8>()).prop_map(|(pick, i, b)| match pick {
+            0..=7 => Op::Alloc(b),
+            8..=10 => Op::Write(i, b),
+            11..=15 => Op::ReadInto(i),
+            16..=20 => Op::Release(i),
             _ => Op::Fail,
         })
     }
@@ -537,48 +361,50 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random operation sequences against a map model: contents,
-        /// capacity, failure and counters agree, and the slab grows only
-        /// when no released slot is free (its high-water mark equals the
-        /// model's peak occupancy).
+        /// Random slot operations against a map model of the live slots:
+        /// contents, failure and counters agree, a released slot is handed
+        /// out again, and the slab grows only when no released slot is
+        /// free (its high-water mark equals the model's peak occupancy).
         #[test]
         fn device_matches_a_map_model(ops in proptest::collection::vec(op(), 1..300)) {
-            const CAP: u64 = 30;
-            let mut d = Device::new(9, CAP, LEN);
-            let mut model: BTreeMap<(u64, usize), u8> = BTreeMap::new();
+            let mut d = Device::new(9, 30, LEN);
+            let mut model: BTreeMap<u32, u8> = BTreeMap::new();
             let mut failed = false;
             let mut peak = 0usize;
             let mut reads = 0u64;
+            let live = |model: &BTreeMap<u32, u8>, i: usize| {
+                model.keys().nth(i % model.len().max(1)).copied()
+            };
             for op in ops {
                 match op {
-                    Op::Store(l, s, b) => {
-                        let got = d.store_from((l, s), &shard_bytes(b));
-                        if failed {
-                            prop_assert_eq!(got, Err(VdsError::DeviceFailed { id: 9 }));
-                        } else if !model.contains_key(&(l, s)) && model.len() as u64 >= CAP {
-                            prop_assert_eq!(got, Err(VdsError::OutOfSpace { id: 9 }));
-                        } else {
-                            prop_assert_eq!(got, Ok(()));
-                            model.insert((l, s), b);
+                    Op::Alloc(b) => match d.alloc() {
+                        None => prop_assert!(failed),
+                        Some(slot) => {
+                            prop_assert!(!failed);
+                            prop_assert!(!model.contains_key(&slot), "slot {} is live", slot);
+                            d.write(slot, &shard_bytes(b));
+                            model.insert(slot, b);
+                        }
+                    },
+                    Op::Write(i, b) => {
+                        if let Some(slot) = live(&model, i) {
+                            d.write(slot, &shard_bytes(b));
+                            model.insert(slot, b);
                         }
                     }
-                    Op::Remove(l, s) => {
-                        prop_assert_eq!(d.remove(&(l, s)), model.remove(&(l, s)).is_some());
+                    Op::ReadInto(i) => {
+                        if let Some(slot) = live(&model, i) {
+                            let mut buf = [0xEE; LEN];
+                            prop_assert!(d.read_into(slot, &mut buf));
+                            prop_assert_eq!(buf, shard_bytes(model[&slot]));
+                            reads += 1;
+                        }
                     }
-                    Op::Load(l, s) => {
-                        let want = model.get(&(l, s)).map(|&b| shard_bytes(b).to_vec());
-                        reads += u64::from(want.is_some());
-                        prop_assert_eq!(d.load(&(l, s)), want);
-                    }
-                    Op::LoadInto(l, s) => {
-                        let mut buf = [0xEE; LEN];
-                        let want = model.get(&(l, s)).map(|&b| shard_bytes(b));
-                        reads += u64::from(want.is_some());
-                        prop_assert_eq!(d.load_into(&(l, s), &mut buf), want.is_some());
-                        prop_assert_eq!(buf, want.unwrap_or([0xEE; LEN]));
-                    }
-                    Op::Has(l, s) => {
-                        prop_assert_eq!(d.has(&(l, s)), model.contains_key(&(l, s)));
+                    Op::Release(i) => {
+                        if let Some(slot) = live(&model, i) {
+                            d.release(slot);
+                            model.remove(&slot);
+                        }
                     }
                     Op::Fail => {
                         d.fail();
@@ -590,7 +416,6 @@ mod tests {
                 peak = peak.max(model.len());
                 prop_assert_eq!(d.used_blocks(), model.len() as u64);
                 prop_assert_eq!(d.slab.next as usize, peak);
-                prop_assert_eq!(d.slab.next as usize - d.slab.free.len(), model.len());
                 prop_assert_eq!(d.stats().reads, reads);
             }
         }

@@ -11,8 +11,12 @@
 //!   [`rshare_core::RedundantShare`] — the strategy itself is a few words
 //!   per device ("compactness" in the paper's criteria list) — and each
 //!   stored block's are recorded in a fixed-width block-table row of `k`
-//!   device ids, so a lookup is one probe and the metadata grows with the
-//!   stored blocks, not with the address space.
+//!   words, each naming a device and the slot of its slab that holds the
+//!   shard, so a read is one probe and one slot copy per shard, and the
+//!   metadata grows with the stored blocks, not with the address space.
+//!   Writes, migrations and repairs commit copy-on-write: the new shards
+//!   land in fresh slots before the row is restamped, so an `Err` leaves
+//!   the previous value.
 //! * [`Redundancy`] — per-block mirroring or erasure coding (XOR parity,
 //!   EVENODD, RDP, Reed–Solomon from `rshare-erasure`); shard `i` of a
 //!   group goes to the i-th placed bin, using the copy-identity property

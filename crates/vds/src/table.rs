@@ -1,19 +1,12 @@
-//! The open-addressed table behind every per-block map of this crate: a
-//! device's shard index and the block table's shards.
+//! The open-addressed table behind the block table (`cache.rs`).
 //!
 //! Rows are a fixed number of `u64` words, chosen at construction, stored
 //! back to back in one `Vec` — no per-row allocation, no pointer, no
 //! separate control array. Word 0 is the hashed key word; word 1 is
 //! nonzero in every occupied row (callers encode their value so it never
 //! is zero), which is how an empty bucket is told apart. Collisions are
-//! resolved by linear probing, and a removal shifts the rows after it back
-//! (backward-shift deletion), so the table never carries tombstones and a
-//! lookup stops at the first empty bucket.
-//!
-//! The table only hashes word 0; callers that key on more than word 0
-//! (a device keys on `(lba, shard)`) pass a predicate that checks the rest.
-//! Rows sharing word 0 then sit in one probe run, which stays short because
-//! a device rarely holds two shards of one block.
+//! resolved by linear probing, and a lookup stops at the first empty
+//! bucket. Rows are never removed, so the table carries no tombstones.
 
 /// Smallest non-empty bucket count.
 const MIN_BUCKETS: usize = 16;
@@ -23,7 +16,7 @@ const MIN_BUCKETS: usize = 16;
 const TABLE_DOMAIN: u64 = 0x5441_424c_4553_4c54; // "TABLESLT"
 
 /// A linear-probing hash table of fixed-width `u64` rows.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Table {
     /// `buckets × width` words.
     words: Vec<u64>,
@@ -71,10 +64,10 @@ impl Table {
         &mut self.words[bucket * self.width..(bucket + 1) * self.width]
     }
 
-    /// Finds the row whose word 0 is `key` and which `matches` accepts:
-    /// `Ok(bucket)` if present, otherwise `Err(bucket)` with the empty
-    /// bucket an [`Table::insert`] of that key goes to.
-    pub(crate) fn probe(&self, key: u64, matches: impl Fn(&[u64]) -> bool) -> Result<usize, usize> {
+    /// Finds the row whose word 0 is `key`: `Ok(bucket)` if present,
+    /// otherwise `Err(bucket)` with the empty bucket an [`Table::insert`]
+    /// of that key goes to.
+    pub(crate) fn probe(&self, key: u64) -> Result<usize, usize> {
         if self.buckets == 0 {
             return Err(0);
         }
@@ -85,7 +78,7 @@ impl Table {
             if row[1] == 0 {
                 return Err(b);
             }
-            if row[0] == key && matches(row) {
+            if row[0] == key {
                 return Ok(b);
             }
             b = (b + 1) & mask;
@@ -118,28 +111,6 @@ impl Table {
         self.words.chunks_exact(self.width).filter(|r| r[1] != 0)
     }
 
-    /// Removes the row in `bucket`, shifting later rows of its probe run
-    /// back so every remaining row stays reachable from its home bucket.
-    pub(crate) fn remove(&mut self, bucket: usize) {
-        debug_assert!(self.occupied(bucket));
-        let mask = self.buckets - 1;
-        let mut hole = bucket;
-        let mut next = (bucket + 1) & mask;
-        while self.occupied(next) {
-            let home = self.home(self.row(next)[0]);
-            // The row at `next` may fill the hole only if the hole lies on
-            // its probe path, i.e. no further from its home than `next`.
-            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
-                let w = self.width;
-                self.words.copy_within(next * w..(next + 1) * w, hole * w);
-                hole = next;
-            }
-            next = (next + 1) & mask;
-        }
-        self.row_mut(hole).fill(0);
-        self.len -= 1;
-    }
-
     fn first_empty(&self, key: u64) -> usize {
         let mask = self.buckets - 1;
         let mut b = self.home(key);
@@ -165,20 +136,16 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// Rows `[key, value, value]`, keyed on word 0 alone.
+    /// Rows `[key, value, value]`.
     fn get(t: &Table, key: u64) -> Option<u64> {
-        t.probe(key, |_| true).ok().map(|b| t.row(b)[1])
+        t.probe(key).ok().map(|b| t.row(b)[1])
     }
 
     fn put(t: &mut Table, key: u64, value: u64) {
-        match t.probe(key, |_| true) {
+        match t.probe(key) {
             Ok(b) => t.row_mut(b)[1..].fill(value),
             Err(v) => t.insert(v, key, value)[2] = value,
         }
-    }
-
-    fn del(t: &mut Table, key: u64) -> bool {
-        t.probe(key, |_| true).map(|b| t.remove(b)).is_ok()
     }
 
     #[test]
@@ -186,7 +153,7 @@ mod tests {
         let t = Table::new(2);
         assert_eq!(t.len(), 0);
         assert!(t.words.is_empty());
-        assert_eq!(t.probe(7, |_| true), Err(0));
+        assert_eq!(t.probe(7), Err(0));
     }
 
     #[test]
@@ -203,46 +170,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn removal_keeps_a_wrapped_probe_run_reachable() {
-        // Fill one run that wraps past the last bucket, then delete its
-        // head: every survivor must still be found.
-        let mut t = Table::new(3);
-        put(&mut t, 0, 1);
-        let last = t.buckets - 1;
-        let keys: Vec<u64> = (1..100_000u64)
-            .filter(|&k| t.home(k) == last)
-            .take(4)
-            .collect();
-        for &k in &keys {
-            put(&mut t, k, k);
-        }
-        del(&mut t, keys[0]);
-        for &k in &keys[1..] {
-            assert_eq!(get(&t, k), Some(k));
-        }
-        assert_eq!(t.len(), keys.len());
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Random inserts, overwrites and removals over a key space small
-        /// enough that probe runs collide and wrap, against a map model.
+        /// Random inserts and overwrites over a key space small enough
+        /// that probe runs collide and wrap, against a map model.
         #[test]
         fn matches_a_map_model(
-            ops in proptest::collection::vec((0u8..3, 0u64..48, 1u64..1_000), 1..400)
+            ops in proptest::collection::vec((0u64..48, 1u64..1_000), 1..400)
         ) {
             let mut t = Table::new(3);
             let mut model = BTreeMap::new();
-            for (op, key, value) in ops {
-                match op {
-                    0 | 1 => {
-                        put(&mut t, key, value);
-                        model.insert(key, value);
-                    }
-                    _ => prop_assert_eq!(del(&mut t, key), model.remove(&key).is_some()),
-                }
+            for (key, value) in ops {
+                put(&mut t, key, value);
+                model.insert(key, value);
                 prop_assert_eq!(t.len(), model.len());
                 for k in 0..48 {
                     prop_assert_eq!(get(&t, k), model.get(&k).copied());

@@ -64,8 +64,10 @@ impl VirtualDisk {
     ///
     /// # Errors
     ///
-    /// Propagates cluster I/O errors; partial writes are possible on error
-    /// (as with a real disk, callers decide how to handle torn writes).
+    /// Propagates cluster I/O errors. Each block is written whole or not
+    /// at all, but a write spanning several blocks may leave the blocks
+    /// before the failing one written (as with a real disk, callers
+    /// decide how to handle torn writes).
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), VdsError> {
         let bs = self.cluster.block_size() as u64;
         let mut written = 0usize;

@@ -1,16 +1,20 @@
 //! Model-based randomized testing of the storage cluster.
 //!
 //! A long random sequence of operations (write, overwrite, read, device
-//! add, graceful remove, crash + rebuild, scrub, and changes stacked on a
-//! lazy migration in flight, including a crash between two migration
-//! budgets) is executed against the real cluster and a trivial in-memory
-//! model (`HashMap<lba, data>`).
+//! add, graceful remove, crash + rebuild, writes while a device stays
+//! failed, scrub, and changes stacked on a lazy migration in flight,
+//! including a crash between two migration budgets) is executed against
+//! the real cluster and a trivial in-memory model (`HashMap<lba, data>`).
+//! A write that returns `Err` must leave its block's previous value, so
+//! the model keeps it.
 //! After every step the cluster must agree with the model on all data —
 //! the strongest end-to-end statement of the redundancy and migration
 //! machinery. After every step that leaves no migration pending, the
 //! block-table rows of a sample of stored blocks must also equal the
 //! placements a freshly built cluster over the same devices computes.
-//! Seeds are fixed so failures reproduce.
+//! After every step that leaves no block degraded, every device must hold
+//! exactly the shards the rows place on it, so no slot leaks or is freed
+//! twice. Seeds are fixed so failures reproduce.
 
 use std::collections::HashMap;
 
@@ -65,12 +69,28 @@ impl Harness {
     fn step(&mut self) {
         let roll = self.next() % 100;
         match roll {
-            // 48 %: write or overwrite a block.
-            0..=47 => {
+            // 45 %: write or overwrite a block.
+            0..=44 => {
                 let lba = self.next() % 3_000;
                 let data = self.payload(lba);
                 self.cluster.write_block(lba, &data).expect("write");
                 self.model.insert(lba, data);
+            }
+            // 3 %: a device crashes and stays failed across 20 writes,
+            // each of which may fail; then rebuild.
+            45..=47 => {
+                if self.can_fail() {
+                    self.crash_one();
+                    for _ in 0..20 {
+                        let lba = self.next() % 3_000;
+                        let data = self.payload(lba);
+                        if self.cluster.write_block(lba, &data).is_ok() {
+                            self.model.insert(lba, data);
+                        }
+                    }
+                    self.check_reads();
+                    self.cluster.rebuild().expect("rebuild");
+                }
             }
             // 25 %: read a (maybe missing) block.
             48..=72 => {
@@ -204,6 +224,25 @@ impl Harness {
         }
     }
 
+    /// With no block degraded, every listed device holds exactly the
+    /// shards whose placement names it.
+    fn audit_slots(&self) {
+        let mut placed: HashMap<u64, u64> = HashMap::new();
+        for &lba in self.model.keys() {
+            for id in self.cluster.placement(lba) {
+                *placed.entry(id).or_default() += 1;
+            }
+        }
+        for id in self.cluster.device_ids() {
+            let used = self.cluster.device(id).expect("listed").used_blocks();
+            assert_eq!(
+                used,
+                placed.get(&id).copied().unwrap_or(0),
+                "device {id} slots"
+            );
+        }
+    }
+
     fn check_full_agreement(&mut self) {
         // Advance any lazy migration partway so checks run in mixed state.
         self.cluster.migrate_batch(25).expect("migrate batch");
@@ -218,6 +257,9 @@ fn run(redundancy: Redundancy, devices: usize, steps: u32, seed: u64) {
         h.step();
         if h.cluster.pending_blocks() == 0 {
             h.audit_rows();
+        }
+        if h.cluster.degraded_block_count() == 0 {
+            h.audit_slots();
         }
         if step % 100 == 99 {
             h.check_full_agreement();

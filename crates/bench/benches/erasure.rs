@@ -2,14 +2,17 @@
 //! every code the storage layer can place with Redundant Share.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rshare_erasure::{ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon, XorParity};
+use rshare_erasure::{ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon};
 use std::hint::black_box;
 
 const SHARD: usize = 4096; // one 4 KiB shard per device
 
 fn codes() -> Vec<(&'static str, Box<dyn ErasureCode>)> {
     vec![
-        ("xor_parity_d4", Box::new(XorParity::new(4).unwrap())),
+        (
+            "xor_parity_d4",
+            Box::new(MatrixCode::xor_parity(4).unwrap()),
+        ),
         ("evenodd_p5", Box::new(EvenOdd::new(5).unwrap())),
         ("rdp_p5", Box::new(Rdp::new(5).unwrap())),
         (

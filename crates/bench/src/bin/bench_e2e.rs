@@ -18,13 +18,16 @@
 //! 3. **Reed–Solomon encode** — MB/s of each GF(256) kernel tier (SIMD,
 //!    flat-table) vs the byte-wise log/exp reference on 64 KiB shards,
 //!    forced per tier through `set_kernel_tier`.
-//! 4. **Stripe writes** — the fused `write_blocks` batch pipeline vs a
+//! 4. **Reed–Solomon reconstruct** — `reconstruct` rate of RS(4, 2) on
+//!    1 KiB shards with one data shard, one data and one parity shard, or
+//!    one parity shard lost: the decode inside degraded reads and repair.
+//! 5. **Stripe writes** — the fused `write_blocks` batch pipeline vs a
 //!    `write_block` loop over the same overwrite working set.
-//! 5. **Repair** — fused `repair()` (scan → gather → reconstruct → store
+//! 6. **Repair** — fused `repair()` (scan → gather → reconstruct → store
 //!    only the missing shards) vs the oracle-free per-block recipe: read
 //!    every block (degraded reads reconstruct) and write it back. Both
 //!    sides discover the damage themselves; rates are per damaged block.
-//! 6. **Per-block memory** — the `VmRSS` growth of building a 524,288-block
+//! 7. **Per-block memory** — the `VmRSS` growth of building a 524,288-block
 //!    2-way-mirror cluster of 64 B blocks on 60 devices (perfbench's
 //!    `churn` set-up), measured in a fresh child process, per stored block
 //!    (→ `bytes_per_block`: its shards in the device store plus its
@@ -40,7 +43,7 @@ use std::time::Instant;
 
 use rshare_bench::{f, print_table, records_json, section, Record};
 use rshare_erasure::gf256::KernelTier;
-use rshare_erasure::{gf256, ErasureCode, MatrixCode, ReedSolomon};
+use rshare_erasure::{gf256, ErasureCode, ReedSolomon};
 use rshare_vds::{Redundancy, StorageCluster};
 
 /// Timing repetitions per cell; the best (minimum) time is reported.
@@ -329,7 +332,6 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     const SHARD: usize = 64 * 1024;
     let encodes: usize = if quick { 8 } else { 48 };
     let code = ReedSolomon::new(DATA, PARITY).expect("valid code");
-    let matrix = MatrixCode::reed_solomon(DATA, PARITY).expect("valid code");
     let data: Vec<Vec<u8>> = (0..DATA)
         .map(|i| (0..SHARD).map(|j| (i * 83 + j * 7) as u8).collect())
         .collect();
@@ -340,7 +342,7 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     // Sanity: both kernels produce identical codewords before timing.
     code.encode(&mut shards).expect("encode");
     for (row_idx, got) in shards.iter().enumerate().skip(DATA) {
-        let row = matrix.generator().row(row_idx);
+        let row = code.generator().row(row_idx);
         let mut want = vec![0u8; SHARD];
         for (j, shard) in data.iter().enumerate() {
             gf256::mul_acc_bytewise(&mut want, shard, row[j]);
@@ -372,7 +374,7 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
         for _ in 0..encodes {
             for (p, out) in parity.iter_mut().enumerate() {
                 out.fill(0);
-                let row = matrix.generator().row(DATA + p);
+                let row = code.generator().row(DATA + p);
                 for (j, shard) in data.iter().enumerate() {
                     gf256::mul_acc_bytewise(black_box(out), black_box(shard), row[j]);
                 }
@@ -387,6 +389,57 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
         unit: "bytes",
         elapsed_ns: bytewise,
     });
+}
+
+/// `ReedSolomon` RS(4, 2) `reconstruct` on 1 KiB shards (the shard size
+/// of perfbench's ec-degraded workload), in three loss patterns: one data
+/// shard (`data`), one data and one parity shard (`data_parity`), and one
+/// parity shard (`parity`). Each reconstruct refills the same codeword:
+/// the loop only clears the lost shards, so the timed work is the decode
+/// and the allocation of the shards it returns.
+fn bench_rs_reconstruct(quick: bool, cells: &mut Vec<Cell>) {
+    const DATA: usize = 4;
+    const PARITY: usize = 2;
+    const SHARD: usize = 1024;
+    let reconstructs: u64 = if quick { 2_000 } else { 20_000 };
+    let code = ReedSolomon::new(DATA, PARITY).expect("valid code");
+    let mut full: Vec<Vec<u8>> = (0..DATA + PARITY)
+        .map(|i| (0..SHARD).map(|j| (i * 89 + j * 5) as u8).collect())
+        .collect();
+    code.encode(&mut full).expect("encode");
+    for (mode, lost) in [
+        ("data", &[1][..]),
+        ("data_parity", &[1, 4][..]),
+        ("parity", &[4][..]),
+    ] {
+        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+        let mut run = || {
+            for _ in 0..reconstructs {
+                for &i in lost {
+                    shards[i] = None;
+                }
+                code.reconstruct(black_box(&mut shards))
+                    .expect("reconstruct");
+            }
+        };
+        run();
+        let elapsed = time_best(&mut run);
+        // Sanity: the last reconstruct restored the codeword.
+        assert!(
+            shards
+                .iter()
+                .zip(&full)
+                .all(|(got, want)| got.as_ref() == Some(want)),
+            "{mode}: reconstruct restored wrong bytes"
+        );
+        cells.push(Cell {
+            bench: "rs_reconstruct",
+            mode,
+            items: reconstructs,
+            unit: "reconstructs",
+            elapsed_ns: elapsed,
+        });
+    }
 }
 
 /// Steady-state stripe writes over an RS(4, 2) cluster: the fused
@@ -577,6 +630,7 @@ fn records(cells: &[Cell]) -> Vec<Record> {
             let unit: &'static str = match c.unit {
                 "lookups" => "lookups_per_s",
                 "blocks" => "blocks_per_s",
+                "reconstructs" => "reconstructs_per_s",
                 _ => "bytes_per_s",
             };
             match slow {
@@ -611,6 +665,7 @@ fn main() {
     bench_reads(quick, &mut cells);
     bench_random_reads(quick, &mut cells);
     bench_rs_encode(quick, &mut cells);
+    bench_rs_reconstruct(quick, &mut cells);
     bench_stripe_writes(quick, &mut cells);
     bench_repair(quick, &mut cells);
     let memory = bench_memory();

@@ -37,7 +37,9 @@ pub trait ErasureCode: Send + Sync {
         1
     }
 
-    /// Computes the parity shards from the data shards.
+    /// Computes the parity shards from the data shards: checks the
+    /// codeword's shape, then runs [`ErasureCode::encode_parity`] on the
+    /// borrowed data shards into the parity shards.
     ///
     /// `shards` must hold [`ErasureCode::total_shards`] equally sized
     /// vectors; the first `d` are read, the last `p` are overwritten.
@@ -46,48 +48,37 @@ pub trait ErasureCode: Send + Sync {
     ///
     /// [`ErasureError::WrongShardCount`], [`ErasureError::ShardLengthMismatch`]
     /// or [`ErasureError::BadShardLength`] on malformed input.
-    fn encode(&self, shards: &mut [Vec<u8>]) -> Result<(), ErasureError>;
+    fn encode(&self, shards: &mut [Vec<u8>]) -> Result<(), ErasureError> {
+        check_shards(shards, self.total_shards(), self.shard_multiple())?;
+        let (data, parity) = shards.split_at_mut(self.data_shards());
+        let data: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        self.encode_parity(&data, parity)
+    }
 
     /// Computes the parity shards from *borrowed* data shards into
     /// caller-provided parity buffers (cleared and resized in place, so a
-    /// batch encoder reuses their allocations).
-    ///
-    /// Bit-identical to [`ErasureCode::encode`] on the assembled codeword,
-    /// but the data shards never have to be materialized as owned vectors
-    /// — the zero-copy half of the fused stripe write pipeline. Every
-    /// in-tree code overrides the defaulted body (which round-trips
-    /// through a scratch codeword) with a direct computation.
+    /// batch encoder reuses their allocations). This is each code's one
+    /// encoder: [`ErasureCode::encode`] derives from it, and the data
+    /// shards never have to be materialized as owned vectors — the
+    /// zero-copy half of the fused stripe write pipeline.
     ///
     /// # Errors
     ///
     /// [`ErasureError::WrongShardCount`] if `data` or `parity` has the
     /// wrong arity, plus the shard-shape errors of
     /// [`ErasureCode::encode`].
-    fn encode_parity(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<(), ErasureError> {
-        if parity.len() != self.parity_shards() {
-            return Err(ErasureError::WrongShardCount {
-                expected: self.parity_shards(),
-                got: parity.len(),
-            });
-        }
-        let len = data.first().map_or(0, |d| d.len());
-        let mut shards: Vec<Vec<u8>> = Vec::with_capacity(self.total_shards());
-        shards.extend(data.iter().map(|d| d.to_vec()));
-        shards.extend(std::iter::repeat_with(|| vec![0u8; len]).take(self.parity_shards()));
-        self.encode(&mut shards)?;
-        for (out, computed) in parity.iter_mut().zip(shards.split_off(self.data_shards())) {
-            *out = computed;
-        }
-        Ok(())
-    }
+    fn encode_parity(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<(), ErasureError>;
 
     /// Recomputes every missing (`None`) shard in place.
     ///
     /// # Errors
     ///
     /// The validation errors of [`ErasureCode::encode`], plus
-    /// [`ErasureError::TooManyErasures`] when more shards are missing than
-    /// [`ErasureCode::tolerated_erasures`].
+    /// [`ErasureError::TooManyErasures`] when the surviving shards do not
+    /// determine the missing ones: always beyond a fixed budget
+    /// ([`ErasureCode::tolerated_erasures`]); a [`crate::MatrixCode`] also
+    /// decodes patterns beyond its guarantee whenever its surviving rows
+    /// span the data.
     fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError>;
 }
 
@@ -149,8 +140,12 @@ pub(crate) fn check_shards(
     Ok(len)
 }
 
-/// Validates optional shards: count, equal lengths of present shards, and
-/// the erasure budget. Returns `(shard_len, missing_indices)`.
+/// Validates optional shards: their count, and equal, positive lengths
+/// (a multiple of `multiple`) of the present ones. Returns `(shard_len,
+/// missing_indices)`. A codeword with no present shard is
+/// [`ErasureError::TooManyErasures`] against `tolerated`; otherwise the
+/// erasure budget is the caller's to check, since a matrix code decodes
+/// every pattern its surviving rows span.
 pub(crate) fn check_optional_shards(
     shards: &[Option<Vec<u8>>],
     expected: usize,
@@ -168,28 +163,62 @@ pub(crate) fn check_optional_shards(
         .enumerate()
         .filter_map(|(i, s)| s.is_none().then_some(i))
         .collect();
-    if missing.len() > tolerated {
-        return Err(ErasureError::TooManyErasures {
-            missing: missing.len(),
-            tolerated,
-        });
-    }
-    let mut len = None;
-    for s in shards.iter().flatten() {
-        match len {
-            None => len = Some(s.len()),
-            Some(l) if l != s.len() => return Err(ErasureError::ShardLengthMismatch),
-            _ => {}
-        }
-    }
-    let len = len.ok_or(ErasureError::TooManyErasures {
+    let mut present = shards.iter().flatten().map(Vec::len);
+    let len = present.next().ok_or(ErasureError::TooManyErasures {
         missing: missing.len(),
         tolerated,
     })?;
-    if len == 0 || len % multiple != 0 {
+    if present.any(|l| l != len) {
+        return Err(ErasureError::ShardLengthMismatch);
+    }
+    if len == 0 || !len.is_multiple_of(multiple) {
         return Err(ErasureError::BadShardLength {
             multiple_of: multiple,
         });
     }
     Ok((len, missing))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EvenOdd, MatrixCode, Rdp, ReedSolomon};
+
+    #[test]
+    fn shard_validation() {
+        let rs = ReedSolomon::new(2, 1).unwrap();
+        let mut wrong_count = vec![vec![0u8; 4]; 2];
+        assert!(matches!(
+            rs.encode(&mut wrong_count),
+            Err(ErasureError::WrongShardCount {
+                expected: 3,
+                got: 2
+            })
+        ));
+        let mut uneven = vec![vec![0u8; 4], vec![0u8; 5], vec![0u8; 4]];
+        assert_eq!(
+            rs.encode(&mut uneven),
+            Err(ErasureError::ShardLengthMismatch)
+        );
+        // Zero-length shards are rejected by `reconstruct` as by `encode`,
+        // with and without a missing shard, by every code.
+        let codes: Vec<Box<dyn ErasureCode>> = vec![
+            Box::new(rs),
+            Box::new(MatrixCode::local_reconstruction(1, 2, 1).unwrap()),
+            Box::new(MatrixCode::xor_parity(2).unwrap()),
+            Box::new(EvenOdd::new(3).unwrap()),
+            Box::new(Rdp::new(3).unwrap()),
+        ];
+        for code in codes {
+            let bad = Err(ErasureError::BadShardLength {
+                multiple_of: code.shard_multiple(),
+            });
+            let mut empty = vec![Vec::new(); code.total_shards()];
+            assert_eq!(code.encode(&mut empty), bad);
+            let mut empty: Vec<Option<Vec<u8>>> = vec![Some(Vec::new()); code.total_shards()];
+            assert_eq!(code.reconstruct(&mut empty), bad);
+            empty[0] = None;
+            assert_eq!(code.reconstruct(&mut empty), bad);
+        }
+    }
 }

@@ -12,7 +12,7 @@
 //! Shards are columns; a shard of `L` bytes is treated as `p − 1` symbols
 //! of `L / (p − 1)` bytes.
 
-use crate::code::{check_optional_shards, check_parity_inputs, check_shards, ErasureCode};
+use crate::code::{check_optional_shards, check_parity_inputs, ErasureCode};
 use crate::error::ErasureError;
 
 /// Returns `true` if `n` is prime (trial division; parameters are tiny).
@@ -105,27 +105,6 @@ impl EvenOdd {
             xor_into(out, &shards[j][Self::sym(row, sz)]);
         }
     }
-
-    /// Computes both parity columns from the data columns into zeroed
-    /// `rowpar`/`diagpar` buffers (the shared body of `encode` and
-    /// `encode_parity`).
-    fn parity_into(&self, data: &[&[u8]], rowpar: &mut [u8], diagpar: &mut [u8], sz: usize) {
-        let p = self.p;
-        // Row parity.
-        for col in data {
-            xor_into(rowpar, col);
-        }
-        // Adjuster S = XOR of the diagonal through the imaginary row
-        // (diagonal p - 1).
-        let mut s = vec![0u8; sz];
-        self.diag_xor(data, 0..p, p - 1, sz, &mut s);
-        // Diagonal parity: cell d = S ⊕ (XOR of diagonal d).
-        for d in 0..p - 1 {
-            let mut cell = s.clone();
-            self.diag_xor(data, 0..p, d, sz, &mut cell);
-            diagpar[Self::sym(d, sz)].copy_from_slice(&cell);
-        }
-    }
 }
 
 impl ErasureCode for EvenOdd {
@@ -141,33 +120,41 @@ impl ErasureCode for EvenOdd {
         self.rows()
     }
 
-    fn encode(&self, shards: &mut [Vec<u8>]) -> Result<(), ErasureError> {
-        let len = check_shards(shards, self.p + 2, self.rows())?;
-        let sz = len / self.rows();
-        let (data, parity) = shards.split_at_mut(self.p);
-        let data_refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-        let (rowpar, diagpar) = parity.split_at_mut(1);
-        rowpar[0].iter_mut().for_each(|b| *b = 0);
-        diagpar[0].iter_mut().for_each(|b| *b = 0);
-        self.parity_into(&data_refs, &mut rowpar[0], &mut diagpar[0], sz);
-        Ok(())
-    }
-
     fn encode_parity(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<(), ErasureError> {
-        let len = check_parity_inputs(data, parity.len(), self.p, 2, self.rows())?;
+        let p = self.p;
+        let len = check_parity_inputs(data, parity.len(), p, 2, self.rows())?;
         let sz = len / self.rows();
         for out in parity.iter_mut() {
             out.clear();
             out.resize(len, 0);
         }
         let (rowpar, diagpar) = parity.split_at_mut(1);
-        self.parity_into(data, &mut rowpar[0], &mut diagpar[0], sz);
+        // Row parity.
+        for col in data {
+            xor_into(&mut rowpar[0], col);
+        }
+        // Adjuster S = XOR of the diagonal through the imaginary row
+        // (diagonal p - 1).
+        let mut s = vec![0u8; sz];
+        self.diag_xor(data, 0..p, p - 1, sz, &mut s);
+        // Diagonal parity: cell d = S ⊕ (XOR of diagonal d).
+        for d in 0..p - 1 {
+            let cell = &mut diagpar[0][Self::sym(d, sz)];
+            cell.copy_from_slice(&s);
+            self.diag_xor(data, 0..p, d, sz, cell);
+        }
         Ok(())
     }
 
     fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
         let p = self.p;
         let (len, missing) = check_optional_shards(shards, p + 2, self.rows(), 2)?;
+        if missing.len() > 2 {
+            return Err(ErasureError::TooManyErasures {
+                missing: missing.len(),
+                tolerated: 2,
+            });
+        }
         if missing.is_empty() {
             return Ok(());
         }
@@ -282,14 +269,15 @@ impl ErasureCode for EvenOdd {
         }
         // All data is present now; recompute any missing parity.
         if shards[p].is_none() || shards[p + 1].is_none() {
-            let mut full: Vec<Vec<u8>> = (0..p)
-                .map(|i| shards[i].clone().expect("data complete"))
+            let mut parity = vec![Vec::new(), Vec::new()];
+            let data: Vec<&[u8]> = shards[..p]
+                .iter()
+                .map(|s| s.as_deref().expect("data complete"))
                 .collect();
-            full.push(shards[p].clone().unwrap_or_else(|| vec![0; len]));
-            full.push(shards[p + 1].clone().unwrap_or_else(|| vec![0; len]));
-            self.encode(&mut full)?;
-            shards[p] = Some(full[p].clone());
-            shards[p + 1] = Some(full[p + 1].clone());
+            self.encode_parity(&data, &mut parity)?;
+            for (shard, computed) in shards[p..].iter_mut().zip(parity) {
+                shard.get_or_insert(computed);
+            }
         }
         Ok(())
     }

@@ -11,11 +11,17 @@
 //!
 //! | Code | Data / parity shards | Tolerates | Arithmetic |
 //! |---|---|---|---|
-//! | [`XorParity`] | d / 1 | 1 erasure | XOR |
+//! | [`MatrixCode::xor_parity`] | d / 1 | 1 erasure | GF(256) (all-ones row: XOR) |
 //! | [`EvenOdd`] (prime p) | p / 2 | 2 erasures | XOR |
 //! | [`Rdp`] (prime p) | p−1 / 2 | 2 erasures | XOR |
 //! | [`ReedSolomon`] | d / p | p erasures | GF(256) |
-//! | [`MatrixCode`] (LRC) | g·s / g+p | p+1 guaranteed, more opportunistically | GF(256) |
+//! | [`MatrixCode::local_reconstruction`] (LRC) | g·s / g+p | p+1 guaranteed, more opportunistically | GF(256) |
+//!
+//! Each code has one encoder, [`ErasureCode::encode_parity`] (which
+//! [`ErasureCode::encode`] derives from), and one decoder,
+//! [`ErasureCode::reconstruct`]. The three GF(256) codes are one engine:
+//! [`MatrixCode`] turns a systematic generator matrix into a code, and
+//! Reed–Solomon is its MDS instance.
 //!
 //! # Example
 //!
@@ -45,7 +51,6 @@ mod evenodd;
 pub mod gf256;
 pub mod matrix;
 mod matrix_code;
-mod parity;
 mod rdp;
 mod reed_solomon;
 
@@ -53,6 +58,5 @@ pub use code::ErasureCode;
 pub use error::ErasureError;
 pub use evenodd::EvenOdd;
 pub use matrix_code::MatrixCode;
-pub use parity::XorParity;
 pub use rdp::Rdp;
 pub use reed_solomon::ReedSolomon;

@@ -3,16 +3,18 @@
 //!
 //! [`MatrixCode`] turns *any* systematic generator matrix into an
 //! [`ErasureCode`]: encoding multiplies the data by the parity rows, and
-//! reconstruction greedily selects a full-rank set of surviving rows,
-//! inverts it, and recovers the data — so every erasure pattern that is
-//! information-theoretically decodable under the chosen matrix is
-//! decoded, not just the worst-case-guaranteed ones.
+//! reconstruction inverts surviving parity rows restricted to the lost
+//! data columns, recovers the lost data, and recomputes lost parity — so
+//! every erasure pattern that is information-theoretically decodable
+//! under the chosen matrix is decoded, not just the worst-case-guaranteed
+//! ones.
 //!
-//! Two constructors cover the interesting instances:
+//! The codes of this crate that are linear over GF(256) are all instances:
 //!
-//! * [`MatrixCode::reed_solomon`] — the MDS Vandermonde construction
-//!   (equivalent to [`crate::ReedSolomon`]; the unit tests pin the two
-//!   against each other), and
+//! * [`crate::ReedSolomon`] — the MDS Vandermonde construction, a thin
+//!   wrapper that pins the guarantee of any `p` erasures;
+//! * [`MatrixCode::xor_parity`] — single XOR parity (RAID-4/5), the
+//!   generator `[I; 1…1]`; and
 //! * [`MatrixCode::local_reconstruction`] — an LRC in the style of Azure /
 //!   HDFS: the data is split into groups, each protected by a *local* XOR
 //!   parity (single-shard repairs touch only the small group — cheap
@@ -20,7 +22,7 @@
 //!   failures. LRCs matter here because rebuild traffic is exactly what
 //!   the paper's adaptivity experiments measure on the placement side.
 
-use crate::code::{check_parity_inputs, check_shards, ErasureCode};
+use crate::code::{check_optional_shards, check_parity_inputs, ErasureCode};
 use crate::error::ErasureError;
 use crate::gf256;
 use crate::matrix::Matrix;
@@ -88,28 +90,38 @@ impl MatrixCode {
         })
     }
 
-    /// The MDS Reed–Solomon instance: `data` data shards, `parity`
-    /// Vandermonde parity rows; any `parity` erasures are decodable.
+    /// Single XOR parity over `data` data shards (RAID-4/5): the generator
+    /// `[I; 1…1]`, whose one parity row is also a local group, so a single
+    /// loss is the XOR of the survivors. Tolerates one erasure.
     ///
     /// # Errors
     ///
-    /// [`ErasureError::InvalidParameters`] for zero counts or more than
-    /// 256 total shards.
-    pub fn reed_solomon(data: usize, parity: usize) -> Result<Self, ErasureError> {
-        if data == 0 || parity == 0 {
+    /// [`ErasureError::InvalidParameters`] if `data == 0`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use rshare_erasure::{ErasureCode, MatrixCode};
+    ///
+    /// let code = MatrixCode::xor_parity(3).unwrap();
+    /// let mut shards = vec![vec![1u8, 2], vec![3, 4], vec![5, 6], vec![0, 0]];
+    /// code.encode(&mut shards).unwrap();
+    /// assert_eq!(shards[3], vec![1 ^ 3 ^ 5, 2 ^ 4 ^ 6]);
+    /// ```
+    pub fn xor_parity(data: usize) -> Result<Self, ErasureError> {
+        if data == 0 {
             return Err(ErasureError::InvalidParameters {
-                reason: "data and parity shard counts must be positive",
+                reason: "need at least one data shard",
             });
         }
-        if data + parity > 256 {
-            return Err(ErasureError::InvalidParameters {
-                reason: "GF(256) supports at most 256 total shards",
-            });
+        let mut generator = Matrix::zero(data + 1, data);
+        for j in 0..data {
+            generator[(j, j)] = 1;
+            generator[(data, j)] = 1;
         }
-        let vandermonde = Matrix::vandermonde(data + parity, data);
-        let top = vandermonde.select_rows(&(0..data).collect::<Vec<_>>());
-        let inv = top.inverted().expect("top Vandermonde block invertible");
-        Self::new(vandermonde.mul(&inv), data, parity)
+        let mut code = Self::new(generator, data, 1)?;
+        code.local_groups = vec![((0..data).collect(), data)];
+        Ok(code)
     }
 
     /// A Local Reconstruction Code: `groups` groups of `group_size` data
@@ -211,6 +223,60 @@ impl MatrixCode {
         }
         shards.iter().all(Option::is_some)
     }
+
+    /// The decode rows of the missing data shards `lost`: returns the
+    /// sources — `lost.len()` surviving parity shards, then the present
+    /// data shards — and one coefficient row per lost shard over them.
+    /// Only the parity rows restricted to the `lost` columns are inverted:
+    /// the first `lost.len()` survivors when they invert (always, for an
+    /// MDS code), else a greedy full-rank pick. `None` when the survivors
+    /// do not span the data.
+    fn decoder(&self, shards: &[Option<Vec<u8>>], lost: &[usize]) -> Option<(Vec<usize>, Matrix)> {
+        let m = lost.len();
+        let parity: Vec<usize> = (self.data..shards.len())
+            .filter(|&i| shards[i].is_some())
+            .collect();
+        let restrict = |rows: &[usize]| {
+            let mut sub = Matrix::zero(rows.len(), m);
+            for (a, &r) in rows.iter().enumerate() {
+                for (b, &t) in lost.iter().enumerate() {
+                    sub[(a, b)] = self.generator[(r, t)];
+                }
+            }
+            sub
+        };
+        let mut sources = Vec::with_capacity(self.data);
+        let first = parity.get(..m)?;
+        let inv = match restrict(first).inverted() {
+            Some(inv) => {
+                sources.extend_from_slice(first);
+                inv
+            }
+            None => {
+                let picked = select_independent_rows(&restrict(&parity), m)?;
+                sources.extend(picked.iter().map(|&a| parity[a]));
+                restrict(&sources)
+                    .inverted()
+                    .expect("picked rows are independent")
+            }
+        };
+        sources.extend((0..self.data).filter(|&j| shards[j].is_some()));
+        // lost_t = Σ_a inv[t][a] · (parity_a ⊕ Σ_j G[parity_a][j] · data_j),
+        // over the present data shards j.
+        let mut decode = Matrix::zero(m, sources.len());
+        for t in 0..m {
+            for (s, &src) in sources.iter().enumerate() {
+                decode[(t, s)] = if s < m {
+                    inv[(t, s)]
+                } else {
+                    (0..m).fold(0, |acc, a| {
+                        acc ^ gf256::mul(inv[(t, a)], self.generator[(sources[a], src)])
+                    })
+                };
+            }
+        }
+        Some((sources, decode))
+    }
 }
 
 impl ErasureCode for MatrixCode {
@@ -226,18 +292,6 @@ impl ErasureCode for MatrixCode {
         self.guaranteed
     }
 
-    fn encode(&self, shards: &mut [Vec<u8>]) -> Result<(), ErasureError> {
-        let len = check_shards(shards, self.total_shards(), 1)?;
-        let (data, parity) = shards.split_at_mut(self.data);
-        debug_assert!(data.iter().all(|d| d.len() == len));
-        for (p, out) in parity.iter_mut().enumerate() {
-            out.iter_mut().for_each(|b| *b = 0);
-            let row = self.generator.row(self.data + p);
-            gf256::mul_acc_many(out, data, row);
-        }
-        Ok(())
-    }
-
     fn encode_parity(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<(), ErasureError> {
         let len = check_parity_inputs(data, parity.len(), self.data, self.parity_shards(), 1)?;
         for (p, out) in parity.iter_mut().enumerate() {
@@ -251,95 +305,73 @@ impl ErasureCode for MatrixCode {
     /// Reconstructs every decodable pattern: unlike the fixed-budget
     /// codes, patterns larger than the guaranteed tolerance are attempted
     /// and succeed whenever the surviving generator rows have full rank.
+    ///
+    /// Only the missing shards are computed: single losses inside a local
+    /// group by XOR, the other missing data shards from `d` survivors
+    /// (one tiled multi-source pass per target, [`gf256::mul_acc_many`],
+    /// with coefficients from `decoder`), then missing
+    /// parity shards from the completed data. With no data shard missing
+    /// there is nothing to invert.
     fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        if shards.len() != self.total_shards() {
-            return Err(ErasureError::WrongShardCount {
-                expected: self.total_shards(),
-                got: shards.len(),
-            });
-        }
-        let missing: Vec<usize> = shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i))
-            .collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let Some(len) = shards.iter().flatten().map(Vec::len).next() else {
-            return Err(ErasureError::TooManyErasures {
-                missing: missing.len(),
-                tolerated: self.guaranteed,
-            });
-        };
-        if shards.iter().flatten().any(|s| s.len() != len) {
-            return Err(ErasureError::ShardLengthMismatch);
-        }
-        // Cheap path: local XOR repairs.
+        let (len, mut missing) =
+            check_optional_shards(shards, self.total_shards(), 1, self.guaranteed)?;
+        let lost = missing.len();
         if self.try_local_repair(shards, len) {
             return Ok(());
         }
-        // General path: find `data` linearly independent surviving rows.
-        let available: Vec<usize> = (0..self.total_shards())
-            .filter(|&i| shards[i].is_some())
-            .collect();
-        let chosen = select_independent_rows(&self.generator, &available, self.data).ok_or(
-            ErasureError::TooManyErasures {
-                missing: missing.len(),
-                tolerated: self.guaranteed,
-            },
-        )?;
-        let sub = self.generator.select_rows(&chosen);
-        let decode = sub.inverted().expect("chosen rows are independent");
-        // Recover the data shards: one tiled multi-source accumulation
-        // ([`gf256::mul_acc_many`]) per target over the shared survivor
-        // set, so the survivors stream through the cache once per target
-        // tile instead of once per (target, survivor) pair.
-        let survivors: Vec<&[u8]> = chosen
-            .iter()
-            .map(|&src| shards[src].as_ref().expect("survivor").as_slice())
-            .collect();
-        let mut data_shards: Vec<Vec<u8>> = Vec::with_capacity(self.data);
-        for target in 0..self.data {
+        missing.retain(|&i| shards[i].is_none());
+        let (missing_data, missing_parity) =
+            missing.split_at(missing.partition_point(|&i| i < self.data));
+        let combine = |sources: &[&[u8]], coeffs: &[u8]| {
             let mut out = vec![0u8; len];
-            gf256::mul_acc_many(&mut out, &survivors, decode.row(target));
-            data_shards.push(out);
+            gf256::mul_acc_many(&mut out, sources, coeffs);
+            out
+        };
+        if !missing_data.is_empty() {
+            let (sources, decode) =
+                self.decoder(shards, missing_data)
+                    .ok_or(ErasureError::TooManyErasures {
+                        missing: lost,
+                        tolerated: self.guaranteed,
+                    })?;
+            let sources: Vec<&[u8]> = sources.iter().map(|&i| present(shards, i)).collect();
+            let rebuilt: Vec<Vec<u8>> = (0..missing_data.len())
+                .map(|t| combine(&sources, decode.row(t)))
+                .collect();
+            for (&t, shard) in missing_data.iter().zip(rebuilt) {
+                shards[t] = Some(shard);
+            }
         }
-        drop(survivors);
-        // Fill in every missing shard from the recovered data.
-        for target in missing {
-            let mut out = vec![0u8; len];
-            gf256::mul_acc_many(&mut out, &data_shards, self.generator.row(target));
-            shards[target] = Some(out);
-        }
-        // Also restore the recovered data shards themselves (they may have
-        // been among the missing and are now definitely consistent).
-        for (i, d) in data_shards.into_iter().enumerate() {
-            if shards[i].is_none() {
-                shards[i] = Some(d);
+        if !missing_parity.is_empty() {
+            let data: Vec<&[u8]> = (0..self.data).map(|i| present(shards, i)).collect();
+            let rebuilt: Vec<Vec<u8>> = missing_parity
+                .iter()
+                .map(|&t| combine(&data, self.generator.row(t)))
+                .collect();
+            for (&t, shard) in missing_parity.iter().zip(rebuilt) {
+                shards[t] = Some(shard);
             }
         }
         Ok(())
     }
 }
 
-/// Greedily selects `need` rows (from `candidates`, in order) whose
-/// generator rows are linearly independent; `None` if the candidates do
-/// not span the data space.
-fn select_independent_rows(
-    generator: &Matrix,
-    candidates: &[usize],
-    need: usize,
-) -> Option<Vec<usize>> {
-    let cols = generator.cols();
+/// The bytes of shard `i`, which the caller knows to be present.
+fn present(shards: &[Option<Vec<u8>>], i: usize) -> &[u8] {
+    shards[i].as_deref().expect("shard present")
+}
+
+/// Greedily selects `need` rows of `matrix`, in order, that are linearly
+/// independent; `None` if its rows do not span `need` dimensions.
+fn select_independent_rows(matrix: &Matrix, need: usize) -> Option<Vec<usize>> {
     let mut basis: Vec<Vec<u8>> = Vec::with_capacity(need);
     let mut pivots: Vec<usize> = Vec::with_capacity(need);
     let mut chosen = Vec::with_capacity(need);
-    for &cand in candidates {
+    for cand in 0..matrix.rows() {
         if chosen.len() == need {
             break;
         }
-        let mut row = generator.row(cand).to_vec();
+        let mut row = matrix.row(cand).to_vec();
         // Reduce against the current basis.
         for (b, &p) in basis.iter().zip(&pivots) {
             if row[p] != 0 {
@@ -349,7 +381,7 @@ fn select_independent_rows(
                 }
             }
         }
-        if let Some(p) = (0..cols).find(|&j| row[j] != 0) {
+        if let Some(p) = row.iter().position(|&x| x != 0) {
             basis.push(row);
             pivots.push(p);
             chosen.push(cand);
@@ -361,7 +393,6 @@ fn select_independent_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reed_solomon::ReedSolomon;
 
     fn sample(code: &dyn ErasureCode, len: usize) -> Vec<Vec<u8>> {
         let mut shards: Vec<Vec<u8>> = (0..code.data_shards())
@@ -391,24 +422,35 @@ mod tests {
     }
 
     #[test]
-    fn matrix_rs_matches_dedicated_rs() {
-        let a = MatrixCode::reed_solomon(4, 2).unwrap();
-        let b = ReedSolomon::new(4, 2).unwrap();
-        let mut sa = sample(&a, 24);
-        let mut sb = sa.clone();
-        a.encode(&mut sa).unwrap();
-        b.encode(&mut sb).unwrap();
-        assert_eq!(sa, sb, "identical parity for the same construction");
+    fn xor_parity_roundtrip_any_single_loss() {
+        let code = MatrixCode::xor_parity(4).unwrap();
+        for lost in 0..5 {
+            roundtrip(&code, 16, &[lost]).unwrap();
+        }
     }
 
     #[test]
-    fn matrix_rs_all_double_erasures() {
-        let code = MatrixCode::reed_solomon(4, 2).unwrap();
-        for a in 0..6 {
-            for b in a + 1..6 {
-                roundtrip(&code, 16, &[a, b]).unwrap();
-            }
-        }
+    fn xor_parity_double_loss_rejected() {
+        let code = MatrixCode::xor_parity(2).unwrap();
+        let mut damaged = vec![None, Some(vec![1u8]), None];
+        assert_eq!(
+            code.reconstruct(&mut damaged),
+            Err(ErasureError::TooManyErasures {
+                missing: 2,
+                tolerated: 1
+            })
+        );
+    }
+
+    #[test]
+    fn xor_parity_geometry() {
+        let code = MatrixCode::xor_parity(5).unwrap();
+        assert_eq!(code.data_shards(), 5);
+        assert_eq!(code.parity_shards(), 1);
+        assert_eq!(code.total_shards(), 6);
+        assert_eq!(code.tolerated_erasures(), 1);
+        assert!(code.generator().row(5).iter().all(|&c| c == 1));
+        assert!(MatrixCode::xor_parity(0).is_err());
     }
 
     #[test]
@@ -470,8 +512,6 @@ mod tests {
 
     #[test]
     fn parameter_validation() {
-        assert!(MatrixCode::reed_solomon(0, 2).is_err());
-        assert!(MatrixCode::reed_solomon(255, 2).is_err());
         assert!(MatrixCode::local_reconstruction(0, 3, 1).is_err());
         assert!(MatrixCode::local_reconstruction(2, 0, 1).is_err());
         assert!(MatrixCode::local_reconstruction(2, 2, 0).is_err());

@@ -11,7 +11,7 @@
 //! Shards are columns; a shard of `L` bytes is treated as `p − 1` symbols
 //! of `L / (p − 1)` bytes.
 
-use crate::code::{check_optional_shards, check_parity_inputs, check_shards, ErasureCode};
+use crate::code::{check_optional_shards, check_parity_inputs, ErasureCode};
 use crate::error::ErasureError;
 use crate::evenodd::is_prime;
 use crate::gf256::xor_acc as xor_into;
@@ -78,34 +78,6 @@ impl ErasureCode for Rdp {
     }
 
     #[allow(clippy::needless_range_loop)] // column index feeds the diagonal arithmetic
-    fn encode(&self, shards: &mut [Vec<u8>]) -> Result<(), ErasureError> {
-        let p = self.p;
-        let len = check_shards(shards, p + 1, self.rows())?;
-        let sz = len / self.rows();
-        // Row parity (column p - 1) over the data columns.
-        let mut rowpar = vec![0u8; len];
-        for col in shards.iter().take(p - 1) {
-            xor_into(&mut rowpar, col);
-        }
-        shards[p - 1] = rowpar;
-        // Diagonal parity (column p) over data + row parity; diagonal of a
-        // cell (i, c) is (i + c) mod p, diagonal p - 1 is unprotected.
-        let mut diagpar = vec![0u8; len];
-        for c in 0..p {
-            let col = &shards[c];
-            for i in 0..p - 1 {
-                let d = (i + c) % p;
-                if d == p - 1 {
-                    continue;
-                }
-                xor_into(&mut diagpar[Self::sym(d, sz)], &col[Self::sym(i, sz)]);
-            }
-        }
-        shards[p] = diagpar;
-        Ok(())
-    }
-
-    #[allow(clippy::needless_range_loop)] // column index feeds the diagonal arithmetic
     fn encode_parity(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<(), ErasureError> {
         let p = self.p;
         let len = check_parity_inputs(data, parity.len(), p - 1, 2, self.rows())?;
@@ -138,6 +110,12 @@ impl ErasureCode for Rdp {
     fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
         let p = self.p;
         let (len, missing) = check_optional_shards(shards, p + 1, self.rows(), 2)?;
+        if missing.len() > 2 {
+            return Err(ErasureError::TooManyErasures {
+                missing: missing.len(),
+                tolerated: 2,
+            });
+        }
         if missing.is_empty() {
             return Ok(());
         }
@@ -283,12 +261,13 @@ impl ErasureCode for Rdp {
         }
         // Recompute the diagonal parity if it was lost.
         if shards[p].is_none() {
-            let mut full: Vec<Vec<u8>> = (0..p)
-                .map(|i| shards[i].clone().expect("complete"))
+            let mut parity = vec![Vec::new(), Vec::new()];
+            let data: Vec<&[u8]> = shards[..p - 1]
+                .iter()
+                .map(|s| s.as_deref().expect("complete"))
                 .collect();
-            full.push(vec![0; len]);
-            self.encode(&mut full)?;
-            shards[p] = Some(full[p].clone());
+            self.encode_parity(&data, &mut parity)?;
+            shards[p] = parity.pop();
         }
         Ok(())
     }

@@ -8,13 +8,15 @@
 //! Codes" case the paper lists among the redundancy schemes Redundant Share
 //! supports.
 
-use crate::code::{check_optional_shards, check_parity_inputs, check_shards, ErasureCode};
+use crate::code::ErasureCode;
 use crate::error::ErasureError;
-use crate::gf256;
 use crate::matrix::Matrix;
+use crate::matrix_code::MatrixCode;
 
 /// A systematic Reed–Solomon erasure code with `d` data and `p` parity
-/// shards.
+/// shards: the MDS instance of [`MatrixCode`], which does all the encoding
+/// and decoding. The type pins the guarantee that any `p` erasures decode
+/// ([`ErasureCode::tolerated_erasures`] is `p`).
 ///
 /// # Example
 ///
@@ -36,12 +38,7 @@ use crate::matrix::Matrix;
 /// assert_eq!(damaged[1].as_deref(), Some(b"efgh".as_slice()));
 /// ```
 #[derive(Debug, Clone)]
-pub struct ReedSolomon {
-    data: usize,
-    parity: usize,
-    /// `(d + p) × d` systematic encode matrix.
-    encode_matrix: Matrix,
-}
+pub struct ReedSolomon(MatrixCode);
 
 impl ReedSolomon {
     /// Creates a code with `data` data shards and `parity` parity shards.
@@ -64,106 +61,31 @@ impl ReedSolomon {
         let vandermonde = Matrix::vandermonde(data + parity, data);
         let top = vandermonde.select_rows(&(0..data).collect::<Vec<_>>());
         let inv = top.inverted().expect("top Vandermonde block is invertible");
-        let encode_matrix = vandermonde.mul(&inv);
-        Ok(Self {
-            data,
-            parity,
-            encode_matrix,
-        })
+        MatrixCode::new(vandermonde.mul(&inv), data, parity).map(Self)
+    }
+
+    /// The `(d + p) × d` systematic generator matrix.
+    #[must_use]
+    pub fn generator(&self) -> &Matrix {
+        self.0.generator()
     }
 }
 
 impl ErasureCode for ReedSolomon {
     fn data_shards(&self) -> usize {
-        self.data
+        self.0.data_shards()
     }
 
     fn parity_shards(&self) -> usize {
-        self.parity
-    }
-
-    fn encode(&self, shards: &mut [Vec<u8>]) -> Result<(), ErasureError> {
-        let len = check_shards(shards, self.total_shards(), 1)?;
-        let (data, parity) = shards.split_at_mut(self.data);
-        debug_assert!(data.iter().all(|d| d.len() == len));
-        for (p, out) in parity.iter_mut().enumerate() {
-            out.iter_mut().for_each(|b| *b = 0);
-            let row = self.encode_matrix.row(self.data + p);
-            gf256::mul_acc_many(out, data, row);
-        }
-        Ok(())
+        self.0.parity_shards()
     }
 
     fn encode_parity(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<(), ErasureError> {
-        let len = check_parity_inputs(data, parity.len(), self.data, self.parity, 1)?;
-        for (p, out) in parity.iter_mut().enumerate() {
-            out.clear();
-            out.resize(len, 0);
-            gf256::mul_acc_many(out, data, self.encode_matrix.row(self.data + p));
-        }
-        Ok(())
+        self.0.encode_parity(data, parity)
     }
 
     fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        let (len, missing) = check_optional_shards(shards, self.total_shards(), 1, self.parity)?;
-        if missing.is_empty() {
-            return Ok(());
-        }
-        // Pick the first d surviving shards and invert their encode rows to
-        // obtain a decode matrix mapping survivors -> data shards.
-        let survivors: Vec<usize> = (0..self.total_shards())
-            .filter(|i| shards[*i].is_some())
-            .take(self.data)
-            .collect();
-        debug_assert_eq!(survivors.len(), self.data);
-        let sub = self.encode_matrix.select_rows(&survivors);
-        let decode = sub
-            .inverted()
-            .expect("any d Vandermonde-derived rows are invertible");
-        // Rebuild missing data shards: the stripe is decoded once — each
-        // target is one tiled multi-source pass ([`gf256::mul_acc_many`])
-        // over the same survivor set, not a per-(target, survivor) loop.
-        let missing_data: Vec<usize> = missing.iter().copied().filter(|&i| i < self.data).collect();
-        let survivor_refs: Vec<&[u8]> = survivors
-            .iter()
-            .map(|&src| shards[src].as_ref().expect("survivor present").as_slice())
-            .collect();
-        let rebuilt: Vec<(usize, Vec<u8>)> = missing_data
-            .iter()
-            .map(|&target| {
-                let mut out = vec![0u8; len];
-                gf256::mul_acc_many(&mut out, &survivor_refs, decode.row(target));
-                (target, out)
-            })
-            .collect();
-        drop(survivor_refs);
-        for (target, out) in rebuilt {
-            shards[target] = Some(out);
-        }
-        // Rebuild missing parity shards from the (now complete) data.
-        let missing_parity: Vec<usize> = missing
-            .iter()
-            .copied()
-            .filter(|&i| i >= self.data)
-            .collect();
-        if !missing_parity.is_empty() {
-            let data_refs: Vec<&[u8]> = (0..self.data)
-                .map(|j| shards[j].as_ref().expect("data rebuilt above").as_slice())
-                .collect();
-            let rebuilt: Vec<(usize, Vec<u8>)> = missing_parity
-                .iter()
-                .map(|&target| {
-                    let mut out = vec![0u8; len];
-                    gf256::mul_acc_many(&mut out, &data_refs, self.encode_matrix.row(target));
-                    (target, out)
-                })
-                .collect();
-            drop(data_refs);
-            for (target, out) in rebuilt {
-                shards[target] = Some(out);
-            }
-        }
-        Ok(())
+        self.0.reconstruct(shards)
     }
 }
 
@@ -249,24 +171,6 @@ mod tests {
         assert!(ReedSolomon::new(2, 0).is_err());
         assert!(ReedSolomon::new(200, 100).is_err());
         assert!(ReedSolomon::new(255, 1).is_ok());
-    }
-
-    #[test]
-    fn shard_validation() {
-        let rs = ReedSolomon::new(2, 1).unwrap();
-        let mut wrong_count = vec![vec![0u8; 4]; 2];
-        assert!(matches!(
-            rs.encode(&mut wrong_count),
-            Err(ErasureError::WrongShardCount {
-                expected: 3,
-                got: 2
-            })
-        ));
-        let mut uneven = vec![vec![0u8; 4], vec![0u8; 5], vec![0u8; 4]];
-        assert_eq!(
-            rs.encode(&mut uneven),
-            Err(ErasureError::ShardLengthMismatch)
-        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use rshare_erasure::gf256::KernelTier;
-use rshare_erasure::{gf256, ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon, XorParity};
+use rshare_erasure::matrix::Matrix;
+use rshare_erasure::{gf256, ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon};
 
 /// Both dispatchable tiers, most to least specialised. On hardware without
 /// SSSE3 the `Simd` entry exercises its documented table fallback — still a
@@ -36,6 +37,121 @@ fn roundtrip(code: &dyn ErasureCode, data: &[Vec<u8>], lose: &[usize]) {
     code.reconstruct(&mut damaged).expect("reconstruct");
     for (i, (got, want)) in damaged.iter().zip(&original).enumerate() {
         assert_eq!(got.as_ref().unwrap(), want, "shard {i} lose={lose:?}");
+    }
+}
+
+/// Chains the `splitmix64` finalizer over `shards`, eight bytes at a time
+/// (zero-padded), so a digest is stable across runs and platforms.
+fn digest(shards: &[Vec<u8>]) -> u64 {
+    fn mix(seed: u64) -> u64 {
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    let mut h = shards.len() as u64;
+    for shard in shards {
+        h = mix(h ^ shard.len() as u64);
+        for chunk in shard.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h = mix(h ^ u64::from_le_bytes(word));
+        }
+    }
+    h
+}
+
+/// The systematic generator `[I_d; 1…1]`: one all-ones parity row.
+fn xor_parity_generator(d: usize) -> Matrix {
+    let mut generator = Matrix::zero(d + 1, d);
+    for j in 0..d {
+        generator[(j, j)] = 1;
+        generator[(d, j)] = 1;
+    }
+    generator
+}
+
+/// Golden codewords: each code encodes fixed pseudo-random data shards of
+/// 1,000 bytes, and the digest of its parity shards must match the value
+/// recorded from the original per-code encoders. `encode` and
+/// `encode_parity` (into deliberately mis-sized buffers, which it must
+/// resize) both produce it, and `reconstruct` restores the codeword from
+/// every erasure pattern within the code's tolerance.
+#[test]
+fn golden_codewords() {
+    let cases: Vec<(&str, Box<dyn ErasureCode>, u64)> = vec![
+        (
+            "RS(4,2)",
+            Box::new(ReedSolomon::new(4, 2).unwrap()),
+            0x03b0_c580_6785_3ce1,
+        ),
+        (
+            "RS(8,4)",
+            Box::new(ReedSolomon::new(8, 4).unwrap()),
+            0xbf3b_05bb_eb9a_487a,
+        ),
+        (
+            "LRC(2,2,2)",
+            Box::new(MatrixCode::local_reconstruction(2, 2, 2).unwrap()),
+            0x8b0a_b539_7cc5_6ba8,
+        ),
+        (
+            "XOR parity over 5",
+            Box::new(MatrixCode::new(xor_parity_generator(5), 5, 1).unwrap()),
+            0x9b07_6050_f649_5820,
+        ),
+        (
+            "EVENODD(5)",
+            Box::new(EvenOdd::new(5).unwrap()),
+            0xb9ea_2312_98b4_a49a,
+        ),
+        (
+            "RDP(5)",
+            Box::new(Rdp::new(5).unwrap()),
+            0xf92b_d595_3925_64f1,
+        ),
+    ];
+    let len = 1000;
+    for (name, code, want) in cases {
+        let (d, total) = (code.data_shards(), code.total_shards());
+        let data: Vec<Vec<u8>> = (0..d)
+            .map(|j| prng_bytes(len, 0x601D_C0DE ^ (j as u64 * 7919)))
+            .collect();
+        let mut full = data.clone();
+        full.extend(std::iter::repeat_n(vec![0u8; len], code.parity_shards()));
+        code.encode(&mut full).unwrap();
+        assert_eq!(&full[..d], &data[..], "{name}: data shards unchanged");
+        assert_eq!(digest(&full[d..]), want, "{name}: encode");
+
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let mut parity = vec![vec![0xAB; 3]; code.parity_shards()];
+        code.encode_parity(&refs, &mut parity).unwrap();
+        assert_eq!(digest(&parity), want, "{name}: encode_parity");
+        assert!(code.encode_parity(&refs[1..], &mut parity).is_err());
+        let mut short = parity[..code.parity_shards() - 1].to_vec();
+        assert!(code.encode_parity(&refs, &mut short).is_err());
+
+        let mut patterns = 0;
+        for mask in 0u32..1 << total {
+            if mask.count_ones() as usize > code.tolerated_erasures() {
+                continue;
+            }
+            let mut damaged: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+            for (i, shard) in damaged.iter_mut().enumerate() {
+                if mask & (1 << i) != 0 {
+                    *shard = None;
+                }
+            }
+            code.reconstruct(&mut damaged)
+                .unwrap_or_else(|e| panic!("{name}: mask {mask:#b}: {e}"));
+            let restored: Vec<Vec<u8>> = damaged.into_iter().map(Option::unwrap).collect();
+            assert!(
+                restored == full,
+                "{name}: mask {mask:#b} restored wrong bytes"
+            );
+            patterns += 1;
+        }
+        assert!(patterns > total, "{name}: {patterns} patterns");
     }
 }
 
@@ -78,7 +194,7 @@ proptest! {
         sz in 1usize..=64,
         seed in any::<u64>(),
     ) {
-        let code = XorParity::new(d).unwrap();
+        let code = MatrixCode::xor_parity(d).unwrap();
         let data: Vec<Vec<u8>> = (0..d)
             .map(|i| (0..sz).map(|j| (seed as usize ^ (i * 131 + j)) as u8).collect())
             .collect();
@@ -117,21 +233,6 @@ proptest! {
             .collect();
         let count = seed as usize % 3;
         let erasures = pick_erasures(p + 1, count, seed.rotate_left(29));
-        roundtrip(&code, &data, &erasures);
-    }
-
-    #[test]
-    fn matrix_rs_roundtrips(
-        d in 1usize..=8,
-        p in 1usize..=4,
-        sz in 1usize..=48,
-        seed in any::<u64>(),
-    ) {
-        let code = MatrixCode::reed_solomon(d, p).unwrap();
-        let data: Vec<Vec<u8>> = (0..d)
-            .map(|i| (0..sz).map(|j| (seed as usize + i * 41 + j * 11) as u8).collect())
-            .collect();
-        let erasures = pick_erasures(d + p, (seed as usize % (p + 1)).min(p), seed);
         roundtrip(&code, &data, &erasures);
     }
 
@@ -206,10 +307,9 @@ proptest! {
         shards.extend(std::iter::repeat_with(|| vec![0u8; sz]).take(p));
         code.encode(&mut shards).unwrap();
         // …and recompute every parity with the byte-wise reference kernel
-        // from the generator rows exposed by the equivalent MatrixCode.
-        let matrix = MatrixCode::reed_solomon(d, p).unwrap();
+        // from the code's generator rows.
         for (row_idx, got) in shards.iter().enumerate().skip(d) {
-            let row = matrix.generator().row(row_idx);
+            let row = code.generator().row(row_idx);
             let mut want = vec![0u8; sz];
             for (j, shard) in data.iter().enumerate() {
                 gf256::mul_acc_bytewise(&mut want, shard, row[j]);
@@ -300,39 +400,5 @@ proptest! {
             gf256::mul_acc_many_with(tier, &mut got, &sources, &coeffs);
             prop_assert_eq!(&got, &want, "tier {:?}", tier);
         }
-    }
-
-    /// `encode_parity` on borrowed data shards produces exactly the parity
-    /// that `encode` computes on the assembled codeword, for every code,
-    /// and reuses (not reallocates beyond need) the caller's buffers.
-    #[test]
-    fn encode_parity_matches_encode(
-        which in 0usize..5,
-        sz in 1usize..=48,
-        seed in any::<u64>(),
-    ) {
-        let code: Box<dyn ErasureCode> = match which {
-            0 => Box::new(ReedSolomon::new(4, 2).unwrap()),
-            1 => Box::new(XorParity::new(5).unwrap()),
-            2 => Box::new(EvenOdd::new(5).unwrap()),
-            3 => Box::new(Rdp::new(5).unwrap()),
-            _ => Box::new(MatrixCode::local_reconstruction(2, 3, 1).unwrap()),
-        };
-        let len = sz * code.shard_multiple();
-        let data: Vec<Vec<u8>> = (0..code.data_shards())
-            .map(|j| prng_bytes(len, seed.wrapping_add(j as u64 * 409)))
-            .collect();
-        let mut full: Vec<Vec<u8>> = data.clone();
-        full.extend(std::iter::repeat_n(vec![0u8; len], code.parity_shards()));
-        code.encode(&mut full).unwrap();
-        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-        // Deliberately mis-sized buffers: encode_parity must resize them.
-        let mut parity: Vec<Vec<u8>> = vec![vec![0xAB; 3]; code.parity_shards()];
-        code.encode_parity(&refs, &mut parity).unwrap();
-        prop_assert_eq!(&parity[..], &full[code.data_shards()..]);
-        // Wrong arity is rejected.
-        prop_assert!(code.encode_parity(&refs[1..], &mut parity).is_err());
-        let mut short = parity[..code.parity_shards() - 1].to_vec();
-        prop_assert!(code.encode_parity(&refs, &mut short).is_err());
     }
 }

@@ -735,7 +735,9 @@ impl StorageCluster {
                     return Ok(false);
                 }
                 // Degraded read: keep what the fast path already pulled,
-                // fetch the remaining data + parity shards, reconstruct.
+                // fetch the remaining data + parity shards, fill in the
+                // missing ones with repair's decode (`reconstruct_group`)
+                // and copy the data shards not yet in `buf`.
                 // Device read counters stay identical to the fast path
                 // attempting every shard once: the prefix is not re-read.
                 let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(k);
@@ -746,10 +748,11 @@ impl StorageCluster {
                         shards.push(self.read_shard(row[i]));
                     }
                 }
-                let data = self
-                    .redundancy
-                    .decode_block(shards, self.codec.as_deref(), lba)?;
-                buf.copy_from_slice(&data);
+                self.reconstruct_group(&mut shards, lba)?;
+                let segments = buf.chunks_exact_mut(shard_len).zip(shards).skip(loaded);
+                for (seg, shard) in segments {
+                    seg.copy_from_slice(&shard.expect("complete after reconstruction"));
+                }
                 Ok(true)
             }
         }
@@ -1978,6 +1981,18 @@ mod tests {
                 "device {id}: read share {got:.4} vs capacity share {want:.4}"
             );
         }
+    }
+
+    #[test]
+    fn mirror_reconstruct_group_copies_a_survivor() {
+        let c = mirror_cluster();
+        let mut shards = vec![None, Some(vec![1, 2, 3])];
+        c.reconstruct_group(&mut shards, 0).unwrap();
+        assert_eq!(shards, vec![Some(vec![1, 2, 3]); 2]);
+        assert!(matches!(
+            c.reconstruct_group(&mut [None, None], 7),
+            Err(VdsError::DataLoss { lba: 7 })
+        ));
     }
 
     #[test]

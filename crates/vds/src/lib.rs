@@ -18,9 +18,10 @@
 //!   land in fresh slots before the row is restamped, so an `Err` leaves
 //!   the previous value.
 //! * [`Redundancy`] — per-block mirroring or erasure coding (XOR parity,
-//!   EVENODD, RDP, Reed–Solomon from `rshare-erasure`); shard `i` of a
-//!   group goes to the i-th placed bin, using the copy-identity property
-//!   of Redundant Share.
+//!   EVENODD, RDP, Reed–Solomon and Local Reconstruction Codes from
+//!   `rshare-erasure`); shard `i` of a group goes to the i-th placed bin,
+//!   using the copy-identity property of Redundant Share. Degraded reads,
+//!   repair and migration fill in missing shards through one decode path.
 //! * Membership changes (`add_device`, `remove_device`, `fail_device` +
 //!   `rebuild`) migrate only the shards whose computed location changed;
 //!   [`MigrationReport`] quantifies the volume the paper's adaptivity

@@ -6,7 +6,7 @@
 //! erasure-coded data ("each sub-block has a different meaning and
 //! therefore has to be handled differently").
 
-use rshare_erasure::{ErasureCode, ErasureError, EvenOdd, MatrixCode, Rdp, ReedSolomon, XorParity};
+use rshare_erasure::{ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon};
 
 use crate::error::VdsError;
 
@@ -94,7 +94,7 @@ impl Redundancy {
                 }
                 None
             }
-            Self::XorParity { data } => Some(Box::new(XorParity::new(data)?)),
+            Self::XorParity { data } => Some(Box::new(MatrixCode::xor_parity(data)?)),
             Self::EvenOdd { p } => Some(Box::new(EvenOdd::new(p)?)),
             Self::Rdp { p } => Some(Box::new(Rdp::new(p)?)),
             Self::ReedSolomon { data, parity } => Some(Box::new(ReedSolomon::new(data, parity)?)),
@@ -108,34 +108,6 @@ impl Redundancy {
                 global_parity,
             )?)),
         })
-    }
-
-    /// Reassembles a logical block from (possibly incomplete) shards.
-    pub(crate) fn decode_block(
-        &self,
-        mut shards: Vec<Option<Vec<u8>>>,
-        codec: Option<&dyn ErasureCode>,
-        lba: u64,
-    ) -> Result<Vec<u8>, VdsError> {
-        match self {
-            Self::Mirror { .. } => shards
-                .into_iter()
-                .flatten()
-                .next()
-                .ok_or(VdsError::DataLoss { lba }),
-            _ => {
-                let codec = codec.expect("erasure scheme has a codec");
-                codec.reconstruct(&mut shards).map_err(|e| match e {
-                    ErasureError::TooManyErasures { .. } => VdsError::DataLoss { lba },
-                    other => VdsError::Erasure(other),
-                })?;
-                let mut block = Vec::new();
-                for shard in shards.into_iter().take(codec.data_shards()) {
-                    block.extend_from_slice(&shard.expect("reconstructed"));
-                }
-                Ok(block)
-            }
-        }
     }
 
     /// The divisor the cluster block size must satisfy.
@@ -167,6 +139,7 @@ mod tests {
     fn geometry() {
         assert_eq!(Redundancy::Mirror { copies: 3 }.total_shards(), 3);
         assert_eq!(Redundancy::Mirror { copies: 3 }.tolerated_failures(), 2);
+        assert!(Redundancy::Mirror { copies: 3 }.codec().unwrap().is_none());
         assert_eq!(Redundancy::XorParity { data: 4 }.total_shards(), 5);
         assert_eq!(Redundancy::EvenOdd { p: 5 }.total_shards(), 7);
         assert_eq!(Redundancy::Rdp { p: 5 }.total_shards(), 6);
@@ -180,19 +153,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn mirror_roundtrip() {
-        let scheme = Redundancy::Mirror { copies: 2 };
-        let codec = scheme.codec().unwrap();
-        assert!(codec.is_none());
-        let block = scheme
-            .decode_block(vec![None, Some(vec![1, 2, 3])], codec.as_deref(), 0)
-            .unwrap();
-        assert_eq!(block, vec![1, 2, 3]);
-        assert!(matches!(
-            scheme.decode_block(vec![None, None], codec.as_deref(), 7),
-            Err(VdsError::DataLoss { lba: 7 })
-        ));
+    /// Reconstructs `shards` and concatenates the data shards.
+    fn decode(codec: &dyn ErasureCode, mut shards: Vec<Option<Vec<u8>>>) -> Vec<u8> {
+        codec.reconstruct(&mut shards).unwrap();
+        shards[..codec.data_shards()]
+            .iter()
+            .flat_map(|s| s.as_deref().unwrap().iter().copied())
+            .collect()
     }
 
     #[test]
@@ -205,7 +172,7 @@ mod tests {
         let mut opt: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
         opt[0] = None;
         opt[5] = None;
-        let got = scheme.decode_block(opt, codec.as_deref(), 0).unwrap();
+        let got = decode(codec.as_deref().unwrap(), opt);
         assert_eq!(got, block);
     }
 
@@ -236,7 +203,7 @@ mod tests {
         opt[0] = None;
         opt[3] = None;
         opt[6] = None;
-        let got = scheme.decode_block(opt, codec.as_deref(), 0).unwrap();
+        let got = decode(codec.as_deref().unwrap(), opt);
         assert_eq!(got, block);
     }
 

@@ -23,7 +23,7 @@
 //! | Share and Sieve (Brinkmann et al. \[2\]) | [`crate::hashing::Share`], [`crate::hashing::Sieve`] |
 //! | Linear / logarithmic methods (Schindelhauer & Schomaker \[11\]) | [`crate::hashing::LinearMethod`], [`crate::hashing::LogarithmicMethod`] |
 //! | RUSH (Honicky & Miller \[5\]\[6\]) | [`crate::rush::RushP`] |
-//! | RAID / EVENODD / RDP \[10\]\[1\]\[3\] | [`crate::erasure::XorParity`], [`crate::erasure::EvenOdd`], [`crate::erasure::Rdp`] |
+//! | RAID / EVENODD / RDP \[10\]\[1\]\[3\] | [`crate::erasure::MatrixCode::xor_parity`], [`crate::erasure::EvenOdd`], [`crate::erasure::Rdp`] |
 //!
 //! ## Section 2 — Limitations of existing strategies
 //!

@@ -1,7 +1,7 @@
 //! End-to-end I/O path report: placement lookups, erasure kernels and the
 //! fused stripe pipeline.
 //!
-//! Six measurements on the fast path a block read/write traverses, and
+//! Seven measurements on the fast path a block read/write traverses, and
 //! one of the memory a stored block costs:
 //!
 //! 1. **Placement lookups** — `placement_into` throughput on a repeated
@@ -27,7 +27,15 @@
 //!    only the missing shards) vs the oracle-free per-block recipe: read
 //!    every block (degraded reads reconstruct) and write it back. Both
 //!    sides discover the damage themselves; rates are per damaged block.
-//! 7. **Per-block memory** — the `VmRSS` growth of building a 524,288-block
+//! 7. **Cold writes** — nanoseconds per call of writes whose destination
+//!    slots are out of cache: random 16-block `write_blocks` overwrite runs
+//!    on perfbench's ec-degraded cluster shape (`write_run16_cold`:
+//!    RS(4, 2), 4 KiB blocks, 96 devices of capacity weights 1–4, 65,536
+//!    stored blocks) and random single-block `write_block` overwrites on
+//!    its mirror-hot shape (`write_block_cold`: 3-way mirror, 512 B blocks,
+//!    48 devices, 262,144 stored blocks). Payloads are filled outside the
+//!    timed region.
+//! 8. **Per-block memory** — the `VmRSS` growth of building a 524,288-block
 //!    2-way-mirror cluster of 64 B blocks on 60 devices (perfbench's
 //!    `churn` set-up), measured in a fresh child process, per stored block
 //!    (→ `bytes_per_block`: its shards in the device store plus its
@@ -130,32 +138,16 @@ fn vm_rss_bytes() -> u64 {
     kib * 1024
 }
 
-/// Builds the probe cluster (capacities `1 + id % 4` units, twice the
-/// fair share) and writes every block. Returns the `VmRSS` growth over the
-/// build and the number of blocks stored.
+/// Builds the probe cluster ([`stored_cluster`]). Returns the `VmRSS`
+/// growth over the build and the number of blocks stored.
 fn memory_probe() -> (u64, u64) {
-    const CHUNK: u64 = 1024;
-    let weight = |id: u64| 1 + id % 4;
-    let weight_sum: u64 = (0..MEM_DEVICES).map(weight).sum();
-    let unit = (2 * MEM_BLOCKS * MEM_COPIES as u64).div_ceil(weight_sum);
-    let mut data = vec![0u8; CHUNK as usize * 64];
-    let mut lbas = Vec::with_capacity(CHUNK as usize);
     let before = vm_rss_bytes();
-    let mut b = StorageCluster::builder()
-        .block_size(64)
-        .redundancy(Redundancy::Mirror { copies: MEM_COPIES });
-    for id in 0..MEM_DEVICES {
-        b = b.device(id, weight(id) * unit);
-    }
-    let mut c = b.build().expect("valid cluster");
-    for start in (0..MEM_BLOCKS).step_by(CHUNK as usize) {
-        lbas.clear();
-        lbas.extend(start..start + CHUNK);
-        for (&lba, block) in lbas.iter().zip(data.chunks_exact_mut(64)) {
-            block.fill(lba as u8);
-        }
-        c.write_blocks(&lbas, &data).expect("write");
-    }
+    let c = stored_cluster(
+        Redundancy::Mirror { copies: MEM_COPIES },
+        64,
+        MEM_DEVICES,
+        MEM_BLOCKS,
+    );
     let grown = vm_rss_bytes().saturating_sub(before);
     black_box(&c);
     (grown, c.block_count())
@@ -449,7 +441,9 @@ fn bench_rs_reconstruct(quick: bool, cells: &mut Vec<Cell>) {
 /// pattern the fused path eliminates. Blocks are the canonical 4 KiB
 /// (matching the repair bench), so the per-block copy/alloc savings are
 /// measured at a realistic shard size rather than being drowned by
-/// fixed per-block bookkeeping.
+/// fixed per-block bookkeeping. The 4,096-block working set (24 MiB of
+/// shards) stays in cache, so neither side pays the cold-slot misses that
+/// `write_run16_cold` measures.
 fn bench_stripe_writes(quick: bool, cells: &mut Vec<Cell>) {
     let working_set: u64 = if quick { 512 } else { 4_096 };
     let rounds: u64 = if quick { 2 } else { 4 };
@@ -547,6 +541,97 @@ fn bench_repair(quick: bool, cells: &mut Vec<Cell>) {
     }
 }
 
+/// One ns-per-call measurement.
+struct Call {
+    name: &'static str,
+    ns_per_call: f64,
+}
+
+/// A cluster shaped like a perfbench workload's: `devices` devices of
+/// capacity weights `1 + id % 4`, twice the fair share of `blocks` groups,
+/// with every block written once, in batches of 1,024.
+fn stored_cluster(
+    redundancy: Redundancy,
+    block_size: usize,
+    devices: u64,
+    blocks: u64,
+) -> StorageCluster {
+    const CHUNK: u64 = 1024;
+    let weight = |id: u64| 1 + id % 4;
+    let weight_sum: u64 = (0..devices).map(weight).sum();
+    let unit = (2 * blocks * redundancy.total_shards() as u64).div_ceil(weight_sum);
+    let mut b = StorageCluster::builder()
+        .block_size(block_size)
+        .redundancy(redundancy);
+    for id in 0..devices {
+        b = b.device(id, weight(id) * unit);
+    }
+    let mut c = b.build().expect("valid cluster");
+    let mut data = vec![0u8; CHUNK as usize * block_size];
+    let mut lbas = Vec::with_capacity(CHUNK as usize);
+    for start in (0..blocks).step_by(CHUNK as usize) {
+        lbas.clear();
+        lbas.extend(start..(start + CHUNK).min(blocks));
+        for (&lba, block) in lbas.iter().zip(data.chunks_exact_mut(block_size)) {
+            block.fill(lba as u8);
+        }
+        c.write_blocks(&lbas, &data[..lbas.len() * block_size])
+            .expect("write");
+    }
+    c
+}
+
+/// Mean nanoseconds per call of `write_blocks` over `calls` random runs of
+/// `run` consecutive stored blocks (wrapping), best of [`REPS`] passes.
+/// Each call's payload is filled before its timer starts, so only the
+/// write is timed.
+fn ns_per_write(c: &mut StorageCluster, run: u64, calls: u64) -> f64 {
+    const DOMAIN: u64 = 0x434f_4c44_5752_4954; // "COLDWRIT"
+    let blocks = c.block_count();
+    let mut lbas = Vec::with_capacity(run as usize);
+    let mut data = vec![0u8; run as usize * c.block_size()];
+    let mut best = f64::MAX;
+    for rep in 0..REPS as u64 {
+        let mut elapsed = 0u128;
+        for call in 0..calls {
+            let start = rshare_hash::stable_hash2(rep * calls + call, DOMAIN) % blocks;
+            lbas.clear();
+            lbas.extend((0..run).map(|j| (start + j) % blocks));
+            data.fill((rep * calls + call) as u8);
+            let timer = Instant::now();
+            c.write_blocks(black_box(&lbas), black_box(&data))
+                .expect("write");
+            elapsed += timer.elapsed().as_nanos();
+        }
+        best = best.min(elapsed as f64 / calls as f64);
+    }
+    best
+}
+
+/// Writes whose destination slots are cold (module docs, item 7): random
+/// 16-block RS(4, 2) runs and random single-block 3-way-mirror writes,
+/// each on a cluster far larger than the cache (1/16 of it under
+/// `--quick`).
+fn bench_cold_writes(quick: bool, calls: &mut Vec<Call>) {
+    let scale = if quick { 16 } else { 1 };
+    let mut c = stored_cluster(
+        Redundancy::ReedSolomon { data: 4, parity: 2 },
+        4096,
+        96,
+        65_536 / scale,
+    );
+    calls.push(Call {
+        name: "write_run16_cold",
+        ns_per_call: ns_per_write(&mut c, 16, 4_096 / scale),
+    });
+    drop(c);
+    let mut c = stored_cluster(Redundancy::Mirror { copies: 3 }, 512, 48, 262_144 / scale);
+    calls.push(Call {
+        name: "write_block_cold",
+        ns_per_call: ns_per_write(&mut c, 1, 65_536 / scale),
+    });
+}
+
 fn speedup(cells: &[Cell], bench: &str, fast: &str, slow: &str) -> f64 {
     let rate = |mode: &str| {
         cells
@@ -559,7 +644,7 @@ fn speedup(cells: &[Cell], bench: &str, fast: &str, slow: &str) -> f64 {
 }
 
 /// Hand-rolled JSON (no serde in the dependency set).
-fn to_json(cells: &[Cell], memory: &Memory, quick: bool) -> String {
+fn to_json(cells: &[Cell], calls: &[Call], memory: &Memory, quick: bool) -> String {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut s = String::from("{\n");
     s.push_str(&format!(
@@ -581,6 +666,11 @@ fn to_json(cells: &[Cell], memory: &Memory, quick: bool) -> String {
     }
     s.push_str("  ],\n");
     let mut records = records(cells);
+    records.extend(
+        calls
+            .iter()
+            .map(|c| Record::new(c.name, "ns_per_call", c.ns_per_call)),
+    );
     records.push(Record::new(
         "store_bytes_per_shard",
         "bytes",
@@ -668,6 +758,8 @@ fn main() {
     bench_rs_reconstruct(quick, &mut cells);
     bench_stripe_writes(quick, &mut cells);
     bench_repair(quick, &mut cells);
+    let mut calls = Vec::new();
+    bench_cold_writes(quick, &mut calls);
     let memory = bench_memory();
 
     let mut rows = Vec::new();
@@ -684,6 +776,9 @@ fn main() {
         ]);
     }
     print_table(&["bench", "mode", "items", "rate"], &rows);
+    for c in &calls {
+        println!("{}: {} ns per call", c.name, f(c.ns_per_call));
+    }
 
     println!(
         "\nspeedups: cached lookups {}x, table encode {}x, \
@@ -702,7 +797,7 @@ fn main() {
         f(memory.store_bytes_per_shard),
     );
 
-    let json = to_json(&cells, &memory, quick);
+    let json = to_json(&cells, &calls, &memory, quick);
     std::fs::write("BENCH_e2e.json", &json).expect("write BENCH_e2e.json");
     println!("wrote BENCH_e2e.json ({} result rows)", cells.len());
 }

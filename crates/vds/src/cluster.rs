@@ -15,6 +15,8 @@
 //! every target device, land the new shards in fresh slots, restamp the
 //! row (the commit point), then release the slots the new row no longer
 //! names. An `Err` before the restamp leaves the previous value exactly.
+//! A batch lands with slots taken one block ahead, so the next block's
+//! cold slots are fetched while the current block's shards are copied.
 //!
 //! Every membership change follows one path: build the strategy over the
 //! new membership, gate it on Lemma 2.2's `B_max`, install it as the
@@ -190,6 +192,7 @@ impl ClusterBuilder {
             pending: BTreeSet::new(),
             placements_computed: AtomicU64::new(0),
             metrics,
+            tally: Tally::default(),
         };
         for &(id, capacity, profile) in &self.devices {
             if cluster.positions.contains_key(&id) {
@@ -232,6 +235,171 @@ pub struct StorageCluster {
     /// Metric handles, when recording is enabled. `None` means every hot
     /// path skips instrumentation entirely.
     metrics: Option<ClusterMetrics>,
+    /// [`StorageCluster::validate`]'s scratch.
+    tally: Tally,
+}
+
+/// Scratch for [`StorageCluster::validate`], kept by the cluster so a
+/// validation allocates nothing in the steady state. All zero and empty
+/// between calls.
+#[derive(Default)]
+struct Tally {
+    /// Slots each device position gains and releases, by position.
+    slots: Vec<[u64; 2]>,
+    /// The positions with a nonzero entry in `slots`.
+    touched: Vec<usize>,
+    /// The first slotted word of each old row, with the row's index.
+    firsts: Vec<(u64, usize)>,
+}
+
+impl Tally {
+    /// Adds one to `position`'s gains (`side` 0) or releases (`side` 1).
+    fn count(&mut self, position: usize, side: usize) {
+        let entry = &mut self.slots[position];
+        if *entry == [0, 0] {
+            self.touched.push(position);
+        }
+        entry[side] += 1;
+    }
+}
+
+/// Where a commit takes the payloads of the shards it lands.
+trait Payloads {
+    /// Readies the next block's payloads; called once per block, in batch
+    /// order, before any of the block's shards land.
+    fn ready(&mut self) -> Result<(), VdsError>;
+
+    /// The payload of shard `i` of the block last readied.
+    fn shard(&mut self, i: usize) -> &[u8];
+}
+
+/// Payloads gathered up front (a migration or repair chunk): one per
+/// landing shard, in landing order.
+impl Payloads for std::slice::Iter<'_, Vec<u8>> {
+    fn ready(&mut self) -> Result<(), VdsError> {
+        Ok(())
+    }
+
+    fn shard(&mut self, _: usize) -> &[u8] {
+        self.next().expect("one payload per landing shard")
+    }
+}
+
+/// The stripes of a `write_blocks` batch: data shards are borrowed
+/// straight out of the caller's buffer, and parity is encoded per block
+/// into scratch that lives across the batch.
+struct Stripes<'a> {
+    codec: Option<&'a dyn ErasureCode>,
+    blocks: std::slice::ChunksExact<'a, u8>,
+    /// Copies per block under mirroring.
+    copies: usize,
+    refs: Vec<&'a [u8]>,
+    parity: Vec<Vec<u8>>,
+}
+
+impl Payloads for Stripes<'_> {
+    fn ready(&mut self) -> Result<(), VdsError> {
+        let block = self.blocks.next().expect("one block per row");
+        self.refs.clear();
+        match self.codec {
+            Some(codec) => {
+                self.refs
+                    .extend(block.chunks_exact(block.len() / codec.data_shards()));
+                codec.encode_parity(&self.refs, &mut self.parity)?;
+            }
+            // Mirroring: every copy is the block itself.
+            None => self.refs.extend(std::iter::repeat_n(block, self.copies)),
+        }
+        Ok(())
+    }
+
+    fn shard(&mut self, i: usize) -> &[u8] {
+        match self.refs.get(i) {
+            Some(data) => data,
+            None => &self.parity[i - self.refs.len()],
+        }
+    }
+}
+
+/// Steps 2–4 of a commit, once [`StorageCluster::validate`] passed, for
+/// the blocks `lbas` and their new rows `rows` (flat stride-`k` runs):
+/// per block, ready its payloads, land `payloads.shard(i)` in a fresh
+/// slot for every word `row[i]` without one, restamp the row (the commit
+/// point), and release the old slots the new row no longer names.
+///
+/// Slots are taken one block ahead: while block `j` lands, block
+/// `j + 1`'s fresh slots are already taken and their lines loaded
+/// ([`Device::warm`]), so its cache misses overlap `j`'s copies instead
+/// of following them. The first block takes its slots as it lands, so a
+/// one-block commit does no warming. A block that fails to ready gives
+/// back the slots taken for it, and a slab never holds more than its live
+/// slots plus the slots the batch gains, the bound `validate` checks.
+fn land(
+    devices: &mut [Device],
+    table: &mut BlockTable,
+    lbas: &[u64],
+    rows: &mut [u64],
+    k: usize,
+    payloads: &mut impl Payloads,
+) -> Result<(), VdsError> {
+    // The slots taken ahead for the block landing now, and for the next.
+    let mut taken: Vec<u32> = Vec::new();
+    let mut ahead: Vec<u32> = Vec::new();
+    for (j, &lba) in lbas.iter().enumerate() {
+        if let Err(e) = payloads.ready() {
+            let unlanded = rows[j * k..(j + 1) * k]
+                .iter()
+                .filter(|&&w| slot_of(w).is_none());
+            for (&word, &slot) in unlanded.zip(&taken) {
+                devices[position_of(word)].release(slot);
+            }
+            return Err(e);
+        }
+        ahead.clear();
+        if let Some(next) = rows.get((j + 1) * k..(j + 2) * k) {
+            // Every slot, then every slot's first line, then each slot
+            // front to back: the slots' misses overlap, and each slot is
+            // read in the order the hardware prefetchers follow. Loading
+            // only some of a slot's lines, or its lines interleaved with
+            // other slots', measured slower than no warming at all.
+            let fresh = || next.iter().filter(|&&w| slot_of(w).is_none());
+            for &word in fresh() {
+                let slot = devices[position_of(word)]
+                    .alloc()
+                    .expect("validated: the device is online with room");
+                ahead.push(slot);
+            }
+            for (&word, &slot) in fresh().zip(&ahead) {
+                devices[position_of(word)].touch(slot);
+            }
+            for (&word, &slot) in fresh().zip(&ahead) {
+                devices[position_of(word)].warm(slot);
+            }
+        }
+        let row = &mut rows[j * k..(j + 1) * k];
+        // The first block has no slots taken ahead and takes them here.
+        let mut taken_slots = taken.iter().copied();
+        for (i, word) in row.iter_mut().enumerate() {
+            if slot_of(*word).is_none() {
+                let device = &mut devices[position_of(*word)];
+                let slot = taken_slots.next().unwrap_or_else(|| {
+                    device
+                        .alloc()
+                        .expect("validated: the device is online with room")
+                });
+                device.write(slot, payloads.shard(i));
+                *word |= u64::from(slot) + 1;
+            }
+        }
+        for (stamped, &n) in table.entry(lba).iter_mut().zip(row.iter()) {
+            let o = std::mem::replace(stamped, n);
+            if let Some(slot) = slot_of(o).filter(|_| o != n) {
+                devices[position_of(o)].release(slot);
+            }
+        }
+        std::mem::swap(&mut taken, &mut ahead);
+    }
+    Ok(())
 }
 
 /// Counters produced by one migration-executor run.
@@ -319,6 +487,7 @@ impl StorageCluster {
         let position = u32::try_from(self.devices.len()).expect("fewer than 2^32 devices");
         self.positions.insert(device.id(), position);
         self.devices.push(device);
+        self.tally.slots.push([0, 0]);
     }
 
     /// The row word, without a slot, naming the listed device `id`.
@@ -463,13 +632,17 @@ impl StorageCluster {
     }
 
     /// Writes many logical blocks through the fused stripe pipeline:
-    /// place and validate the whole batch, then encode → commit per block.
+    /// place and validate the whole batch, then encode → commit per block
+    /// through the one commit path the migration executor and repair use.
     /// Data shards are stored straight from `data` (never copied into
     /// owned shards — [`rshare_erasure::ErasureCode::encode_parity`]),
     /// parity scratch is hoisted out of the loop, and each shard is copied
     /// into a fresh fixed-size device slot. Each block commits
     /// copy-on-write: its row is restamped only once every shard has
-    /// landed, and its old slots are released after.
+    /// landed, and its old slots are released after. From the second
+    /// block on, a block's slots were taken, and their cache lines loaded,
+    /// while the block before it landed, so a stripe's shard copies do
+    /// not wait on cold slots one at a time.
     /// `data` is the concatenation of the blocks, in `lbas` order. Encode
     /// parities stream through the tiered GF(256) kernels
     /// ([`rshare_erasure::gf256::kernel_tier`]).
@@ -522,111 +695,89 @@ impl StorageCluster {
             }
         }
         self.validate(&old, &new)?;
-        // Data shards are borrowed straight out of `data`; only parity is
-        // materialized, into scratch that lives across the whole batch
-        // (`encode_parity` resizes it in place each iteration).
-        let mut parity: Vec<Vec<u8>> =
-            vec![Vec::new(); self.codec.as_deref().map_or(0, ErasureCode::parity_shards)];
-        let mut refs: Vec<&[u8]> = Vec::new();
-        for ((&lba, block), row) in lbas
-            .iter()
-            .zip(data.chunks_exact(self.block_size))
-            .zip(new.chunks_exact_mut(k))
-        {
-            refs.clear();
-            if let Some(codec) = self.codec.as_deref() {
-                let shard_len = self.block_size / codec.data_shards();
-                refs.extend(block.chunks_exact(shard_len));
-                codec.encode_parity(&refs, &mut parity)?;
-            } else {
-                // Mirroring: every copy is the block itself.
-                refs.extend(std::iter::repeat_n(block, k));
-            }
-            let data_shards = refs.len();
-            self.commit(lba, row, |i| {
-                if i < data_shards {
-                    refs[i]
-                } else {
-                    parity[i - data_shards].as_slice()
-                }
-            });
-            if self.pending.remove(&lba) {
-                self.retire_leavers();
-            }
-            if let Some(m) = &self.metrics {
-                m.writes_total.inc();
-            }
+        let mut stripes = Stripes {
+            codec: self.codec.as_deref(),
+            blocks: data.chunks_exact(self.block_size),
+            copies: k,
+            refs: Vec::new(),
+            parity: vec![Vec::new(); self.codec.as_deref().map_or(0, ErasureCode::parity_shards)],
+        };
+        land(
+            &mut self.devices,
+            &mut self.table,
+            lbas,
+            &mut new,
+            k,
+            &mut stripes,
+        )?;
+        let mut settled = false;
+        for lba in lbas {
+            settled |= self.pending.remove(lba);
+        }
+        if settled {
+            self.retire_leavers();
+        }
+        if let Some(m) = &self.metrics {
+            m.writes_total.add(lbas.len() as u64);
         }
         Ok(())
     }
 
     /// Step 1 of a commit: checks, before anything is touched, that the
-    /// rows `new` can replace the rows `old` (flat runs, parallel). Every
-    /// device that gains a slot — one per `new` word without one — must be
-    /// online, and its live slots, plus the slots it gains, less the slots
-    /// of `old` that `new` no longer names, must fit its capacity. An
-    /// overwrite on a full device therefore fits. A block written twice
-    /// in one batch releases its old slots once but gains slots twice, so
-    /// such a batch is judged conservatively.
-    fn validate(&self, old: &[u64], new: &[u64]) -> Result<(), VdsError> {
-        // A word per slot gained (a `new` word without a slot) and per slot
-        // released, sorted so each device's words form one run.
-        let mut tally: Vec<u64> = new
-            .iter()
-            .copied()
-            .filter(|&n| slot_of(n).is_none())
-            .collect();
-        tally.extend(
-            old.iter()
-                .zip(new)
-                .filter(|&(&o, &n)| o != n && slot_of(o).is_some())
-                .map(|(&o, _)| o),
+    /// rows `new` can replace the rows `old` (flat stride-k runs,
+    /// parallel). Every device that gains a slot — one per `new` word
+    /// without one — must be online, and its live slots, plus the slots it
+    /// gains, less the slots of `old` that `new` no longer names, must fit
+    /// its capacity. An overwrite on a full device therefore fits. A block
+    /// written twice in one batch releases its old slots once but gains
+    /// slots twice, so such a batch is judged conservatively.
+    fn validate(&mut self, old: &[u64], new: &[u64]) -> Result<(), VdsError> {
+        let k = self.redundancy.total_shards();
+        let tally = &mut self.tally;
+        for &n in new.iter().filter(|&&n| slot_of(n).is_none()) {
+            tally.count(position_of(n), 0);
+        }
+        // A block repeated in the batch has the same old row each time,
+        // and live slots are unique, so the first slotted word of an old
+        // row names its block: rows sharing it release once.
+        tally.firsts.extend(
+            old.chunks_exact(k).enumerate().filter_map(|(j, row)| {
+                row.iter().find(|&&o| slot_of(o).is_some()).map(|&o| (o, j))
+            }),
         );
-        tally.sort_unstable();
-        tally.dedup_by(|a, b| a == b && slot_of(*a).is_some());
-        for run in tally.chunk_by(|&a, &b| position_of(a) == position_of(b)) {
-            let gained = run.iter().filter(|&&w| slot_of(w).is_none()).count() as u64;
-            if gained == 0 {
+        tally.firsts.sort_unstable();
+        tally.firsts.dedup_by_key(|&mut (first, _)| first);
+        for f in 0..tally.firsts.len() {
+            let j = tally.firsts[f].1;
+            let run = j * k..(j + 1) * k;
+            for (&o, &n) in old[run.clone()].iter().zip(&new[run]) {
+                if o != n && slot_of(o).is_some() {
+                    tally.count(position_of(o), 1);
+                }
+            }
+        }
+        tally.firsts.clear();
+        // Ascending positions, so the lowest failing one is blamed.
+        tally.touched.sort_unstable();
+        let mut verdict = Ok(());
+        for &position in &tally.touched {
+            let [gained, released] = std::mem::take(&mut tally.slots[position]);
+            if gained == 0 || verdict.is_err() {
                 continue;
             }
-            let device = &self.devices[position_of(run[0])];
-            if device.state() != DeviceState::Online {
-                return Err(VdsError::DeviceFailed { id: device.id() });
-            }
-            // New slots are allocated before old ones are released, so the
+            let device = &self.devices[position];
+            // New slots are taken before old ones are released, so the
             // slab peaks at `used + gained`, and a row word holds
             // `slot + 1` in 32 bits.
             let peak = device.used_blocks() + gained;
-            let released = run.len() as u64 - gained;
-            if peak - released > device.capacity_blocks() || peak >= u64::from(u32::MAX) {
-                return Err(VdsError::OutOfSpace { id: device.id() });
+            if device.state() != DeviceState::Online {
+                verdict = Err(VdsError::DeviceFailed { id: device.id() });
+            } else if peak - released > device.capacity_blocks() || peak >= u64::from(u32::MAX) {
+                verdict = Err(VdsError::OutOfSpace { id: device.id() });
             }
         }
-        Ok(())
-    }
-
-    /// Steps 2–4 of a commit, once [`StorageCluster::validate`] passed:
-    /// lands `shard(i)` in a fresh slot for every word `row[i]` without
-    /// one, restamps `lba`'s row with `row` (the commit point), and then
-    /// releases every slot of the old row that the new row no longer
-    /// names.
-    fn commit<'a>(&mut self, lba: u64, row: &mut [u64], mut shard: impl FnMut(usize) -> &'a [u8]) {
-        for (i, word) in row.iter_mut().enumerate() {
-            if slot_of(*word).is_none() {
-                let device = &mut self.devices[position_of(*word)];
-                let slot = device
-                    .alloc()
-                    .expect("validated: the device is online with room");
-                device.write(slot, shard(i));
-                *word |= u64::from(slot) + 1;
-            }
-        }
-        for (stamped, &n) in self.table.entry(lba).iter_mut().zip(row.iter()) {
-            let o = std::mem::replace(stamped, n);
-            if let Some(slot) = slot_of(o).filter(|_| o != n) {
-                self.devices[position_of(o)].release(slot);
-            }
-        }
+        tally.touched.clear();
+        verdict
     }
 
     /// Reads one logical block, touching as few devices as possible:
@@ -1046,12 +1197,15 @@ impl StorageCluster {
             )?;
         }
         self.validate(&old, &rows)?;
-        let mut lands = lands.iter().map(Vec::as_slice);
-        for (&j, row) in work.iter().zip(rows.chunks_exact_mut(k)) {
-            self.commit(lbas[j], row, |_| {
-                lands.next().expect("one payload per landing shard")
-            });
-        }
+        let moving: Vec<u64> = work.iter().map(|&j| lbas[j]).collect();
+        land(
+            &mut self.devices,
+            &mut self.table,
+            &moving,
+            &mut rows,
+            k,
+            &mut lands.iter(),
+        )?;
         if let Some(m) = &self.metrics {
             m.migration_moves_executed_total.add(outcome.moved);
             m.shards_reconstructed_total.add(outcome.reconstructed);
@@ -2721,6 +2875,101 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Payloads of one fixed block that fail to ready at block `fail_at`.
+    struct FailAt {
+        fail_at: usize,
+        readied: usize,
+        block: Vec<u8>,
+    }
+
+    impl Payloads for FailAt {
+        fn ready(&mut self) -> Result<(), VdsError> {
+            if self.readied == self.fail_at {
+                return Err(VdsError::Internal { reason: "ready" });
+            }
+            self.readied += 1;
+            Ok(())
+        }
+
+        fn shard(&mut self, _: usize) -> &[u8] {
+            &self.block
+        }
+    }
+
+    #[test]
+    fn a_block_that_fails_to_ready_strands_no_slot() {
+        let mut c = mirror_cluster();
+        let lbas: Vec<u64> = (0..4).collect();
+        for &lba in &lbas {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        let used =
+            |c: &StorageCluster| -> Vec<u64> { c.listed().map(Device::used_blocks).collect() };
+        let before = used(&c);
+        for fail_at in 0..lbas.len() {
+            let mut rows = Vec::new();
+            c.rows_flat(&lbas, &mut rows);
+            for word in &mut rows {
+                *word &= !SLOT_MASK;
+            }
+            let mut payloads = FailAt {
+                fail_at,
+                readied: 0,
+                block: block(0xEE, 64),
+            };
+            let landed = land(
+                &mut c.devices,
+                &mut c.table,
+                &lbas,
+                &mut rows,
+                2,
+                &mut payloads,
+            );
+            assert!(landed.is_err());
+            // The blocks before `fail_at` committed as overwrites; the
+            // slots taken ahead for block `fail_at` went back.
+            assert_eq!(used(&c), before, "fail at block {fail_at}");
+            for &lba in &lbas {
+                let want = if (lba as usize) < fail_at {
+                    block(0xEE, 64)
+                } else {
+                    block(lba as u8, 64)
+                };
+                assert_eq!(c.read_block(lba).unwrap(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_block_releases_its_old_slots_once() {
+        let mut c = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(Redundancy::Mirror { copies: 2 })
+            .device(0, 101)
+            .device(1, 101)
+            .build()
+            .unwrap();
+        for lba in 0..100u64 {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        let twice = [block(1, 64), block(2, 64)].concat();
+        let thrice = [twice.clone(), block(3, 64)].concat();
+        // Three copies gain three slots a device against one released:
+        // one past capacity, refused with no effect.
+        assert!(matches!(
+            c.write_blocks(&[5, 5, 5], &thrice),
+            Err(VdsError::OutOfSpace { id: 0 })
+        ));
+        assert_eq!(c.read_block(5).unwrap(), block(5, 64));
+        assert!(c.tally.slots.iter().all(|&s| s == [0, 0]));
+        // Two fit exactly, and the last copy wins.
+        c.write_blocks(&[5, 5], &twice).unwrap();
+        assert_eq!(c.read_block(5).unwrap(), block(2, 64));
+        c.write_blocks(&[5, 6], &twice).unwrap();
+        assert_eq!(c.utilization(), vec![(0, 100, 101), (1, 100, 101)]);
+        assert!(c.tally.slots.iter().all(|&s| s == [0, 0]));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! slots, addressed by the slot numbers that the cluster's block-table
 //! rows record.
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::profile::DeviceProfile;
@@ -15,7 +16,8 @@ pub enum DeviceState {
     Failed,
 }
 
-/// Per-device I/O counters.
+/// Per-device I/O counters. Every shard a device stores is one slot long,
+/// so the byte and busy-time fields follow from the two op counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Number of shard reads served.
@@ -31,27 +33,14 @@ pub struct IoStats {
     pub busy_us: u64,
 }
 
-/// Relaxed-ordering atomic I/O counters, so serving a read needs only
+/// Relaxed-ordering atomic op counters, so serving a read needs only
 /// `&self` — the counters are independent tallies, not synchronisation.
+/// [`Device::stats`] derives the rest, so a shard read or write pays one
+/// atomic add.
 #[derive(Debug, Default)]
 struct AtomicIoStats {
     reads: AtomicU64,
     writes: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    busy_us: AtomicU64,
-}
-
-impl AtomicIoStats {
-    fn snapshot(&self) -> IoStats {
-        IoStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            busy_us: self.busy_us.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Bytes per slab chunk (rounded down to a power-of-two slot count; one
@@ -207,7 +196,16 @@ impl Device {
     /// A consistent-enough snapshot of the I/O counters.
     #[must_use]
     pub fn stats(&self) -> IoStats {
-        self.stats.snapshot()
+        let reads = self.stats.reads.load(Ordering::Relaxed);
+        let writes = self.stats.writes.load(Ordering::Relaxed);
+        let len = self.slab.shard_len as u64;
+        IoStats {
+            reads,
+            writes,
+            bytes_read: reads * len,
+            bytes_written: writes * len,
+            busy_us: (reads + writes) * self.profile.service_us(self.slab.shard_len),
+        }
     }
 
     /// Marks the device failed and frees its slab.
@@ -225,16 +223,31 @@ impl Device {
         self.slab.alloc()
     }
 
+    /// Loads the first byte of `slot`, which [`Device::alloc`] handed
+    /// out, so the slot's address lookup and first cache miss are under
+    /// way before [`Device::warm`] reads it through.
+    pub(crate) fn touch(&self, slot: u32) {
+        black_box(self.slab.get(slot)[0]);
+    }
+
+    /// Loads one byte of every 64-byte cache line of `slot`, front to back
+    /// (its last byte covers a line the slot starts partway into), so a
+    /// write to the slot a little later finds its lines fetched. The
+    /// bytes are folded into one value, so the loads cost few
+    /// instructions and many can be in flight at once.
+    pub(crate) fn warm(&self, slot: u32) {
+        let bytes = self.slab.get(slot);
+        let mut fold = bytes[bytes.len() - 1];
+        for &byte in bytes.iter().step_by(64) {
+            fold ^= byte;
+        }
+        black_box(fold);
+    }
+
     /// Copies one shard into `slot`, which [`Device::alloc`] handed out.
     pub(crate) fn write(&mut self, slot: u32, data: &[u8]) {
         self.slab.get_mut(slot).copy_from_slice(data);
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.stats
-            .busy_us
-            .fetch_add(self.profile.service_us(data.len()), Ordering::Relaxed);
     }
 
     /// Copies the shard in `slot` into `out` (one shard long) and counts
@@ -246,12 +259,6 @@ impl Device {
         }
         out.copy_from_slice(self.slab.get(slot));
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_read
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        self.stats
-            .busy_us
-            .fetch_add(self.profile.service_us(out.len()), Ordering::Relaxed);
         true
     }
 
@@ -417,6 +424,41 @@ mod tests {
                 prop_assert_eq!(d.used_blocks(), model.len() as u64);
                 prop_assert_eq!(d.slab.next as usize, peak);
                 prop_assert_eq!(d.stats().reads, reads);
+            }
+        }
+
+        /// The byte and busy-time fields `stats()` derives equal the
+        /// running sums of every read's and write's length and service
+        /// time, for any shard length and profile.
+        #[test]
+        fn derived_counters_match_running_sums(
+            len in 1usize..6000,
+            per_op_us in 0u32..10_000,
+            mbytes_per_s in 1u32..5_000,
+            ops in proptest::collection::vec(any::<bool>(), 0..200),
+        ) {
+            let profile = DeviceProfile::new(per_op_us, mbytes_per_s);
+            let mut d = Device::with_profile(3, 1_000, len, profile);
+            let slot = put(&mut d, &vec![7; len]);
+            let mut want = IoStats {
+                writes: 1,
+                bytes_written: len as u64,
+                busy_us: profile.service_us(len),
+                ..IoStats::default()
+            };
+            let mut buf = vec![0; len];
+            for write in ops {
+                if write {
+                    d.write(slot, &buf);
+                    want.writes += 1;
+                    want.bytes_written += len as u64;
+                } else {
+                    prop_assert!(d.read_into(slot, &mut buf));
+                    want.reads += 1;
+                    want.bytes_read += len as u64;
+                }
+                want.busy_us += profile.service_us(len);
+                prop_assert_eq!(d.stats(), want);
             }
         }
     }

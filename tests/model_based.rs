@@ -1,12 +1,14 @@
 //! Model-based randomized testing of the storage cluster.
 //!
-//! A long random sequence of operations (write, overwrite, read, device
-//! add, graceful remove, crash + rebuild, writes while a device stays
-//! failed, scrub, and changes stacked on a lazy migration in flight,
-//! including a crash between two migration budgets) is executed against
-//! the real cluster and a trivial in-memory model (`HashMap<lba, data>`).
-//! A write that returns `Err` must leave its block's previous value, so
-//! the model keeps it.
+//! A long random sequence of operations (batched writes and overwrites,
+//! read, device add, graceful remove, crash + rebuild, batched writes
+//! while a device stays failed, scrub, and changes stacked on a lazy
+//! migration in flight, including a crash between two migration budgets)
+//! is executed against the real cluster and a trivial in-memory model
+//! (`HashMap<lba, data>`). Every write is a `write_blocks` batch of 1–16
+//! blocks that may repeat a block, so the commit path's multi-block
+//! landing is checked too. A batch that returns `Err` must leave every
+//! one of its blocks at its previous value, so the model keeps them.
 //! After every step the cluster must agree with the model on all data —
 //! the strongest end-to-end statement of the redundancy and migration
 //! machinery. After every step that leaves no migration pending, the
@@ -69,24 +71,15 @@ impl Harness {
     fn step(&mut self) {
         let roll = self.next() % 100;
         match roll {
-            // 45 %: write or overwrite a block.
-            0..=44 => {
-                let lba = self.next() % 3_000;
-                let data = self.payload(lba);
-                self.cluster.write_block(lba, &data).expect("write");
-                self.model.insert(lba, data);
-            }
-            // 3 %: a device crashes and stays failed across 20 writes,
-            // each of which may fail; then rebuild.
+            // 45 %: write or overwrite a batch of blocks.
+            0..=44 => self.write_batch().expect("healthy batch write"),
+            // 3 %: a device crashes and stays failed across 20 batch
+            // writes, each of which may fail; then rebuild.
             45..=47 => {
                 if self.can_fail() {
                     self.crash_one();
                     for _ in 0..20 {
-                        let lba = self.next() % 3_000;
-                        let data = self.payload(lba);
-                        if self.cluster.write_block(lba, &data).is_ok() {
-                            self.model.insert(lba, data);
-                        }
+                        let _ = self.write_batch();
                     }
                     self.check_reads();
                     self.cluster.rebuild().expect("rebuild");
@@ -149,6 +142,30 @@ impl Harness {
             }
             _ => unreachable!(),
         }
+    }
+
+    /// Writes a `write_blocks` batch of 1–16 blocks, one in four of them
+    /// (after the first) a repeat of an earlier block of the batch. `Ok`
+    /// applies the batch in order, so a repeated block's last copy wins;
+    /// `Err` must leave every block of the batch as it was, so the model
+    /// keeps them all.
+    fn write_batch(&mut self) -> Result<(), VdsError> {
+        let len = 1 + self.next() % 16;
+        let mut lbas: Vec<u64> = Vec::new();
+        let mut data: Vec<u8> = Vec::new();
+        for _ in 0..len {
+            let lba = match self.next() % 4 {
+                0 if !lbas.is_empty() => lbas[self.next() as usize % lbas.len()],
+                _ => self.next() % 3_000,
+            };
+            lbas.push(lba);
+            data.extend(self.payload(lba));
+        }
+        self.cluster.write_blocks(&lbas, &data)?;
+        for (&lba, block) in lbas.iter().zip(data.chunks_exact(BLOCK)) {
+            self.model.insert(lba, block.to_vec());
+        }
+        Ok(())
     }
 
     /// A migration budget that drains at most half the pending blocks,

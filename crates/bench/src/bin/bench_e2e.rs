@@ -27,14 +27,16 @@
 //!    only the missing shards) vs the oracle-free per-block recipe: read
 //!    every block (degraded reads reconstruct) and write it back. Both
 //!    sides discover the damage themselves; rates are per damaged block.
-//! 7. **Cold writes** — nanoseconds per call of writes whose destination
-//!    slots are out of cache: random 16-block `write_blocks` overwrite runs
-//!    on perfbench's ec-degraded cluster shape (`write_run16_cold`:
-//!    RS(4, 2), 4 KiB blocks, 96 devices of capacity weights 1–4, 65,536
-//!    stored blocks) and random single-block `write_block` overwrites on
-//!    its mirror-hot shape (`write_block_cold`: 3-way mirror, 512 B blocks,
-//!    48 devices, 262,144 stored blocks). Payloads are filled outside the
-//!    timed region.
+//! 7. **Cold and hot writes** — nanoseconds per call of overwrites:
+//!    random 16-block `write_blocks` runs on perfbench's ec-degraded
+//!    cluster shape (`write_run16_cold`: RS(4, 2), 4 KiB blocks, 96
+//!    devices of capacity weights 1–4, 65,536 stored blocks) and random
+//!    single-block `write_block` calls on its mirror-hot shape
+//!    (`write_block_cold`: 3-way mirror, 512 B blocks, 48 devices, 262,144
+//!    stored blocks), whose destination slots are out of cache; and
+//!    single-block `write_block` calls cycling over a 4,096-block hot set
+//!    of the mirror-hot cluster (`write_block_hot`). Payloads are filled
+//!    outside the timed region.
 //! 8. **Per-block memory** — the `VmRSS` growth of building a 524,288-block
 //!    2-way-mirror cluster of 64 B blocks on 60 devices (perfbench's
 //!    `churn` set-up), measured in a fresh child process, per stored block
@@ -581,12 +583,12 @@ fn stored_cluster(
     c
 }
 
-/// Mean nanoseconds per call of `write_blocks` over `calls` random runs of
-/// `run` consecutive stored blocks (wrapping), best of [`REPS`] passes.
+/// Mean nanoseconds per call of `write_blocks` over `calls` runs of `run`
+/// consecutive stored blocks (wrapping), the run of call `i` (counted
+/// across passes) starting at block `start(i)`, best of [`REPS`] passes.
 /// Each call's payload is filled before its timer starts, so only the
 /// write is timed.
-fn ns_per_write(c: &mut StorageCluster, run: u64, calls: u64) -> f64 {
-    const DOMAIN: u64 = 0x434f_4c44_5752_4954; // "COLDWRIT"
+fn ns_per_write(c: &mut StorageCluster, run: u64, calls: u64, start: impl Fn(u64) -> u64) -> f64 {
     let blocks = c.block_count();
     let mut lbas = Vec::with_capacity(run as usize);
     let mut data = vec![0u8; run as usize * c.block_size()];
@@ -594,10 +596,11 @@ fn ns_per_write(c: &mut StorageCluster, run: u64, calls: u64) -> f64 {
     for rep in 0..REPS as u64 {
         let mut elapsed = 0u128;
         for call in 0..calls {
-            let start = rshare_hash::stable_hash2(rep * calls + call, DOMAIN) % blocks;
+            let i = rep * calls + call;
+            let first = start(i);
             lbas.clear();
-            lbas.extend((0..run).map(|j| (start + j) % blocks));
-            data.fill((rep * calls + call) as u8);
+            lbas.extend((0..run).map(|j| (first + j) % blocks));
+            data.fill(i as u8);
             let timer = Instant::now();
             c.write_blocks(black_box(&lbas), black_box(&data))
                 .expect("write");
@@ -608,27 +611,39 @@ fn ns_per_write(c: &mut StorageCluster, run: u64, calls: u64) -> f64 {
     best
 }
 
-/// Writes whose destination slots are cold (module docs, item 7): random
-/// 16-block RS(4, 2) runs and random single-block 3-way-mirror writes,
-/// each on a cluster far larger than the cache (1/16 of it under
-/// `--quick`).
-fn bench_cold_writes(quick: bool, calls: &mut Vec<Call>) {
+/// Overwrites whose destination slots are cold or hot (module docs, item
+/// 7): random 16-block RS(4, 2) runs and random single-block 3-way-mirror
+/// writes, each on a cluster far larger than the cache (1/16 of it under
+/// `--quick`), then single-block writes cycling over `HOT_SET` blocks
+/// of the mirror cluster.
+fn bench_overwrites(quick: bool, calls: &mut Vec<Call>) {
+    const DOMAIN: u64 = 0x434f_4c44_5752_4954; // "COLDWRIT"
+    /// Blocks in the hot set `write_block_hot` cycles over.
+    const HOT_SET: u64 = 4_096;
     let scale = if quick { 16 } else { 1 };
+    let random = |blocks: u64| move |i: u64| rshare_hash::stable_hash2(i, DOMAIN) % blocks;
+    let blocks = 65_536 / scale;
     let mut c = stored_cluster(
         Redundancy::ReedSolomon { data: 4, parity: 2 },
         4096,
         96,
-        65_536 / scale,
+        blocks,
     );
     calls.push(Call {
         name: "write_run16_cold",
-        ns_per_call: ns_per_write(&mut c, 16, 4_096 / scale),
+        ns_per_call: ns_per_write(&mut c, 16, 4_096 / scale, random(blocks)),
     });
     drop(c);
-    let mut c = stored_cluster(Redundancy::Mirror { copies: 3 }, 512, 48, 262_144 / scale);
+    let blocks = 262_144 / scale;
+    let mut c = stored_cluster(Redundancy::Mirror { copies: 3 }, 512, 48, blocks);
     calls.push(Call {
         name: "write_block_cold",
-        ns_per_call: ns_per_write(&mut c, 1, 65_536 / scale),
+        ns_per_call: ns_per_write(&mut c, 1, 65_536 / scale, random(blocks)),
+    });
+    let hot = random(blocks);
+    calls.push(Call {
+        name: "write_block_hot",
+        ns_per_call: ns_per_write(&mut c, 1, 65_536 / scale, |i| hot(i % HOT_SET)),
     });
 }
 
@@ -759,7 +774,7 @@ fn main() {
     bench_stripe_writes(quick, &mut cells);
     bench_repair(quick, &mut cells);
     let mut calls = Vec::new();
-    bench_cold_writes(quick, &mut calls);
+    bench_overwrites(quick, &mut calls);
     let memory = bench_memory();
 
     let mut rows = Vec::new();

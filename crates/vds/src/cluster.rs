@@ -11,12 +11,17 @@
 //! and only unstored addresses and writes that move a block (its first
 //! write, or one during a migration) run the placement scan.
 //!
-//! Writes, migrations and repairs commit one way, copy-on-write: validate
-//! every target device, land the new shards in fresh slots, restamp the
-//! row (the commit point), then release the slots the new row no longer
-//! names. An `Err` before the restamp leaves the previous value exactly.
-//! A batch lands with slots taken one block ahead, so the next block's
-//! cold slots are fetched while the current block's shards are copied.
+//! Writes, migrations and repairs commit through one path: validate every
+//! target device, land the shards, restamp the row, then release the
+//! slots the new row no longer names. An overwrite of a settled block
+//! lands each shard in the slot its row already names, so nothing moves.
+//! A write that moves a block (its first, or one during a migration), a
+//! migration and a repair land in fresh slots, copy-on-write, with the
+//! restamp as the commit point. Validation rejects every failure before
+//! a byte moves, so an `Err` leaves the previous value exactly. Each
+//! block's slots are taken and warmed before its shards are copied in,
+//! the next block's while the current one lands, so cold slots are
+//! fetched together rather than one store at a time.
 //!
 //! Every membership change follows one path: build the strategy over the
 //! new membership, gate it on Lemma 2.2's `B_max`, install it as the
@@ -193,6 +198,7 @@ impl ClusterBuilder {
             placements_computed: AtomicU64::new(0),
             metrics,
             tally: Tally::default(),
+            scratch: Scratch::default(),
         };
         for &(id, capacity, profile) in &self.devices {
             if cluster.positions.contains_key(&id) {
@@ -237,6 +243,8 @@ pub struct StorageCluster {
     metrics: Option<ClusterMetrics>,
     /// [`StorageCluster::validate`]'s scratch.
     tally: Tally,
+    /// The write path's and [`land`]'s scratch.
+    scratch: Scratch,
 }
 
 /// Scratch for [`StorageCluster::validate`], kept by the cluster so a
@@ -244,8 +252,9 @@ pub struct StorageCluster {
 /// between calls.
 #[derive(Default)]
 struct Tally {
-    /// Slots each device position gains and releases, by position.
-    slots: Vec<[u64; 2]>,
+    /// Per device position, indexed by [`Tally::GAINED`],
+    /// [`Tally::RELEASED`] and [`Tally::KEPT`].
+    slots: Vec<[u64; 3]>,
     /// The positions with a nonzero entry in `slots`.
     touched: Vec<usize>,
     /// The first slotted word of each old row, with the row's index.
@@ -253,18 +262,55 @@ struct Tally {
 }
 
 impl Tally {
-    /// Adds one to `position`'s gains (`side` 0) or releases (`side` 1).
+    /// Slots a position gains: new words without a slot.
+    const GAINED: usize = 0;
+    /// Slots a position releases: old words the new rows no longer name.
+    const RELEASED: usize = 1;
+    /// Shards a position keeps in their slots: new words with a slot,
+    /// written in place by an overwrite or left there by a move.
+    const KEPT: usize = 2;
+
+    /// Adds one to `position`'s count `side`.
     fn count(&mut self, position: usize, side: usize) {
         let entry = &mut self.slots[position];
-        if *entry == [0, 0] {
+        if *entry == [0; 3] {
             self.touched.push(position);
         }
         entry[side] += 1;
     }
 }
 
+/// Buffers the write path reuses from call to call, so a steady-state
+/// write allocates nothing but an erasure-coded batch's list of data
+/// shards. Contents are meaningless between calls.
+#[derive(Default)]
+struct Scratch {
+    /// A `write_blocks` batch's old and new rows, flat stride-k runs.
+    old: Vec<u64>,
+    new: Vec<u64>,
+    /// One stripe's parity shards.
+    parity: Vec<Vec<u8>>,
+    /// [`land`]'s slots taken ahead.
+    ahead: Ahead,
+}
+
+/// The fresh slots [`land`] has taken ahead: for the block landing now,
+/// and for the next one.
+#[derive(Default)]
+struct Ahead {
+    taken: Vec<u32>,
+    next: Vec<u32>,
+}
+
 /// Where a commit takes the payloads of the shards it lands.
 trait Payloads {
+    /// Whether the payloads cover every shard of a block (a write: each
+    /// shard lands in the slot its word names, or in a fresh one if the
+    /// word has none) or only the words without a slot (a gathered
+    /// migration or repair chunk: the shards with a slot stay as they
+    /// are).
+    const EVERY_SHARD: bool;
+
     /// Readies the next block's payloads; called once per block, in batch
     /// order, before any of the block's shards land.
     fn ready(&mut self) -> Result<(), VdsError>;
@@ -274,8 +320,10 @@ trait Payloads {
 }
 
 /// Payloads gathered up front (a migration or repair chunk): one per
-/// landing shard, in landing order.
+/// word without a slot, in landing order.
 impl Payloads for std::slice::Iter<'_, Vec<u8>> {
+    const EVERY_SHARD: bool = false;
+
     fn ready(&mut self) -> Result<(), VdsError> {
         Ok(())
     }
@@ -287,28 +335,30 @@ impl Payloads for std::slice::Iter<'_, Vec<u8>> {
 
 /// The stripes of a `write_blocks` batch: data shards are borrowed
 /// straight out of the caller's buffer, and parity is encoded per block
-/// into scratch that lives across the batch.
+/// into scratch the cluster keeps.
 struct Stripes<'a> {
     codec: Option<&'a dyn ErasureCode>,
     blocks: std::slice::ChunksExact<'a, u8>,
-    /// Copies per block under mirroring.
-    copies: usize,
+    /// The block last readied: under mirroring, every copy.
+    block: &'a [u8],
+    /// Its data shards under erasure coding, in a list the batch reuses;
+    /// empty, and never allocated, under mirroring.
     refs: Vec<&'a [u8]>,
-    parity: Vec<Vec<u8>>,
+    parity: &'a mut [Vec<u8>],
 }
 
 impl Payloads for Stripes<'_> {
+    const EVERY_SHARD: bool = true;
+
     fn ready(&mut self) -> Result<(), VdsError> {
-        let block = self.blocks.next().expect("one block per row");
-        self.refs.clear();
-        match self.codec {
-            Some(codec) => {
-                self.refs
-                    .extend(block.chunks_exact(block.len() / codec.data_shards()));
-                codec.encode_parity(&self.refs, &mut self.parity)?;
-            }
-            // Mirroring: every copy is the block itself.
-            None => self.refs.extend(std::iter::repeat_n(block, self.copies)),
+        self.block = self.blocks.next().expect("one block per row");
+        if let Some(codec) = self.codec {
+            self.refs.clear();
+            self.refs.extend(
+                self.block
+                    .chunks_exact(self.block.len() / codec.data_shards()),
+            );
+            codec.encode_parity(&self.refs, self.parity)?;
         }
         Ok(())
     }
@@ -316,90 +366,111 @@ impl Payloads for Stripes<'_> {
     fn shard(&mut self, i: usize) -> &[u8] {
         match self.refs.get(i) {
             Some(data) => data,
+            None if self.codec.is_none() => self.block,
             None => &self.parity[i - self.refs.len()],
         }
     }
 }
 
 /// Steps 2–4 of a commit, once [`StorageCluster::validate`] passed, for
-/// the blocks `lbas` and their new rows `rows` (flat stride-`k` runs):
-/// per block, ready its payloads, land `payloads.shard(i)` in a fresh
-/// slot for every word `row[i]` without one, restamp the row (the commit
-/// point), and release the old slots the new row no longer names.
+/// the blocks `lbas` and their new rows `rows` (flat stride-k runs):
+/// per block, ready its payloads, land them, restamp the row, and release
+/// the old slots the new row no longer names. A word without a slot lands
+/// in a fresh slot, stamped into the word, and the restamp commits it; a
+/// word with one is written in place when the payloads cover every shard
+/// (an overwrite) and left alone otherwise. A row that took no fresh slot
+/// is the row its block already has, so it is not restamped.
 ///
-/// Slots are taken one block ahead: while block `j` lands, block
-/// `j + 1`'s fresh slots are already taken and their lines loaded
-/// ([`Device::warm`]), so its cache misses overlap `j`'s copies instead
-/// of following them. The first block takes its slots as it lands, so a
-/// one-block commit does no warming. A block that fails to ready gives
-/// back the slots taken for it, and a slab never holds more than its live
-/// slots plus the slots the batch gains, the bound `validate` checks.
-fn land(
+/// Every block's slots are taken and warmed ([`take_ahead`]) before it
+/// lands: the first block's up front, and block `j + 1`'s while block `j`
+/// lands, so its cache misses overlap `j`'s copies instead of following
+/// them. A block that fails to ready gives back the slots taken for it,
+/// and a slab never holds more than its live slots plus the slots the
+/// batch gains, the bound `validate` checks.
+fn land<P: Payloads>(
     devices: &mut [Device],
     table: &mut BlockTable,
     lbas: &[u64],
     rows: &mut [u64],
     k: usize,
-    payloads: &mut impl Payloads,
+    payloads: &mut P,
+    ahead: &mut Ahead,
 ) -> Result<(), VdsError> {
-    // The slots taken ahead for the block landing now, and for the next.
-    let mut taken: Vec<u32> = Vec::new();
-    let mut ahead: Vec<u32> = Vec::new();
+    let Ahead { taken, next } = ahead;
+    take_ahead::<P>(devices, rows.get(..k).unwrap_or_default(), taken);
     for (j, &lba) in lbas.iter().enumerate() {
         if let Err(e) = payloads.ready() {
             let unlanded = rows[j * k..(j + 1) * k]
                 .iter()
                 .filter(|&&w| slot_of(w).is_none());
-            for (&word, &slot) in unlanded.zip(&taken) {
+            for (&word, &slot) in unlanded.zip(taken.iter()) {
                 devices[position_of(word)].release(slot);
             }
             return Err(e);
         }
-        ahead.clear();
-        if let Some(next) = rows.get((j + 1) * k..(j + 2) * k) {
-            // Every slot, then every slot's first line, then each slot
-            // front to back: the slots' misses overlap, and each slot is
-            // read in the order the hardware prefetchers follow. Loading
-            // only some of a slot's lines, or its lines interleaved with
-            // other slots', measured slower than no warming at all.
-            let fresh = || next.iter().filter(|&&w| slot_of(w).is_none());
-            for &word in fresh() {
-                let slot = devices[position_of(word)]
-                    .alloc()
-                    .expect("validated: the device is online with room");
-                ahead.push(slot);
-            }
-            for (&word, &slot) in fresh().zip(&ahead) {
-                devices[position_of(word)].touch(slot);
-            }
-            for (&word, &slot) in fresh().zip(&ahead) {
-                devices[position_of(word)].warm(slot);
-            }
-        }
+        let following = rows.get((j + 1) * k..(j + 2) * k);
+        take_ahead::<P>(devices, following.unwrap_or_default(), next);
         let row = &mut rows[j * k..(j + 1) * k];
-        // The first block has no slots taken ahead and takes them here.
         let mut taken_slots = taken.iter().copied();
+        let mut restamp = false;
         for (i, word) in row.iter_mut().enumerate() {
-            if slot_of(*word).is_none() {
-                let device = &mut devices[position_of(*word)];
-                let slot = taken_slots.next().unwrap_or_else(|| {
-                    device
-                        .alloc()
-                        .expect("validated: the device is online with room")
-                });
-                device.write(slot, payloads.shard(i));
-                *word |= u64::from(slot) + 1;
+            let slot = match slot_of(*word) {
+                Some(slot) if P::EVERY_SHARD => slot,
+                Some(_) => continue,
+                None => {
+                    let slot = taken_slots.next().expect("one slot taken per fresh word");
+                    *word |= u64::from(slot) + 1;
+                    restamp = true;
+                    slot
+                }
+            };
+            devices[position_of(*word)].write(slot, payloads.shard(i));
+        }
+        if restamp {
+            for (stamped, &n) in table.entry(lba).iter_mut().zip(row.iter()) {
+                let o = std::mem::replace(stamped, n);
+                if let Some(slot) = slot_of(o).filter(|_| o != n) {
+                    devices[position_of(o)].release(slot);
+                }
             }
         }
-        for (stamped, &n) in table.entry(lba).iter_mut().zip(row.iter()) {
-            let o = std::mem::replace(stamped, n);
-            if let Some(slot) = slot_of(o).filter(|_| o != n) {
-                devices[position_of(o)].release(slot);
-            }
-        }
-        std::mem::swap(&mut taken, &mut ahead);
+        std::mem::swap(taken, next);
     }
     Ok(())
+}
+
+/// Takes a fresh slot into `slots` (cleared first) for every word of
+/// `row` without one, then loads the cache lines of every slot the row's
+/// block will write ([`Device::touch`], then [`Device::warm`]): its fresh
+/// slots, and under payloads covering every shard its in-place ones.
+/// Every slot's first line, then each slot front to back: the slots'
+/// misses overlap, and each slot is read in the order the hardware
+/// prefetchers follow. Loading only some of a slot's lines, or its lines
+/// interleaved with other slots', measured slower than no warming at
+/// all.
+fn take_ahead<P: Payloads>(devices: &mut [Device], row: &[u64], slots: &mut Vec<u32>) {
+    slots.clear();
+    for &word in row.iter().filter(|&&w| slot_of(w).is_none()) {
+        let slot = devices[position_of(word)]
+            .alloc()
+            .expect("validated: the device is online with room");
+        slots.push(slot);
+    }
+    let writes = || {
+        let mut fresh = slots.iter();
+        row.iter()
+            .filter(|&&w| P::EVERY_SHARD || slot_of(w).is_none())
+            .map(move |&w| {
+                let slot = slot_of(w).or_else(|| fresh.next().copied());
+                (position_of(w), slot.expect("one slot taken per fresh word"))
+            })
+    };
+    for (position, slot) in writes() {
+        devices[position].touch(slot);
+    }
+    for (position, slot) in writes() {
+        devices[position].warm(slot);
+    }
 }
 
 /// Counters produced by one migration-executor run.
@@ -487,7 +558,7 @@ impl StorageCluster {
         let position = u32::try_from(self.devices.len()).expect("fewer than 2^32 devices");
         self.positions.insert(device.id(), position);
         self.devices.push(device);
-        self.tally.slots.push([0, 0]);
+        self.tally.slots.push([0; 3]);
     }
 
     /// The row word, without a slot, naming the listed device `id`.
@@ -632,17 +703,24 @@ impl StorageCluster {
     }
 
     /// Writes many logical blocks through the fused stripe pipeline:
-    /// place and validate the whole batch, then encode → commit per block
+    /// place and validate the whole batch, then encode → land per block
     /// through the one commit path the migration executor and repair use.
     /// Data shards are stored straight from `data` (never copied into
     /// owned shards — [`rshare_erasure::ErasureCode::encode_parity`]),
-    /// parity scratch is hoisted out of the loop, and each shard is copied
-    /// into a fresh fixed-size device slot. Each block commits
-    /// copy-on-write: its row is restamped only once every shard has
-    /// landed, and its old slots are released after. From the second
-    /// block on, a block's slots were taken, and their cache lines loaded,
-    /// while the block before it landed, so a stripe's shard copies do
-    /// not wait on cold slots one at a time.
+    /// and the rows, parity and slot lists live in scratch the cluster
+    /// keeps, so a steady-state mirrored write allocates nothing and an
+    /// erasure-coded batch only its list of data shards. An overwrite of a
+    /// settled block copies each shard into the slot its row already
+    /// names, and a shard its row lacks (lost, say, to
+    /// [`StorageCluster::inject_shard_loss`]) into a fresh one. A write
+    /// that moves the block, its first or one while it awaits migration,
+    /// lands every shard in a fresh slot at the target placement and
+    /// commits copy-on-write: its row is restamped only once every shard
+    /// has landed, and its old slots are released after. Every block's
+    /// fresh slots are taken, and the cache lines of every slot it writes
+    /// loaded, before it lands (the first block's up front, each later
+    /// one's while the block before it lands), so a stripe's shard copies
+    /// do not wait on cold slots one at a time.
     /// `data` is the concatenation of the blocks, in `lbas` order. Encode
     /// parities stream through the tiered GF(256) kernels
     /// ([`rshare_erasure::gf256::kernel_tier`]).
@@ -662,54 +740,10 @@ impl StorageCluster {
                 got: data.len(),
             });
         }
-        // One block-table probe per block: the row says where the block's
-        // shards are, and a settled block's row is its target placement,
-        // so each shard lands in a fresh slot on the device it is on. A
-        // first write, or a write to a block awaiting migration, moves the
-        // block: it lands at the computed target, and the write completes
-        // the block's migration for free. Old and new rows are flat
-        // stride-k runs; a first write's old row is k absent words.
-        let k = self.redundancy.total_shards();
-        let mut old: Vec<u64> = Vec::with_capacity(lbas.len() * k);
-        let mut new: Vec<u64> = Vec::with_capacity(lbas.len() * k);
-        for &lba in lbas {
-            let pending = self.pending.contains(&lba);
-            let stored = if pending {
-                self.table.peek(lba)
-            } else {
-                self.table.get(lba)
-            };
-            match stored {
-                Some(row) if !pending => {
-                    old.extend_from_slice(row);
-                    new.extend(row.iter().map(|&word| word & !SLOT_MASK));
-                }
-                _ => {
-                    old.extend((0..k).map(|i| stored.map_or(0, |row| row[i])));
-                    let at = new.len();
-                    self.compute_into(lba, &mut new);
-                    for target in &mut new[at..] {
-                        *target = self.device_word(*target)?;
-                    }
-                }
-            }
-        }
-        self.validate(&old, &new)?;
-        let mut stripes = Stripes {
-            codec: self.codec.as_deref(),
-            blocks: data.chunks_exact(self.block_size),
-            copies: k,
-            refs: Vec::new(),
-            parity: vec![Vec::new(); self.codec.as_deref().map_or(0, ErasureCode::parity_shards)],
-        };
-        land(
-            &mut self.devices,
-            &mut self.table,
-            lbas,
-            &mut new,
-            k,
-            &mut stripes,
-        )?;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let landed = self.land_stripes(lbas, data, &mut scratch);
+        self.scratch = scratch;
+        landed?;
         let mut settled = false;
         for lba in lbas {
             settled |= self.pending.remove(lba);
@@ -723,19 +757,91 @@ impl StorageCluster {
         Ok(())
     }
 
+    /// [`StorageCluster::write_blocks`]'s rows, validation and landing,
+    /// in `scratch`.
+    fn land_stripes(
+        &mut self,
+        lbas: &[u64],
+        data: &[u8],
+        scratch: &mut Scratch,
+    ) -> Result<(), VdsError> {
+        // One block-table probe per block: the row says where the block's
+        // shards are, and a settled block's row is its target placement,
+        // so its new row is its old one and each shard lands in the slot
+        // it is in. A first write, or a write to a block awaiting
+        // migration, moves the block: it lands at the computed target, and
+        // the write completes the block's migration for free. Old and new
+        // rows are flat stride-k runs; a first write's old row is k absent
+        // words.
+        let k = self.redundancy.total_shards();
+        let Scratch { old, new, .. } = scratch;
+        old.clear();
+        new.clear();
+        for &lba in lbas {
+            let pending = self.pending.contains(&lba);
+            let stored = if pending {
+                self.table.peek(lba)
+            } else {
+                self.table.get(lba)
+            };
+            match stored {
+                Some(row) if !pending => {
+                    old.extend_from_slice(row);
+                    new.extend_from_slice(row);
+                }
+                _ => {
+                    old.extend((0..k).map(|i| stored.map_or(0, |row| row[i])));
+                    let at = new.len();
+                    self.compute_into(lba, new);
+                    for target in &mut new[at..] {
+                        *target = self.device_word(*target)?;
+                    }
+                }
+            }
+        }
+        self.validate(&scratch.old, &scratch.new)?;
+        let codec = self.codec.as_deref();
+        scratch
+            .parity
+            .resize_with(codec.map_or(0, ErasureCode::parity_shards), Vec::new);
+        let mut stripes = Stripes {
+            codec,
+            blocks: data.chunks_exact(self.block_size),
+            block: &[],
+            refs: Vec::new(),
+            parity: &mut scratch.parity,
+        };
+        land(
+            &mut self.devices,
+            &mut self.table,
+            lbas,
+            &mut scratch.new,
+            k,
+            &mut stripes,
+            &mut scratch.ahead,
+        )
+    }
+
     /// Step 1 of a commit: checks, before anything is touched, that the
     /// rows `new` can replace the rows `old` (flat stride-k runs,
-    /// parallel). Every device that gains a slot — one per `new` word
-    /// without one — must be online, and its live slots, plus the slots it
-    /// gains, less the slots of `old` that `new` no longer names, must fit
-    /// its capacity. An overwrite on a full device therefore fits. A block
-    /// written twice in one batch releases its old slots once but gains
-    /// slots twice, so such a batch is judged conservatively.
+    /// parallel). Every device a `new` word names must be online: a word
+    /// without a slot gains one there, and a word with one is a shard
+    /// written in place (an overwrite) or kept (a move). Each device's
+    /// live slots, plus the slots it gains, less the slots of `old` that
+    /// `new` no longer names, must fit its capacity; an in-place shard
+    /// gains no slot, so an overwrite needs no room. A block written twice
+    /// in one batch releases its old slots once but gains any fresh slots
+    /// twice, so such a batch is judged conservatively.
     fn validate(&mut self, old: &[u64], new: &[u64]) -> Result<(), VdsError> {
         let k = self.redundancy.total_shards();
         let tally = &mut self.tally;
-        for &n in new.iter().filter(|&&n| slot_of(n).is_none()) {
-            tally.count(position_of(n), 0);
+        for &n in new {
+            let side = if slot_of(n).is_none() {
+                Tally::GAINED
+            } else {
+                Tally::KEPT
+            };
+            tally.count(position_of(n), side);
         }
         // A block repeated in the batch has the same old row each time,
         // and live slots are unique, so the first slotted word of an old
@@ -752,7 +858,7 @@ impl StorageCluster {
             let run = j * k..(j + 1) * k;
             for (&o, &n) in old[run.clone()].iter().zip(&new[run]) {
                 if o != n && slot_of(o).is_some() {
-                    tally.count(position_of(o), 1);
+                    tally.count(position_of(o), Tally::RELEASED);
                 }
             }
         }
@@ -761,8 +867,8 @@ impl StorageCluster {
         tally.touched.sort_unstable();
         let mut verdict = Ok(());
         for &position in &tally.touched {
-            let [gained, released] = std::mem::take(&mut tally.slots[position]);
-            if gained == 0 || verdict.is_err() {
+            let [gained, released, kept] = std::mem::take(&mut tally.slots[position]);
+            if gained + kept == 0 || verdict.is_err() {
                 continue;
             }
             let device = &self.devices[position];
@@ -1205,6 +1311,7 @@ impl StorageCluster {
             &mut rows,
             k,
             &mut lands.iter(),
+            &mut self.scratch.ahead,
         )?;
         if let Some(m) = &self.metrics {
             m.migration_moves_executed_total.add(outcome.moved);
@@ -2885,6 +2992,8 @@ mod tests {
     }
 
     impl Payloads for FailAt {
+        const EVERY_SHARD: bool = true;
+
         fn ready(&mut self) -> Result<(), VdsError> {
             if self.readied == self.fail_at {
                 return Err(VdsError::Internal { reason: "ready" });
@@ -2898,8 +3007,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_block_that_fails_to_ready_strands_no_slot() {
+    /// Lands blocks of 0xEE bytes over the stored blocks `lbas` of
+    /// [`mirror_cluster`] through [`land`], failing to ready block
+    /// `fail_at`: in place over their rows, or in fresh slots on the same
+    /// devices.
+    fn land_failing_at(
+        c: &mut StorageCluster,
+        lbas: &[u64],
+        fail_at: usize,
+        in_place: bool,
+    ) -> Result<(), VdsError> {
+        let mut rows = Vec::new();
+        c.rows_flat(lbas, &mut rows);
+        if !in_place {
+            for word in &mut rows {
+                *word &= !SLOT_MASK;
+            }
+        }
+        let mut payloads = FailAt {
+            fail_at,
+            readied: 0,
+            block: block(0xEE, 64),
+        };
+        land(
+            &mut c.devices,
+            &mut c.table,
+            lbas,
+            &mut rows,
+            2,
+            &mut payloads,
+            &mut c.scratch.ahead,
+        )
+    }
+
+    /// Each device's live slots and slab high-water mark.
+    fn slabs(c: &StorageCluster) -> Vec<(u64, u32)> {
+        c.listed()
+            .map(|d| (d.used_blocks(), d.high_water()))
+            .collect()
+    }
+
+    /// Lands a batch of 4 blocks that fails to ready at each block in
+    /// turn, in place (`true`) or in fresh slots, and asserts the blocks
+    /// before it committed, the rest kept their values, and each device's
+    /// live slots are as before; in place, the rows and slabs are
+    /// untouched too.
+    fn assert_ready_failures_leave_later_blocks(in_place: bool) {
         let mut c = mirror_cluster();
         let lbas: Vec<u64> = (0..4).collect();
         for &lba in &lbas {
@@ -2908,28 +3061,12 @@ mod tests {
         let used =
             |c: &StorageCluster| -> Vec<u64> { c.listed().map(Device::used_blocks).collect() };
         let before = used(&c);
+        let (mut rows, mut now) = (Vec::new(), Vec::new());
+        c.rows_flat(&lbas, &mut rows);
+        let slabs_before = slabs(&c);
         for fail_at in 0..lbas.len() {
-            let mut rows = Vec::new();
-            c.rows_flat(&lbas, &mut rows);
-            for word in &mut rows {
-                *word &= !SLOT_MASK;
-            }
-            let mut payloads = FailAt {
-                fail_at,
-                readied: 0,
-                block: block(0xEE, 64),
-            };
-            let landed = land(
-                &mut c.devices,
-                &mut c.table,
-                &lbas,
-                &mut rows,
-                2,
-                &mut payloads,
-            );
-            assert!(landed.is_err());
-            // The blocks before `fail_at` committed as overwrites; the
-            // slots taken ahead for block `fail_at` went back.
+            assert!(land_failing_at(&mut c, &lbas, fail_at, in_place).is_err());
+            // The slots taken ahead for block `fail_at` went back.
             assert_eq!(used(&c), before, "fail at block {fail_at}");
             for &lba in &lbas {
                 let want = if (lba as usize) < fail_at {
@@ -2939,9 +3076,41 @@ mod tests {
                 };
                 assert_eq!(c.read_block(lba).unwrap(), want);
             }
+            if in_place {
+                c.rows_flat(&lbas, &mut now);
+                assert_eq!(now, rows, "fail at block {fail_at}");
+                assert_eq!(slabs(&c), slabs_before, "fail at block {fail_at}");
+            }
         }
     }
 
+    #[test]
+    fn a_block_that_fails_to_ready_strands_no_slot() {
+        assert_ready_failures_leave_later_blocks(false);
+    }
+
+    #[test]
+    fn an_overwrite_that_fails_to_ready_leaves_later_blocks_untouched() {
+        assert_ready_failures_leave_later_blocks(true);
+    }
+
+    /// Asserts that every device's live slots are exactly the slots the
+    /// block-table rows name on it: none stranded, none counted twice.
+    fn assert_slots_match_rows(c: &StorageCluster) {
+        let mut named = vec![0u64; c.devices.len()];
+        for (_, row) in c.table.rows() {
+            for &word in row.iter().filter(|&&w| slot_of(w).is_some()) {
+                named[position_of(word)] += 1;
+            }
+        }
+        let used: Vec<u64> = c.devices.iter().map(Device::used_blocks).collect();
+        assert_eq!(used, named);
+    }
+
+    /// A settled block repeated in a batch is overwritten in place each
+    /// time, needing no slot, and the last copy wins. A moving block (one
+    /// pending a migration) repeated in a batch gains fresh slots for
+    /// every copy but releases its old slots once.
     #[test]
     fn a_repeated_block_releases_its_old_slots_once() {
         let mut c = StorageCluster::builder()
@@ -2956,20 +3125,109 @@ mod tests {
         }
         let twice = [block(1, 64), block(2, 64)].concat();
         let thrice = [twice.clone(), block(3, 64)].concat();
-        // Three copies gain three slots a device against one released:
-        // one past capacity, refused with no effect.
+        let settled = slabs(&c);
+        c.write_blocks(&[5, 5, 5], &thrice).unwrap();
+        assert_eq!(c.read_block(5).unwrap(), block(3, 64));
+        assert_eq!(slabs(&c), settled);
+        assert_slots_match_rows(&c);
+        // After a lazy add every block is pending, and block 5 lands at
+        // its target in fresh slots. A device it stays on gains one slot
+        // per copy against the one it releases: three copies are one past
+        // capacity, refused with no effect.
+        c.add_device_lazy(2, 101).unwrap();
+        let mut target = Vec::new();
+        place_append(c.strategy(), 5, &mut target);
+        let stays = *target
+            .iter()
+            .filter(|id| c.placement(5).contains(id))
+            .min()
+            .expect("two of three devices share one");
         assert!(matches!(
             c.write_blocks(&[5, 5, 5], &thrice),
-            Err(VdsError::OutOfSpace { id: 0 })
+            Err(VdsError::OutOfSpace { id }) if id == stays
         ));
-        assert_eq!(c.read_block(5).unwrap(), block(5, 64));
-        assert!(c.tally.slots.iter().all(|&s| s == [0, 0]));
-        // Two fit exactly, and the last copy wins.
+        assert_eq!(c.read_block(5).unwrap(), block(3, 64));
+        assert_eq!(c.pending_blocks(), 100);
+        assert_slots_match_rows(&c);
+        assert!(c.tally.slots.iter().all(|&s| s == [0; 3]));
+        // Two fit exactly, the last copy wins, and the first copy's slots
+        // went back: two shards per block.
         c.write_blocks(&[5, 5], &twice).unwrap();
         assert_eq!(c.read_block(5).unwrap(), block(2, 64));
-        c.write_blocks(&[5, 6], &twice).unwrap();
-        assert_eq!(c.utilization(), vec![(0, 100, 101), (1, 100, 101)]);
-        assert!(c.tally.slots.iter().all(|&s| s == [0, 0]));
+        assert_eq!(c.pending_blocks(), 99);
+        assert_eq!(c.placement(5), target);
+        assert_slots_match_rows(&c);
+        assert!(c.tally.slots.iter().all(|&s| s == [0; 3]));
+    }
+
+    /// An overwrite of a settled block lands in the slots its row names:
+    /// the rows, every device's live slots and slab high-water mark stay
+    /// as they were, and the new bytes read back. A shard lost before the
+    /// overwrite takes exactly one fresh slot, and a block pending a
+    /// migration still moves, copy-on-write.
+    #[test]
+    fn settled_overwrites_keep_their_slots() {
+        for (redundancy, block_size) in [
+            (Redundancy::Mirror { copies: 2 }, 64),
+            (Redundancy::ReedSolomon { data: 4, parity: 2 }, 256),
+        ] {
+            let mut b = StorageCluster::builder()
+                .block_size(block_size)
+                .redundancy(redundancy);
+            for id in 0..8u64 {
+                b = b.device(id, 1_000);
+            }
+            let mut c = b.build().unwrap();
+            let k = redundancy.total_shards();
+            let lbas: Vec<u64> = (0..64).collect();
+            let value = |seed: u8, lba: u64| block(seed ^ lba as u8, block_size);
+            let batch =
+                |seed: u8| -> Vec<u8> { lbas.iter().flat_map(|&l| value(seed, l)).collect() };
+            c.write_blocks(&lbas, &batch(0)).unwrap();
+            let (mut rows, mut now) = (Vec::new(), Vec::new());
+            c.rows_flat(&lbas, &mut rows);
+            let before = slabs(&c);
+            // One batch, then one block at a time.
+            c.write_blocks(&lbas, &batch(1)).unwrap();
+            for &lba in &lbas {
+                c.write_block(lba, &value(2, lba)).unwrap();
+            }
+            c.rows_flat(&lbas, &mut now);
+            assert_eq!(now, rows, "{redundancy:?}");
+            assert_eq!(slabs(&c), before, "{redundancy:?}");
+            for &lba in &lbas {
+                assert_eq!(c.read_block(lba).unwrap(), value(2, lba), "{redundancy:?}");
+            }
+            // A lost shard lands in one fresh slot on its device; nothing
+            // is released, so every device is back to its live slots.
+            assert!(c.inject_shard_loss(7, 1));
+            let on = position_of(rows[7 * k + 1]);
+            let lost = c.devices[on].used_blocks();
+            c.write_block(7, &value(3, 7)).unwrap();
+            assert_eq!(c.devices[on].used_blocks(), lost + 1, "{redundancy:?}");
+            let live = |s: Vec<(u64, u32)>| -> Vec<u64> { s.into_iter().map(|(u, _)| u).collect() };
+            assert_eq!(live(slabs(&c)), live(before.clone()), "{redundancy:?}");
+            let row = c.table.peek(7).unwrap();
+            for (i, (&n, &o)) in row.iter().zip(&rows[7 * k..8 * k]).enumerate() {
+                if i == 1 {
+                    assert_eq!(n & !SLOT_MASK, o & !SLOT_MASK);
+                    assert!(slot_of(n).is_some());
+                } else {
+                    assert_eq!(n, o, "{redundancy:?} shard {i}");
+                }
+            }
+            assert_eq!(c.read_block(7).unwrap(), value(3, 7));
+            assert_eq!(c.degraded_block_count(), 0);
+            // A pending block moves: every shard lands in a fresh slot
+            // before the old ones are released, so no word stays.
+            c.add_device_lazy(100, 1_000).unwrap();
+            let old = c.table.peek(9).unwrap().to_vec();
+            c.write_block(9, &value(4, 9)).unwrap();
+            let new = c.table.peek(9).unwrap();
+            assert!(old.iter().zip(new).all(|(o, n)| o != n), "{redundancy:?}");
+            assert_eq!(c.pending_blocks(), lbas.len() as u64 - 1);
+            assert_eq!(c.read_block(9).unwrap(), value(4, 9));
+        }
     }
 
     #[test]

@@ -282,6 +282,14 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    impl Device {
+        /// Slots the slab has handed out from its chunks: its high-water
+        /// mark.
+        pub(crate) fn high_water(&self) -> u32 {
+            self.slab.next
+        }
+    }
+
     /// Allocates a slot and writes `data` into it.
     fn put(d: &mut Device, data: &[u8]) -> u32 {
         let slot = d.alloc().expect("online device");

@@ -16,8 +16,9 @@
 //!    same cluster, one `degraded_block_count()` walk over every row
 //!    (`degraded_scan_rows`).
 //! 3. **Reed–Solomon encode** — MB/s of each GF(256) kernel tier (SIMD,
-//!    flat-table) vs the byte-wise log/exp reference on 64 KiB shards,
-//!    forced per tier through `set_kernel_tier`.
+//!    flat-table) vs the byte-wise log/exp reference on 64 KiB shards:
+//!    `encode` for the SIMD tier, `mul_acc_many_with` over the generator's
+//!    parity rows for the table tier.
 //! 4. **Reed–Solomon reconstruct** — `reconstruct` rate of RS(4, 2) on
 //!    1 KiB shards with one data shard, one data and one parity shard, or
 //!    one parity shard lost: the decode inside degraded reads and repair.
@@ -316,9 +317,10 @@ fn rs_cluster(block_size: usize) -> StorageCluster {
     b.build().expect("valid cluster")
 }
 
-/// RS(8, 4) parity generation over 64 KiB shards: every kernel tier
-/// (forced via `set_kernel_tier`; on hardware without SSSE3 the `simd`
-/// row measures the documented table fallback) vs the byte-wise log/exp
+/// RS(8, 4) parity generation over 64 KiB shards: `encode` on the CPU's
+/// tier (the `simd` row; on a CPU without AVX2 it measures the table
+/// fallback), the table body through `mul_acc_many_with` over the
+/// generator's parity rows (the `table` row), and the byte-wise log/exp
 /// reference.
 fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     const DATA: usize = 8;
@@ -333,7 +335,8 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     shards.extend(std::iter::repeat_with(|| vec![0u8; SHARD]).take(PARITY));
     let data_bytes = (DATA * SHARD * encodes) as u64;
 
-    // Sanity: both kernels produce identical codewords before timing.
+    // Sanity: the production kernel matches the byte-wise reference
+    // before timing (the table row is checked against it below).
     code.encode(&mut shards).expect("encode");
     for (row_idx, got) in shards.iter().enumerate().skip(DATA) {
         let row = code.generator().row(row_idx);
@@ -344,26 +347,39 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
         assert_eq!(*got, want, "kernel mismatch on parity {row_idx}");
     }
 
-    let prior = gf256::kernel_tier();
-    for (mode, tier) in [("simd", KernelTier::Simd), ("table", KernelTier::Table)] {
-        gf256::set_kernel_tier(tier);
-        let elapsed = time_best(|| {
-            for _ in 0..encodes {
-                code.encode(black_box(&mut shards)).expect("encode");
-            }
-            black_box(&shards);
-        });
-        cells.push(Cell {
-            bench: "rs_encode",
-            mode,
-            items: data_bytes,
-            unit: "bytes",
-            elapsed_ns: elapsed,
-        });
-    }
-    gf256::set_kernel_tier(prior);
-
+    let elapsed = time_best(|| {
+        for _ in 0..encodes {
+            code.encode(black_box(&mut shards)).expect("encode");
+        }
+        black_box(&shards);
+    });
+    cells.push(Cell {
+        bench: "rs_encode",
+        mode: "simd",
+        items: data_bytes,
+        unit: "bytes",
+        elapsed_ns: elapsed,
+    });
     let mut parity = vec![vec![0u8; SHARD]; PARITY];
+    let table = time_best(|| {
+        for _ in 0..encodes {
+            for (p, out) in parity.iter_mut().enumerate() {
+                out.fill(0);
+                let row = code.generator().row(DATA + p);
+                gf256::mul_acc_many_with(KernelTier::Table, black_box(out), &data, row);
+            }
+        }
+        black_box(&parity);
+    });
+    assert_eq!(parity[..], shards[DATA..], "table kernel mismatch");
+    cells.push(Cell {
+        bench: "rs_encode",
+        mode: "table",
+        items: data_bytes,
+        unit: "bytes",
+        elapsed_ns: table,
+    });
+
     let bytewise = time_best(|| {
         for _ in 0..encodes {
             for (p, out) in parity.iter_mut().enumerate() {

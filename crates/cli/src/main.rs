@@ -75,8 +75,8 @@ fn print_help() {
          \x20         load a mirrored cluster, optionally fail a device, and print\n\
          \x20         the health summary plus the Prometheus metrics exposition\n\
          kernels   [--shard-kib N]\n\
-         \x20         report the GF(256) kernel dispatch (SIMD detection, active\n\
-         \x20         tier, RSHARE_GF256_KERNEL override) and per-tier encode rates\n\
+         \x20         report the GF(256) kernel tier the CPU picks (AVX2 or the\n\
+         \x20         portable table) and the encode rate of each tier\n\
          durability --capacities LIST --k K --tolerated T [--mtbf H] [--rebuild H]\n\
          \x20         Monte-Carlo 5-year data-loss probability\n\
          \n\
@@ -437,7 +437,7 @@ fn cmd_metrics(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_kernels(args: &Args) -> Result<(), ArgError> {
     use rshare_erasure::gf256::{self, KernelTier};
-    use rshare_erasure::{ErasureCode, ReedSolomon};
+    use rshare_erasure::ReedSolomon;
     use std::time::Instant;
 
     let shard_kib = args.u64_or("shard-kib", 64)?;
@@ -446,50 +446,44 @@ fn cmd_kernels(args: &Args) -> Result<(), ArgError> {
     }
     let shard_len = (shard_kib as usize) * 1024;
 
-    let simd_level = match gf256::simd::level() {
-        Some(l) => format!("{l:?}"),
-        None => "unavailable".to_string(),
-    };
-    let override_var = std::env::var("RSHARE_GF256_KERNEL").ok();
     println!("GF(256) bulk-kernel dispatch");
-    println!("  simd support : {simd_level}");
     println!(
-        "  env override : {}",
-        override_var.as_deref().unwrap_or("(unset)")
+        "  avx2 support : {}",
+        if gf256::simd::available() {
+            "yes"
+        } else {
+            "no"
+        }
     );
     println!("  active tier  : {}", gf256::kernel_tier().name());
 
-    // Per-tier RS(4, 2) encode rate on `--shard-kib` shards. Tiers are
-    // bit-identical; only the throughput differs.
+    // Per-tier RS(4, 2) parity rate on `--shard-kib` shards: each tier
+    // multiplies the data shards by the generator's two parity rows.
+    // Tiers are bit-identical; only the throughput differs.
     let rs = ReedSolomon::new(4, 2).map_err(|e| ArgError(e.to_string()))?;
-    let mut shards: Vec<Vec<u8>> = (0..6)
+    let data: Vec<Vec<u8>> = (0..4)
         .map(|i| (0..shard_len).map(|j| (i * 89 + j * 7) as u8).collect())
         .collect();
-    let prior = gf256::kernel_tier();
+    let mut parity = vec![0u8; shard_len];
     println!("  rs(4,2) encode, {shard_kib} KiB shards:");
     for tier in [KernelTier::Simd, KernelTier::Table] {
-        let installed = gf256::set_kernel_tier(tier);
         let start = Instant::now();
         let reps = 8;
         for _ in 0..reps {
-            rs.encode(&mut shards)
-                .map_err(|e| ArgError(e.to_string()))?;
+            for row in 4..6 {
+                parity.fill(0);
+                gf256::mul_acc_many_with(tier, &mut parity, &data, rs.generator().row(row));
+            }
         }
         let secs = start.elapsed().as_secs_f64();
         let mb = (reps * 4 * shard_len) as f64 / 1e6;
-        let note = if installed == tier {
-            String::new()
+        let note = if tier == KernelTier::Simd && !gf256::simd::available() {
+            "  (no AVX2; ran table)"
         } else {
-            format!("  (unavailable; ran {})", installed.name())
+            ""
         };
-        println!("    {:>5}  {:>9.1} MB/s{}", tier.name(), mb / secs, note);
+        println!("    {:>5}  {:>9.1} MB/s{note}", tier.name(), mb / secs);
     }
-    gf256::set_kernel_tier(prior);
-    let stats = gf256::kernel_stats();
-    println!(
-        "  kernel stats : {} calls, {} simd bytes, {} xor bytes",
-        stats.calls, stats.simd_bytes, stats.xor_bytes
-    );
     Ok(())
 }
 

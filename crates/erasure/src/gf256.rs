@@ -2,25 +2,27 @@
 //!
 //! Addition is XOR; scalar multiplication uses log/exp tables built once at
 //! first use. The bulk kernels ([`mul_acc`], [`xor_acc`], [`mul_acc_many`])
-//! that form the inner loops of every erasure code in this crate dispatch
-//! through a two-tier engine selected once at startup:
+//! that form the inner loops of every erasure code in this crate run on
+//! one of two tiers, and the CPU alone picks which:
 //!
-//! 1. **SIMD** ([`KernelTier::Simd`], [`simd`]) — x86-64 split-nibble
-//!    `pshufb` kernels (AVX2 when available, SSSE3 otherwise): two 16-entry
-//!    product tables per coefficient, 16/32 product bytes per shuffle pair.
+//! 1. **SIMD** ([`KernelTier::Simd`], [`simd`]) — x86-64 AVX2 split-nibble
+//!    `vpshufb` kernels: two 16-entry product tables per coefficient, 32
+//!    product bytes per shuffle pair. Runs whenever the CPU has AVX2.
 //! 2. **Table** ([`KernelTier::Table`]) — a flat 256×256 product table,
 //!    sixteen branch-free, bounds-check-free lookups per iteration. The
-//!    portable fallback for non-x86 targets and detection misses, and the
-//!    tier the SIMD kernels are property-tested against.
+//!    one portable body: it runs on every CPU without AVX2 (every non-x86
+//!    target among them), and it is the tier the SIMD kernels are
+//!    property-tested against.
 //!
 //! Both tiers are bit-identical (GF(256) multiplication is exact — the
-//! property tests pin this across tiers, offsets and lengths). The active
-//! tier comes from runtime CPU detection, overridable with the
-//! `RSHARE_GF256_KERNEL` environment variable (`simd`, `avx2`, `ssse3`,
-//! `table`, `auto`) or [`set_kernel_tier`] — the knob CI uses to keep the
-//! fallback tier covered. The byte-at-a-time log/exp kernel
-//! survives as [`mul_acc_bytewise`], the reference the property tests and
-//! the `bench_e2e` report pin every production kernel against.
+//! property tests pin this across tiers, offsets and lengths).
+//! [`kernel_tier`] is a pure function of the hardware, so the tier never
+//! changes inside a process. The explicit-tier entry points
+//! ([`mul_acc_with`], [`xor_acc_with`], [`mul_acc_many_with`]) reach the
+//! table body on an AVX2 host for tests and benchmarks, without touching
+//! any global state. The byte-at-a-time log/exp kernel survives as
+//! [`mul_acc_bytewise`], the reference the property tests and the
+//! `bench_e2e` report pin every production kernel against.
 
 /// The irreducible polynomial x⁸ + x⁴ + x³ + x² + 1.
 const POLY: u16 = 0x11d;
@@ -34,76 +36,100 @@ const POLY: u16 = 0x11d;
 #[deny(unsafe_op_in_unsafe_fn)]
 pub mod simd;
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes processed by the word-at-a-time XOR kernel ([`xor_acc`],
 /// including the coefficient-1 fast path of [`mul_acc`]).
 static XOR_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Bytes processed by the multiply kernels (`c >= 2`), whatever the tier.
+/// Bytes processed by the multiply kernels (`c >= 2`).
 static MUL_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Multiply bytes handled by the SIMD tier (subset of [`MUL_BYTES`]).
-static SIMD_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Bulk-kernel invocations that did work (zero-coefficient calls return
-/// before touching data and are not counted).
+/// Bulk-kernel invocations that did work (zero-coefficient and
+/// zero-length calls return before touching data and are not counted).
 static KERNEL_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative tallies of the bulk GF(256) kernels, maintained with
 /// relaxed atomics — one `fetch_add` per kernel *call* (not per byte), so
 /// the cost is amortised over an entire shard.
 ///
-/// Only the production kernels count; the reference [`mul_acc_bytewise`]
-/// is left untouched so overhead comparisons against it stay honest.
-/// Exporters poll [`kernel_stats`] and publish the fields as monotone
-/// counters (e.g. `gf_mul_bytes_total`).
+/// Only the production kernels count; the explicit-tier `*_with` entry
+/// points and the reference [`mul_acc_bytewise`] are left untouched so
+/// overhead comparisons against them stay honest. Exporters poll
+/// [`kernel_stats`] and publish the fields as monotone counters (e.g.
+/// `gf_mul_bytes_total`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Bytes XOR-accumulated (parity/EVENODD/RDP traffic plus every
     /// coefficient-1 Reed–Solomon row).
     pub xor_bytes: u64,
-    /// Bytes run through a multiply kernel (coefficients ≥ 2), all tiers.
+    /// Bytes run through a multiply kernel (coefficients ≥ 2).
     pub mul_bytes: u64,
-    /// Multiply bytes handled by the SIMD tier (subset of `mul_bytes`).
+    /// Multiply bytes handled by the SIMD tier: `mul_bytes` under
+    /// [`KernelTier::Simd`], 0 under [`KernelTier::Table`] (the tier is
+    /// fixed for the life of the process).
     pub simd_bytes: u64,
     /// Kernel invocations that processed data.
     pub calls: u64,
 }
 
 impl KernelStats {
-    /// Total bytes processed by both kernels.
-    #[must_use]
-    pub const fn total_bytes(&self) -> u64 {
-        self.xor_bytes + self.mul_bytes
+    /// The stats of the three tallies, with `simd_bytes` derived from
+    /// `mul_bytes` and the process's tier.
+    fn new(xor_bytes: u64, mul_bytes: u64, calls: u64) -> Self {
+        let simd_bytes = match kernel_tier() {
+            KernelTier::Simd => mul_bytes,
+            KernelTier::Table => 0,
+        };
+        Self {
+            xor_bytes,
+            mul_bytes,
+            simd_bytes,
+            calls,
+        }
     }
 }
 
 /// A snapshot of the cumulative kernel tallies.
 #[must_use]
 pub fn kernel_stats() -> KernelStats {
-    KernelStats {
-        xor_bytes: XOR_BYTES.load(Ordering::Relaxed),
-        mul_bytes: MUL_BYTES.load(Ordering::Relaxed),
-        simd_bytes: SIMD_BYTES.load(Ordering::Relaxed),
-        calls: KERNEL_CALLS.load(Ordering::Relaxed),
-    }
+    KernelStats::new(
+        XOR_BYTES.load(Ordering::Relaxed),
+        MUL_BYTES.load(Ordering::Relaxed),
+        KERNEL_CALLS.load(Ordering::Relaxed),
+    )
 }
 
 /// Resets the kernel tallies to zero, returning the values they held —
 /// benchmark harnesses bracket a measured region with this.
 pub fn reset_kernel_stats() -> KernelStats {
-    KernelStats {
-        xor_bytes: XOR_BYTES.swap(0, Ordering::Relaxed),
-        mul_bytes: MUL_BYTES.swap(0, Ordering::Relaxed),
-        simd_bytes: SIMD_BYTES.swap(0, Ordering::Relaxed),
-        calls: KERNEL_CALLS.swap(0, Ordering::Relaxed),
+    KernelStats::new(
+        XOR_BYTES.swap(0, Ordering::Relaxed),
+        MUL_BYTES.swap(0, Ordering::Relaxed),
+        KERNEL_CALLS.swap(0, Ordering::Relaxed),
+    )
+}
+
+/// Tallies `xors` XOR passes and `muls` multiply passes of `len` bytes
+/// each. Zero-length passes did no work and are not counted.
+fn tally(xors: u64, muls: u64, len: u64) {
+    if len == 0 {
+        return;
+    }
+    if xors > 0 {
+        XOR_BYTES.fetch_add(xors * len, Ordering::Relaxed);
+    }
+    if muls > 0 {
+        MUL_BYTES.fetch_add(muls * len, Ordering::Relaxed);
+    }
+    if xors + muls > 0 {
+        KERNEL_CALLS.fetch_add(xors + muls, Ordering::Relaxed);
     }
 }
 
 /// One tier of the bulk-kernel engine, fastest first. See the module docs
-/// for what each tier does; [`kernel_tier`] reports the active one and
-/// [`set_kernel_tier`] overrides it.
+/// for what each tier does; [`kernel_tier`] reports the one this CPU runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
-    /// x86-64 `pshufb` split-nibble kernels (AVX2 or SSSE3).
+    /// x86-64 AVX2 `vpshufb` split-nibble kernels.
     Simd,
     /// Flat 256×256 product table, byte at a time.
     Table,
@@ -120,85 +146,17 @@ impl KernelTier {
     }
 }
 
-/// Active-tier cell: `TIER_UNSET` until first use, then the
-/// discriminant of the running [`KernelTier`].
-static ACTIVE_TIER: AtomicU8 = AtomicU8::new(TIER_UNSET);
-const TIER_UNSET: u8 = 0xFF;
-const TIER_SIMD: u8 = 0;
-const TIER_TABLE: u8 = 1;
-
-const fn tier_code(tier: KernelTier) -> u8 {
-    match tier {
-        KernelTier::Simd => TIER_SIMD,
-        KernelTier::Table => TIER_TABLE,
-    }
-}
-
-/// The best tier the hardware supports: SIMD when the CPU has the needed
-/// features, the portable table otherwise.
-fn best_tier() -> KernelTier {
+/// The tier the bulk kernels run on: [`KernelTier::Simd`] when the CPU
+/// has AVX2 ([`simd::available`]), [`KernelTier::Table`] otherwise. A
+/// pure function of the hardware (std caches the CPU probe), so every
+/// call in a process returns the same tier.
+#[must_use]
+pub fn kernel_tier() -> KernelTier {
     if simd::available() {
         KernelTier::Simd
     } else {
         KernelTier::Table
     }
-}
-
-/// First-use initialisation: the `RSHARE_GF256_KERNEL` environment
-/// variable, downgraded to the best available tier when it asks for
-/// hardware the machine lacks; plain CPU detection otherwise.
-fn init_tier() -> KernelTier {
-    let requested = std::env::var("RSHARE_GF256_KERNEL").ok();
-    match requested.as_deref() {
-        Some("table") => KernelTier::Table,
-        Some("avx2") => {
-            if simd::force_level(simd::Level::Avx2) {
-                KernelTier::Simd
-            } else {
-                best_tier()
-            }
-        }
-        Some("ssse3") => {
-            if simd::force_level(simd::Level::Ssse3) {
-                KernelTier::Simd
-            } else {
-                best_tier()
-            }
-        }
-        // "simd", "auto", unset and unrecognised values all detect.
-        _ => best_tier(),
-    }
-}
-
-/// The tier the bulk kernels currently dispatch through.
-#[must_use]
-pub fn kernel_tier() -> KernelTier {
-    match ACTIVE_TIER.load(Ordering::Relaxed) {
-        TIER_SIMD => KernelTier::Simd,
-        TIER_TABLE => KernelTier::Table,
-        _ => {
-            let tier = init_tier();
-            // A concurrent first call may race this store; both sides
-            // compute the same value, so last-write-wins is harmless.
-            ACTIVE_TIER.store(tier_code(tier), Ordering::Relaxed);
-            tier
-        }
-    }
-}
-
-/// Overrides the dispatch tier, returning the tier actually installed:
-/// asking for [`KernelTier::Simd`] on hardware without SSSE3 installs (and
-/// returns) [`KernelTier::Table`] instead. A testing/benchmark knob — the
-/// equivalence property tests run every tier through it, and `bench_e2e`
-/// brackets per-tier measurements with it. Process-global; all tiers are
-/// bit-identical, so flipping it mid-flight changes speed, never results.
-pub fn set_kernel_tier(tier: KernelTier) -> KernelTier {
-    let installed = match tier {
-        KernelTier::Simd if !simd::available() => KernelTier::Table,
-        other => other,
-    };
-    ACTIVE_TIER.store(tier_code(installed), Ordering::Relaxed);
-    installed
 }
 
 /// Log/exp tables: `EXP[i] = g^i` (doubled to avoid modular reduction in
@@ -344,19 +302,13 @@ pub fn pow(a: u8, e: u32) -> u8 {
 ///
 /// Panics if `acc.len() != data.len()`.
 pub fn xor_acc(acc: &mut [u8], data: &[u8]) {
-    assert_eq!(acc.len(), data.len(), "xor_acc slices must match");
-    XOR_BYTES.fetch_add(data.len() as u64, Ordering::Relaxed);
-    KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
-    match kernel_tier() {
-        KernelTier::Simd => simd::xor_acc(acc, data),
-        KernelTier::Table => xor_acc_words(acc, data),
-    }
+    tally(1, 0, data.len() as u64);
+    xor_acc_with(kernel_tier(), acc, data);
 }
 
-/// Like [`xor_acc`], but through an explicit tier — the side-effect-free
-/// dispatch the equivalence tests and per-tier benchmarks use (the global
-/// tier is left untouched). [`KernelTier::Simd`] on hardware without
-/// SSSE3 silently runs the portable body instead.
+/// Like [`xor_acc`], but through an explicit tier and without tallying —
+/// the dispatch the equivalence tests and per-tier benchmarks use.
+/// [`KernelTier::Simd`] on a CPU without AVX2 runs the portable body.
 ///
 /// # Panics
 ///
@@ -364,8 +316,8 @@ pub fn xor_acc(acc: &mut [u8], data: &[u8]) {
 pub fn xor_acc_with(tier: KernelTier, acc: &mut [u8], data: &[u8]) {
     assert_eq!(acc.len(), data.len(), "xor_acc slices must match");
     match tier {
-        KernelTier::Simd if simd::available() => simd::xor_acc(acc, data),
-        _ => xor_acc_words(acc, data),
+        KernelTier::Simd => simd::xor_acc(acc, data),
+        KernelTier::Table => xor_acc_words(acc, data),
     }
 }
 
@@ -390,7 +342,7 @@ fn xor_acc_words(acc: &mut [u8], data: &[u8]) {
 /// encoding and decoding.
 ///
 /// `c == 0` is a no-op and `c == 1` takes the [`xor_acc`] path; other
-/// coefficients go through the active [`KernelTier`]. The lengths are
+/// coefficients go through the process's [`KernelTier`]. The lengths are
 /// asserted equal once up front so the tier bodies run without per-chunk
 /// checks.
 ///
@@ -398,35 +350,13 @@ fn xor_acc_words(acc: &mut [u8], data: &[u8]) {
 ///
 /// Panics if `acc.len() != data.len()`.
 pub fn mul_acc(acc: &mut [u8], data: &[u8], c: u8) {
-    assert_eq!(acc.len(), data.len(), "mul_acc slices must match");
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        XOR_BYTES.fetch_add(data.len() as u64, Ordering::Relaxed);
-        KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
-        match kernel_tier() {
-            KernelTier::Simd => simd::xor_acc(acc, data),
-            KernelTier::Table => xor_acc_words(acc, data),
-        }
-        return;
-    }
-    MUL_BYTES.fetch_add(data.len() as u64, Ordering::Relaxed);
-    KERNEL_CALLS.fetch_add(1, Ordering::Relaxed);
-    match kernel_tier() {
-        KernelTier::Simd => {
-            SIMD_BYTES.fetch_add(data.len() as u64, Ordering::Relaxed);
-            simd::mul_acc(acc, data, c);
-        }
-        KernelTier::Table => mul_acc_table(acc, data, c),
-    }
+    tally(u64::from(c == 1), u64::from(c > 1), data.len() as u64);
+    mul_acc_with(kernel_tier(), acc, data, c);
 }
 
-/// Like [`mul_acc`], but through an explicit tier — the side-effect-free
-/// dispatch the equivalence tests and per-tier benchmarks use (the global
-/// tier is left untouched, and the tier counters are not tallied).
-/// [`KernelTier::Simd`] on hardware without SSSE3 silently runs the table
-/// body instead.
+/// Like [`mul_acc`], but through an explicit tier and without tallying —
+/// the dispatch the equivalence tests and per-tier benchmarks use.
+/// [`KernelTier::Simd`] on a CPU without AVX2 runs the table body.
 ///
 /// # Panics
 ///
@@ -441,8 +371,8 @@ pub fn mul_acc_with(tier: KernelTier, acc: &mut [u8], data: &[u8], c: u8) {
         return;
     }
     match tier {
-        KernelTier::Simd if simd::available() => simd::mul_acc(acc, data, c),
-        KernelTier::Simd | KernelTier::Table => mul_acc_table(acc, data, c),
+        KernelTier::Simd => simd::mul_acc(acc, data, c),
+        KernelTier::Table => mul_acc_table(acc, data, c),
     }
 }
 
@@ -499,54 +429,56 @@ const ACC_TILE: usize = 8 * 1024;
 /// to the next, so the read-modify-write target stays in L1 instead of
 /// being streamed through once per source — the access pattern an erasure
 /// encode wants for shards larger than the cache. Each tile pass runs
-/// through the active [`KernelTier`].
+/// through the process's [`KernelTier`].
 ///
 /// Equivalent to calling [`mul_acc`] once per source over the full length,
 /// except the kernel statistics are tallied once for the whole bulk
 /// operation — one [`KernelStats::calls`] entry per live (non-zero)
 /// coefficient, byte totals summed up front — instead of once per
 /// tile × source, keeping atomic traffic off the encode inner loop.
+///
+/// # Panics
+///
+/// Panics if `coeffs` does not hold one coefficient per source, or if a
+/// source's length differs from `out`'s.
 pub fn mul_acc_many<S: AsRef<[u8]>>(out: &mut [u8], sources: &[S], coeffs: &[u8]) {
-    debug_assert_eq!(sources.len(), coeffs.len());
-    if out.is_empty() {
-        return;
-    }
-    let tier = kernel_tier();
-    let len = out.len() as u64;
     let xors = coeffs.iter().filter(|&&c| c == 1).count() as u64;
     let muls = coeffs.iter().filter(|&&c| c > 1).count() as u64;
-    if xors > 0 {
-        XOR_BYTES.fetch_add(xors * len, Ordering::Relaxed);
-    }
-    if muls > 0 {
-        MUL_BYTES.fetch_add(muls * len, Ordering::Relaxed);
-        if tier == KernelTier::Simd {
-            SIMD_BYTES.fetch_add(muls * len, Ordering::Relaxed);
-        }
-    }
-    if xors + muls > 0 {
-        KERNEL_CALLS.fetch_add(xors + muls, Ordering::Relaxed);
-    }
-    mul_acc_many_with(tier, out, sources, coeffs);
+    tally(xors, muls, out.len() as u64);
+    mul_acc_many_with(kernel_tier(), out, sources, coeffs);
 }
 
 /// Like [`mul_acc_many`], but every tile pass goes through an explicit
-/// tier (see [`mul_acc_with`]).
+/// tier (see [`mul_acc_with`]) and nothing is tallied.
+///
+/// # Panics
+///
+/// As [`mul_acc_many`]: the lengths are checked once per call, not per
+/// tile.
 pub fn mul_acc_many_with<S: AsRef<[u8]>>(
     tier: KernelTier,
     out: &mut [u8],
     sources: &[S],
     coeffs: &[u8],
 ) {
-    debug_assert_eq!(sources.len(), coeffs.len());
+    assert_eq!(
+        sources.len(),
+        coeffs.len(),
+        "mul_acc_many needs one coefficient per source"
+    );
     let len = out.len();
+    for src in sources {
+        assert_eq!(
+            src.as_ref().len(),
+            len,
+            "mul_acc_many sources must match out"
+        );
+    }
     let mut start = 0;
     while start < len {
         let end = (start + ACC_TILE).min(len);
         for (src, &c) in sources.iter().zip(coeffs) {
-            let s = src.as_ref();
-            debug_assert_eq!(s.len(), len);
-            mul_acc_with(tier, &mut out[start..end], &s[start..end], c);
+            mul_acc_with(tier, &mut out[start..end], &src.as_ref()[start..end], c);
         }
         start = end;
     }
@@ -556,8 +488,12 @@ pub fn mul_acc_many_with<S: AsRef<[u8]>>(
 /// zero test. Kept as the reference kernel — the property tests pin both
 /// tiers of [`mul_acc`] against it bit for bit, and `bench_e2e` reports the
 /// tiered-kernel speedups over it.
+///
+/// # Panics
+///
+/// Panics if `acc.len() != data.len()`.
 pub fn mul_acc_bytewise(acc: &mut [u8], data: &[u8], c: u8) {
-    debug_assert_eq!(acc.len(), data.len());
+    assert_eq!(acc.len(), data.len(), "mul_acc slices must match");
     if c == 0 {
         return;
     }
@@ -679,7 +615,7 @@ mod tests {
                     mul_acc_with(tier, &mut fast, &data, c);
                     assert_eq!(fast, slow, "tier = {tier:?} c = {c} len = {len}");
                 }
-                // The global dispatch agrees with whatever tier is active.
+                // The tallied dispatch agrees with the process's tier.
                 let mut fast = vec![0x5Au8; len];
                 mul_acc(&mut fast, &data, c);
                 assert_eq!(fast, slow, "active tier c = {c} len = {len}");
@@ -738,24 +674,14 @@ mod tests {
     }
 
     #[test]
-    fn tier_override_round_trips() {
-        let before = kernel_tier();
-        // The table is always installable verbatim.
-        assert_eq!(set_kernel_tier(KernelTier::Table), KernelTier::Table);
-        assert_eq!(kernel_tier(), KernelTier::Table);
-        // SIMD downgrades to the table when the hardware lacks it.
-        let installed = set_kernel_tier(KernelTier::Simd);
-        if simd::available() {
-            assert_eq!(installed, KernelTier::Simd);
+    fn kernel_tier_follows_the_hardware() {
+        let want = if simd::available() {
+            KernelTier::Simd
         } else {
-            assert_eq!(installed, KernelTier::Table);
-        }
-        assert_eq!(kernel_tier(), installed);
-        assert_eq!(
-            installed.name(),
-            if simd::available() { "simd" } else { "table" }
-        );
-        set_kernel_tier(before);
+            KernelTier::Table
+        };
+        assert_eq!(kernel_tier(), want);
+        assert_eq!(kernel_tier().name(), want.name());
     }
 
     #[test]
@@ -769,6 +695,34 @@ mod tests {
     fn mul_acc_length_mismatch_panics() {
         let mut acc = [0u8; 4];
         mul_acc(&mut acc, &[0u8; 5], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "mul_acc slices must match")]
+    fn mul_acc_bytewise_length_mismatch_panics() {
+        let mut acc = [0u8; 4];
+        mul_acc_bytewise(&mut acc, &[0u8; 5], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "one coefficient per source")]
+    fn mul_acc_many_short_coeffs_panics() {
+        let mut out = [0u8; 4];
+        mul_acc_many(&mut out, &[[1u8; 4], [2u8; 4]], &[3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mul_acc_many sources must match out")]
+    fn mul_acc_many_long_source_panics() {
+        let mut out = [0u8; 4];
+        mul_acc_many(&mut out, &[&[1u8; 5][..]], &[3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mul_acc_many sources must match out")]
+    fn mul_acc_many_with_short_source_panics() {
+        let mut out = [0u8; 4];
+        mul_acc_many_with(KernelTier::Table, &mut out, &[&[1u8; 3][..]], &[3]);
     }
 
     #[test]
@@ -787,12 +741,18 @@ mod tests {
         assert!(after.xor_bytes >= before.xor_bytes + 384);
         assert!(after.mul_bytes >= before.mul_bytes + 192);
         assert!(after.calls >= before.calls + 3);
-        assert_eq!(after.total_bytes(), after.xor_bytes + after.mul_bytes);
-        // The SIMD sub-tally never exceeds the total multiply traffic.
-        assert!(after.simd_bytes <= after.mul_bytes);
+        // The SIMD tally is derived from the process's fixed tier.
+        match kernel_tier() {
+            KernelTier::Simd => assert_eq!(after.simd_bytes, after.mul_bytes),
+            KernelTier::Table => assert_eq!(after.simd_bytes, 0),
+        }
         // reset() hands back at least everything tallied so far.
         let drained = reset_kernel_stats();
         assert!(drained.xor_bytes >= after.xor_bytes);
         assert!(drained.mul_bytes >= after.mul_bytes);
+        match kernel_tier() {
+            KernelTier::Simd => assert_eq!(drained.simd_bytes, drained.mul_bytes),
+            KernelTier::Table => assert_eq!(drained.simd_bytes, 0),
+        }
     }
 }

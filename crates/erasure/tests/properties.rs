@@ -6,9 +6,9 @@ use rshare_erasure::gf256::KernelTier;
 use rshare_erasure::matrix::Matrix;
 use rshare_erasure::{gf256, ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon};
 
-/// Both dispatchable tiers, most to least specialised. On hardware without
-/// SSSE3 the `Simd` entry exercises its documented table fallback — still a
-/// valid equivalence case.
+/// Both tiers, most to least specialised. On a CPU without AVX2 the `Simd`
+/// entry exercises its documented table fallback — still a valid
+/// equivalence case.
 const TIERS: [KernelTier; 2] = [KernelTier::Simd, KernelTier::Table];
 
 /// Deterministic pseudo-random buffer for kernel inputs.

@@ -8,10 +8,12 @@
 //! answer to "where is this block": reads, placement lookups, scrubs,
 //! repair, the migration planner and the old side of a migration all take
 //! a stored block's shards from its row, whatever membership changes
-//! happened since. Every write, migration and repair commits copy-on-write:
-//! the new shards land in fresh slots, the row is restamped, and only then
-//! are the old slots released, so a change or a write that fails leaves
-//! each row naming intact shards.
+//! happened since. An overwrite of a settled block lands in the slots its
+//! row already names, so the row does not change. A write that moves a
+//! block, a migration and a repair commit copy-on-write: the new shards
+//! land in fresh slots, the row is restamped, and only then are the old
+//! slots released. Every one validates its devices before a byte moves,
+//! so a change or a write that fails leaves each row naming intact shards.
 //!
 //! The table is also the cluster's block index: a block has a row exactly
 //! when it is stored, so one probe answers both "is this block stored"

@@ -1036,22 +1036,7 @@ impl StorageCluster {
         id: u64,
         capacity_blocks: u64,
     ) -> Result<MigrationReport, VdsError> {
-        self.add_device_with_profile(id, capacity_blocks, DeviceProfile::default())
-    }
-
-    /// Adds a device with an explicit performance profile and migrates the
-    /// shards whose computed placement changed.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StorageCluster::add_device`].
-    pub fn add_device_with_profile(
-        &mut self,
-        id: u64,
-        capacity_blocks: u64,
-        profile: DeviceProfile,
-    ) -> Result<MigrationReport, VdsError> {
-        self.stage_add(id, capacity_blocks, profile)?;
+        self.stage_add(id, capacity_blocks)?;
         self.rebalance()
     }
 
@@ -1071,29 +1056,19 @@ impl StorageCluster {
     /// The validation errors of [`StorageCluster::add_device`], with no
     /// effect.
     pub fn add_device_lazy(&mut self, id: u64, capacity_blocks: u64) -> Result<u64, VdsError> {
-        self.stage_add(id, capacity_blocks, DeviceProfile::default())?;
+        self.stage_add(id, capacity_blocks)?;
         Ok(self.pending_blocks())
     }
 
     /// Validates, gates and installs adding device `id`; moves no data.
-    fn stage_add(
-        &mut self,
-        id: u64,
-        capacity_blocks: u64,
-        profile: DeviceProfile,
-    ) -> Result<(), VdsError> {
+    fn stage_add(&mut self, id: u64, capacity_blocks: u64) -> Result<(), VdsError> {
         if self.positions.contains_key(&id) {
             return Err(VdsError::InvalidConfig {
                 reason: "duplicate device id",
             });
         }
         let strategy = self.admit(&self.member_bins(None, Some((id, capacity_blocks)))?, id)?;
-        self.attach(Device::with_profile(
-            id,
-            capacity_blocks,
-            self.shard_len(),
-            profile,
-        ));
+        self.attach(Device::new(id, capacity_blocks, self.shard_len()));
         self.install(strategy);
         Ok(())
     }

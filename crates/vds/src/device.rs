@@ -134,8 +134,7 @@ pub struct Device {
 
 impl Device {
     /// Creates an online device able to hold `capacity_blocks` shards of
-    /// `shard_len` bytes.
-    #[cfg(test)]
+    /// `shard_len` bytes, with the default performance profile.
     pub(crate) fn new(id: u64, capacity_blocks: u64, shard_len: usize) -> Self {
         Self::with_profile(id, capacity_blocks, shard_len, DeviceProfile::default())
     }

@@ -14,9 +14,12 @@
 //!   words, each naming a device and the slot of its slab that holds the
 //!   shard, so a read is one probe and one slot copy per shard, and the
 //!   metadata grows with the stored blocks, not with the address space.
-//!   Writes, migrations and repairs commit copy-on-write: the new shards
-//!   land in fresh slots before the row is restamped, so an `Err` leaves
-//!   the previous value.
+//!   Every write, migration and repair validates its target devices
+//!   before a byte moves, so an `Err` leaves the previous value. An
+//!   overwrite of a settled block lands in the slots its row already
+//!   names; a write that moves a block, a migration and a repair commit
+//!   copy-on-write: the new shards land in fresh slots before the row is
+//!   restamped.
 //! * [`Redundancy`] — per-block mirroring or erasure coding (XOR parity,
 //!   EVENODD, RDP, Reed–Solomon and Local Reconstruction Codes from
 //!   `rshare-erasure`); shard `i` of a group goes to the i-th placed bin,

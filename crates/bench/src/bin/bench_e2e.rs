@@ -14,11 +14,17 @@
 //!    blocks of 64 B on 60 devices of 20,000–50,000 shards, metrics off),
 //!    where the block table and the slabs no longer fit in cache. On the
 //!    same cluster, one `degraded_block_count()` walk over every row
-//!    (`degraded_scan_rows`).
+//!    (`degraded_scan_rows`). And `read_block_into` in random order over
+//!    perfbench's ec-degraded cluster shape (`block_read_ec_random`:
+//!    RS(4, 2), 4 KiB blocks, 96 devices of capacity weights 1–4, 65,536
+//!    stored blocks), where each read copies four 1 KiB data shards out
+//!    of four device slabs.
 //! 3. **Reed–Solomon encode** — MB/s of each GF(256) kernel tier (SIMD,
 //!    flat-table) vs the byte-wise log/exp reference on 64 KiB shards:
 //!    `encode` for the SIMD tier, `mul_acc_many_with` over the generator's
-//!    parity rows for the table tier.
+//!    parity rows for the table tier. Each tier's rep encodes enough data
+//!    to last tens of milliseconds, so timer noise stays small against
+//!    it.
 //! 4. **Reed–Solomon reconstruct** — `reconstruct` rate of RS(4, 2) on
 //!    1 KiB shards with one data shard, one data and one parity shard, or
 //!    one parity shard lost: the decode inside degraded reads and repair.
@@ -304,6 +310,42 @@ fn bench_random_reads(quick: bool, cells: &mut Vec<Cell>) {
     });
 }
 
+/// `read_block_into` in random order over perfbench's ec-degraded cluster
+/// shape (module docs, item 2), built by [`stored_cluster`] with metrics
+/// on as perfbench builds it; 1/16 of the blocks and reads under
+/// `--quick`.
+fn bench_ec_random_reads(quick: bool, cells: &mut Vec<Cell>) {
+    const DOMAIN: u64 = 0x4543_5241_4e44_5244; // "ECRANDRD"
+    let scale = if quick { 16 } else { 1 };
+    let blocks: u64 = 65_536 / scale;
+    let reads: u64 = (1 << 17) / scale;
+    let c = stored_cluster(
+        Redundancy::ReedSolomon { data: 4, parity: 2 },
+        4096,
+        96,
+        blocks,
+    );
+    let order: Vec<u64> = (0..reads)
+        .map(|i| rshare_hash::stable_hash2(i, DOMAIN) % blocks)
+        .collect();
+    let mut buf = vec![0u8; 4096];
+    c.read_block_into(order[0], &mut buf).expect("read");
+    assert_eq!(buf, vec![order[0] as u8; 4096], "stored block reads back");
+    let elapsed = time_best(|| {
+        for &lba in &order {
+            c.read_block_into(black_box(lba), &mut buf).expect("read");
+            black_box(&buf);
+        }
+    });
+    cells.push(Cell {
+        bench: "block_read",
+        mode: "ec_random",
+        items: reads,
+        unit: "blocks",
+        elapsed_ns: elapsed,
+    });
+}
+
 /// A Reed–Solomon cluster for the write/repair pipeline benches; erasure
 /// coding (rather than mirroring) so every write exercises the GF(256)
 /// encode path.
@@ -321,19 +363,22 @@ fn rs_cluster(block_size: usize) -> StorageCluster {
 /// tier (the `simd` row; on a CPU without AVX2 it measures the table
 /// fallback), the table body through `mul_acc_many_with` over the
 /// generator's parity rows (the `table` row), and the byte-wise log/exp
-/// reference.
+/// reference. The `simd` row encodes 16 times as much data per rep as the
+/// others, so a rep lasts at least 50 ms at the 4–7 GB/s of an AVX2 core
+/// (the slower rows pass that at the base count).
 fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     const DATA: usize = 8;
     const PARITY: usize = 4;
     const SHARD: usize = 64 * 1024;
     let encodes: usize = if quick { 8 } else { 48 };
+    let simd_encodes = 16 * encodes;
     let code = ReedSolomon::new(DATA, PARITY).expect("valid code");
     let data: Vec<Vec<u8>> = (0..DATA)
         .map(|i| (0..SHARD).map(|j| (i * 83 + j * 7) as u8).collect())
         .collect();
     let mut shards: Vec<Vec<u8>> = data.clone();
     shards.extend(std::iter::repeat_with(|| vec![0u8; SHARD]).take(PARITY));
-    let data_bytes = (DATA * SHARD * encodes) as u64;
+    let data_bytes = |encodes: usize| (DATA * SHARD * encodes) as u64;
 
     // Sanity: the production kernel matches the byte-wise reference
     // before timing (the table row is checked against it below).
@@ -348,7 +393,7 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     }
 
     let elapsed = time_best(|| {
-        for _ in 0..encodes {
+        for _ in 0..simd_encodes {
             code.encode(black_box(&mut shards)).expect("encode");
         }
         black_box(&shards);
@@ -356,7 +401,7 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     cells.push(Cell {
         bench: "rs_encode",
         mode: "simd",
-        items: data_bytes,
+        items: data_bytes(simd_encodes),
         unit: "bytes",
         elapsed_ns: elapsed,
     });
@@ -375,7 +420,7 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     cells.push(Cell {
         bench: "rs_encode",
         mode: "table",
-        items: data_bytes,
+        items: data_bytes(encodes),
         unit: "bytes",
         elapsed_ns: table,
     });
@@ -395,7 +440,7 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     cells.push(Cell {
         bench: "rs_encode",
         mode: "bytewise",
-        items: data_bytes,
+        items: data_bytes(encodes),
         unit: "bytes",
         elapsed_ns: bytewise,
     });
@@ -785,6 +830,7 @@ fn main() {
     bench_placement(quick, &mut cells);
     bench_reads(quick, &mut cells);
     bench_random_reads(quick, &mut cells);
+    bench_ec_random_reads(quick, &mut cells);
     bench_rs_encode(quick, &mut cells);
     bench_rs_reconstruct(quick, &mut cells);
     bench_stripe_writes(quick, &mut cells);

@@ -26,9 +26,10 @@
 //! bytes plus the table's slack, no heap allocation, and a lookup is one
 //! probe that hands the words out by reference. A shard's doubling copies
 //! only its own rows, so growth never holds two copies of the whole
-//! table. The cluster mutates the table only under `&mut self`, so it
-//! needs no lock: readers sharing a [`crate::SharedCluster`] probe it in
-//! parallel and touch only the atomic hit counter.
+//! table. The cluster mutates the table only under `&mut self`, and a
+//! lookup under `&self` touches only the atomic hit counter, so the table
+//! needs no lock of its own: a caller that shares a cluster across
+//! threads wraps it in its own lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,6 +1,16 @@
 //! Simulated block storage devices: each is a slab of fixed-size shard
 //! slots, addressed by the slot numbers that the cluster's block-table
 //! rows record.
+//!
+//! A slab grows in chunks of 256 KiB, whose first slot starts on a 4 KiB
+//! page boundary. A slot of a power-of-two length therefore starts on a
+//! 64-byte cache line, and one of up to a page never crosses a page, so a
+//! shard read touches only the lines and pages that hold the shard. (The
+//! allocator hands out blocks 16 bytes past a line, behind its header,
+//! so unpadded chunks would split three 64 B slots in four across two
+//! lines.) A chunk is reserved whole but filled one slot at a time inside
+//! its reservation, so resident memory follows the slots handed out,
+//! nothing is zeroed before its slot is, and a slot never moves.
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,20 +53,46 @@ struct AtomicIoStats {
     writes: AtomicU64,
 }
 
-/// Bytes per slab chunk (rounded down to a power-of-two slot count; one
-/// slot per chunk for shards larger than this). Small enough that the
-/// allocator serves chunks from its heap instead of mapping (and, on
-/// free, unmapping) each one separately.
-const CHUNK_BYTES: usize = 4096;
+/// Bytes per slab chunk: a power-of-two slot count, or one slot for
+/// shards larger than this. One constant for every shard length, so a
+/// device's chunk table stays a few dozen entries.
+const CHUNK_BYTES: usize = 256 * 1024;
 
-/// Fixed-length shard slots in chunks that are never reallocated; slot
-/// `s` lives in chunk `s >> shift` at offset `(s & mask) * shard_len`.
+/// Each chunk's first slot starts on a boundary of this many bytes: a
+/// page (module docs).
+const SLOT_ALIGN: usize = 4096;
+
+/// One chunk of slots. `bytes` is reserved once, with room for every
+/// slot of the chunk plus the pad in front of the first, and grows one
+/// slot at a time inside that capacity, so it never reallocates and a
+/// slot never moves.
+#[derive(Debug)]
+struct Chunk {
+    bytes: Vec<u8>,
+    /// Offset of the chunk's first slot: the first page boundary of the
+    /// allocation.
+    pad: usize,
+}
+
+impl Chunk {
+    /// An empty chunk with room for `slot_bytes` of slots after its pad.
+    fn new(slot_bytes: usize) -> Self {
+        let mut bytes: Vec<u8> = Vec::with_capacity(slot_bytes + SLOT_ALIGN - 1);
+        let pad = bytes.as_ptr().align_offset(SLOT_ALIGN);
+        assert!(pad < SLOT_ALIGN, "a byte pointer can always be aligned");
+        bytes.resize(pad, 0);
+        Self { bytes, pad }
+    }
+}
+
+/// Fixed-length shard slots in chunks that never move; slot `s` lives in
+/// chunk `s >> shift` at offset `pad + (s & mask) · shard_len`.
 #[derive(Debug)]
 struct Slab {
     shard_len: usize,
     /// log2 of the slots per chunk.
     shift: u32,
-    chunks: Vec<Box<[u8]>>,
+    chunks: Vec<Chunk>,
     /// Released slots, reused before the slab grows.
     free: Vec<u32>,
     /// Slots handed out from the chunks so far (the high-water mark).
@@ -75,7 +111,8 @@ impl Slab {
     }
 
     /// A free slot, or `None` once 2^32 − 1 slots are in use (a row word
-    /// stores `slot + 1` in 32 bits).
+    /// stores `slot + 1` in 32 bits). A slot the slab grows by is zeroed
+    /// when it is handed out, not before.
     fn alloc(&mut self) -> Option<u32> {
         if let Some(slot) = self.free.pop() {
             return Some(slot);
@@ -85,9 +122,10 @@ impl Slab {
         }
         let slot = self.next;
         if (slot >> self.shift) as usize == self.chunks.len() {
-            self.chunks
-                .push(vec![0; self.shard_len << self.shift].into_boxed_slice());
+            self.chunks.push(Chunk::new(self.shard_len << self.shift));
         }
+        let chunk = self.chunks.last_mut().expect("the slot's chunk exists");
+        chunk.bytes.resize(chunk.bytes.len() + self.shard_len, 0);
         self.next += 1;
         Some(slot)
     }
@@ -96,18 +134,21 @@ impl Slab {
         self.free.push(slot);
     }
 
-    fn offset(&self, slot: u32) -> usize {
-        (slot as usize & ((1 << self.shift) - 1)) * self.shard_len
+    /// The slot's chunk and its offset there.
+    fn locate(&self, slot: u32) -> (usize, usize) {
+        let chunk = (slot >> self.shift) as usize;
+        let index = slot as usize & ((1 << self.shift) - 1);
+        (chunk, self.chunks[chunk].pad + index * self.shard_len)
     }
 
     fn get(&self, slot: u32) -> &[u8] {
-        let off = self.offset(slot);
-        &self.chunks[(slot >> self.shift) as usize][off..off + self.shard_len]
+        let (chunk, off) = self.locate(slot);
+        &self.chunks[chunk].bytes[off..off + self.shard_len]
     }
 
     fn get_mut(&mut self, slot: u32) -> &mut [u8] {
-        let off = self.offset(slot);
-        &mut self.chunks[(slot >> self.shift) as usize][off..off + self.shard_len]
+        let (chunk, off) = self.locate(slot);
+        &mut self.chunks[chunk].bytes[off..off + self.shard_len]
     }
 }
 
@@ -119,9 +160,8 @@ impl Slab {
 /// cluster's block-table rows name their shards' slots, so the device only
 /// hands slots out, copies bytes in and out of them and takes them back.
 /// It tracks I/O statistics and can be failed (losing all contents) to
-/// drive rebuild experiments. Reads take `&self`: slot contents are
-/// immutable between writes and the I/O counters are atomic, so
-/// concurrent readers need no exclusive access.
+/// drive rebuild experiments. Reads take `&self`: slot contents change
+/// only under `&mut self`, and a read bumps only an atomic counter.
 #[derive(Debug)]
 pub struct Device {
     id: u64,
@@ -230,7 +270,8 @@ impl Device {
     }
 
     /// Loads one byte of every 64-byte cache line of `slot`, front to back
-    /// (its last byte covers a line the slot starts partway into), so a
+    /// (its last byte covers the last line of a slot that starts partway
+    /// into a line, as one whose length is not a power of two may), so a
     /// write to the slot a little later finds its lines fetched. The
     /// bytes are folded into one value, so the loads cost few
     /// instructions and many can be in flight at once.
@@ -315,6 +356,11 @@ mod tests {
         assert!(d.slab.free.is_empty(), "a failed device takes nothing back");
     }
 
+    /// The address of `slot`'s first byte.
+    fn addr(d: &Device, slot: u32) -> usize {
+        d.slab.get(slot).as_ptr() as usize
+    }
+
     #[test]
     fn slots_span_chunks() {
         let len = CHUNK_BYTES / 2 + 1; // one slot per chunk
@@ -324,12 +370,53 @@ mod tests {
         for (b, &slot) in slots.iter().enumerate() {
             assert_eq!(get(&d, slot, len), Some(vec![b as u8; len]));
         }
-        let mut d = Device::new(1, 1_000, 64);
-        let slots: Vec<u32> = (0..200u8).map(|b| put(&mut d, &[b; 64])).collect();
-        assert_eq!(d.slab.chunks.len(), 200usize.div_ceil(CHUNK_BYTES / 64));
+        let n = 2 * CHUNK_BYTES / 64 + 100;
+        let mut d = Device::new(1, n as u64, 64);
+        let slots: Vec<u32> = (0..n).map(|b| put(&mut d, &[b as u8; 64])).collect();
+        assert_eq!(d.slab.chunks.len(), 3);
         for (b, &slot) in slots.iter().enumerate() {
             assert_eq!(get(&d, slot, 64), Some(vec![b as u8; 64]));
         }
+    }
+
+    /// Every slot of two chunks and a few more, for each power-of-two
+    /// shard length up to a page: slots of 64 B or more start on a cache
+    /// line, and no slot crosses a page.
+    #[test]
+    fn slots_start_on_lines_and_cross_no_page() {
+        for len in (0..=12).map(|b| 1usize << b) {
+            let n = 2 * CHUNK_BYTES / len + 3;
+            let mut d = Device::new(1, n as u64, len);
+            for _ in 0..n {
+                let slot = d.alloc().expect("online device");
+                let at = addr(&d, slot);
+                if len >= 64 {
+                    assert_eq!(at % 64, 0, "{len} B slot at {at:#x} starts off a line");
+                }
+                assert_eq!(
+                    at / SLOT_ALIGN,
+                    (at + len - 1) / SLOT_ALIGN,
+                    "{len} B slot at {at:#x} crosses a page"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slot_addresses_stay_put_while_their_chunk_fills() {
+        let len = 1024;
+        let mut d = Device::new(1, 1_000, len);
+        let first = put(&mut d, &[7; 1024]);
+        let at = addr(&d, first);
+        let reserved = d.slab.chunks[0].bytes.capacity();
+        for b in 1..=CHUNK_BYTES / len {
+            put(&mut d, &[b as u8; 1024]);
+            assert_eq!(addr(&d, first), at, "slot moved after {b} more slots");
+            let now = d.slab.chunks[0].bytes.capacity();
+            assert_eq!(now, reserved, "chunk reallocated after {b} more slots");
+        }
+        assert_eq!(d.slab.chunks.len(), 2, "the last slot opens a chunk");
+        assert_eq!(get(&d, first, len), Some(vec![7; len]));
     }
 
     #[test]

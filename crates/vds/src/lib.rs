@@ -70,7 +70,6 @@ mod health;
 mod migration;
 mod profile;
 mod redundancy;
-mod shared;
 mod table;
 mod vdisk;
 
@@ -82,5 +81,4 @@ pub use health::{DeviceLoad, FairnessReport, HealthSnapshot};
 pub use migration::{MigrationPlan, MigrationReport, ShardMove};
 pub use profile::DeviceProfile;
 pub use redundancy::Redundancy;
-pub use shared::SharedCluster;
 pub use vdisk::VirtualDisk;

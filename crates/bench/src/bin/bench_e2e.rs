@@ -1,8 +1,9 @@
 //! End-to-end I/O path report: placement lookups, erasure kernels and the
 //! fused stripe pipeline.
 //!
-//! Seven measurements on the fast path a block read/write traverses, and
-//! one of the memory a stored block costs:
+//! Seven measurements on the fast path a block read/write traverses, each
+//! over [`REPS`] timed repetitions, and one of the memory a stored block
+//! costs:
 //!
 //! 1. **Placement lookups** — `placement_into` throughput on a repeated
 //!    working set: cached (stored blocks, answered from their block-table
@@ -28,6 +29,9 @@
 //! 4. **Reed–Solomon reconstruct** — `reconstruct` rate of RS(4, 2) on
 //!    1 KiB shards with one data shard, one data and one parity shard, or
 //!    one parity shard lost: the decode inside degraded reads and repair.
+//!    Beside them, encode and two-loss reconstruct of every code on 4 KiB
+//!    shards (`code_encode_<code>`, `code_reconstruct2_<code>`): XOR
+//!    parity, EVENODD, RDP, RS(4, 2) and LRC.
 //! 5. **Stripe writes** — the fused `write_blocks` batch pipeline vs a
 //!    `write_block` loop over the same overwrite working set.
 //! 6. **Repair** — fused `repair()` (scan → gather → reconstruct → store
@@ -52,18 +56,19 @@
 //!    the same growth over `k` times as many shards).
 //!
 //! Prints tables and writes the raw numbers to `BENCH_e2e.json` (CI
-//! smoke-checks that the file parses). Pass `--quick` to shrink the
-//! workload for CI; the report shape is identical.
+//! smoke-checks that the file parses); each timed record carries its
+//! median and quartiles, and the `summary` speedups are ratios of medians.
+//! Pass `--quick` to shrink the workload for CI; the report shape is
+//! identical.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use rshare_bench::{f, print_table, records_json, section, Record};
+use rshare_bench::{f, per_s, print_table, records_json, section, time_each, time_reps, Record};
 use rshare_erasure::gf256::KernelTier;
-use rshare_erasure::{gf256, ErasureCode, ReedSolomon};
+use rshare_erasure::{gf256, ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon};
 use rshare_vds::{Redundancy, StorageCluster};
 
-/// Timing repetitions per cell; the best (minimum) time is reported.
+/// Timed repetitions per record.
 const REPS: usize = 5;
 
 /// Devices in the benchmark cluster; an uncached lookup pays the full
@@ -75,46 +80,55 @@ struct Cell {
     mode: &'static str,
     items: u64,
     unit: &'static str,
-    elapsed_ns: u128,
+    /// `items` per second, one sample per repetition, as record
+    /// `{bench}_{mode}`.
+    record: Record,
 }
 
 impl Cell {
+    /// A cell of `items` over each sample of `ns`.
+    fn new(
+        bench: &'static str,
+        mode: &'static str,
+        items: u64,
+        unit: &'static str,
+        ns: &[f64],
+    ) -> Self {
+        let rate_unit = match unit {
+            "lookups" => "lookups_per_s",
+            "blocks" => "blocks_per_s",
+            "reconstructs" => "reconstructs_per_s",
+            _ => "bytes_per_s",
+        };
+        let record = Record::from_samples(format!("{bench}_{mode}"), rate_unit, &per_s(items, ns));
+        Self {
+            bench,
+            mode,
+            items,
+            unit,
+            record,
+        }
+    }
+
+    /// The median rate.
     fn per_s(&self) -> f64 {
-        self.items as f64 / (self.elapsed_ns as f64 / 1e9)
+        self.record.median
     }
 }
 
-/// Best-of-[`REPS`] wall-clock time of `run`.
-fn time_best<F: FnMut()>(mut run: F) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_nanos());
-    }
-    best
-}
-
-/// Best-of-[`REPS`] for two bodies measured as an interleaved pair: each
-/// rep times `a` then `b` back to back, so a machine-load phase slower
-/// than one rep hits both sides equally instead of skewing whichever
-/// side's measurement window it landed in. Each timed run is preceded by
-/// an untimed run of the same body — the comparison is steady-state, and
-/// the alternation would otherwise let each side evict the other's
-/// working set between reps.
-fn time_best_pair<A: FnMut(), B: FnMut()>(mut a: A, mut b: B) -> (u128, u128) {
-    let (mut best_a, mut best_b) = (u128::MAX, u128::MAX);
-    for _ in 0..REPS {
+/// Two bodies timed as an interleaved pair: each repetition times `a` then
+/// `b` back to back, so a machine-load phase longer than one repetition
+/// hits both sides equally. Each timed run is preceded by an untimed run
+/// of the same body — the comparison is steady-state, and the alternation
+/// would otherwise let each side evict the other's working set between
+/// repetitions.
+fn time_pair(mut a: impl FnMut(), mut b: impl FnMut()) -> [Vec<f64>; 2] {
+    time_reps(REPS, |lap| {
         a();
-        let start = Instant::now();
-        a();
-        best_a = best_a.min(start.elapsed().as_nanos());
+        lap.time(0, &mut a);
         b();
-        let start = Instant::now();
-        b();
-        best_b = best_b.min(start.elapsed().as_nanos());
-    }
-    (best_a, best_b)
+        lap.time(1, &mut b);
+    })
 }
 
 fn cluster(block_size: usize) -> StorageCluster {
@@ -212,7 +226,7 @@ fn bench_placement(quick: bool, cells: &mut Vec<Cell>) {
         for lba in first..first + working_set {
             c.placement_into(lba, &mut out);
         }
-        let elapsed = time_best(|| {
+        let ns = time_each(REPS, || {
             for _ in 0..rounds {
                 for lba in first..first + working_set {
                     c.placement_into(black_box(lba), &mut out);
@@ -220,13 +234,7 @@ fn bench_placement(quick: bool, cells: &mut Vec<Cell>) {
                 }
             }
         });
-        cells.push(Cell {
-            bench: "placement_lookup",
-            mode,
-            items: lookups,
-            unit: "lookups",
-            elapsed_ns: elapsed,
-        });
+        cells.push(Cell::new("placement_lookup", mode, lookups, "lookups", &ns));
     }
 }
 
@@ -243,7 +251,7 @@ fn bench_reads(quick: bool, cells: &mut Vec<Cell>) {
         c.write_block(lba, &data).expect("write");
     }
     let mut buf = vec![0u8; block_size];
-    let elapsed = time_best(|| {
+    let ns = time_each(REPS, || {
         for _ in 0..rounds {
             for &lba in &lbas {
                 c.read_block_into(black_box(lba), &mut buf).expect("read");
@@ -251,13 +259,13 @@ fn bench_reads(quick: bool, cells: &mut Vec<Cell>) {
             }
         }
     });
-    cells.push(Cell {
-        bench: "block_read",
-        mode: "cached",
-        items: working_set * rounds,
-        unit: "blocks",
-        elapsed_ns: elapsed,
-    });
+    cells.push(Cell::new(
+        "block_read",
+        "cached",
+        working_set * rounds,
+        "blocks",
+        &ns,
+    ));
 }
 
 /// `read_block_into` in random order over a churn-sized cluster: [`MEM_BLOCKS`]
@@ -285,29 +293,17 @@ fn bench_random_reads(quick: bool, cells: &mut Vec<Cell>) {
         .map(|i| rshare_hash::stable_hash2(i, DOMAIN) % blocks)
         .collect();
     let mut buf = [0u8; 64];
-    let elapsed = time_best(|| {
+    let ns = time_each(REPS, || {
         for &lba in &order {
             c.read_block_into(black_box(lba), &mut buf).expect("read");
             black_box(&buf);
         }
     });
-    cells.push(Cell {
-        bench: "block_read",
-        mode: "random",
-        items: reads,
-        unit: "blocks",
-        elapsed_ns: elapsed,
-    });
-    let elapsed = time_best(|| {
+    cells.push(Cell::new("block_read", "random", reads, "blocks", &ns));
+    let ns = time_each(REPS, || {
         assert_eq!(black_box(c.degraded_block_count()), 0);
     });
-    cells.push(Cell {
-        bench: "degraded_scan",
-        mode: "rows",
-        items: blocks,
-        unit: "blocks",
-        elapsed_ns: elapsed,
-    });
+    cells.push(Cell::new("degraded_scan", "rows", blocks, "blocks", &ns));
 }
 
 /// `read_block_into` in random order over perfbench's ec-degraded cluster
@@ -331,19 +327,13 @@ fn bench_ec_random_reads(quick: bool, cells: &mut Vec<Cell>) {
     let mut buf = vec![0u8; 4096];
     c.read_block_into(order[0], &mut buf).expect("read");
     assert_eq!(buf, vec![order[0] as u8; 4096], "stored block reads back");
-    let elapsed = time_best(|| {
+    let ns = time_each(REPS, || {
         for &lba in &order {
             c.read_block_into(black_box(lba), &mut buf).expect("read");
             black_box(&buf);
         }
     });
-    cells.push(Cell {
-        bench: "block_read",
-        mode: "ec_random",
-        items: reads,
-        unit: "blocks",
-        elapsed_ns: elapsed,
-    });
+    cells.push(Cell::new("block_read", "ec_random", reads, "blocks", &ns));
 }
 
 /// A Reed–Solomon cluster for the write/repair pipeline benches; erasure
@@ -392,21 +382,21 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
         assert_eq!(*got, want, "kernel mismatch on parity {row_idx}");
     }
 
-    let elapsed = time_best(|| {
+    let ns = time_each(REPS, || {
         for _ in 0..simd_encodes {
             code.encode(black_box(&mut shards)).expect("encode");
         }
         black_box(&shards);
     });
-    cells.push(Cell {
-        bench: "rs_encode",
-        mode: "simd",
-        items: data_bytes(simd_encodes),
-        unit: "bytes",
-        elapsed_ns: elapsed,
-    });
+    cells.push(Cell::new(
+        "rs_encode",
+        "simd",
+        data_bytes(simd_encodes),
+        "bytes",
+        &ns,
+    ));
     let mut parity = vec![vec![0u8; SHARD]; PARITY];
-    let table = time_best(|| {
+    let ns = time_each(REPS, || {
         for _ in 0..encodes {
             for (p, out) in parity.iter_mut().enumerate() {
                 out.fill(0);
@@ -417,15 +407,15 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
         black_box(&parity);
     });
     assert_eq!(parity[..], shards[DATA..], "table kernel mismatch");
-    cells.push(Cell {
-        bench: "rs_encode",
-        mode: "table",
-        items: data_bytes(encodes),
-        unit: "bytes",
-        elapsed_ns: table,
-    });
+    cells.push(Cell::new(
+        "rs_encode",
+        "table",
+        data_bytes(encodes),
+        "bytes",
+        &ns,
+    ));
 
-    let bytewise = time_best(|| {
+    let ns = time_each(REPS, || {
         for _ in 0..encodes {
             for (p, out) in parity.iter_mut().enumerate() {
                 out.fill(0);
@@ -437,13 +427,13 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
         }
         black_box(&parity);
     });
-    cells.push(Cell {
-        bench: "rs_encode",
-        mode: "bytewise",
-        items: data_bytes(encodes),
-        unit: "bytes",
-        elapsed_ns: bytewise,
-    });
+    cells.push(Cell::new(
+        "rs_encode",
+        "bytewise",
+        data_bytes(encodes),
+        "bytes",
+        &ns,
+    ));
 }
 
 /// `ReedSolomon` RS(4, 2) `reconstruct` on 1 KiB shards (the shard size
@@ -478,7 +468,7 @@ fn bench_rs_reconstruct(quick: bool, cells: &mut Vec<Cell>) {
             }
         };
         run();
-        let elapsed = time_best(&mut run);
+        let ns = time_each(REPS, &mut run);
         // Sanity: the last reconstruct restored the codeword.
         assert!(
             shards
@@ -487,13 +477,82 @@ fn bench_rs_reconstruct(quick: bool, cells: &mut Vec<Cell>) {
                 .all(|(got, want)| got.as_ref() == Some(want)),
             "{mode}: reconstruct restored wrong bytes"
         );
-        cells.push(Cell {
-            bench: "rs_reconstruct",
+        cells.push(Cell::new(
+            "rs_reconstruct",
             mode,
-            items: reconstructs,
-            unit: "reconstructs",
-            elapsed_ns: elapsed,
+            reconstructs,
+            "reconstructs",
+            &ns,
+        ));
+    }
+}
+
+/// Encode and two-loss reconstruct of every code the store can place, on
+/// 4 KiB shards (rounded up to the code's symbol multiple), in data bytes
+/// per second: XOR parity (d = 4; it tolerates one loss, so it has no
+/// reconstruct row), EVENODD and RDP (p = 5), RS(4, 2) and LRC (two local
+/// groups of two, two global parities). Reconstruct loses shards 0 and 2.
+/// A repetition processes 64 MiB of data (8 MiB under `--quick`).
+fn bench_codes(quick: bool, cells: &mut Vec<Cell>) {
+    const SHARD: usize = 4096;
+    let codes: [(&'static str, Box<dyn ErasureCode>); 5] = [
+        (
+            "xor_parity_d4",
+            Box::new(MatrixCode::xor_parity(4).expect("valid code")),
+        ),
+        ("evenodd_p5", Box::new(EvenOdd::new(5).expect("valid code"))),
+        ("rdp_p5", Box::new(Rdp::new(5).expect("valid code"))),
+        (
+            "reed_solomon_4_2",
+            Box::new(ReedSolomon::new(4, 2).expect("valid code")),
+        ),
+        (
+            "lrc_2x2_g2",
+            Box::new(MatrixCode::local_reconstruction(2, 2, 2).expect("valid code")),
+        ),
+    ];
+    for (name, code) in codes {
+        let len = SHARD.div_ceil(code.shard_multiple()) * code.shard_multiple();
+        let mut shards: Vec<Vec<u8>> = (0..code.total_shards())
+            .map(|i| (0..len).map(|j| (i * 131 + j * 7) as u8).collect())
+            .collect();
+        let data_bytes = (code.data_shards() * len) as u64;
+        let calls = (64 << 20) / data_bytes / if quick { 8 } else { 1 };
+        let ns = time_each(REPS, || {
+            for _ in 0..calls {
+                code.encode(black_box(&mut shards)).expect("encode");
+            }
         });
+        cells.push(Cell::new(
+            "code_encode",
+            name,
+            calls * data_bytes,
+            "bytes",
+            &ns,
+        ));
+        if code.tolerated_erasures() < 2 {
+            continue;
+        }
+        let mut damaged: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
+        let ns = time_each(REPS, || {
+            for _ in 0..calls {
+                (damaged[0], damaged[2]) = (None, None);
+                code.reconstruct(black_box(&mut damaged))
+                    .expect("reconstruct");
+            }
+        });
+        let restored = damaged
+            .iter()
+            .zip(&shards)
+            .all(|(got, want)| got.as_ref() == Some(want));
+        assert!(restored, "{name}: reconstruct restored wrong bytes");
+        cells.push(Cell::new(
+            "code_reconstruct2",
+            name,
+            calls * data_bytes,
+            "bytes",
+            &ns,
+        ));
     }
 }
 
@@ -520,7 +579,7 @@ fn bench_stripe_writes(quick: bool, cells: &mut Vec<Cell>) {
     c_loop.write_blocks(&lbas, &data).expect("pre-write");
     let mut c_fused = rs_cluster(block_size);
     c_fused.write_blocks(&lbas, &data).expect("pre-write");
-    let (loop_ns, fused_ns) = time_best_pair(
+    let [loop_ns, fused_ns] = time_pair(
         || {
             for _ in 0..rounds {
                 for (&lba, chunk) in lbas.iter().zip(data.chunks_exact(block_size)) {
@@ -538,14 +597,14 @@ fn bench_stripe_writes(quick: bool, cells: &mut Vec<Cell>) {
             }
         },
     );
-    for (mode, elapsed) in [("loop", loop_ns), ("fused", fused_ns)] {
-        cells.push(Cell {
-            bench: "stripe_write",
+    for (mode, ns) in [("loop", loop_ns), ("fused", fused_ns)] {
+        cells.push(Cell::new(
+            "stripe_write",
             mode,
-            items: working_set * rounds,
-            unit: "blocks",
-            elapsed_ns: elapsed,
-        });
+            working_set * rounds,
+            "blocks",
+            &ns,
+        ));
     }
 }
 
@@ -573,7 +632,7 @@ fn bench_repair(quick: bool, cells: &mut Vec<Cell>) {
     c_loop.write_blocks(&lbas, &data).expect("pre-write");
     let mut c_fused = rs_cluster(block_size);
     c_fused.write_blocks(&lbas, &data).expect("pre-write");
-    let (loop_ns, fused_ns) = time_best_pair(
+    let [loop_ns, fused_ns] = time_pair(
         || {
             for lba in (0..working_set).step_by(damage_stride as usize) {
                 assert!(c_loop.inject_shard_loss(black_box(lba), 0), "loss injected");
@@ -593,21 +652,9 @@ fn bench_repair(quick: bool, cells: &mut Vec<Cell>) {
             black_box(c_fused.repair().expect("repair"));
         },
     );
-    for (mode, elapsed) in [("loop", loop_ns), ("fused", fused_ns)] {
-        cells.push(Cell {
-            bench: "repair",
-            mode,
-            items: damaged,
-            unit: "blocks",
-            elapsed_ns: elapsed,
-        });
+    for (mode, ns) in [("loop", loop_ns), ("fused", fused_ns)] {
+        cells.push(Cell::new("repair", mode, damaged, "blocks", &ns));
     }
-}
-
-/// One ns-per-call measurement.
-struct Call {
-    name: &'static str,
-    ns_per_call: f64,
 }
 
 /// A cluster shaped like a perfbench workload's: `devices` devices of
@@ -646,30 +693,33 @@ fn stored_cluster(
 
 /// Mean nanoseconds per call of `write_blocks` over `calls` runs of `run`
 /// consecutive stored blocks (wrapping), the run of call `i` (counted
-/// across passes) starting at block `start(i)`, best of [`REPS`] passes.
-/// Each call's payload is filled before its timer starts, so only the
-/// write is timed.
-fn ns_per_write(c: &mut StorageCluster, run: u64, calls: u64, start: impl Fn(u64) -> u64) -> f64 {
+/// across repetitions) starting at block `start(i)`, one sample per
+/// repetition. Each call's payload is filled before its timer starts, so
+/// only the write is timed.
+fn ns_per_write(
+    c: &mut StorageCluster,
+    run: u64,
+    calls: u64,
+    start: impl Fn(u64) -> u64,
+) -> Vec<f64> {
     let blocks = c.block_count();
     let mut lbas = Vec::with_capacity(run as usize);
     let mut data = vec![0u8; run as usize * c.block_size()];
-    let mut best = f64::MAX;
-    for rep in 0..REPS as u64 {
-        let mut elapsed = 0u128;
-        for call in 0..calls {
-            let i = rep * calls + call;
+    let mut i = 0u64;
+    let [ns] = time_reps(REPS, |lap| {
+        for _ in 0..calls {
             let first = start(i);
             lbas.clear();
             lbas.extend((0..run).map(|j| (first + j) % blocks));
             data.fill(i as u8);
-            let timer = Instant::now();
-            c.write_blocks(black_box(&lbas), black_box(&data))
-                .expect("write");
-            elapsed += timer.elapsed().as_nanos();
+            i += 1;
+            lap.time(0, || {
+                c.write_blocks(black_box(&lbas), black_box(&data))
+                    .expect("write")
+            });
         }
-        best = best.min(elapsed as f64 / calls as f64);
-    }
-    best
+    });
+    ns.iter().map(|ns| ns / calls as f64).collect()
 }
 
 /// Overwrites whose destination slots are cold or hot (module docs, item
@@ -677,7 +727,7 @@ fn ns_per_write(c: &mut StorageCluster, run: u64, calls: u64, start: impl Fn(u64
 /// writes, each on a cluster far larger than the cache (1/16 of it under
 /// `--quick`), then single-block writes cycling over `HOT_SET` blocks
 /// of the mirror cluster.
-fn bench_overwrites(quick: bool, calls: &mut Vec<Call>) {
+fn bench_overwrites(quick: bool, calls: &mut Vec<Record>) {
     const DOMAIN: u64 = 0x434f_4c44_5752_4954; // "COLDWRIT"
     /// Blocks in the hot set `write_block_hot` cycles over.
     const HOT_SET: u64 = 4_096;
@@ -690,22 +740,16 @@ fn bench_overwrites(quick: bool, calls: &mut Vec<Call>) {
         96,
         blocks,
     );
-    calls.push(Call {
-        name: "write_run16_cold",
-        ns_per_call: ns_per_write(&mut c, 16, 4_096 / scale, random(blocks)),
-    });
+    let ns = ns_per_write(&mut c, 16, 4_096 / scale, random(blocks));
+    calls.push(Record::from_samples("write_run16_cold", "ns_per_call", &ns));
     drop(c);
     let blocks = 262_144 / scale;
     let mut c = stored_cluster(Redundancy::Mirror { copies: 3 }, 512, 48, blocks);
-    calls.push(Call {
-        name: "write_block_cold",
-        ns_per_call: ns_per_write(&mut c, 1, 65_536 / scale, random(blocks)),
-    });
+    let ns = ns_per_write(&mut c, 1, 65_536 / scale, random(blocks));
+    calls.push(Record::from_samples("write_block_cold", "ns_per_call", &ns));
     let hot = random(blocks);
-    calls.push(Call {
-        name: "write_block_hot",
-        ns_per_call: ns_per_write(&mut c, 1, 65_536 / scale, |i| hot(i % HOT_SET)),
-    });
+    let ns = ns_per_write(&mut c, 1, 65_536 / scale, |i| hot(i % HOT_SET));
+    calls.push(Record::from_samples("write_block_hot", "ns_per_call", &ns));
 }
 
 fn speedup(cells: &[Cell], bench: &str, fast: &str, slow: &str) -> f64 {
@@ -720,7 +764,7 @@ fn speedup(cells: &[Cell], bench: &str, fast: &str, slow: &str) -> f64 {
 }
 
 /// Hand-rolled JSON (no serde in the dependency set).
-fn to_json(cells: &[Cell], calls: &[Call], memory: &Memory, quick: bool) -> String {
+fn to_json(cells: &[Cell], calls: &[Record], memory: &Memory, quick: bool) -> String {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut s = String::from("{\n");
     s.push_str(&format!(
@@ -730,23 +774,18 @@ fn to_json(cells: &[Cell], calls: &[Call], memory: &Memory, quick: bool) -> Stri
     s.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"mode\": \"{}\", \"items\": {}, \"unit\": \"{}\", \"elapsed_ns\": {}, \"per_s\": {:.1}}}{}\n",
+            "    {{\"bench\": \"{}\", \"mode\": \"{}\", \"items\": {}, \"unit\": \"{}\", \"per_s\": {:.1}}}{}\n",
             c.bench,
             c.mode,
             c.items,
             c.unit,
-            c.elapsed_ns,
             c.per_s(),
             if i + 1 == cells.len() { "" } else { "," }
         ));
     }
     s.push_str("  ],\n");
     let mut records = records(cells);
-    records.extend(
-        calls
-            .iter()
-            .map(|c| Record::new(c.name, "ns_per_call", c.ns_per_call)),
-    );
+    records.extend_from_slice(calls);
     records.push(Record::new(
         "store_bytes_per_shard",
         "bytes",
@@ -782,32 +821,28 @@ fn records(cells: &[Cell]) -> Vec<Record> {
         .iter()
         .map(|c| {
             let (name, slow) = match (c.bench, c.mode) {
-                ("stripe_write", "fused") => ("write_blocks_fused".to_string(), Some("loop")),
-                ("stripe_write", "loop") => ("write_block_loop".to_string(), None),
-                ("repair", "fused") => ("repair_fused".to_string(), Some("loop")),
-                ("repair", "loop") => ("repair_block_loop".to_string(), None),
-                ("placement_lookup", "cached") => {
-                    (format!("{}_{}", c.bench, c.mode), Some("uncached"))
-                }
-                (_, "simd") => (format!("{}_{}", c.bench, c.mode), Some("table")),
-                (_, "table") => (format!("{}_{}", c.bench, c.mode), Some("bytewise")),
-                _ => (format!("{}_{}", c.bench, c.mode), None),
+                ("stripe_write", "fused") => (Some("write_blocks_fused"), Some("loop")),
+                ("stripe_write", "loop") => (Some("write_block_loop"), None),
+                ("repair", "fused") => (Some("repair_fused"), Some("loop")),
+                ("repair", "loop") => (Some("repair_block_loop"), None),
+                ("placement_lookup", "cached") => (None, Some("uncached")),
+                (_, "simd") => (None, Some("table")),
+                (_, "table") => (None, Some("bytewise")),
+                _ => (None, None),
             };
-            let unit: &'static str = match c.unit {
-                "lookups" => "lookups_per_s",
-                "blocks" => "blocks_per_s",
-                "reconstructs" => "reconstructs_per_s",
-                _ => "bytes_per_s",
-            };
+            let mut record = c.record.clone();
+            if let Some(name) = name {
+                record.name = name.to_string();
+            }
             match slow {
                 Some(slow_mode) => {
                     let base = cells
                         .iter()
                         .find(|s| s.bench == c.bench && s.mode == slow_mode)
                         .expect("baseline cell present");
-                    Record::with_baseline(name, unit, c.per_s(), base.per_s())
+                    record.baseline(base.per_s())
                 }
-                None => Record::new(name, unit, c.per_s()),
+                None => record,
             }
         })
         .collect()
@@ -833,6 +868,7 @@ fn main() {
     bench_ec_random_reads(quick, &mut cells);
     bench_rs_encode(quick, &mut cells);
     bench_rs_reconstruct(quick, &mut cells);
+    bench_codes(quick, &mut cells);
     bench_stripe_writes(quick, &mut cells);
     bench_repair(quick, &mut cells);
     let mut calls = Vec::new();
@@ -841,8 +877,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for c in &cells {
-        let rate = match c.bench {
-            "rs_encode" => format!("{:.1} MB/s", c.per_s() / 1e6),
+        let rate = match c.unit {
+            "bytes" => format!("{:.1} MB/s", c.per_s() / 1e6),
             _ => format!("{:.3} M{}/s", c.per_s() / 1e6, &c.unit[..c.unit.len() - 1]),
         };
         rows.push(vec![
@@ -854,7 +890,7 @@ fn main() {
     }
     print_table(&["bench", "mode", "items", "rate"], &rows);
     for c in &calls {
-        println!("{}: {} ns per call", c.name, f(c.ns_per_call));
+        println!("{}: {} ns per call", c.name, f(c.median));
     }
 
     println!(

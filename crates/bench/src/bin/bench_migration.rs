@@ -21,14 +21,13 @@
 //! to shrink the workload for CI; the report shape is identical.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use rshare_bench::{f, print_table, records_json, section, Record};
+use rshare_bench::{f, per_s, print_table, records_json, section, time_reps, Record};
 use rshare_erasure::gf256;
 use rshare_vds::{MigrationPlan, Redundancy, StorageCluster};
 
-/// Timing repetitions per cell; the best (minimum) time is reported.
-const REPS: usize = 3;
+/// Timed repetitions per record, each on a freshly built cluster.
+const REPS: usize = 5;
 
 /// Devices in the drain cluster; every placement the drain diffs runs the
 /// O(n) scan over all of them.
@@ -44,13 +43,24 @@ struct Cell {
     bench: &'static str,
     mode: &'static str,
     items: u64,
-    unit: &'static str,
-    elapsed_ns: u128,
+    record: Record,
 }
 
 impl Cell {
+    /// A cell of `items` over each sample of `ns`, recorded as a rate.
+    fn new(bench: &'static str, mode: &'static str, items: u64, ns: &[f64]) -> Self {
+        let rates = per_s(items, ns);
+        let record = Record::from_samples(format!("{bench}_{mode}"), "blocks_per_s", &rates);
+        Self {
+            bench,
+            mode,
+            items,
+            record,
+        }
+    }
+
     fn per_s(&self) -> f64 {
-        self.items as f64 / (self.elapsed_ns as f64 / 1e9)
+        self.record.median
     }
 }
 
@@ -93,59 +103,44 @@ const READS_AFTER_ADD: u64 = 100_000;
 const READ_DOMAIN: u64 = 0x5245_4144_4146_5452; // "READAFTR"
 
 /// Blocks/s of an eager small-device add (the same change the drain
-/// benchmark makes lazily), then the mean ns per uniform
-/// `read_block_into` over the first [`READS_AFTER_ADD`] reads after it.
-/// Each is the best of [`REPS`] fresh clusters.
-fn bench_eager_add(blocks: u64, cells: &mut Vec<Cell>) -> f64 {
-    let mut best_add = u128::MAX;
-    let mut best_reads = u128::MAX;
+/// benchmark makes lazily), then ns per uniform `read_block_into` over the
+/// first [`READS_AFTER_ADD`] reads after it, one sample per fresh cluster.
+fn bench_eager_add(blocks: u64, cells: &mut Vec<Cell>) -> Record {
     let mut buf = vec![0u8; BLOCK_SIZE];
-    for _ in 0..REPS {
+    let [add, reads] = time_reps(REPS, |lap| {
         let mut c = drain_cluster(blocks);
-        let start = Instant::now();
-        black_box(c.add_device(DEVICES, DRAIN_ADD_CAPACITY).expect("add"));
-        best_add = best_add.min(start.elapsed().as_nanos());
-        let start = Instant::now();
-        for i in 0..READS_AFTER_ADD {
-            let lba = rshare_hash::stable_hash2(i, READ_DOMAIN) % blocks;
-            c.read_block_into(lba, &mut buf).expect("read");
-            black_box(&buf);
-        }
-        best_reads = best_reads.min(start.elapsed().as_nanos());
-    }
-    cells.push(Cell {
-        bench: "migration_add",
-        mode: "eager",
-        items: blocks,
-        unit: "blocks",
-        elapsed_ns: best_add,
+        lap.time(0, || {
+            black_box(c.add_device(DEVICES, DRAIN_ADD_CAPACITY).expect("add"))
+        });
+        lap.time(1, || {
+            for i in 0..READS_AFTER_ADD {
+                let lba = rshare_hash::stable_hash2(i, READ_DOMAIN) % blocks;
+                c.read_block_into(lba, &mut buf).expect("read");
+                black_box(&buf);
+            }
+        });
     });
-    best_reads as f64 / READS_AFTER_ADD as f64
+    cells.push(Cell::new("migration_add", "eager", blocks, &add));
+    let per_read: Vec<f64> = reads.iter().map(|ns| ns / READS_AFTER_ADD as f64).collect();
+    Record::from_samples("read_after_add_ns", "ns", &per_read)
 }
 
-/// Blocks/s to drain a lazy small-device add.
+/// Blocks/s to drain a lazy small-device add, one sample per fresh
+/// cluster; set-up is not timed.
 fn bench_drain(blocks: u64, cells: &mut Vec<Cell>) {
-    let mut best = u128::MAX;
-    for _ in 0..REPS {
-        // Setup outside the timed region: the drain itself is timed.
+    let [ns] = time_reps(REPS, |lap| {
         let mut c = drain_cluster(blocks);
         let pending = c
             .add_device_lazy(DEVICES, DRAIN_ADD_CAPACITY)
             .expect("lazy add");
         assert_eq!(pending, blocks);
-        let start = Instant::now();
-        while c.pending_blocks() > 0 {
-            black_box(c.migrate_batch(BUDGET).expect("migrate_batch"));
-        }
-        best = best.min(start.elapsed().as_nanos());
-    }
-    cells.push(Cell {
-        bench: "migration_drain",
-        mode: "planned",
-        items: blocks,
-        unit: "blocks",
-        elapsed_ns: best,
+        lap.time(0, || {
+            while c.pending_blocks() > 0 {
+                black_box(c.migrate_batch(BUDGET).expect("migrate_batch"));
+            }
+        });
     });
+    cells.push(Cell::new("migration_drain", "planned", blocks, &ns));
 }
 
 /// Measured competitive ratios for single-device churn on `c`: add/remove
@@ -211,7 +206,7 @@ fn small_cluster(blocks: u64) -> StorageCluster {
 /// Hand-rolled JSON (no serde in the dependency set).
 fn to_json(
     cells: &[Cell],
-    read_after_add_ns: f64,
+    read_after_add: &Record,
     ratios: &[Ratio],
     smoke: bool,
     blocks: u64,
@@ -225,12 +220,10 @@ fn to_json(
     s.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"mode\": \"{}\", \"items\": {}, \"unit\": \"{}\", \"elapsed_ns\": {}, \"per_s\": {:.1}}}{}\n",
+            "    {{\"bench\": \"{}\", \"mode\": \"{}\", \"items\": {}, \"unit\": \"blocks\", \"per_s\": {:.1}}}{}\n",
             c.bench,
             c.mode,
             c.items,
-            c.unit,
-            c.elapsed_ns,
             c.per_s(),
             if i + 1 == cells.len() { "" } else { "," }
         ));
@@ -251,7 +244,7 @@ fn to_json(
         ));
     }
     s.push_str("  ],\n");
-    s.push_str(&records_json(&records(cells, read_after_add_ns, ratios)));
+    s.push_str(&records_json(&records(cells, read_after_add, ratios)));
     s.push_str(",\n");
     let max_ratio = ratios.iter().map(|r| r.ratio).fold(0.0f64, f64::max);
     s.push_str(&format!(
@@ -265,19 +258,11 @@ fn to_json(
 /// The unified cross-binary records: one throughput entry per cell, the
 /// mean read cost after the eager add, plus one ratio entry per
 /// membership change measured against the paper's proven bound of 4.
-fn records(cells: &[Cell], read_after_add_ns: f64, ratios: &[Ratio]) -> Vec<Record> {
-    let mut out: Vec<Record> = cells
-        .iter()
-        .map(|c| Record::new(format!("{}_{}", c.bench, c.mode), "blocks_per_s", c.per_s()))
-        .collect();
-    out.push(Record::new("read_after_add_ns", "ns", read_after_add_ns));
+fn records(cells: &[Cell], read_after_add: &Record, ratios: &[Ratio]) -> Vec<Record> {
+    let mut out: Vec<Record> = cells.iter().map(|c| c.record.clone()).collect();
+    out.push(read_after_add.clone());
     out.extend(ratios.iter().map(|r| {
-        Record::with_baseline(
-            format!("competitive_ratio_{}", r.change),
-            "ratio",
-            r.ratio,
-            4.0,
-        )
+        Record::new(format!("competitive_ratio_{}", r.change), "ratio", r.ratio).baseline(4.0)
     }));
     out
 }
@@ -292,7 +277,7 @@ fn main() {
 
     let mut cells = Vec::new();
     bench_drain(blocks, &mut cells);
-    let read_after_add_ns = bench_eager_add(blocks, &mut cells);
+    let read_after_add = bench_eager_add(blocks, &mut cells);
     let mut ratios = competitive(&small_cluster(blocks.min(24_000)), "");
     ratios.extend(competitive(&drain_cluster(blocks), "_96dev"));
 
@@ -302,13 +287,13 @@ fn main() {
             c.bench.to_string(),
             c.mode.to_string(),
             c.items.to_string(),
-            format!("{:.3} M{}/s", c.per_s() / 1e6, &c.unit[..c.unit.len() - 1]),
+            format!("{:.3} Mblock/s", c.per_s() / 1e6),
         ]);
     }
     print_table(&["bench", "mode", "items", "rate"], &rows);
     println!(
         "first {READS_AFTER_ADD} uniform reads after the eager add: {} ns/read",
-        f(read_after_add_ns)
+        f(read_after_add.median)
     );
 
     println!();
@@ -336,7 +321,7 @@ fn main() {
         f(ratios.iter().map(|r| r.ratio).fold(0.0f64, f64::max)),
     );
 
-    let json = to_json(&cells, read_after_add_ns, &ratios, smoke, blocks);
+    let json = to_json(&cells, &read_after_add, &ratios, smoke, blocks);
     std::fs::write("BENCH_migration.json", &json).expect("write BENCH_migration.json");
     println!(
         "wrote BENCH_migration.json ({} result rows, {} ratio rows)",

@@ -13,18 +13,20 @@
 //!
 //! A third, smaller cell times `export_prometheus` renders, so scrape
 //! cost is on record too. Prints tables and writes `BENCH_obs.json`
-//! in the unified `{name, unit, value, baseline?}` record schema (CI
-//! smoke-checks that the file parses). Pass `--quick` to shrink the
+//! in the unified record schema (CI smoke-checks that the file parses).
+//! The overhead is taken from the two read rates' medians over [`REPS`]
+//! repetitions. Pass `--quick` to shrink the
 //! workload for CI; the report shape is identical.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use rshare_bench::{f, pct, print_table, records_json, section, Record};
+use rshare_bench::{
+    f, pct, per_s, print_table, records_json, section, time_each, time_reps, Record,
+};
 use rshare_obs::Metric;
 use rshare_vds::{Redundancy, StorageCluster};
 
-/// Timing repetitions per cell; the best (minimum) time is reported.
+/// Timed repetitions per record.
 const REPS: usize = 5;
 
 /// Devices in the overhead cluster — matches `bench_e2e`'s read cell so
@@ -33,17 +35,6 @@ const DEVICES: u64 = 48;
 
 /// Devices in the fairness cluster (the experiment's 100-device claim).
 const FAIRNESS_DEVICES: u64 = 100;
-
-/// Best-of-[`REPS`] wall-clock time of `run`.
-fn time_best<F: FnMut()>(mut run: F) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_nanos());
-    }
-    best
-}
 
 fn read_cluster(metrics: bool, block_size: usize) -> StorageCluster {
     let mut b = StorageCluster::builder()
@@ -56,15 +47,15 @@ fn read_cluster(metrics: bool, block_size: usize) -> StorageCluster {
     b.build().expect("valid cluster")
 }
 
-/// Cached-read throughput (blocks/s), metrics on vs off, plus the export
-/// render rate of the instrumented cluster.
+/// Cached-read throughput samples (blocks/s), metrics on and off, plus
+/// export render rate samples of the instrumented cluster.
 ///
 /// The two clusters are built, written and warmed *before* any timing,
 /// and the timed repetitions alternate between them — measuring one
 /// configuration to completion first bakes allocator and page-cache
 /// warm-up into whichever ran first and can dwarf the few atomic
 /// increments under measurement.
-fn bench_overhead(quick: bool) -> (f64, f64, f64) {
+fn bench_overhead(quick: bool) -> [Vec<f64>; 3] {
     let working_set: u64 = if quick { 512 } else { 4_096 };
     let rounds: u64 = if quick { 4 } else { 8 };
     let block_size = 4_096;
@@ -87,20 +78,18 @@ fn bench_overhead(quick: bool) -> (f64, f64, f64) {
         }
     }
 
-    let mut best = [u128::MAX; 2];
-    for _ in 0..REPS {
-        for (slot, c) in clusters.iter().enumerate() {
-            let start = Instant::now();
-            for _ in 0..rounds {
-                for &lba in &lbas {
-                    c.read_block_into(black_box(lba), &mut buf).expect("read");
-                    black_box(&buf);
+    let [off, on] = time_reps(REPS, |lap| {
+        for (series, c) in clusters.iter().enumerate() {
+            lap.time(series, || {
+                for _ in 0..rounds {
+                    for &lba in &lbas {
+                        c.read_block_into(black_box(lba), &mut buf).expect("read");
+                        black_box(&buf);
+                    }
                 }
-            }
-            best[slot] = best[slot].min(start.elapsed().as_nanos());
+            });
         }
-    }
-    let rate = |ns: u128| (working_set * rounds) as f64 / (ns as f64 / 1e9);
+    });
 
     // Sanity: "metrics on" must actually be instrumenting.
     let instrumented = clusters.pop().expect("two clusters");
@@ -112,13 +101,17 @@ fn bench_overhead(quick: bool) -> (f64, f64, f64) {
         other => panic!("expected reads_total counter, found {other:?}"),
     }
     let renders: u64 = if quick { 32 } else { 256 };
-    let elapsed = time_best(|| {
+    let renders_ns = time_each(REPS, || {
         for _ in 0..renders {
             black_box(instrumented.export_prometheus());
         }
     });
-    let export_rate = renders as f64 / (elapsed as f64 / 1e9);
-    (rate(best[1]), rate(best[0]), export_rate)
+    let reads = working_set * rounds;
+    [
+        per_s(reads, &on),
+        per_s(reads, &off),
+        per_s(renders, &renders_ns),
+    ]
 }
 
 /// Writes `blocks` blocks onto a 100-device heterogeneous cluster and
@@ -172,7 +165,12 @@ fn main() {
         if quick { " (quick mode)" } else { "" }
     ));
 
-    let (on_rate, off_rate, export_rate) = bench_overhead(quick);
+    let [on, off, export] = bench_overhead(quick);
+    let on = Record::from_samples("cached_read_metrics_on", "blocks_per_s", &on);
+    let off = Record::from_samples("cached_read_metrics_off", "blocks_per_s", &off);
+    let export = Record::from_samples("export_render", "renders_per_s", &export);
+    let (on_rate, off_rate, export_rate) = (on.median, off.median, export.median);
+    // Of the medians: a computed value, not a timing.
     let overhead = (off_rate - on_rate) / off_rate;
     let blocks: u64 = if quick { 100_000 } else { 1_000_000 };
     let (max_dev, mean_dev) = bench_fairness(blocks);
@@ -213,11 +211,11 @@ fn main() {
     );
 
     let records = vec![
-        Record::with_baseline("cached_read_metrics_on", "blocks_per_s", on_rate, off_rate),
-        Record::new("cached_read_metrics_off", "blocks_per_s", off_rate),
-        Record::with_baseline("metrics_overhead", "percent", overhead * 100.0, 5.0),
-        Record::new("export_render", "renders_per_s", export_rate),
-        Record::with_baseline("fairness_max_deviation", "ratio", max_dev, 0.02),
+        on.baseline(off_rate),
+        off,
+        Record::new("metrics_overhead", "percent", overhead * 100.0).baseline(5.0),
+        export,
+        Record::new("fairness_max_deviation", "ratio", max_dev).baseline(0.02),
         Record::new("fairness_mean_abs_deviation", "ratio", mean_dev),
     ];
     let json = to_json(&records, quick, blocks, overhead, max_dev);

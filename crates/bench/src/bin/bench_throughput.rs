@@ -1,188 +1,191 @@
-//! Placement-engine throughput report: scalar vs batch.
+//! Placement cost report: the scan's throughput curve and the paper's
+//! time-efficiency comparison (Table T-C, §3.3).
 //!
-//! Measures end-to-end placement throughput (placements per second) of the
-//! two query paths over [`RedundantShare`] — per-ball `place_into` and
-//! flat `place_batch_into` — for k ∈ {2, 3, 4} and n ∈ {16, 256, 4096},
-//! prints a table, and writes the
-//! raw numbers to `BENCH_throughput.json` for machine consumption (CI
-//! smoke-checks that the file parses).
+//! Three measurements, each timed over [`REPS`] repetitions:
 //!
-//! Pass `--quick` to shrink the workload ~8× (CI smoke mode); the numbers
-//! get noisier but the report shape is identical.
+//! 1. **Scan throughput** — placements per second of per-ball
+//!    [`RedundantShare`] `place_into` for k ∈ {2, 3, 4} and
+//!    n ∈ {16, 256, 4096} (`placements_scalar_n{n}_k{k}`). Every first
+//!    write and every migrated block pays this scan.
+//! 2. **Per-ball cost** — nanoseconds per `place_into` of every strategy
+//!    on 8 heterogeneous bins at k = 3 (LinMirror at k = 2), and of the
+//!    O(n) scan against the O(k) [`FastRedundantShare`] by n at k = 3 and
+//!    by k at n = 64 (`place_<strategy>_n{n}_k{k}`).
+//! 3. **Construction** — nanoseconds per `new` of both by n at k = 3
+//!    (`build_<strategy>_n{n}_k3`): what the O(k) queries cost up front.
+//!
+//! Prints a table and writes the records to `BENCH_throughput.json` (CI
+//! smoke-checks that the file parses). Pass `--quick` to shrink the
+//! workload ~8× (CI smoke mode); the numbers get noisier but the report
+//! shape is identical.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use rshare_bench::{f, print_table, records_json, section, Record};
-use rshare_core::{BinId, BinSet, PlacementStrategy, RedundantShare};
+use rshare_bench::{f, print_table, records_json, section, time_each, Record};
+use rshare_core::{
+    BinSet, FastRedundantShare, LinMirror, PlacementStrategy, RedundantShare, SystematicPps,
+    TrivialReplication,
+};
+use rshare_rush::{RushP, SubCluster};
 
-/// Timing repetitions per cell; the best (minimum) time is reported.
-const REPS: usize = 3;
-
-struct Cell {
-    n: usize,
-    k: usize,
-    mode: &'static str,
-    balls: usize,
-    elapsed_ns: u128,
-}
-
-impl Cell {
-    fn placements_per_s(&self) -> f64 {
-        self.balls as f64 / (self.elapsed_ns as f64 / 1e9)
-    }
-}
+/// Timed repetitions per record.
+const REPS: usize = 5;
 
 fn heterogeneous(n: usize) -> BinSet {
     BinSet::from_capacities((0..n as u64).map(|i| 500_000 + i * 100_000)).expect("valid bins")
 }
 
-/// Workload size per configuration: the O(n) scan means fewer balls at
-/// large n keep the total runtime bounded while each cell still runs for
-/// tens of milliseconds.
-fn balls_for(n: usize, quick: bool) -> usize {
-    let full = match n {
+/// Balls per repetition: the O(n) scan means fewer balls at large n keep
+/// the total runtime bounded while each repetition still runs for tens
+/// of milliseconds.
+fn balls_for(n: usize, quick: bool) -> Vec<u64> {
+    let full: u64 = match n {
         0..=31 => 400_000,
         32..=1023 => 100_000,
         _ => 24_576,
     };
-    if quick {
-        (full / 8).max(4_096)
-    } else {
-        full
-    }
+    let count = if quick { (full / 8).max(4_096) } else { full };
+    (0..count).map(|b| b.wrapping_mul(0x9E37)).collect()
 }
 
-/// Best-of-[`REPS`] wall-clock time of `run`, which must consume the whole
-/// ball set once per call.
-fn time_best<F: FnMut()>(mut run: F) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_nanos());
-    }
-    best
-}
-
-fn measure(n: usize, k: usize, quick: bool) -> Vec<Cell> {
-    let strat = RedundantShare::new(&heterogeneous(n), k).expect("valid strategy");
-    let count = balls_for(n, quick);
-    let balls: Vec<u64> = (0..count as u64).map(|b| b.wrapping_mul(0x9E37)).collect();
-    let mut out: Vec<BinId> = Vec::with_capacity(count * k);
-    let mut cells = Vec::new();
-
-    let scalar = time_best(|| {
-        let mut group = Vec::with_capacity(k);
-        for &ball in &balls {
+/// Nanoseconds per `place_into` of `strat` over `balls`, one sample per
+/// repetition.
+fn ns_per_place<P: PlacementStrategy + ?Sized>(strat: &P, balls: &[u64]) -> Vec<f64> {
+    let mut group = Vec::with_capacity(strat.replication());
+    let ns = time_each(REPS, || {
+        for &ball in balls {
             strat.place_into(black_box(ball), &mut group);
             black_box(&group);
         }
     });
-    cells.push(Cell {
-        n,
-        k,
-        mode: "scalar",
-        balls: count,
-        elapsed_ns: scalar,
-    });
-
-    let batch = time_best(|| {
-        strat.place_batch_into(black_box(&balls), &mut out);
-        black_box(&out);
-    });
-    cells.push(Cell {
-        n,
-        k,
-        mode: "batch",
-        balls: count,
-        elapsed_ns: batch,
-    });
-    cells
+    ns.iter().map(|ns| ns / balls.len() as f64).collect()
 }
 
-/// Hand-rolled JSON (no serde in the dependency set): the report is flat
-/// enough that string assembly stays readable.
-fn to_json(cells: &[Cell], quick: bool) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"config\": {{\"quick\": {quick}, \"reps\": {REPS}}},\n"
-    ));
-    s.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"n\": {}, \"k\": {}, \"mode\": \"{}\", \"balls\": {}, \"elapsed_ns\": {}, \"placements_per_s\": {:.1}}}{}\n",
-            c.n,
-            c.k,
-            c.mode,
-            c.balls,
-            c.elapsed_ns,
-            c.placements_per_s(),
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&records_json(&records(cells)));
-    s.push_str("\n}\n");
-    s
+/// Nanoseconds per call of `build`, over enough calls per repetition
+/// (fewer at large n) to last milliseconds.
+fn ns_per_build<T>(n: usize, quick: bool, build: impl Fn() -> T) -> Vec<f64> {
+    let builds = (16_384 / n / if quick { 8 } else { 1 }).max(8);
+    let ns = time_each(REPS, || {
+        for _ in 0..builds {
+            black_box(build());
+        }
+    });
+    ns.iter().map(|ns| ns / builds as f64).collect()
 }
 
-/// The unified cross-binary records: one throughput entry per cell, the
-/// scalar path of the same `(n, k)` as the baseline.
-fn records(cells: &[Cell]) -> Vec<Record> {
-    cells
-        .iter()
-        .map(|c| {
-            let name = format!("placements_{}_n{}_k{}", c.mode, c.n, c.k);
-            let scalar = cells
+/// Scan throughput (measurement 1).
+fn scan_throughput(quick: bool) -> Vec<Record> {
+    let mut records = Vec::new();
+    for k in [2usize, 3, 4] {
+        for n in [16usize, 256, 4096] {
+            let strat = RedundantShare::new(&heterogeneous(n), k).expect("valid strategy");
+            let rates: Vec<f64> = ns_per_place(&strat, &balls_for(n, quick))
                 .iter()
-                .find(|s| s.n == c.n && s.k == c.k && s.mode == "scalar")
-                .expect("scalar cell present");
-            if c.mode == "scalar" {
-                Record::new(name, "placements_per_s", c.placements_per_s())
-            } else {
-                Record::with_baseline(
-                    name,
-                    "placements_per_s",
-                    c.placements_per_s(),
-                    scalar.placements_per_s(),
-                )
-            }
+                .map(|ns| 1e9 / ns)
+                .collect();
+            let name = format!("placements_scalar_n{n}_k{k}");
+            records.push(Record::from_samples(name, "placements_per_s", &rates));
+        }
+    }
+    records
+}
+
+/// Per-ball cost of every strategy, then the scan and the O(k) variant
+/// by n and by k (measurement 2).
+fn placement_cost(quick: bool) -> Vec<Record> {
+    let bins = heterogeneous(8);
+    let balls = balls_for(8, quick);
+    let rush = RushP::new(
+        (0..8).map(|i| SubCluster::new(1, 500_000.0 + f64::from(i) * 100_000.0).expect("valid")),
+        3,
+    )
+    .expect("valid strategy");
+    let strategies: Vec<(&str, Box<dyn PlacementStrategy>)> = vec![
+        (
+            "trivial",
+            Box::new(TrivialReplication::new(&bins, 3).expect("valid strategy")),
+        ),
+        (
+            "systematic_pps",
+            Box::new(SystematicPps::new(&bins, 3).expect("valid strategy")),
+        ),
+        ("rush_p", Box::new(rush)),
+        (
+            "linmirror",
+            Box::new(LinMirror::new(&bins).expect("valid strategy")),
+        ),
+    ];
+    let mut records: Vec<Record> = strategies
+        .iter()
+        .map(|(name, strat)| {
+            let k = strat.replication();
+            let name = format!("place_{name}_n8_k{k}");
+            Record::from_samples(name, "ns", &ns_per_place(&**strat, &balls))
         })
-        .collect()
+        .collect();
+    let sweep = [8usize, 32, 128, 512].map(|n| (n, 3)).into_iter();
+    for (n, k) in sweep.chain([1usize, 2, 4, 8].map(|k| (64, k))) {
+        let bins = heterogeneous(n);
+        let balls = balls_for(n, quick);
+        let scan = RedundantShare::new(&bins, k).expect("valid strategy");
+        let fast = FastRedundantShare::new(&bins, k).expect("valid strategy");
+        for (name, ns) in [
+            ("redundant_share", ns_per_place(&scan, &balls)),
+            ("fast_redundant_share", ns_per_place(&fast, &balls)),
+        ] {
+            let name = format!("place_{name}_n{n}_k{k}");
+            records.push(Record::from_samples(name, "ns", &ns));
+        }
+    }
+    records
+}
+
+/// Construction cost of the scan and the O(k) variant (measurement 3).
+fn construction(quick: bool) -> Vec<Record> {
+    let mut records = Vec::new();
+    for n in [8usize, 64, 256] {
+        let bins = heterogeneous(n);
+        for (name, ns) in [
+            (
+                "redundant_share",
+                ns_per_build(n, quick, || RedundantShare::new(&bins, 3)),
+            ),
+            (
+                "fast_redundant_share",
+                ns_per_build(n, quick, || FastRedundantShare::new(&bins, 3)),
+            ),
+        ] {
+            let name = format!("build_{name}_n{n}_k3");
+            records.push(Record::from_samples(name, "ns", &ns));
+        }
+    }
+    records
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     section(&format!(
-        "Placement throughput — scalar vs batch{}",
+        "Placement cost — scan throughput, per-ball cost, construction{}",
         if quick { " (quick mode)" } else { "" }
     ));
 
-    let mut cells = Vec::new();
-    for k in [2usize, 3, 4] {
-        for n in [16usize, 256, 4096] {
-            cells.extend(measure(n, k, quick));
-        }
-    }
+    let mut records = scan_throughput(quick);
+    records.extend(placement_cost(quick));
+    records.extend(construction(quick));
 
-    let mut rows = Vec::new();
-    for chunk in cells.chunks(2) {
-        let (scalar, batch) = (&chunk[0], &chunk[1]);
-        rows.push(vec![
-            scalar.n.to_string(),
-            scalar.k.to_string(),
-            format!("{:.2}", scalar.placements_per_s() / 1e6),
-            format!("{:.2}", batch.placements_per_s() / 1e6),
-            f(batch.placements_per_s() / scalar.placements_per_s()),
-        ]);
-    }
-    print_table(&["n", "k", "scalar M/s", "batch M/s", "batch x"], &rows);
+    let rows: Vec<Vec<String>> = records
+        .iter()
+        .map(|r| {
+            let iqr = format!("{}–{}", f(r.p25), f(r.p75));
+            vec![r.name.clone(), r.unit.to_string(), f(r.median), iqr]
+        })
+        .collect();
+    print_table(&["record", "unit", "median", "p25–p75"], &rows);
 
-    let json = to_json(&cells, quick);
-    std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
-    println!(
-        "\nwrote BENCH_throughput.json ({} result rows)",
-        cells.len()
+    let json = format!(
+        "{{\n  \"config\": {{\"quick\": {quick}, \"reps\": {REPS}}},\n{}\n}}\n",
+        records_json(&records)
     );
+    std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
+    println!("\nwrote BENCH_throughput.json ({} records)", records.len());
 }

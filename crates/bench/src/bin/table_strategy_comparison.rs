@@ -1,6 +1,6 @@
 //! Strategy head-to-head: Redundant Share versus every baseline.
 //!
-//! Complements the criterion micro-benchmarks (time efficiency) with the
+//! Complements `bench_throughput`'s time-efficiency records with the
 //! quality dimensions of the paper's criteria list: fairness, redundancy
 //! and adaptivity, for all strategies in the workspace — including RUSH
 //! (Section 1.2's prior work) and the systematic-PPS oracle.

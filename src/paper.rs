@@ -12,7 +12,7 @@
 //! | "block-level storage virtualization … single storage device" | [`crate::storage::StorageCluster`], [`crate::storage::VirtualDisk`] |
 //! | "table-based methods are not scalable" | [`crate::placement::TableBased`] (the rejected design, measured in `table_compactness`) |
 //! | balls-into-bins model, bins `b_i`, `c_i = b_i / Σ b_j` | [`crate::placement::Bin`], [`crate::placement::BinSet`] |
-//! | criteria: capacity efficiency / time efficiency / compactness / adaptivity | `table_capacity_efficiency`, criterion benches, `memory_bytes()` accessors, `measure_movement` |
+//! | criteria: capacity efficiency / time efficiency / compactness / adaptivity | `table_capacity_efficiency`, `bench_throughput` (Table T-C), `memory_bytes()` accessors, `measure_movement` |
 //! | "x% of the data and the requests" | data: [`crate::workload::measure_fairness`]; requests: the read-copy rotation in [`crate::storage::StorageCluster::read_block`] + `table_request_fairness` |
 //!
 //! ## Section 1.2 — Previous results

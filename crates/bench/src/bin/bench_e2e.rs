@@ -65,7 +65,7 @@ use std::hint::black_box;
 
 use rshare_bench::{f, per_s, print_table, records_json, section, time_each, time_reps, Record};
 use rshare_erasure::gf256::KernelTier;
-use rshare_erasure::{gf256, ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon};
+use rshare_erasure::{gf256, ArrayCode, ErasureCode, MatrixCode, ReedSolomon};
 use rshare_vds::{Redundancy, StorageCluster};
 
 /// Timed repetitions per record.
@@ -500,8 +500,11 @@ fn bench_codes(quick: bool, cells: &mut Vec<Cell>) {
             "xor_parity_d4",
             Box::new(MatrixCode::xor_parity(4).expect("valid code")),
         ),
-        ("evenodd_p5", Box::new(EvenOdd::new(5).expect("valid code"))),
-        ("rdp_p5", Box::new(Rdp::new(5).expect("valid code"))),
+        (
+            "evenodd_p5",
+            Box::new(ArrayCode::evenodd(5).expect("valid code")),
+        ),
+        ("rdp_p5", Box::new(ArrayCode::rdp(5).expect("valid code"))),
         (
             "reed_solomon_4_2",
             Box::new(ReedSolomon::new(4, 2).expect("valid code")),

@@ -12,7 +12,8 @@
 //!    O(n) scan against the O(k) [`FastRedundantShare`] by n at k = 3 and
 //!    by k at n = 64 (`place_<strategy>_n{n}_k{k}`).
 //! 3. **Construction** — nanoseconds per `new` of both by n at k = 3
-//!    (`build_<strategy>_n{n}_k3`): what the O(k) queries cost up front.
+//!    (`build_<strategy>_n{n}_k3`, n ∈ {8, 64, 256, 1024}): what the O(k)
+//!    queries cost up front.
 //!
 //! Prints a table and writes the records to `BENCH_throughput.json` (CI
 //! smoke-checks that the file parses). Pass `--quick` to shrink the
@@ -143,7 +144,7 @@ fn placement_cost(quick: bool) -> Vec<Record> {
 /// Construction cost of the scan and the O(k) variant (measurement 3).
 fn construction(quick: bool) -> Vec<Record> {
     let mut records = Vec::new();
-    for n in [8usize, 64, 256] {
+    for n in [8usize, 64, 256, 1024] {
         let bins = heterogeneous(n);
         for (name, ns) in [
             (

@@ -41,8 +41,9 @@
 //!   the paper's remark that `b̂` "can be calculated similar to b̂ for
 //!   k = 2".
 //!
-//! The calibration is a one-time `O(k · n + n²)` cost at construction; the
-//! per-ball placement stays `O(n)` (or `O(k)` for the precomputed variant).
+//! The calibration is one forward pass over the bins, a one-time
+//! `O(k · n + n²)` cost at construction; the per-ball placement stays
+//! `O(n)` (or `O(k)` for the precomputed variant).
 
 /// Tolerance for treating an expected-share deviation as zero.
 const EPS: f64 = 1e-12;
@@ -152,42 +153,56 @@ impl ScanModel {
         }
     }
 
+    /// The scan at bin 0: its arrival row (`row[r - 2]`, the mass reaching
+    /// the bin with `r` copies left: all of it at `r = k`) and the mass of
+    /// `placeOneCopy` calls starting there (the whole placement for k = 1).
+    fn start(&self) -> (Vec<f64>, f64) {
+        let mut row = vec![0.0; self.k - 1];
+        match row.last_mut() {
+            Some(top) => {
+                *top = 1.0;
+                (row, 0.0)
+            }
+            None => (row, 1.0),
+        }
+    }
+
+    /// Pushes the arrival row at bin `i` through bin `i`'s take
+    /// probabilities: returns the row at bin `i + 1` and the mass of
+    /// `placeOneCopy` calls starting there.
+    fn step(&self, i: usize, row: &[f64]) -> (Vec<f64>, f64) {
+        let mut next = vec![0.0; row.len()];
+        let mut last_mass = 0.0;
+        for r in (2..=self.k).rev() {
+            let mass = row[r - 2];
+            if mass == 0.0 {
+                continue;
+            }
+            let take = mass * self.effective_theta(i, r);
+            if r == 2 {
+                last_mass += take;
+            } else {
+                next[r - 3] += take;
+            }
+            next[r - 2] += mass - take;
+        }
+        (next, last_mass)
+    }
+
     /// Probability that the scan arrives at bin `i` with `r` copies left,
     /// as the dense matrix `A[i][r]` (indexed `[i][r - 2]`), plus the
     /// `placeOneCopy` start-mass vector `L[s]`.
     fn arrival(&self) -> (Vec<Vec<f64>>, Vec<f64>) {
         let n = self.weights.len();
-        let levels = self.k.saturating_sub(1); // r ∈ {2..k}
-        let mut a = vec![vec![0.0; levels]; n];
-        let mut last_copy_mass = vec![0.0; n];
-        if self.k == 1 {
-            // Degenerate: the entire placement is one placeOneCopy call
-            // over the full bin list.
-            last_copy_mass[0] = 1.0;
-            return (a, last_copy_mass);
+        let (row, mass) = self.start();
+        let mut a = vec![row];
+        let mut last_mass = vec![mass];
+        for i in 0..n - 1 {
+            let (next, mass) = self.step(i, &a[i]);
+            a.push(next);
+            last_mass.push(mass);
         }
-        a[0][self.k - 2] = 1.0;
-        for i in 0..n {
-            for r in (2..=self.k).rev() {
-                let mass = a[i][r - 2];
-                if mass == 0.0 {
-                    continue;
-                }
-                let take = mass * self.effective_theta(i, r);
-                let skip = mass - take;
-                if r == 2 {
-                    if i + 1 < n {
-                        last_copy_mass[i + 1] += take;
-                    }
-                } else if i + 1 < n {
-                    a[i + 1][r - 3] += take;
-                }
-                if i + 1 < n {
-                    a[i + 1][r - 2] += skip;
-                }
-            }
-        }
-        (a, last_copy_mass)
+        (a, last_mass)
     }
 
     /// Calibrates the model so that every bin's expected copy count equals
@@ -202,9 +217,11 @@ impl ScanModel {
     ///    weight of the suffix passed into the recursion and thereby change
     ///    exactly that state's take probability.
     ///
-    /// Bins are processed left to right: the knobs at bin `s` only
-    /// influence bins `≥ s`, so each bin can be driven onto its target
-    /// without disturbing earlier ones. For k = 2 the result coincides with
+    /// Bins are processed left to right in one forward pass of the
+    /// arrival DP: the knobs at bin `s` only influence bins `≥ s`, so each
+    /// bin can be driven onto its target without disturbing earlier ones,
+    /// and the arrival row at `s` and the start masses up to `s` are final
+    /// once the knobs below `s` are. For k = 2 the result coincides with
     /// the paper's closed-form `b̂` (see [`closed_form_boost_k2`] and its
     /// cross-check test).
     #[allow(clippy::needless_range_loop)] // indices couple several arrays
@@ -213,15 +230,20 @@ impl ScanModel {
         self.head_boost = self.weights.clone();
         let total = self.suffix[0];
         let mut residual: f64 = 0.0;
+        let (mut row, mass) = self.start();
+        let mut last_mass = vec![mass];
         for s in 0..n {
-            // Recompute flows with all knobs < s final (knobs at s only
-            // affect bins ≥ s, so this is O(n) passes of an O(n·k) DP).
-            let (arrivals, last_mass) = self.arrival();
+            if s > 0 {
+                // Bin s − 1 is calibrated: push its arrivals on to bin s.
+                let (next, mass) = self.step(s - 1, &row);
+                row = next;
+                last_mass.push(mass);
+            }
             let target = self.k as f64 * self.weights[s] / total;
             // Current supply of bin s.
             let mut supply = 0.0;
             for r in 2..=self.k {
-                supply += arrivals[s][r - 2] * self.effective_theta(s, r);
+                supply += row[r - 2] * self.effective_theta(s, r);
             }
             for s2 in 0..=s {
                 if last_mass[s2] == 0.0 {
@@ -261,7 +283,7 @@ impl ScanModel {
                         // Forced take: the probability is structurally 1.
                         continue;
                     }
-                    let mass = arrivals[s][r - 2];
+                    let mass = row[r - 2];
                     if mass <= 0.0 {
                         continue;
                     }

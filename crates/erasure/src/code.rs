@@ -182,7 +182,7 @@ pub(crate) fn check_optional_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EvenOdd, MatrixCode, Rdp, ReedSolomon};
+    use crate::{ArrayCode, MatrixCode, ReedSolomon};
 
     #[test]
     fn shard_validation() {
@@ -206,8 +206,8 @@ mod tests {
             Box::new(rs),
             Box::new(MatrixCode::local_reconstruction(1, 2, 1).unwrap()),
             Box::new(MatrixCode::xor_parity(2).unwrap()),
-            Box::new(EvenOdd::new(3).unwrap()),
-            Box::new(Rdp::new(3).unwrap()),
+            Box::new(ArrayCode::evenodd(3).unwrap()),
+            Box::new(ArrayCode::rdp(3).unwrap()),
         ];
         for code in codes {
             let bad = Err(ErasureError::BadShardLength {

@@ -12,8 +12,8 @@
 //! | Code | Data / parity shards | Tolerates | Arithmetic |
 //! |---|---|---|---|
 //! | [`MatrixCode::xor_parity`] | d / 1 | 1 erasure | GF(256) (all-ones row: XOR) |
-//! | [`EvenOdd`] (prime p) | p / 2 | 2 erasures | XOR |
-//! | [`Rdp`] (prime p) | p−1 / 2 | 2 erasures | XOR |
+//! | [`ArrayCode::evenodd`] (prime p) | p / 2 | 2 erasures | XOR |
+//! | [`ArrayCode::rdp`] (prime p) | p−1 / 2 | 2 erasures | XOR |
 //! | [`ReedSolomon`] | d / p | p erasures | GF(256) |
 //! | [`MatrixCode::local_reconstruction`] (LRC) | g·s / g+p | p+1 guaranteed, more opportunistically | GF(256) |
 //!
@@ -21,7 +21,9 @@
 //! [`ErasureCode::encode`] derives from), and one decoder,
 //! [`ErasureCode::reconstruct`]. The three GF(256) codes are one engine:
 //! [`MatrixCode`] turns a systematic generator matrix into a code, and
-//! Reed–Solomon is its MDS instance.
+//! Reed–Solomon is its MDS instance. The two XOR array codes are the
+//! other: [`ArrayCode`] lays EVENODD and RDP on one grid of diagonals and
+//! decodes both by peeling row and diagonal equations.
 //!
 //! # Example
 //!
@@ -45,18 +47,16 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod array_code;
 mod code;
 mod error;
-mod evenodd;
 pub mod gf256;
 pub mod matrix;
 mod matrix_code;
-mod rdp;
 mod reed_solomon;
 
+pub use array_code::ArrayCode;
 pub use code::ErasureCode;
 pub use error::ErasureError;
-pub use evenodd::EvenOdd;
 pub use matrix_code::MatrixCode;
-pub use rdp::Rdp;
 pub use reed_solomon::ReedSolomon;

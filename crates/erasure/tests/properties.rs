@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rshare_erasure::gf256::KernelTier;
 use rshare_erasure::matrix::Matrix;
-use rshare_erasure::{gf256, ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon};
+use rshare_erasure::{gf256, ArrayCode, ErasureCode, MatrixCode, ReedSolomon};
 
 /// Both tiers, most to least specialised. On a CPU without AVX2 the `Simd`
 /// entry exercises its documented table fallback — still a valid
@@ -102,12 +102,12 @@ fn golden_codewords() {
         ),
         (
             "EVENODD(5)",
-            Box::new(EvenOdd::new(5).unwrap()),
+            Box::new(ArrayCode::evenodd(5).unwrap()),
             0xb9ea_2312_98b4_a49a,
         ),
         (
             "RDP(5)",
-            Box::new(Rdp::new(5).unwrap()),
+            Box::new(ArrayCode::rdp(5).unwrap()),
             0xf92b_d595_3925_64f1,
         ),
     ];
@@ -203,36 +203,20 @@ proptest! {
     }
 
     #[test]
-    fn evenodd_roundtrips(
-        p_idx in 0usize..4,
+    fn array_code_roundtrips(
+        p_idx in 0usize..5,
+        evenodd in any::<bool>(),
         mult in 1usize..=8,
         seed in any::<u64>(),
     ) {
-        let p = [3usize, 5, 7, 11][p_idx];
-        let code = EvenOdd::new(p).unwrap();
+        let p = [3usize, 5, 7, 11, 13][p_idx];
+        let code = if evenodd { ArrayCode::evenodd(p) } else { ArrayCode::rdp(p) }.unwrap();
         let sz = (p - 1) * mult;
-        let data: Vec<Vec<u8>> = (0..p)
+        let data: Vec<Vec<u8>> = (0..code.data_shards())
             .map(|i| (0..sz).map(|j| (seed as usize + i * 17 + j * 3) as u8).collect())
             .collect();
         let count = seed as usize % 3; // 0, 1 or 2 erasures
-        let erasures = pick_erasures(p + 2, count, seed.rotate_left(17));
-        roundtrip(&code, &data, &erasures);
-    }
-
-    #[test]
-    fn rdp_roundtrips(
-        p_idx in 0usize..4,
-        mult in 1usize..=8,
-        seed in any::<u64>(),
-    ) {
-        let p = [3usize, 5, 7, 11][p_idx];
-        let code = Rdp::new(p).unwrap();
-        let sz = (p - 1) * mult;
-        let data: Vec<Vec<u8>> = (0..p - 1)
-            .map(|i| (0..sz).map(|j| (seed as usize ^ (i * 89 + j * 5)) as u8).collect())
-            .collect();
-        let count = seed as usize % 3;
-        let erasures = pick_erasures(p + 1, count, seed.rotate_left(29));
+        let erasures = pick_erasures(code.total_shards(), count, seed.rotate_left(17));
         roundtrip(&code, &data, &erasures);
     }
 
@@ -254,21 +238,27 @@ proptest! {
         roundtrip(&code, &data, &erasures);
     }
 
+    /// Three or more losses are an `Err` that leaves the shards exactly
+    /// as they were, in both array-code layouts.
     #[test]
     fn over_budget_erasures_always_rejected(
         p_idx in 0usize..3,
+        evenodd in any::<bool>(),
+        count in 3usize..=4,
         seed in any::<u64>(),
     ) {
         let p = [3usize, 5, 7][p_idx];
-        let code = Rdp::new(p).unwrap();
-        let len = p - 1;
-        let mut shards: Vec<Vec<u8>> = (0..p + 1).map(|i| vec![i as u8; len]).collect();
+        let code = if evenodd { ArrayCode::evenodd(p) } else { ArrayCode::rdp(p) }.unwrap();
+        let total = code.total_shards();
+        let mut shards: Vec<Vec<u8>> = (0..total).map(|i| vec![i as u8; p - 1]).collect();
         code.encode(&mut shards).unwrap();
         let mut damaged: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
-        for i in pick_erasures(p + 1, 3, seed) {
+        for i in pick_erasures(total, count, seed) {
             damaged[i] = None;
         }
+        let before = damaged.clone();
         prop_assert!(code.reconstruct(&mut damaged).is_err());
+        prop_assert_eq!(damaged, before);
     }
 
     // --- Kernel equivalence: the table-driven GF(256) kernels must be ---

@@ -102,7 +102,6 @@ pub struct ClusterBuilder {
     redundancy: Redundancy,
     devices: Vec<(u64, u64, DeviceProfile)>,
     metrics: bool,
-    metrics_registry: Option<Arc<Registry>>,
 }
 
 impl ClusterBuilder {
@@ -126,16 +125,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
-        self
-    }
-
-    /// Publishes the cluster's series into a caller-owned registry
-    /// (implies [`ClusterBuilder::metrics`]`(true)`) instead of a private
-    /// one — e.g. to merge several clusters into one scrape surface.
-    #[must_use]
-    pub fn metrics_registry(mut self, registry: Arc<Registry>) -> Self {
-        self.metrics = true;
-        self.metrics_registry = Some(registry);
         self
     }
 
@@ -180,12 +169,9 @@ impl ClusterBuilder {
             });
         }
         let shard_len = shard_len(self.block_size, codec.as_deref());
-        let metrics = self.metrics.then(|| {
-            ClusterMetrics::new(
-                self.metrics_registry
-                    .unwrap_or_else(|| Arc::new(Registry::new())),
-            )
-        });
+        let metrics = self
+            .metrics
+            .then(|| ClusterMetrics::new(Arc::new(Registry::new())));
         let mut cluster = StorageCluster {
             devices: Vec::new(),
             positions: BTreeMap::new(),
@@ -516,7 +502,6 @@ impl StorageCluster {
             redundancy: Redundancy::Mirror { copies: 2 },
             devices: Vec::new(),
             metrics: true,
-            metrics_registry: None,
         }
     }
 
@@ -3610,29 +3595,5 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn shared_registry_merges_two_clusters() {
-        let registry = Arc::new(Registry::new());
-        let mut a = StorageCluster::builder()
-            .block_size(64)
-            .redundancy(Redundancy::Mirror { copies: 2 })
-            .device(0, 1_000)
-            .device(1, 1_000)
-            .metrics_registry(Arc::clone(&registry))
-            .build()
-            .unwrap();
-        let mut b = StorageCluster::builder()
-            .block_size(64)
-            .redundancy(Redundancy::Mirror { copies: 2 })
-            .device(0, 1_000)
-            .device(1, 1_000)
-            .metrics_registry(Arc::clone(&registry))
-            .build()
-            .unwrap();
-        a.write_block(0, &block(1, 64)).unwrap();
-        b.write_block(0, &block(2, 64)).unwrap();
-        assert_eq!(registry.counter("writes_total", "").get(), 2);
     }
 }

@@ -28,8 +28,8 @@ use rshare_obs::{Counter, Gauge, Histogram, Registry};
 /// at construction. Cold: built once, cloned never — the cluster owns the
 /// only copy and the registry keeps the other `Arc`.
 pub(crate) struct ClusterMetrics {
-    /// The registry all series live in (owned or shared with other
-    /// clusters via [`crate::ClusterBuilder::metrics_registry`]).
+    /// The registry all series live in, private to the cluster and read
+    /// through [`crate::StorageCluster::metrics_registry`].
     pub(crate) registry: Arc<Registry>,
     /// Successful block reads.
     pub(crate) reads_total: Arc<Counter>,

@@ -6,7 +6,7 @@
 //! erasure-coded data ("each sub-block has a different meaning and
 //! therefore has to be handled differently").
 
-use rshare_erasure::{ErasureCode, EvenOdd, MatrixCode, Rdp, ReedSolomon};
+use rshare_erasure::{ArrayCode, ErasureCode, MatrixCode, ReedSolomon};
 
 use crate::error::VdsError;
 
@@ -95,8 +95,8 @@ impl Redundancy {
                 None
             }
             Self::XorParity { data } => Some(Box::new(MatrixCode::xor_parity(data)?)),
-            Self::EvenOdd { p } => Some(Box::new(EvenOdd::new(p)?)),
-            Self::Rdp { p } => Some(Box::new(Rdp::new(p)?)),
+            Self::EvenOdd { p } => Some(Box::new(ArrayCode::evenodd(p)?)),
+            Self::Rdp { p } => Some(Box::new(ArrayCode::rdp(p)?)),
             Self::ReedSolomon { data, parity } => Some(Box::new(ReedSolomon::new(data, parity)?)),
             Self::LocalReconstruction {
                 groups,

@@ -311,6 +311,11 @@ fn model_rdp() {
 }
 
 #[test]
+fn model_evenodd() {
+    run(Redundancy::EvenOdd { p: 3 }, 7, 400, 0xE0DD);
+}
+
+#[test]
 fn model_xor_parity() {
     run(Redundancy::XorParity { data: 2 }, 5, 400, 0xE66);
 }

@@ -28,10 +28,11 @@
 const POLY: u16 = 0x11d;
 
 // The SIMD tier is the one corner of the workspace that needs `unsafe`
-// (std::arch intrinsics + #[target_feature]); the allowance is scoped to
-// this module, every unsafe operation must sit in an explicitly justified
-// `unsafe {}` block (`unsafe_op_in_unsafe_fn`), and the crate root keeps
-// `deny(unsafe_code)` for everything else.
+// (std::arch intrinsics + #[target_feature], and the cache-line
+// `prefetch` the storage layer's commit path uses); the allowance is
+// scoped to this module, every unsafe operation must sit in an explicitly
+// justified `unsafe {}` block (`unsafe_op_in_unsafe_fn`), and the crate
+// root keeps `deny(unsafe_code)` for everything else.
 #[allow(unsafe_code)]
 #[deny(unsafe_op_in_unsafe_fn)]
 pub mod simd;

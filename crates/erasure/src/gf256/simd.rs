@@ -16,6 +16,10 @@
 //! The kernels here check [`available`] themselves and fall back to the
 //! portable bodies, so they are sound whoever calls them.
 //!
+//! [`prefetch`] also lives here, though it is no GF(256) kernel: the
+//! storage layer hints the cache lines of the slots a write will fill,
+//! and the hint is an `std::arch` intrinsic too.
+//!
 //! This module is the only place in the workspace that uses `unsafe`: the
 //! `std::arch` intrinsics require it. Every unsafe block's obligations are
 //! discharged locally — AVX2 is checked before any `#[target_feature]`
@@ -59,6 +63,33 @@ pub(super) fn xor_acc(acc: &mut [u8], data: &[u8]) {
         return;
     }
     super::xor_acc_words(acc, data);
+}
+
+/// Hints the CPU to fetch every 64-byte cache line of `bytes` into its
+/// caches, without waiting for any of them: one `prefetcht0` at the first
+/// byte and one at the start of each later line the slice reaches. A
+/// write into the slice a little later then finds its lines on the way,
+/// and unlike a load, a prefetch holds up no instruction behind it. A
+/// no-op off x86-64.
+#[inline]
+pub fn prefetch(bytes: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = bytes.as_ptr() as usize;
+        let mut offset = 0;
+        while offset < bytes.len() {
+            let line = bytes.as_ptr().wrapping_add(offset).cast::<i8>();
+            // SAFETY: a prefetch is a hint that never faults and writes
+            // nothing, whatever the address; `offset < bytes.len()`, so
+            // every address hinted lies inside the slice anyway. SSE, the
+            // instruction's feature, is part of every x86-64 CPU.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line) };
+            offset = ((start + offset) | 63) + 1 - start;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = bytes;
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -171,6 +202,20 @@ mod tests {
         xor_acc(&mut acc, &data);
         for (i, a) in acc.iter().enumerate() {
             assert_eq!(*a, 0xFF ^ (i as u8));
+        }
+    }
+
+    #[test]
+    fn prefetch_leaves_every_slice_shape_unchanged() {
+        let bytes: Vec<u8> = (0..300).map(|i| i as u8).collect();
+        let mid_line = 64 - bytes.as_ptr() as usize % 64 + 17;
+        assert_eq!(bytes[mid_line..].as_ptr() as usize % 64, 17);
+        // Empty, one byte, and a slice that starts 17 bytes into a line
+        // and whose 150-byte length is no multiple of 64.
+        for slice in [&bytes[..0], &bytes[5..6], &bytes[mid_line..mid_line + 150]] {
+            let before = slice.to_vec();
+            prefetch(slice);
+            assert_eq!(slice, before.as_slice());
         }
     }
 }

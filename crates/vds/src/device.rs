@@ -12,7 +12,6 @@
 //! its reservation, so resident memory follows the slots handed out,
 //! nothing is zeroed before its slot is, and a slot never moves.
 
-use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::profile::DeviceProfile;
@@ -262,26 +261,10 @@ impl Device {
         self.slab.alloc()
     }
 
-    /// Loads the first byte of `slot`, which [`Device::alloc`] handed
-    /// out, so the slot's address lookup and first cache miss are under
-    /// way before [`Device::warm`] reads it through.
-    pub(crate) fn touch(&self, slot: u32) {
-        black_box(self.slab.get(slot)[0]);
-    }
-
-    /// Loads one byte of every 64-byte cache line of `slot`, front to back
-    /// (its last byte covers the last line of a slot that starts partway
-    /// into a line, as one whose length is not a power of two may), so a
-    /// write to the slot a little later finds its lines fetched. The
-    /// bytes are folded into one value, so the loads cost few
-    /// instructions and many can be in flight at once.
-    pub(crate) fn warm(&self, slot: u32) {
-        let bytes = self.slab.get(slot);
-        let mut fold = bytes[bytes.len() - 1];
-        for &byte in bytes.iter().step_by(64) {
-            fold ^= byte;
-        }
-        black_box(fold);
+    /// The bytes of `slot`, which [`Device::alloc`] handed out, for the
+    /// commit path to prefetch before it writes them.
+    pub(crate) fn slot(&self, slot: u32) -> &[u8] {
+        self.slab.get(slot)
     }
 
     /// Copies one shard into `slot`, which [`Device::alloc`] handed out.

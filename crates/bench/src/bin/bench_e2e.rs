@@ -19,7 +19,10 @@
 //!    perfbench's ec-degraded cluster shape (`block_read_ec_random`:
 //!    RS(4, 2), 4 KiB blocks, 96 devices of capacity weights 1–4, 65,536
 //!    stored blocks), where each read copies four 1 KiB data shards out
-//!    of four device slabs.
+//!    of four device slabs. On the same cluster with one device failed,
+//!    `read_block_into` in random order over the blocks that held a data
+//!    shard there (`block_read_ec_degraded`), so every read is degraded:
+//!    it fetches the five surviving shards and decodes the lost one.
 //! 3. **Reed–Solomon encode** — MB/s of each GF(256) kernel tier (SIMD,
 //!    flat-table) vs the byte-wise log/exp reference on 64 KiB shards:
 //!    `encode` for the SIMD tier, `mul_acc_many_with` over the generator's
@@ -308,32 +311,45 @@ fn bench_random_reads(quick: bool, cells: &mut Vec<Cell>) {
 
 /// `read_block_into` in random order over perfbench's ec-degraded cluster
 /// shape (module docs, item 2), built by [`stored_cluster`] with metrics
-/// on as perfbench builds it; 1/16 of the blocks and reads under
-/// `--quick`.
+/// on as perfbench builds it, healthy (`ec_random`) and then with one
+/// device failed, over the blocks that held a data shard on it
+/// (`ec_degraded`); 1/16 of the blocks and reads under `--quick`.
 fn bench_ec_random_reads(quick: bool, cells: &mut Vec<Cell>) {
     const DOMAIN: u64 = 0x4543_5241_4e44_5244; // "ECRANDRD"
+    /// The device failed for `ec_degraded`: one of capacity weight 4.
+    const EC_FAILED: u64 = 3;
     let scale = if quick { 16 } else { 1 };
     let blocks: u64 = 65_536 / scale;
     let reads: u64 = (1 << 17) / scale;
-    let c = stored_cluster(
+    let mut c = stored_cluster(
         Redundancy::ReedSolomon { data: 4, parity: 2 },
         4096,
         96,
         blocks,
     );
-    let order: Vec<u64> = (0..reads)
-        .map(|i| rshare_hash::stable_hash2(i, DOMAIN) % blocks)
-        .collect();
     let mut buf = vec![0u8; 4096];
-    c.read_block_into(order[0], &mut buf).expect("read");
-    assert_eq!(buf, vec![order[0] as u8; 4096], "stored block reads back");
-    let ns = time_each(REPS, || {
-        for &lba in &order {
-            c.read_block_into(black_box(lba), &mut buf).expect("read");
-            black_box(&buf);
-        }
-    });
-    cells.push(Cell::new("block_read", "ec_random", reads, "blocks", &ns));
+    let mut time_reads = |c: &StorageCluster, mode, lbas: &[u64], reads: u64| {
+        let order: Vec<u64> = (0..reads)
+            .map(|i| lbas[(rshare_hash::stable_hash2(i, DOMAIN) % lbas.len() as u64) as usize])
+            .collect();
+        c.read_block_into(order[0], &mut buf).expect("read");
+        assert_eq!(buf, vec![order[0] as u8; 4096], "stored block reads back");
+        let ns = time_each(REPS, || {
+            for &lba in &order {
+                c.read_block_into(black_box(lba), &mut buf).expect("read");
+                black_box(&buf);
+            }
+        });
+        cells.push(Cell::new("block_read", mode, reads, "blocks", &ns));
+    };
+    let lbas: Vec<u64> = (0..blocks).collect();
+    time_reads(&c, "ec_random", &lbas, reads);
+    let held: Vec<u64> = lbas
+        .into_iter()
+        .filter(|&lba| c.placement(lba)[..4].contains(&EC_FAILED))
+        .collect();
+    c.fail_device(EC_FAILED).expect("device exists");
+    time_reads(&c, "ec_degraded", &held, reads / 4);
 }
 
 /// A Reed–Solomon cluster for the write/repair pipeline benches; erasure

@@ -21,7 +21,10 @@
 //! a byte moves, so an `Err` leaves the previous value exactly. Each
 //! block's slots are taken and prefetched one block ahead, before the
 //! current block's parity is encoded, so cold slots arrive while the
-//! codec and the copies run rather than one store at a time.
+//! codec and the copies run rather than one store at a time. Reads
+//! prefetch the same way: an erasure-coded read hints every slot it will
+//! copy before copying any, and a migration or repair gather hints the
+//! next block's slots before gathering the current one.
 //!
 //! Every membership change follows one path: build the strategy over the
 //! new membership, gate it on Lemma 2.2's `B_max`, install it as the
@@ -427,12 +430,9 @@ fn land<P: Payloads>(
 }
 
 /// Takes a fresh slot into `slots` (cleared first) for every word of
-/// `row` without one, then prefetches every slot the row's block will
-/// write: its fresh slots, and under payloads covering every shard its
-/// in-place ones. Every slot's first line is hinted, then each slot's
-/// lines front to back, so the slots' page walks and first misses
-/// overlap instead of each slot's waiting behind the previous slot's
-/// lines; that measured faster than one pass slot by slot.
+/// `row` without one, then prefetches ([`prefetch_slots`]) every slot the
+/// row's block will write: its fresh slots, and under payloads covering
+/// every shard its in-place ones.
 fn take_ahead<P: Payloads>(devices: &mut [Device], row: &[u64], slots: &mut Vec<u32>) {
     slots.clear();
     for &word in row.iter().filter(|&&w| slot_of(w).is_none()) {
@@ -442,19 +442,27 @@ fn take_ahead<P: Payloads>(devices: &mut [Device], row: &[u64], slots: &mut Vec<
         slots.push(slot);
     }
     let devices = &*devices;
-    let writes = || {
-        let mut fresh = slots.iter();
+    let mut fresh = slots.iter();
+    prefetch_slots(
         row.iter()
             .filter(|&&w| P::EVERY_SHARD || slot_of(w).is_none())
             .map(move |&w| {
                 let slot = slot_of(w).or_else(|| fresh.next().copied());
                 devices[position_of(w)].slot(slot.expect("one slot taken per fresh word"))
-            })
-    };
-    for bytes in writes() {
+            }),
+    );
+}
+
+/// Prefetches every slot of `slots`, the slots one access is about to
+/// copy into or out of: every slot's first line is hinted, then each
+/// slot's lines front to back, so the slots' page walks and first misses
+/// overlap instead of each slot's waiting behind the previous slot's
+/// lines; that measured faster than one pass slot by slot.
+fn prefetch_slots<'a>(slots: impl Iterator<Item = &'a [u8]> + Clone) {
+    for bytes in slots.clone() {
         prefetch(&bytes[..1]);
     }
-    for bytes in writes() {
+    for bytes in slots {
         prefetch(bytes);
     }
 }
@@ -573,6 +581,16 @@ impl StorageCluster {
     /// its device is online.
     fn present(&self, word: u64) -> bool {
         slot_of(word).is_some() && self.devices[position_of(word)].state() == DeviceState::Online
+    }
+
+    /// Prefetches ([`prefetch_slots`]) the slots of the present words
+    /// among `words`, ahead of a read that copies them. A word that is not
+    /// present is skipped: it has no slot, or its device's slab is gone.
+    fn prefetch_present(&self, words: &[u64]) {
+        prefetch_slots(words.iter().filter_map(|&w| {
+            let slot = slot_of(w).filter(|_| self.present(w))?;
+            Some(self.devices[position_of(w)].slot(slot))
+        }));
     }
 
     /// Copies the shard a row word names into `out` (one shard long);
@@ -963,7 +981,10 @@ impl StorageCluster {
                 let d = codec.data_shards();
                 let shard_len = self.block_size / d;
                 // Fast path: copy each data shard straight into its stripe
-                // segment of `buf` — no per-shard `Vec`.
+                // segment of `buf` — no per-shard `Vec`. The d slots sit
+                // in d device slabs, so all of them are prefetched before
+                // the first copy and their misses overlap.
+                self.prefetch_present(&row[..d]);
                 let mut loaded = 0;
                 while loaded < d {
                     let seg = &mut buf[loaded * shard_len..(loaded + 1) * shard_len];
@@ -982,6 +1003,9 @@ impl StorageCluster {
                 // and copy the data shards not yet in `buf`.
                 // Device read counters stay identical to the fast path
                 // attempting every shard once: the prefix is not re-read.
+                // The data words past the prefix were prefetched with the
+                // fast path's; the parity words are prefetched here.
+                self.prefetch_present(&row[d..]);
                 let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(k);
                 for i in 0..k {
                     if i < loaded {
@@ -1235,7 +1259,8 @@ impl StorageCluster {
     /// The migration executor, shared by migrations and repair. Gather:
     /// each block in `work` (indices into `lbas`) reads its group once,
     /// reconstructs what's missing and builds its new row against
-    /// `new_flat` (row words without slots). One validation then covers
+    /// `new_flat` (row words without slots), with the next block's
+    /// present slots prefetched before it. One validation then covers
     /// the whole chunk, so an `Err` touches nothing, and each block
     /// commits.
     fn execute_block_ops(
@@ -1250,7 +1275,10 @@ impl StorageCluster {
         let mut old: Vec<u64> = Vec::with_capacity(work.len() * k);
         let mut rows: Vec<u64> = Vec::with_capacity(work.len() * k);
         let mut lands: Vec<Vec<u8>> = Vec::new();
-        for &j in work {
+        for (n, &j) in work.iter().enumerate() {
+            if let Some(&next) = work.get(n + 1) {
+                self.prefetch_present(&old_flat[next * k..(next + 1) * k]);
+            }
             let run = j * k..(j + 1) * k;
             old.extend_from_slice(&old_flat[run.clone()]);
             self.gather_block(
@@ -2244,6 +2272,90 @@ mod tests {
             .sum();
         // Healthy read touches exactly the 4 data shards.
         assert_eq!(reads, 4);
+    }
+
+    /// Reads every block of an erasure-coded cluster of 10 devices, whose
+    /// codec has `d` data shards, healthy, then with a lost shard in every
+    /// fifth block and a data-shard device failed. Every read returns its
+    /// bytes, and each device's read counter and `degraded_reads_total`
+    /// advance exactly as the read path counts: a read whose d data
+    /// shards are present reads those on the fast path, any other reads
+    /// every present shard once and is degraded. Prefetching a slot counts
+    /// nothing.
+    fn assert_ec_reads_count_exactly(redundancy: Redundancy, d: usize) {
+        let b = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(redundancy);
+        let mut c = (0..10u64)
+            .fold(b, |b, id| b.device(id, 1_000))
+            .build()
+            .unwrap();
+        let blocks = 200u64;
+        for lba in 0..blocks {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        let ids = c.device_ids();
+        let reads = |c: &StorageCluster| -> Vec<u64> {
+            ids.iter()
+                .map(|&id| c.device(id).unwrap().stats().reads)
+                .collect()
+        };
+        let degraded = |c: &StorageCluster| {
+            let reg = c.metrics_registry().unwrap();
+            reg.counter("degraded_reads_total", "").get()
+        };
+        // Per damaged block, the shard index lost to `inject_shard_loss`.
+        let mut lost: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut failed = None;
+        let mut paths = [0u64; 3];
+        for phase in 0..2 {
+            if phase == 1 {
+                for lba in (0..blocks).step_by(5) {
+                    let shard = (lba / 5) as usize % d;
+                    assert!(c.inject_shard_loss(lba, shard));
+                    lost.insert(lba, shard);
+                }
+                failed = Some(c.placement(1)[0]);
+                c.fail_device(failed.unwrap()).unwrap();
+            }
+            let mut expected = reads(&c);
+            let mut expected_degraded = degraded(&c);
+            for lba in 0..blocks {
+                let placement = c.placement(lba);
+                let present: Vec<bool> = placement
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &id)| Some(id) != failed && lost.get(&lba) != Some(&i))
+                    .collect();
+                let fast = present[..d].iter().all(|&p| p);
+                let on_failed = placement[..d].iter().any(|&id| Some(id) == failed);
+                // 0: the fast path; 1: through the failed device; 2: an
+                // emptied word alone.
+                paths[usize::from(!fast) * if on_failed { 1 } else { 2 }] += 1;
+                for (i, &id) in placement.iter().enumerate() {
+                    if present[i] && (i < d || !fast) {
+                        expected[ids.iter().position(|&x| x == id).unwrap()] += 1;
+                    }
+                }
+                expected_degraded += u64::from(!fast);
+                assert_eq!(
+                    c.read_block(lba).unwrap(),
+                    block(lba as u8, 64),
+                    "lba {lba}"
+                );
+                assert_eq!(reads(&c), expected, "phase {phase}, lba {lba}");
+                assert_eq!(degraded(&c), expected_degraded, "phase {phase}, lba {lba}");
+            }
+        }
+        // Every path ran: the fast path, a failed data-shard device and
+        // an emptied word alone.
+        assert!(paths.iter().all(|&n| n > 0), "paths {paths:?}");
+    }
+
+    #[test]
+    fn erasure_reads_count_exactly_on_every_path() {
+        assert_ec_reads_count_exactly(Redundancy::ReedSolomon { data: 4, parity: 2 }, 4);
+        assert_ec_reads_count_exactly(Redundancy::Rdp { p: 5 }, 4);
     }
 
     #[test]

@@ -262,7 +262,9 @@ impl Device {
     }
 
     /// The bytes of `slot`, which [`Device::alloc`] handed out, for the
-    /// commit path to prefetch before it writes them.
+    /// commit path to prefetch before it writes them and the read path
+    /// before it copies them out. Panics on a failed device, whose slab
+    /// is gone.
     pub(crate) fn slot(&self, slot: u32) -> &[u8] {
         self.slab.get(slot)
     }

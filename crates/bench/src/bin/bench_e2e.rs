@@ -23,12 +23,12 @@
 //!    `read_block_into` in random order over the blocks that held a data
 //!    shard there (`block_read_ec_degraded`), so every read is degraded:
 //!    it fetches the five surviving shards and decodes the lost one.
-//! 3. **Reed–Solomon encode** — MB/s of each GF(256) kernel tier (SIMD,
-//!    flat-table) vs the byte-wise log/exp reference on 64 KiB shards:
-//!    `encode` for the SIMD tier, `mul_acc_many_with` over the generator's
-//!    parity rows for the table tier. Each tier's rep encodes enough data
-//!    to last tens of milliseconds, so timer noise stays small against
-//!    it.
+//! 3. **Reed–Solomon encode** — MB/s of each GF(256) kernel tier (GFNI,
+//!    AVX2 SIMD, flat-table) vs the byte-wise log/exp reference on 64 KiB
+//!    shards: `encode` for the CPU's tier (the `gfni` row),
+//!    `mul_rows_with` over the generator's parity rows for the `simd` and
+//!    `table` rows. Each tier's rep encodes enough data to last tens of
+//!    milliseconds, so timer noise stays small against it.
 //! 4. **Reed–Solomon reconstruct** — `reconstruct` rate of RS(4, 2) on
 //!    1 KiB shards with one data shard, one data and one parity shard, or
 //!    one parity shard lost: the decode inside degraded reads and repair.
@@ -366,12 +366,13 @@ fn rs_cluster(block_size: usize) -> StorageCluster {
 }
 
 /// RS(8, 4) parity generation over 64 KiB shards: `encode` on the CPU's
-/// tier (the `simd` row; on a CPU without AVX2 it measures the table
-/// fallback), the table body through `mul_acc_many_with` over the
-/// generator's parity rows (the `table` row), and the byte-wise log/exp
-/// reference. The `simd` row encodes 16 times as much data per rep as the
-/// others, so a rep lasts at least 50 ms at the 4–7 GB/s of an AVX2 core
-/// (the slower rows pass that at the base count).
+/// tier (the `gfni` row; on a CPU without GFNI it measures the AVX2 or
+/// table fallback), the pshufb and table bodies through `mul_rows_with`
+/// over the generator's parity rows (the `simd` and `table` rows), and
+/// the byte-wise log/exp reference. The `gfni` and `simd` rows encode 16
+/// times as much data per rep as the others, so a rep lasts tens of
+/// milliseconds at the 4–7 GB/s of an AVX2 core (the slower rows pass
+/// that at the base count).
 fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     const DATA: usize = 8;
     const PARITY: usize = 4;
@@ -385,9 +386,10 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     let mut shards: Vec<Vec<u8>> = data.clone();
     shards.extend(std::iter::repeat_with(|| vec![0u8; SHARD]).take(PARITY));
     let data_bytes = |encodes: usize| (DATA * SHARD * encodes) as u64;
+    let rows = &code.generator().as_slice()[DATA * DATA..];
 
     // Sanity: the production kernel matches the byte-wise reference
-    // before timing (the table row is checked against it below).
+    // before timing (the other rows are checked against it below).
     code.encode(&mut shards).expect("encode");
     for (row_idx, got) in shards.iter().enumerate().skip(DATA) {
         let row = code.generator().row(row_idx);
@@ -406,30 +408,37 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     });
     cells.push(Cell::new(
         "rs_encode",
-        "simd",
+        "gfni",
         data_bytes(simd_encodes),
         "bytes",
         &ns,
     ));
     let mut parity = vec![vec![0u8; SHARD]; PARITY];
-    let ns = time_each(REPS, || {
-        for _ in 0..encodes {
-            for (p, out) in parity.iter_mut().enumerate() {
-                out.fill(0);
-                let row = code.generator().row(DATA + p);
-                gf256::mul_acc_many_with(KernelTier::Table, black_box(out), &data, row);
+    for (tier, n) in [
+        (KernelTier::Simd, simd_encodes),
+        (KernelTier::Table, encodes),
+    ] {
+        parity.iter_mut().for_each(|p| p.fill(0));
+        let ns = time_each(REPS, || {
+            for _ in 0..n {
+                gf256::mul_rows_with(tier, black_box(&mut parity), &data, rows);
             }
-        }
-        black_box(&parity);
-    });
-    assert_eq!(parity[..], shards[DATA..], "table kernel mismatch");
-    cells.push(Cell::new(
-        "rs_encode",
-        "table",
-        data_bytes(encodes),
-        "bytes",
-        &ns,
-    ));
+            black_box(&parity);
+        });
+        assert_eq!(
+            parity[..],
+            shards[DATA..],
+            "{} kernel mismatch",
+            tier.name()
+        );
+        cells.push(Cell::new(
+            "rs_encode",
+            tier.name(),
+            data_bytes(n),
+            "bytes",
+            &ns,
+        ));
+    }
 
     let ns = time_each(REPS, || {
         for _ in 0..encodes {
@@ -818,10 +827,11 @@ fn to_json(cells: &[Cell], calls: &[Record], memory: &Memory, quick: bool) -> St
     s.push_str(&records_json(&records));
     s.push_str(",\n");
     s.push_str(&format!(
-        "  \"summary\": {{\"cached_lookup_speedup\": {:.2}, \"table_encode_speedup\": {:.2}, \"simd_encode_speedup\": {:.2}, \"fused_write_speedup\": {:.2}, \"fused_repair_speedup\": {:.2}}}\n",
+        "  \"summary\": {{\"cached_lookup_speedup\": {:.2}, \"table_encode_speedup\": {:.2}, \"simd_encode_speedup\": {:.2}, \"gfni_encode_speedup\": {:.2}, \"fused_write_speedup\": {:.2}, \"fused_repair_speedup\": {:.2}}}\n",
         speedup(cells, "placement_lookup", "cached", "uncached"),
         speedup(cells, "rs_encode", "table", "bytewise"),
         speedup(cells, "rs_encode", "simd", "table"),
+        speedup(cells, "rs_encode", "gfni", "simd"),
         speedup(cells, "stripe_write", "fused", "loop"),
         speedup(cells, "repair", "fused", "loop"),
     ));
@@ -845,6 +855,7 @@ fn records(cells: &[Cell]) -> Vec<Record> {
                 ("repair", "fused") => (Some("repair_fused"), Some("loop")),
                 ("repair", "loop") => (Some("repair_block_loop"), None),
                 ("placement_lookup", "cached") => (None, Some("uncached")),
+                (_, "gfni") => (None, Some("simd")),
                 (_, "simd") => (None, Some("table")),
                 (_, "table") => (None, Some("bytewise")),
                 _ => (None, None),
@@ -914,10 +925,11 @@ fn main() {
 
     println!(
         "\nspeedups: cached lookups {}x, table encode {}x, \
-         simd over table {}x, fused writes {}x, fused repair {}x",
+         simd over table {}x, gfni over simd {}x, fused writes {}x, fused repair {}x",
         f(speedup(&cells, "placement_lookup", "cached", "uncached")),
         f(speedup(&cells, "rs_encode", "table", "bytewise")),
         f(speedup(&cells, "rs_encode", "simd", "table")),
+        f(speedup(&cells, "rs_encode", "gfni", "simd")),
         f(speedup(&cells, "stripe_write", "fused", "loop")),
         f(speedup(&cells, "repair", "fused", "loop")),
     );

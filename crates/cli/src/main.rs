@@ -446,15 +446,10 @@ fn cmd_kernels(args: &Args) -> Result<(), ArgError> {
     }
     let shard_len = (shard_kib as usize) * 1024;
 
+    let yes_no = |b: bool| if b { "yes" } else { "no" };
     println!("GF(256) bulk-kernel dispatch");
-    println!(
-        "  avx2 support : {}",
-        if gf256::simd::available() {
-            "yes"
-        } else {
-            "no"
-        }
-    );
+    println!("  avx2 support : {}", yes_no(gf256::simd::available()));
+    println!("  gfni support : {}", yes_no(gf256::simd::gfni_available()));
     println!("  active tier  : {}", gf256::kernel_tier().name());
 
     // Per-tier RS(4, 2) parity rate on `--shard-kib` shards: each tier
@@ -464,23 +459,21 @@ fn cmd_kernels(args: &Args) -> Result<(), ArgError> {
     let data: Vec<Vec<u8>> = (0..4)
         .map(|i| (0..shard_len).map(|j| (i * 89 + j * 7) as u8).collect())
         .collect();
-    let mut parity = vec![0u8; shard_len];
+    let rows = &rs.generator().as_slice()[4 * 4..];
+    let mut parity = vec![vec![0u8; shard_len]; 2];
     println!("  rs(4,2) encode, {shard_kib} KiB shards:");
-    for tier in [KernelTier::Simd, KernelTier::Table] {
+    for tier in [KernelTier::Gfni, KernelTier::Simd, KernelTier::Table] {
         let start = Instant::now();
         let reps = 8;
         for _ in 0..reps {
-            for row in 4..6 {
-                parity.fill(0);
-                gf256::mul_acc_many_with(tier, &mut parity, &data, rs.generator().row(row));
-            }
+            gf256::mul_rows_with(tier, &mut parity, &data, rows);
         }
         let secs = start.elapsed().as_secs_f64();
         let mb = (reps * 4 * shard_len) as f64 / 1e6;
-        let note = if tier == KernelTier::Simd && !gf256::simd::available() {
-            "  (no AVX2; ran table)"
-        } else {
-            ""
+        let note = match tier {
+            KernelTier::Gfni if !gf256::simd::gfni_available() => "  (no GFNI; ran the fallback)",
+            KernelTier::Simd if !gf256::simd::available() => "  (no AVX2; ran table)",
+            _ => "",
         };
         println!("    {:>5}  {:>9.1} MB/s{note}", tier.name(), mb / secs);
     }

@@ -1,27 +1,33 @@
 //! Arithmetic in GF(2⁸) with the Rijndael-compatible polynomial `0x11d`.
 //!
 //! Addition is XOR; scalar multiplication uses log/exp tables built once at
-//! first use. The bulk kernels ([`mul_acc`], [`xor_acc`], [`mul_acc_many`])
+//! first use. The bulk kernels ([`mul_acc`], [`xor_acc`], [`mul_rows`])
 //! that form the inner loops of every erasure code in this crate run on
-//! one of two tiers, and the CPU alone picks which:
+//! one of three tiers, and the CPU alone picks which:
 //!
-//! 1. **SIMD** ([`KernelTier::Simd`], [`simd`]) — x86-64 AVX2 split-nibble
+//! 1. **GFNI** ([`KernelTier::Gfni`]) — x86-64 `vgf2p8affineqb` multiplies
+//!    32 bytes by a coefficient's 8×8 bit matrix in one instruction. It
+//!    serves [`mul_rows`]: each 32-byte source column is loaded once and
+//!    each output stored once. Runs whenever the CPU has GFNI and AVX2;
+//!    the single-row [`mul_acc`] and [`xor_acc`] run the AVX2 bodies.
+//! 2. **SIMD** ([`KernelTier::Simd`], [`simd`]) — x86-64 AVX2 split-nibble
 //!    `vpshufb` kernels: two 16-entry product tables per coefficient, 32
-//!    product bytes per shuffle pair. Runs whenever the CPU has AVX2.
-//! 2. **Table** ([`KernelTier::Table`]) — a flat 256×256 product table,
+//!    product bytes per shuffle pair, one output row at a time. Runs
+//!    whenever the CPU has AVX2 but no GFNI.
+//! 3. **Table** ([`KernelTier::Table`]) — a flat 256×256 product table,
 //!    sixteen branch-free, bounds-check-free lookups per iteration. The
 //!    one portable body: it runs on every CPU without AVX2 (every non-x86
 //!    target among them), and it is the tier the SIMD kernels are
 //!    property-tested against.
 //!
-//! Both tiers are bit-identical (GF(256) multiplication is exact — the
+//! All tiers are bit-identical (GF(256) multiplication is exact — the
 //! property tests pin this across tiers, offsets and lengths).
 //! [`kernel_tier`] is a pure function of the hardware, so the tier never
 //! changes inside a process. The explicit-tier entry points
-//! ([`mul_acc_with`], [`xor_acc_with`], [`mul_acc_many_with`]) reach the
-//! table body on an AVX2 host for tests and benchmarks, without touching
-//! any global state. The byte-at-a-time log/exp kernel survives as
-//! [`mul_acc_bytewise`], the reference the property tests and the
+//! ([`mul_acc_with`], [`xor_acc_with`], [`mul_rows_with`]) reach the
+//! slower bodies on a faster host for tests and benchmarks, without
+//! touching any global state. The byte-at-a-time log/exp kernel survives
+//! as [`mul_acc_bytewise`], the reference the property tests and the
 //! `bench_e2e` report pin every production kernel against.
 
 /// The irreducible polynomial x⁸ + x⁴ + x³ + x² + 1.
@@ -64,9 +70,10 @@ pub struct KernelStats {
     pub xor_bytes: u64,
     /// Bytes run through a multiply kernel (coefficients ≥ 2).
     pub mul_bytes: u64,
-    /// Multiply bytes handled by the SIMD tier: `mul_bytes` under
-    /// [`KernelTier::Simd`], 0 under [`KernelTier::Table`] (the tier is
-    /// fixed for the life of the process).
+    /// Multiply bytes handled by a SIMD tier: `mul_bytes` under
+    /// [`KernelTier::Gfni`] and [`KernelTier::Simd`], 0 under
+    /// [`KernelTier::Table`] (the tier is fixed for the life of the
+    /// process).
     pub simd_bytes: u64,
     /// Kernel invocations that processed data.
     pub calls: u64,
@@ -77,7 +84,7 @@ impl KernelStats {
     /// `mul_bytes` and the process's tier.
     fn new(xor_bytes: u64, mul_bytes: u64, calls: u64) -> Self {
         let simd_bytes = match kernel_tier() {
-            KernelTier::Simd => mul_bytes,
+            KernelTier::Gfni | KernelTier::Simd => mul_bytes,
             KernelTier::Table => 0,
         };
         Self {
@@ -130,30 +137,36 @@ fn tally(xors: u64, muls: u64, len: u64) {
 /// for what each tier does; [`kernel_tier`] reports the one this CPU runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
-    /// x86-64 AVX2 `vpshufb` split-nibble kernels.
+    /// x86-64 GFNI affine kernel for [`mul_rows`], AVX2 for the rest.
+    Gfni,
+    /// x86-64 AVX2 `vpshufb` split-nibble kernels, one row at a time.
     Simd,
     /// Flat 256×256 product table, byte at a time.
     Table,
 }
 
 impl KernelTier {
-    /// The tier's lowercase name (`"simd"`, `"table"`).
+    /// The tier's lowercase name (`"gfni"`, `"simd"`, `"table"`).
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
+            Self::Gfni => "gfni",
             Self::Simd => "simd",
             Self::Table => "table",
         }
     }
 }
 
-/// The tier the bulk kernels run on: [`KernelTier::Simd`] when the CPU
-/// has AVX2 ([`simd::available`]), [`KernelTier::Table`] otherwise. A
+/// The tier the bulk kernels run on: [`KernelTier::Gfni`] when the CPU
+/// has GFNI and AVX2 ([`simd::gfni_available`]), else [`KernelTier::Simd`]
+/// when it has AVX2 ([`simd::available`]), else [`KernelTier::Table`]. A
 /// pure function of the hardware (std caches the CPU probe), so every
 /// call in a process returns the same tier.
 #[must_use]
 pub fn kernel_tier() -> KernelTier {
-    if simd::available() {
+    if simd::gfni_available() {
+        KernelTier::Gfni
+    } else if simd::available() {
         KernelTier::Simd
     } else {
         KernelTier::Table
@@ -223,6 +236,22 @@ pub fn mul_row(c: u8) -> &'static [u8; 256] {
     mul_table()[start..start + 256]
         .try_into()
         .expect("row is 256 bytes")
+}
+
+/// The 8×8 bit matrix of multiplication by each coefficient, as
+/// `vgf2p8affineqb` reads it: bit `j` of byte `7 - i` is bit `i` of `c · 2ʲ`.
+fn affine_table() -> &'static [u64; 256] {
+    use std::sync::OnceLock;
+    static AFFINE: OnceLock<[u64; 256]> = OnceLock::new();
+    AFFINE.get_or_init(|| {
+        std::array::from_fn(|c| {
+            let row = mul_row(c as u8);
+            (0..8).fold(0u64, |m, i| {
+                let bits = (0..8).fold(0u64, |b, j| b | u64::from(row[1 << j] >> i & 1) << j);
+                m | bits << (8 * (7 - i))
+            })
+        })
+    })
 }
 
 /// Adds two field elements (XOR).
@@ -309,7 +338,8 @@ pub fn xor_acc(acc: &mut [u8], data: &[u8]) {
 
 /// Like [`xor_acc`], but through an explicit tier and without tallying —
 /// the dispatch the equivalence tests and per-tier benchmarks use.
-/// [`KernelTier::Simd`] on a CPU without AVX2 runs the portable body.
+/// [`KernelTier::Gfni`] runs the AVX2 body, and [`KernelTier::Simd`] on
+/// a CPU without AVX2 the portable one.
 ///
 /// # Panics
 ///
@@ -317,7 +347,7 @@ pub fn xor_acc(acc: &mut [u8], data: &[u8]) {
 pub fn xor_acc_with(tier: KernelTier, acc: &mut [u8], data: &[u8]) {
     assert_eq!(acc.len(), data.len(), "xor_acc slices must match");
     match tier {
-        KernelTier::Simd => simd::xor_acc(acc, data),
+        KernelTier::Gfni | KernelTier::Simd => simd::xor_acc(acc, data),
         KernelTier::Table => xor_acc_words(acc, data),
     }
 }
@@ -357,7 +387,8 @@ pub fn mul_acc(acc: &mut [u8], data: &[u8], c: u8) {
 
 /// Like [`mul_acc`], but through an explicit tier and without tallying —
 /// the dispatch the equivalence tests and per-tier benchmarks use.
-/// [`KernelTier::Simd`] on a CPU without AVX2 runs the table body.
+/// [`KernelTier::Gfni`] runs the AVX2 body, and [`KernelTier::Simd`] on
+/// a CPU without AVX2 the table body.
 ///
 /// # Panics
 ///
@@ -372,7 +403,7 @@ pub fn mul_acc_with(tier: KernelTier, acc: &mut [u8], data: &[u8], c: u8) {
         return;
     }
     match tier {
-        KernelTier::Simd => simd::mul_acc(acc, data, c),
+        KernelTier::Gfni | KernelTier::Simd => simd::mul_acc(acc, data, c),
         KernelTier::Table => mul_acc_table(acc, data, c),
     }
 }
@@ -420,68 +451,70 @@ fn mul_acc_table(acc: &mut [u8], data: &[u8], c: u8) {
     }
 }
 
-/// Tile width for [`mul_acc_many`]: small enough that an output tile stays
-/// L1-resident while every source streams through it, large enough that
-/// per-tile loop overhead is negligible.
+/// Tile width of the per-row path of [`mul_rows_with`]: an output tile
+/// stays L1-resident while every source streams through it.
 const ACC_TILE: usize = 8 * 1024;
 
-/// Accumulates `Σ_j coeffs[j] · sources[j]` into `out`, tile by tile: all
-/// sources are applied to one 8 KiB output tile (`ACC_TILE`) before moving
-/// to the next, so the read-modify-write target stays in L1 instead of
-/// being streamed through once per source — the access pattern an erasure
-/// encode wants for shards larger than the cache. Each tile pass runs
-/// through the process's [`KernelTier`].
+/// Computes every output row of a linear map in one call, on the
+/// process's [`KernelTier`]: `outs[o] = Σ_s coeffs[o · d + s] · sources[s]`
+/// over the `d` sources, `coeffs` row-major, each output overwritten.
 ///
-/// Equivalent to calling [`mul_acc`] once per source over the full length,
-/// except the kernel statistics are tallied once for the whole bulk
-/// operation — one [`KernelStats::calls`] entry per live (non-zero)
-/// coefficient, byte totals summed up front — instead of once per
-/// tile × source, keeping atomic traffic off the encode inner loop.
+/// The kernel statistics are tallied once per call: one
+/// [`KernelStats::calls`] entry per live (non-zero) coefficient, and
+/// `len` XOR or multiply bytes for each coefficient 1 or ≥ 2.
 ///
 /// # Panics
 ///
-/// Panics if `coeffs` does not hold one coefficient per source, or if a
-/// source's length differs from `out`'s.
-pub fn mul_acc_many<S: AsRef<[u8]>>(out: &mut [u8], sources: &[S], coeffs: &[u8]) {
+/// Panics if there are no sources, if `coeffs` does not hold `d`
+/// coefficients per output, or if the buffers' lengths differ.
+pub fn mul_rows<S: AsRef<[u8]>, O: AsMut<[u8]>>(outs: &mut [O], sources: &[S], coeffs: &[u8]) {
     let xors = coeffs.iter().filter(|&&c| c == 1).count() as u64;
     let muls = coeffs.iter().filter(|&&c| c > 1).count() as u64;
-    tally(xors, muls, out.len() as u64);
-    mul_acc_many_with(kernel_tier(), out, sources, coeffs);
+    let len = sources.first().map_or(0, |s| s.as_ref().len());
+    tally(xors, muls, len as u64);
+    mul_rows_with(kernel_tier(), outs, sources, coeffs);
 }
 
-/// Like [`mul_acc_many`], but every tile pass goes through an explicit
-/// tier (see [`mul_acc_with`]) and nothing is tallied.
+/// Like [`mul_rows`], but through an explicit tier and without tallying.
+/// [`KernelTier::Gfni`] runs the fused kernel over every whole 32-byte
+/// column; the rest, and everything on the other tiers or on a CPU without
+/// GFNI, runs one output at a time: zero it, then apply every source to
+/// one 8 KiB tile (`ACC_TILE`) before the next, through [`mul_acc_with`].
 ///
 /// # Panics
 ///
-/// As [`mul_acc_many`]: the lengths are checked once per call, not per
-/// tile.
-pub fn mul_acc_many_with<S: AsRef<[u8]>>(
+/// As [`mul_rows`]: the shapes are checked once per call.
+pub fn mul_rows_with<S: AsRef<[u8]>, O: AsMut<[u8]>>(
     tier: KernelTier,
-    out: &mut [u8],
+    outs: &mut [O],
     sources: &[S],
     coeffs: &[u8],
 ) {
-    assert_eq!(
-        sources.len(),
-        coeffs.len(),
-        "mul_acc_many needs one coefficient per source"
+    let d = sources.len();
+    assert!(
+        d > 0 && coeffs.len() == outs.len() * d,
+        "mul_rows needs one coefficient per source per output"
     );
-    let len = out.len();
-    for src in sources {
-        assert_eq!(
-            src.as_ref().len(),
-            len,
-            "mul_acc_many sources must match out"
-        );
-    }
-    let mut start = 0;
-    while start < len {
-        let end = (start + ACC_TILE).min(len);
-        for (src, &c) in sources.iter().zip(coeffs) {
-            mul_acc_with(tier, &mut out[start..end], &src.as_ref()[start..end], c);
+    let len = sources[0].as_ref().len();
+    assert!(
+        sources.iter().all(|s| s.as_ref().len() == len)
+            && outs.iter_mut().all(|o| o.as_mut().len() == len),
+        "mul_rows sources and outputs must match"
+    );
+    let done = match tier {
+        KernelTier::Gfni => simd::mul_rows_gfni(outs, sources, coeffs, len),
+        _ => 0,
+    };
+    for (out, row) in outs.iter_mut().zip(coeffs.chunks_exact(d)) {
+        let out = &mut out.as_mut()[done..];
+        out.fill(0);
+        for start in (0..out.len()).step_by(ACC_TILE) {
+            let end = (start + ACC_TILE).min(out.len());
+            for (src, &c) in sources.iter().zip(row) {
+                let src = &src.as_ref()[done..];
+                mul_acc_with(tier, &mut out[start..end], &src[start..end], c);
+            }
         }
-        start = end;
     }
 }
 
@@ -605,7 +638,7 @@ mod tests {
     #[test]
     fn all_tiers_match_bytewise_all_lengths() {
         // Odd lengths exercise both the wide bodies and the tails.
-        let tiers = [KernelTier::Simd, KernelTier::Table];
+        let tiers = [KernelTier::Gfni, KernelTier::Simd, KernelTier::Table];
         for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100] {
             let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             for c in [0u8, 1, 2, 3, 0x1d, 0x8e, 0xff] {
@@ -632,7 +665,7 @@ mod tests {
             for (a, d) in slow.iter_mut().zip(&data) {
                 *a ^= d;
             }
-            for tier in [KernelTier::Simd, KernelTier::Table] {
+            for tier in [KernelTier::Gfni, KernelTier::Simd, KernelTier::Table] {
                 let mut fast = vec![0xA5u8; len];
                 xor_acc_with(tier, &mut fast, &data);
                 assert_eq!(fast, slow, "tier = {tier:?} len = {len}");
@@ -644,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn mul_acc_many_matches_per_source_passes() {
+    fn mul_rows_matches_per_source_passes() {
         // Lengths straddling the tile boundary, including non-multiples.
         for len in [
             0usize,
@@ -658,25 +691,58 @@ mod tests {
             let sources: Vec<Vec<u8>> = (0..4u8)
                 .map(|s| (0..len).map(|i| (i * 31 + s as usize * 7) as u8).collect())
                 .collect();
-            let coeffs = [0u8, 1, 0x1d, 0x8e];
-            let mut flat = vec![0u8; len];
-            for (s, &c) in sources.iter().zip(&coeffs) {
-                mul_acc(&mut flat, s, c);
-            }
-            let mut tiled = vec![0u8; len];
-            mul_acc_many(&mut tiled, &sources, &coeffs);
-            assert_eq!(tiled, flat, "len = {len}");
-            for tier in [KernelTier::Simd, KernelTier::Table] {
-                let mut tiered = vec![0u8; len];
-                mul_acc_many_with(tier, &mut tiered, &sources, &coeffs);
+            let coeffs = [0u8, 1, 0x1d, 0x8e, 3, 0, 1, 0xff];
+            let flat: Vec<Vec<u8>> = coeffs
+                .chunks(4)
+                .map(|row| {
+                    let mut out = vec![0u8; len];
+                    for (s, &c) in sources.iter().zip(row) {
+                        mul_acc(&mut out, s, c);
+                    }
+                    out
+                })
+                .collect();
+            let mut fused = vec![vec![0xA5u8; len]; 2];
+            mul_rows(&mut fused, &sources, &coeffs);
+            assert_eq!(fused, flat, "len = {len}");
+            for tier in [KernelTier::Gfni, KernelTier::Simd, KernelTier::Table] {
+                let mut tiered = vec![vec![0xA5u8; len]; 2];
+                mul_rows_with(tier, &mut tiered, &sources, &coeffs);
                 assert_eq!(tiered, flat, "tier = {tier:?} len = {len}");
             }
         }
     }
 
     #[test]
+    fn affine_matrices_reproduce_the_product_rows() {
+        // Evaluates each matrix as `vgf2p8affineqb` does: output bit `i`
+        // is the parity of byte `7 - i` ANDed with the input.
+        for c in 0u16..256 {
+            let m = affine_table()[c as usize];
+            for x in 0u16..256 {
+                let y = (0..8).fold(0u8, |y, i| {
+                    let row = (m >> (8 * (7 - i))) as u8;
+                    y | (((row & x as u8).count_ones() & 1) as u8) << i
+                });
+                assert_eq!(y, mul_row(c as u8)[x as usize], "{c} · {x}");
+            }
+        }
+        // The same through the instruction, where the CPU has it: one
+        // source of every byte value, one output per coefficient.
+        let all: Vec<u8> = (0..=255).collect();
+        let coeffs: Vec<u8> = (0..=255).collect();
+        let mut outs = vec![vec![0u8; 256]; 256];
+        mul_rows_with(KernelTier::Gfni, &mut outs, &[&all], &coeffs);
+        for (c, out) in outs.iter().enumerate() {
+            assert_eq!(out[..], mul_row(c as u8)[..], "c = {c}");
+        }
+    }
+
+    #[test]
     fn kernel_tier_follows_the_hardware() {
-        let want = if simd::available() {
+        let want = if simd::gfni_available() {
+            KernelTier::Gfni
+        } else if simd::available() {
             KernelTier::Simd
         } else {
             KernelTier::Table
@@ -706,24 +772,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one coefficient per source")]
-    fn mul_acc_many_short_coeffs_panics() {
-        let mut out = [0u8; 4];
-        mul_acc_many(&mut out, &[[1u8; 4], [2u8; 4]], &[3]);
+    #[should_panic(expected = "one coefficient per source per output")]
+    fn mul_rows_short_coeffs_panics() {
+        let mut outs = [[0u8; 4]];
+        mul_rows(&mut outs, &[[1u8; 4], [2u8; 4]], &[3]);
     }
 
     #[test]
-    #[should_panic(expected = "mul_acc_many sources must match out")]
-    fn mul_acc_many_long_source_panics() {
-        let mut out = [0u8; 4];
-        mul_acc_many(&mut out, &[&[1u8; 5][..]], &[3]);
+    #[should_panic(expected = "one coefficient per source per output")]
+    fn mul_rows_without_sources_panics() {
+        let mut outs = [[0u8; 4]];
+        mul_rows::<[u8; 4], _>(&mut outs, &[], &[]);
     }
 
     #[test]
-    #[should_panic(expected = "mul_acc_many sources must match out")]
-    fn mul_acc_many_with_short_source_panics() {
-        let mut out = [0u8; 4];
-        mul_acc_many_with(KernelTier::Table, &mut out, &[&[1u8; 3][..]], &[3]);
+    #[should_panic(expected = "mul_rows sources and outputs must match")]
+    fn mul_rows_long_output_panics() {
+        let mut outs = [[0u8; 5]];
+        mul_rows(&mut outs, &[&[1u8; 4][..]], &[3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mul_rows sources and outputs must match")]
+    fn mul_rows_with_short_source_panics() {
+        let mut outs = [[0u8; 4]];
+        mul_rows_with(
+            KernelTier::Gfni,
+            &mut outs,
+            &[&[1u8; 4][..], &[1u8; 3][..]],
+            &[3, 1],
+        );
     }
 
     #[test]
@@ -744,7 +822,7 @@ mod tests {
         assert!(after.calls >= before.calls + 3);
         // The SIMD tally is derived from the process's fixed tier.
         match kernel_tier() {
-            KernelTier::Simd => assert_eq!(after.simd_bytes, after.mul_bytes),
+            KernelTier::Gfni | KernelTier::Simd => assert_eq!(after.simd_bytes, after.mul_bytes),
             KernelTier::Table => assert_eq!(after.simd_bytes, 0),
         }
         // reset() hands back at least everything tallied so far.
@@ -752,7 +830,9 @@ mod tests {
         assert!(drained.xor_bytes >= after.xor_bytes);
         assert!(drained.mul_bytes >= after.mul_bytes);
         match kernel_tier() {
-            KernelTier::Simd => assert_eq!(drained.simd_bytes, drained.mul_bytes),
+            KernelTier::Gfni | KernelTier::Simd => {
+                assert_eq!(drained.simd_bytes, drained.mul_bytes);
+            }
             KernelTier::Table => assert_eq!(drained.simd_bytes, 0),
         }
     }

@@ -1,4 +1,5 @@
-//! The x86-64 SIMD tier: AVX2 split-nibble `vpshufb` GF(256) kernels.
+//! The x86-64 SIMD tiers: AVX2 split-nibble `vpshufb` GF(256) kernels,
+//! and the GFNI affine kernel of the multi-row entry.
 //!
 //! A GF(256) product by a fixed coefficient `c` factors over the nibbles
 //! of the data byte: `c · x = c · (x & 0x0f) ⊕ c · (x & 0xf0)`, because
@@ -15,6 +16,11 @@
 //! target among them — runs the portable table tier of [`super`] instead.
 //! The kernels here check [`available`] themselves and fall back to the
 //! portable bodies, so they are sound whoever calls them.
+//!
+//! The GFNI kernel of [`super::mul_rows`] is specialised by source count
+//! (a const generic up to `GROUP`), so each 32-byte source column stays in
+//! a register while every output accumulates from it; a larger `d` runs in
+//! groups, the later ones accumulating into what the first stored.
 //!
 //! [`prefetch`] also lives here, though it is no GF(256) kernel: the
 //! storage layer hints the cache lines of the slots a write will fill,
@@ -37,6 +43,70 @@ pub fn available() -> bool {
     {
         false
     }
+}
+
+/// Whether this CPU has GFNI beside AVX2: the fused kernel runs
+/// `vgf2p8affineqb` on 32-byte registers.
+#[must_use]
+pub fn gfni_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        available() && is_x86_feature_detected!("gfni")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Most sources, and most outputs, one pass of the GFNI kernel takes.
+const GROUP: usize = 4;
+const ROWS: usize = 4;
+
+/// `outs[o] = Σ_s coeffs[o · d + s] · sources[s]` over the whole 32-byte
+/// columns of `len`-byte buffers, through the GFNI kernel in passes of up
+/// to `ROWS` outputs and `GROUP` sources. Returns the bytes it covered:
+/// `len` rounded down to a multiple of 32, or 0 on a CPU without GFNI.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(super) fn mul_rows_gfni<S: AsRef<[u8]>, O: AsMut<[u8]>>(
+    outs: &mut [O],
+    sources: &[S],
+    coeffs: &[u8],
+    len: usize,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if gfni_available() {
+        let (d, n) = (sources.len(), len & !31);
+        for (outs, rows) in outs.chunks_mut(ROWS).zip(coeffs.chunks(ROWS * d)) {
+            for (g, group) in sources.chunks(GROUP).enumerate() {
+                let mut out_ptrs = [std::ptr::null_mut(); ROWS];
+                for (p, out) in out_ptrs.iter_mut().zip(outs.iter_mut()) {
+                    let out = out.as_mut();
+                    assert!(out.len() >= n, "mul_rows sources and outputs must match");
+                    *p = out.as_mut_ptr();
+                }
+                let mut src_ptrs = [std::ptr::null(); GROUP];
+                for (p, src) in src_ptrs.iter_mut().zip(group.iter().map(AsRef::as_ref)) {
+                    assert!(src.len() >= n, "mul_rows sources and outputs must match");
+                    *p = src.as_ptr();
+                }
+                let (p, at) = (&out_ptrs[..outs.len()], (d, g * GROUP, n));
+                // SAFETY: the probe just proved GFNI and AVX2; each pointer
+                // was asserted to reach `n` bytes, and the outputs are
+                // distinct `&mut` borrows, so none overlaps another buffer.
+                unsafe {
+                    match group.len() {
+                        1 => x86::rows_gfni::<1>(p, &src_ptrs, rows, at),
+                        2 => x86::rows_gfni::<2>(p, &src_ptrs, rows, at),
+                        3 => x86::rows_gfni::<3>(p, &src_ptrs, rows, at),
+                        _ => x86::rows_gfni::<4>(p, &src_ptrs, rows, at),
+                    }
+                }
+            }
+        }
+        return n;
+    }
+    0
 }
 
 /// `acc[i] ^= c · data[i]` through the AVX2 shuffle kernel, or the
@@ -94,11 +164,60 @@ pub fn prefetch(bytes: &[u8]) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{GROUP, ROWS};
     use std::arch::x86_64::{
-        __m128i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
-        _mm256_set1_epi8, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
+        __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256,
+        _mm256_gf2p8affine_epi64_epi8, _mm256_loadu_si256, _mm256_set1_epi64x, _mm256_set1_epi8,
+        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
         _mm256_xor_si256, _mm_loadu_si128,
     };
+
+    /// One pass of the GFNI kernel over `[0, n)`, `n` a multiple of 32:
+    /// `outs[o] (^)= Σ_{s < D} rows[o · d + from + s] · srcs[s]`, storing
+    /// the sum when `from == 0` and XORing it in otherwise.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support GFNI and AVX2. `srcs[..D]` and every pointer
+    /// in `outs` must be valid for `n` bytes, and no output may overlap
+    /// another buffer.
+    #[target_feature(enable = "gfni,avx2")]
+    pub(super) unsafe fn rows_gfni<const D: usize>(
+        outs: &[*mut u8],
+        srcs: &[*const u8; GROUP],
+        rows: &[u8],
+        (d, from, n): (usize, usize, usize),
+    ) {
+        let affine = super::super::affine_table();
+        let mut m = [[_mm256_setzero_si256(); D]; ROWS];
+        for (m, row) in m.iter_mut().zip(rows.chunks_exact(d)) {
+            for (m, &c) in m.iter_mut().zip(&row[from..]) {
+                *m = _mm256_set1_epi64x(affine[c as usize] as i64);
+            }
+        }
+        let mut x = [_mm256_setzero_si256(); D];
+        let mut i = 0;
+        // SAFETY: every load and store covers `[i, i + 32)` with
+        // `i + 32 <= n`, inside each buffer by the caller's contract.
+        unsafe {
+            while i < n {
+                for (x, &src) in x.iter_mut().zip(srcs) {
+                    *x = _mm256_loadu_si256(src.add(i).cast());
+                }
+                for (&out, m) in outs.iter().zip(&m) {
+                    let mut acc = match from {
+                        0 => _mm256_setzero_si256(),
+                        _ => _mm256_loadu_si256(out.add(i).cast::<__m256i>()),
+                    };
+                    for (&x, &m) in x.iter().zip(m) {
+                        acc = _mm256_xor_si256(acc, _mm256_gf2p8affine_epi64_epi8::<0>(x, m));
+                    }
+                    _mm256_storeu_si256(out.add(i).cast(), acc);
+                }
+                i += 32;
+            }
+        }
+    }
 
     /// The two 16-entry nibble product tables of a coefficient, sliced
     /// from its [`super::super::mul_row`]: `lo[i] = c · i`,

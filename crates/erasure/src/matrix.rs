@@ -79,6 +79,12 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Every entry, row-major: row `r` is `as_slice()[r * cols..][..cols]`.
+    #[must_use]
+    pub fn as_slice(&self) -> &[u8] {
+        &self.data
+    }
+
     /// Matrix product `self · rhs`.
     ///
     /// # Panics

@@ -294,11 +294,11 @@ impl ErasureCode for MatrixCode {
 
     fn encode_parity(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<(), ErasureError> {
         let len = check_parity_inputs(data, parity.len(), self.data, self.parity_shards(), 1)?;
-        for (p, out) in parity.iter_mut().enumerate() {
-            out.clear();
+        for out in parity.iter_mut() {
             out.resize(len, 0);
-            gf256::mul_acc_many(out, data, self.generator.row(self.data + p));
         }
+        let rows = &self.generator.as_slice()[self.data * self.data..];
+        gf256::mul_rows(parity, data, rows);
         Ok(())
     }
 
@@ -308,10 +308,10 @@ impl ErasureCode for MatrixCode {
     ///
     /// Only the missing shards are computed: single losses inside a local
     /// group by XOR, the other missing data shards from `d` survivors
-    /// (one tiled multi-source pass per target, [`gf256::mul_acc_many`],
-    /// with coefficients from `decoder`), then missing
-    /// parity shards from the completed data. With no data shard missing
-    /// there is nothing to invert.
+    /// (one [`gf256::mul_rows`] call for all of them, with coefficients
+    /// from `decoder`), then missing parity shards from the completed
+    /// data (one more call). With no data shard missing there is nothing
+    /// to invert.
     fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
         let (len, mut missing) =
             check_optional_shards(shards, self.total_shards(), 1, self.guaranteed)?;
@@ -322,10 +322,10 @@ impl ErasureCode for MatrixCode {
         missing.retain(|&i| shards[i].is_none());
         let (missing_data, missing_parity) =
             missing.split_at(missing.partition_point(|&i| i < self.data));
-        let combine = |sources: &[&[u8]], coeffs: &[u8]| {
-            let mut out = vec![0u8; len];
-            gf256::mul_acc_many(&mut out, sources, coeffs);
-            out
+        let combine = |sources: &[&[u8]], coeffs: &Matrix| {
+            let mut outs = vec![vec![0u8; len]; coeffs.rows()];
+            gf256::mul_rows(&mut outs, sources, coeffs.as_slice());
+            outs
         };
         if !missing_data.is_empty() {
             let (sources, decode) =
@@ -335,20 +335,14 @@ impl ErasureCode for MatrixCode {
                         tolerated: self.guaranteed,
                     })?;
             let sources: Vec<&[u8]> = sources.iter().map(|&i| present(shards, i)).collect();
-            let rebuilt: Vec<Vec<u8>> = (0..missing_data.len())
-                .map(|t| combine(&sources, decode.row(t)))
-                .collect();
-            for (&t, shard) in missing_data.iter().zip(rebuilt) {
+            for (&t, shard) in missing_data.iter().zip(combine(&sources, &decode)) {
                 shards[t] = Some(shard);
             }
         }
         if !missing_parity.is_empty() {
             let data: Vec<&[u8]> = (0..self.data).map(|i| present(shards, i)).collect();
-            let rebuilt: Vec<Vec<u8>> = missing_parity
-                .iter()
-                .map(|&t| combine(&data, self.generator.row(t)))
-                .collect();
-            for (&t, shard) in missing_parity.iter().zip(rebuilt) {
+            let rows = self.generator.select_rows(missing_parity);
+            for (&t, shard) in missing_parity.iter().zip(combine(&data, &rows)) {
                 shards[t] = Some(shard);
             }
         }

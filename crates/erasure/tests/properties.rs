@@ -6,10 +6,11 @@ use rshare_erasure::gf256::KernelTier;
 use rshare_erasure::matrix::Matrix;
 use rshare_erasure::{gf256, ArrayCode, ErasureCode, MatrixCode, ReedSolomon};
 
-/// Both tiers, most to least specialised. On a CPU without AVX2 the `Simd`
-/// entry exercises its documented table fallback — still a valid
-/// equivalence case.
-const TIERS: [KernelTier; 2] = [KernelTier::Simd, KernelTier::Table];
+/// Every tier, most to least specialised. On a CPU without GFNI the
+/// `Gfni` entry exercises its documented AVX2 fallback, and on one without
+/// AVX2 the `Simd` entry its table fallback — still valid equivalence
+/// cases.
+const TIERS: [KernelTier; 3] = [KernelTier::Gfni, KernelTier::Simd, KernelTier::Table];
 
 /// Deterministic pseudo-random buffer for kernel inputs.
 fn prng_bytes(len: usize, mut state: u64) -> Vec<u8> {
@@ -361,34 +362,57 @@ proptest! {
         }
     }
 
-    /// `mul_acc_many` (the tiled multi-source accumulator) across all
-    /// tiers against per-source byte-wise accumulation, with coefficient
-    /// vectors mixing 0, 1 and arbitrary values.
+    /// `mul_rows` (every output row of a linear map in one call) across
+    /// all tiers against per-source byte-wise accumulation: 1–12 sources
+    /// (beyond one pass of the fused kernel), 1–4 outputs, ragged lengths
+    /// up to 4 KiB at unaligned offsets, and coefficient rows mixing 0, 1
+    /// and arbitrary values.
     #[test]
-    fn all_tiers_mul_acc_many_match_reference(
-        len in 0usize..=300,
-        nsrc in 1usize..=6,
+    fn all_tiers_mul_rows_match_reference(
+        len in 0usize..=4096,
+        offset in 0usize..=31,
+        nsrc in 1usize..=12,
+        nout in 1usize..=4,
         seed in any::<u64>(),
     ) {
         let sources: Vec<Vec<u8>> = (0..nsrc)
-            .map(|j| prng_bytes(len, seed.wrapping_add(j as u64 * 977)))
+            .map(|j| prng_bytes(offset + len, seed.wrapping_add(j as u64 * 977)))
             .collect();
-        // First coefficients pin the special cases, the rest are random.
-        let coeffs: Vec<u8> = (0..nsrc)
-            .map(|j| match j {
+        let sources: Vec<&[u8]> = sources.iter().map(|s| &s[offset..]).collect();
+        // A quarter of the coefficients are 0 and a quarter 1, the special
+        // cases of the per-row tiers; the rest are arbitrary.
+        let coeffs: Vec<u8> = prng_bytes(2 * nout * nsrc, seed ^ 0x5eed)
+            .chunks(2)
+            .map(|r| match r[0] % 4 {
                 0 => 0,
                 1 => 1,
-                _ => (seed.rotate_left(j as u32) | 2) as u8,
+                _ => r[1] | 2,
             })
             .collect();
-        let mut want = vec![0u8; len];
-        for (s, &c) in sources.iter().zip(&coeffs) {
-            gf256::mul_acc_bytewise(&mut want, s, c);
-        }
+        let want: Vec<Vec<u8>> = coeffs
+            .chunks(nsrc)
+            .map(|row| {
+                let mut out = vec![0u8; len];
+                for (s, &c) in sources.iter().zip(row) {
+                    gf256::mul_acc_bytewise(&mut out, s, c);
+                }
+                out
+            })
+            .collect();
+        let garbage = prng_bytes(offset + len, seed.rotate_left(7));
         for tier in TIERS {
-            let mut got = vec![0u8; len];
-            gf256::mul_acc_many_with(tier, &mut got, &sources, &coeffs);
-            prop_assert_eq!(&got, &want, "tier {:?}", tier);
+            // Outputs start as garbage: the entry overwrites them.
+            let mut bufs = vec![garbage.clone(); nout];
+            let mut outs: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[offset..]).collect();
+            gf256::mul_rows_with(tier, &mut outs, &sources, &coeffs);
+            for (o, (buf, want)) in bufs.iter().zip(&want).enumerate() {
+                prop_assert_eq!(&buf[offset..], &want[..], "tier {:?} output {}", tier, o);
+                prop_assert_eq!(&buf[..offset], &garbage[..offset], "tier {:?} prefix", tier);
+            }
         }
+        // The tallied entry agrees with the process's tier.
+        let mut got = vec![vec![0u8; len]; nout];
+        gf256::mul_rows(&mut got, &sources, &coeffs);
+        prop_assert_eq!(got, want);
     }
 }

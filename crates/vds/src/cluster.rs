@@ -1438,9 +1438,10 @@ impl StorageCluster {
     ///
     /// Reconstruction is fused per chunk: degraded stripes are gathered,
     /// decoded and re-stored through the batched block-op executor, and
-    /// the decode itself streams through the tiered GF(256) kernels
-    /// ([`rshare_erasure::gf256::kernel_tier`]) via `mul_acc_many` in
-    /// cache-sized tiles.
+    /// the decode itself runs through the tiered GF(256) kernels
+    /// ([`rshare_erasure::gf256::kernel_tier`]): one
+    /// [`rshare_erasure::gf256::mul_rows`] call computes a stripe's lost
+    /// data shards from its survivors, and one more its lost parity.
     ///
     /// # Errors
     ///
@@ -1764,7 +1765,7 @@ impl StorageCluster {
             &mut out,
             "gf_simd_bytes_total",
             "counter",
-            "Multiply bytes served by the SIMD kernel tier (process-wide)",
+            "Multiply bytes served by a SIMD kernel tier, GFNI or AVX2 (process-wide)",
         );
         sample_line(&mut out, "gf_simd_bytes_total", &[], ks.simd_bytes);
         family_header(

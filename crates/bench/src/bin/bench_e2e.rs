@@ -29,12 +29,14 @@
 //!    `mul_rows_with` over the generator's parity rows for the `simd` and
 //!    `table` rows. Each tier's rep encodes enough data to last tens of
 //!    milliseconds, so timer noise stays small against it.
-//! 4. **Reed–Solomon reconstruct** — `reconstruct` rate of RS(4, 2) on
-//!    1 KiB shards with one data shard, one data and one parity shard, or
-//!    one parity shard lost: the decode inside degraded reads and repair.
-//!    Beside them, encode and two-loss reconstruct of every code on 4 KiB
-//!    shards (`code_encode_<code>`, `code_reconstruct2_<code>`): XOR
-//!    parity, EVENODD, RDP, RS(4, 2) and LRC.
+//! 4. **Reed–Solomon reconstruct** — `decode` rate of RS(4, 2) on 1 KiB
+//!    shards with one data shard, one data and one parity shard, or one
+//!    parity shard lost, into preallocated buffers from borrowed
+//!    survivors: the decode inside degraded reads and repair, as the
+//!    cluster runs it. Beside them, encode and two-loss decode of every
+//!    code on 4 KiB shards (`code_encode_<code>`,
+//!    `code_reconstruct2_<code>`): XOR parity, EVENODD, RDP, RS(4, 2) and
+//!    LRC.
 //! 5. **Stripe writes** — the fused `write_blocks` batch pipeline vs a
 //!    `write_block` loop over the same overwrite working set.
 //! 6. **Repair** — fused `repair()` (scan → gather → reconstruct → store
@@ -461,12 +463,13 @@ fn bench_rs_encode(quick: bool, cells: &mut Vec<Cell>) {
     ));
 }
 
-/// `ReedSolomon` RS(4, 2) `reconstruct` on 1 KiB shards (the shard size
-/// of perfbench's ec-degraded workload), in three loss patterns: one data
+/// `ReedSolomon` RS(4, 2) `decode` on 1 KiB shards (the shard size of
+/// perfbench's ec-degraded workload), in three loss patterns: one data
 /// shard (`data`), one data and one parity shard (`data_parity`), and one
-/// parity shard (`parity`). Each reconstruct refills the same codeword:
-/// the loop only clears the lost shards, so the timed work is the decode
-/// and the allocation of the shards it returns.
+/// parity shard (`parity`). The survivors are borrowed and the lost
+/// shards decode into buffers allocated once, as a degraded read decodes
+/// into its read buffer and a repair into its chunk buffer, so the timed
+/// work is the decode alone.
 fn bench_rs_reconstruct(quick: bool, cells: &mut Vec<Cell>) {
     const DATA: usize = 4;
     const PARITY: usize = 2;
@@ -482,26 +485,20 @@ fn bench_rs_reconstruct(quick: bool, cells: &mut Vec<Cell>) {
         ("data_parity", &[1, 4][..]),
         ("parity", &[4][..]),
     ] {
-        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+        let shards = survivors(&full, lost);
+        let mut bufs = vec![vec![0u8; SHARD]; lost.len()];
+        let mut outs = wanted(lost, &mut bufs);
         let mut run = || {
             for _ in 0..reconstructs {
-                for &i in lost {
-                    shards[i] = None;
-                }
-                code.reconstruct(black_box(&mut shards))
-                    .expect("reconstruct");
+                code.decode(black_box(&shards), black_box(&mut outs))
+                    .expect("decode");
             }
         };
         run();
         let ns = time_each(REPS, &mut run);
-        // Sanity: the last reconstruct restored the codeword.
-        assert!(
-            shards
-                .iter()
-                .zip(&full)
-                .all(|(got, want)| got.as_ref() == Some(want)),
-            "{mode}: reconstruct restored wrong bytes"
-        );
+        // Sanity: the last decode restored the lost shards.
+        let restored = lost.iter().zip(&bufs).all(|(&i, got)| *got == full[i]);
+        assert!(restored, "{mode}: decode restored wrong bytes");
         cells.push(Cell::new(
             "rs_reconstruct",
             mode,
@@ -512,11 +509,24 @@ fn bench_rs_reconstruct(quick: bool, cells: &mut Vec<Cell>) {
     }
 }
 
-/// Encode and two-loss reconstruct of every code the store can place, on
+/// The shards of `full` with those of `lost` missing, borrowed.
+fn survivors<'a>(full: &'a [Vec<u8>], lost: &[usize]) -> Vec<Option<&'a [u8]>> {
+    let present = |(i, s): (usize, &'a Vec<u8>)| (!lost.contains(&i)).then_some(s.as_slice());
+    full.iter().enumerate().map(present).collect()
+}
+
+/// `decode`'s list of the shards `lost`, each into its buffer of `bufs`.
+fn wanted<'a>(lost: &[usize], bufs: &'a mut [Vec<u8>]) -> Vec<(usize, &'a mut [u8])> {
+    let bufs = bufs.iter_mut().map(Vec::as_mut_slice);
+    lost.iter().copied().zip(bufs).collect()
+}
+
+/// Encode and two-loss decode of every code the store can place, on
 /// 4 KiB shards (rounded up to the code's symbol multiple), in data bytes
 /// per second: XOR parity (d = 4; it tolerates one loss, so it has no
 /// reconstruct row), EVENODD and RDP (p = 5), RS(4, 2) and LRC (two local
-/// groups of two, two global parities). Reconstruct loses shards 0 and 2.
+/// groups of two, two global parities). The decode loses shards 0 and 2,
+/// borrows the survivors and writes into buffers allocated once.
 /// A repetition processes 64 MiB of data (8 MiB under `--quick`).
 fn bench_codes(quick: bool, cells: &mut Vec<Cell>) {
     const SHARD: usize = 4096;
@@ -561,19 +571,17 @@ fn bench_codes(quick: bool, cells: &mut Vec<Cell>) {
         if code.tolerated_erasures() < 2 {
             continue;
         }
-        let mut damaged: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
+        let present = survivors(&shards, &[0, 2]);
+        let mut bufs = vec![vec![0u8; len]; 2];
+        let mut outs = wanted(&[0, 2], &mut bufs);
         let ns = time_each(REPS, || {
             for _ in 0..calls {
-                (damaged[0], damaged[2]) = (None, None);
-                code.reconstruct(black_box(&mut damaged))
-                    .expect("reconstruct");
+                code.decode(black_box(&present), black_box(&mut outs))
+                    .expect("decode");
             }
         });
-        let restored = damaged
-            .iter()
-            .zip(&shards)
-            .all(|(got, want)| got.as_ref() == Some(want));
-        assert!(restored, "{name}: reconstruct restored wrong bytes");
+        let restored = bufs[0] == shards[0] && bufs[1] == shards[2];
+        assert!(restored, "{name}: decode restored wrong bytes");
         cells.push(Cell::new(
             "code_reconstruct2",
             name,

@@ -22,7 +22,7 @@
 
 use std::ops::Range;
 
-use crate::code::{check_optional_shards, check_parity_inputs, ErasureCode};
+use crate::code::{check_count, check_decode, common_len, ErasureCode};
 use crate::error::ErasureError;
 use crate::gf256::xor_acc as xor_into;
 
@@ -122,18 +122,20 @@ impl ArrayCode {
         (c < self.p && i < self.p - 1).then_some(i)
     }
 
-    /// Recovers the `lost` shards (one or two, none of them the diagonal
-    /// parity) by peeling: it builds row syndromes (the XOR of each row's
-    /// surviving cells) and, for two losses, diagonal syndromes, so each
-    /// syndrome is the XOR of its equation's lost cells. Then it solves
-    /// any equation left with one lost cell, folds that cell into the
-    /// other equation through it, and repeats.
-    fn peel(&self, shards: &[Option<Vec<u8>>], lost: &[usize], len: usize) -> Vec<Vec<u8>> {
+    /// Recovers the `lost` shards (one or two, ascending, none of them the
+    /// diagonal parity) into `out`, parallel to `lost`, by peeling: it
+    /// builds row syndromes (the XOR of each row's surviving cells) and,
+    /// for two losses, diagonal syndromes, so each syndrome is the XOR of
+    /// its equation's lost cells. Then it solves any equation left with
+    /// one lost cell, folds that cell into the other equation through it,
+    /// and repeats.
+    fn peel(&self, shards: &[Option<&[u8]>], lost: &[usize], out: &mut [&mut [u8]]) {
         let rows = self.p - 1;
+        let len = out[0].len();
         let sz = len / rows;
         let q = shards.len() - 1;
         let mut alive = shards[..q].iter().flatten();
-        let mut row_syn = alive.next().expect("a row survives two losses").clone();
+        let mut row_syn = alive.next().expect("a row survives two losses").to_vec();
         for shard in alive {
             xor_into(&mut row_syn, shard);
         }
@@ -142,7 +144,7 @@ impl ArrayCode {
         let mut diag_syn = Vec::new();
         if lost.len() == 2 {
             diag_syn = vec![0u8; self.diagonals() * sz];
-            diag_syn[..len].copy_from_slice(shards[q].as_deref().expect("within budget"));
+            diag_syn[..len].copy_from_slice(shards[q].expect("within budget"));
             for (c, col) in shards[..self.p].iter().enumerate() {
                 let Some(col) = col else { continue };
                 for i in 0..rows {
@@ -181,7 +183,6 @@ impl ArrayCode {
             }
         }
         let mut solved = vec![[false, lost.len() < 2]; rows];
-        let mut out = vec![vec![0u8; len]; lost.len()];
         for _ in 0..lost.len() * rows {
             let (j, i, syn) = match row_open.iter().position(|&n| n == 1) {
                 Some(i) => {
@@ -212,7 +213,6 @@ impl ArrayCode {
             }
             solved[i][j] = true;
         }
-        out
     }
 }
 
@@ -230,9 +230,9 @@ impl ErasureCode for ArrayCode {
     }
 
     fn encode_parity(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<(), ErasureError> {
-        let (p, rows) = (self.p, self.p - 1);
-        let len = check_parity_inputs(data, parity.len(), self.data_shards(), 2, rows)?;
-        let sz = len / rows;
+        check_count(data.len(), self.data_shards())?;
+        check_count(parity.len(), 2)?;
+        let len = common_len(data.iter().map(|d| d.len()), self.p - 1)?;
         for out in parity.iter_mut() {
             out.clear();
             out.resize(len, 0);
@@ -243,6 +243,7 @@ impl ErasureCode for ArrayCode {
         for col in data {
             xor_into(rowpar, col);
         }
+        let (p, rows, sz) = (self.p, self.p - 1, len / (self.p - 1));
         if self.evenodd {
             // S, the XOR of diagonal p − 1, seeds every diagonal parity cell.
             for (c, col) in data.iter().enumerate().skip(1) {
@@ -265,30 +266,51 @@ impl ErasureCode for ArrayCode {
         Ok(())
     }
 
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        let (len, missing) = check_optional_shards(shards, self.total_shards(), self.p - 1, 2)?;
-        if missing.len() > 2 {
+    /// Peels every missing column before the diagonal parity, then
+    /// re-encodes a wanted diagonal parity from the completed data: into
+    /// the caller's buffers, and into scratch for a lost column it did not
+    /// ask for (the lost columns are solved together, and the diagonal
+    /// parity reads every column).
+    fn decode(
+        &self,
+        shards: &[Option<&[u8]>],
+        lost: &mut [(usize, &mut [u8])],
+    ) -> Result<(), ErasureError> {
+        let (len, missing) = check_decode(shards, lost, self.total_shards(), self.p - 1, 2)?;
+        if missing > 2 {
             return Err(ErasureError::TooManyErasures {
-                missing: missing.len(),
+                missing,
                 tolerated: 2,
             });
         }
         let q = shards.len() - 1;
-        let lost: Vec<usize> = missing.iter().copied().filter(|&c| c < q).collect();
-        if !lost.is_empty() {
-            let cols = self.peel(shards, &lost, len);
-            for (c, col) in lost.into_iter().zip(cols) {
-                shards[c] = Some(col);
-            }
+        let unasked: Vec<usize> = (0..q)
+            .filter(|&c| shards[c].is_none() && lost.iter().all(|l| l.0 != c))
+            .collect();
+        let mut scratch: Vec<Vec<u8>> = unasked.iter().map(|_| vec![0u8; len]).collect();
+        let spare = unasked
+            .into_iter()
+            .zip(scratch.iter_mut().map(Vec::as_mut_slice));
+        let mut outs: Vec<_> = lost
+            .iter_mut()
+            .map(|(i, b)| (*i, &mut **b))
+            .chain(spare)
+            .collect();
+        outs.sort_unstable_by_key(|&(i, _)| i);
+        let diagonal = outs.pop_if(|&mut (i, _)| i == q);
+        let (cols, mut bufs): (Vec<usize>, Vec<&mut [u8]>) = outs.into_iter().unzip();
+        if !cols.is_empty() {
+            self.peel(shards, &cols, &mut bufs);
         }
-        if shards[q].is_none() {
-            let data: Vec<&[u8]> = shards[..self.data_shards()]
-                .iter()
-                .map(|s| s.as_deref().expect("data complete"))
-                .collect();
-            let mut parity = vec![Vec::new(), Vec::new()];
+        if let Some((_, diagpar)) = diagonal {
+            let mut grid = shards.to_vec();
+            for (c, col) in cols.into_iter().zip(bufs) {
+                grid[c] = Some(col);
+            }
+            let data: Vec<&[u8]> = grid[..q - 1].iter().map(|s| s.expect("complete")).collect();
+            let mut parity = [Vec::new(), Vec::new()];
             self.encode_parity(&data, &mut parity)?;
-            shards[q] = parity.pop();
+            diagpar.copy_from_slice(&parity[1]);
         }
         Ok(())
     }

@@ -49,7 +49,8 @@ pub trait ErasureCode: Send + Sync {
     /// [`ErasureError::WrongShardCount`], [`ErasureError::ShardLengthMismatch`]
     /// or [`ErasureError::BadShardLength`] on malformed input.
     fn encode(&self, shards: &mut [Vec<u8>]) -> Result<(), ErasureError> {
-        check_shards(shards, self.total_shards(), self.shard_multiple())?;
+        check_count(shards.len(), self.total_shards())?;
+        common_len(shards.iter().map(Vec::len), self.shard_multiple())?;
         let (data, parity) = shards.split_at_mut(self.data_shards());
         let data: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         self.encode_parity(&data, parity)
@@ -69,43 +70,71 @@ pub trait ErasureCode: Send + Sync {
     /// [`ErasureCode::encode`].
     fn encode_parity(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<(), ErasureError>;
 
-    /// Recomputes every missing (`None`) shard in place.
+    /// Writes every byte of each wanted missing shard into a buffer the
+    /// caller provides, from *borrowed* survivors (device slots, or a read
+    /// buffer's segments): each code's one decoder, which
+    /// [`ErasureCode::reconstruct`] derives from. `shards` holds every
+    /// position, `None` where missing; each `(i, buf)` of `lost` asks for
+    /// missing shard `i` in `buf`. A missing shard not asked for is
+    /// decoded into the code's own scratch only if a wanted one is solved
+    /// with it or from it.
     ///
     /// # Errors
     ///
-    /// The validation errors of [`ErasureCode::encode`], plus
-    /// [`ErasureError::TooManyErasures`] when the surviving shards do not
-    /// determine the missing ones: always beyond a fixed budget
+    /// The shape errors of [`ErasureCode::encode`] (a `lost` buffer of the
+    /// wrong length is a length mismatch); [`ErasureError::NotMissing`]
+    /// if `lost` names a present shard, or one out of range or twice; and
+    /// [`ErasureError::TooManyErasures`] when the survivors do not
+    /// determine the missing shards: always beyond a fixed budget
     /// ([`ErasureCode::tolerated_erasures`]); a [`crate::MatrixCode`] also
     /// decodes patterns beyond its guarantee whenever its surviving rows
-    /// span the data.
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError>;
+    /// span the data. After an error the buffers hold unspecified bytes.
+    fn decode(
+        &self,
+        shards: &[Option<&[u8]>],
+        lost: &mut [(usize, &mut [u8])],
+    ) -> Result<(), ErasureError>;
+
+    /// Recomputes every missing (`None`) shard in place, through
+    /// [`ErasureCode::decode`] into fresh vectors.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`ErasureCode::decode`], leaving `shards` untouched.
+    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
+        let len = shards.iter().flatten().next().map_or(0, Vec::len);
+        let mut decoded: Vec<(usize, Vec<u8>)> = (0..shards.len())
+            .filter(|&i| shards[i].is_none())
+            .map(|i| (i, vec![0u8; len]))
+            .collect();
+        let present: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+        let mut lost: Vec<(usize, &mut [u8])> = decoded
+            .iter_mut()
+            .map(|(i, s)| (*i, s.as_mut_slice()))
+            .collect();
+        self.decode(&present, &mut lost)?;
+        for (i, shard) in decoded {
+            shards[i] = Some(shard);
+        }
+        Ok(())
+    }
 }
 
-/// Validates the borrowed data shards and parity buffer count for
-/// [`ErasureCode::encode_parity`], returning the shard length. Parity
-/// buffer *lengths* are not checked: `encode_parity` resizes them.
-pub(crate) fn check_parity_inputs(
-    data: &[&[u8]],
-    parity_count: usize,
-    expected_data: usize,
-    expected_parity: usize,
+/// `WrongShardCount` unless `got == expected`.
+pub(crate) fn check_count(got: usize, expected: usize) -> Result<(), ErasureError> {
+    (got == expected)
+        .then_some(())
+        .ok_or(ErasureError::WrongShardCount { expected, got })
+}
+
+/// The one length of shards of lengths `lens`, which must be equal,
+/// positive and a multiple of `multiple`.
+pub(crate) fn common_len(
+    mut lens: impl Iterator<Item = usize>,
     multiple: usize,
 ) -> Result<usize, ErasureError> {
-    if data.len() != expected_data {
-        return Err(ErasureError::WrongShardCount {
-            expected: expected_data,
-            got: data.len(),
-        });
-    }
-    if parity_count != expected_parity {
-        return Err(ErasureError::WrongShardCount {
-            expected: expected_parity,
-            got: parity_count,
-        });
-    }
-    let len = data.first().map_or(0, |d| d.len());
-    if data.iter().any(|s| s.len() != len) {
+    let len = lens.next().unwrap_or(0);
+    if lens.any(|l| l != len) {
         return Err(ErasureError::ShardLengthMismatch);
     }
     if len == 0 || !len.is_multiple_of(multiple) {
@@ -116,65 +145,33 @@ pub(crate) fn check_parity_inputs(
     Ok(len)
 }
 
-/// Validates shard counts and equal lengths, returning the shard length.
-pub(crate) fn check_shards(
-    shards: &[Vec<u8>],
-    expected: usize,
-    multiple: usize,
-) -> Result<usize, ErasureError> {
-    if shards.len() != expected {
-        return Err(ErasureError::WrongShardCount {
-            expected,
-            got: shards.len(),
-        });
-    }
-    let len = shards[0].len();
-    if shards.iter().any(|s| s.len() != len) {
-        return Err(ErasureError::ShardLengthMismatch);
-    }
-    if len == 0 || !len.is_multiple_of(multiple) {
-        return Err(ErasureError::BadShardLength {
-            multiple_of: multiple,
-        });
-    }
-    Ok(len)
-}
-
-/// Validates optional shards: their count, and equal, positive lengths
-/// (a multiple of `multiple`) of the present ones. Returns `(shard_len,
-/// missing_indices)`. A codeword with no present shard is
+/// Validates the input of [`ErasureCode::decode`]: the shard count, the
+/// present shards' [`common_len`], and one buffer of that length per
+/// wanted shard, each wanted shard missing and named once. Returns
+/// `(shard_len, missing_count)`. A codeword with no present shard is
 /// [`ErasureError::TooManyErasures`] against `tolerated`; otherwise the
 /// erasure budget is the caller's to check, since a matrix code decodes
 /// every pattern its surviving rows span.
-pub(crate) fn check_optional_shards(
-    shards: &[Option<Vec<u8>>],
+pub(crate) fn check_decode(
+    shards: &[Option<&[u8]>],
+    lost: &[(usize, &mut [u8])],
     expected: usize,
     multiple: usize,
     tolerated: usize,
-) -> Result<(usize, Vec<usize>), ErasureError> {
-    if shards.len() != expected {
-        return Err(ErasureError::WrongShardCount {
-            expected,
-            got: shards.len(),
-        });
+) -> Result<(usize, usize), ErasureError> {
+    check_count(shards.len(), expected)?;
+    let missing = shards.iter().filter(|s| s.is_none()).count();
+    if missing == shards.len() {
+        return Err(ErasureError::TooManyErasures { missing, tolerated });
     }
-    let missing: Vec<usize> = shards
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i))
-        .collect();
-    let mut present = shards.iter().flatten().map(Vec::len);
-    let len = present.next().ok_or(ErasureError::TooManyErasures {
-        missing: missing.len(),
-        tolerated,
-    })?;
-    if present.any(|l| l != len) {
-        return Err(ErasureError::ShardLengthMismatch);
-    }
-    if len == 0 || !len.is_multiple_of(multiple) {
-        return Err(ErasureError::BadShardLength {
-            multiple_of: multiple,
-        });
+    let len = common_len(shards.iter().flatten().map(|s| s.len()), multiple)?;
+    for (n, (i, buf)) in lost.iter().enumerate() {
+        if shards.get(*i) != Some(&None) || lost[..n].iter().any(|(j, _)| j == i) {
+            return Err(ErasureError::NotMissing { index: *i });
+        }
+        if buf.len() != len {
+            return Err(ErasureError::ShardLengthMismatch);
+        }
     }
     Ok((len, missing))
 }

@@ -32,6 +32,12 @@ pub enum ErasureError {
         /// Maximum tolerated erasures.
         tolerated: usize,
     },
+    /// A shard asked to be decoded is present, out of range, or asked for
+    /// twice.
+    NotMissing {
+        /// The shard index.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ErasureError {
@@ -54,6 +60,7 @@ impl std::fmt::Display for ErasureError {
                     "{missing} shards missing, but only {tolerated} tolerated"
                 )
             }
+            Self::NotMissing { index } => write!(f, "shard {index} is not a missing shard"),
         }
     }
 }
@@ -81,6 +88,9 @@ mod tests {
         }
         .to_string()
         .contains("3"));
+        assert!(ErasureError::NotMissing { index: 7 }
+            .to_string()
+            .contains("7"));
         assert!(ErasureError::BadShardLength { multiple_of: 4 }
             .to_string()
             .contains("4"));

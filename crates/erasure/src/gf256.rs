@@ -1,15 +1,15 @@
 //! Arithmetic in GF(2⁸) with the Rijndael-compatible polynomial `0x11d`.
 //!
 //! Addition is XOR; scalar multiplication uses log/exp tables built once at
-//! first use. The bulk kernels ([`mul_acc`], [`xor_acc`], [`mul_rows`])
-//! that form the inner loops of every erasure code in this crate run on
-//! one of three tiers, and the CPU alone picks which:
+//! first use. The bulk kernels ([`xor_acc`], [`mul_rows`]) that form the
+//! inner loops of every erasure code in this crate run on one of three
+//! tiers, and the CPU alone picks which:
 //!
 //! 1. **GFNI** ([`KernelTier::Gfni`]) — x86-64 `vgf2p8affineqb` multiplies
 //!    32 bytes by a coefficient's 8×8 bit matrix in one instruction. It
 //!    serves [`mul_rows`]: each 32-byte source column is loaded once and
 //!    each output stored once. Runs whenever the CPU has GFNI and AVX2;
-//!    the single-row [`mul_acc`] and [`xor_acc`] run the AVX2 bodies.
+//!    [`xor_acc`] and the single-row [`mul_acc_with`] run the AVX2 bodies.
 //! 2. **SIMD** ([`KernelTier::Simd`], [`simd`]) — x86-64 AVX2 split-nibble
 //!    `vpshufb` kernels: two 16-entry product tables per coefficient, 32
 //!    product bytes per shuffle pair, one output row at a time. Runs
@@ -45,8 +45,8 @@ pub mod simd;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Bytes processed by the word-at-a-time XOR kernel ([`xor_acc`],
-/// including the coefficient-1 fast path of [`mul_acc`]).
+/// Bytes processed by the word-at-a-time XOR kernel ([`xor_acc`], and
+/// every coefficient-1 term of [`mul_rows`]).
 static XOR_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Bytes processed by the multiply kernels (`c >= 2`).
 static MUL_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -103,16 +103,6 @@ pub fn kernel_stats() -> KernelStats {
         XOR_BYTES.load(Ordering::Relaxed),
         MUL_BYTES.load(Ordering::Relaxed),
         KERNEL_CALLS.load(Ordering::Relaxed),
-    )
-}
-
-/// Resets the kernel tallies to zero, returning the values they held —
-/// benchmark harnesses bracket a measured region with this.
-pub fn reset_kernel_stats() -> KernelStats {
-    KernelStats::new(
-        XOR_BYTES.swap(0, Ordering::Relaxed),
-        MUL_BYTES.swap(0, Ordering::Relaxed),
-        KERNEL_CALLS.swap(0, Ordering::Relaxed),
     )
 }
 
@@ -206,7 +196,7 @@ fn tables() -> &'static Tables {
 /// Flat 256×256 multiplication table: `MUL[c * 256 + d] = c · d`.
 ///
 /// 64 KiB total; any single coefficient's row is 256 bytes and stays
-/// resident in L1 for the duration of a shard-sized [`mul_acc`] call.
+/// resident in L1 for the duration of a shard-sized [`mul_acc_with`] call.
 fn mul_table() -> &'static [u8; 65536] {
     use std::sync::OnceLock;
     static MUL: OnceLock<Box<[u8; 65536]>> = OnceLock::new();
@@ -227,8 +217,8 @@ fn mul_table() -> &'static [u8; 65536] {
 /// The 256-byte product row of a fixed coefficient: `mul_row(c)[d] = c · d`.
 ///
 /// Indexing the returned array with a `u8` cast to `usize` compiles without
-/// a bounds check, which is what makes the table-driven [`mul_acc`] kernel
-/// branch-free per byte.
+/// a bounds check, which is what makes the table-driven [`mul_acc_with`]
+/// body branch-free per byte.
 #[inline]
 #[must_use]
 pub fn mul_row(c: u8) -> &'static [u8; 256] {
@@ -324,7 +314,7 @@ pub fn pow(a: u8, e: u32) -> u8 {
 ///
 /// The lengths are asserted equal once up front; the body then runs
 /// word-at-a-time with no per-chunk checks. This is the coefficient-1
-/// fast path of [`mul_acc`] and the shared kernel behind the XOR-only
+/// fast path of [`mul_acc_with`] and the shared kernel behind the XOR-only
 /// codes (parity, EVENODD, RDP, LRC local repair). The SIMD tier widens
 /// the word to 32 bytes (AVX2); the table tier uses native `u64` words.
 ///
@@ -369,26 +359,14 @@ fn xor_acc_words(acc: &mut [u8], data: &[u8]) {
 }
 
 /// Multiplies every byte of `data` by the constant `c`, XOR-accumulating
-/// into `acc` (`acc[i] ^= c · data[i]`). The inner loop of Reed–Solomon
-/// encoding and decoding.
+/// into `acc` (`acc[i] ^= c · data[i]`), through an explicit tier and
+/// without tallying: the per-row body of [`mul_rows_with`], and the
+/// dispatch the equivalence tests and per-tier benchmarks use.
 ///
-/// `c == 0` is a no-op and `c == 1` takes the [`xor_acc`] path; other
-/// coefficients go through the process's [`KernelTier`]. The lengths are
-/// asserted equal once up front so the tier bodies run without per-chunk
-/// checks.
-///
-/// # Panics
-///
-/// Panics if `acc.len() != data.len()`.
-pub fn mul_acc(acc: &mut [u8], data: &[u8], c: u8) {
-    tally(u64::from(c == 1), u64::from(c > 1), data.len() as u64);
-    mul_acc_with(kernel_tier(), acc, data, c);
-}
-
-/// Like [`mul_acc`], but through an explicit tier and without tallying —
-/// the dispatch the equivalence tests and per-tier benchmarks use.
+/// `c == 0` is a no-op and `c == 1` takes the [`xor_acc_with`] path.
 /// [`KernelTier::Gfni`] runs the AVX2 body, and [`KernelTier::Simd`] on
-/// a CPU without AVX2 the table body.
+/// a CPU without AVX2 the table body. The lengths are asserted equal once
+/// up front so the tier bodies run without per-chunk checks.
 ///
 /// # Panics
 ///
@@ -518,9 +496,10 @@ pub fn mul_rows_with<S: AsRef<[u8]>, O: AsMut<[u8]>>(
     }
 }
 
-/// The pre-table byte-at-a-time `mul_acc`: log/exp lookups with a per-byte
-/// zero test. Kept as the reference kernel — the property tests pin both
-/// tiers of [`mul_acc`] against it bit for bit, and `bench_e2e` reports the
+/// The pre-table byte-at-a-time multiply-accumulate: log/exp lookups with
+/// a per-byte zero test. Kept as the reference kernel — the property tests
+/// pin every tier of [`mul_acc_with`] and [`mul_rows`] against it bit for
+/// bit, and `bench_e2e` reports the
 /// tiered-kernel speedups over it.
 ///
 /// # Panics
@@ -615,13 +594,15 @@ mod tests {
     fn mul_acc_matches_scalar() {
         let data: Vec<u8> = (0..=255).collect();
         for c in [0u8, 1, 2, 0x1d, 0xff] {
-            let mut acc = vec![0xAAu8; 256];
-            let mut want = acc.clone();
-            mul_acc(&mut acc, &data, c);
+            let mut want = vec![0xAAu8; 256];
             for (w, &d) in want.iter_mut().zip(&data) {
                 *w ^= mul(c, d);
             }
-            assert_eq!(acc, want, "c = {c}");
+            for tier in [KernelTier::Gfni, KernelTier::Simd, KernelTier::Table] {
+                let mut acc = vec![0xAAu8; 256];
+                mul_acc_with(tier, &mut acc, &data, c);
+                assert_eq!(acc, want, "tier = {tier:?} c = {c}");
+            }
         }
     }
 
@@ -649,10 +630,13 @@ mod tests {
                     mul_acc_with(tier, &mut fast, &data, c);
                     assert_eq!(fast, slow, "tier = {tier:?} c = {c} len = {len}");
                 }
-                // The tallied dispatch agrees with the process's tier.
-                let mut fast = vec![0x5Au8; len];
-                mul_acc(&mut fast, &data, c);
-                assert_eq!(fast, slow, "active tier c = {c} len = {len}");
+                // The tallied dispatch agrees on the process's tier: one
+                // source into one output, which it overwrites.
+                let mut want = vec![0u8; len];
+                mul_acc_bytewise(&mut want, &data, c);
+                let mut fast = [vec![0x5Au8; len]];
+                mul_rows(&mut fast, &[&data], &[c]);
+                assert_eq!(fast[0], want, "active tier c = {c} len = {len}");
             }
         }
     }
@@ -697,7 +681,7 @@ mod tests {
                 .map(|row| {
                     let mut out = vec![0u8; len];
                     for (s, &c) in sources.iter().zip(row) {
-                        mul_acc(&mut out, s, c);
+                        mul_acc_bytewise(&mut out, s, c);
                     }
                     out
                 })
@@ -761,7 +745,7 @@ mod tests {
     #[should_panic(expected = "mul_acc slices must match")]
     fn mul_acc_length_mismatch_panics() {
         let mut acc = [0u8; 4];
-        mul_acc(&mut acc, &[0u8; 5], 3);
+        mul_acc_with(kernel_tier(), &mut acc, &[0u8; 5], 3);
     }
 
     #[test]
@@ -811,11 +795,11 @@ mod tests {
         // two snapshots, and our own traffic is a lower bound.
         let before = kernel_stats();
         let data = [0x5Au8; 192];
-        let mut acc = [0u8; 192];
-        xor_acc(&mut acc, &data);
-        mul_acc(&mut acc, &data, 3);
-        mul_acc(&mut acc, &data, 1); // counts as XOR traffic
-        mul_acc(&mut acc, &data, 0); // no work, not counted
+        let mut acc = [[0u8; 192]];
+        xor_acc(&mut acc[0], &data);
+        mul_rows(&mut acc, &[data], &[3]);
+        mul_rows(&mut acc, &[data], &[1]); // counts as XOR traffic
+        mul_rows(&mut acc, &[data], &[0]); // no work, not counted
         let after = kernel_stats();
         assert!(after.xor_bytes >= before.xor_bytes + 384);
         assert!(after.mul_bytes >= before.mul_bytes + 192);
@@ -824,16 +808,6 @@ mod tests {
         match kernel_tier() {
             KernelTier::Gfni | KernelTier::Simd => assert_eq!(after.simd_bytes, after.mul_bytes),
             KernelTier::Table => assert_eq!(after.simd_bytes, 0),
-        }
-        // reset() hands back at least everything tallied so far.
-        let drained = reset_kernel_stats();
-        assert!(drained.xor_bytes >= after.xor_bytes);
-        assert!(drained.mul_bytes >= after.mul_bytes);
-        match kernel_tier() {
-            KernelTier::Gfni | KernelTier::Simd => {
-                assert_eq!(drained.simd_bytes, drained.mul_bytes);
-            }
-            KernelTier::Table => assert_eq!(drained.simd_bytes, 0),
         }
     }
 }

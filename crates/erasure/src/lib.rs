@@ -19,7 +19,8 @@
 //!
 //! Each code has one encoder, [`ErasureCode::encode_parity`] (which
 //! [`ErasureCode::encode`] derives from), and one decoder,
-//! [`ErasureCode::reconstruct`]. The three GF(256) codes are one engine:
+//! [`ErasureCode::decode`] (which [`ErasureCode::reconstruct`] derives
+//! from), both on borrowed shards. The three GF(256) codes are one engine:
 //! [`MatrixCode`] turns a systematic generator matrix into a code, and
 //! Reed–Solomon is its MDS instance. The two XOR array codes are the
 //! other: [`ArrayCode`] lays EVENODD and RDP on one grid of diagonals and

@@ -22,7 +22,7 @@
 //!   failures. LRCs matter here because rebuild traffic is exactly what
 //!   the paper's adaptivity experiments measure on the placement side.
 
-use crate::code::{check_optional_shards, check_parity_inputs, ErasureCode};
+use crate::code::{check_count, check_decode, common_len, ErasureCode};
 use crate::error::ErasureError;
 use crate::gf256;
 use crate::matrix::Matrix;
@@ -49,9 +49,9 @@ pub struct MatrixCode {
     generator: Matrix,
     data: usize,
     guaranteed: usize,
-    /// Shard groups for fast local repair: `local_groups[g] = (members,
-    /// parity_row)` such that `shard[parity_row] = XOR of members`.
-    local_groups: Vec<(Vec<usize>, usize)>,
+    /// Shard groups for fast local repair, each a group's data shards and
+    /// its XOR parity: every shard of a group is the XOR of the others.
+    local_groups: Vec<Vec<usize>>,
 }
 
 impl MatrixCode {
@@ -120,7 +120,7 @@ impl MatrixCode {
             generator[(data, j)] = 1;
         }
         let mut code = Self::new(generator, data, 1)?;
-        code.local_groups = vec![((0..data).collect(), data)];
+        code.local_groups = vec![(0..=data).collect()];
         Ok(code)
     }
 
@@ -166,7 +166,7 @@ impl MatrixCode {
             for &m in &members {
                 generator[(row, m)] = 1;
             }
-            local_groups.push((members, row));
+            local_groups.push(members.into_iter().chain([row]).collect());
         }
         // Global parities: rows of a Vandermonde matrix evaluated at
         // points disjoint from the data indices' implicit 0..data range,
@@ -189,41 +189,6 @@ impl MatrixCode {
         &self.generator
     }
 
-    /// Attempts the cheap local-repair path: a single missing shard inside
-    /// a group whose other members and local parity are present is the XOR
-    /// of those survivors. Returns `true` if it repaired everything.
-    fn try_local_repair(&self, shards: &mut [Option<Vec<u8>>], len: usize) -> bool {
-        loop {
-            let mut progress = false;
-            for (members, parity_row) in &self.local_groups {
-                let mut missing: Option<usize> = None;
-                let mut ok = true;
-                for &idx in members.iter().chain(std::iter::once(parity_row)) {
-                    if shards[idx].is_none() && missing.replace(idx).is_some() {
-                        ok = false;
-                        break;
-                    }
-                }
-                let (Some(target), true) = (missing, ok) else {
-                    continue;
-                };
-                let mut repaired = vec![0u8; len];
-                for &idx in members.iter().chain(std::iter::once(parity_row)) {
-                    if idx == target {
-                        continue;
-                    }
-                    gf256::xor_acc(&mut repaired, shards[idx].as_ref().expect("present"));
-                }
-                shards[target] = Some(repaired);
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
-        shards.iter().all(Option::is_some)
-    }
-
     /// The decode rows of the missing data shards `lost`: returns the
     /// sources — `lost.len()` surviving parity shards, then the present
     /// data shards — and one coefficient row per lost shard over them.
@@ -231,7 +196,7 @@ impl MatrixCode {
     /// the first `lost.len()` survivors when they invert (always, for an
     /// MDS code), else a greedy full-rank pick. `None` when the survivors
     /// do not span the data.
-    fn decoder(&self, shards: &[Option<Vec<u8>>], lost: &[usize]) -> Option<(Vec<usize>, Matrix)> {
+    fn decoder(&self, shards: &[Option<&[u8]>], lost: &[usize]) -> Option<(Vec<usize>, Matrix)> {
         let m = lost.len();
         let parity: Vec<usize> = (self.data..shards.len())
             .filter(|&i| shards[i].is_some())
@@ -293,7 +258,9 @@ impl ErasureCode for MatrixCode {
     }
 
     fn encode_parity(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) -> Result<(), ErasureError> {
-        let len = check_parity_inputs(data, parity.len(), self.data, self.parity_shards(), 1)?;
+        check_count(data.len(), self.data)?;
+        check_count(parity.len(), self.parity_shards())?;
+        let len = common_len(data.iter().map(|d| d.len()), 1)?;
         for out in parity.iter_mut() {
             out.resize(len, 0);
         }
@@ -302,57 +269,77 @@ impl ErasureCode for MatrixCode {
         Ok(())
     }
 
-    /// Reconstructs every decodable pattern: unlike the fixed-budget
-    /// codes, patterns larger than the guaranteed tolerance are attempted
-    /// and succeed whenever the surviving generator rows have full rank.
+    /// Decodes every decodable pattern: unlike the fixed-budget codes,
+    /// patterns larger than the guaranteed tolerance are attempted and
+    /// succeed whenever the surviving generator rows have full rank.
     ///
-    /// Only the missing shards are computed: single losses inside a local
-    /// group by XOR, the other missing data shards from `d` survivors
-    /// (one [`gf256::mul_rows`] call for all of them, with coefficients
-    /// from `decoder`), then missing parity shards from the completed
-    /// data (one more call). With no data shard missing there is nothing
-    /// to invert.
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        let (len, mut missing) =
-            check_optional_shards(shards, self.total_shards(), 1, self.guaranteed)?;
-        let lost = missing.len();
-        if self.try_local_repair(shards, len) {
+    /// Each wanted shard is written straight into its buffer: one missing
+    /// alone from a local group as the XOR of the group's others, the
+    /// missing data shards from `d` survivors (one [`gf256::mul_rows`]
+    /// call for all of them, with coefficients from `decoder`; into
+    /// scratch where not asked for, as a parity row reads them all), then
+    /// the wanted parity shards from the completed data (one more call).
+    fn decode(
+        &self,
+        shards: &[Option<&[u8]>],
+        lost: &mut [(usize, &mut [u8])],
+    ) -> Result<(), ErasureError> {
+        let (len, missing) = check_decode(shards, lost, self.total_shards(), 1, self.guaranteed)?;
+        let mut known = shards.to_vec();
+        let (mut data, mut parity) = (Vec::new(), Vec::new());
+        for (t, out) in lost.iter_mut() {
+            let alone = |g: &&Vec<usize>| {
+                g.contains(t) && g.iter().all(|&i| i == *t || shards[i].is_some())
+            };
+            if let Some(group) = self.local_groups.iter().find(alone) {
+                out.fill(0);
+                for &i in group.iter().filter(|&i| i != t) {
+                    gf256::xor_acc(out, shards[i].expect("present"));
+                }
+                known[*t] = Some(out);
+            } else if *t < self.data {
+                data.push((*t, &mut **out));
+            } else {
+                parity.push((*t, &mut **out));
+            }
+        }
+        if data.is_empty() && parity.is_empty() {
             return Ok(());
         }
-        missing.retain(|&i| shards[i].is_none());
-        let (missing_data, missing_parity) =
-            missing.split_at(missing.partition_point(|&i| i < self.data));
-        let combine = |sources: &[&[u8]], coeffs: &Matrix| {
-            let mut outs = vec![vec![0u8; len]; coeffs.rows()];
-            gf256::mul_rows(&mut outs, sources, coeffs.as_slice());
-            outs
-        };
-        if !missing_data.is_empty() {
-            let (sources, decode) =
-                self.decoder(shards, missing_data)
-                    .ok_or(ErasureError::TooManyErasures {
-                        missing: lost,
-                        tolerated: self.guaranteed,
-                    })?;
-            let sources: Vec<&[u8]> = sources.iter().map(|&i| present(shards, i)).collect();
-            for (&t, shard) in missing_data.iter().zip(combine(&sources, &decode)) {
-                shards[t] = Some(shard);
+        let unknown: Vec<usize> = (0..self.data).filter(|&j| known[j].is_none()).collect();
+        let unasked: Vec<usize> = (unknown.iter().copied())
+            .filter(|&j| data.iter().all(|&(t, _)| t != j))
+            .collect();
+        let mut scratch: Vec<Vec<u8>> = unasked.iter().map(|_| vec![0u8; len]).collect();
+        let spare = unasked
+            .into_iter()
+            .zip(scratch.iter_mut().map(Vec::as_mut_slice));
+        data.extend(spare);
+        data.sort_unstable_by_key(|&(t, _)| t);
+        if !unknown.is_empty() {
+            let Some((sources, decode)) = self.decoder(&known, &unknown) else {
+                let tolerated = self.guaranteed;
+                return Err(ErasureError::TooManyErasures { missing, tolerated });
+            };
+            let sources: Vec<&[u8]> = sources.iter().map(|&i| known[i].expect("source")).collect();
+            // `data` now holds exactly the `unknown` shards, in order.
+            let mut outs: Vec<&mut [u8]> = data.into_iter().map(|(_, out)| out).collect();
+            gf256::mul_rows(&mut outs, &sources, decode.as_slice());
+            for (&t, out) in unknown.iter().zip(outs) {
+                known[t] = Some(out);
             }
         }
-        if !missing_parity.is_empty() {
-            let data: Vec<&[u8]> = (0..self.data).map(|i| present(shards, i)).collect();
-            let rows = self.generator.select_rows(missing_parity);
-            for (&t, shard) in missing_parity.iter().zip(combine(&data, &rows)) {
-                shards[t] = Some(shard);
-            }
+        if !parity.is_empty() {
+            let data: Vec<&[u8]> = known[..self.data]
+                .iter()
+                .map(|s| s.expect("data"))
+                .collect();
+            let (targets, mut outs): (Vec<usize>, Vec<&mut [u8]>) = parity.into_iter().unzip();
+            let rows = self.generator.select_rows(&targets);
+            gf256::mul_rows(&mut outs, &data, rows.as_slice());
         }
         Ok(())
     }
-}
-
-/// The bytes of shard `i`, which the caller knows to be present.
-fn present(shards: &[Option<Vec<u8>>], i: usize) -> &[u8] {
-    shards[i].as_deref().expect("shard present")
 }
 
 /// Greedily selects `need` rows of `matrix`, in order, that are linearly

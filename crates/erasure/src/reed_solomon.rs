@@ -84,8 +84,12 @@ impl ErasureCode for ReedSolomon {
         self.0.encode_parity(data, parity)
     }
 
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ErasureError> {
-        self.0.reconstruct(shards)
+    fn decode(
+        &self,
+        shards: &[Option<&[u8]>],
+        lost: &mut [(usize, &mut [u8])],
+    ) -> Result<(), ErasureError> {
+        self.0.decode(shards, lost)
     }
 }
 

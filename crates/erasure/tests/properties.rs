@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rshare_erasure::gf256::KernelTier;
 use rshare_erasure::matrix::Matrix;
-use rshare_erasure::{gf256, ArrayCode, ErasureCode, MatrixCode, ReedSolomon};
+use rshare_erasure::{gf256, ArrayCode, ErasureCode, ErasureError, MatrixCode, ReedSolomon};
 
 /// Every tier, most to least specialised. On a CPU without GFNI the
 /// `Gfni` entry exercises its documented AVX2 fallback, and on one without
@@ -156,6 +156,127 @@ fn golden_codewords() {
     }
 }
 
+/// The five code shapes the decoder tests cover, with whether each is a
+/// `MatrixCode` (which decodes patterns beyond its guarantee).
+fn decoder_cases() -> Vec<(&'static str, Box<dyn ErasureCode>, bool)> {
+    vec![
+        ("RS(4,2)", Box::new(ReedSolomon::new(4, 2).unwrap()), true),
+        ("XOR(4)", Box::new(MatrixCode::xor_parity(4).unwrap()), true),
+        (
+            "LRC(2,2,2)",
+            Box::new(MatrixCode::local_reconstruction(2, 2, 2).unwrap()),
+            true,
+        ),
+        (
+            "EVENODD(5)",
+            Box::new(ArrayCode::evenodd(5).unwrap()),
+            false,
+        ),
+        ("RDP(5)", Box::new(ArrayCode::rdp(5).unwrap()), false),
+    ]
+}
+
+/// Runs `decode` on `full` with the shards of `mask` missing, asking for
+/// the shards `wanted` (in that order) in buffers pre-filled with `0xA5`,
+/// so a byte the decoder leaves unwritten shows.
+fn decode_wanted(
+    code: &dyn ErasureCode,
+    full: &[Vec<u8>],
+    mask: u32,
+    wanted: &[usize],
+) -> Result<Vec<Vec<u8>>, ErasureError> {
+    let shards: Vec<Option<&[u8]>> = (full.iter().enumerate())
+        .map(|(i, s)| (mask & (1 << i) == 0).then_some(s.as_slice()))
+        .collect();
+    let mut bufs = vec![vec![0xA5u8; full[0].len()]; wanted.len()];
+    let mut lost: Vec<(usize, &mut [u8])> = (wanted.iter().copied())
+        .zip(bufs.iter_mut().map(Vec::as_mut_slice))
+        .collect();
+    code.decode(&shards, &mut lost)?;
+    Ok(bufs)
+}
+
+/// `decode` agrees with `reconstruct` on every erasure pattern within
+/// each code's tolerance, and, for the matrix codes, on every pattern
+/// beyond it: both decode it, or both refuse it with the same error. On a
+/// decoded pattern every subset of the missing shards, the data-only ones
+/// among them, decodes alone, in either order, to the same bytes.
+#[test]
+fn decode_matches_reconstruct_on_every_pattern() {
+    let len = 12; // a multiple of EVENODD's and RDP's p - 1 = 4
+    for (name, code, matrix) in decoder_cases() {
+        let total = code.total_shards();
+        let mut full: Vec<Vec<u8>> = (0..total)
+            .map(|i| prng_bytes(len, 0xDEC0_DE00 ^ i as u64))
+            .collect();
+        code.encode(&mut full).unwrap();
+        let (mut decoded, mut refused) = (0, 0);
+        for mask in 0u32..1 << total {
+            let erased = mask.count_ones() as usize;
+            if erased > code.tolerated_erasures() && !matrix {
+                continue;
+            }
+            let missing: Vec<usize> = (0..total).filter(|&i| mask & (1 << i) != 0).collect();
+            let mut damaged: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+            for &i in &missing {
+                damaged[i] = None;
+            }
+            let reconstructed = code.reconstruct(&mut damaged);
+            let all = decode_wanted(&*code, &full, mask, &missing);
+            match reconstructed {
+                Err(e) => {
+                    assert!(erased > code.tolerated_erasures(), "{name}: {mask:#b}: {e}");
+                    assert_eq!(all, Err(e), "{name}: {mask:#b}");
+                    refused += 1;
+                    continue;
+                }
+                Ok(()) => decoded += 1,
+            }
+            let want = |i: usize| damaged[i].clone().unwrap();
+            assert_eq!(all, Ok(missing.iter().map(|&i| want(i)).collect()));
+            for subset in 1u32..1 << missing.len() {
+                let mut wanted: Vec<usize> = (0..missing.len())
+                    .filter(|&b| subset & (1 << b) != 0)
+                    .map(|b| missing[b])
+                    .collect();
+                for _ in 0..2 {
+                    let got = decode_wanted(&*code, &full, mask, &wanted);
+                    let expected = wanted.iter().map(|&i| want(i)).collect();
+                    assert_eq!(got, Ok(expected), "{name}: {mask:#b} wanted {wanted:?}");
+                    wanted.reverse();
+                }
+            }
+        }
+        assert!(decoded > total, "{name}: {decoded} patterns decoded");
+        assert_eq!(refused > 0, matrix, "{name}: {refused} patterns refused");
+    }
+}
+
+/// A wanted shard that is present, out of range or named twice, and a
+/// buffer of the wrong length, are typed errors.
+#[test]
+fn decode_rejects_bad_wanted_shards() {
+    for (name, code, _) in decoder_cases() {
+        let total = code.total_shards();
+        let mut full = vec![vec![7u8; 8]; total];
+        code.encode(&mut full).unwrap();
+        let lost_one = 1; // shard 0 missing
+        for (wanted, index) in [(vec![1], 1), (vec![total], total), (vec![0, 0], 0)] {
+            let got = decode_wanted(&*code, &full, lost_one, &wanted);
+            assert_eq!(got, Err(ErasureError::NotMissing { index }), "{name}");
+        }
+        let shards: Vec<Option<&[u8]>> = (full.iter().enumerate())
+            .map(|(i, s)| (i != 0).then_some(s.as_slice()))
+            .collect();
+        for wrong in [4, 9] {
+            let mut buf = vec![0u8; wrong];
+            let got = code.decode(&shards, &mut [(0, &mut buf[..])]);
+            assert_eq!(got, Err(ErasureError::ShardLengthMismatch), "{name}");
+        }
+        assert_eq!(code.decode(&shards, &mut []), Ok(()), "{name}");
+    }
+}
+
 /// Picks `count` distinct indices below `total` from a seed.
 fn pick_erasures(total: usize, count: usize, seed: u64) -> Vec<usize> {
     let mut indices: Vec<usize> = (0..total).collect();
@@ -265,8 +386,10 @@ proptest! {
     // --- Kernel equivalence: the table-driven GF(256) kernels must be ---
     // --- bit-identical to the byte-at-a-time reference implementation. ---
 
+    /// The process's multiply-accumulate on every tier, and the tallied
+    /// `mul_rows` of one source into one output, which it overwrites.
     #[test]
-    fn table_mul_acc_matches_bytewise_kernel(
+    fn mul_acc_and_single_row_match_bytewise_kernel(
         len in 1usize..=513,
         c in any::<u64>(),
         seed in any::<u64>(),
@@ -275,11 +398,19 @@ proptest! {
         let data: Vec<u8> = (0..len)
             .map(|i| (seed.wrapping_mul(i as u64 + 1) >> 24) as u8)
             .collect();
-        let mut fast: Vec<u8> = (0..len).map(|i| (seed >> (i % 8)) as u8).collect();
-        let mut slow = fast.clone();
-        gf256::mul_acc(&mut fast, &data, c);
+        let acc0: Vec<u8> = (0..len).map(|i| (seed >> (i % 8)) as u8).collect();
+        let mut slow = acc0.clone();
         gf256::mul_acc_bytewise(&mut slow, &data, c);
-        prop_assert_eq!(fast, slow);
+        for tier in TIERS {
+            let mut fast = acc0.clone();
+            gf256::mul_acc_with(tier, &mut fast, &data, c);
+            prop_assert_eq!(&fast, &slow, "tier {:?}", tier);
+        }
+        let mut want = vec![0u8; len];
+        gf256::mul_acc_bytewise(&mut want, &data, c);
+        let mut row = [acc0];
+        gf256::mul_rows(&mut row, &[&data], &[c]);
+        prop_assert_eq!(&row[0], &want);
     }
 
     #[test]
@@ -312,7 +443,7 @@ proptest! {
     // --- Tier equivalence: SIMD and table kernels must be ---------------
     // --- bit-identical to the byte-wise reference on every input shape. -
 
-    /// `mul_acc` across all tiers, at unaligned offsets into a shared
+    /// `mul_acc_with` across all tiers, at unaligned offsets into a shared
     /// buffer, lengths that are not multiples of any vector width
     /// (including 0), and c drawn from {0, 1, random}.
     #[test]

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use rshare_core::capacity::max_balls;
 use rshare_core::{Bin, BinId, BinSet, PlacementStrategy, RedundantShare, MAX_INLINE_K};
 use rshare_erasure::gf256::simd::prefetch;
-use rshare_erasure::ErasureCode;
+use rshare_erasure::{ErasureCode, ErasureError};
 use rshare_obs::{family_header, sample_line, Registry, SpanTimer};
 
 use crate::cache::{BlockTable, CacheStats};
@@ -270,16 +270,21 @@ impl Tally {
     }
 }
 
-/// Buffers the write path reuses from call to call, so a steady-state
-/// write allocates nothing but an erasure-coded batch's list of data
-/// shards. Contents are meaningless between calls.
+/// Buffers the write path and the migration executor reuse from call to
+/// call, so a steady-state write allocates nothing but an erasure-coded
+/// batch's list of data shards, and a chunk's payloads live in one buffer.
+/// Contents are meaningless between calls.
 #[derive(Default)]
 struct Scratch {
-    /// A `write_blocks` batch's old and new rows, flat stride-k runs.
+    /// A `write_blocks` batch's, or a migration or repair chunk's, old and
+    /// new rows, flat stride-k runs.
     old: Vec<u64>,
     new: Vec<u64>,
     /// One stripe's parity shards.
     parity: Vec<Vec<u8>>,
+    /// A migration or repair chunk's landing payloads, one shard after
+    /// another in landing order: copied from their slots or decoded.
+    chunk: Vec<u8>,
     /// [`land`]'s slots taken ahead.
     ahead: Ahead,
 }
@@ -309,9 +314,9 @@ trait Payloads {
     fn shard(&mut self, i: usize) -> &[u8];
 }
 
-/// Payloads gathered up front (a migration or repair chunk): one per
-/// word without a slot, in landing order.
-impl Payloads for std::slice::Iter<'_, Vec<u8>> {
+/// Payloads gathered up front (a migration or repair chunk): one shard
+/// per word without a slot, in landing order, in one flat buffer.
+impl Payloads for std::slice::ChunksExact<'_, u8> {
     const EVERY_SHARD: bool = false;
 
     fn ready(&mut self) -> Result<(), VdsError> {
@@ -599,10 +604,10 @@ impl StorageCluster {
         slot_of(word).is_some_and(|slot| self.devices[position_of(word)].read_into(slot, out))
     }
 
-    /// The shard a row word names, if present.
-    fn read_shard(&self, word: u64) -> Option<Vec<u8>> {
-        let mut out = vec![0; self.shard_len()];
-        self.read_word(word, &mut out).then_some(out)
+    /// The shard a row word names, borrowed from its slot and counted as
+    /// one read, if present.
+    fn shard(&self, word: u64) -> Option<&[u8]> {
+        slot_of(word).and_then(|slot| self.devices[position_of(word)].read(slot))
     }
 
     /// Number of logical blocks stored.
@@ -985,40 +990,31 @@ impl StorageCluster {
                 // in d device slabs, so all of them are prefetched before
                 // the first copy and their misses overlap.
                 self.prefetch_present(&row[..d]);
-                let mut loaded = 0;
-                while loaded < d {
-                    let seg = &mut buf[loaded * shard_len..(loaded + 1) * shard_len];
-                    if self.read_word(row[loaded], seg) {
-                        loaded += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if loaded == d {
+                let mut segments = buf.chunks_exact_mut(shard_len).zip(row);
+                let Some(missed) = segments.position(|(seg, &w)| !self.read_word(w, seg)) else {
                     return Ok(false);
-                }
-                // Degraded read: keep what the fast path already pulled,
-                // fetch the remaining data + parity shards, fill in the
-                // missing ones with repair's decode (`reconstruct_group`)
-                // and copy the data shards not yet in `buf`.
-                // Device read counters stay identical to the fast path
-                // attempting every shard once: the prefix is not re-read.
-                // The data words past the prefix were prefetched with the
-                // fast path's; the parity words are prefetched here.
+                };
+                // Degraded read: read the data shards past the missed one
+                // into their segments, borrow the parity shards from their
+                // slots, and decode the missing data shards straight into
+                // their segments. Each present shard is read once (the
+                // prefix is not re-read), and the parity slots are
+                // prefetched here, the data slots with the fast path's.
                 self.prefetch_present(&row[d..]);
-                let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(k);
-                for i in 0..k {
-                    if i < loaded {
-                        shards.push(Some(buf[i * shard_len..(i + 1) * shard_len].to_vec()));
+                let mut shards: Vec<Option<&[u8]>> = Vec::with_capacity(k);
+                let mut lost: Vec<(usize, &mut [u8])> = Vec::new();
+                for (i, seg) in buf.chunks_exact_mut(shard_len).enumerate() {
+                    if i < missed || (i > missed && self.read_word(row[i], seg)) {
+                        shards.push(Some(seg));
                     } else {
-                        shards.push(self.read_shard(row[i]));
+                        shards.push(None);
+                        lost.push((i, seg));
                     }
                 }
-                self.reconstruct_group(&mut shards, lba)?;
-                let segments = buf.chunks_exact_mut(shard_len).zip(shards).skip(loaded);
-                for (seg, shard) in segments {
-                    seg.copy_from_slice(&shard.expect("complete after reconstruction"));
-                }
+                shards.extend(row[d..].iter().map(|&w| self.shard(w)));
+                codec
+                    .decode(&shards, &mut lost)
+                    .map_err(|e| decode_error(e, lba))?;
                 Ok(true)
             }
         }
@@ -1168,6 +1164,7 @@ impl StorageCluster {
     /// first) as one flat stride-k run of row words, parallel to `lbas`.
     fn rows_flat(&self, lbas: &[u64], out: &mut Vec<u64>) {
         out.clear();
+        out.reserve(lbas.len() * self.redundancy.total_shards());
         for &lba in lbas {
             out.extend_from_slice(self.table.peek(lba).expect("a stored block has a row"));
         }
@@ -1219,50 +1216,71 @@ impl StorageCluster {
         Ok(report)
     }
 
-    /// Read-only gather for one migrating or repaired block: reads the
-    /// group's shards through its `old` row, reconstructs any missing ones
-    /// (once per stripe), and appends the block's new row to `rows`. A
-    /// shard present on the device its `new` word names keeps its word;
-    /// every other shard lands on that device, its payload queued in
-    /// `lands`.
+    /// Read-only gather for one migrating or repaired block: borrows the
+    /// group's present shards from their slots through its `old` row,
+    /// and appends the block's new row to `rows`. A shard present on the
+    /// device its `new` word names (whose slot is ignored) keeps its word;
+    /// every other shard lands on that device, its payload appended to
+    /// `lands`: copied from its slot, or, if missing, decoded in place.
     fn gather_block(
         &self,
         lba: u64,
         old: &[u64],
         new: &[u64],
         rows: &mut Vec<u64>,
-        lands: &mut Vec<Vec<u8>>,
+        lands: &mut Vec<u8>,
         outcome: &mut ExecOutcome,
     ) -> Result<(), VdsError> {
-        let mut shards: Vec<Option<Vec<u8>>> = old.iter().map(|&w| self.read_shard(w)).collect();
-        let missing = shards.iter().filter(|s| s.is_none()).count() as u64;
-        if missing > 0 {
-            self.reconstruct_group(&mut shards, lba)?;
-        }
-        outcome.reconstructed += missing;
-        for ((&o, &n), shard) in old.iter().zip(new).zip(&mut shards) {
-            let moves = o & !SLOT_MASK != n;
-            if !moves && self.present(o) {
+        let shards: Vec<Option<&[u8]>> = old.iter().map(|&w| self.shard(w)).collect();
+        let start = lands.len();
+        for ((&o, &n), shard) in old.iter().zip(new).zip(&shards) {
+            let moves = position_of(o) != position_of(n);
+            if !moves && shard.is_some() {
                 rows.push(o);
                 continue;
             }
             outcome.moved += u64::from(moves);
             outcome.stored += 1;
-            rows.push(n);
-            // `reconstruct_group` either fills every `None` slot or errors
-            // out above; a hole here is unreachable.
-            lands.push(shard.take().expect("complete after reconstruction"));
+            rows.push(n & !SLOT_MASK);
+            match shard {
+                Some(bytes) => lands.extend_from_slice(bytes),
+                None => lands.resize(lands.len() + self.shard_len(), 0),
+            }
         }
-        Ok(())
+        // The landing shards are the block's row words without a slot.
+        let row = &rows[rows.len() - old.len()..];
+        let landing = (0..old.len()).filter(|&i| slot_of(row[i]).is_none());
+        let segments = landing.zip(lands[start..].chunks_exact_mut(self.shard_len()));
+        let mut lost: Vec<(usize, &mut [u8])> =
+            segments.filter(|&(i, _)| shards[i].is_none()).collect();
+        if lost.is_empty() {
+            return Ok(());
+        }
+        outcome.reconstructed += lost.len() as u64;
+        match self.codec.as_deref() {
+            Some(codec) => codec
+                .decode(&shards, &mut lost)
+                .map_err(|e| decode_error(e, lba)),
+            None => {
+                // Every mirror copy is the whole block.
+                let copy = shards.iter().flatten().next();
+                let copy = copy.ok_or(VdsError::DataLoss { lba })?;
+                for (_, seg) in &mut lost {
+                    seg.copy_from_slice(copy);
+                }
+                Ok(())
+            }
+        }
     }
 
     /// The migration executor, shared by migrations and repair. Gather:
     /// each block in `work` (indices into `lbas`) reads its group once,
-    /// reconstructs what's missing and builds its new row against
-    /// `new_flat` (row words without slots), with the next block's
-    /// present slots prefetched before it. One validation then covers
-    /// the whole chunk, so an `Err` touches nothing, and each block
-    /// commits.
+    /// copies its landing shards into the cluster's chunk buffer, decodes
+    /// the missing ones there, and builds its new row against `new_flat`
+    /// (row words naming the target devices), with the next block's present slots
+    /// prefetched before it. One validation then covers the whole chunk,
+    /// so an `Err` touches nothing, and each block commits from the
+    /// buffer.
     fn execute_block_ops(
         &mut self,
         lbas: &[u64],
@@ -1270,37 +1288,41 @@ impl StorageCluster {
         old_flat: &[u64],
         new_flat: &[u64],
     ) -> Result<ExecOutcome, VdsError> {
-        let k = self.redundancy.total_shards();
+        let (k, len) = (self.redundancy.total_shards(), self.shard_len());
         let mut outcome = ExecOutcome::default();
-        let mut old: Vec<u64> = Vec::with_capacity(work.len() * k);
-        let mut rows: Vec<u64> = Vec::with_capacity(work.len() * k);
-        let mut lands: Vec<Vec<u8>> = Vec::new();
+        // Taken for the call: a chunk that fails drops it, and the next
+        // call grows fresh buffers.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.old.clear();
+        scratch.new.clear();
+        scratch.chunk.clear();
         for (n, &j) in work.iter().enumerate() {
             if let Some(&next) = work.get(n + 1) {
                 self.prefetch_present(&old_flat[next * k..(next + 1) * k]);
             }
             let run = j * k..(j + 1) * k;
-            old.extend_from_slice(&old_flat[run.clone()]);
+            scratch.old.extend_from_slice(&old_flat[run.clone()]);
             self.gather_block(
                 lbas[j],
                 &old_flat[run.clone()],
                 &new_flat[run],
-                &mut rows,
-                &mut lands,
+                &mut scratch.new,
+                &mut scratch.chunk,
                 &mut outcome,
             )?;
         }
-        self.validate(&old, &rows)?;
+        self.validate(&scratch.old, &scratch.new)?;
         let moving: Vec<u64> = work.iter().map(|&j| lbas[j]).collect();
         land(
             &mut self.devices,
             &mut self.table,
             &moving,
-            &mut rows,
+            &mut scratch.new,
             k,
-            &mut lands.iter(),
-            &mut self.scratch.ahead,
+            &mut scratch.chunk.chunks_exact(len),
+            &mut scratch.ahead,
         )?;
+        self.scratch = scratch;
         if let Some(m) = &self.metrics {
             m.migration_moves_executed_total.add(outcome.moved);
             m.shards_reconstructed_total.add(outcome.reconstructed);
@@ -1457,9 +1479,8 @@ impl StorageCluster {
             // Pipelined through the migration executor with every shard
             // staying on its device: each degraded stripe is gathered and
             // decoded exactly once, and only the absent shards land.
-            let same: Vec<u64> = flat.iter().map(|&w| w & !SLOT_MASK).collect();
             let work: Vec<usize> = (0..chunk.len()).collect();
-            let outcome = self.execute_block_ops(chunk, &work, &flat, &same)?;
+            let outcome = self.execute_block_ops(chunk, &work, &flat, &flat)?;
             repaired += outcome.stored;
             if let Some(m) = &self.metrics {
                 m.repair_blocks_total.add(chunk.len() as u64);
@@ -1835,41 +1856,14 @@ impl StorageCluster {
             }
         }
     }
+}
 
-    /// Fills the `None` entries of a shard vector using the redundancy.
-    fn reconstruct_group(&self, shards: &mut [Option<Vec<u8>>], lba: u64) -> Result<(), VdsError> {
-        match self.redundancy {
-            Redundancy::Mirror { .. } => {
-                // One clone per *missing* slot only (each re-stored copy
-                // must own its bytes); the surviving source itself is
-                // borrowed, never cloned.
-                let src = shards
-                    .iter()
-                    .position(Option::is_some)
-                    .ok_or(VdsError::DataLoss { lba })?;
-                for i in 0..shards.len() {
-                    if shards[i].is_none() {
-                        let copy = shards[src].as_ref().expect("source present").clone();
-                        shards[i] = Some(copy);
-                    }
-                }
-                Ok(())
-            }
-            _ => {
-                // Same constructor invariant as the read path: every
-                // erasure scheme carries a codec; repair and migration
-                // surface the impossible case as a typed error.
-                let codec = self.codec.as_deref().ok_or(VdsError::Internal {
-                    reason: "erasure redundancy configured without a codec",
-                })?;
-                codec.reconstruct(shards).map_err(|e| match e {
-                    rshare_erasure::ErasureError::TooManyErasures { .. } => {
-                        VdsError::DataLoss { lba }
-                    }
-                    other => VdsError::Erasure(other),
-                })
-            }
-        }
+/// The error of a failed decode of block `lba`: too few shards left is
+/// data loss.
+fn decode_error(e: ErasureError, lba: u64) -> VdsError {
+    match e {
+        ErasureError::TooManyErasures { .. } => VdsError::DataLoss { lba },
+        other => VdsError::Erasure(other),
     }
 }
 
@@ -2234,15 +2228,22 @@ mod tests {
     }
 
     #[test]
-    fn mirror_reconstruct_group_copies_a_survivor() {
-        let c = mirror_cluster();
-        let mut shards = vec![None, Some(vec![1, 2, 3])];
-        c.reconstruct_group(&mut shards, 0).unwrap();
-        assert_eq!(shards, vec![Some(vec![1, 2, 3]); 2]);
-        assert!(matches!(
-            c.reconstruct_group(&mut [None, None], 7),
-            Err(VdsError::DataLoss { lba: 7 })
-        ));
+    fn mirror_gather_copies_a_survivor() {
+        let mut c = mirror_cluster();
+        c.write_block(7, &block(9, 64)).unwrap();
+        assert!(c.inject_shard_loss(7, 0));
+        let gather = |c: &StorageCluster, lands: &mut Vec<u8>| {
+            let old = c.table.peek(7).unwrap().to_vec();
+            let mut outcome = ExecOutcome::default();
+            let gathered = c.gather_block(7, &old, &old, &mut Vec::new(), lands, &mut outcome);
+            gathered.map(|()| outcome.reconstructed)
+        };
+        // The lost copy lands as a copy of the survivor.
+        let mut lands = Vec::new();
+        assert_eq!(gather(&c, &mut lands), Ok(1));
+        assert_eq!(lands, block(9, 64));
+        assert!(c.inject_shard_loss(7, 1));
+        assert_eq!(gather(&c, &mut lands), Err(VdsError::DataLoss { lba: 7 }));
     }
 
     #[test]
@@ -3380,7 +3381,9 @@ mod tests {
     /// The shards of `lba`, read through its row: `None` where absent.
     fn shards_of(c: &StorageCluster, lba: u64) -> Vec<Option<Vec<u8>>> {
         let row = c.table.peek(lba).expect("stored");
-        row.iter().map(|&w| c.read_shard(w)).collect()
+        row.iter()
+            .map(|&w| c.shard(w).map(<[u8]>::to_vec))
+            .collect()
     }
 
     #[test]

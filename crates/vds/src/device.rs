@@ -275,16 +275,23 @@ impl Device {
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Copies the shard in `slot` into `out` (one shard long) and counts
-    /// the read. Returns `false`, touching neither `out` nor the counters,
-    /// when the device is failed.
-    pub(crate) fn read_into(&self, slot: u32, out: &mut [u8]) -> bool {
+    /// The shard in `slot`, borrowed, counted as one read; `None`,
+    /// counting nothing, when the device is failed.
+    pub(crate) fn read(&self, slot: u32) -> Option<&[u8]> {
         if self.state == DeviceState::Failed {
-            return false;
+            return None;
         }
-        out.copy_from_slice(self.slab.get(slot));
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        true
+        Some(self.slab.get(slot))
+    }
+
+    /// Copies the shard in `slot` into `out` (one shard long) through
+    /// [`Device::read`]. Returns `false`, touching neither `out` nor the
+    /// counters, when the device is failed.
+    pub(crate) fn read_into(&self, slot: u32, out: &mut [u8]) -> bool {
+        self.read(slot)
+            .map(|shard| out.copy_from_slice(shard))
+            .is_some()
     }
 
     /// Frees `slot` for reuse; a no-op on a failed device, whose slab is

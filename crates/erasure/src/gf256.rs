@@ -23,10 +23,12 @@
 //! All tiers are bit-identical (GF(256) multiplication is exact — the
 //! property tests pin this across tiers, offsets and lengths).
 //! [`kernel_tier`] is a pure function of the hardware, so the tier never
-//! changes inside a process. The explicit-tier entry points
-//! ([`mul_acc_with`], [`xor_acc_with`], [`mul_rows_with`]) reach the
-//! slower bodies on a faster host for tests and benchmarks, without
-//! touching any global state. The byte-at-a-time log/exp kernel survives
+//! changes inside a process. [`xor_acc`] and [`mul_rows`] are plain
+//! dispatches to the explicit-tier entry points ([`xor_acc_with`],
+//! [`mul_rows_with`], and the single-row [`mul_acc_with`]) on that tier;
+//! the kernels keep no state and count nothing. The explicit-tier entry
+//! points reach the slower bodies on a faster host for tests and
+//! benchmarks. The byte-at-a-time log/exp kernel survives
 //! as [`mul_acc_bytewise`], the reference the property tests and the
 //! `bench_e2e` report pin every production kernel against.
 
@@ -42,86 +44,6 @@ const POLY: u16 = 0x11d;
 #[allow(unsafe_code)]
 #[deny(unsafe_op_in_unsafe_fn)]
 pub mod simd;
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Bytes processed by the word-at-a-time XOR kernel ([`xor_acc`], and
-/// every coefficient-1 term of [`mul_rows`]).
-static XOR_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Bytes processed by the multiply kernels (`c >= 2`).
-static MUL_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Bulk-kernel invocations that did work (zero-coefficient and
-/// zero-length calls return before touching data and are not counted).
-static KERNEL_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative tallies of the bulk GF(256) kernels, maintained with
-/// relaxed atomics — one `fetch_add` per kernel *call* (not per byte), so
-/// the cost is amortised over an entire shard.
-///
-/// Only the production kernels count; the explicit-tier `*_with` entry
-/// points and the reference [`mul_acc_bytewise`] are left untouched so
-/// overhead comparisons against them stay honest. Exporters poll
-/// [`kernel_stats`] and publish the fields as monotone counters (e.g.
-/// `gf_mul_bytes_total`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Bytes XOR-accumulated (parity/EVENODD/RDP traffic plus every
-    /// coefficient-1 Reed–Solomon row).
-    pub xor_bytes: u64,
-    /// Bytes run through a multiply kernel (coefficients ≥ 2).
-    pub mul_bytes: u64,
-    /// Multiply bytes handled by a SIMD tier: `mul_bytes` under
-    /// [`KernelTier::Gfni`] and [`KernelTier::Simd`], 0 under
-    /// [`KernelTier::Table`] (the tier is fixed for the life of the
-    /// process).
-    pub simd_bytes: u64,
-    /// Kernel invocations that processed data.
-    pub calls: u64,
-}
-
-impl KernelStats {
-    /// The stats of the three tallies, with `simd_bytes` derived from
-    /// `mul_bytes` and the process's tier.
-    fn new(xor_bytes: u64, mul_bytes: u64, calls: u64) -> Self {
-        let simd_bytes = match kernel_tier() {
-            KernelTier::Gfni | KernelTier::Simd => mul_bytes,
-            KernelTier::Table => 0,
-        };
-        Self {
-            xor_bytes,
-            mul_bytes,
-            simd_bytes,
-            calls,
-        }
-    }
-}
-
-/// A snapshot of the cumulative kernel tallies.
-#[must_use]
-pub fn kernel_stats() -> KernelStats {
-    KernelStats::new(
-        XOR_BYTES.load(Ordering::Relaxed),
-        MUL_BYTES.load(Ordering::Relaxed),
-        KERNEL_CALLS.load(Ordering::Relaxed),
-    )
-}
-
-/// Tallies `xors` XOR passes and `muls` multiply passes of `len` bytes
-/// each. Zero-length passes did no work and are not counted.
-fn tally(xors: u64, muls: u64, len: u64) {
-    if len == 0 {
-        return;
-    }
-    if xors > 0 {
-        XOR_BYTES.fetch_add(xors * len, Ordering::Relaxed);
-    }
-    if muls > 0 {
-        MUL_BYTES.fetch_add(muls * len, Ordering::Relaxed);
-    }
-    if xors + muls > 0 {
-        KERNEL_CALLS.fetch_add(xors + muls, Ordering::Relaxed);
-    }
-}
 
 /// One tier of the bulk-kernel engine, fastest first. See the module docs
 /// for what each tier does; [`kernel_tier`] reports the one this CPU runs.
@@ -322,12 +244,11 @@ pub fn pow(a: u8, e: u32) -> u8 {
 ///
 /// Panics if `acc.len() != data.len()`.
 pub fn xor_acc(acc: &mut [u8], data: &[u8]) {
-    tally(1, 0, data.len() as u64);
     xor_acc_with(kernel_tier(), acc, data);
 }
 
-/// Like [`xor_acc`], but through an explicit tier and without tallying —
-/// the dispatch the equivalence tests and per-tier benchmarks use.
+/// Like [`xor_acc`], but through an explicit tier — the dispatch the
+/// equivalence tests and per-tier benchmarks use.
 /// [`KernelTier::Gfni`] runs the AVX2 body, and [`KernelTier::Simd`] on
 /// a CPU without AVX2 the portable one.
 ///
@@ -359,9 +280,9 @@ fn xor_acc_words(acc: &mut [u8], data: &[u8]) {
 }
 
 /// Multiplies every byte of `data` by the constant `c`, XOR-accumulating
-/// into `acc` (`acc[i] ^= c · data[i]`), through an explicit tier and
-/// without tallying: the per-row body of [`mul_rows_with`], and the
-/// dispatch the equivalence tests and per-tier benchmarks use.
+/// into `acc` (`acc[i] ^= c · data[i]`), through an explicit tier: the
+/// per-row body of [`mul_rows_with`], and the dispatch the equivalence
+/// tests and per-tier benchmarks use.
 ///
 /// `c == 0` is a no-op and `c == 1` takes the [`xor_acc_with`] path.
 /// [`KernelTier::Gfni`] runs the AVX2 body, and [`KernelTier::Simd`] on
@@ -437,23 +358,15 @@ const ACC_TILE: usize = 8 * 1024;
 /// process's [`KernelTier`]: `outs[o] = Σ_s coeffs[o · d + s] · sources[s]`
 /// over the `d` sources, `coeffs` row-major, each output overwritten.
 ///
-/// The kernel statistics are tallied once per call: one
-/// [`KernelStats::calls`] entry per live (non-zero) coefficient, and
-/// `len` XOR or multiply bytes for each coefficient 1 or ≥ 2.
-///
 /// # Panics
 ///
 /// Panics if there are no sources, if `coeffs` does not hold `d`
 /// coefficients per output, or if the buffers' lengths differ.
 pub fn mul_rows<S: AsRef<[u8]>, O: AsMut<[u8]>>(outs: &mut [O], sources: &[S], coeffs: &[u8]) {
-    let xors = coeffs.iter().filter(|&&c| c == 1).count() as u64;
-    let muls = coeffs.iter().filter(|&&c| c > 1).count() as u64;
-    let len = sources.first().map_or(0, |s| s.as_ref().len());
-    tally(xors, muls, len as u64);
     mul_rows_with(kernel_tier(), outs, sources, coeffs);
 }
 
-/// Like [`mul_rows`], but through an explicit tier and without tallying.
+/// Like [`mul_rows`], but through an explicit tier.
 /// [`KernelTier::Gfni`] runs the fused kernel over every whole 32-byte
 /// column; the rest, and everything on the other tiers or on a CPU without
 /// GFNI, runs one output at a time: zero it, then apply every source to
@@ -630,7 +543,7 @@ mod tests {
                     mul_acc_with(tier, &mut fast, &data, c);
                     assert_eq!(fast, slow, "tier = {tier:?} c = {c} len = {len}");
                 }
-                // The tallied dispatch agrees on the process's tier: one
+                // The production dispatch agrees on the process's tier: one
                 // source into one output, which it overwrites.
                 let mut want = vec![0u8; len];
                 mul_acc_bytewise(&mut want, &data, c);
@@ -786,28 +699,5 @@ mod tests {
             &[&[1u8; 4][..], &[1u8; 3][..]],
             &[3, 1],
         );
-    }
-
-    #[test]
-    fn kernel_stats_tally_bytes() {
-        // Other tests drive the kernels concurrently, so only delta-style
-        // assertions are race-safe: the counters are monotone between the
-        // two snapshots, and our own traffic is a lower bound.
-        let before = kernel_stats();
-        let data = [0x5Au8; 192];
-        let mut acc = [[0u8; 192]];
-        xor_acc(&mut acc[0], &data);
-        mul_rows(&mut acc, &[data], &[3]);
-        mul_rows(&mut acc, &[data], &[1]); // counts as XOR traffic
-        mul_rows(&mut acc, &[data], &[0]); // no work, not counted
-        let after = kernel_stats();
-        assert!(after.xor_bytes >= before.xor_bytes + 384);
-        assert!(after.mul_bytes >= before.mul_bytes + 192);
-        assert!(after.calls >= before.calls + 3);
-        // The SIMD tally is derived from the process's fixed tier.
-        match kernel_tier() {
-            KernelTier::Gfni | KernelTier::Simd => assert_eq!(after.simd_bytes, after.mul_bytes),
-            KernelTier::Table => assert_eq!(after.simd_bytes, 0),
-        }
     }
 }

@@ -4,10 +4,10 @@
 //! [`MatrixCode`] turns *any* systematic generator matrix into an
 //! [`ErasureCode`]: encoding multiplies the data by the parity rows, and
 //! reconstruction inverts surviving parity rows restricted to the lost
-//! data columns, recovers the lost data, and recomputes lost parity — so
-//! every erasure pattern that is information-theoretically decodable
-//! under the chosen matrix is decoded, not just the worst-case-guaranteed
-//! ones.
+//! data columns and composes every wanted shard's row, data or parity,
+//! over the same survivors — so every erasure pattern that is
+//! information-theoretically decodable under the chosen matrix is
+//! decoded, not just the worst-case-guaranteed ones.
 //!
 //! The codes of this crate that are linear over GF(256) are all instances:
 //!
@@ -189,14 +189,24 @@ impl MatrixCode {
         &self.generator
     }
 
-    /// The decode rows of the missing data shards `lost`: returns the
-    /// sources — `lost.len()` surviving parity shards, then the present
-    /// data shards — and one coefficient row per lost shard over them.
-    /// Only the parity rows restricted to the `lost` columns are inverted:
-    /// the first `lost.len()` survivors when they invert (always, for an
-    /// MDS code), else a greedy full-rank pick. `None` when the survivors
-    /// do not span the data.
-    fn decoder(&self, shards: &[Option<&[u8]>], lost: &[usize]) -> Option<(Vec<usize>, Matrix)> {
+    /// The decode rows of the shards `targets`, given the missing data
+    /// shards `lost`: returns the `d` sources (`lost.len()` surviving
+    /// parity shards, then the present data shards) and one coefficient
+    /// row per target over them. Only the parity rows restricted to the
+    /// `lost` columns are inverted: the first `lost.len()` survivors when
+    /// they invert (always, for an MDS code), else a greedy full-rank
+    /// pick. `None` when the survivors do not span the data.
+    fn decoder(
+        &self,
+        shards: &[Option<&[u8]>],
+        lost: &[usize],
+        targets: &[usize],
+    ) -> Option<(Vec<usize>, Matrix)> {
+        if lost.is_empty() {
+            // Every data shard is known: the generator's rows are the map.
+            let rows = self.generator.select_rows(targets);
+            return Some(((0..self.data).collect(), rows));
+        }
         let m = lost.len();
         let parity: Vec<usize> = (self.data..shards.len())
             .filter(|&i| shards[i].is_some())
@@ -226,21 +236,27 @@ impl MatrixCode {
             }
         };
         sources.extend((0..self.data).filter(|&j| shards[j].is_some()));
-        // lost_t = Σ_a inv[t][a] · (parity_a ⊕ Σ_j G[parity_a][j] · data_j),
-        // over the present data shards j.
-        let mut decode = Matrix::zero(m, sources.len());
-        for t in 0..m {
-            for (s, &src) in sources.iter().enumerate() {
-                decode[(t, s)] = if s < m {
-                    inv[(t, s)]
-                } else {
-                    (0..m).fold(0, |acc, a| {
-                        acc ^ gf256::mul(inv[(t, a)], self.generator[(sources[a], src)])
-                    })
-                };
+        // target = Σ_j G[target][j] · data_j, with each lost data shard
+        // lost_u = Σ_a inv[u][a] · (parity_a ⊕ Σ_j G[parity_a][j] · data_j)
+        // over the present data shards j. With w = G[target]|lost · inv,
+        // parity source a weighs w[a] and present data shard j weighs
+        // G[target][j] ⊕ Σ_a w[a] · G[parity_a][j]. A lost data target's
+        // w is its own row of `inv`.
+        let mut rows = Matrix::zero(targets.len(), sources.len());
+        for (o, &t) in targets.iter().enumerate() {
+            for a in 0..m {
+                rows[(o, a)] = (0..m).fold(0, |acc, u| {
+                    acc ^ gf256::mul(self.generator[(t, lost[u])], inv[(u, a)])
+                });
+            }
+            for (s, &j) in sources.iter().enumerate().skip(m) {
+                let c = (0..m).fold(self.generator[(t, j)], |acc, a| {
+                    acc ^ gf256::mul(rows[(o, a)], self.generator[(sources[a], j)])
+                });
+                rows[(o, s)] = c;
             }
         }
-        Some((sources, decode))
+        Some((sources, rows))
     }
 }
 
@@ -274,19 +290,17 @@ impl ErasureCode for MatrixCode {
     /// succeed whenever the surviving generator rows have full rank.
     ///
     /// Each wanted shard is written straight into its buffer: one missing
-    /// alone from a local group as the XOR of the group's others, the
-    /// missing data shards from `d` survivors (one [`gf256::mul_rows`]
-    /// call for all of them, with coefficients from `decoder`; into
-    /// scratch where not asked for, as a parity row reads them all), then
-    /// the wanted parity shards from the completed data (one more call).
+    /// alone from a local group as the XOR of the group's others, and
+    /// every other wanted shard, data or parity, from `d` survivors in
+    /// one [`gf256::mul_rows`] call, with coefficients from `decoder`.
     fn decode(
         &self,
         shards: &[Option<&[u8]>],
         lost: &mut [(usize, &mut [u8])],
     ) -> Result<(), ErasureError> {
-        let (len, missing) = check_decode(shards, lost, self.total_shards(), 1, self.guaranteed)?;
+        let (_, missing) = check_decode(shards, lost, self.total_shards(), 1, self.guaranteed)?;
         let mut known = shards.to_vec();
-        let (mut data, mut parity) = (Vec::new(), Vec::new());
+        let (mut targets, mut outs) = (Vec::new(), Vec::new());
         for (t, out) in lost.iter_mut() {
             let alone = |g: &&Vec<usize>| {
                 g.contains(t) && g.iter().all(|&i| i == *t || shards[i].is_some())
@@ -297,47 +311,21 @@ impl ErasureCode for MatrixCode {
                     gf256::xor_acc(out, shards[i].expect("present"));
                 }
                 known[*t] = Some(out);
-            } else if *t < self.data {
-                data.push((*t, &mut **out));
             } else {
-                parity.push((*t, &mut **out));
+                targets.push(*t);
+                outs.push(&mut **out);
             }
         }
-        if data.is_empty() && parity.is_empty() {
+        if targets.is_empty() {
             return Ok(());
         }
         let unknown: Vec<usize> = (0..self.data).filter(|&j| known[j].is_none()).collect();
-        let unasked: Vec<usize> = (unknown.iter().copied())
-            .filter(|&j| data.iter().all(|&(t, _)| t != j))
-            .collect();
-        let mut scratch: Vec<Vec<u8>> = unasked.iter().map(|_| vec![0u8; len]).collect();
-        let spare = unasked
-            .into_iter()
-            .zip(scratch.iter_mut().map(Vec::as_mut_slice));
-        data.extend(spare);
-        data.sort_unstable_by_key(|&(t, _)| t);
-        if !unknown.is_empty() {
-            let Some((sources, decode)) = self.decoder(&known, &unknown) else {
-                let tolerated = self.guaranteed;
-                return Err(ErasureError::TooManyErasures { missing, tolerated });
-            };
-            let sources: Vec<&[u8]> = sources.iter().map(|&i| known[i].expect("source")).collect();
-            // `data` now holds exactly the `unknown` shards, in order.
-            let mut outs: Vec<&mut [u8]> = data.into_iter().map(|(_, out)| out).collect();
-            gf256::mul_rows(&mut outs, &sources, decode.as_slice());
-            for (&t, out) in unknown.iter().zip(outs) {
-                known[t] = Some(out);
-            }
-        }
-        if !parity.is_empty() {
-            let data: Vec<&[u8]> = known[..self.data]
-                .iter()
-                .map(|s| s.expect("data"))
-                .collect();
-            let (targets, mut outs): (Vec<usize>, Vec<&mut [u8]>) = parity.into_iter().unzip();
-            let rows = self.generator.select_rows(&targets);
-            gf256::mul_rows(&mut outs, &data, rows.as_slice());
-        }
+        let Some((sources, rows)) = self.decoder(&known, &unknown, &targets) else {
+            let tolerated = self.guaranteed;
+            return Err(ErasureError::TooManyErasures { missing, tolerated });
+        };
+        let sources: Vec<&[u8]> = sources.iter().map(|&i| known[i].expect("source")).collect();
+        gf256::mul_rows(&mut outs, &sources, rows.as_slice());
         Ok(())
     }
 }

@@ -198,9 +198,10 @@ fn decode_wanted(
 
 /// `decode` agrees with `reconstruct` on every erasure pattern within
 /// each code's tolerance, and, for the matrix codes, on every pattern
-/// beyond it: both decode it, or both refuse it with the same error. On a
-/// decoded pattern every subset of the missing shards, the data-only ones
-/// among them, decodes alone, in either order, to the same bytes.
+/// beyond it: both decode it to the encoded codeword, or both refuse it
+/// with the same error. On a decoded pattern every subset of the missing
+/// shards, the data-only ones among them, decodes alone, in either order,
+/// to the codeword's bytes.
 #[test]
 fn decode_matches_reconstruct_on_every_pattern() {
     let len = 12; // a multiple of EVENODD's and RDP's p - 1 = 4
@@ -232,7 +233,11 @@ fn decode_matches_reconstruct_on_every_pattern() {
                 }
                 Ok(()) => decoded += 1,
             }
-            let want = |i: usize| damaged[i].clone().unwrap();
+            for (i, shard) in damaged.iter().enumerate() {
+                let shard = shard.as_deref();
+                assert_eq!(shard, Some(&full[i][..]), "{name}: {mask:#b} shard {i}");
+            }
+            let want = |i: usize| full[i].clone();
             assert_eq!(all, Ok(missing.iter().map(|&i| want(i)).collect()));
             for subset in 1u32..1 << missing.len() {
                 let mut wanted: Vec<usize> = (0..missing.len())

@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use rshare_core::capacity::max_balls;
 use rshare_core::{Bin, BinId, BinSet, PlacementStrategy, RedundantShare, MAX_INLINE_K};
-use rshare_erasure::gf256::simd::prefetch;
+use rshare_erasure::gf256::{kernel_tier, simd::prefetch};
 use rshare_erasure::{ErasureCode, ErasureError};
 use rshare_obs::{family_header, sample_line, Registry, SpanTimer};
 
@@ -172,6 +172,16 @@ impl ClusterBuilder {
                 reason: "block size must be divisible by the erasure geometry (data shards × symbol rows)",
             });
         }
+        let mut ids = BTreeSet::new();
+        if !self.devices.iter().all(|&(id, ..)| ids.insert(id)) {
+            return Err(VdsError::InvalidConfig {
+                reason: "duplicate device id",
+            });
+        }
+        let bins = (self.devices.iter())
+            .map(|&(id, capacity, _)| Bin::new(id, capacity))
+            .collect::<Result<Vec<_>, _>>()?;
+        let strategy = RedundantShare::new(&BinSet::new(bins)?, self.redundancy.total_shards())?;
         let shard_len = shard_len(self.block_size, codec.as_deref());
         let metrics = self
             .metrics
@@ -181,7 +191,7 @@ impl ClusterBuilder {
             positions: BTreeMap::new(),
             redundancy: self.redundancy,
             codec,
-            strategy: None,
+            strategy,
             block_size: self.block_size,
             table: BlockTable::new(self.redundancy.total_shards()),
             pending: BTreeSet::new(),
@@ -191,15 +201,8 @@ impl ClusterBuilder {
             scratch: Scratch::default(),
         };
         for &(id, capacity, profile) in &self.devices {
-            if cluster.positions.contains_key(&id) {
-                return Err(VdsError::InvalidConfig {
-                    reason: "duplicate device id",
-                });
-            }
             cluster.attach(Device::with_profile(id, capacity, shard_len, profile));
         }
-        let set = cluster.member_bins(None, None)?;
-        cluster.strategy = Some(RedundantShare::new(&set, self.redundancy.total_shards())?);
         Ok(cluster)
     }
 }
@@ -216,7 +219,7 @@ pub struct StorageCluster {
     positions: BTreeMap<u64, u32>,
     redundancy: Redundancy,
     codec: Option<Box<dyn ErasureCode>>,
-    strategy: Option<RedundantShare>,
+    strategy: RedundantShare,
     block_size: usize,
     /// One row per stored block: the block index, and the slots its shards
     /// were last committed to.
@@ -616,16 +619,8 @@ impl StorageCluster {
         self.table.len() as u64
     }
 
-    fn strategy(&self) -> &RedundantShare {
-        // Invariant: `build()` installs a strategy before the cluster is
-        // handed out, and every membership change overwrites it, so the
-        // slot is never observably empty.
-        self.strategy.as_ref().expect("strategy always present")
-    }
-
     /// The bins a membership change would place over: the online devices
-    /// of the current target strategy (every online device before the
-    /// first strategy exists) without `leave`, plus `join` as
+    /// of the current target strategy without `leave`, plus `join` as
     /// `(id, capacity)`. A device still draining from an earlier removal
     /// is outside the target strategy, so no later change re-admits it.
     fn member_bins(
@@ -633,13 +628,13 @@ impl StorageCluster {
         leave: Option<u64>,
         join: Option<(u64, u64)>,
     ) -> Result<BinSet, VdsError> {
-        let members = self.strategy.as_ref().map(PlacementStrategy::bin_ids);
+        let members = self.strategy.bin_ids();
         let bins = self
             .listed()
             .filter(|d| {
                 d.state() == DeviceState::Online
                     && Some(d.id()) != leave
-                    && members.is_none_or(|m| m.contains(&BinId(d.id())))
+                    && members.contains(&BinId(d.id()))
             })
             .map(|d| (d.id(), d.capacity_blocks()))
             .chain(join)
@@ -676,7 +671,7 @@ impl StorageCluster {
     /// as a placement computed.
     fn compute_into(&self, lba: u64, out: &mut Vec<u64>) {
         self.placements_computed.fetch_add(1, Ordering::Relaxed);
-        place_append(self.strategy(), lba, out);
+        place_append(&self.strategy, lba, out);
     }
 
     /// Placement lookup counters: hits answered from a row, misses that
@@ -962,8 +957,8 @@ impl StorageCluster {
         // a row names the slot of each of its shards.
         let row = self.table.get(lba).ok_or(VdsError::BlockNotFound { lba })?;
         let k = row.len();
-        match self.redundancy {
-            Redundancy::Mirror { .. } => {
+        match self.codec.as_deref() {
+            None => {
                 // Deterministic per-block copy preference: each block pins
                 // a copy index, so over many blocks every bin serves reads
                 // in proportion to the copies it holds (∝ capacity).
@@ -976,13 +971,7 @@ impl StorageCluster {
                 }
                 Err(VdsError::DataLoss { lba })
             }
-            _ => {
-                // `build()` creates a codec for every erasure scheme; a
-                // missing one here is a bug, surfaced as a typed error
-                // rather than a panic on the public read path.
-                let codec = self.codec.as_deref().ok_or(VdsError::Internal {
-                    reason: "erasure redundancy configured without a codec",
-                })?;
+            Some(codec) => {
                 let d = codec.data_shards();
                 let shard_len = self.block_size / d;
                 // Fast path: copy each data shard straight into its stripe
@@ -1140,11 +1129,7 @@ impl StorageCluster {
         if !self.pending.is_empty() {
             return;
         }
-        let members = self
-            .strategy
-            .as_ref()
-            .expect("strategy always present")
-            .bin_ids();
+        let members = self.strategy.bin_ids();
         let devices = &mut self.devices;
         self.positions.retain(|_, &mut p| {
             let d = &mut devices[p as usize];
@@ -1191,7 +1176,7 @@ impl StorageCluster {
         // parallel to `old_flat`.
         let mut new_flat: Vec<u64> = Vec::with_capacity(lbas.len() * k);
         for &lba in lbas {
-            place_append(self.strategy(), lba, &mut new_flat);
+            place_append(&self.strategy, lba, &mut new_flat);
         }
         let work: Vec<usize> = old_flat
             .chunks_exact(k)
@@ -1425,7 +1410,7 @@ impl StorageCluster {
     /// each moves from its row to the new target, whatever change, or
     /// unfinished stack of changes, put it there.
     fn install(&mut self, strategy: RedundantShare) {
-        self.strategy = Some(strategy);
+        self.strategy = strategy;
         let mut lbas: Vec<u64> = self.table.rows().map(|(lba, _)| lba).collect();
         // Sorted up front, so the set is bulk-built from a sorted run.
         lbas.sort_unstable();
@@ -1572,9 +1557,8 @@ impl StorageCluster {
     /// hypothetical bin set, block by block in table order, so unchanged
     /// blocks, the common case under 2–4-competitive churn, cost one scan
     /// and one compare. A block still awaiting migration is planned from
-    /// where its shards are.
-    /// The moves are sorted so every (source → target) device queue is
-    /// contiguous ([`MigrationPlan::device_queues`]).
+    /// where its shards are. The moves are sorted by
+    /// `(from, to, lba, copy)`.
     fn plan_against(&self, bins: &BinSet, fair_min_shards: f64) -> Result<MigrationPlan, VdsError> {
         let k = self.redundancy.total_shards();
         let candidate = RedundantShare::new(bins, k)?;
@@ -1710,7 +1694,7 @@ impl StorageCluster {
     /// text exposition format: the registered series (when metrics are
     /// enabled), scrape-time cluster families (fairness, cache, placement
     /// counters), one labelled series per device for the I/O statistics,
-    /// and the process-wide GF(256) kernel tallies.
+    /// and the GF(256) kernel tier as an info gauge.
     #[must_use]
     pub fn export_prometheus(&self) -> String {
         let snap = self.health_snapshot(); // refreshes the health gauges
@@ -1767,35 +1751,14 @@ impl StorageCluster {
             self.placements_computed(),
         );
         self.render_device_families(&mut out);
-        let ks = rshare_erasure::gf256::kernel_stats();
         family_header(
             &mut out,
-            "gf_xor_bytes_total",
-            "counter",
-            "Bytes XOR-accumulated by the GF(256) bulk kernels (process-wide)",
+            "gf256_kernel_info",
+            "gauge",
+            "The GF(256) kernel tier serving this process's codec work (always 1)",
         );
-        sample_line(&mut out, "gf_xor_bytes_total", &[], ks.xor_bytes);
-        family_header(
-            &mut out,
-            "gf_mul_bytes_total",
-            "counter",
-            "Bytes run through a GF(256) multiply kernel, any tier (process-wide)",
-        );
-        sample_line(&mut out, "gf_mul_bytes_total", &[], ks.mul_bytes);
-        family_header(
-            &mut out,
-            "gf_simd_bytes_total",
-            "counter",
-            "Multiply bytes served by a SIMD kernel tier, GFNI or AVX2 (process-wide)",
-        );
-        sample_line(&mut out, "gf_simd_bytes_total", &[], ks.simd_bytes);
-        family_header(
-            &mut out,
-            "gf_kernel_calls_total",
-            "counter",
-            "GF(256) bulk kernel invocations (process-wide)",
-        );
-        sample_line(&mut out, "gf_kernel_calls_total", &[], ks.calls);
+        let tier = kernel_tier().name();
+        sample_line(&mut out, "gf256_kernel_info", &[("tier", tier)], 1);
         out
     }
 
@@ -3058,7 +3021,8 @@ mod tests {
         }
     }
 
-    /// Payloads of one fixed shard that fail to ready at block `fail_at`.
+    /// Payloads of one fixed shard that fail to ready at block `fail_at`,
+    /// with the error a failed parity encode returns.
     struct FailAt {
         fail_at: usize,
         readied: usize,
@@ -3070,7 +3034,7 @@ mod tests {
 
         fn ready(&mut self) -> Result<(), VdsError> {
             if self.readied == self.fail_at {
-                return Err(VdsError::Internal { reason: "ready" });
+                return Err(ErasureError::ShardLengthMismatch.into());
             }
             self.readied += 1;
             Ok(())
@@ -3225,7 +3189,7 @@ mod tests {
         // capacity, refused with no effect.
         c.add_device_lazy(2, 101).unwrap();
         let mut target = Vec::new();
-        place_append(c.strategy(), 5, &mut target);
+        place_append(&c.strategy, 5, &mut target);
         let stays = *target
             .iter()
             .filter(|id| c.placement(5).contains(id))
@@ -3484,7 +3448,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_accounting_and_device_queues() {
+    fn plan_accounting_and_move_order() {
         let mut c = mirror_cluster();
         for lba in 0..2_000u64 {
             c.write_block(lba, &block(lba as u8, 64)).unwrap();
@@ -3498,16 +3462,9 @@ mod tests {
         // Lemma 3.2: the measured competitive ratio stays within 4.
         let ratio = plan.competitive_ratio();
         assert!(ratio > 0.0 && ratio <= 4.0, "ratio {ratio}");
-        // Moves are sorted so device queues are contiguous and exhaustive.
-        let queues = plan.device_queues();
-        let mut seen = std::collections::BTreeSet::new();
-        let mut covered = 0usize;
-        for (from, to, moves) in queues {
-            assert!(seen.insert((from, to)), "queue ({from},{to}) repeated");
-            assert!(moves.iter().all(|m| m.from == from && m.to == to));
-            covered += moves.len();
-        }
-        assert_eq!(covered, plan.moves.len());
+        // Moves are sorted by (from, to, lba, copy), each shard once.
+        let key = |m: &ShardMove| (m.from, m.to, m.lba, m.copy);
+        assert!(plan.moves.windows(2).all(|w| key(&w[0]) < key(&w[1])));
     }
 
     #[test]
@@ -3691,6 +3648,8 @@ mod tests {
         assert!(text.contains("cluster_blocks 1"));
         assert!(text.contains("fairness_max_deviation"));
         assert!(text.contains("device_used_blocks{device=\"0\"}"));
+        let info = format!("gf256_kernel_info{{tier=\"{}\"}} 1", kernel_tier().name());
+        assert!(text.contains(&info), "missing {info} in:\n{text}");
     }
 
     #[test]
@@ -3719,10 +3678,8 @@ mod tests {
             "device_reads_total{device=\"0\"}",
             "device_capacity_blocks{device=\"3\"} 10000",
             "device_online{device=\"1\"} 1",
-            "gf_xor_bytes_total",
-            "gf_mul_bytes_total",
-            "gf_simd_bytes_total",
-            "gf_kernel_calls_total",
+            "# TYPE gf256_kernel_info gauge",
+            &format!("gf256_kernel_info{{tier=\"{}\"}} 1", kernel_tier().name()),
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }

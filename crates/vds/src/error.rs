@@ -49,14 +49,6 @@ pub enum VdsError {
         /// Human-readable reason.
         reason: &'static str,
     },
-    /// An internal invariant did not hold. Returned (instead of
-    /// panicking) from public read/migrate/repair paths when a state the
-    /// constructor is supposed to rule out is observed anyway — seeing
-    /// this is a bug in this crate, not in the caller.
-    Internal {
-        /// Which invariant was violated.
-        reason: &'static str,
-    },
 }
 
 impl std::fmt::Display for VdsError {
@@ -81,12 +73,6 @@ impl std::fmt::Display for VdsError {
                 )
             }
             Self::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
-            Self::Internal { reason } => {
-                write!(
-                    f,
-                    "internal invariant violated (bug in rshare-vds): {reason}"
-                )
-            }
         }
     }
 }

@@ -24,7 +24,9 @@
 //! codec and the copies run rather than one store at a time. Reads
 //! prefetch the same way: an erasure-coded read hints every slot it will
 //! copy before copying any, and a migration or repair gather hints the
-//! next block's slots before gathering the current one.
+//! next block's slots first. One routine chooses what both read: the
+//! wanted shards from their slots, and the others only to recover a
+//! missing one, so a migration reads just the shards it moves.
 //!
 //! Every membership change follows one path: build the strategy over the
 //! new membership, gate it on Lemma 2.2's `B_max`, install it as the
@@ -43,6 +45,7 @@ use rshare_core::capacity::max_balls;
 use rshare_core::{Bin, BinId, BinSet, PlacementStrategy, RedundantShare, MAX_INLINE_K};
 use rshare_erasure::gf256::{kernel_tier, simd::prefetch};
 use rshare_erasure::{ErasureCode, ErasureError};
+use rshare_hash::stable_hash2;
 use rshare_obs::{family_header, sample_line, Registry, SpanTimer};
 
 use crate::cache::{BlockTable, CacheStats};
@@ -594,17 +597,11 @@ impl StorageCluster {
     /// Prefetches ([`prefetch_slots`]) the slots of the present words
     /// among `words`, ahead of a read that copies them. A word that is not
     /// present is skipped: it has no slot, or its device's slab is gone.
-    fn prefetch_present(&self, words: &[u64]) {
-        prefetch_slots(words.iter().filter_map(|&w| {
+    fn prefetch_present(&self, words: impl Iterator<Item = u64> + Clone) {
+        prefetch_slots(words.filter_map(|w| {
             let slot = slot_of(w).filter(|_| self.present(w))?;
             Some(self.devices[position_of(w)].slot(slot))
         }));
-    }
-
-    /// Copies the shard a row word names into `out` (one shard long);
-    /// `false`, with `out` untouched, if the shard is not present.
-    fn read_word(&self, word: u64, out: &mut [u8]) -> bool {
-        slot_of(word).is_some_and(|slot| self.devices[position_of(word)].read_into(slot, out))
     }
 
     /// The shard a row word names, borrowed from its slot and counted as
@@ -892,8 +889,8 @@ impl StorageCluster {
     /// Reads one logical block, touching as few devices as possible:
     /// mirrored blocks read a single copy (rotated over the copies so read
     /// load follows capacity — the paper's "x% of the requests" fairness),
-    /// erasure-coded blocks read only the data shards. Missing shards
-    /// degrade transparently to reconstruction.
+    /// erasure-coded blocks their data shards. A missing copy is read from
+    /// the next one; missing data shards are decoded from the others.
     ///
     /// # Errors
     ///
@@ -956,57 +953,92 @@ impl StorageCluster {
         // One block-table probe: a block without a row was never written;
         // a row names the slot of each of its shards.
         let row = self.table.get(lba).ok_or(VdsError::BlockNotFound { lba })?;
-        let k = row.len();
-        match self.codec.as_deref() {
+        let recovered = match self.codec.as_deref() {
+            // Deterministic per-block copy preference: each block pins a
+            // copy index, so over many blocks every bin serves reads in
+            // proportion to the copies it holds (∝ capacity).
             None => {
-                // Deterministic per-block copy preference: each block pins
-                // a copy index, so over many blocks every bin serves reads
-                // in proportion to the copies it holds (∝ capacity).
-                let preferred =
-                    (rshare_hash::stable_hash2(lba, READ_BALANCE_DOMAIN) % k as u64) as usize;
-                for step in 0..k {
-                    if self.read_word(row[(preferred + step) % k], buf) {
-                        return Ok(step > 0);
-                    }
-                }
-                Err(VdsError::DataLoss { lba })
+                let preferred = stable_hash2(lba, READ_BALANCE_DOMAIN) % row.len() as u64;
+                self.read_shards(lba, row, [preferred as usize].into_iter(), buf)?
             }
+            // The data shards, whose d slots sit in d device slabs: all
+            // are prefetched before the first copy, so their misses overlap.
             Some(codec) => {
                 let d = codec.data_shards();
-                let shard_len = self.block_size / d;
-                // Fast path: copy each data shard straight into its stripe
-                // segment of `buf` — no per-shard `Vec`. The d slots sit
-                // in d device slabs, so all of them are prefetched before
-                // the first copy and their misses overlap.
-                self.prefetch_present(&row[..d]);
-                let mut segments = buf.chunks_exact_mut(shard_len).zip(row);
-                let Some(missed) = segments.position(|(seg, &w)| !self.read_word(w, seg)) else {
-                    return Ok(false);
-                };
-                // Degraded read: read the data shards past the missed one
-                // into their segments, borrow the parity shards from their
-                // slots, and decode the missing data shards straight into
-                // their segments. Each present shard is read once (the
-                // prefix is not re-read), and the parity slots are
-                // prefetched here, the data slots with the fast path's.
-                self.prefetch_present(&row[d..]);
-                let mut shards: Vec<Option<&[u8]>> = Vec::with_capacity(k);
-                let mut lost: Vec<(usize, &mut [u8])> = Vec::new();
-                for (i, seg) in buf.chunks_exact_mut(shard_len).enumerate() {
-                    if i < missed || (i > missed && self.read_word(row[i], seg)) {
-                        shards.push(Some(seg));
-                    } else {
-                        shards.push(None);
-                        lost.push((i, seg));
-                    }
-                }
-                shards.extend(row[d..].iter().map(|&w| self.shard(w)));
-                codec
-                    .decode(&shards, &mut lost)
-                    .map_err(|e| decode_error(e, lba))?;
-                Ok(true)
+                self.prefetch_present(row[..d].iter().copied());
+                self.read_shards(lba, row, 0..d, buf)?
+            }
+        };
+        Ok(recovered > 0)
+    }
+
+    /// Reads the shards at positions `wanted` (ascending) of block `lba`
+    /// into `out`, one shard per position, through the block's `row`: the
+    /// one place a read, a migration and a repair choose what they read.
+    /// A present wanted shard is copied from its slot. A missing one is
+    /// recovered: under mirroring from the first present copy after it
+    /// in rotation order; under erasure coding every other present shard
+    /// is prefetched and borrowed, and the missing ones are decoded into
+    /// their segments, with the copied ones as survivors. Every read is
+    /// the counted [`StorageCluster::shard`], and while the wanted shards
+    /// are present nothing else is read. Returns how many it recovered.
+    ///
+    /// # Errors
+    ///
+    /// [`VdsError::DataLoss`] if the shards left cannot recover the
+    /// missing ones; `out` then holds unspecified bytes.
+    fn read_shards(
+        &self,
+        lba: u64,
+        row: &[u64],
+        wanted: impl Iterator<Item = usize> + Clone,
+        out: &mut [u8],
+    ) -> Result<usize, VdsError> {
+        let k = row.len();
+        let Some(codec) = self.codec.as_deref() else {
+            let mut recovered = 0;
+            for (i, seg) in wanted.zip(out.chunks_exact_mut(self.block_size)) {
+                let (step, copy) = (0..k)
+                    .find_map(|step| Some((step, self.shard(row[(i + step) % k])?)))
+                    .ok_or(VdsError::DataLoss { lba })?;
+                seg.copy_from_slice(copy);
+                recovered += usize::from(step > 0);
+            }
+            return Ok(recovered);
+        };
+        let len = self.block_size / codec.data_shards();
+        let mut unwanted = wanted.clone().peekable();
+        let others = (0..k).filter(move |&i| unwanted.next_if_eq(&i).is_none());
+        let mut intact = true;
+        for (i, seg) in wanted.clone().zip(out.chunks_exact_mut(len)) {
+            if let Some(shard) = self.shard(row[i]) {
+                seg.copy_from_slice(shard);
+            } else if std::mem::take(&mut intact) {
+                // The first miss hints the other shards' slots, so they
+                // arrive while the remaining wanted ones are copied.
+                self.prefetch_present(others.clone().map(|i| row[i]));
             }
         }
+        if intact {
+            return Ok(0);
+        }
+        let mut shards: Vec<Option<&[u8]>> = Vec::with_capacity(k);
+        let mut lost: Vec<(usize, &mut [u8])> = Vec::new();
+        let mut segments = wanted.zip(out.chunks_exact_mut(len)).peekable();
+        for (i, &word) in row.iter().enumerate() {
+            shards.push(match segments.next_if(|&(p, _)| p == i) {
+                Some((_, seg)) if self.present(word) => Some(seg),
+                Some((_, seg)) => {
+                    lost.push((i, seg));
+                    None
+                }
+                None => self.shard(word),
+            });
+        }
+        codec
+            .decode(&shards, &mut lost)
+            .map_err(|e| decode_error(e, lba))?;
+        Ok(lost.len())
     }
 
     /// Adds a device and migrates the shards whose computed placement
@@ -1201,12 +1233,12 @@ impl StorageCluster {
         Ok(report)
     }
 
-    /// Read-only gather for one migrating or repaired block: borrows the
-    /// group's present shards from their slots through its `old` row,
-    /// and appends the block's new row to `rows`. A shard present on the
-    /// device its `new` word names (whose slot is ignored) keeps its word;
-    /// every other shard lands on that device, its payload appended to
-    /// `lands`: copied from its slot, or, if missing, decoded in place.
+    /// Read-only gather for one migrating or repaired block: appends its
+    /// new row to `rows` and the payload of each shard it lands to `lands`.
+    /// A shard present on the device its `new` word names (whose slot is
+    /// ignored) keeps its `old` word. Every other shard lands there, read
+    /// from the `old` row or recovered ([`StorageCluster::read_shards`]),
+    /// and while those are present nothing else of the block is read.
     fn gather_block(
         &self,
         lba: u64,
@@ -1216,56 +1248,32 @@ impl StorageCluster {
         lands: &mut Vec<u8>,
         outcome: &mut ExecOutcome,
     ) -> Result<(), VdsError> {
-        let shards: Vec<Option<&[u8]>> = old.iter().map(|&w| self.shard(w)).collect();
-        let start = lands.len();
-        for ((&o, &n), shard) in old.iter().zip(new).zip(&shards) {
+        let (start, from) = (rows.len(), lands.len());
+        for (&o, &n) in old.iter().zip(new) {
             let moves = position_of(o) != position_of(n);
-            if !moves && shard.is_some() {
-                rows.push(o);
-                continue;
-            }
             outcome.moved += u64::from(moves);
-            outcome.stored += 1;
-            rows.push(n & !SLOT_MASK);
-            match shard {
-                Some(bytes) => lands.extend_from_slice(bytes),
-                None => lands.resize(lands.len() + self.shard_len(), 0),
-            }
+            let keeps = !moves && self.present(o);
+            rows.push(if keeps { o } else { n & !SLOT_MASK });
         }
         // The landing shards are the block's row words without a slot.
-        let row = &rows[rows.len() - old.len()..];
-        let landing = (0..old.len()).filter(|&i| slot_of(row[i]).is_none());
-        let segments = landing.zip(lands[start..].chunks_exact_mut(self.shard_len()));
-        let mut lost: Vec<(usize, &mut [u8])> =
-            segments.filter(|&(i, _)| shards[i].is_none()).collect();
-        if lost.is_empty() {
-            return Ok(());
-        }
-        outcome.reconstructed += lost.len() as u64;
-        match self.codec.as_deref() {
-            Some(codec) => codec
-                .decode(&shards, &mut lost)
-                .map_err(|e| decode_error(e, lba)),
-            None => {
-                // Every mirror copy is the whole block.
-                let copy = shards.iter().flatten().next();
-                let copy = copy.ok_or(VdsError::DataLoss { lba })?;
-                for (_, seg) in &mut lost {
-                    seg.copy_from_slice(copy);
-                }
-                Ok(())
-            }
-        }
+        let row = &rows[start..];
+        let landing = (0..row.len()).filter(|&i| slot_of(row[i]).is_none());
+        let count = landing.clone().count();
+        outcome.stored += count as u64;
+        lands.resize(from + count * self.shard_len(), 0);
+        let recovered = self.read_shards(lba, old, landing, &mut lands[from..])?;
+        outcome.reconstructed += recovered as u64;
+        Ok(())
     }
 
     /// The migration executor, shared by migrations and repair. Gather:
-    /// each block in `work` (indices into `lbas`) reads its group once,
-    /// copies its landing shards into the cluster's chunk buffer, decodes
-    /// the missing ones there, and builds its new row against `new_flat`
-    /// (row words naming the target devices), with the next block's present slots
-    /// prefetched before it. One validation then covers the whole chunk,
-    /// so an `Err` touches nothing, and each block commits from the
-    /// buffer.
+    /// each block in `work` (indices into `lbas`) builds its new row
+    /// against `new_flat` (row words naming the target devices) and reads
+    /// or recovers its landing shards into the cluster's chunk buffer
+    /// ([`StorageCluster::gather_block`]), with the next block's present
+    /// slots prefetched before it. One validation then covers the whole
+    /// chunk, so an `Err` touches nothing, and each block commits from
+    /// the buffer.
     fn execute_block_ops(
         &mut self,
         lbas: &[u64],
@@ -1283,7 +1291,7 @@ impl StorageCluster {
         scratch.chunk.clear();
         for (n, &j) in work.iter().enumerate() {
             if let Some(&next) = work.get(n + 1) {
-                self.prefetch_present(&old_flat[next * k..(next + 1) * k]);
+                self.prefetch_present(old_flat[next * k..(next + 1) * k].iter().copied());
             }
             let run = j * k..(j + 1) * k;
             scratch.old.extend_from_slice(&old_flat[run.clone()]);
@@ -1448,7 +1456,7 @@ impl StorageCluster {
     /// the decode itself runs through the tiered GF(256) kernels
     /// ([`rshare_erasure::gf256::kernel_tier`]): one
     /// [`rshare_erasure::gf256::mul_rows`] call computes a stripe's lost
-    /// data shards from its survivors, and one more its lost parity.
+    /// shards, data and parity alike, from its survivors.
     ///
     /// # Errors
     ///
@@ -2207,6 +2215,46 @@ mod tests {
         assert_eq!(lands, block(9, 64));
         assert!(c.inject_shard_loss(7, 1));
         assert_eq!(gather(&c, &mut lands), Err(VdsError::DataLoss { lba: 7 }));
+    }
+
+    /// Shard reads summed over every listed device.
+    fn total_reads(c: &StorageCluster) -> u64 {
+        c.listed().map(|d| d.stats().reads).sum()
+    }
+
+    /// A migration reads each shard it moves once and nothing else: an
+    /// add on a mirror-2 and on an RS(4, 2) cluster, and a mirror-2
+    /// rebuild, whose lost copies are each read from their survivor. A
+    /// removal is not counted: the removed device leaves the listing when
+    /// its drain ends, and its reads with it.
+    #[test]
+    fn migrations_read_each_moved_shard_once() {
+        for redundancy in CHANGE_REDUNDANCIES {
+            let b = StorageCluster::builder()
+                .block_size(64)
+                .redundancy(redundancy);
+            let mut c = (0..12u64)
+                .fold(b, |b, id| b.device(id, 2_000 + 100 * id))
+                .build()
+                .unwrap();
+            for lba in 0..3_000u64 {
+                c.write_block(lba, &block(lba as u8, 64)).unwrap();
+            }
+            c.reset_stats();
+            let report = c.add_device(12, 3_000).unwrap();
+            assert!(report.shards_moved > 0, "{redundancy:?}");
+            assert_eq!(total_reads(&c), report.shards_moved, "{redundancy:?} add");
+            if redundancy == (Redundancy::Mirror { copies: 2 }) {
+                c.fail_device(5).unwrap();
+                c.reset_stats();
+                let report = c.rebuild().unwrap();
+                assert!(report.shards_reconstructed > 0);
+                assert_eq!(total_reads(&c), report.shards_moved, "rebuild");
+            }
+            for lba in 0..3_000u64 {
+                assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
+            }
+        }
     }
 
     #[test]
@@ -3456,6 +3504,8 @@ mod tests {
         let plan = c.plan_add_device(9, 10_000).unwrap();
         assert_eq!(plan.blocks_total, 2_000);
         assert_eq!(plan.shards_total, 4_000);
+        let planned: BTreeSet<u64> = plan.moves.iter().map(|m| m.lba).collect();
+        assert_eq!(plan.blocks_planned, planned.len() as u64);
         assert!(plan.blocks_planned > 0);
         assert!(plan.blocks_planned < plan.blocks_total, "skip-unchanged");
         assert!(plan.fair_min_shards > 0.0);

@@ -285,15 +285,6 @@ impl Device {
         Some(self.slab.get(slot))
     }
 
-    /// Copies the shard in `slot` into `out` (one shard long) through
-    /// [`Device::read`]. Returns `false`, touching neither `out` nor the
-    /// counters, when the device is failed.
-    pub(crate) fn read_into(&self, slot: u32, out: &mut [u8]) -> bool {
-        self.read(slot)
-            .map(|shard| out.copy_from_slice(shard))
-            .is_some()
-    }
-
     /// Frees `slot` for reuse; a no-op on a failed device, whose slab is
     /// already gone.
     pub(crate) fn release(&mut self, slot: u32) {
@@ -329,9 +320,8 @@ mod tests {
         slot
     }
 
-    fn get(d: &Device, slot: u32, len: usize) -> Option<Vec<u8>> {
-        let mut out = vec![0; len];
-        d.read_into(slot, &mut out).then_some(out)
+    fn get(d: &Device, slot: u32) -> Option<Vec<u8>> {
+        d.read(slot).map(<[u8]>::to_vec)
     }
 
     #[test]
@@ -340,7 +330,7 @@ mod tests {
         let slot = put(&mut d, &[1, 2, 3]);
         d.fail();
         assert_eq!(d.state(), DeviceState::Failed);
-        assert_eq!(get(&d, slot, 3), None);
+        assert_eq!(get(&d, slot), None);
         assert_eq!(d.used_blocks(), 0);
         assert!(d.slab.chunks.is_empty(), "fail frees the slab");
         assert_eq!(d.alloc(), None);
@@ -360,14 +350,14 @@ mod tests {
         let slots: Vec<u32> = (0..5u8).map(|b| put(&mut d, &vec![b; len])).collect();
         assert_eq!(d.slab.chunks.len(), 5);
         for (b, &slot) in slots.iter().enumerate() {
-            assert_eq!(get(&d, slot, len), Some(vec![b as u8; len]));
+            assert_eq!(get(&d, slot), Some(vec![b as u8; len]));
         }
         let n = 2 * CHUNK_BYTES / 64 + 100;
         let mut d = Device::new(1, n as u64, 64);
         let slots: Vec<u32> = (0..n).map(|b| put(&mut d, &[b as u8; 64])).collect();
         assert_eq!(d.slab.chunks.len(), 3);
         for (b, &slot) in slots.iter().enumerate() {
-            assert_eq!(get(&d, slot, 64), Some(vec![b as u8; 64]));
+            assert_eq!(get(&d, slot), Some(vec![b as u8; 64]));
         }
     }
 
@@ -408,7 +398,7 @@ mod tests {
             assert_eq!(now, reserved, "chunk reallocated after {b} more slots");
         }
         assert_eq!(d.slab.chunks.len(), 2, "the last slot opens a chunk");
-        assert_eq!(get(&d, first, len), Some(vec![7; len]));
+        assert_eq!(get(&d, first), Some(vec![7; len]));
     }
 
     #[test]
@@ -416,7 +406,7 @@ mod tests {
         let mut d = Device::new(2, 10, 16);
         let slot = put(&mut d, &[0; 16]);
         put(&mut d, &[0; 16]);
-        let _ = get(&d, slot, 16);
+        let _ = get(&d, slot);
         let s = d.stats();
         assert_eq!(s.writes, 2);
         assert_eq!(s.reads, 1);
@@ -429,7 +419,7 @@ mod tests {
     enum Op {
         Alloc(u8),
         Write(usize, u8),
-        ReadInto(usize),
+        Read(usize),
         Release(usize),
         Fail,
     }
@@ -439,7 +429,7 @@ mod tests {
         (0u8..22, 0usize..64, any::<u8>()).prop_map(|(pick, i, b)| match pick {
             0..=7 => Op::Alloc(b),
             8..=10 => Op::Write(i, b),
-            11..=15 => Op::ReadInto(i),
+            11..=15 => Op::Read(i),
             16..=20 => Op::Release(i),
             _ => Op::Fail,
         })
@@ -485,11 +475,10 @@ mod tests {
                             model.insert(slot, b);
                         }
                     }
-                    Op::ReadInto(i) => {
+                    Op::Read(i) => {
                         if let Some(slot) = live(&model, i) {
-                            let mut buf = [0xEE; LEN];
-                            prop_assert!(d.read_into(slot, &mut buf));
-                            prop_assert_eq!(buf, shard_bytes(model[&slot]));
+                            let shard = d.read(slot);
+                            prop_assert_eq!(shard, Some(&shard_bytes(model[&slot])[..]));
                             reads += 1;
                         }
                     }
@@ -525,21 +514,21 @@ mod tests {
         ) {
             let profile = DeviceProfile::new(per_op_us, mbytes_per_s);
             let mut d = Device::with_profile(3, 1_000, len, profile);
-            let slot = put(&mut d, &vec![7; len]);
+            let buf = vec![7; len];
+            let slot = put(&mut d, &buf);
             let mut want = IoStats {
                 writes: 1,
                 bytes_written: len as u64,
                 busy_us: profile.service_us(len),
                 ..IoStats::default()
             };
-            let mut buf = vec![0; len];
             for write in ops {
                 if write {
                     d.write(slot, &buf);
                     want.writes += 1;
                     want.bytes_written += len as u64;
                 } else {
-                    prop_assert!(d.read_into(slot, &mut buf));
+                    prop_assert_eq!(d.read(slot), Some(&buf[..]));
                     want.reads += 1;
                     want.bytes_read += len as u64;
                 }

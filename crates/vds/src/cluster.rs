@@ -24,18 +24,18 @@
 //! codec and the copies run rather than one store at a time. Reads
 //! prefetch the same way: an erasure-coded read hints every slot it will
 //! copy before copying any, and a migration or repair gather hints the
-//! next block's slots first. One routine chooses what both read: the
-//! wanted shards from their slots, and the others only to recover a
-//! missing one, so a migration reads just the shards it moves.
+//! slots the next block's gather reads first. One routine chooses what
+//! both read: the wanted shards from their slots, and the others only to
+//! recover a missing one, so a migration reads just the shards it moves.
 //!
 //! Every membership change follows one path: build the strategy over the
 //! new membership, gate it on Lemma 2.2's `B_max`, install it as the
 //! target with every stored block pending, and drain the pending blocks
-//! chunk by chunk, moving exactly the shards whose row differs from the
-//! target placement. A row changes only once the shards it names have
-//! landed, so a drain that fails part-way leaves every block readable and
-//! resumable. The adaptivity results of the paper (Lemmas 3.2–3.5) bound
-//! the migration volume, and [`MigrationReport`] measures it.
+//! chunk by chunk, copying a shard to each device new to it (a mirror
+//! copy that shifts position keeps its slot). A row changes only once the
+//! shards it names have landed, so a drain that fails part-way leaves
+//! every block readable and resumable. Lemmas 3.2–3.5 bound the migration
+//! volume, and [`MigrationReport`] measures it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -379,8 +379,8 @@ impl Payloads for Stripes<'_> {
 /// the old slots the new row no longer names. A word without a slot lands
 /// in a fresh slot, stamped into the word, and the restamp commits it; a
 /// word with one is written in place when the payloads cover every shard
-/// (an overwrite) and left alone otherwise. A row that took no fresh slot
-/// is the row its block already has, so it is not restamped.
+/// (an overwrite) and left alone otherwise. A gathered row is always
+/// restamped; a written one only if it took a fresh slot.
 ///
 /// Every block's slots are taken and prefetched ([`take_ahead`]) one
 /// block ahead: the first block's up front, and block `j + 1`'s before
@@ -413,7 +413,7 @@ fn land<P: Payloads>(
         }
         let row = &mut rows[j * k..(j + 1) * k];
         let mut taken_slots = taken.iter().copied();
-        let mut restamp = false;
+        let mut restamp = !P::EVERY_SHARD;
         for (i, word) in row.iter_mut().enumerate() {
             let slot = match slot_of(*word) {
                 Some(slot) if P::EVERY_SHARD => slot,
@@ -430,7 +430,7 @@ fn land<P: Payloads>(
         if restamp {
             for (stamped, &n) in table.entry(lba).iter_mut().zip(row.iter()) {
                 let o = std::mem::replace(stamped, n);
-                if let Some(slot) = slot_of(o).filter(|_| o != n) {
+                if let Some(slot) = slot_of(o).filter(|_| !row.contains(&o)) {
                     devices[position_of(o)].release(slot);
                 }
             }
@@ -856,8 +856,8 @@ impl StorageCluster {
         for f in 0..tally.firsts.len() {
             let j = tally.firsts[f].1;
             let run = j * k..(j + 1) * k;
-            for (&o, &n) in old[run.clone()].iter().zip(&new[run]) {
-                if o != n && slot_of(o).is_some() {
+            for &o in &old[run.clone()] {
+                if slot_of(o).is_some() && !new[run.clone()].contains(&o) {
                     tally.count(position_of(o), Tally::RELEASED);
                 }
             }
@@ -972,9 +972,9 @@ impl StorageCluster {
         Ok(recovered > 0)
     }
 
-    /// Reads the shards at positions `wanted` (ascending) of block `lba`
-    /// into `out`, one shard per position, through the block's `row`: the
-    /// one place a read, a migration and a repair choose what they read.
+    /// Reads the shards at positions `wanted` (ascending under erasure
+    /// coding) of block `lba` into `out`, one shard per position, through
+    /// `row`: where a read, a migration and a repair choose what they read.
     /// A present wanted shard is copied from its slot. A missing one is
     /// recovered: under mirroring from the first present copy after it
     /// in rotation order; under erasure coding every other present shard
@@ -1214,7 +1214,10 @@ impl StorageCluster {
             .chunks_exact(k)
             .zip(new_flat.chunks_exact(k))
             .enumerate()
-            .filter(|(_, (old, new))| !old.iter().zip(*new).all(|(&o, &n)| self.names(o, n)))
+            .filter(|(_, (old, new))| {
+                let pairs = self.pairing(old, new, |o, n| self.names(o, n));
+                !pairs.enumerate().all(|(i, pair)| pair == (i, false))
+            })
             .map(|(j, _)| j)
             .collect();
         if work.is_empty() {
@@ -1233,12 +1236,44 @@ impl StorageCluster {
         Ok(report)
     }
 
-    /// Read-only gather for one migrating or repaired block: appends its
-    /// new row to `rows` and the payload of each shard it lands to `lands`.
-    /// A shard present on the device its `new` word names (whose slot is
-    /// ignored) keeps its `old` word. Every other shard lands there, read
-    /// from the `old` row or recovered ([`StorageCluster::read_shards`]),
-    /// and while those are present nothing else of the block is read.
+    /// Per position of `new`, the `old` position its shard comes from and
+    /// whether it moves (`same`: two entries name one device). Erasure-coded
+    /// shards pair by position, mirror copies by device set: a device new to
+    /// the set pairs, ascending, with an old position whose device leaves it.
+    fn pairing<'a>(
+        &self,
+        old: &'a [u64],
+        new: &'a [u64],
+        same: impl Fn(u64, u64) -> bool + Copy + 'a,
+    ) -> impl Iterator<Item = (usize, bool)> + Clone + 'a {
+        let mirror = self.codec.is_none();
+        let mut leaving = (0..old.len()).filter(move |&j| !new.iter().any(|&n| same(old[j], n)));
+        new.iter().enumerate().map(move |(i, &n)| {
+            match mirror.then(|| old.iter().position(|&o| same(o, n))) {
+                None => (i, !same(old[i], n)),
+                Some(Some(j)) => (j, false),
+                Some(None) => (leaving.next().expect("as many devices leave as join"), true),
+            }
+        })
+    }
+
+    /// The old positions a gather reads: each moving or absent shard's.
+    fn reads<'a>(
+        &'a self,
+        old: &'a [u64],
+        new: &'a [u64],
+    ) -> impl Iterator<Item = usize> + Clone + 'a {
+        self.pairing(old, new, |o, n| position_of(o) == position_of(n))
+            .filter(move |&(j, moves)| moves || !self.present(old[j]))
+            .map(|(j, _)| j)
+    }
+
+    /// Read-only gather for one migrating or repaired block: appends its new
+    /// row to `rows` and each landing shard's payload to `lands`. A present
+    /// shard staying on its device ([`StorageCluster::pairing`]) keeps its
+    /// `old` word, at any position. Each other lands on its `new` device,
+    /// read from its paired `old` position or recovered, and while those are
+    /// present nothing else is read ([`StorageCluster::read_shards`]).
     fn gather_block(
         &self,
         lba: u64,
@@ -1248,17 +1283,14 @@ impl StorageCluster {
         lands: &mut Vec<u8>,
         outcome: &mut ExecOutcome,
     ) -> Result<(), VdsError> {
-        let (start, from) = (rows.len(), lands.len());
-        for (&o, &n) in old.iter().zip(new) {
-            let moves = position_of(o) != position_of(n);
+        let pairs = self.pairing(old, new, |o, n| position_of(o) == position_of(n));
+        for ((j, moves), &n) in pairs.zip(new) {
             outcome.moved += u64::from(moves);
-            let keeps = !moves && self.present(o);
-            rows.push(if keeps { o } else { n & !SLOT_MASK });
+            let keeps = !moves && self.present(old[j]);
+            rows.push(if keeps { old[j] } else { n & !SLOT_MASK });
         }
-        // The landing shards are the block's row words without a slot.
-        let row = &rows[start..];
-        let landing = (0..row.len()).filter(|&i| slot_of(row[i]).is_none());
-        let count = landing.clone().count();
+        let landing = self.reads(old, new);
+        let (from, count) = (lands.len(), landing.clone().count());
         outcome.stored += count as u64;
         lands.resize(from + count * self.shard_len(), 0);
         let recovered = self.read_shards(lba, old, landing, &mut lands[from..])?;
@@ -1270,10 +1302,10 @@ impl StorageCluster {
     /// each block in `work` (indices into `lbas`) builds its new row
     /// against `new_flat` (row words naming the target devices) and reads
     /// or recovers its landing shards into the cluster's chunk buffer
-    /// ([`StorageCluster::gather_block`]), with the next block's present
-    /// slots prefetched before it. One validation then covers the whole
-    /// chunk, so an `Err` touches nothing, and each block commits from
-    /// the buffer.
+    /// ([`StorageCluster::gather_block`]), with the slots the next block's
+    /// gather reads (every present one if one is absent) prefetched before
+    /// it. One validation then covers the whole chunk, so an `Err` touches
+    /// nothing, and each block commits from the buffer.
     fn execute_block_ops(
         &mut self,
         lbas: &[u64],
@@ -1288,10 +1320,15 @@ impl StorageCluster {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.old.clear();
         scratch.new.clear();
-        scratch.chunk.clear();
         for (n, &j) in work.iter().enumerate() {
             if let Some(&next) = work.get(n + 1) {
-                self.prefetch_present(old_flat[next * k..(next + 1) * k].iter().copied());
+                let (old, new) = (&old_flat[next * k..][..k], &new_flat[next * k..][..k]);
+                let words = self.reads(old, new).map(|j| old[j]);
+                if words.clone().all(|w| self.present(w)) {
+                    self.prefetch_present(words);
+                } else {
+                    self.prefetch_present(old.iter().copied());
+                }
             }
             let run = j * k..(j + 1) * k;
             scratch.old.extend_from_slice(&old_flat[run.clone()]);
@@ -1315,6 +1352,8 @@ impl StorageCluster {
             &mut scratch.chunk.chunks_exact(len),
             &mut scratch.ahead,
         )?;
+        scratch.chunk.clear();
+        scratch.chunk.shrink_to(MIGRATION_CHUNK_BLOCKS * len); // one shard per block
         self.scratch = scratch;
         if let Some(m) = &self.metrics {
             m.migration_moves_executed_total.add(outcome.moved);
@@ -1370,6 +1409,7 @@ impl StorageCluster {
     /// over the survivors, reconstructs lost shards from redundancy and
     /// migrates shards to their new locations. Without a failed device it
     /// only resumes any pending migration ([`StorageCluster::rebalance`]).
+    /// A mirror block regains a lost copy from a survivor, whose slot stays.
     ///
     /// # Errors
     ///
@@ -1561,12 +1601,12 @@ impl StorageCluster {
         Ok(plan)
     }
 
-    /// Diffs every stored block's row against its placement under a
-    /// hypothetical bin set, block by block in table order, so unchanged
-    /// blocks, the common case under 2–4-competitive churn, cost one scan
-    /// and one compare. A block still awaiting migration is planned from
-    /// where its shards are. The moves are sorted by
-    /// `(from, to, lba, copy)`.
+    /// Pairs every stored block's row with its placement under a
+    /// hypothetical bin set ([`StorageCluster::pairing`], as the executor
+    /// does), block by block in table order, so unchanged blocks, the
+    /// common case under 2–4-competitive churn, cost one scan and one
+    /// compare. A block still awaiting migration is planned from where its
+    /// shards are. The moves are sorted by `(from, to, lba, copy)`.
     fn plan_against(&self, bins: &BinSet, fair_min_shards: f64) -> Result<MigrationPlan, VdsError> {
         let k = self.redundancy.total_shards();
         let candidate = RedundantShare::new(bins, k)?;
@@ -1582,13 +1622,13 @@ impl StorageCluster {
             new.clear();
             place_append(&candidate, lba, &mut new);
             let before = plan.moves.len();
-            for (copy, (&word, &to)) in old.iter().zip(&new).enumerate() {
-                let from = self.id_of(word);
-                if from != to {
+            let pairs = self.pairing(old, &new, |o, n| self.names(o, n));
+            for (copy, ((j, moves), &to)) in pairs.zip(&new).enumerate() {
+                if moves {
                     plan.moves.push(ShardMove {
                         lba,
                         copy,
-                        from,
+                        from: self.id_of(old[j]),
                         to,
                     });
                 }
@@ -2254,6 +2294,218 @@ mod tests {
             for lba in 0..3_000u64 {
                 assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
             }
+        }
+    }
+
+    /// Shard reads summed over every device ever attached, retired ones
+    /// included, so a removal's reads from the leaving device count.
+    fn reads_of_every_device(c: &StorageCluster) -> u64 {
+        c.devices.iter().map(|d| d.stats().reads).sum()
+    }
+
+    /// Redundant Share over `bins` (`(id, capacity)`) with `k` shards.
+    fn strategy_over(bins: &[(u64, u64)], k: usize) -> RedundantShare {
+        let bins: Vec<Bin> = (bins.iter())
+            .map(|&(id, capacity)| Bin::new(id, capacity).unwrap())
+            .collect();
+        RedundantShare::new(&BinSet::new(bins).unwrap(), k).unwrap()
+    }
+
+    /// A mirror change copies a block only to the devices new to its set,
+    /// each copy read once from a device that leaves the set, and every
+    /// row ends in target placement order. An add, a removal and a
+    /// rebuild, each checked against placements over the bins before and
+    /// after it. RS(4, 2) moves every shard whose position changed device.
+    #[test]
+    fn mirror_changes_copy_only_to_devices_new_to_a_block() {
+        let redundancies = [
+            Redundancy::Mirror { copies: 2 },
+            Redundancy::Mirror { copies: 3 },
+            Redundancy::ReedSolomon { data: 4, parity: 2 },
+        ];
+        for redundancy in redundancies {
+            let k = redundancy.total_shards();
+            let mirror = matches!(redundancy, Redundancy::Mirror { .. });
+            let mut bins: Vec<(u64, u64)> = (0..10).map(|id| (id, 2_000 + 100 * id)).collect();
+            let b = StorageCluster::builder()
+                .block_size(64)
+                .redundancy(redundancy);
+            let mut c = (bins.iter())
+                .fold(b, |b, &(id, capacity)| b.device(id, capacity))
+                .build()
+                .unwrap();
+            for lba in 0..3_000u64 {
+                c.write_block(lba, &block(lba as u8, 64)).unwrap();
+            }
+            let (mut moved, mut positional) = (0, 0);
+            for change in ["add", "remove", "rebuild"] {
+                let before = strategy_over(&bins, k);
+                let reads = reads_of_every_device(&c);
+                let (plan, report) = match change {
+                    "add" => {
+                        bins.push((10, 3_000));
+                        let plan = c.plan_add_device(10, 3_000).unwrap();
+                        (plan, c.add_device(10, 3_000).unwrap())
+                    }
+                    "remove" => {
+                        bins.retain(|&(id, _)| id != 3);
+                        let plan = c.plan_remove_device(3).unwrap();
+                        (plan, c.remove_device(3).unwrap())
+                    }
+                    _ => {
+                        bins.retain(|&(id, _)| id != 5);
+                        let held = c.device(5).unwrap().used_blocks();
+                        c.fail_device(5).unwrap();
+                        let plan = c.plan_rebuild().unwrap();
+                        let report = c.rebuild().unwrap();
+                        assert_eq!(report.shards_reconstructed, held, "{redundancy:?}");
+                        (plan, report)
+                    }
+                };
+                let after = strategy_over(&bins, k);
+                let mut want = 0;
+                for lba in 0..3_000u64 {
+                    let (old, new) = (before.place(lba), after.place(lba));
+                    let joined = new.iter().filter(|id| !old.contains(id)).count() as u64;
+                    let shifted = old.iter().zip(&new).filter(|(o, n)| o != n).count() as u64;
+                    want += if mirror { joined } else { shifted };
+                    positional += shifted;
+                }
+                let what = format!("{redundancy:?} {change}");
+                assert!(report.shards_moved > 0, "{what}");
+                assert_eq!(report.shards_moved, want, "{what}");
+                moved += want;
+                assert_eq!(plan.moves.len() as u64, want, "{what}");
+                if mirror {
+                    assert_eq!(reads_of_every_device(&c) - reads, want, "{what}");
+                    for m in &plan.moves {
+                        let (old, new) = (before.place(m.lba), after.place(m.lba));
+                        assert!(old.contains(&BinId(m.from)), "{what}: {m:?}");
+                        assert!(!new.contains(&BinId(m.from)), "{what}: {m:?}");
+                        assert!(!old.contains(&BinId(m.to)) && new[m.copy] == BinId(m.to));
+                    }
+                }
+                assert_matches_fresh(&c, 0..3_000);
+                assert_reads_hit(&c, 0..3_000);
+            }
+            if mirror {
+                // A kept copy that changed position is not moved.
+                assert!(
+                    moved < positional,
+                    "{redundancy:?}: {moved} of {positional}"
+                );
+            }
+        }
+    }
+
+    /// A drain or a repair leaves the chunk buffer at most one shard per
+    /// chunk block, though an RS(4, 2) add and a repair of two shards per
+    /// block land more in a chunk.
+    #[test]
+    fn drains_and_repairs_leave_a_bounded_chunk_buffer() {
+        let blocks = 2 * MIGRATION_CHUNK_BLOCKS as u64;
+        let b = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(Redundancy::ReedSolomon { data: 4, parity: 2 });
+        let mut c = (0..8u64)
+            .fold(b, |b, id| b.device(id, 20_000))
+            .build()
+            .unwrap();
+        let lbas: Vec<u64> = (0..blocks).collect();
+        let data: Vec<u8> = lbas.iter().flat_map(|&l| block(l as u8, 64)).collect();
+        c.write_blocks(&lbas, &data).unwrap();
+        let bound = MIGRATION_CHUNK_BLOCKS * c.shard_len();
+        let report = c.add_device(8, 20_000).unwrap();
+        assert!(report.shards_moved > 2 * MIGRATION_CHUNK_BLOCKS as u64);
+        assert!(c.scratch.chunk.capacity() <= bound);
+        for lba in 0..MIGRATION_CHUNK_BLOCKS as u64 {
+            assert!(c.inject_shard_loss(lba, 0) && c.inject_shard_loss(lba, 1));
+        }
+        assert_eq!(c.repair().unwrap(), 2 * MIGRATION_CHUNK_BLOCKS as u64);
+        assert!(c.scratch.chunk.capacity() <= bound);
+        assert_reads_hit(&c, 0..blocks);
+    }
+
+    /// A mirror block whose target names the devices it is on, in another
+    /// order, is restamped in that order with no data moved: each copy
+    /// keeps its slot, nothing is read or written, and no slot is freed.
+    #[test]
+    fn a_reordered_mirror_block_is_restamped_in_place() {
+        let mut c = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(Redundancy::Mirror { copies: 3 })
+            .device(0, 100)
+            .device(1, 100)
+            .device(2, 100)
+            .device(3, 100)
+            .build()
+            .unwrap();
+        c.write_block(7, &block(7, 64)).unwrap();
+        let old = c.table.peek(7).unwrap().to_vec();
+        let mut new: Vec<u64> = old.iter().map(|&w| w & !SLOT_MASK).collect();
+        new.rotate_left(1);
+        let (ids, used) = (c.placement(7), c.utilization());
+        c.reset_stats();
+        let outcome = c.execute_block_ops(&[7], &[0], &old, &new).unwrap();
+        assert_eq!(
+            (outcome.moved, outcome.stored, outcome.reconstructed),
+            (0, 0, 0)
+        );
+        let mut rotated = old.clone();
+        rotated.rotate_left(1);
+        assert_eq!(c.table.peek(7).unwrap(), rotated);
+        let mut want = ids;
+        want.rotate_left(1);
+        assert_eq!(c.placement(7), want);
+        assert_eq!(c.utilization(), used);
+        let touched = c.listed().map(|d| d.stats().reads + d.stats().writes);
+        assert_eq!(touched.sum::<u64>(), 0);
+        assert_eq!(c.read_block(7).unwrap(), block(7, 64));
+    }
+
+    /// A chunk that gains a slot on a full device is refused even though
+    /// the same device keeps another block's copy at a new position: a
+    /// kept slot is not released, wherever the new row names it.
+    #[test]
+    fn a_full_device_refuses_a_chunk_counting_its_kept_slots() {
+        let capacities = [50, 51, 29, 16, 52, 11, 32, 11, 19, 24];
+        let bins: Vec<(u64, u64)> = (0..10).zip(capacities).collect();
+        let b = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(Redundancy::Mirror { copies: 2 });
+        let mut c = (bins.iter())
+            .fold(b, |b, &(id, capacity)| b.device(id, capacity))
+            .build()
+            .unwrap();
+        for lba in 0..126u64 {
+            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        }
+        // Removing device 8 gives the full device 3 one copy and shifts
+        // one of its copies to another position: it would fit only if
+        // that kept slot were counted as released.
+        assert_eq!(c.device(3).unwrap().used_blocks(), 16);
+        let rest: Vec<(u64, u64)> = bins.iter().copied().filter(|&(id, _)| id != 8).collect();
+        let (before, after) = (strategy_over(&bins, 2), strategy_over(&rest, 2));
+        let (mut gains, mut shifts) = (0, 0);
+        for lba in 0..126u64 {
+            let (old, new) = (before.place(lba), after.place(lba));
+            let at = |row: &[BinId]| row.iter().position(|&id| id == BinId(3));
+            match (at(&old), at(&new)) {
+                (None, Some(_)) => gains += 1,
+                (Some(_), None) => panic!("device 3 leaves block {lba}"),
+                (Some(i), Some(j)) => shifts += u64::from(i != j),
+                (None, None) => {}
+            }
+        }
+        assert_eq!((gains, shifts), (1, 1));
+        let placements: Vec<Vec<u64>> = (0..126).map(|lba| c.placement(lba)).collect();
+        let used = c.utilization();
+        assert_eq!(c.remove_device(8), Err(VdsError::OutOfSpace { id: 3 }));
+        assert_eq!(c.pending_blocks(), 126);
+        assert_eq!(c.utilization(), used);
+        for lba in 0..126u64 {
+            assert_eq!(c.placement(lba), placements[lba as usize], "lba {lba}");
+            assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
         }
     }
 

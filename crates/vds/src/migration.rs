@@ -20,7 +20,7 @@ pub struct MigrationReport {
     pub blocks: u64,
     /// Total shards examined (`blocks × total_shards`).
     pub shards_total: u64,
-    /// Shards whose device changed and were copied.
+    /// Shards copied to a device new to them (mirror copies by device set).
     pub shards_moved: u64,
     /// Shards that had to be reconstructed from redundancy because their
     /// source device was gone.
@@ -55,9 +55,9 @@ impl MigrationReport {
 pub struct ShardMove {
     /// Logical block address of the redundancy group.
     pub lba: u64,
-    /// Copy / shard index within the group.
+    /// The shard's position in the block's target placement.
     pub copy: usize,
-    /// Device currently computed to hold the shard.
+    /// Device read from: shard `copy`'s now; for mirrors, one leaving the set.
     pub from: u64,
     /// Device that will hold it after the change.
     pub to: u64,
@@ -71,12 +71,12 @@ pub struct ShardMove {
 /// operators can inspect the migration volume (per-device inflow,
 /// measured competitive ratio) before committing to a change.
 ///
-/// Each stored block's block-table row (where its shards are) is diffed
-/// against its placement under the candidate membership, and the moves are
-/// sorted by `(from, to, lba, copy)`.
+/// Each stored block's row is paired with its placement under the
+/// candidate membership as the executor pairs them (mirror copies by
+/// device set); the moves are sorted by `(from, to, lba, copy)`.
 #[derive(Debug, Clone, Default)]
 pub struct MigrationPlan {
-    /// Every shard that would change devices, sorted by
+    /// Every shard that would be copied to a device, sorted by
     /// `(from, to, lba, copy)`.
     pub moves: Vec<ShardMove>,
     /// Total shards examined.

@@ -14,7 +14,9 @@
 //!    adding/removing the largest and smallest device, on an 8-device
 //!    heterogeneous cluster and on the 96-device drain cluster, against
 //!    the paper's proven 2–4 bound (measured ≈1.5 for adds, ≈2.5 for
-//!    removals in the paper's experiments).
+//!    removals in the paper's experiments); and on the same 96 devices
+//!    under RS(4, 2), where a failure and rebuild is planned too, against
+//!    Lemma 3.5's k² = 36. Each row is held to its scheme's bound.
 //!
 //! Prints tables and writes the raw numbers to `BENCH_migration.json`
 //! (CI smoke-checks that the file parses). Pass `--smoke` (or `--quick`)
@@ -64,10 +66,24 @@ impl Cell {
     }
 }
 
+/// A redundancy scheme's name in the summary, and the proven competitive
+/// bound its rows are held to.
+type Scheme = (&'static str, f64);
+
+/// 2-way mirroring, held to Lemma 3.2's bound of 4.
+const MIRROR2: Scheme = ("mirror2", 4.0);
+
+/// RS(4, 2), held to Lemma 3.5's k² = 36 (k = 6 shards).
+const RS42: Scheme = ("rs42", 36.0);
+
 /// A measured competitive-ratio row.
 struct Ratio {
     change: String,
+    /// The redundancy scheme, as the summary names it.
+    scheme: &'static str,
     ratio: f64,
+    /// The proven bound the ratio is held to.
+    bound: f64,
     moved_fraction: f64,
     fair_min_shards: f64,
     moves: usize,
@@ -76,9 +92,14 @@ struct Ratio {
 }
 
 fn drain_cluster(blocks: u64) -> StorageCluster {
+    cluster_96(Redundancy::Mirror { copies: 2 }, blocks)
+}
+
+/// The 96 drain devices under `redundancy`, holding `blocks` blocks.
+fn cluster_96(redundancy: Redundancy, blocks: u64) -> StorageCluster {
     let mut b = StorageCluster::builder()
         .block_size(BLOCK_SIZE)
-        .redundancy(Redundancy::Mirror { copies: 2 });
+        .redundancy(redundancy);
     for id in 0..DEVICES {
         b = b.device(id, 40_000 + id * 500);
     }
@@ -143,29 +164,28 @@ fn bench_drain(blocks: u64, cells: &mut Vec<Cell>) {
     cells.push(Cell::new("migration_drain", "planned", blocks, &ns));
 }
 
-/// Measured competitive ratios for single-device churn on `c`: add/remove
-/// of its largest and smallest device. Row names end in `suffix`.
-fn competitive(c: &StorageCluster, suffix: &str) -> Vec<Ratio> {
+/// `c`'s largest device: the highest capacity, ties to the highest id.
+fn largest(c: &StorageCluster) -> u64 {
     let cap = |id: u64| c.device(id).expect("listed device").capacity_blocks();
     let ids = c.device_ids();
-    let largest = *ids
-        .iter()
+    *ids.iter()
         .max_by_key(|&&id| (cap(id), id))
-        .expect("non-empty");
+        .expect("non-empty")
+}
+
+/// Measured competitive ratios for single-device churn on `c`: add/remove
+/// of its largest and smallest device. Row names end in `suffix`.
+fn competitive(c: &StorageCluster, suffix: &str, scheme: Scheme) -> Vec<Ratio> {
+    let cap = |id: u64| c.device(id).expect("listed device").capacity_blocks();
+    let ids = c.device_ids();
+    let largest = largest(c);
     let smallest = *ids
         .iter()
         .min_by_key(|&&id| (cap(id), id))
         .expect("non-empty");
     let new_id = ids.last().expect("non-empty") + 1;
-    let row = |change: &str, plan: MigrationPlan| Ratio {
-        change: format!("{change}{suffix}"),
-        ratio: plan.competitive_ratio(),
-        moved_fraction: plan.moved_fraction(),
-        fair_min_shards: plan.fair_min_shards,
-        moves: plan.moves.len(),
-        blocks_planned: plan.blocks_planned,
-        blocks_total: plan.blocks_total,
-    };
+    let row =
+        |change: &str, plan: MigrationPlan| ratio_row(format!("{change}{suffix}"), scheme, &plan);
     vec![
         row(
             "add_largest",
@@ -184,6 +204,29 @@ fn competitive(c: &StorageCluster, suffix: &str) -> Vec<Ratio> {
             c.plan_remove_device(smallest).expect("plan"),
         ),
     ]
+}
+
+/// The competitive ratio of rebuilding `c` after its largest device
+/// fails: the rebuild's plan over the shards the device held.
+fn rebuild_ratio(mut c: StorageCluster, suffix: &str, scheme: Scheme) -> Ratio {
+    c.fail_device(largest(&c)).expect("listed device");
+    let plan = c.plan_rebuild().expect("plan");
+    ratio_row(format!("rebuild_largest{suffix}"), scheme, &plan)
+}
+
+/// One competitive-ratio row of `plan`.
+fn ratio_row(change: String, (scheme, bound): Scheme, plan: &MigrationPlan) -> Ratio {
+    Ratio {
+        change,
+        scheme,
+        ratio: plan.competitive_ratio(),
+        bound,
+        moved_fraction: plan.moved_fraction(),
+        fair_min_shards: plan.fair_min_shards,
+        moves: plan.moves.len(),
+        blocks_planned: plan.blocks_planned,
+        blocks_total: plan.blocks_total,
+    }
 }
 
 /// The 8-device heterogeneous cluster of the competitive-ratio table.
@@ -232,9 +275,10 @@ fn to_json(
     s.push_str("  \"competitive\": [\n");
     for (i, r) in ratios.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"change\": \"{}\", \"ratio\": {:.3}, \"moved_fraction\": {:.5}, \"fair_min_shards\": {:.1}, \"moves\": {}, \"blocks_planned\": {}, \"blocks_total\": {}}}{}\n",
+            "    {{\"change\": \"{}\", \"ratio\": {:.3}, \"bound\": {:.1}, \"moved_fraction\": {:.5}, \"fair_min_shards\": {:.1}, \"moves\": {}, \"blocks_planned\": {}, \"blocks_total\": {}}}{}\n",
             r.change,
             r.ratio,
+            r.bound,
             r.moved_fraction,
             r.fair_min_shards,
             r.moves,
@@ -246,23 +290,42 @@ fn to_json(
     s.push_str("  ],\n");
     s.push_str(&records_json(&records(cells, read_after_add, ratios)));
     s.push_str(",\n");
-    let max_ratio = ratios.iter().map(|r| r.ratio).fold(0.0f64, f64::max);
+    let schemes: Vec<String> = summary(ratios)
+        .iter()
+        .map(|(scheme, max, bound)| {
+            format!("{{\"scheme\": \"{scheme}\", \"max_competitive_ratio\": {max:.3}, \"paper_bound\": {bound:.1}}}")
+        })
+        .collect();
     s.push_str(&format!(
-        "  \"summary\": {{\"max_competitive_ratio\": {max_ratio:.3}, \"paper_bound\": 4.0}}\n"
+        "  \"summary\": {{\"schemes\": [{}]}}\n",
+        schemes.join(", ")
     ));
     s.push('}');
     s.push('\n');
     s
 }
 
+/// Per scheme, in first-row order: its largest competitive ratio and its
+/// bound.
+fn summary(ratios: &[Ratio]) -> Vec<(&'static str, f64, f64)> {
+    let mut out: Vec<(&'static str, f64, f64)> = Vec::new();
+    for r in ratios {
+        match out.iter_mut().find(|(scheme, ..)| *scheme == r.scheme) {
+            Some((_, max, _)) => *max = max.max(r.ratio),
+            None => out.push((r.scheme, r.ratio, r.bound)),
+        }
+    }
+    out
+}
+
 /// The unified cross-binary records: one throughput entry per cell, the
 /// mean read cost after the eager add, plus one ratio entry per
-/// membership change measured against the paper's proven bound of 4.
+/// membership change measured against its scheme's proven bound.
 fn records(cells: &[Cell], read_after_add: &Record, ratios: &[Ratio]) -> Vec<Record> {
     let mut out: Vec<Record> = cells.iter().map(|c| c.record.clone()).collect();
     out.push(read_after_add.clone());
     out.extend(ratios.iter().map(|r| {
-        Record::new(format!("competitive_ratio_{}", r.change), "ratio", r.ratio).baseline(4.0)
+        Record::new(format!("competitive_ratio_{}", r.change), "ratio", r.ratio).baseline(r.bound)
     }));
     out
 }
@@ -278,8 +341,11 @@ fn main() {
     let mut cells = Vec::new();
     bench_drain(blocks, &mut cells);
     let read_after_add = bench_eager_add(blocks, &mut cells);
-    let mut ratios = competitive(&small_cluster(blocks.min(24_000)), "");
-    ratios.extend(competitive(&drain_cluster(blocks), "_96dev"));
+    let mut ratios = competitive(&small_cluster(blocks.min(24_000)), "", MIRROR2);
+    ratios.extend(competitive(&drain_cluster(blocks), "_96dev", MIRROR2));
+    let rs = cluster_96(Redundancy::ReedSolomon { data: 4, parity: 2 }, blocks);
+    ratios.extend(competitive(&rs, "_rs42_96dev", RS42));
+    ratios.push(rebuild_ratio(rs, "_rs42_96dev", RS42));
 
     let mut rows = Vec::new();
     for c in &cells {
@@ -302,6 +368,7 @@ fn main() {
         rows.push(vec![
             r.change.clone(),
             f(r.ratio),
+            f(r.bound),
             f(r.moved_fraction),
             format!("{}/{}", r.blocks_planned, r.blocks_total),
         ]);
@@ -310,16 +377,17 @@ fn main() {
         &[
             "change",
             "competitive ratio",
+            "bound",
             "moved fraction",
             "blocks planned",
         ],
         &rows,
     );
 
-    println!(
-        "\nmax ratio {} (paper bound 4.0)",
-        f(ratios.iter().map(|r| r.ratio).fold(0.0f64, f64::max)),
-    );
+    println!();
+    for (scheme, max, bound) in summary(&ratios) {
+        println!("{scheme}: max ratio {} (paper bound {})", f(max), f(bound));
+    }
 
     let json = to_json(&cells, &read_after_add, &ratios, smoke, blocks);
     std::fs::write("BENCH_migration.json", &json).expect("write BENCH_migration.json");

@@ -1,10 +1,10 @@
 //! The block table: one row per stored block, holding where its shards
 //! are, down to the slot.
 //!
-//! A row holds one word per shard, in copy order: the dense index of the
+//! A row holds one word per shard, in shard order: the dense index of the
 //! device the shard was last stored on by a successful write, migration or
-//! repair in the high half, and `slot + 1` in the low half (0 when the
-//! shard is absent: lost, or on a device that failed). It is the one
+//! repair, the device's index in the block's placement in the top byte, and
+//! `slot + 1` in the low half (0 when the shard is absent). It is the one
 //! answer to "where is this block": reads, placement lookups, scrubs,
 //! repair, the migration planner and the old side of a migration all take
 //! a stored block's shards from its row, whatever membership changes

@@ -4,8 +4,8 @@
 //! This is the "randomized block-level storage virtualization" of the
 //! paper's abstract: a pool of heterogeneous devices presented as a single
 //! block store. Every logical block is expanded into a redundancy group
-//! (mirror copies or erasure shards) and shard `i` is stored on the i-th
-//! device returned by the Redundant Share placement strategy. A block's
+//! (mirror copies or erasure shards). A block's first write stores shard
+//! `i` on the i-th device of its Redundant Share placement. A block's
 //! block-table row names the slot of each of its shards, so a stored
 //! block is found with one probe and read with one slot copy per shard,
 //! and only unstored addresses and writes that move a block (its first
@@ -31,8 +31,8 @@
 //! Every membership change follows one path: build the strategy over the
 //! new membership, gate it on Lemma 2.2's `B_max`, install it as the
 //! target with every stored block pending, and drain the pending blocks
-//! chunk by chunk, copying a shard to each device new to it (a mirror
-//! copy that shifts position keeps its slot). A row changes only once the
+//! chunk by chunk, copying a shard to each device new to it (every other
+//! shard keeps its device and slot). A row changes only once the
 //! shards it names have landed, so a drain that fails part-way leaves
 //! every block readable and resumable. Lemmas 3.2–3.5 bound the migration
 //! volume, and [`MigrationReport`] measures it.
@@ -69,11 +69,28 @@ const LATENCY_SAMPLE: u64 = 64;
 const MIGRATION_CHUNK_BLOCKS: usize = 4096;
 
 /// The low half of a row word: `slot + 1`, or 0 for an absent shard.
+/// Bits 32–55 name the device position, and the top byte is the word's
+/// tag: the index of its device in the block's placement.
 const SLOT_MASK: u64 = 0xFFFF_FFFF;
 
-/// The device position a row word names (its high half).
+/// The device position a row word names.
 fn position_of(word: u64) -> usize {
-    (word >> 32) as usize
+    (word << 8 >> 40) as usize
+}
+
+/// A row word's tag.
+fn tag_of(word: u64) -> usize {
+    (word >> 56) as usize
+}
+
+/// `word` with its tag set to `tag`.
+fn tagged(word: u64, tag: usize) -> u64 {
+    (word << 8 >> 8) | ((tag as u64) << 56)
+}
+
+/// Whether two row words name one device and slot, whatever their tags.
+fn same_slot(a: u64, b: u64) -> bool {
+    (a ^ b) << 8 == 0
 }
 
 /// The slot a row word names, or `None` if the shard is absent.
@@ -160,7 +177,8 @@ impl ClusterBuilder {
     /// # Errors
     ///
     /// * [`VdsError::InvalidConfig`] for a zero block size, a block size
-    ///   incompatible with the erasure geometry, or duplicate device ids.
+    ///   incompatible with the erasure geometry, or duplicate device ids
+    ///   (or more than 256 shards per block).
     /// * [`VdsError::Placement`] if fewer devices than shards exist.
     pub fn build(self) -> Result<StorageCluster, VdsError> {
         if self.block_size == 0 {
@@ -169,6 +187,11 @@ impl ClusterBuilder {
             });
         }
         let codec = self.redundancy.codec()?;
+        if self.redundancy.total_shards() > 256 {
+            return Err(VdsError::InvalidConfig {
+                reason: "a redundancy group holds at most 256 shards",
+            });
+        }
         let multiple = self.redundancy.block_multiple(codec.as_deref());
         if !self.block_size.is_multiple_of(multiple) {
             return Err(VdsError::InvalidConfig {
@@ -430,7 +453,7 @@ fn land<P: Payloads>(
         if restamp {
             for (stamped, &n) in table.entry(lba).iter_mut().zip(row.iter()) {
                 let o = std::mem::replace(stamped, n);
-                if let Some(slot) = slot_of(o).filter(|_| !row.contains(&o)) {
+                if let Some(slot) = slot_of(o).filter(|_| !same_slot(o, n)) {
                     devices[position_of(o)].release(slot);
                 }
             }
@@ -559,7 +582,8 @@ impl StorageCluster {
 
     /// Gives `device` the next position and lists it.
     fn attach(&mut self, device: Device) {
-        let position = u32::try_from(self.devices.len()).expect("fewer than 2^32 devices");
+        assert!(self.devices.len() < 1 << 24, "fewer than 2^24 devices");
+        let position = self.devices.len() as u32;
         self.positions.insert(device.id(), position);
         self.devices.push(device);
         self.tally.slots.push([0; 3]);
@@ -640,7 +664,9 @@ impl StorageCluster {
         Ok(BinSet::new(bins)?)
     }
 
-    /// The device ids shard 0, 1, … of `lba` are placed on.
+    /// The device ids of `lba`'s placement in target order, not shard order:
+    /// a change keeps each surviving shard on its device, so shard `i` sits
+    /// on the i-th device only until a change.
     ///
     /// A stored block's are where its shards are, read from its row: during
     /// a migration, blocks not yet moved still report their pre-change
@@ -659,7 +685,10 @@ impl StorageCluster {
     pub fn placement_into(&self, lba: u64, out: &mut Vec<u64>) {
         out.clear();
         match self.table.get(lba) {
-            Some(row) => out.extend(row.iter().map(|&word| self.id_of(word))),
+            Some(row) => {
+                out.resize(row.len(), 0);
+                row.iter().for_each(|&w| out[tag_of(w)] = self.id_of(w));
+            }
             None => self.compute_into(lba, out),
         }
     }
@@ -770,9 +799,9 @@ impl StorageCluster {
         // so its new row is its old one and each shard lands in the slot
         // it is in. A first write, or a write to a block awaiting
         // migration, moves the block: it lands at the computed target, and
-        // the write completes the block's migration for free. Old and new
-        // rows are flat stride-k runs; a first write's old row is k absent
-        // words.
+        // the write completes the block's migration for free, shard `i` on
+        // the i-th placed device. Old and new rows are flat stride-k runs;
+        // a first write's old row is k absent words.
         let k = self.redundancy.total_shards();
         let Scratch { old, new, .. } = scratch;
         old.clear();
@@ -793,8 +822,8 @@ impl StorageCluster {
                     old.extend((0..k).map(|i| stored.map_or(0, |row| row[i])));
                     let at = new.len();
                     self.compute_into(lba, new);
-                    for target in &mut new[at..] {
-                        *target = self.device_word(*target)?;
+                    for (t, target) in new[at..].iter_mut().enumerate() {
+                        *target = tagged(self.device_word(*target)?, t);
                     }
                 }
             }
@@ -827,8 +856,8 @@ impl StorageCluster {
     /// parallel). Every device a `new` word names must be online: a word
     /// without a slot gains one there, and a word with one is a shard
     /// written in place (an overwrite) or kept (a move). Each device's
-    /// live slots, plus the slots it gains, less the slots of `old` that
-    /// `new` no longer names, must fit its capacity; an in-place shard
+    /// live slots, plus the slots it gains, less the slots of `old` whose
+    /// shard `new` puts elsewhere, must fit its capacity; an in-place shard
     /// gains no slot, so an overwrite needs no room. A block written twice
     /// in one batch releases its old slots once but gains any fresh slots
     /// twice, so such a batch is judged conservatively.
@@ -856,8 +885,8 @@ impl StorageCluster {
         for f in 0..tally.firsts.len() {
             let j = tally.firsts[f].1;
             let run = j * k..(j + 1) * k;
-            for &o in &old[run.clone()] {
-                if slot_of(o).is_some() && !new[run.clone()].contains(&o) {
+            for (&o, &n) in old[run.clone()].iter().zip(&new[run]) {
+                if slot_of(o).is_some() && !same_slot(o, n) {
                     tally.count(position_of(o), Tally::RELEASED);
                 }
             }
@@ -1215,8 +1244,8 @@ impl StorageCluster {
             .zip(new_flat.chunks_exact(k))
             .enumerate()
             .filter(|(_, (old, new))| {
-                let pairs = self.pairing(old, new, |o, n| self.names(o, n));
-                !pairs.enumerate().all(|(i, pair)| pair == (i, false))
+                let mut pairs = Self::pairing(old, new, |o, n| self.names(o, n)).zip(*old);
+                !pairs.all(|((t, moves), &o)| !moves && t == tag_of(o))
             })
             .map(|(j, _)| j)
             .collect();
@@ -1224,10 +1253,10 @@ impl StorageCluster {
             return Ok(report);
         }
         // The executor reads the moving blocks' targets as row words
-        // without slots.
+        // without slots, tagged with their placement index.
         for &j in &work {
-            for target in &mut new_flat[j * k..(j + 1) * k] {
-                *target = self.device_word(*target)?;
+            for (t, target) in new_flat[j * k..(j + 1) * k].iter_mut().enumerate() {
+                *target = tagged(self.device_word(*target)?, t);
             }
         }
         let outcome = self.execute_block_ops(lbas, &work, old_flat, &new_flat)?;
@@ -1236,43 +1265,40 @@ impl StorageCluster {
         Ok(report)
     }
 
-    /// Per position of `new`, the `old` position its shard comes from and
-    /// whether it moves (`same`: two entries name one device). Erasure-coded
-    /// shards pair by position, mirror copies by device set: a device new to
-    /// the set pairs, ascending, with an old position whose device leaves it.
+    /// Per shard of the `old` row, the `new` index it goes to and whether it
+    /// moves (`same`: an old word and a new entry name one device). A shard
+    /// whose device stays in the set keeps it; each device new to the set
+    /// takes, ascending, the shard of the next device that leaves it.
     fn pairing<'a>(
-        &self,
         old: &'a [u64],
         new: &'a [u64],
         same: impl Fn(u64, u64) -> bool + Copy + 'a,
     ) -> impl Iterator<Item = (usize, bool)> + Clone + 'a {
-        let mirror = self.codec.is_none();
-        let mut leaving = (0..old.len()).filter(move |&j| !new.iter().any(|&n| same(old[j], n)));
-        new.iter().enumerate().map(move |(i, &n)| {
-            match mirror.then(|| old.iter().position(|&o| same(o, n))) {
-                None => (i, !same(old[i], n)),
-                Some(Some(j)) => (j, false),
-                Some(None) => (leaving.next().expect("as many devices leave as join"), true),
-            }
-        })
+        let mut joining = (0..new.len()).filter(move |&t| !old.iter().any(|&o| same(o, new[t])));
+        old.iter()
+            .map(move |&o| match new.iter().position(|&n| same(o, n)) {
+                Some(t) => (t, false),
+                None => (joining.next().expect("as many devices join as leave"), true),
+            })
     }
 
-    /// The old positions a gather reads: each moving or absent shard's.
+    /// The shards a gather reads: each moving or absent one.
     fn reads<'a>(
         &'a self,
         old: &'a [u64],
         new: &'a [u64],
     ) -> impl Iterator<Item = usize> + Clone + 'a {
-        self.pairing(old, new, |o, n| position_of(o) == position_of(n))
-            .filter(move |&(j, moves)| moves || !self.present(old[j]))
-            .map(|(j, _)| j)
+        Self::pairing(old, new, |o, n| position_of(o) == position_of(n))
+            .zip(old)
+            .enumerate()
+            .filter_map(move |(i, ((_, moves), &o))| (moves || !self.present(o)).then_some(i))
     }
 
     /// Read-only gather for one migrating or repaired block: appends its new
     /// row to `rows` and each landing shard's payload to `lands`. A present
     /// shard staying on its device ([`StorageCluster::pairing`]) keeps its
-    /// `old` word, at any position. Each other lands on its `new` device,
-    /// read from its paired `old` position or recovered, and while those are
+    /// slot and takes its `new` entry's tag. Each other lands on its `new`
+    /// device, read from its `old` slot or recovered, and while those are
     /// present nothing else is read ([`StorageCluster::read_shards`]).
     fn gather_block(
         &self,
@@ -1283,11 +1309,12 @@ impl StorageCluster {
         lands: &mut Vec<u8>,
         outcome: &mut ExecOutcome,
     ) -> Result<(), VdsError> {
-        let pairs = self.pairing(old, new, |o, n| position_of(o) == position_of(n));
-        for ((j, moves), &n) in pairs.zip(new) {
+        let pairs = Self::pairing(old, new, |o, n| position_of(o) == position_of(n));
+        for ((t, moves), &o) in pairs.zip(old) {
             outcome.moved += u64::from(moves);
-            let keeps = !moves && self.present(old[j]);
-            rows.push(if keeps { old[j] } else { n & !SLOT_MASK });
+            let keeps = !moves && self.present(o);
+            let word = if keeps { o } else { new[t] & !SLOT_MASK };
+            rows.push(tagged(word, tag_of(new[t])));
         }
         let landing = self.reads(old, new);
         let (from, count) = (lands.len(), landing.clone().count());
@@ -1622,14 +1649,14 @@ impl StorageCluster {
             new.clear();
             place_append(&candidate, lba, &mut new);
             let before = plan.moves.len();
-            let pairs = self.pairing(old, &new, |o, n| self.names(o, n));
-            for (copy, ((j, moves), &to)) in pairs.zip(&new).enumerate() {
+            let pairs = Self::pairing(old, &new, |o, n| self.names(o, n));
+            for (copy, ((t, moves), &o)) in pairs.zip(old).enumerate() {
                 if moves {
                     plan.moves.push(ShardMove {
                         lba,
                         copy,
-                        from: self.id_of(old[j]),
-                        to,
+                        from: self.id_of(o),
+                        to: new[t],
                     });
                 }
             }
@@ -2311,49 +2338,63 @@ mod tests {
         RedundantShare::new(&BinSet::new(bins).unwrap(), k).unwrap()
     }
 
-    /// A mirror change copies a block only to the devices new to its set,
-    /// each copy read once from a device that leaves the set, and every
-    /// row ends in target placement order. An add, a removal and a
-    /// rebuild, each checked against placements over the bins before and
-    /// after it. RS(4, 2) moves every shard whose position changed device.
+    /// Every codec's membership change copies a block's shards only to the
+    /// devices new to its set, each from a device that leaves it, and every
+    /// other shard stays in its slot: an add, a removal, a rebuild, a lazy
+    /// add drained in budgets and a removal stacked on an unfinished lazy
+    /// add, each checked against the block's placements before and after.
+    /// Then a data shard lost from a block whose shards no longer follow
+    /// placement order still degrades the block's next read.
     #[test]
-    fn mirror_changes_copy_only_to_devices_new_to_a_block() {
+    fn changes_copy_only_to_devices_new_to_a_block() {
+        const BLOCKS: u64 = 3_000;
+        let size = 96;
         let redundancies = [
             Redundancy::Mirror { copies: 2 },
             Redundancy::Mirror { copies: 3 },
             Redundancy::ReedSolomon { data: 4, parity: 2 },
+            Redundancy::LocalReconstruction {
+                groups: 2,
+                group_size: 2,
+                global_parity: 1,
+            },
+            Redundancy::EvenOdd { p: 3 },
+            Redundancy::Rdp { p: 5 },
+            Redundancy::XorParity { data: 4 },
         ];
         for redundancy in redundancies {
-            let k = redundancy.total_shards();
-            let mirror = matches!(redundancy, Redundancy::Mirror { .. });
-            let mut bins: Vec<(u64, u64)> = (0..10).map(|id| (id, 2_000 + 100 * id)).collect();
             let b = StorageCluster::builder()
-                .block_size(64)
+                .block_size(size)
                 .redundancy(redundancy);
-            let mut c = (bins.iter())
-                .fold(b, |b, &(id, capacity)| b.device(id, capacity))
+            let mut c = (0..10u64)
+                .fold(b, |b, id| b.device(id, 3_000 + 100 * id))
                 .build()
                 .unwrap();
-            for lba in 0..3_000u64 {
-                c.write_block(lba, &block(lba as u8, 64)).unwrap();
+            for lba in 0..BLOCKS {
+                c.write_block(lba, &block(lba as u8, size)).unwrap();
             }
             let (mut moved, mut positional) = (0, 0);
-            for change in ["add", "remove", "rebuild"] {
-                let before = strategy_over(&bins, k);
+            for change in ["add", "remove", "rebuild", "lazy add", "stacked"] {
+                if change == "stacked" {
+                    c.add_device_lazy(12, 3_800).unwrap();
+                    c.migrate_batch(1_000).unwrap();
+                    assert_eq!(c.pending_blocks(), BLOCKS - 1_000);
+                }
+                let before: Vec<Vec<u64>> = (0..BLOCKS).map(|lba| c.placement(lba)).collect();
+                let rows: Vec<Vec<u64>> = (0..BLOCKS)
+                    .map(|lba| c.table.peek(lba).unwrap().to_vec())
+                    .collect();
                 let reads = reads_of_every_device(&c);
                 let (plan, report) = match change {
-                    "add" => {
-                        bins.push((10, 3_000));
-                        let plan = c.plan_add_device(10, 3_000).unwrap();
-                        (plan, c.add_device(10, 3_000).unwrap())
-                    }
-                    "remove" => {
-                        bins.retain(|&(id, _)| id != 3);
-                        let plan = c.plan_remove_device(3).unwrap();
-                        (plan, c.remove_device(3).unwrap())
-                    }
-                    _ => {
-                        bins.retain(|&(id, _)| id != 5);
+                    "add" => (
+                        c.plan_add_device(10, 4_000).unwrap(),
+                        c.add_device(10, 4_000).unwrap(),
+                    ),
+                    "remove" => (
+                        c.plan_remove_device(3).unwrap(),
+                        c.remove_device(3).unwrap(),
+                    ),
+                    "rebuild" => {
                         let held = c.device(5).unwrap().used_blocks();
                         c.fail_device(5).unwrap();
                         let plan = c.plan_rebuild().unwrap();
@@ -2361,46 +2402,83 @@ mod tests {
                         assert_eq!(report.shards_reconstructed, held, "{redundancy:?}");
                         (plan, report)
                     }
+                    "lazy add" => {
+                        let plan = c.plan_add_device(11, 3_500).unwrap();
+                        c.add_device_lazy(11, 3_500).unwrap();
+                        let mut report = MigrationReport::default();
+                        while c.pending_blocks() > 0 {
+                            report.merge(c.migrate_batch(700).unwrap());
+                        }
+                        (plan, report)
+                    }
+                    _ => (
+                        c.plan_remove_device(0).unwrap(),
+                        c.remove_device(0).unwrap(),
+                    ),
                 };
-                let after = strategy_over(&bins, k);
-                let mut want = 0;
-                for lba in 0..3_000u64 {
-                    let (old, new) = (before.place(lba), after.place(lba));
-                    let joined = new.iter().filter(|id| !old.contains(id)).count() as u64;
-                    let shifted = old.iter().zip(&new).filter(|(o, n)| o != n).count() as u64;
-                    want += if mirror { joined } else { shifted };
-                    positional += shifted;
-                }
                 let what = format!("{redundancy:?} {change}");
-                assert!(report.shards_moved > 0, "{what}");
-                assert_eq!(report.shards_moved, want, "{what}");
-                moved += want;
-                assert_eq!(plan.moves.len() as u64, want, "{what}");
-                if mirror {
-                    assert_eq!(reads_of_every_device(&c) - reads, want, "{what}");
-                    for m in &plan.moves {
-                        let (old, new) = (before.place(m.lba), after.place(m.lba));
-                        assert!(old.contains(&BinId(m.from)), "{what}: {m:?}");
-                        assert!(!new.contains(&BinId(m.from)), "{what}: {m:?}");
-                        assert!(!old.contains(&BinId(m.to)) && new[m.copy] == BinId(m.to));
+                let mut want = 0;
+                for lba in 0..BLOCKS {
+                    let (old, new) = (&before[lba as usize], c.placement(lba));
+                    want += new.iter().filter(|id| !old.contains(id)).count() as u64;
+                    positional += old.iter().zip(&new).filter(|(o, n)| o != n).count() as u64;
+                    let row = c.table.peek(lba).unwrap();
+                    for (&o, &n) in rows[lba as usize].iter().zip(row) {
+                        if new.contains(&c.id_of(o)) {
+                            assert!(same_slot(o, n), "{what}: lba {lba} shard left its slot");
+                        }
                     }
                 }
-                assert_matches_fresh(&c, 0..3_000);
-                assert_reads_hit(&c, 0..3_000);
+                assert!(report.shards_moved > 0, "{what}");
+                assert_eq!(report.shards_moved, want, "{what}");
+                assert_eq!(plan.moves.len() as u64, want, "{what}");
+                moved += want;
+                if c.codec.is_none() || change != "rebuild" {
+                    assert_eq!(reads_of_every_device(&c) - reads, want, "{what}");
+                }
+                for m in &plan.moves {
+                    let (old, new) = (&before[m.lba as usize], c.placement(m.lba));
+                    assert!(
+                        old.contains(&m.from) && !new.contains(&m.from),
+                        "{what}: {m:?}"
+                    );
+                    assert!(!old.contains(&m.to) && new.contains(&m.to), "{what}: {m:?}");
+                    assert_eq!(c.id_of(c.table.peek(m.lba).unwrap()[m.copy]), m.to);
+                }
+                assert_matches_fresh(&c, 0..BLOCKS);
+                let mut buf = vec![0u8; size];
+                for lba in 0..BLOCKS {
+                    c.read_block_into(lba, &mut buf).unwrap();
+                    assert_eq!(buf, block(lba as u8, size), "{what}: lba {lba}");
+                }
             }
-            if mirror {
-                // A kept copy that changed position is not moved.
-                assert!(
-                    moved < positional,
-                    "{redundancy:?}: {moved} of {positional}"
-                );
+            // A shard that stays on its device is not moved.
+            assert!(
+                moved < positional,
+                "{redundancy:?}: {moved} of {positional}"
+            );
+            let Some(d) = c.codec.as_deref().map(ErasureCode::data_shards) else {
+                continue;
+            };
+            let mut buf = vec![0u8; size];
+            for i in 0..d {
+                let lba = (0..BLOCKS)
+                    .find(|&lba| {
+                        let row = c.table.peek(lba).unwrap();
+                        row.iter().all(|&w| slot_of(w).is_some()) && tag_of(row[i]) != i
+                    })
+                    .expect("a block whose data shard left its placement index");
+                assert!(c.inject_shard_loss(lba, i));
+                assert_eq!(c.read_into_inner(lba, &mut buf), Ok(true), "{redundancy:?}");
+                assert_eq!(buf, block(lba as u8, size));
             }
+            assert_eq!(c.repair().unwrap(), d as u64);
         }
     }
 
     /// A drain or a repair leaves the chunk buffer at most one shard per
-    /// chunk block, though an RS(4, 2) add and a repair of two shards per
-    /// block land more in a chunk.
+    /// chunk block, though an RS(4, 2) rebuild after two failures and a
+    /// repair of two shards per block land more in a chunk.
     #[test]
     fn drains_and_repairs_leave_a_bounded_chunk_buffer() {
         let blocks = 2 * MIGRATION_CHUNK_BLOCKS as u64;
@@ -2415,7 +2493,9 @@ mod tests {
         let data: Vec<u8> = lbas.iter().flat_map(|&l| block(l as u8, 64)).collect();
         c.write_blocks(&lbas, &data).unwrap();
         let bound = MIGRATION_CHUNK_BLOCKS * c.shard_len();
-        let report = c.add_device(8, 20_000).unwrap();
+        c.fail_device(0).unwrap();
+        c.fail_device(1).unwrap();
+        let report = c.rebuild().unwrap();
         assert!(report.shards_moved > 2 * MIGRATION_CHUNK_BLOCKS as u64);
         assert!(c.scratch.chunk.capacity() <= bound);
         for lba in 0..MIGRATION_CHUNK_BLOCKS as u64 {
@@ -2426,41 +2506,48 @@ mod tests {
         assert_reads_hit(&c, 0..blocks);
     }
 
-    /// A mirror block whose target names the devices it is on, in another
-    /// order, is restamped in that order with no data moved: each copy
-    /// keeps its slot, nothing is read or written, and no slot is freed.
+    /// A block whose target names the devices it is on, in another order,
+    /// is retagged in that order with no data moved: each shard keeps its
+    /// index and slot, nothing is read or written, and no slot is freed.
     #[test]
-    fn a_reordered_mirror_block_is_restamped_in_place() {
-        let mut c = StorageCluster::builder()
-            .block_size(64)
-            .redundancy(Redundancy::Mirror { copies: 3 })
-            .device(0, 100)
-            .device(1, 100)
-            .device(2, 100)
-            .device(3, 100)
-            .build()
-            .unwrap();
-        c.write_block(7, &block(7, 64)).unwrap();
-        let old = c.table.peek(7).unwrap().to_vec();
-        let mut new: Vec<u64> = old.iter().map(|&w| w & !SLOT_MASK).collect();
-        new.rotate_left(1);
-        let (ids, used) = (c.placement(7), c.utilization());
-        c.reset_stats();
-        let outcome = c.execute_block_ops(&[7], &[0], &old, &new).unwrap();
-        assert_eq!(
-            (outcome.moved, outcome.stored, outcome.reconstructed),
-            (0, 0, 0)
-        );
-        let mut rotated = old.clone();
-        rotated.rotate_left(1);
-        assert_eq!(c.table.peek(7).unwrap(), rotated);
-        let mut want = ids;
-        want.rotate_left(1);
-        assert_eq!(c.placement(7), want);
-        assert_eq!(c.utilization(), used);
-        let touched = c.listed().map(|d| d.stats().reads + d.stats().writes);
-        assert_eq!(touched.sum::<u64>(), 0);
-        assert_eq!(c.read_block(7).unwrap(), block(7, 64));
+    fn a_reordered_block_is_retagged_in_place() {
+        for redundancy in [
+            Redundancy::Mirror { copies: 3 },
+            Redundancy::ReedSolomon { data: 2, parity: 1 },
+        ] {
+            let mut c = StorageCluster::builder()
+                .block_size(64)
+                .redundancy(redundancy)
+                .device(0, 100)
+                .device(1, 100)
+                .device(2, 100)
+                .device(3, 100)
+                .build()
+                .unwrap();
+            c.write_block(7, &block(7, 64)).unwrap();
+            let old = c.table.peek(7).unwrap().to_vec();
+            let mut new: Vec<u64> = old.iter().map(|&w| w & !SLOT_MASK).collect();
+            new.rotate_left(1);
+            for (t, word) in new.iter_mut().enumerate() {
+                *word = tagged(*word, t);
+            }
+            let (ids, used) = (c.placement(7), c.utilization());
+            c.reset_stats();
+            let outcome = c.execute_block_ops(&[7], &[0], &old, &new).unwrap();
+            assert_eq!(
+                (outcome.moved, outcome.stored, outcome.reconstructed),
+                (0, 0, 0)
+            );
+            let row = c.table.peek(7).unwrap();
+            assert!(row.iter().zip(&old).all(|(&n, &o)| same_slot(n, o)));
+            let mut want = ids;
+            want.rotate_left(1);
+            assert_eq!(c.placement(7), want, "{redundancy:?}");
+            assert_eq!(c.utilization(), used);
+            let touched = c.listed().map(|d| d.stats().reads + d.stats().writes);
+            assert_eq!(touched.sum::<u64>(), 0);
+            assert_eq!(c.read_block(7).unwrap(), block(7, 64));
+        }
     }
 
     /// A chunk that gains a slot on a full device is refused even though
@@ -3638,6 +3725,13 @@ mod tests {
         // Duplicate device id.
         assert!(matches!(
             StorageCluster::builder().device(0, 1).device(0, 2).build(),
+            Err(VdsError::InvalidConfig { .. })
+        ));
+        // A row word's tag indexes at most 256 shards, however many
+        // devices there are.
+        let b = StorageCluster::builder().redundancy(Redundancy::Mirror { copies: 257 });
+        assert!(matches!(
+            (0..257).fold(b, |b, id| b.device(id, 1)).build(),
             Err(VdsError::InvalidConfig { .. })
         ));
     }

@@ -20,7 +20,7 @@ pub struct MigrationReport {
     pub blocks: u64,
     /// Total shards examined (`blocks × total_shards`).
     pub shards_total: u64,
-    /// Shards copied to a device new to them (mirror copies by device set).
+    /// Shards copied to a device new to their block's set.
     pub shards_moved: u64,
     /// Shards that had to be reconstructed from redundancy because their
     /// source device was gone.
@@ -55,9 +55,9 @@ impl MigrationReport {
 pub struct ShardMove {
     /// Logical block address of the redundancy group.
     pub lba: u64,
-    /// The shard's position in the block's target placement.
+    /// Which shard moves: its index in the block's row (copy or shard `i`).
     pub copy: usize,
-    /// Device read from: shard `copy`'s now; for mirrors, one leaving the set.
+    /// Device read from: shard `copy`'s now, one leaving the block's set.
     pub from: u64,
     /// Device that will hold it after the change.
     pub to: u64,
@@ -72,8 +72,8 @@ pub struct ShardMove {
 /// measured competitive ratio) before committing to a change.
 ///
 /// Each stored block's row is paired with its placement under the
-/// candidate membership as the executor pairs them (mirror copies by
-/// device set); the moves are sorted by `(from, to, lba, copy)`.
+/// candidate membership as the executor pairs them (by device set); the
+/// moves are sorted by `(from, to, lba, copy)`.
 #[derive(Debug, Clone, Default)]
 pub struct MigrationPlan {
     /// Every shard that would be copied to a device, sorted by

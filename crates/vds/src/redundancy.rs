@@ -1,10 +1,10 @@
 //! Redundancy schemes for blocks: mirroring or erasure coding.
 //!
 //! A logical block is expanded into a *redundancy group* of `total_shards`
-//! shards; shard `i` is stored on the i-th bin returned by the placement
-//! strategy — exactly the copy-identity property the paper requires for
-//! erasure-coded data ("each sub-block has a different meaning and
-//! therefore has to be handled differently").
+//! shards; the block's row records which device holds shard `i` (first the
+//! i-th bin the placement strategy returns) — the copy identity the paper
+//! requires for erasure-coded data ("each sub-block has a different
+//! meaning and therefore has to be handled differently").
 
 use rshare_erasure::{ArrayCode, ErasureCode, MatrixCode, ReedSolomon};
 

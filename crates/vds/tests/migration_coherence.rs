@@ -5,7 +5,7 @@
 //! rebuild, lazy adds drained by `migrate_batch`) followed by a final
 //! `rebalance`, every block's served bytes are identical to what was
 //! written, and every placement matches a freshly built cluster over the
-//! same device set. A second property pins the paper's Lemma 3.2 bound:
+//! same device set, under mirroring, RS(4, 2) and an LRC alike. A second property pins the paper's Lemma 3.2 bound:
 //! the planned migration for a single-device add or remove moves at most
 //! 4× the fair minimum, and a deterministic sweep checks it — and Lemma
 //! 3.5's k² bound for erasure groups — at every cluster size up to 130.
@@ -24,14 +24,28 @@ fn payload(lba: u64, salt: u8) -> Vec<u8> {
         .collect()
 }
 
-fn base_cluster() -> StorageCluster {
-    StorageCluster::builder()
-        .block_size(BLOCK_SIZE)
-        .redundancy(Redundancy::Mirror { copies: 2 })
-        .device(0, 8_000)
-        .device(1, 10_000)
-        .device(2, 12_000)
-        .device(3, 9_000)
+/// The schemes the churn property runs under: every codec pairs a
+/// block's shards with its new devices by one rule.
+const CHURN_REDUNDANCIES: [Redundancy; 3] = [
+    Redundancy::Mirror { copies: 2 },
+    Redundancy::ReedSolomon { data: 4, parity: 2 },
+    Redundancy::LocalReconstruction {
+        groups: 2,
+        group_size: 2,
+        global_parity: 1,
+    },
+];
+
+/// A cluster of `k + 2` devices, 8,000–13,000 blocks each.
+fn base_cluster(redundancy: Redundancy) -> StorageCluster {
+    let devices = redundancy.total_shards() as u64 + 2;
+    (0..devices)
+        .fold(
+            StorageCluster::builder()
+                .block_size(BLOCK_SIZE)
+                .redundancy(redundancy),
+            |b, id| b.device(id, 8_000 + 1_000 * (id % 6)),
+        )
         .build()
         .unwrap()
 }
@@ -52,13 +66,13 @@ fn apply_op(
         }
         1 => {
             let ids = c.device_ids();
-            if ids.len() > 3 {
+            if ids.len() > c.redundancy().total_shards() {
                 c.remove_device(*ids.last().expect("non-empty"))?;
             }
         }
         2 => {
             let ids = c.device_ids();
-            if ids.len() > 3 {
+            if ids.len() > c.redundancy().total_shards() {
                 c.fail_device(ids[0])?;
                 c.rebuild()?;
             }
@@ -96,13 +110,15 @@ proptest! {
 
     /// After random membership churn and a final `rebalance`, served data
     /// is byte-identical to what was written and every placement matches
-    /// a freshly built (strategy-only) cluster over the same devices.
+    /// a freshly built (strategy-only) cluster over the same devices, for
+    /// each of [`CHURN_REDUNDANCIES`].
     #[test]
     fn rebalance_preserves_data_and_matches_fresh_strategy(
         ops in prop::collection::vec(0u8..6, 1..8),
         seed in any::<u64>(),
     ) {
-        let mut c = base_cluster();
+        for redundancy in CHURN_REDUNDANCIES {
+        let mut c = base_cluster(redundancy);
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
         for lba in 0..BLOCKS {
             let data = payload(lba, 0);
@@ -120,12 +136,12 @@ proptest! {
         let mut got = vec![0u8; BLOCK_SIZE];
         for lba in 0..BLOCKS {
             c.read_block_into(lba, &mut got).unwrap();
-            prop_assert_eq!(&got, &model[&lba], "data diverged at lba {}", lba);
+            prop_assert_eq!(&got, &model[&lba], "{:?}: data diverged at lba {}", redundancy, lba);
         }
         // Placements equal a fresh cluster's over the same device set.
         let mut builder = StorageCluster::builder()
             .block_size(BLOCK_SIZE)
-            .redundancy(Redundancy::Mirror { copies: 2 });
+            .redundancy(redundancy);
         for id in c.device_ids() {
             builder = builder.device(id, c.device(id).unwrap().capacity_blocks());
         }
@@ -134,12 +150,14 @@ proptest! {
             prop_assert_eq!(
                 c.placement(lba),
                 fresh.placement(lba),
-                "placement diverged from fresh strategy at lba {}",
+                "{:?}: placement diverged from fresh strategy at lba {}",
+                redundancy,
                 lba
             );
         }
         // Full redundancy everywhere: nothing latent left behind.
         prop_assert_eq!(c.scrub().unwrap(), 0);
+        }
     }
 
     /// Lemma 3.2: a single-device add or remove plans at most 4× the fair

@@ -38,7 +38,10 @@
 //!    `code_reconstruct2_<code>`): XOR parity, EVENODD, RDP, RS(4, 2) and
 //!    LRC.
 //! 5. **Stripe writes** — the fused `write_blocks` batch pipeline vs a
-//!    `write_block` loop over the same overwrite working set.
+//!    `write_block` loop over the same overwrite working set. And first
+//!    writes of the churn-sized cluster of item 2, from empty, in
+//!    1,024-block `write_blocks` batches (`write_blocks_first`, blocks per
+//!    second), the path perfbench's `churn` set-up takes.
 //! 6. **Repair** — fused `repair()` (scan → gather → reconstruct → store
 //!    only the missing shards) vs the oracle-free per-block recipe: read
 //!    every block (degraded reads reconstruct) and write it back. Both
@@ -273,14 +276,9 @@ fn bench_reads(quick: bool, cells: &mut Vec<Cell>) {
     ));
 }
 
-/// `read_block_into` in random order over a churn-sized cluster: [`MEM_BLOCKS`]
-/// 2-way-mirror blocks of 64 B on [`MEM_DEVICES`] devices of 20,000–50,000
-/// shards, metrics off ([`MEM_BLOCKS`] / 16 blocks under `--quick`). Then
-/// one `degraded_block_count()` walk over the same rows.
-fn bench_random_reads(quick: bool, cells: &mut Vec<Cell>) {
-    const DOMAIN: u64 = 0x5241_4e44_5245_4144; // "RANDREAD"
-    let blocks: u64 = if quick { MEM_BLOCKS / 16 } else { MEM_BLOCKS };
-    let reads: u64 = if quick { 1 << 16 } else { 1 << 20 };
+/// An empty churn-sized cluster: 2-way mirror, 64 B blocks,
+/// [`MEM_DEVICES`] devices of 20,000–50,000 shards, metrics off.
+fn churn_cluster() -> StorageCluster {
     let mut b = StorageCluster::builder()
         .block_size(64)
         .redundancy(Redundancy::Mirror { copies: MEM_COPIES })
@@ -288,12 +286,57 @@ fn bench_random_reads(quick: bool, cells: &mut Vec<Cell>) {
     for id in 0..MEM_DEVICES {
         b = b.device(id, 20_000 + 10_000 * (id % 4));
     }
-    let mut c = b.build().expect("valid cluster");
+    b.build().expect("valid cluster")
+}
+
+/// Blocks `0..blocks` of a churn-sized cluster ([`MEM_BLOCKS`], or 1/16
+/// of them under `--quick`) and their payloads, block `lba` filled with
+/// the byte `lba as u8`.
+fn churn_blocks(quick: bool) -> (Vec<u64>, Vec<u8>) {
+    let blocks: u64 = if quick { MEM_BLOCKS / 16 } else { MEM_BLOCKS };
     let lbas: Vec<u64> = (0..blocks).collect();
-    for chunk in lbas.chunks(1024) {
-        let data: Vec<u8> = chunk.iter().flat_map(|&lba| [lba as u8; 64]).collect();
-        c.write_blocks(chunk, &data).expect("write");
+    let data = lbas.iter().flat_map(|&lba| [lba as u8; 64]).collect();
+    (lbas, data)
+}
+
+/// Writes `lbas` into `c` as first writes, in 1,024-block `write_blocks`
+/// batches.
+fn write_first(c: &mut StorageCluster, lbas: &[u64], data: &[u8]) {
+    for (chunk, data) in lbas.chunks(1024).zip(data.chunks(1024 * 64)) {
+        c.write_blocks(chunk, data).expect("write");
     }
+}
+
+/// First writes into an empty churn-sized cluster ([`churn_cluster`],
+/// [`churn_blocks`]) in 1,024-block batches (`write_blocks_first`, blocks
+/// per second): placement, row inserts and fresh slots, perfbench's
+/// `churn` set-up. Each repetition builds its empty cluster untimed.
+fn bench_first_writes(quick: bool, cells: &mut Vec<Cell>) {
+    let (lbas, data) = churn_blocks(quick);
+    let [ns] = time_reps(REPS, |lap| {
+        let mut c = churn_cluster();
+        lap.time(0, || write_first(&mut c, &lbas, &data));
+        assert_eq!(c.block_count(), lbas.len() as u64);
+    });
+    cells.push(Cell::new(
+        "write_blocks",
+        "first",
+        lbas.len() as u64,
+        "blocks",
+        &ns,
+    ));
+}
+
+/// `read_block_into` in random order over a churn-sized cluster
+/// ([`churn_cluster`], [`churn_blocks`]). Then one
+/// `degraded_block_count()` walk over the same rows.
+fn bench_random_reads(quick: bool, cells: &mut Vec<Cell>) {
+    const DOMAIN: u64 = 0x5241_4e44_5245_4144; // "RANDREAD"
+    let reads: u64 = if quick { 1 << 16 } else { 1 << 20 };
+    let mut c = churn_cluster();
+    let (lbas, data) = churn_blocks(quick);
+    write_first(&mut c, &lbas, &data);
+    let blocks = lbas.len() as u64;
     let order: Vec<u64> = (0..reads)
         .map(|i| rshare_hash::stable_hash2(i, DOMAIN) % blocks)
         .collect();
@@ -903,6 +946,7 @@ fn main() {
     bench_placement(quick, &mut cells);
     bench_reads(quick, &mut cells);
     bench_random_reads(quick, &mut cells);
+    bench_first_writes(quick, &mut cells);
     bench_ec_random_reads(quick, &mut cells);
     bench_rs_encode(quick, &mut cells);
     bench_rs_reconstruct(quick, &mut cells);

@@ -193,16 +193,19 @@ impl<S: SingleCopySelector> RedundantShare<S> {
         self.model.head_boost[s]
     }
 
-    /// The Algorithm 4 scan, emitting the `k` chosen bins in copy order.
+    /// The Algorithm 4 scan, emitting the indices into
+    /// [`PlacementStrategy::bin_ids`] of the `k` chosen bins in copy order.
     ///
-    /// Shared by the `Vec`-filling [`PlacementStrategy::place_into`] and
-    /// the stack-array [`PlacementStrategy::place_into_inline`]; the emit
-    /// destination is the only difference between the two, so they are
-    /// bit-identical by construction.
-    fn scan_place(&self, ball: u64, mut emit: impl FnMut(BinId)) {
+    /// The one scan behind the `Vec`-filling
+    /// [`PlacementStrategy::place_into`] and the stack-array
+    /// [`PlacementStrategy::place_into_inline`], which map each index to
+    /// its id, so the three are bit-identical by construction. A caller
+    /// keeping a table parallel to the bins (a storage layer's device
+    /// handles, say) indexes it without an id lookup.
+    pub fn place_indices(&self, ball: u64, mut emit: impl FnMut(usize)) {
         let k = self.model.k;
         if k == 1 {
-            emit(self.ids[self.place_last(ball, 0)]);
+            emit(self.place_last(ball, 0));
             return;
         }
         let mut i = 0usize;
@@ -219,10 +222,10 @@ impl<S: SingleCopySelector> RedundantShare<S> {
                 .zip(&self.cut_row(r)[i..end])
                 .position(|(&name, &cut)| (stable_hash3(ball, name, SCAN_DOMAIN) >> 11) < cut)
                 .unwrap_or(end - i);
-            emit(self.ids[i]);
+            emit(i);
             i += 1;
         }
-        emit(self.ids[self.place_last(ball, i)]);
+        emit(self.place_last(ball, i));
     }
 
     /// The contiguous integer cuts of scan level `r` (`2 ≤ r ≤ k`).
@@ -261,7 +264,7 @@ impl<S: SingleCopySelector> PlacementStrategy for RedundantShare<S> {
 
     fn place_into(&self, ball: u64, out: &mut Vec<BinId>) {
         out.clear();
-        self.scan_place(ball, |id| out.push(id));
+        self.place_indices(ball, |b| out.push(self.ids[b]));
     }
 
     fn place_into_inline(&self, ball: u64, out: &mut [BinId; crate::MAX_INLINE_K]) -> usize {
@@ -271,8 +274,8 @@ impl<S: SingleCopySelector> PlacementStrategy for RedundantShare<S> {
             "replication {k} exceeds inline capacity"
         );
         let mut n = 0usize;
-        self.scan_place(ball, |id| {
-            out[n] = id;
+        self.place_indices(ball, |b| {
+            out[n] = self.ids[b];
             n += 1;
         });
         n

@@ -135,31 +135,34 @@ pub(super) fn xor_acc(acc: &mut [u8], data: &[u8]) {
     super::xor_acc_words(acc, data);
 }
 
-/// Hints the CPU to fetch every 64-byte cache line of `bytes` into its
+/// Hints the CPU to fetch every 64-byte cache line of `items` into its
 /// caches, without waiting for any of them: one `prefetcht0` at the first
-/// byte and one at the start of each later line the slice reaches. A
-/// write into the slice a little later then finds its lines on the way,
-/// and unlike a load, a prefetch holds up no instruction behind it. A
-/// no-op off x86-64.
+/// byte and one at the start of each later line the slice reaches. An
+/// access to the slice a little later then finds its lines on the way,
+/// and unlike a load, a prefetch holds up no instruction behind it. Any
+/// element type is hinted by its bytes: shard slots (`u8`) and
+/// block-table rows (`u64`) alike. A no-op off x86-64.
 #[inline]
-pub fn prefetch(bytes: &[u8]) {
+pub fn prefetch<T>(items: &[T]) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let start = bytes.as_ptr() as usize;
+        let (first, len) = (items.as_ptr().cast::<u8>(), std::mem::size_of_val(items));
+        let start = first as usize;
         let mut offset = 0;
-        while offset < bytes.len() {
-            let line = bytes.as_ptr().wrapping_add(offset).cast::<i8>();
+        while offset < len {
+            let line = first.wrapping_add(offset).cast::<i8>();
             // SAFETY: a prefetch is a hint that never faults and writes
-            // nothing, whatever the address; `offset < bytes.len()`, so
-            // every address hinted lies inside the slice anyway. SSE, the
-            // instruction's feature, is part of every x86-64 CPU.
+            // nothing, whatever the address; `offset < len`, the slice's
+            // byte length, so every address hinted lies inside the slice
+            // anyway. SSE, the instruction's feature, is part of every
+            // x86-64 CPU.
             unsafe { _mm_prefetch::<_MM_HINT_T0>(line) };
             offset = ((start + offset) | 63) + 1 - start;
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = bytes;
+    let _ = items;
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -335,6 +338,13 @@ mod tests {
             let before = slice.to_vec();
             prefetch(slice);
             assert_eq!(slice, before.as_slice());
+        }
+        // Wider elements are hinted by their bytes: rows of 3 words.
+        let words: Vec<u64> = (0..40).collect();
+        for row in [&words[..0], &words[7..10], &words[1..40]] {
+            let before = row.to_vec();
+            prefetch(row);
+            assert_eq!(row, before.as_slice());
         }
     }
 }

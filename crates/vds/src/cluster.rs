@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rshare_core::capacity::max_balls;
-use rshare_core::{Bin, BinId, BinSet, PlacementStrategy, RedundantShare, MAX_INLINE_K};
+use rshare_core::{Bin, BinId, BinSet, PlacementStrategy, RedundantShare};
 use rshare_erasure::gf256::{kernel_tier, simd::prefetch};
 use rshare_erasure::{ErasureCode, ErasureError};
 use rshare_hash::stable_hash2;
@@ -217,7 +217,8 @@ impl ClusterBuilder {
             positions: BTreeMap::new(),
             redundancy: self.redundancy,
             codec,
-            strategy,
+            strategy: strategy.clone(),
+            targets: Vec::new(),
             block_size: self.block_size,
             table: BlockTable::new(self.redundancy.total_shards()),
             pending: BTreeSet::new(),
@@ -229,6 +230,7 @@ impl ClusterBuilder {
         for &(id, capacity, profile) in &self.devices {
             cluster.attach(Device::with_profile(id, capacity, shard_len, profile));
         }
+        cluster.install(strategy);
         Ok(cluster)
     }
 }
@@ -246,6 +248,9 @@ pub struct StorageCluster {
     redundancy: Redundancy,
     codec: Option<Box<dyn ErasureCode>>,
     strategy: RedundantShare,
+    /// Per bin of `strategy`, by index, a row word naming its device and
+    /// no slot ([`StorageCluster::install`]).
+    targets: Vec<u64>,
     block_size: usize,
     /// One row per stored block: the block index, and the slots its shards
     /// were last committed to.
@@ -424,6 +429,7 @@ fn land<P: Payloads>(
     let Ahead { taken, next } = ahead;
     take_ahead::<P>(devices, rows.get(..k).unwrap_or_default(), taken);
     for (j, &lba) in lbas.iter().enumerate() {
+        table.prefetch(lbas, j);
         let following = rows.get((j + 1) * k..(j + 2) * k);
         take_ahead::<P>(devices, following.unwrap_or_default(), next);
         if let Err(e) = payloads.ready() {
@@ -512,18 +518,6 @@ struct ExecOutcome {
     stored: u64,
 }
 
-/// Appends `strategy`'s placement of `lba` to `out` as raw device ids,
-/// through an inline buffer for groups that fit one.
-fn place_append(strategy: &RedundantShare, lba: u64, out: &mut Vec<u64>) {
-    if strategy.replication() <= MAX_INLINE_K {
-        let mut arr = [BinId(0); MAX_INLINE_K];
-        let n = strategy.place_into_inline(lba, &mut arr);
-        out.extend(arr[..n].iter().map(|id| id.raw()));
-    } else {
-        out.extend(strategy.place(lba).into_iter().map(|id| id.raw()));
-    }
-}
-
 impl std::fmt::Debug for StorageCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StorageCluster")
@@ -589,17 +583,16 @@ impl StorageCluster {
         self.tally.slots.push([0; 3]);
     }
 
-    /// The row word, without a slot, naming the listed device `id`.
-    fn device_word(&self, id: u64) -> Result<u64, VdsError> {
-        let position = self
-            .positions
-            .get(&id)
-            .ok_or(VdsError::UnknownDevice { id })?;
-        Ok(u64::from(*position) << 32)
+    /// Appends `lba`'s target row: one word without a slot per shard,
+    /// shard `t` on the t-th device of the target placement, tagged `t`.
+    fn target_row(&self, lba: u64, out: &mut Vec<u64>) {
+        let at = out.len();
+        self.strategy
+            .place_indices(lba, |b| out.push(tagged(self.targets[b], out.len() - at)));
     }
 
-    /// Whether a row word names the listed device `id`. A device that
-    /// left the map is failed, so only a failed one needs the map.
+    /// Whether a row word names the listed device `id` (for plans, whose
+    /// joining device has no position). Only a failed one needs the map.
     fn names(&self, word: u64, id: u64) -> bool {
         let device = &self.devices[position_of(word)];
         device.id() == id
@@ -689,15 +682,12 @@ impl StorageCluster {
                 out.resize(row.len(), 0);
                 row.iter().for_each(|&w| out[tag_of(w)] = self.id_of(w));
             }
-            None => self.compute_into(lba, out),
+            None => {
+                self.placements_computed.fetch_add(1, Ordering::Relaxed);
+                let ids = self.strategy.bin_ids();
+                self.strategy.place_indices(lba, |b| out.push(ids[b].raw()));
+            }
         }
-    }
-
-    /// Appends the target strategy's placement of `lba` to `out`, counted
-    /// as a placement computed.
-    fn compute_into(&self, lba: u64, out: &mut Vec<u64>) {
-        self.placements_computed.fetch_add(1, Ordering::Relaxed);
-        place_append(&self.strategy, lba, out);
     }
 
     /// Placement lookup counters: hits answered from a row, misses that
@@ -806,7 +796,8 @@ impl StorageCluster {
         let Scratch { old, new, .. } = scratch;
         old.clear();
         new.clear();
-        for &lba in lbas {
+        for (j, &lba) in lbas.iter().enumerate() {
+            self.table.prefetch(lbas, j);
             let pending = self.pending.contains(&lba);
             let stored = if pending {
                 self.table.peek(lba)
@@ -820,11 +811,8 @@ impl StorageCluster {
                 }
                 _ => {
                     old.extend((0..k).map(|i| stored.map_or(0, |row| row[i])));
-                    let at = new.len();
-                    self.compute_into(lba, new);
-                    for (t, target) in new[at..].iter_mut().enumerate() {
-                        *target = tagged(self.device_word(*target)?, t);
-                    }
+                    self.placements_computed.fetch_add(1, Ordering::Relaxed);
+                    self.target_row(lba, new);
                 }
             }
         }
@@ -1211,7 +1199,8 @@ impl StorageCluster {
     fn rows_flat(&self, lbas: &[u64], out: &mut Vec<u64>) {
         out.clear();
         out.reserve(lbas.len() * self.redundancy.total_shards());
-        for &lba in lbas {
+        for (j, &lba) in lbas.iter().enumerate() {
+            self.table.prefetch(lbas, j);
             out.extend_from_slice(self.table.peek(lba).expect("a stored block has a row"));
         }
     }
@@ -1233,31 +1222,22 @@ impl StorageCluster {
             shards_total: (lbas.len() * k) as u64,
             ..MigrationReport::default()
         };
-        // The target placements as one flat stride-k run of device ids,
-        // parallel to `old_flat`.
+        // The target rows as one flat stride-k run, parallel to `old_flat`.
+        // A block is work unless each shard sits on the device its tag's
+        // target names, so that pairing by position keeps all, tags too.
         let mut new_flat: Vec<u64> = Vec::with_capacity(lbas.len() * k);
         for &lba in lbas {
-            place_append(&self.strategy, lba, &mut new_flat);
+            self.target_row(lba, &mut new_flat);
         }
-        let work: Vec<usize> = old_flat
-            .chunks_exact(k)
-            .zip(new_flat.chunks_exact(k))
+        let work: Vec<usize> = (old_flat.chunks_exact(k).zip(new_flat.chunks_exact(k)))
             .enumerate()
             .filter(|(_, (old, new))| {
-                let mut pairs = Self::pairing(old, new, |o, n| self.names(o, n)).zip(*old);
-                !pairs.all(|((t, moves), &o)| !moves && t == tag_of(o))
+                (old.iter()).any(|&o| position_of(o) != position_of(new[tag_of(o)]))
             })
             .map(|(j, _)| j)
             .collect();
         if work.is_empty() {
             return Ok(report);
-        }
-        // The executor reads the moving blocks' targets as row words
-        // without slots, tagged with their placement index.
-        for &j in &work {
-            for (t, target) in new_flat[j * k..(j + 1) * k].iter_mut().enumerate() {
-                *target = tagged(self.device_word(*target)?, t);
-            }
         }
         let outcome = self.execute_block_ops(lbas, &work, old_flat, &new_flat)?;
         report.shards_moved = outcome.moved;
@@ -1481,10 +1461,14 @@ impl StorageCluster {
         Ok(strategy)
     }
 
-    /// Makes `strategy` the target and marks every stored block pending:
-    /// each moves from its row to the new target, whatever change, or
-    /// unfinished stack of changes, put it there.
+    /// Makes `strategy` (every bin a listed device) the target, with its
+    /// [`StorageCluster::targets`], and marks every stored block pending:
+    /// each moves from its row to the new target, whatever put it there.
     fn install(&mut self, strategy: RedundantShare) {
+        let positions = &self.positions;
+        self.targets = (strategy.bin_ids().iter())
+            .map(|id| u64::from(positions[&id.raw()]) << 32)
+            .collect();
         self.strategy = strategy;
         let mut lbas: Vec<u64> = self.table.rows().map(|(lba, _)| lba).collect();
         // Sorted up front, so the set is bulk-built from a sorted run.
@@ -1493,7 +1477,9 @@ impl StorageCluster {
     }
 
     /// Verifies that every block is readable; returns the number of blocks
-    /// currently degraded (readable only through reconstruction).
+    /// currently degraded (readable only through reconstruction). Each is
+    /// read from its peeked row ([`StorageCluster::read_shards`]), so only
+    /// device reads count, no request series.
     ///
     /// # Errors
     ///
@@ -1501,9 +1487,11 @@ impl StorageCluster {
     pub fn scrub(&mut self) -> Result<u64, VdsError> {
         let mut degraded: Vec<u64> = self.degraded_blocks().collect();
         degraded.sort_unstable();
+        let data = 0..self.codec.as_deref().map_or(1, ErasureCode::data_shards);
+        let mut block = vec![0u8; self.block_size];
         for &lba in &degraded {
-            // Force the read path to prove recoverability.
-            self.read_block(lba)?;
+            let row = self.table.peek(lba).expect("a stored block has a row");
+            self.read_shards(lba, row, data.clone(), &mut block)?;
         }
         Ok(degraded.len() as u64)
     }
@@ -1644,10 +1632,10 @@ impl StorageCluster {
             fair_min_shards,
             ..MigrationPlan::default()
         };
-        let mut new: Vec<u64> = Vec::with_capacity(k);
+        let (ids, mut new) = (candidate.bin_ids(), Vec::with_capacity(k));
         for (lba, old) in self.table.rows() {
             new.clear();
-            place_append(&candidate, lba, &mut new);
+            candidate.place_indices(lba, |b| new.push(ids[b].raw()));
             let before = plan.moves.len();
             let pairs = Self::pairing(old, &new, |o, n| self.names(o, n));
             for (copy, ((t, moves), &o)) in pairs.zip(old).enumerate() {
@@ -2769,30 +2757,115 @@ mod tests {
 
     #[test]
     fn plan_matches_actual_migration() {
-        let mut c = mirror_cluster();
-        for lba in 0..1_500u64 {
-            c.write_block(lba, &block(lba as u8, 64)).unwrap();
+        // Plans pair a row with the candidate placement by device id, and
+        // drains pair it with the target words by device position: both
+        // must count the same moves, for an add, a removal and a rebuild.
+        let rs = StorageCluster::builder()
+            .block_size(64)
+            .redundancy(Redundancy::ReedSolomon { data: 4, parity: 2 });
+        let rs = (0..8u64).fold(rs, |b, id| b.device(id, 10_000));
+        for mut c in [mirror_cluster(), rs.build().unwrap()] {
+            let name = format!("{:?}", c.redundancy());
+            for lba in 0..1_500u64 {
+                c.write_block(lba, &block(lba as u8, 64)).unwrap();
+            }
+            let plan = c.plan_add_device(9, 10_000).unwrap();
+            assert!(plan.moved_fraction() > 0.0);
+            // Every planned inflow move targets a real device of the new set.
+            for (dev, count) in plan.inflow_per_device() {
+                assert!(dev == 9 || c.device(dev).is_some());
+                assert!(count > 0);
+            }
+            let report = c.add_device(9, 10_000).unwrap();
+            assert_eq!(
+                plan.moves.len() as u64,
+                report.shards_moved,
+                "{name} add: dry run must predict the real migration exactly"
+            );
+            // Planning is validated like the real operation.
+            assert!(c.plan_add_device(9, 1).is_err());
+            assert!(c.plan_remove_device(999).is_err());
+            let removal_plan = c.plan_remove_device(9).unwrap();
+            // Everything on device 9 must flow out.
+            let outflow = removal_plan.moves.iter().filter(|m| m.from == 9).count() as u64;
+            assert_eq!(outflow, c.device(9).unwrap().used_blocks());
+            let report = c.remove_device(9).unwrap();
+            assert_eq!(
+                removal_plan.moves.len() as u64,
+                report.shards_moved,
+                "{name} remove"
+            );
+            assert!(report.shards_moved > 0);
+            c.fail_device(0).unwrap();
+            let rebuild_plan = c.plan_rebuild().unwrap();
+            let report = c.rebuild().unwrap();
+            assert_eq!(
+                rebuild_plan.moves.len() as u64,
+                report.shards_moved,
+                "{name} rebuild"
+            );
+            assert!(report.shards_moved > 0);
+            assert_eq!(c.scrub().unwrap(), 0);
         }
-        let plan = c.plan_add_device(9, 10_000).unwrap();
-        assert!(plan.moved_fraction() > 0.0);
-        // Every planned inflow move targets a real device of the new set.
-        for (dev, count) in plan.inflow_per_device() {
-            assert!(dev == 9 || c.device(dev).is_some());
-            assert!(count > 0);
+    }
+
+    /// After every kind of membership change, a first write lands each
+    /// shard on the device the target placement names, as the strategy
+    /// computes it: the target words follow every installed strategy,
+    /// including a re-added id, which takes a new position.
+    #[test]
+    fn target_words_follow_every_membership_change() {
+        for redundancy in [
+            Redundancy::Mirror { copies: 3 },
+            Redundancy::ReedSolomon { data: 4, parity: 2 },
+        ] {
+            let b = StorageCluster::builder()
+                .block_size(64)
+                .redundancy(redundancy);
+            let mut c = (0..9u64)
+                .fold(b, |b, id| b.device(id, 4_000 + 500 * id))
+                .build()
+                .unwrap();
+            let mut next = 0u64;
+            let mut write_new = |c: &mut StorageCluster, step: &str| {
+                let lbas: Vec<u64> = (next..next + 300).collect();
+                next += 300;
+                let want: Vec<Vec<u64>> = lbas.iter().map(|&lba| c.placement(lba)).collect();
+                let data: Vec<u8> = lbas.iter().flat_map(|&l| block(l as u8, 64)).collect();
+                c.write_blocks(&lbas, &data).unwrap();
+                for (&lba, want) in lbas.iter().zip(&want) {
+                    let row = c.table.peek(lba).unwrap();
+                    let got: Vec<u64> = row.iter().map(|&w| c.id_of(w)).collect();
+                    assert_eq!(&got, want, "{redundancy:?} {step}: lba {lba}");
+                    assert!(row.iter().all(|&w| c.present(w)));
+                    assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, 64));
+                }
+                assert_slots_match_rows(c);
+            };
+            write_new(&mut c, "build");
+            c.add_device(9, 6_000).unwrap();
+            write_new(&mut c, "add");
+            let position = c.positions[&3];
+            c.remove_device(3).unwrap();
+            write_new(&mut c, "remove");
+            c.add_device(3, 5_500).unwrap();
+            assert_ne!(
+                c.positions[&3], position,
+                "a re-added id takes a new position"
+            );
+            write_new(&mut c, "re-add");
+            c.fail_device(5).unwrap();
+            c.rebuild().unwrap();
+            write_new(&mut c, "rebuild");
+            // A lazy add stacked on a lazy add drained part-way: first
+            // writes land at the newest target while blocks are pending.
+            c.add_device_lazy(10, 7_000).unwrap();
+            c.migrate_batch(400).unwrap();
+            c.add_device_lazy(11, 3_000).unwrap();
+            write_new(&mut c, "stacked lazy adds");
+            c.rebalance().unwrap();
+            write_new(&mut c, "drained");
         }
-        let report = c.add_device(9, 10_000).unwrap();
-        assert_eq!(
-            plan.moves.len() as u64,
-            report.shards_moved,
-            "dry run must predict the real migration exactly"
-        );
-        // Planning is validated like the real operation.
-        assert!(c.plan_add_device(9, 1).is_err());
-        assert!(c.plan_remove_device(999).is_err());
-        let removal_plan = c.plan_remove_device(9).unwrap();
-        // Everything on device 9 must flow out.
-        let outflow = removal_plan.moves.iter().filter(|m| m.from == 9).count() as u64;
-        assert_eq!(outflow, c.device(9).unwrap().used_blocks());
     }
 
     #[test]
@@ -2990,17 +3063,41 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Planning, the degraded count and a scrape read rows in bulk; none
-    /// of them may move the hit, miss or entry counts.
-    fn assert_bulk_passes_count_nothing(c: &StorageCluster) {
-        let before = c.cache_stats();
+    /// Planning, a scrape, the degraded count, and a scrub and a repair
+    /// over at least one degraded block (a shard loss is injected if no
+    /// block is degraded) read rows in bulk; none of them may move the
+    /// hit, miss or entry counts, `reads_total` or `degraded_reads_total`.
+    fn assert_bulk_passes_count_nothing(c: &mut StorageCluster) {
+        let series = |c: &StorageCluster| {
+            let m = c.metrics.as_ref().expect("metrics are on");
+            (
+                c.cache_stats(),
+                m.reads_total.get(),
+                m.degraded_reads_total.get(),
+            )
+        };
+        let before = series(c);
         let ids = c.device_ids();
         c.plan_add_device(ids.last().unwrap() + 100, 5_000).unwrap();
         c.plan_remove_device(ids[0]).unwrap();
         c.plan_rebuild().unwrap();
-        let _ = c.degraded_block_count();
         let _ = c.export_prometheus();
-        assert_eq!(c.cache_stats(), before);
+        if c.degraded_block_count() == 0 {
+            let lba = c.table.rows().map(|(lba, _)| lba).min().unwrap();
+            assert!(c.inject_shard_loss(lba, 0));
+        }
+        let degraded = c.degraded_block_count();
+        // A block past recovery stops the scrub, and leaves nothing to
+        // repair around it.
+        match c.scrub() {
+            Ok(scrubbed) => {
+                assert_eq!(scrubbed, degraded);
+                c.repair().unwrap();
+                assert_eq!(c.degraded_block_count(), 0);
+            }
+            Err(e) => assert!(matches!(e, VdsError::DataLoss { .. }), "{e:?}"),
+        }
+        assert_eq!(series(c), before);
     }
 
     /// Reads every block of `lbas` back and asserts that each placement
@@ -3040,18 +3137,18 @@ mod tests {
         // The writes left a current row for every block.
         assert_reads_hit(&c, 0..blocks);
 
-        let check = |c: &StorageCluster| {
+        let check = |c: &mut StorageCluster| {
             assert_bulk_passes_count_nothing(c);
             assert_reads_hit(c, 0..blocks);
             assert_matches_fresh(c, 0..blocks);
         };
         c.add_device(8, 12_000).unwrap();
-        check(&c);
+        check(&mut c);
         c.remove_device(2).unwrap();
-        check(&c);
+        check(&mut c);
         c.fail_device(5).unwrap();
         c.rebuild().unwrap();
-        check(&c);
+        check(&mut c);
 
         // A lazy add drained in three budgets: after each, every block
         // hits, and every drained block sits at the target placement.
@@ -3059,7 +3156,7 @@ mod tests {
         for _ in 0..3 {
             c.migrate_batch(blocks.div_ceil(3)).unwrap();
             let pending = c.pending.clone();
-            assert_bulk_passes_count_nothing(&c);
+            assert_bulk_passes_count_nothing(&mut c);
             assert_reads_hit(&c, 0..blocks);
             assert_matches_fresh(&c, (0..blocks).filter(|l| !pending.contains(l)));
         }
@@ -3084,7 +3181,7 @@ mod tests {
             matches!(err, VdsError::DataLoss { lba } if lba == lost),
             "{err:?}"
         );
-        assert_bulk_passes_count_nothing(&c);
+        assert_bulk_passes_count_nothing(&mut c);
         // The first chunk drained: its rows were restamped, so it matches
         // the fresh twin. The failed chunk and every later one keep their
         // old placement, and every block still hits.
@@ -3575,8 +3672,7 @@ mod tests {
         // per copy against the one it releases: three copies are one past
         // capacity, refused with no effect.
         c.add_device_lazy(2, 101).unwrap();
-        let mut target = Vec::new();
-        place_append(&c.strategy, 5, &mut target);
+        let target: Vec<u64> = c.strategy.place(5).iter().map(|id| id.raw()).collect();
         let stays = *target
             .iter()
             .filter(|id| c.placement(5).contains(id))

@@ -64,6 +64,13 @@ impl Table {
         &mut self.words[bucket * self.width..(bucket + 1) * self.width]
     }
 
+    /// Hints the CPU to fetch the row a probe for `key` starts at.
+    pub(crate) fn prefetch(&self, key: u64) {
+        if self.buckets > 0 {
+            rshare_erasure::gf256::simd::prefetch(self.row(self.home(key)));
+        }
+    }
+
     /// Finds the row whose word 0 is `key`: `Ok(bucket)` if present,
     /// otherwise `Err(bucket)` with the empty bucket an [`Table::insert`]
     /// of that key goes to.

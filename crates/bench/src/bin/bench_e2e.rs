@@ -13,13 +13,13 @@
 //!    set (`block_read_cached`), and `read_block_into` in random order
 //!    over a churn-sized cluster (`block_read_random`: 524,288 2-way-mirror
 //!    blocks of 64 B on 60 devices of 20,000–50,000 shards, metrics off),
-//!    where the block table and the slabs no longer fit in cache. On the
-//!    same cluster, one `degraded_block_count()` walk over every row
+//!    where the block table and the shard store no longer fit in cache. On
+//!    the same cluster, one `degraded_block_count()` walk over every row
 //!    (`degraded_scan_rows`). And `read_block_into` in random order over
 //!    perfbench's ec-degraded cluster shape (`block_read_ec_random`:
 //!    RS(4, 2), 4 KiB blocks, 96 devices of capacity weights 1–4, 65,536
 //!    stored blocks), where each read copies four 1 KiB data shards out
-//!    of four device slabs. On the same cluster with one device failed,
+//!    of the shard store. On the same cluster with one device failed,
 //!    `read_block_into` in random order over the blocks that held a data
 //!    shard there (`block_read_ec_degraded`), so every read is degraded:
 //!    it fetches the five surviving shards and decodes the lost one.
@@ -49,8 +49,12 @@
 //! 7. **Cold and hot writes** — nanoseconds per call of overwrites:
 //!    random 16-block `write_blocks` runs on perfbench's ec-degraded
 //!    cluster shape (`write_run16_cold`: RS(4, 2), 4 KiB blocks, 96
-//!    devices of capacity weights 1–4, 65,536 stored blocks) and random
-//!    single-block `write_block` calls on its mirror-hot shape
+//!    devices of capacity weights 1–4, 65,536 stored blocks, written in
+//!    address order, so a run's blocks sit side by side in the shard
+//!    store) and random single-block writes on the same cluster
+//!    (`write_block_ec_cold`: one block's six shards side by side, the
+//!    next block's far away), which splits the two layout effects apart;
+//!    and random single-block `write_block` calls on its mirror-hot shape
 //!    (`write_block_cold`: 3-way mirror, 512 B blocks, 48 devices, 262,144
 //!    stored blocks), whose destination slots are out of cache; and
 //!    single-block `write_block` calls cycling over a 4,096-block hot set
@@ -802,10 +806,10 @@ fn ns_per_write(
 }
 
 /// Overwrites whose destination slots are cold or hot (module docs, item
-/// 7): random 16-block RS(4, 2) runs and random single-block 3-way-mirror
-/// writes, each on a cluster far larger than the cache (1/16 of it under
-/// `--quick`), then single-block writes cycling over `HOT_SET` blocks
-/// of the mirror cluster.
+/// 7): random 16-block and single-block RS(4, 2) writes and random
+/// single-block 3-way-mirror writes, each on a cluster far larger than the
+/// cache (1/16 of it under `--quick`), then single-block writes cycling
+/// over `HOT_SET` blocks of the mirror cluster.
 fn bench_overwrites(quick: bool, calls: &mut Vec<Record>) {
     const DOMAIN: u64 = 0x434f_4c44_5752_4954; // "COLDWRIT"
     /// Blocks in the hot set `write_block_hot` cycles over.
@@ -821,6 +825,12 @@ fn bench_overwrites(quick: bool, calls: &mut Vec<Record>) {
     );
     let ns = ns_per_write(&mut c, 16, 4_096 / scale, random(blocks));
     calls.push(Record::from_samples("write_run16_cold", "ns_per_call", &ns));
+    let ns = ns_per_write(&mut c, 1, 65_536 / scale, random(blocks));
+    calls.push(Record::from_samples(
+        "write_block_ec_cold",
+        "ns_per_call",
+        &ns,
+    ));
     drop(c);
     let blocks = 262_144 / scale;
     let mut c = stored_cluster(Redundancy::Mirror { copies: 3 }, 512, 48, blocks);

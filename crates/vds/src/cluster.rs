@@ -6,10 +6,12 @@
 //! block store. Every logical block is expanded into a redundancy group
 //! (mirror copies or erasure shards). A block's first write stores shard
 //! `i` on the i-th device of its Redundant Share placement. A block's
-//! block-table row names the slot of each of its shards, so a stored
-//! block is found with one probe and read with one slot copy per shard,
-//! and only unstored addresses and writes that move a block (its first
-//! write, or one during a migration) run the placement scan.
+//! block-table row names each shard's device and its slot in the one shard
+//! store the cluster keeps for every device, so a stored block is found
+//! with one probe and read with one slot copy per shard, and only unstored
+//! addresses and writes that move a block (its first write, or one during a
+//! migration) run the placement scan. Fresh slots are taken in landing
+//! order, so a block's shards and a batch's blocks land side by side.
 //!
 //! Writes, migrations and repairs commit through one path: validate every
 //! target device, land the shards, restamp the row, then release the
@@ -49,7 +51,7 @@ use rshare_hash::stable_hash2;
 use rshare_obs::{family_header, sample_line, Registry, SpanTimer};
 
 use crate::cache::{BlockTable, CacheStats};
-use crate::device::{Device, DeviceState};
+use crate::device::{Device, DeviceState, Slab};
 use crate::error::VdsError;
 use crate::health::{ClusterMetrics, FairnessReport, HealthSnapshot};
 use crate::migration::{MigrationPlan, MigrationReport, ShardMove};
@@ -214,6 +216,7 @@ impl ClusterBuilder {
             .then(|| ClusterMetrics::new(Arc::new(Registry::new())));
         let mut cluster = StorageCluster {
             devices: Vec::new(),
+            store: Slab::new(shard_len),
             positions: BTreeMap::new(),
             redundancy: self.redundancy,
             codec,
@@ -228,7 +231,7 @@ impl ClusterBuilder {
             scratch: Scratch::default(),
         };
         for &(id, capacity, profile) in &self.devices {
-            cluster.attach(Device::with_profile(id, capacity, shard_len, profile));
+            cluster.attach(id, capacity, profile);
         }
         cluster.install(strategy);
         Ok(cluster)
@@ -239,9 +242,11 @@ impl ClusterBuilder {
 pub struct StorageCluster {
     /// Every device ever attached, by position: the index a row word's
     /// high half names. A position is never reused. A device that leaves
-    /// keeps its position, failed and with its slab freed, so a row still
-    /// naming it resolves to its id and reads as missing.
+    /// keeps its position, failed, so a row still naming it resolves to
+    /// its id and reads as missing.
     devices: Vec<Device>,
+    /// Every device's slots; one goes back when its row word is replaced.
+    store: Slab,
     /// The listed devices (online, failed, or draining a removal): id →
     /// position. Serves the id-keyed calls and every walk in id order.
     positions: BTreeMap<u64, u32>,
@@ -413,30 +418,31 @@ impl Payloads for Stripes<'_> {
 /// Every block's slots are taken and prefetched ([`take_ahead`]) one
 /// block ahead: the first block's up front, and block `j + 1`'s before
 /// block `j` is readied, so `j + 1`'s cache lines arrive while `j`'s
-/// parity is encoded and its shards copied. A block that fails to ready
-/// gives back the slots taken for it and for the next block, and a slab
-/// never holds more than its live slots plus the slots the batch gains,
-/// the bound `validate` checks.
+/// parity is encoded and its shards copied, and a batch of first writes
+/// lands side by side in the store. A block that fails to ready gives back
+/// the slots taken for it and for the next block, and no device holds
+/// more than its live slots plus the slots the batch gains.
 fn land<P: Payloads>(
     devices: &mut [Device],
+    store: &mut Slab,
     table: &mut BlockTable,
     lbas: &[u64],
     rows: &mut [u64],
-    k: usize,
     payloads: &mut P,
     ahead: &mut Ahead,
 ) -> Result<(), VdsError> {
+    let k = rows.len() / lbas.len().max(1);
     let Ahead { taken, next } = ahead;
-    take_ahead::<P>(devices, rows.get(..k).unwrap_or_default(), taken);
+    take_ahead::<P>(devices, store, rows.get(..k).unwrap_or_default(), taken);
     for (j, &lba) in lbas.iter().enumerate() {
         table.prefetch(lbas, j);
         let following = rows.get((j + 1) * k..(j + 2) * k);
-        take_ahead::<P>(devices, following.unwrap_or_default(), next);
+        take_ahead::<P>(devices, store, following.unwrap_or_default(), next);
         if let Err(e) = payloads.ready() {
             let unlanded = rows[j * k..].iter().take(2 * k);
             let fresh = unlanded.filter(|&&w| slot_of(w).is_none());
             for (&word, &slot) in fresh.zip(taken.iter().chain(next.iter())) {
-                devices[position_of(word)].release(slot);
+                devices[position_of(word)].release(store, slot);
             }
             return Err(e);
         }
@@ -454,13 +460,13 @@ fn land<P: Payloads>(
                     slot
                 }
             };
-            devices[position_of(*word)].write(slot, payloads.shard(i));
+            devices[position_of(*word)].write(store, slot, payloads.shard(i));
         }
         if restamp {
             for (stamped, &n) in table.entry(lba).iter_mut().zip(row.iter()) {
                 let o = std::mem::replace(stamped, n);
                 if let Some(slot) = slot_of(o).filter(|_| !same_slot(o, n)) {
-                    devices[position_of(o)].release(slot);
+                    devices[position_of(o)].release(store, slot);
                 }
             }
         }
@@ -473,22 +479,25 @@ fn land<P: Payloads>(
 /// `row` without one, then prefetches ([`prefetch_slots`]) every slot the
 /// row's block will write: its fresh slots, and under payloads covering
 /// every shard its in-place ones.
-fn take_ahead<P: Payloads>(devices: &mut [Device], row: &[u64], slots: &mut Vec<u32>) {
+fn take_ahead<P: Payloads>(
+    devices: &mut [Device],
+    store: &mut Slab,
+    row: &[u64],
+    slots: &mut Vec<u32>,
+) {
     slots.clear();
     for &word in row.iter().filter(|&&w| slot_of(w).is_none()) {
-        let slot = devices[position_of(word)]
-            .alloc()
-            .expect("validated: the device is online with room");
-        slots.push(slot);
+        let device = &mut devices[position_of(word)];
+        slots.push(device.alloc(store).expect("validated: online"));
     }
-    let devices = &*devices;
+    let store = &*store;
     let mut fresh = slots.iter();
     prefetch_slots(
         row.iter()
             .filter(|&&w| P::EVERY_SHARD || slot_of(w).is_none())
             .map(move |&w| {
                 let slot = slot_of(w).or_else(|| fresh.next().copied());
-                devices[position_of(w)].slot(slot.expect("one slot taken per fresh word"))
+                store.get(slot.expect("one slot taken per fresh word"))
             }),
     );
 }
@@ -574,12 +583,12 @@ impl StorageCluster {
         self.positions.values().map(|&p| &self.devices[p as usize])
     }
 
-    /// Gives `device` the next position and lists it.
-    fn attach(&mut self, device: Device) {
+    /// Lists a new device at the next position.
+    fn attach(&mut self, id: u64, capacity_blocks: u64, profile: DeviceProfile) {
         assert!(self.devices.len() < 1 << 24, "fewer than 2^24 devices");
-        let position = self.devices.len() as u32;
-        self.positions.insert(device.id(), position);
-        self.devices.push(device);
+        self.positions.insert(id, self.devices.len() as u32);
+        self.devices
+            .push(Device::new(id, capacity_blocks, self.shard_len(), profile));
         self.tally.slots.push([0; 3]);
     }
 
@@ -613,18 +622,18 @@ impl StorageCluster {
 
     /// Prefetches ([`prefetch_slots`]) the slots of the present words
     /// among `words`, ahead of a read that copies them. A word that is not
-    /// present is skipped: it has no slot, or its device's slab is gone.
+    /// present is skipped: it has no slot, or its device failed.
     fn prefetch_present(&self, words: impl Iterator<Item = u64> + Clone) {
         prefetch_slots(words.filter_map(|w| {
             let slot = slot_of(w).filter(|_| self.present(w))?;
-            Some(self.devices[position_of(w)].slot(slot))
+            Some(self.store.get(slot))
         }));
     }
 
     /// The shard a row word names, borrowed from its slot and counted as
     /// one read, if present.
     fn shard(&self, word: u64) -> Option<&[u8]> {
-        slot_of(word).and_then(|slot| self.devices[position_of(word)].read(slot))
+        slot_of(word).and_then(|slot| self.devices[position_of(word)].read(&self.store, slot))
     }
 
     /// Number of logical blocks stored.
@@ -830,10 +839,10 @@ impl StorageCluster {
         };
         land(
             &mut self.devices,
+            &mut self.store,
             &mut self.table,
             lbas,
             &mut scratch.new,
-            k,
             &mut stripes,
             &mut scratch.ahead,
         )
@@ -846,9 +855,10 @@ impl StorageCluster {
     /// written in place (an overwrite) or kept (a move). Each device's
     /// live slots, plus the slots it gains, less the slots of `old` whose
     /// shard `new` puts elsewhere, must fit its capacity; an in-place shard
-    /// gains no slot, so an overwrite needs no room. A block written twice
-    /// in one batch releases its old slots once but gains any fresh slots
-    /// twice, so such a batch is judged conservatively.
+    /// gains no slot, so an overwrite needs no room, and the store must
+    /// stay under 2^32 − 1 slots. A block written twice in one batch
+    /// releases its old slots once but gains any fresh slots twice, so such
+    /// a batch is judged conservatively.
     fn validate(&mut self, old: &[u64], new: &[u64]) -> Result<(), VdsError> {
         let k = self.redundancy.total_shards();
         let tally = &mut self.tally;
@@ -882,20 +892,19 @@ impl StorageCluster {
         tally.firsts.clear();
         // Ascending positions, so the lowest failing one is blamed.
         tally.touched.sort_unstable();
-        let mut verdict = Ok(());
+        let (mut verdict, mut store_peak) = (Ok(()), self.store.live());
         for &position in &tally.touched {
             let [gained, released, kept] = std::mem::take(&mut tally.slots[position]);
             if gained + kept == 0 || verdict.is_err() {
                 continue;
             }
             let device = &self.devices[position];
-            // New slots are taken before old ones are released, so the
-            // slab peaks at `used + gained`, and a row word holds
-            // `slot + 1` in 32 bits.
-            let peak = device.used_blocks() + gained;
+            // Fresh slots are taken before old ones go back, so peaks count them.
+            store_peak += gained;
+            let room = device.capacity_blocks() + released;
             if device.state() != DeviceState::Online {
                 verdict = Err(VdsError::DeviceFailed { id: device.id() });
-            } else if peak - released > device.capacity_blocks() || peak >= u64::from(u32::MAX) {
+            } else if device.used_blocks() + gained > room || store_peak >= u64::from(u32::MAX) {
                 verdict = Err(VdsError::OutOfSpace { id: device.id() });
             }
         }
@@ -978,8 +987,8 @@ impl StorageCluster {
                 let preferred = stable_hash2(lba, READ_BALANCE_DOMAIN) % row.len() as u64;
                 self.read_shards(lba, row, [preferred as usize].into_iter(), buf)?
             }
-            // The data shards, whose d slots sit in d device slabs: all
-            // are prefetched before the first copy, so their misses overlap.
+            // The data shards' d slots, all prefetched before the first
+            // copy, so their misses overlap.
             Some(codec) => {
                 let d = codec.data_shards();
                 self.prefetch_present(row[..d].iter().copied());
@@ -1111,7 +1120,7 @@ impl StorageCluster {
             });
         }
         let strategy = self.admit(&self.member_bins(None, Some((id, capacity_blocks)))?, id)?;
-        self.attach(Device::new(id, capacity_blocks, self.shard_len()));
+        self.attach(id, capacity_blocks, DeviceProfile::default());
         self.install(strategy);
         Ok(())
     }
@@ -1173,7 +1182,7 @@ impl StorageCluster {
 
     /// Once no block is pending, every online device outside the target
     /// strategy (a removal, drained by copy) leaves the map. It keeps its
-    /// position, failed and with its slab freed.
+    /// position, failed.
     fn retire_leavers(&mut self) {
         if !self.pending.is_empty() {
             return;
@@ -1352,10 +1361,10 @@ impl StorageCluster {
         let moving: Vec<u64> = work.iter().map(|&j| lbas[j]).collect();
         land(
             &mut self.devices,
+            &mut self.store,
             &mut self.table,
             &moving,
             &mut scratch.new,
-            k,
             &mut scratch.chunk.chunks_exact(len),
             &mut scratch.ahead,
         )?;
@@ -1398,7 +1407,8 @@ impl StorageCluster {
     }
 
     /// Marks a device as crashed; its contents are lost and reads degrade
-    /// until [`StorageCluster::rebuild`] runs.
+    /// until [`StorageCluster::rebuild`] runs. Its slots return to the
+    /// store as rebuild, repair or writes restamp the rows naming them.
     ///
     /// # Errors
     ///
@@ -1478,7 +1488,7 @@ impl StorageCluster {
 
     /// Verifies that every block is readable; returns the number of blocks
     /// currently degraded (readable only through reconstruction). Each is
-    /// read from its peeked row ([`StorageCluster::read_shards`]), so only
+    /// read from its peeked row (`read_shards`), so only
     /// device reads count, no request series.
     ///
     /// # Errors
@@ -1673,7 +1683,7 @@ impl StorageCluster {
         };
         // The row stops naming the slot before it is released.
         self.table.entry(lba)[copy] = word & !SLOT_MASK;
-        self.devices[position_of(word)].release(slot);
+        self.devices[position_of(word)].release(&mut self.store, slot);
         true
     }
 
@@ -3552,45 +3562,46 @@ mod tests {
         };
         land(
             &mut c.devices,
+            &mut c.store,
             &mut c.table,
             lbas,
             &mut rows,
-            c.redundancy.total_shards(),
             &mut payloads,
             &mut c.scratch.ahead,
         )
     }
 
-    /// Each device's live slots and slab high-water mark.
-    fn slabs(c: &StorageCluster) -> Vec<(u64, u32)> {
-        c.listed()
-            .map(|d| (d.used_blocks(), d.high_water()))
-            .collect()
+    /// Each listed device's live slots, and the store's live slots and
+    /// high-water mark.
+    fn occupancy(c: &StorageCluster) -> (Vec<u64>, u64, u32) {
+        let used = c.listed().map(Device::used_blocks).collect();
+        (used, c.store.live(), c.store.high_water())
     }
 
     /// Lands a batch of 4 blocks over `c` that fails to ready at each
     /// block in turn, in place (`true`) or in fresh slots, and asserts
     /// the blocks before it committed, the rest kept their values and
-    /// rows, and each device's live slots are as before, though the
-    /// failing block's successor had its fresh slots taken already; in
-    /// place, every row and slab is untouched too.
+    /// rows, and each device's and the store's live slots are as before,
+    /// though the failing block's successor had its fresh slots taken
+    /// already; in place, every row and the store's high-water mark are
+    /// untouched too.
     fn assert_ready_failures_leave_later_blocks(mut c: StorageCluster, in_place: bool) {
         let (size, k) = (c.block_size(), c.redundancy.total_shards());
         let lbas: Vec<u64> = (0..4).collect();
         for &lba in &lbas {
             c.write_block(lba, &block(lba as u8, size)).unwrap();
         }
-        let used =
-            |c: &StorageCluster| -> Vec<u64> { c.listed().map(Device::used_blocks).collect() };
-        let before = used(&c);
+        let live = |(used, live, _): (Vec<u64>, u64, u32)| (used, live);
         let (mut rows, mut now) = (Vec::new(), Vec::new());
         c.rows_flat(&lbas, &mut rows);
-        let slabs_before = slabs(&c);
+        let occupancy_before = occupancy(&c);
         for fail_at in 0..lbas.len() {
             assert!(land_failing_at(&mut c, &lbas, fail_at, in_place).is_err());
             // The slots taken ahead for blocks `fail_at` and
             // `fail_at + 1` went back.
-            assert_eq!(used(&c), before, "fail at block {fail_at}");
+            let want = live(occupancy_before.clone());
+            assert_eq!(live(occupancy(&c)), want, "fail at block {fail_at}");
+            assert_slots_match_rows(&c);
             for &lba in &lbas {
                 let want = if (lba as usize) < fail_at {
                     vec![0xEE; size]
@@ -3603,7 +3614,7 @@ mod tests {
             let from = if in_place { 0 } else { fail_at * k };
             assert_eq!(now[from..], rows[from..], "fail at block {fail_at}");
             if in_place {
-                assert_eq!(slabs(&c), slabs_before, "fail at block {fail_at}");
+                assert_eq!(occupancy(&c), occupancy_before, "fail at block {fail_at}");
             }
         }
     }
@@ -3631,17 +3642,110 @@ mod tests {
         assert_ready_failures_leave_later_blocks(rs_cluster(), true);
     }
 
-    /// Asserts that every device's live slots are exactly the slots the
-    /// block-table rows name on it: none stranded, none counted twice.
+    /// Asserts that the store's live slots are exactly the slots the
+    /// block-table rows name, over every device position, failed ones
+    /// included, each named once, and that every online device holds
+    /// exactly the slots the rows name on it: none stranded, none counted
+    /// twice.
     fn assert_slots_match_rows(c: &StorageCluster) {
         let mut named = vec![0u64; c.devices.len()];
+        let mut slots = BTreeSet::new();
         for (_, row) in c.table.rows() {
             for &word in row.iter().filter(|&&w| slot_of(w).is_some()) {
                 named[position_of(word)] += 1;
+                assert!(slots.insert(slot_of(word)), "slot named twice");
+            }
+        }
+        assert_eq!(c.store.live(), slots.len() as u64);
+        for (device, named) in c.devices.iter().zip(&mut named) {
+            if device.state() == DeviceState::Failed {
+                *named = 0;
             }
         }
         let used: Vec<u64> = c.devices.iter().map(Device::used_blocks).collect();
         assert_eq!(used, named);
+    }
+
+    /// A cluster of 12 devices of capacities 1,000–2,100 shards.
+    fn twelve_devices(redundancy: Redundancy, block_size: usize) -> StorageCluster {
+        let b = StorageCluster::builder()
+            .block_size(block_size)
+            .redundancy(redundancy);
+        (0..12u64)
+            .fold(b, |b, id| b.device(id, 1_000 + 100 * id))
+            .build()
+            .unwrap()
+    }
+
+    /// One batch of first writes into an empty cluster takes fresh slots
+    /// in landing order: block `j`'s words name slots `s_j .. s_j + k` in
+    /// shard order, and `s_{j+1} = s_j + k`.
+    #[test]
+    fn first_writes_land_a_blocks_shards_side_by_side() {
+        for (redundancy, block_size) in [
+            (Redundancy::Mirror { copies: 3 }, 64),
+            (Redundancy::ReedSolomon { data: 4, parity: 2 }, 256),
+        ] {
+            let mut c = twelve_devices(redundancy, block_size);
+            let lbas: Vec<u64> = (0..64).map(|j| j * 7_919).collect();
+            let data: Vec<u8> = (lbas.iter())
+                .flat_map(|&lba| block(lba as u8, block_size))
+                .collect();
+            c.write_blocks(&lbas, &data).unwrap();
+            let mut rows = Vec::new();
+            c.rows_flat(&lbas, &mut rows);
+            let slots: Vec<Option<u32>> = rows.iter().map(|&w| slot_of(w)).collect();
+            let side_by_side: Vec<Option<u32>> = (0..rows.len() as u32).map(Some).collect();
+            assert_eq!(slots, side_by_side, "{redundancy:?}");
+            for &lba in &lbas {
+                assert_eq!(c.read_block(lba).unwrap(), block(lba as u8, block_size));
+            }
+        }
+    }
+
+    /// A slot that any device releases serves every device: through an
+    /// add, a removal, and a failure and its rebuild, the store's
+    /// high-water mark exceeds its live slots by at most the fresh slots
+    /// of the two blocks a commit holds at once, though each step moves
+    /// far more shards, and the rows name exactly the live slots.
+    #[test]
+    fn released_slots_serve_every_device() {
+        for (redundancy, block_size) in [
+            (Redundancy::Mirror { copies: 2 }, 64),
+            (Redundancy::ReedSolomon { data: 4, parity: 2 }, 256),
+        ] {
+            let mut c = twelve_devices(redundancy, block_size);
+            let k = redundancy.total_shards() as u64;
+            let lbas: Vec<u64> = (0..600).collect();
+            let value = |lba: u64| block(lba as u8, block_size);
+            c.write_blocks(
+                &lbas,
+                &lbas.iter().flat_map(|&l| value(l)).collect::<Vec<u8>>(),
+            )
+            .unwrap();
+            let settled = |c: &StorageCluster, step: &str| {
+                assert_slots_match_rows(c);
+                let spare = u64::from(c.store.high_water()) - c.store.live();
+                assert!(
+                    spare <= 2 * k,
+                    "{redundancy:?}, {step}: {spare} spare slots"
+                );
+                for &lba in &lbas {
+                    assert_eq!(c.read_block(lba).unwrap(), value(lba), "{redundancy:?}");
+                }
+            };
+            settled(&c, "first writes");
+            let moved = c.add_device(12, 1_500).unwrap().shards_moved;
+            assert!(moved > 4 * k, "{redundancy:?}: the add moved {moved}");
+            settled(&c, "an add");
+            assert!(c.remove_device(3).unwrap().shards_moved > 4 * k);
+            settled(&c, "a removal");
+            c.fail_device(5).unwrap();
+            settled(&c, "a failure");
+            assert!(c.rebuild().unwrap().shards_moved > 4 * k);
+            settled(&c, "a rebuild");
+            assert_eq!(c.store.live(), lbas.len() as u64 * k);
+        }
     }
 
     /// A settled block repeated in a batch is overwritten in place each
@@ -3662,10 +3766,10 @@ mod tests {
         }
         let twice = [block(1, 64), block(2, 64)].concat();
         let thrice = [twice.clone(), block(3, 64)].concat();
-        let settled = slabs(&c);
+        let settled = occupancy(&c);
         c.write_blocks(&[5, 5, 5], &thrice).unwrap();
         assert_eq!(c.read_block(5).unwrap(), block(3, 64));
-        assert_eq!(slabs(&c), settled);
+        assert_eq!(occupancy(&c), settled);
         assert_slots_match_rows(&c);
         // After a lazy add every block is pending, and block 5 lands at
         // its target in fresh slots. A device it stays on gains one slot
@@ -3697,8 +3801,8 @@ mod tests {
     }
 
     /// An overwrite of a settled block lands in the slots its row names:
-    /// the rows, every device's live slots and slab high-water mark stay
-    /// as they were, and the new bytes read back. A shard lost before the
+    /// the rows, every device's and the store's live slots and the store's
+    /// high-water mark stay as they were, and the new bytes read back. A shard lost before the
     /// overwrite takes exactly one fresh slot, and a block pending a
     /// migration still moves, copy-on-write.
     #[test]
@@ -3722,7 +3826,7 @@ mod tests {
             c.write_blocks(&lbas, &batch(0)).unwrap();
             let (mut rows, mut now) = (Vec::new(), Vec::new());
             c.rows_flat(&lbas, &mut rows);
-            let before = slabs(&c);
+            let before = occupancy(&c);
             // One batch, then one block at a time.
             c.write_blocks(&lbas, &batch(1)).unwrap();
             for &lba in &lbas {
@@ -3730,7 +3834,7 @@ mod tests {
             }
             c.rows_flat(&lbas, &mut now);
             assert_eq!(now, rows, "{redundancy:?}");
-            assert_eq!(slabs(&c), before, "{redundancy:?}");
+            assert_eq!(occupancy(&c), before, "{redundancy:?}");
             for &lba in &lbas {
                 assert_eq!(c.read_block(lba).unwrap(), value(2, lba), "{redundancy:?}");
             }
@@ -3741,8 +3845,11 @@ mod tests {
             let lost = c.devices[on].used_blocks();
             c.write_block(7, &value(3, 7)).unwrap();
             assert_eq!(c.devices[on].used_blocks(), lost + 1, "{redundancy:?}");
-            let live = |s: Vec<(u64, u32)>| -> Vec<u64> { s.into_iter().map(|(u, _)| u).collect() };
-            assert_eq!(live(slabs(&c)), live(before.clone()), "{redundancy:?}");
+            assert_eq!(
+                occupancy(&c),
+                before,
+                "{redundancy:?}: the freed slot served it"
+            );
             let row = c.table.peek(7).unwrap();
             for (i, (&n, &o)) in row.iter().zip(&rows[7 * k..8 * k]).enumerate() {
                 if i == 1 {

@@ -1,8 +1,9 @@
-//! Simulated block storage devices: each is a slab of fixed-size shard
-//! slots, addressed by the slot numbers that the cluster's block-table
-//! rows record.
+//! Simulated block storage devices and the one store of fixed-size shard
+//! slots ([`Slab`]) that a cluster's block-table rows address. A device is
+//! a bin with a name and a capacity; it counts its slots and I/O. Slots
+//! are handed out in the order asked for, whichever device asks.
 //!
-//! A slab grows in chunks of 256 KiB, whose first slot starts on a 4 KiB
+//! The store grows in chunks of 256 KiB, whose first slot starts on a 4 KiB
 //! page boundary. A slot of a power-of-two length therefore starts on a
 //! 64-byte cache line, and one of up to a page never crosses a page, so a
 //! shard read touches only the lines and pages that hold the shard. (The
@@ -52,9 +53,9 @@ struct AtomicIoStats {
     writes: AtomicU64,
 }
 
-/// Bytes per slab chunk: a power-of-two slot count, or one slot for
-/// shards larger than this. One constant for every shard length, so a
-/// device's chunk table stays a few dozen entries.
+/// Bytes per store chunk: a power-of-two slot count, or one slot for
+/// shards larger than this. One constant for every shard length, so the
+/// store's chunk table stays a few thousand entries at a few hundred MiB.
 const CHUNK_BYTES: usize = 256 * 1024;
 
 /// Each chunk's first slot starts on a boundary of this many bytes: a
@@ -84,22 +85,22 @@ impl Chunk {
     }
 }
 
-/// Fixed-length shard slots in chunks that never move; slot `s` lives in
-/// chunk `s >> shift` at offset `pad + (s & mask) · shard_len`.
+/// The shard store: fixed-length slots in chunks that never move; slot
+/// `s` lives in chunk `s >> shift` at offset `pad + (s & mask) · shard_len`.
 #[derive(Debug)]
-struct Slab {
+pub(crate) struct Slab {
     shard_len: usize,
     /// log2 of the slots per chunk.
     shift: u32,
     chunks: Vec<Chunk>,
-    /// Released slots, reused before the slab grows.
+    /// Released slots, reused before the store grows.
     free: Vec<u32>,
     /// Slots handed out from the chunks so far (the high-water mark).
     next: u32,
 }
 
 impl Slab {
-    fn new(shard_len: usize) -> Self {
+    pub(crate) fn new(shard_len: usize) -> Self {
         Self {
             shard_len,
             shift: (CHUNK_BYTES / shard_len).max(1).ilog2(),
@@ -109,28 +110,26 @@ impl Slab {
         }
     }
 
-    /// A free slot, or `None` once 2^32 − 1 slots are in use (a row word
-    /// stores `slot + 1` in 32 bits). A slot the slab grows by is zeroed
-    /// when it is handed out, not before.
-    fn alloc(&mut self) -> Option<u32> {
+    /// Slots handed out and not released.
+    pub(crate) fn live(&self) -> u64 {
+        u64::from(self.next) - self.free.len() as u64
+    }
+
+    /// A free slot. A slot the store grows by is zeroed when it is handed
+    /// out, not before. Panics past 2^32 − 1 slots (a row word stores
+    /// `slot + 1` in 32 bits), which the cluster's validation refuses.
+    fn alloc(&mut self) -> u32 {
         if let Some(slot) = self.free.pop() {
-            return Some(slot);
-        }
-        if self.next == u32::MAX {
-            return None;
+            return slot;
         }
         let slot = self.next;
+        self.next = slot.checked_add(1).expect("slot + 1 fits 32 bits");
         if (slot >> self.shift) as usize == self.chunks.len() {
             self.chunks.push(Chunk::new(self.shard_len << self.shift));
         }
         let chunk = self.chunks.last_mut().expect("the slot's chunk exists");
         chunk.bytes.resize(chunk.bytes.len() + self.shard_len, 0);
-        self.next += 1;
-        Some(slot)
-    }
-
-    fn release(&mut self, slot: u32) {
-        self.free.push(slot);
+        slot
     }
 
     /// The slot's chunk and its offset there.
@@ -140,7 +139,8 @@ impl Slab {
         (chunk, self.chunks[chunk].pad + index * self.shard_len)
     }
 
-    fn get(&self, slot: u32) -> &[u8] {
+    /// The bytes of `slot`, for a commit or a read to prefetch.
+    pub(crate) fn get(&self, slot: u32) -> &[u8] {
         let (chunk, off) = self.locate(slot);
         &self.chunks[chunk].bytes[off..off + self.shard_len]
     }
@@ -151,35 +151,29 @@ impl Slab {
     }
 }
 
-/// A simulated storage device: a slab of fixed-size shard slots.
-///
-/// Every shard on a device has the same length (the cluster's
-/// `block_size / d`, or `block_size` for mirrors) and lives in a slot of
-/// the slab. The device does not know which shard a slot holds: the
-/// cluster's block-table rows name their shards' slots, so the device only
-/// hands slots out, copies bytes in and out of them and takes them back.
-/// It tracks I/O statistics and can be failed (losing all contents) to
-/// drive rebuild experiments. Reads take `&self`: slot contents change
-/// only under `&mut self`, and a read bumps only an atomic counter.
+/// A simulated storage device: a bin with a name and a capacity, whose
+/// shards live in slots of the cluster's one shard store, which the
+/// cluster's block-table rows name. Every shard has the same length (the
+/// cluster's `block_size / d`, or `block_size` for mirrors). The device
+/// counts the slots it holds and the I/O it serves, and can be failed
+/// (losing all contents) to drive rebuild experiments. Reads take `&self`
+/// and bump only an atomic counter.
 #[derive(Debug)]
 pub struct Device {
     id: u64,
     capacity_blocks: u64,
     state: DeviceState,
-    slab: Slab,
+    /// Store slots holding this device's shards; 0 once failed.
+    used: u64,
+    shard_len: usize,
     stats: AtomicIoStats,
     profile: DeviceProfile,
 }
 
 impl Device {
     /// Creates an online device able to hold `capacity_blocks` shards of
-    /// `shard_len` bytes, with the default performance profile.
-    pub(crate) fn new(id: u64, capacity_blocks: u64, shard_len: usize) -> Self {
-        Self::with_profile(id, capacity_blocks, shard_len, DeviceProfile::default())
-    }
-
-    /// Creates an online device with an explicit performance profile.
-    pub(crate) fn with_profile(
+    /// `shard_len` bytes.
+    pub(crate) fn new(
         id: u64,
         capacity_blocks: u64,
         shard_len: usize,
@@ -189,7 +183,8 @@ impl Device {
             id,
             capacity_blocks,
             state: DeviceState::Online,
-            slab: Slab::new(shard_len),
+            used: 0,
+            shard_len,
             stats: AtomicIoStats::default(),
             profile,
         }
@@ -213,10 +208,10 @@ impl Device {
         self.capacity_blocks
     }
 
-    /// Number of shards currently stored: the slab's live slots.
+    /// Number of shards currently stored; 0 once failed.
     #[must_use]
     pub fn used_blocks(&self) -> u64 {
-        u64::from(self.slab.next) - self.slab.free.len() as u64
+        self.used
     }
 
     /// Utilisation in `[0, 1]`.
@@ -236,60 +231,55 @@ impl Device {
     pub fn stats(&self) -> IoStats {
         let reads = self.stats.reads.load(Ordering::Relaxed);
         let writes = self.stats.writes.load(Ordering::Relaxed);
-        let len = self.slab.shard_len as u64;
+        let len = self.shard_len as u64;
         IoStats {
             reads,
             writes,
             bytes_read: reads * len,
             bytes_written: writes * len,
-            busy_us: (reads + writes) * self.profile.service_us(self.slab.shard_len),
+            busy_us: (reads + writes) * self.profile.service_us(self.shard_len),
         }
     }
 
-    /// Marks the device failed and frees its slab.
+    /// Marks the device failed: it reads nothing and takes or holds no
+    /// slot. Its slots stay live until rows drop them ([`Device::release`]).
     pub(crate) fn fail(&mut self) {
         self.state = DeviceState::Failed;
-        self.slab = Slab::new(self.slab.shard_len);
+        self.used = 0;
     }
 
-    /// A free slot, or `None` on a failed device. Capacity is the
-    /// cluster's to check, net of the slots a commit releases.
-    pub(crate) fn alloc(&mut self) -> Option<u32> {
+    /// A free slot of `store`, or `None` on a failed device. Capacity is
+    /// the cluster's to check, net of the slots a commit releases.
+    pub(crate) fn alloc(&mut self, store: &mut Slab) -> Option<u32> {
         if self.state == DeviceState::Failed {
             return None;
         }
-        self.slab.alloc()
-    }
-
-    /// The bytes of `slot`, which [`Device::alloc`] handed out, for the
-    /// commit path to prefetch before it writes them and the read path
-    /// before it copies them out. Panics on a failed device, whose slab
-    /// is gone.
-    pub(crate) fn slot(&self, slot: u32) -> &[u8] {
-        self.slab.get(slot)
+        self.used += 1;
+        Some(store.alloc())
     }
 
     /// Copies one shard into `slot`, which [`Device::alloc`] handed out.
-    pub(crate) fn write(&mut self, slot: u32, data: &[u8]) {
-        self.slab.get_mut(slot).copy_from_slice(data);
+    pub(crate) fn write(&mut self, store: &mut Slab, slot: u32, data: &[u8]) {
+        store.get_mut(slot).copy_from_slice(data);
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The shard in `slot`, borrowed, counted as one read; `None`,
     /// counting nothing, when the device is failed.
-    pub(crate) fn read(&self, slot: u32) -> Option<&[u8]> {
+    pub(crate) fn read<'s>(&self, store: &'s Slab, slot: u32) -> Option<&'s [u8]> {
         if self.state == DeviceState::Failed {
             return None;
         }
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        Some(self.slab.get(slot))
+        Some(store.get(slot))
     }
 
-    /// Frees `slot` for reuse; a no-op on a failed device, whose slab is
-    /// already gone.
-    pub(crate) fn release(&mut self, slot: u32) {
+    /// Gives `slot`, which a row word naming this device dropped, back to
+    /// `store`, whatever the device's state.
+    pub(crate) fn release(&mut self, store: &mut Slab, slot: u32) {
+        store.free.push(slot);
         if self.state == DeviceState::Online {
-            self.slab.release(slot);
+            self.used -= 1;
         }
     }
 
@@ -305,59 +295,92 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    impl Device {
-        /// Slots the slab has handed out from its chunks: its high-water
+    impl Slab {
+        /// Slots the store has handed out from its chunks: its high-water
         /// mark.
         pub(crate) fn high_water(&self) -> u32 {
-            self.slab.next
+            self.next
         }
     }
 
-    /// Allocates a slot and writes `data` into it.
-    fn put(d: &mut Device, data: &[u8]) -> u32 {
-        let slot = d.alloc().expect("online device");
-        d.write(slot, data);
+    /// A device of the default profile.
+    fn device(id: u64, capacity_blocks: u64, shard_len: usize) -> Device {
+        Device::new(id, capacity_blocks, shard_len, DeviceProfile::default())
+    }
+
+    /// Takes a slot of `store` for `d` and writes `data` into it.
+    fn put(d: &mut Device, store: &mut Slab, data: &[u8]) -> u32 {
+        let slot = d.alloc(store).expect("online device");
+        d.write(store, slot, data);
         slot
     }
 
-    fn get(d: &Device, slot: u32) -> Option<Vec<u8>> {
-        d.read(slot).map(<[u8]>::to_vec)
+    fn get(d: &Device, store: &Slab, slot: u32) -> Option<Vec<u8>> {
+        d.read(store, slot).map(<[u8]>::to_vec)
     }
 
+    /// A failed device reads nothing, takes no slot and holds none. Its
+    /// slots stay live until the rows naming them drop them, then serve
+    /// another device: nothing leaks and the store does not grow.
     #[test]
     fn failure_drops_contents_and_rejects_io() {
-        let mut d = Device::new(7, 4, 3);
-        let slot = put(&mut d, &[1, 2, 3]);
+        let mut store = Slab::new(3);
+        let (mut d, mut other) = (device(7, 4, 3), device(8, 4, 3));
+        let lost = [
+            put(&mut d, &mut store, &[1, 2, 3]),
+            put(&mut d, &mut store, &[4, 5, 6]),
+        ];
+        let kept = put(&mut other, &mut store, &[7, 8, 9]);
         d.fail();
         assert_eq!(d.state(), DeviceState::Failed);
-        assert_eq!(get(&d, slot), None);
+        assert_eq!(get(&d, &store, lost[0]), None);
+        assert_eq!(d.stats().reads, 0, "a refused read counts nothing");
         assert_eq!(d.used_blocks(), 0);
-        assert!(d.slab.chunks.is_empty(), "fail frees the slab");
-        assert_eq!(d.alloc(), None);
-        d.release(slot);
-        assert!(d.slab.free.is_empty(), "a failed device takes nothing back");
+        assert_eq!(d.alloc(&mut store), None);
+        assert_eq!(store.live(), 3, "rows still name the failed slots");
+        for slot in lost {
+            d.release(&mut store, slot);
+        }
+        assert_eq!((d.used_blocks(), store.live()), (0, 1));
+        let reused: Vec<u32> = (0..2)
+            .map(|_| put(&mut other, &mut store, &[0; 3]))
+            .collect();
+        assert_eq!(reused.iter().filter(|s| lost.contains(s)).count(), 2);
+        assert_eq!(
+            (other.used_blocks(), store.live(), store.high_water()),
+            (3, 3, 3)
+        );
+        assert_eq!(get(&other, &store, kept), Some(vec![7, 8, 9]));
+    }
+
+    /// Takes `n` slots of `len` bytes, each filled with its index.
+    fn fill(store: &mut Slab, n: usize) -> Vec<u32> {
+        (0..n)
+            .map(|b| {
+                let slot = store.alloc();
+                store.get_mut(slot).fill(b as u8);
+                slot
+            })
+            .collect()
     }
 
     /// The address of `slot`'s first byte.
-    fn addr(d: &Device, slot: u32) -> usize {
-        d.slab.get(slot).as_ptr() as usize
+    fn addr(store: &Slab, slot: u32) -> usize {
+        store.get(slot).as_ptr() as usize
     }
 
     #[test]
     fn slots_span_chunks() {
-        let len = CHUNK_BYTES / 2 + 1; // one slot per chunk
-        let mut d = Device::new(1, 8, len);
-        let slots: Vec<u32> = (0..5u8).map(|b| put(&mut d, &vec![b; len])).collect();
-        assert_eq!(d.slab.chunks.len(), 5);
-        for (b, &slot) in slots.iter().enumerate() {
-            assert_eq!(get(&d, slot), Some(vec![b as u8; len]));
-        }
-        let n = 2 * CHUNK_BYTES / 64 + 100;
-        let mut d = Device::new(1, n as u64, 64);
-        let slots: Vec<u32> = (0..n).map(|b| put(&mut d, &[b as u8; 64])).collect();
-        assert_eq!(d.slab.chunks.len(), 3);
-        for (b, &slot) in slots.iter().enumerate() {
-            assert_eq!(get(&d, slot), Some(vec![b as u8; 64]));
+        for (len, n, chunks) in [
+            (CHUNK_BYTES / 2 + 1, 5, 5), // one slot per chunk
+            (64, 2 * CHUNK_BYTES / 64 + 100, 3),
+        ] {
+            let mut store = Slab::new(len);
+            let slots = fill(&mut store, n);
+            assert_eq!(store.chunks.len(), chunks);
+            for (b, &slot) in slots.iter().enumerate() {
+                assert_eq!(store.get(slot), &vec![b as u8; len][..]);
+            }
         }
     }
 
@@ -367,11 +390,10 @@ mod tests {
     #[test]
     fn slots_start_on_lines_and_cross_no_page() {
         for len in (0..=12).map(|b| 1usize << b) {
-            let n = 2 * CHUNK_BYTES / len + 3;
-            let mut d = Device::new(1, n as u64, len);
-            for _ in 0..n {
-                let slot = d.alloc().expect("online device");
-                let at = addr(&d, slot);
+            let mut store = Slab::new(len);
+            for _ in 0..2 * CHUNK_BYTES / len + 3 {
+                let slot = store.alloc();
+                let at = addr(&store, slot);
                 if len >= 64 {
                     assert_eq!(at % 64, 0, "{len} B slot at {at:#x} starts off a line");
                 }
@@ -387,26 +409,41 @@ mod tests {
     #[test]
     fn slot_addresses_stay_put_while_their_chunk_fills() {
         let len = 1024;
-        let mut d = Device::new(1, 1_000, len);
-        let first = put(&mut d, &[7; 1024]);
-        let at = addr(&d, first);
-        let reserved = d.slab.chunks[0].bytes.capacity();
+        let mut store = Slab::new(len);
+        let first = fill(&mut store, 1)[0];
+        let at = addr(&store, first);
+        let reserved = store.chunks[0].bytes.capacity();
         for b in 1..=CHUNK_BYTES / len {
-            put(&mut d, &[b as u8; 1024]);
-            assert_eq!(addr(&d, first), at, "slot moved after {b} more slots");
-            let now = d.slab.chunks[0].bytes.capacity();
+            fill(&mut store, 1);
+            assert_eq!(addr(&store, first), at, "slot moved after {b} more slots");
+            let now = store.chunks[0].bytes.capacity();
             assert_eq!(now, reserved, "chunk reallocated after {b} more slots");
         }
-        assert_eq!(d.slab.chunks.len(), 2, "the last slot opens a chunk");
-        assert_eq!(get(&d, first), Some(vec![7; len]));
+        assert_eq!(store.chunks.len(), 2, "the last slot opens a chunk");
+        assert_eq!(store.get(first), &[0; 1024][..]);
+    }
+
+    /// Slots are handed out in the order they are asked for, whichever
+    /// device asks, so shards taken one after another sit side by side.
+    #[test]
+    fn fresh_slots_follow_one_another_across_devices() {
+        let mut store = Slab::new(16);
+        let mut devices: Vec<Device> = (0..3).map(|id| device(id, 10, 16)).collect();
+        let slots: Vec<u32> = (0..9)
+            .map(|i| devices[i % 3].alloc(&mut store).expect("online"))
+            .collect();
+        assert_eq!(slots, (0..9).collect::<Vec<u32>>());
+        let gap = addr(&store, 1) - addr(&store, 0);
+        assert_eq!(gap, 16, "adjacent slots are adjacent bytes");
     }
 
     #[test]
     fn stats_track_io() {
-        let mut d = Device::new(2, 10, 16);
-        let slot = put(&mut d, &[0; 16]);
-        put(&mut d, &[0; 16]);
-        let _ = get(&d, slot);
+        let mut store = Slab::new(16);
+        let mut d = device(2, 10, 16);
+        let slot = put(&mut d, &mut store, &[0; 16]);
+        put(&mut d, &mut store, &[0; 16]);
+        let _ = get(&d, &store, slot);
         let s = d.stats();
         assert_eq!(s.writes, 2);
         assert_eq!(s.reads, 1);
@@ -417,21 +454,24 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        Alloc(u8),
+        Alloc(usize, u8),
         Write(usize, u8),
         Read(usize),
         Release(usize),
-        Fail,
+        Fail(usize),
     }
+
+    /// Devices sharing the store of the model test.
+    const DEVICES: usize = 3;
 
     fn op() -> impl Strategy<Value = Op> {
         // Slot picks index the model's live slots (modulo their count).
-        (0u8..22, 0usize..64, any::<u8>()).prop_map(|(pick, i, b)| match pick {
-            0..=7 => Op::Alloc(b),
+        (0u8..23, 0usize..64, any::<u8>()).prop_map(|(pick, i, b)| match pick {
+            0..=7 => Op::Alloc(i % DEVICES, b),
             8..=10 => Op::Write(i, b),
             11..=15 => Op::Read(i),
-            16..=20 => Op::Release(i),
-            _ => Op::Fail,
+            16..=21 => Op::Release(i),
+            _ => Op::Fail(i % DEVICES),
         })
     }
 
@@ -444,61 +484,69 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random slot operations against a map model of the live slots:
-        /// contents, failure and counters agree, a released slot is handed
-        /// out again, and the slab grows only when no released slot is
-        /// free (its high-water mark equals the model's peak occupancy).
+        /// Random slot operations of three devices on one store against a
+        /// map model of the live slots (slot → device and contents):
+        /// contents, failure and counters agree, each device holds exactly
+        /// its online slots, a failed device's slots stay live until
+        /// released, a released slot serves any device, and the store grows
+        /// only when no released slot is free (its high-water mark equals
+        /// the model's peak occupancy).
         #[test]
-        fn device_matches_a_map_model(ops in proptest::collection::vec(op(), 1..300)) {
-            let mut d = Device::new(9, 30, LEN);
-            let mut model: BTreeMap<u32, u8> = BTreeMap::new();
-            let mut failed = false;
+        fn store_matches_a_map_model(ops in proptest::collection::vec(op(), 1..300)) {
+            let mut store = Slab::new(LEN);
+            let mut devices: Vec<Device> = (0..DEVICES as u64).map(|id| device(id, 30, LEN)).collect();
+            let mut model: BTreeMap<u32, (usize, u8)> = BTreeMap::new();
+            let mut failed = [false; DEVICES];
             let mut peak = 0usize;
-            let mut reads = 0u64;
-            let live = |model: &BTreeMap<u32, u8>, i: usize| {
-                model.keys().nth(i % model.len().max(1)).copied()
+            let mut reads = [0u64; DEVICES];
+            let live = |model: &BTreeMap<u32, (usize, u8)>, i: usize| {
+                model.iter().nth(i % model.len().max(1)).map(|(&s, &(d, _))| (s, d))
             };
             for op in ops {
                 match op {
-                    Op::Alloc(b) => match d.alloc() {
-                        None => prop_assert!(failed),
+                    Op::Alloc(d, b) => match devices[d].alloc(&mut store) {
+                        None => prop_assert!(failed[d]),
                         Some(slot) => {
-                            prop_assert!(!failed);
+                            prop_assert!(!failed[d]);
                             prop_assert!(!model.contains_key(&slot), "slot {} is live", slot);
-                            d.write(slot, &shard_bytes(b));
-                            model.insert(slot, b);
+                            devices[d].write(&mut store, slot, &shard_bytes(b));
+                            model.insert(slot, (d, b));
                         }
                     },
                     Op::Write(i, b) => {
-                        if let Some(slot) = live(&model, i) {
-                            d.write(slot, &shard_bytes(b));
-                            model.insert(slot, b);
+                        if let Some((slot, d)) = live(&model, i).filter(|&(_, d)| !failed[d]) {
+                            devices[d].write(&mut store, slot, &shard_bytes(b));
+                            model.insert(slot, (d, b));
                         }
                     }
                     Op::Read(i) => {
-                        if let Some(slot) = live(&model, i) {
-                            let shard = d.read(slot);
-                            prop_assert_eq!(shard, Some(&shard_bytes(model[&slot])[..]));
-                            reads += 1;
+                        if let Some((slot, d)) = live(&model, i) {
+                            let want = shard_bytes(model[&slot].1);
+                            let shard = devices[d].read(&store, slot);
+                            prop_assert_eq!(shard, (!failed[d]).then_some(&want[..]));
+                            reads[d] += u64::from(!failed[d]);
                         }
                     }
                     Op::Release(i) => {
-                        if let Some(slot) = live(&model, i) {
-                            d.release(slot);
+                        if let Some((slot, d)) = live(&model, i) {
+                            devices[d].release(&mut store, slot);
                             model.remove(&slot);
                         }
                     }
-                    Op::Fail => {
-                        d.fail();
-                        model.clear();
-                        failed = true;
-                        peak = 0;
+                    Op::Fail(d) => {
+                        devices[d].fail();
+                        failed[d] = true;
                     }
                 }
                 peak = peak.max(model.len());
-                prop_assert_eq!(d.used_blocks(), model.len() as u64);
-                prop_assert_eq!(d.slab.next as usize, peak);
-                prop_assert_eq!(d.stats().reads, reads);
+                for (d, device) in devices.iter().enumerate() {
+                    let held = model.values().filter(|&&(on, _)| on == d).count();
+                    let want = if failed[d] { 0 } else { held as u64 };
+                    prop_assert_eq!(device.used_blocks(), want);
+                    prop_assert_eq!(device.stats().reads, reads[d]);
+                }
+                prop_assert_eq!(store.live(), model.len() as u64);
+                prop_assert_eq!(store.high_water() as usize, peak);
             }
         }
 
@@ -513,9 +561,10 @@ mod tests {
             ops in proptest::collection::vec(any::<bool>(), 0..200),
         ) {
             let profile = DeviceProfile::new(per_op_us, mbytes_per_s);
-            let mut d = Device::with_profile(3, 1_000, len, profile);
+            let mut store = Slab::new(len);
+            let mut d = Device::new(3, 1_000, len, profile);
             let buf = vec![7; len];
-            let slot = put(&mut d, &buf);
+            let slot = put(&mut d, &mut store, &buf);
             let mut want = IoStats {
                 writes: 1,
                 bytes_written: len as u64,
@@ -524,11 +573,11 @@ mod tests {
             };
             for write in ops {
                 if write {
-                    d.write(slot, &buf);
+                    d.write(&mut store, slot, &buf);
                     want.writes += 1;
                     want.bytes_written += len as u64;
                 } else {
-                    prop_assert_eq!(d.read(slot), Some(&buf[..]));
+                    prop_assert_eq!(d.read(&store, slot), Some(&buf[..]));
                     want.reads += 1;
                     want.bytes_read += len as u64;
                 }

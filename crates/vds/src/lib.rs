@@ -11,8 +11,8 @@
 //!   [`rshare_core::RedundantShare`] — the strategy itself is a few words
 //!   per device ("compactness" in the paper's criteria list) — and each
 //!   stored block's are recorded in a fixed-width block-table row of `k`
-//!   words, each naming a device and the slot of its slab that holds the
-//!   shard, so a read is one probe and one slot copy per shard, and the
+//!   words, each naming a device and its shard's slot in the cluster's
+//!   shard store, so a read is one probe and one slot copy per shard, and the
 //!   metadata grows with the stored blocks, not with the address space.
 //!   Every write, migration and repair validates its target devices
 //!   before a byte moves, so an `Err` leaves the previous value. An

@@ -1407,8 +1407,9 @@ impl StorageCluster {
     }
 
     /// Marks a device as crashed; its contents are lost and reads degrade
-    /// until [`StorageCluster::rebuild`] runs. Its slots return to the
-    /// store as rebuild, repair or writes restamp the rows naming them.
+    /// until [`StorageCluster::rebuild`] runs. Their memory stays resident
+    /// until rebuild, repair or a write restamps the rows naming its slots
+    /// (for a block past recovery, until the block is written again).
     ///
     /// # Errors
     ///
@@ -2128,8 +2129,26 @@ mod tests {
         c.fail_device(0).unwrap();
         c.fail_device(1).unwrap();
         // Some block surely had both copies on devices 0 and 1.
-        let result = c.rebuild();
-        assert!(matches!(result, Err(VdsError::DataLoss { .. })));
+        let Err(VdsError::DataLoss { lba }) = c.rebuild() else {
+            panic!("a block lost both copies");
+        };
+        // The lost block's row still names its failed-device slots: the
+        // store keeps them live, and no device counts them, until a write
+        // replaces the block.
+        let named_failed = |c: &StorageCluster| {
+            let row = c.table.peek(lba).expect("the lost block keeps its row");
+            (row.iter())
+                .filter(|&&w| slot_of(w).is_some())
+                .filter(|&&w| c.devices[position_of(w)].state() == DeviceState::Failed)
+                .count()
+        };
+        assert_eq!(named_failed(&c), 2);
+        assert_slots_match_rows(&c);
+        let held: u64 = c.devices.iter().map(Device::used_blocks).sum();
+        assert!(c.store.live() >= held + 2, "failed-device slots stay live");
+        c.write_block(lba, &block(9, 64)).unwrap();
+        assert_eq!(named_failed(&c), 0);
+        assert_slots_match_rows(&c);
     }
 
     #[test]

@@ -58,8 +58,7 @@ struct AtomicIoStats {
 /// store's chunk table stays a few thousand entries at a few hundred MiB.
 const CHUNK_BYTES: usize = 256 * 1024;
 
-/// Each chunk's first slot starts on a boundary of this many bytes: a
-/// page (module docs).
+/// Each chunk's first slot starts on a page boundary (module docs).
 const SLOT_ALIGN: usize = 4096;
 
 /// One chunk of slots. `bytes` is reserved once, with room for every
@@ -165,14 +164,14 @@ pub struct Device {
     state: DeviceState,
     /// Store slots holding this device's shards; 0 once failed.
     used: u64,
+    /// The store's shard length, copied so the public `stats()` needs no store.
     shard_len: usize,
     stats: AtomicIoStats,
     profile: DeviceProfile,
 }
 
 impl Device {
-    /// Creates an online device able to hold `capacity_blocks` shards of
-    /// `shard_len` bytes.
+    /// An online device for `capacity_blocks` shards of `shard_len` bytes.
     pub(crate) fn new(
         id: u64,
         capacity_blocks: u64,
@@ -242,7 +241,7 @@ impl Device {
     }
 
     /// Marks the device failed: it reads nothing and takes or holds no
-    /// slot. Its slots stay live until rows drop them ([`Device::release`]).
+    /// slot; its slots stay resident until rows drop them ([`Device::release`]).
     pub(crate) fn fail(&mut self) {
         self.state = DeviceState::Failed;
         self.used = 0;
@@ -410,17 +409,20 @@ mod tests {
     fn slot_addresses_stay_put_while_their_chunk_fills() {
         let len = 1024;
         let mut store = Slab::new(len);
-        let first = fill(&mut store, 1)[0];
+        let first = store.alloc();
+        store.get_mut(first).fill(7);
         let at = addr(&store, first);
         let reserved = store.chunks[0].bytes.capacity();
         for b in 1..=CHUNK_BYTES / len {
-            fill(&mut store, 1);
+            // Every later slot holds a value other than the first's 7s.
+            let slot = store.alloc();
+            store.get_mut(slot).fill(8 + (b % 200) as u8);
             assert_eq!(addr(&store, first), at, "slot moved after {b} more slots");
             let now = store.chunks[0].bytes.capacity();
             assert_eq!(now, reserved, "chunk reallocated after {b} more slots");
         }
         assert_eq!(store.chunks.len(), 2, "the last slot opens a chunk");
-        assert_eq!(store.get(first), &[0; 1024][..]);
+        assert_eq!(store.get(first), &[7; 1024][..]);
     }
 
     /// Slots are handed out in the order they are asked for, whichever
